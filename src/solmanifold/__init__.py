@@ -19,7 +19,6 @@ from .modulation import (
     ManifoldQuery,
     ModulationTrajectory,
     NonlinearRun,
-    adot_condition,
     evolve_nonlinear,
     extract_modulation,
     h_fixed_point,

@@ -11,14 +11,25 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import soliton
-from .grid import RadialField, RadialGrid, h1_seminorm, inner_product, l2_norm, laplacian
+from .grid import (
+    GridUsageError,
+    RadialField,
+    RadialGrid,
+    h1_seminorm,
+    inner_product,
+    l2_norm,
+    laplacian,
+)
 from .modulation import (
+    BracketError,
+    LeftModulationWindow,
     ManifoldQuery,
     evolve_nonlinear,
     extract_modulation,
@@ -31,15 +42,16 @@ from .modulation import (
 )
 from .norms import energy, lorentz_norm, mixed_norm
 from .propagators import (
+    PropagatorError,
     SpaceTimeField,
     evolve_linear_perturbed,
-    free_sine,
-    free_sine_traj,
     free_cosine_traj,
+    free_pairing_series,
+    free_sine_traj,
     secular_decomposition_C,
     secular_decomposition_S,
 )
-from .spectral import ground_state, resonance_pairing, spectrum_report
+from .spectral import SpectralError, ground_state, resonance_pairing, spectrum_report
 from .grid import pair_w
 
 EXPERIMENTS = (
@@ -569,12 +581,7 @@ def _run_pairing_identity(cfg, outdir, report):
         soliton.potential(grid.r, 1.0) * soliton.dphi_da(grid.r, 1.0)
     )  # = Delta dphi_da
     M = int(round(T / dt))
-    series = np.array(
-        [
-            inner_product(free_sine(psi1, m * dt, enforce_budget=False), q)
-            for m in range(M + 1)
-        ]
-    )
+    series = free_pairing_series(psi1, q, T, dt, "sine")
     lhs = float(np.trapezoid(series, dx=dt))
     rhs = -inner_product(soliton.dphi_da_field(grid), psi1)
     scale = float(np.trapezoid(np.abs(series), dx=dt))
@@ -921,11 +928,23 @@ All CSVs carry a single header row; floats use up to 17 significant digits.
 """
 
 
+# the package's typed numerical failures; anything else (a TypeError from a
+# programming slip, say) propagates instead of posing as a failed check
+_RUN_FAILURES = (
+    GridUsageError,
+    SpectralError,
+    PropagatorError,
+    BracketError,
+    LeftModulationWindow,
+)
+
+
 def run(config):
     """Execute the named experiment; returns an ExperimentReport.
 
-    Module-level typed failures become failed runs recorded in the report;
-    configuration errors raise ConfigError.
+    The package's typed numerical failures become failed runs recorded in
+    the report, with their traceback; configuration errors raise
+    ConfigError and every other exception propagates.
     """
     issues = validate(config)
     if issues:
@@ -938,10 +957,10 @@ def run(config):
     runner = _RUNNERS[config.experiment]
     try:
         runner(config, outdir, report)
-    except (ConfigError,):
-        raise
-    except Exception as exc:  # typed module failures become failed records
-        report.records.append({"error": f"{type(exc).__name__}: {exc}"})
+    except _RUN_FAILURES as exc:
+        report.records.append(
+            {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+        )
         report.add_check("run_completed", 1.0, 0.5)
     _write(outdir, "report.json", report.to_json())
     _write(outdir, "SCHEMA.md", _SCHEMA)

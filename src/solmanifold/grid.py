@@ -49,6 +49,14 @@ class RadialGrid:
             object.__setattr__(self, "R_obs", 0.5 * self.R)
         if not (0 < self.R_obs <= self.R):
             raise ValueError("observation radius must lie in (0, R]")
+        r = np.linspace(0.0, self.R, self.n)
+        r.setflags(write=False)
+        object.__setattr__(self, "_r", r)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so their node
+        # radii are read-only too
+        return (RadialGrid, (self.R, self.n, self.R_obs))
 
     @property
     def dr(self):
@@ -56,7 +64,8 @@ class RadialGrid:
 
     @property
     def r(self):
-        return np.linspace(0.0, self.R, self.n)
+        """Node radii, built once per grid and shared read-only."""
+        return self._r
 
     @property
     def simpson_weights(self):
@@ -86,9 +95,6 @@ class RadialGrid:
 
     def field(self, values):
         return RadialField(self, np.asarray(values, dtype=float))
-
-    def field_from_function(self, fn):
-        return RadialField(self, np.asarray(fn(self.r), dtype=float))
 
     def zeros(self):
         return RadialField(self, np.zeros(self.n))

@@ -35,8 +35,9 @@ from .norms import NormReport, lorentz_norm, mixed_norm
 from .propagators import (
     SpaceTimeField,
     evolve_linear_perturbed,
-    free_cosine,
-    free_sine,
+    free_cosine_traj,
+    free_pairing_series,
+    free_sine_traj,
     perturbed_sine_duhamel,
 )
 from .spectral import project_continuous, project_continuous_w, secular_coefficient
@@ -574,12 +575,9 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     cQ = secular_coefficient(S)
     q = RadialField(grid, soliton.potential(r, S.a) * S.resonance.values)
 
-    base = np.empty(M + 1)
-    for m in range(M + 1):
-        t = m * dt
-        val = inner_product(free_cosine(data0, t, enforce_budget=False), q)
-        val += inner_product(free_sine(data1, t, enforce_budget=False), q)
-        base[m] = val
+    base = free_pairing_series(data0, q, T, dt, "cosine") + free_pairing_series(
+        data1, q, T, dt, "sine"
+    )
 
     duh = np.zeros(M + 1)
     if u0_traj is not None:
@@ -594,12 +592,8 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
                 u, phia
             ).values
             D[jj] = adot0[jj] * soliton.resonance_defect_profile(r, a0[jj])
-        Esin = np.stack(
-            [free_sine(q, m * dt, enforce_budget=False).values for m in range(M + 1)]
-        )
-        Ecos = np.stack(
-            [free_cosine(q, m * dt, enforce_budget=False).values for m in range(M + 1)]
-        )
+        Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
+        Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
         wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
         B1 = (F * wmat) @ Esin.T  # B1[j, i] = <F_j, sine-free(q, t_i)>
         B2 = (D * wmat) @ Ecos.T
@@ -611,12 +605,6 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
             duh[m] = np.sum(w * B1[jdx, m - jdx]) - np.sum(w * B2[jdx, m - jdx])
 
     return -(np.asarray(a0) ** 1.25) * cQ * (base + duh)
-
-
-def adot_condition(t, data0, data1, u0_traj, a0, adot0, S, dt):
-    """Single-time evaluation of the modulation condition right-hand side."""
-    series = modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, t, dt)
-    return float(series[-1])
 
 
 def _cumtrapz(y, dt):
@@ -712,18 +700,8 @@ def _pc_u_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
         grid.zeros(), pc1, None, T, dt, a=S.a, project_out=S
     )
 
-    cos_pair = np.array(
-        [
-            inner_product(free_cosine(data0, m * dt, enforce_budget=False), q)
-            for m in range(M + 1)
-        ]
-    )
-    sin_pair = np.array(
-        [
-            inner_product(free_sine(data1, m * dt, enforce_budget=False), q)
-            for m in range(M + 1)
-        ]
-    )
+    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
+    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
     sec_hom = -cQ * (_cumtrapz(cos_pair, dt) + _cumtrapz(sin_pair, dt))
 
     out = cos_traj.samples + sin_traj.samples - np.outer(sec_hom, resv)
@@ -755,12 +733,8 @@ def _pc_u_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     out += duh_sin.samples - duh_cos_D
 
     # secular parts of the Duhamels: Q acting on the accumulated free evolution
-    Esin = np.stack(
-        [free_sine(q, m * dt, enforce_budget=False).values for m in range(M + 1)]
-    )
-    Ecos = np.stack(
-        [free_cosine(q, m * dt, enforce_budget=False).values for m in range(M + 1)]
-    )
+    Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
+    Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
     wmat = grid.simpson_weights * r * r * 4.0 * np.pi
     B1 = (F * wmat) @ Esin.T
     B2 = (D * wmat) @ Ecos.T

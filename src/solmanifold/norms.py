@@ -111,13 +111,13 @@ def lp_norm_cells(f, p, radius=None):
 _INNER_TAGS = ("Linf_t", "L2_t", "L1_t")
 
 
-def _inner_time_profile(u, inner):
+def _inner_time_profile(samples, dt, inner):
     if inner == "Linf_t":
-        return np.max(np.abs(u.samples), axis=0)
+        return np.max(np.abs(samples), axis=0)
     if inner == "L2_t":
-        return np.sqrt(np.sum(u.samples**2, axis=0) * u.dt)
+        return np.sqrt(np.sum(samples**2, axis=0) * dt)
     if inner == "L1_t":
-        return np.sum(np.abs(u.samples), axis=0) * u.dt
+        return np.sum(np.abs(samples), axis=0) * dt
     raise GridUsageError(f"unknown inner time norm {inner!r} (use one of {_INNER_TAGS})")
 
 
@@ -127,16 +127,18 @@ def mixed_norm(u, outer, inner, radius=None):
     outer: ("lorentz", p, q) or "Linf_x"; inner: "Linf_t" | "L2_t" | "L1_t".
     The inner norm is computed per spatial node, then the outer norm is
     taken of the resulting radial profile inside B_{R_obs} by default.
+    Only the nodes inside that ball are read.
     """
     grid = u.grid
     if radius is None:
         radius = grid.R_obs
-    profile = grid.field(_inner_time_profile(u, inner))
+    jmax = int(np.floor(radius / grid.dr))
+    profile = np.zeros(grid.n)
+    profile[: jmax + 1] = _inner_time_profile(u.samples[:, : jmax + 1], u.dt, inner)
     if outer == "Linf_x":
-        jmax = int(np.floor(radius / grid.dr))
-        return float(np.max(np.abs(profile.values[: jmax + 1])))
+        return float(np.max(np.abs(profile[: jmax + 1])))
     if isinstance(outer, tuple) and outer[0] == "lorentz":
-        return lorentz_norm(profile, outer[1], outer[2], radius=radius)
+        return lorentz_norm(grid.field(profile), outer[1], outer[2], radius=radius)
     raise GridUsageError(f"unknown outer norm {outer!r}")
 
 

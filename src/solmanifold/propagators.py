@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import soliton
-from .grid import FOUR_PI, GridUsageError, RadialField, field_from_w, inner_product
+from .grid import FOUR_PI, GridUsageError, RadialField, field_from_w
 
 __all__ = [
     "SpaceTimeField",
@@ -25,6 +26,7 @@ __all__ = [
     "free_cosine_pair",
     "free_sine_traj",
     "free_cosine_traj",
+    "free_pairing_series",
     "free_duhamel",
     "evolve_linear_perturbed",
     "perturbed_sine_duhamel",
@@ -76,50 +78,95 @@ class SpaceTimeField:
 
 
 class _Transport:
-    """Shift-evaluation machinery for w defined on [0, R], odd through 0.
+    """d'Alembert transport of one field w = r*f, odd through the origin.
 
-    The antiderivative W is even; beyond R both w and W continue linearly
-    (those values are causally invisible inside the budget, the extension
-    only keeps array lookups well defined).
+    Built once per field: node values of the even antiderivative W, of w
+    and of its centred derivative d = w' (even), on the cells -K..n-1+K
+    that shifts up to `reach` touch.  Beyond R, W continues linearly with
+    slope w(R) and w, d stay constant (those values are causally invisible
+    inside the budget, the extension only keeps lookups well defined).
     """
 
-    def __init__(self, grid, w):
-        self.grid = grid
-        self.r = grid.r
-        self.w = np.asarray(w, dtype=float)
-        dr = grid.dr
-        W = np.concatenate(([0.0], np.cumsum(0.5 * (self.w[1:] + self.w[:-1]) * dr)))
-        self._W = W
+    def __init__(self, grid, w, reach):
+        n, dr = grid.n, grid.dr
+        w = np.asarray(w, dtype=float)
+        W = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dr)))
         # centered derivative of w (even extension of w' across the origin)
-        d = np.empty_like(self.w)
-        d[1:-1] = (self.w[2:] - self.w[:-2]) / (2.0 * dr)
-        d[0] = (-3.0 * self.w[0] + 4.0 * self.w[1] - self.w[2]) / (2.0 * dr)
-        d[-1] = (3.0 * self.w[-1] - 4.0 * self.w[-2] + self.w[-3]) / (2.0 * dr)
-        self._d = d
+        d = np.empty_like(w)
+        d[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
+        d[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
+        d[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
+        self.grid = grid
+        self.K = K = int(np.ceil(reach / dr)) + 1
+        cells = np.arange(-K, n + K)
+        k = np.abs(cells)
+        inside = np.minimum(k, n - 1)
+        self.x = dr * cells
+        self.values = {
+            "W": W[inside] + np.maximum(k - (n - 1), 0) * dr * w[-1],
+            "w": np.sign(cells) * w[inside],
+            "d": d[inside],
+        }
 
-    def W_at(self, x):
-        # W is even; linear continuation beyond R with slope w(R)
-        ax = np.abs(x)
-        out = np.interp(ax, self.r, self._W)
-        beyond = ax > self.r[-1]
-        if np.any(beyond):
-            out = np.where(beyond, self._W[-1] + (ax - self.r[-1]) * self.w[-1], out)
+    def at(self, name, x):
+        return np.interp(x, self.x, self.values[name])
+
+    def half_sums(self, name, op, M, dt):
+        """Rows m = 0..M of op(F(r + m dt), F(r - m dt)) / 2 for F = W, w or d.
+
+        When dt is a whole number s of cells, row m pairs two windows of the
+        extended node values shifted by +-m*s cells: no interpolation, and
+        two strided views feed a single ufunc call.  Otherwise each row
+        interpolates.
+        """
+        grid = self.grid
+        half = 0.5 * self.values[name]  # exact: op(a/2, b/2) == op(a, b)/2
+        out = np.empty((M + 1, grid.n))
+        s = dt / grid.dr
+        cells = int(round(s))
+        if cells >= 1 and abs(s - cells) <= 1e-12 * s:
+            K = self.K
+            windows = sliding_window_view(half, grid.n)
+            op(windows[K::cells][: M + 1], windows[K::-cells][: M + 1], out=out)
+        else:
+            for m in range(M + 1):
+                t = m * dt
+                plus = np.interp(grid.r + t, self.x, half)
+                op(plus, np.interp(grid.r - t, self.x, half), out=out[m])
         return out
 
-    def w_at(self, x):
-        # w is odd; constant continuation beyond R
-        ax = np.abs(x)
-        out = np.interp(ax, self.r, self.w)
-        return np.sign(x) * out
 
-    def d_at(self, x):
-        # w' is even
-        return np.interp(np.abs(x), self.r, self._d)
+def _free_slices(f, M, dt, kind):
+    """All M+1 slices t_m = m*dt of the free sine or cosine evolution of f.
+
+    One d'Alembert transport of w = r*f: the sine rows are (W(r+t) -
+    W(r-t))/2r with origin value w(t), the cosine rows (w(r+t) + w(r-t))/2r
+    with origin value w'(t), and cosine row 0 is f itself.  Returns the
+    (M+1, n) array of field values; callers check the budget.
+    """
+    tr = _Transport(f.grid, f.w(), M * dt)
+    times = dt * np.arange(M + 1)
+    if kind == "sine":
+        out = tr.half_sums("W", np.subtract, M, dt)
+        origin = tr.at("w", times)
+    else:
+        out = tr.half_sums("w", np.add, M, dt)
+        origin = tr.at("d", times)
+    out[:, 1:] /= f.grid.r[1:]
+    out[:, 0] = origin
+    if kind != "sine":
+        out[0] = f.values
+    return out
 
 
 def _budget_check(grid, t, enforce):
     if enforce:
         grid.require_budget(t)
+
+
+def _check_time(t):
+    if t < 0:
+        raise ValueError("free evolution defined for t >= 0")
 
 
 def free_sine(f, t, enforce_budget=True):
@@ -129,84 +176,44 @@ def free_sine(f, t, enforce_budget=True):
     v(r, t) = (W(r+t) - W(r-t))/2 with W the (even) antiderivative of the
     odd extension of w; u = v/r with u(0, t) = w(t).
     """
-    if t < 0:
-        raise ValueError("free evolution defined for t >= 0")
+    _check_time(t)
     _budget_check(f.grid, t, enforce_budget)
-    tr = _Transport(f.grid, f.w())
-    r = f.grid.r
-    v = 0.5 * (tr.W_at(r + t) - tr.W_at(r - t))
-    out = field_from_w(f.grid, v)
-    vals = out.values.copy()
-    vals[0] = tr.w_at(t)
-    return RadialField(f.grid, vals)
+    return RadialField(f.grid, _free_slices(f, 1, t, "sine")[1])
 
 
 def free_sine_pair(f, t, enforce_budget=True):
     """(u, du/dt) of the sine evolution; the pair feeds energy identities."""
-    if t < 0:
-        raise ValueError("free evolution defined for t >= 0")
-    _budget_check(f.grid, t, enforce_budget)
-    tr = _Transport(f.grid, f.w())
-    r = f.grid.r
-    v = 0.5 * (tr.W_at(r + t) - tr.W_at(r - t))
-    vt = 0.5 * (tr.w_at(r + t) + tr.w_at(r - t))
-    u = field_from_w(f.grid, v)
-    uvals = u.values.copy()
-    uvals[0] = tr.w_at(t)
-    ut = field_from_w(f.grid, vt)
-    utvals = ut.values.copy()
-    utvals[0] = tr.d_at(t)
-    return RadialField(f.grid, uvals), RadialField(f.grid, utvals)
+    return free_sine(f, t, enforce_budget), free_cosine(f, t, enforce_budget)
 
 
 def free_cosine(g0, t, enforce_budget=True):
     """cos(t sqrt(-Delta)) applied to g0; t = 0 returns g0 exactly."""
-    if t < 0:
-        raise ValueError("free evolution defined for t >= 0")
+    _check_time(t)
     if t == 0.0:
         return g0
     _budget_check(g0.grid, t, enforce_budget)
-    tr = _Transport(g0.grid, g0.w())
-    r = g0.grid.r
-    v = 0.5 * (tr.w_at(r + t) + tr.w_at(r - t))
-    out = field_from_w(g0.grid, v)
-    vals = out.values.copy()
-    vals[0] = tr.d_at(t)
-    return RadialField(g0.grid, vals)
+    return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
 def free_cosine_pair(g0, t, enforce_budget=True):
-    if t < 0:
-        raise ValueError("free evolution defined for t >= 0")
-    _budget_check(g0.grid, t, enforce_budget)
-    tr = _Transport(g0.grid, g0.w())
-    r = g0.grid.r
-    v = 0.5 * (tr.w_at(r + t) + tr.w_at(r - t))
-    vt = 0.5 * (tr.d_at(r + t) - tr.d_at(r - t))
-    u = field_from_w(g0.grid, v)
-    uvals = u.values.copy()
-    uvals[0] = tr.d_at(t)
-    return RadialField(g0.grid, uvals), field_from_w(g0.grid, vt)
+    u = free_cosine(g0, t, enforce_budget)
+    vt = _Transport(g0.grid, g0.w(), t).half_sums("d", np.subtract, 1, t)[1]
+    return u, field_from_w(g0.grid, vt)
 
 
-def _traj(grid, dt, fields):
-    return SpaceTimeField(grid, dt, np.stack([f.values for f in fields]))
+def _free_traj(f, T, dt, kind, enforce_budget):
+    _check_time(T)
+    _budget_check(f.grid, T, enforce_budget)
+    M = int(round(T / dt))
+    return SpaceTimeField(f.grid, dt, _free_slices(f, M, dt, kind))
 
 
 def free_sine_traj(f, T, dt, enforce_budget=True):
-    _budget_check(f.grid, T, enforce_budget)
-    M = int(round(T / dt))
-    return _traj(
-        f.grid, dt, [free_sine(f, m * dt, enforce_budget=False) for m in range(M + 1)]
-    )
+    return _free_traj(f, T, dt, "sine", enforce_budget)
 
 
 def free_cosine_traj(g0, T, dt, enforce_budget=True):
-    _budget_check(g0.grid, T, enforce_budget)
-    M = int(round(T / dt))
-    return _traj(
-        g0.grid, dt, [free_cosine(g0, m * dt, enforce_budget=False) for m in range(M + 1)]
-    )
+    return _free_traj(g0, T, dt, "cosine", enforce_budget)
 
 
 def free_duhamel(F, enforce_budget=True):
@@ -215,28 +222,16 @@ def free_duhamel(F, enforce_budget=True):
     dt = F.dt
     M = F.samples.shape[0] - 1
     _budget_check(grid, F.horizon, enforce_budget)
-    transports = [_Transport(grid, grid.r * F.samples[j]) for j in range(M + 1)]
-    r = grid.r
-    out = np.zeros_like(F.samples)
-    for m in range(1, M + 1):
-        acc_w = np.zeros(grid.n)
-        acc_origin = 0.0
-        for j in range(m + 1):
-            tau = (m - j) * dt
-            tr = transports[j]
-            cj = 0.5 if j in (0, m) else 1.0
-            acc_w += cj * 0.5 * (tr.W_at(r + tau) - tr.W_at(r - tau))
-            acc_origin += cj * tr.w_at(tau)
-        u = field_from_w(grid, acc_w * dt).values.copy()
-        u[0] = acc_origin * dt
-        out[m] = u
-    return SpaceTimeField(grid, dt, out)
+    acc = np.zeros_like(F.samples)
+    for j in range(M + 1):
+        slices = _free_slices(F.slice(j), M - j, dt, "sine")
+        # trapezoid end weights: the s = 0 slice halves, the s = t one vanishes
+        acc[j:] += 0.5 * slices if j == 0 else slices
+    return SpaceTimeField(grid, dt, acc * dt)
 
 
-def _leapfrog(
-    grid, w0, wdot0, T, dt, Vvals, source_w=None, stride=1, nonlinear=None, wg=None
-):
-    """Three-level integration of w_tt = w_rr - V w + source_w (+ nonlinear(w)).
+def _leapfrog(grid, w0, wdot0, T, dt, Vvals, source_w=None, stride=1, wg=None):
+    """Three-level integration of w_tt = w_rr - V w + source_w.
 
     When wg is given (the reduced eigenvector r*g), the g-component of the
     state is removed after every step: the continuous-spectrum evolution
@@ -253,8 +248,6 @@ def _leapfrog(
         out = np.zeros(grid.n)
         out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dr2
         out[1:-1] -= Vvals[1:-1] * w[1:-1]
-        if nonlinear is not None:
-            out[1:-1] += nonlinear(w)[1:-1]
         if source_w is not None:
             out[1:-1] += source_w(m)[1:-1]
         return out
@@ -305,8 +298,8 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     snaps = _leapfrog(
         grid, u0.w(), u1.w(), T, dt, Vvals, source_w=source_w, stride=stride, wg=wg
     )
-    fields = [field_from_w(grid, w) for w in snaps]
-    return _traj(grid, dt * stride, fields)
+    samples = np.stack([field_from_w(grid, w).values for w in snaps])
+    return SpaceTimeField(grid, dt * stride, samples)
 
 
 def perturbed_sine_duhamel(F, a=1.0, stride=1, project_out=None):
@@ -318,15 +311,17 @@ def perturbed_sine_duhamel(F, a=1.0, stride=1, project_out=None):
     )
 
 
-def _free_pairing_series(data_field, weight_field, T, dt, kind):
-    """<free evolution of data (t), weight> for t = 0..T; exact transport."""
-    M = int(round(T / dt))
-    grid = data_field.grid
-    if kind == "sine":
-        evol = lambda t: free_sine(data_field, t, enforce_budget=False)
-    else:
-        evol = lambda t: free_cosine(data_field, t, enforce_budget=False)
-    return np.array([inner_product(evol(m * dt), weight_field) for m in range(M + 1)])
+def free_pairing_series(data_field, weight_field, T, dt, kind):
+    """<free sine or cosine evolution of data (t), weight> for t = 0..T.
+
+    One trajectory of exact transport against the inner_product weights
+    4 pi * simpson * r^2 * weight; no budget check (pairings against a
+    decaying weight are read at every radius).
+    """
+    grid = weight_field.grid
+    traj = free_sine_traj if kind == "sine" else free_cosine_traj
+    samples = traj(data_field, T, dt, enforce_budget=False).samples
+    return samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * weight_field.values)
 
 
 def secular_decomposition_S(f, T, dt, S, stride=1):
@@ -347,7 +342,7 @@ def secular_decomposition_S(f, T, dt, S, stride=1):
     )
 
     q = RadialField(grid, soliton.potential(grid.r, S.a) * S.resonance.values)
-    series = _free_pairing_series(f, q, T, dt, "sine")
+    series = free_pairing_series(f, q, T, dt, "sine")
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * dt)))
     coeff = -secular_coefficient(S) * cum[::stride]
     secular = SpaceTimeField(
@@ -369,7 +364,7 @@ def secular_decomposition_C(g0, T, dt, S, stride=1):
     )
 
     q = RadialField(grid, soliton.potential(grid.r, S.a) * S.resonance.values)
-    series = _free_pairing_series(g0, q, T, dt, "cosine")
+    series = free_pairing_series(g0, q, T, dt, "cosine")
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * dt)))
     coeff = -secular_coefficient(S) * cum[::stride]
     secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))

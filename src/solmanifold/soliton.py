@@ -60,11 +60,3 @@ def phi_field(grid, a=1.0):
 
 def dphi_da_field(grid, a=1.0):
     return grid.field(dphi_da(grid.r, a))
-
-
-def potential_field(grid, a=1.0):
-    return grid.field(potential(grid.r, a))
-
-
-def defect_field(grid, a):
-    return grid.field(resonance_defect_profile(grid.r, a))

@@ -77,6 +77,31 @@ def test_run_rejects_invalid_config(tmp_path):
         run(cfg)
 
 
+def test_run_records_typed_failures_and_reraises_others(tmp_path, monkeypatch):
+    import solmanifold.experiments as experiments
+    from solmanifold.propagators import PropagatorError
+
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE))
+    cfg.output_dir = str(tmp_path / "out")
+
+    def slip(config, outdir, report):
+        raise TypeError("programming slip")
+
+    monkeypatch.setitem(experiments._RUNNERS, "stationarity", slip)
+    with pytest.raises(TypeError, match="programming slip"):
+        run(cfg)
+
+    def unstable(config, outdir, report):
+        raise PropagatorError("leapfrog instability")
+
+    monkeypatch.setitem(experiments._RUNNERS, "stationarity", unstable)
+    rep = run(cfg)
+    assert not rep.passed
+    (record,) = [r for r in rep.records if "error" in r]
+    assert record["error"] == "PropagatorError: leapfrog instability"
+    assert "Traceback" in record["traceback"] and "unstable" in record["traceback"]
+
+
 def test_stationarity_run_and_determinism(tmp_path):
     cfg1 = ExperimentConfig.from_file(write_config(tmp_path, BASE))
     cfg1.output_dir = str(tmp_path / "out1")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,8 @@ def test_fields_are_immutable():
     f = g.zeros()
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+    # the node radii are built once per grid and shared read-only
+    assert g.r is g.r
+    for grid in (g, pickle.loads(pickle.dumps(g))):
+        with pytest.raises(ValueError):
+            grid.r[1] = 0.0

@@ -104,6 +104,21 @@ def test_mixed_norm_unknown_tags(norm_grid):
         mixed_norm(u, "bogus", "L2_t")
 
 
+def test_mixed_norm_reads_only_the_observation_ball(norm_grid, rng):
+    f = norm_grid.field(np.exp(-((norm_grid.r - 3.0) ** 2)))
+    traj = free_sine_traj(f, 20.0, norm_grid.dr)
+    for radius in (None, 8.0):
+        jend = int(np.floor((radius or norm_grid.R_obs) / norm_grid.dr)) + 1
+        garbage = traj.samples.copy()
+        garbage[:, jend:] = 1e6 * rng.standard_normal(garbage[:, jend:].shape)
+        spoiled = SpaceTimeField(norm_grid, traj.dt, garbage)
+        for outer in (("lorentz", 6, 2), "Linf_x"):
+            for inner in ("Linf_t", "L2_t", "L1_t"):
+                assert mixed_norm(spoiled, outer, inner, radius=radius) == mixed_norm(
+                    traj, outer, inner, radius=radius
+                )
+
+
 def test_spacetime_l8_block(norm_grid):
     r = norm_grid.r
     f = ((r > 1.0) & (r <= 2.0)).astype(float)

@@ -19,7 +19,7 @@ from solmanifold import soliton
 from solmanifold.grid import GridUsageError
 from solmanifold.propagators import (
     SpaceTimeField,
-    free_cosine_pair,
+    free_cosine_traj,
     free_sine_pair,
     free_sine_traj,
 )
@@ -86,6 +86,65 @@ def test_budget_and_domain_errors(wave_grid):
         free_sine(f, -1.0)
     with pytest.raises(GridUsageError):
         free_sine(f, wave_grid.budget_horizon() + 1.0)
+
+
+def _interp_slice(f, t, kind):
+    """One slice of free transport by interpolation at r +- t: the reference."""
+    r, dr, R = f.grid.r, f.grid.dr, f.grid.R
+    w = f.w()
+    if kind == "sine":
+        W = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dr)))
+
+        def F(x):  # even, linear continuation beyond R
+            ax = np.abs(x)
+            return np.where(ax > R, W[-1] + (ax - R) * w[-1], np.interp(ax, r, W))
+
+        v = 0.5 * (F(r + t) - F(r - t))
+        origin = np.interp(t, r, w)
+    else:
+        d = np.gradient(w, dr, edge_order=2)
+
+        def F(x):  # odd, constant continuation beyond R
+            return np.sign(x) * np.interp(np.abs(x), r, w)
+
+        v = 0.5 * (F(r + t) + F(r - t))
+        origin = np.interp(t, r, d)
+    vals = np.empty(f.grid.n)
+    vals[1:] = v[1:] / r[1:]
+    vals[0] = origin
+    return vals
+
+
+@pytest.mark.parametrize("cells", [1.0, 2.0, 0.8])
+def test_trajectory_matches_per_slice_transport(cells):
+    # whole-cell shifts (dt/dr = 1, 2) and the interpolating path (0.8)
+    # against per-slice evaluation, origin values included
+    grid = RadialGrid(R=40.0, n=801, R_obs=10.0)
+    f = grid.field(np.exp(-((grid.r - 3.0) ** 2)) + 0.1 / (1.0 + grid.r**2))
+    dt = cells * grid.dr
+    for traj_fn, slice_fn, kind in (
+        (free_sine_traj, free_sine, "sine"),
+        (free_cosine_traj, free_cosine, "cosine"),
+    ):
+        got = traj_fn(f, 20.0, dt).samples
+        per_slice = np.stack([slice_fn(f, m * dt).values for m in range(got.shape[0])])
+        interp = np.stack([_interp_slice(f, m * dt, kind) for m in range(1, got.shape[0])])
+        scale = np.max(np.abs(per_slice))
+        assert np.max(np.abs(got - per_slice)) <= 1e-13 * scale
+        assert np.max(np.abs(got[1:] - interp)) <= 1e-13 * scale
+        assert np.max(np.abs(got[:, 0] - per_slice[:, 0])) <= 1e-13 * scale
+
+
+def test_trajectory_cosine_row0_and_guards(wave_grid):
+    f = wave_grid.field(np.exp(-((wave_grid.r - 3.0) ** 2)))
+    traj = free_cosine_traj(f, 5.0, wave_grid.dr)
+    assert np.array_equal(traj.samples[0], f.values)
+    assert np.max(np.abs(free_sine_traj(f, 5.0, wave_grid.dr).samples[0])) == 0.0
+    for traj_fn in (free_sine_traj, free_cosine_traj):
+        with pytest.raises(GridUsageError):
+            traj_fn(f, wave_grid.budget_horizon() + 1.0, wave_grid.dr)
+        with pytest.raises(ValueError):
+            traj_fn(f, -1.0, wave_grid.dr)
 
 
 def test_cosine_t0_and_closed_form(wave_grid):
