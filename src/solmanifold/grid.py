@@ -153,12 +153,17 @@ def _check_same_grid(f, g):
         raise GridUsageError("fields live on different grids")
 
 
+def _values_from_w(grid, w):
+    """In place along the last axis: w = r*f becomes f, the origin by parabolic
+    extrapolation (f even).  One call converts a whole (M+1, n) stack."""
+    w[..., 1:] /= grid.r[1:]
+    w[..., 0] = (4.0 * w[..., 1] - w[..., 2]) / 3.0
+    return w
+
+
 def field_from_w(grid, w):
     """Recover f = w/r; the origin value by parabolic extrapolation (f even)."""
-    vals = np.zeros(grid.n)
-    vals[1:] = w[1:] / grid.r[1:]
-    vals[0] = (4.0 * vals[1] - vals[2]) / 3.0
-    return RadialField(grid, vals)
+    return RadialField(grid, _values_from_w(grid, np.array(w, dtype=float)))
 
 
 def inner_product(f, g):

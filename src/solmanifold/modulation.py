@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from . import soliton
 from .grid import (
+    FOUR_PI,
     GridUsageError,
     RadialField,
     field_from_w,
@@ -53,11 +55,14 @@ class BracketError(RuntimeError):
     """Shooting bisection could not establish or classify a bracket."""
 
 
+def _quintic(v, p):
+    """N(v, p) on arrays, in Horner form; rows of a history broadcast alike."""
+    return v * v * (10.0 * p**3 + v * (10.0 * p**2 + v * (5.0 * p + v)))
+
+
 def nonlinearity(u, phi_a):
     """N(u, phi) = 10 phi^3 u^2 + 10 phi^2 u^3 + 5 phi u^4 + u^5."""
-    p = phi_a.values
-    v = u.values
-    return RadialField(u.grid, v * v * (10.0 * p**3 + v * (10.0 * p**2 + v * (5.0 * p + v))))
+    return RadialField(u.grid, _quintic(u.values, phi_a.values))
 
 
 @dataclass
@@ -381,46 +386,106 @@ def _leapfrog_rates(k, dt):
     return mu, kt, khat
 
 
-def _scheme_elliptic_residual_pairing(grid, a_vals, S):
-    """<(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w per history step.
-
-    The analytic soliton solves the elliptic equation exactly but the
-    discrete stencil leaves an O(dr^2 (a-1)) residual along the family;
-    the well-balanced flow feels exactly this difference, so the
-    fixed-point integrand carries it too (it vanishes under refinement).
-    """
+def _elliptic_residual(grid, phi_vals):
+    """Delta_h phi + phi^5 in w-variables on the interior nodes, rowwise."""
     r = grid.r
-    dr2 = grid.dr**2
-    wg = r * S.g.values
-    out = np.zeros(len(a_vals))
-    wphi1 = r * soliton.phi(r, 1.0)
-    rho1 = np.zeros(grid.n)
-    rho1[1:-1] = (wphi1[2:] - 2.0 * wphi1[1:-1] + wphi1[:-2]) / dr2
-    rho1[1:-1] += (soliton.phi(r, 1.0) ** 5 * r)[1:-1]
-    for i, a in enumerate(a_vals):
-        if abs(a - 1.0) < 1e-15:
-            continue
-        wpa = r * soliton.phi(r, a)
-        rho = np.zeros(grid.n)
-        rho[1:-1] = (wpa[2:] - 2.0 * wpa[1:-1] + wpa[:-2]) / dr2
-        rho[1:-1] += (soliton.phi(r, a) ** 5 * r)[1:-1]
-        out[i] = 4.0 * np.pi * grid.dr * float(np.sum((rho - rho1) * wg))
-    return out
+    w = r * phi_vals
+    rho = np.zeros(w.shape)
+    rho[..., 1:-1] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / grid.dr**2
+    rho[..., 1:-1] += (phi_vals**5 * r)[..., 1:-1]
+    return rho
 
 
-def _source_pairings(u_samples, a_vals, S):
-    """g-pairings of (V - V(a)) u0 + N(u0, phi(a)) per history step."""
+@dataclass(frozen=True)
+class _Sources:
+    """The modulation source of one frozen history (u0, a0, adot0).
+
+    Assembled once per Picard iterate; h, x_pm, the modulation rate and
+    P_c u all read from it.
+    """
+
+    F: np.ndarray         # (V - V(a)) u0 + N(u0, phi(a)), shape (M+1, n)
+    D: np.ndarray         # adot0 * defect(a0), or None without an adot history
+    Fg: np.ndarray        # <F_j, g>_w
+    Dg: np.ndarray        # <D_j, g>_w, or None
+    gamma: np.ndarray     # <phi(a_j) - phi, g>_w
+    residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
+
+
+_ROWS = 32  # history rows per assembly block
+
+
+def _assemble(samples, a0, adot0, S):
+    """Build the _Sources of a history, every profile broadcast over the scales.
+
+    The rows are assembled _ROWS at a time, so the temporaries stay at a few
+    block-sized arrays whatever the horizon.  The residual is
+    <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w per step: the
+    analytic soliton solves the elliptic equation exactly but the discrete
+    stencil leaves an O(dr^2 (a-1)) residual along the family; the
+    well-balanced flow feels exactly this difference, so the fixed-point
+    integrand carries it too (it vanishes under refinement).
+    """
     grid = S.grid
     r = grid.r
+    g = S.g.values
+    a_vals = np.asarray(a0, dtype=float)
     V1 = soliton.potential(r, 1.0)
-    out = np.empty(len(a_vals))
-    for j, a in enumerate(a_vals):
-        u = RadialField(grid, u_samples[j])
-        phia = soliton.phi_field(grid, a)
-        Nf = nonlinearity(u, phia)
-        vdiff = RadialField(grid, (V1 - soliton.potential(r, a)) * u.values)
-        out[j] = pair_w(vdiff, S.g) + pair_w(Nf, S.g)
-    return out
+    phi1 = soliton.phi(r, 1.0)
+    rho1 = _elliptic_residual(grid, phi1)
+    F = np.empty(samples.shape)
+    D = None if adot0 is None else np.empty(samples.shape)
+    adot = None if adot0 is None else np.asarray(adot0, dtype=float)[:, None]
+    gamma = np.empty(len(a_vals))
+    residual = np.empty(len(a_vals))
+    for start in range(0, len(a_vals), _ROWS):
+        rows = slice(start, start + _ROWS)
+        a = a_vals[rows, None]
+        u = samples[rows]
+        phia = soliton.phi(r, a)
+        F[rows] = (V1 - soliton.potential(r, a)) * u + _quintic(u, phia)
+        gamma[rows] = np.sum((phia - phi1) * g * r**2, axis=1)
+        rho = _elliptic_residual(grid, phia) - rho1
+        residual[rows] = np.sum(rho * (r * g), axis=1)
+        if D is not None:
+            D[rows] = adot[rows] * soliton.resonance_defect_profile(r, a)
+    residual[np.abs(a_vals - 1.0) < 1e-15] = 0.0
+    wg = FOUR_PI * grid.dr * r * r * g
+    return _Sources(
+        F=F,
+        D=D,
+        Fg=F @ wg,
+        Dg=None if D is None else D @ wg,
+        gamma=FOUR_PI * grid.dr * gamma,
+        residual=FOUR_PI * grid.dr * residual,
+    )
+
+
+def _check_history(samples, a0, adot0):
+    M = samples.shape[0] - 1
+    a0 = np.asarray(a0, dtype=float)
+    if len(a0) != M + 1 or len(adot0) != M + 1:
+        raise GridUsageError("history lengths disagree")
+    if np.any((a0 <= soliton.MODULATION_WINDOW[0]) | (a0 >= soliton.MODULATION_WINDOW[1])):
+        raise LeftModulationWindow("a0 history leaves the modulation window")
+    return a0
+
+
+def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual):
+    """The fixed-point offset h and its tail bound from an assembled source."""
+    M = len(src.Fg) - 1
+    mu, kt, khat = _leapfrog_rates(S.k, dt)
+    q = src.Fg - S.k**2 * src.gamma
+    if include_scheme_residual:
+        q = q + src.residual
+
+    j = np.arange(M + 1)
+    weights = np.exp(-kt * j * dt) * dt
+    weights[0] *= 0.5
+    total = float(np.sum(weights * q))
+    tail = np.exp(-kt * M * dt) * float(np.max(np.abs(q[max(0, M - M // 4):]))) / kt
+    h = -(khat * pert_overlap_w + psi1_overlap_w + total) / ((khat + S.k) * S.gg_w)
+    return h, tail
 
 
 def h_fixed_point(
@@ -453,40 +518,9 @@ def h_fixed_point(
         dt = u0_traj.dt
     else:
         samples, dt = u0_traj
-    a0 = np.asarray(a0, dtype=float)
-    adot0 = np.asarray(adot0, dtype=float)
-    M = samples.shape[0] - 1
-    if len(a0) != M + 1 or len(adot0) != M + 1:
-        raise GridUsageError("history lengths disagree")
-    if np.any((a0 <= soliton.MODULATION_WINDOW[0]) | (a0 >= soliton.MODULATION_WINDOW[1])):
-        raise LeftModulationWindow("a0 history leaves the modulation window")
-
-    mu, kt, khat = _leapfrog_rates(S.k, dt)
-    q = _source_pairings(samples, a0, S)
-    gam = _gamma_series(S.grid, a0, S)
-    q = q - S.k**2 * gam
-    if include_scheme_residual:
-        q = q + _scheme_elliptic_residual_pairing(S.grid, a0, S)
-
-    j = np.arange(M + 1)
-    weights = np.exp(-kt * j * dt) * dt
-    weights[0] *= 0.5
-    total = float(np.sum(weights * q))
-    tail = np.exp(-kt * M * dt) * float(np.max(np.abs(q[max(0, M - M // 4):]))) / kt
-    h = -(khat * pert_overlap_w + psi1_overlap_w + total) / ((khat + S.k) * S.gg_w)
-    return h, tail
-
-
-def _gamma_series(grid, a_vals, S):
-    """gamma_j = <phi(a_j) - phi(1), g>_w; its discrete second difference feeds x_pm."""
-    r = grid.r
-    phi1 = soliton.phi(r, 1.0)
-    return np.array(
-        [
-            pair_w(RadialField(grid, soliton.phi(r, a) - phi1), S.g)
-            for a in a_vals
-        ]
-    )
+    a0 = _check_history(samples, a0, adot0)
+    src = _assemble(samples, a0, None, S)
+    return _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual)
 
 
 def _d2_series(y, dt):
@@ -498,33 +532,16 @@ def _d2_series(y, dt):
     return out
 
 
-def xpm_evolution(u0_traj, a0, adot0, query, S, h):
-    """Discrete-spectrum coordinates from the frozen-history Duhamel forms.
-
-    x_minus integrates forward from t = 0; x_plus uses the backward-stable
-    integral from t to the horizon (the bounded solution selected by h),
-    with the truncated tail bound e^{-k(T-t)} sup|source|/k recorded.
-    """
-    samples = u0_traj.samples
-    dt = u0_traj.dt
+def _xpm_from(src, query, S, h, dt):
+    """x_plus, x_minus and the tail bound from an assembled source."""
     grid = S.grid
     k = S.k
     c = 1.0 / np.sqrt(2.0 * k)
-    M = samples.shape[0] - 1
-    r = grid.r
-    V1 = soliton.potential(r, 1.0)
+    M = len(src.Fg) - 1
 
     # w2g_j = <W_2(s_j), g>_w with the phi(a)-acceleration term as an exact
     # discrete second difference of gamma
-    gam = _gamma_series(grid, np.asarray(a0), S)
-    d2gam = _d2_series(gam, dt)
-    w2g = np.empty(M + 1)
-    for jj in range(M + 1):
-        u = RadialField(grid, samples[jj])
-        phia = soliton.phi_field(grid, a0[jj])
-        vdiff = RadialField(grid, (V1 - soliton.potential(r, a0[jj])) * u.values)
-        w2g[jj] = pair_w(vdiff, S.g) + pair_w(nonlinearity(u, phia), S.g)
-    w2g = w2g - d2gam
+    w2g = src.Fg - _d2_series(src.gamma, dt)
 
     # x_minus(0) from the corrected data pair
     pert = query.psi0_perturbation
@@ -532,25 +549,80 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     pert_c = RadialField(grid, pert.values + h * S.g.values)
     x_minus0 = c * (k * pair_w(pert_c, S.g) - pair_w(psi1c, S.g))
 
-    tgrid = np.arange(M + 1) * dt
-    xm = np.empty(M + 1)
-    # forward trapezoid of e^{-k(t-s)} (-c) w2g(s)
-    run = 0.0
-    xm[0] = x_minus0
+    # trapezoid steps of e^{-k(t-s)} w2g(s), accumulated forward from t = 0
+    # for x_minus and backward from the horizon for x_plus: step i reaches
+    # step m damped by decay^|m-i|, one lower-triangular matrix for both
     decay = np.exp(-k * dt)
-    for m in range(1, M + 1):
-        run = run * decay + 0.5 * dt * (w2g[m] + w2g[m - 1] * decay)
-        xm[m] = np.exp(-k * tgrid[m]) * x_minus0 - c * run
+    lag = np.subtract.outer(np.arange(M), np.arange(M))
+    L = np.tril(decay ** np.maximum(lag, 0))
+    fwd = 0.5 * dt * (w2g[1:] + w2g[:-1] * decay)
+    bwd = 0.5 * dt * (w2g[:-1] + w2g[1:] * decay)
 
-    xp = np.empty(M + 1)
-    run = 0.0
-    xp[M] = 0.0
-    for m in range(M - 1, -1, -1):
-        run = run * decay + 0.5 * dt * (w2g[m] + w2g[m + 1] * decay)
-        xp[m] = -c * run
+    xm = np.exp(-k * dt * np.arange(M + 1)) * x_minus0
+    xm[1:] -= c * (L @ fwd)
+    xp = np.zeros(M + 1)
+    xp[:-1] = -c * (L.T @ bwd)
     # truncation of the t..infinity integral at the horizon
     tail_bound = float(np.abs(w2g[-(M // 4 or 1):]).max() / k)
     return xp, xm, tail_bound
+
+
+def xpm_evolution(u0_traj, a0, adot0, query, S, h):
+    """Discrete-spectrum coordinates from the frozen-history Duhamel forms.
+
+    x_minus integrates forward from t = 0; x_plus uses the backward-stable
+    integral from t to the horizon (the bounded solution selected by h),
+    with the truncated tail bound e^{-k(T-t)} sup|source|/k recorded.
+    """
+    src = _assemble(u0_traj.samples, a0, None, S)
+    return _xpm_from(src, query, S, h, u0_traj.dt)
+
+
+def _resonance_weight(S):
+    """q = V(a) dphi_da: every modulation pairing is taken against it."""
+    return RadialField(S.grid, soliton.potential(S.grid.r, S.a) * S.resonance.values)
+
+
+def _duhamel_kernel(src, q, T, dt):
+    """B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q, t_i)>.
+
+    Self-adjointness of the free evolutions turns each Duhamel pairing
+    against q into a pairing of the source slice with the free evolution
+    of q, so one transport of q each way serves every source slice.
+    """
+    grid = q.grid
+    wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
+    Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
+    Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
+    return (src.F * wmat) @ Esin.T - (src.D * wmat) @ Ecos.T
+
+
+def _antidiagonal_sums(X):
+    """s[m] = sum of X[j, k] over j + k = m, for m = 0..M of an (M+1, M+1) X."""
+    idx = np.arange(X.shape[0])
+    return np.bincount((idx[:, None] + idx).ravel(), weights=X.ravel())[: X.shape[0]]
+
+
+def _duhamel_sums(B, dt):
+    """Trapezoid over s in [0, t_m] of B[s, t_m - s], for every m."""
+    return dt * (_antidiagonal_sums(B) - 0.5 * (B[0] + B[:, 0]))
+
+
+def _secular_sums(B, dt):
+    """Trapezoid over s in [0, t_m] of Int_0^{t_m - s} B[s, lag] dlag, for every m.
+
+    The rows of C, the cumulative trapezoid of B along the lag, hold the
+    inner integrals; the outer one is a trapezoid along the anti-diagonal of
+    C, whose s = t_m end C[m, 0] vanishes.
+    """
+    C = cumulative_trapezoid(B, dx=dt, axis=1, initial=0)
+    return dt * (_antidiagonal_sums(C) - 0.5 * C[0])
+
+
+def _rate_from(a0, S, base, B, dt):
+    """Modulation rate from the data pairings and the Duhamel kernel (None: no source)."""
+    duh = 0.0 if B is None else _duhamel_sums(B, dt)
+    return -(np.asarray(a0) ** 1.25) * secular_coefficient(S) * (base + duh)
 
 
 def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
@@ -569,46 +641,13 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     free evolutions: each source slice is paired against the free
     evolution of the weight V dphi.
     """
-    grid = S.grid
-    r = grid.r
-    M = int(round(T / dt))
-    cQ = secular_coefficient(S)
-    q = RadialField(grid, soliton.potential(r, S.a) * S.resonance.values)
-
-    base = free_pairing_series(data0, q, T, dt, "cosine") + free_pairing_series(
-        data1, q, T, dt, "sine"
-    )
-
-    duh = np.zeros(M + 1)
+    q = _resonance_weight(S)
+    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
+    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
+    B = None
     if u0_traj is not None:
-        samples = u0_traj.samples
-        V1 = soliton.potential(r, 1.0)
-        F = np.empty_like(samples)
-        D = np.empty_like(samples)
-        for jj in range(M + 1):
-            u = RadialField(grid, samples[jj])
-            phia = soliton.phi_field(grid, a0[jj])
-            F[jj] = (V1 - soliton.potential(r, a0[jj])) * u.values + nonlinearity(
-                u, phia
-            ).values
-            D[jj] = adot0[jj] * soliton.resonance_defect_profile(r, a0[jj])
-        Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
-        Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
-        wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
-        B1 = (F * wmat) @ Esin.T  # B1[j, i] = <F_j, sine-free(q, t_i)>
-        B2 = (D * wmat) @ Ecos.T
-        for m in range(1, M + 1):
-            jdx = np.arange(m + 1)
-            w = np.full(m + 1, dt)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            duh[m] = np.sum(w * B1[jdx, m - jdx]) - np.sum(w * B2[jdx, m - jdx])
-
-    return -(np.asarray(a0) ** 1.25) * cQ * (base + duh)
-
-
-def _cumtrapz(y, dt):
-    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * dt)))
+        B = _duhamel_kernel(_assemble(u0_traj.samples, a0, adot0, S), q, T, dt)
+    return _rate_from(a0, S, cos_pair + sin_pair, B, dt)
 
 
 def x_norm(u_traj, adot, dt):
@@ -641,7 +680,8 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     Computes h from the boundedness condition, the new modulation rate from
     the free-evolution condition, the continuous-spectrum part from the
     secularly decomposed Duhamel form, and the discrete-spectrum part from
-    the x_pm integrals.
+    the x_pm integrals.  The source of the frozen history is assembled once,
+    and q = V dphi and the data are transported once, for all four parts.
     """
     grid = S.grid
     M = int(round(T / dt))
@@ -649,23 +689,25 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
         u0_traj = SpaceTimeField(grid, dt, np.zeros((M + 1, grid.n)))
         a0 = np.ones(M + 1)
         adot0 = np.zeros(M + 1)
-    a0 = np.asarray(a0, dtype=float)
-    adot0 = np.asarray(adot0, dtype=float)
+    a0 = _check_history(u0_traj.samples, a0, adot0)
+    src = _assemble(u0_traj.samples, a0, adot0, S)
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
     pg1 = pair_w(query.psi1, S.g)
-    h, tail = h_fixed_point(
-        u0_traj, a0, adot0, S, pert_overlap_w=pg0, psi1_overlap_w=pg1
-    )
+    h, tail = _h_from(src, u0_traj.dt, S, pg0, pg1, include_scheme_residual=True)
 
     data0 = RadialField(grid, query.psi0_perturbation.values + h * S.g.values)
     data1 = RadialField(grid, query.psi1.values + h * S.k * S.g.values)
+    q = _resonance_weight(S)
+    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
+    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
+    B = _duhamel_kernel(src, q, T, dt)
 
-    adot = modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt)
-    a = 1.0 + _cumtrapz(adot, dt)
+    adot = _rate_from(a0, S, cos_pair + sin_pair, B, dt)
+    a = 1.0 + cumulative_trapezoid(adot, dx=dt, initial=0)
 
-    pcu = _pc_u_series(data0, data1, u0_traj, a0, adot0, S, T, dt)
-    xp, xm, xtail = xpm_evolution(u0_traj, a0, adot0, query, S, h)
+    pcu = _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt)
+    xp, xm, xtail = _xpm_from(src, query, S, h, u0_traj.dt)
     coef = (xp + xm) / np.sqrt(2.0 * S.k)
     u = SpaceTimeField(grid, dt, pcu.samples + np.outer(coef, S.g.values))
     return PicardIterate(
@@ -673,21 +715,20 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     )
 
 
-def _pc_u_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
+def _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt):
     """Continuous-spectrum trajectory via secular-decomposed propagators.
 
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
     Int C(t-s) adot0(s) defect(a0(s)) ds, with each operator realized as
     (perturbed evolution of the P_c input) minus (rank-one secular term).
     The minus on the defect Duhamel matches modulation_rate_series (see
-    the sign discussion there).
+    the sign discussion there).  cos_pair, sin_pair and B are the data
+    pairings and the Duhamel kernel that modulation_rate_series reads too.
     """
     grid = S.grid
-    r = grid.r
-    M = int(round(T / dt))
     cQ = secular_coefficient(S)
-    q = RadialField(grid, soliton.potential(r, S.a) * S.resonance.values)
     resv = S.resonance.values
+    g = S.g.values
 
     # homogeneous parts (scheme-exact projector; leftover g-components would
     # be amplified by e^{kT})
@@ -700,64 +741,32 @@ def _pc_u_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
         grid.zeros(), pc1, None, T, dt, a=S.a, project_out=S
     )
 
-    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
-    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
-    sec_hom = -cQ * (_cumtrapz(cos_pair, dt) + _cumtrapz(sin_pair, dt))
+    sec_hom = -cQ * (
+        cumulative_trapezoid(cos_pair, dx=dt, initial=0)
+        + cumulative_trapezoid(sin_pair, dx=dt, initial=0)
+    )
 
     out = cos_traj.samples + sin_traj.samples - np.outer(sec_hom, resv)
 
-    # source parts
-    V1 = soliton.potential(r, 1.0)
-    samples = u0_traj.samples
-    F = np.empty_like(samples)
-    D = np.empty_like(samples)
-    for jj in range(M + 1):
-        u = RadialField(grid, samples[jj])
-        phia = soliton.phi_field(grid, a0[jj])
-        F[jj] = (V1 - soliton.potential(r, a0[jj])) * u.values + nonlinearity(u, phia).values
-        D[jj] = adot0[jj] * soliton.resonance_defect_profile(r, a0[jj])
-    wproj = 4.0 * np.pi * grid.dr * r * r * S.g.values / S.gg_w
-    Fpc = F - np.outer(F @ wproj, S.g.values)
-    Dpc = D - np.outer(D @ wproj, S.g.values)
+    # source parts, with their g-components removed
+    Fpc = src.F - np.outer(src.Fg / S.gg_w, g)
+    Dpc = src.D - np.outer(src.Dg / S.gg_w, g)
 
     F_traj = SpaceTimeField(grid, dt, Fpc)
     duh_sin = perturbed_sine_duhamel(F_traj, a=S.a, project_out=S)
     D_traj = SpaceTimeField(grid, dt, Dpc)
-    duh_sin_D = perturbed_sine_duhamel(D_traj, a=S.a, project_out=S)
+    zs = perturbed_sine_duhamel(D_traj, a=S.a, project_out=S).samples
     # cosine Duhamel = centered time derivative of the sine Duhamel
-    duh_cos_D = np.zeros_like(duh_sin_D.samples)
-    zs = duh_sin_D.samples
-    if M >= 2:
+    duh_cos_D = np.zeros_like(zs)
+    if zs.shape[0] >= 3:
         duh_cos_D[1:-1] = (zs[2:] - zs[:-2]) / (2.0 * dt)
         duh_cos_D[-1] = (zs[-1] - zs[-2]) / dt
     out += duh_sin.samples - duh_cos_D
 
     # secular parts of the Duhamels: Q acting on the accumulated free evolution
-    Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
-    Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
-    wmat = grid.simpson_weights * r * r * 4.0 * np.pi
-    B1 = (F * wmat) @ Esin.T
-    B2 = (D * wmat) @ Ecos.T
-    sec_src = np.zeros(M + 1)
-    for m in range(1, M + 1):
-        jdx = np.arange(m + 1)
-        w_out = np.full(m + 1, dt)
-        w_out[0] *= 0.5
-        w_out[-1] *= 0.5
-        # inner integral over tau in [s, t]: cumulative trapezoid along the
-        # anti-diagonal rows of B
-        inner1 = np.array([_trap(B1[jj, : m - jj + 1], dt) for jj in jdx])
-        inner2 = np.array([_trap(B2[jj, : m - jj + 1], dt) for jj in jdx])
-        sec_src[m] = np.sum(w_out * inner1) - np.sum(w_out * inner2)
-    out -= np.outer(-cQ * sec_src, resv)
+    out -= np.outer(-cQ * _secular_sums(B, dt), resv)
 
     return SpaceTimeField(grid, dt, out)
-
-
-def _trap(y, dt):
-    if len(y) < 2:
-        return 0.0
-    return float(dt * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
 @dataclass

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .grid import FOUR_PI, GridUsageError, h1_seminorm, inner_product
 
@@ -167,8 +168,8 @@ def kato_norm(f):
     # cumulative trapezoids of |f| rho^2 and |f| rho
     a = af * r * r
     b = af * r
-    A = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * dr)))
-    B = np.concatenate(([0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * dr)))
+    A = cumulative_trapezoid(a, dx=dr, initial=0)
+    B = cumulative_trapezoid(b, dx=dr, initial=0)
     Btail = B[-1] - B
     vals = np.empty(grid.n)
     vals[0] = FOUR_PI * Btail[0]
@@ -187,8 +188,8 @@ def newton_potential(f):
     dr = grid.dr
     a = f.values * r * r
     b = f.values * r
-    A = np.concatenate(([0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * dr)))
-    B = np.concatenate(([0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * dr)))
+    A = cumulative_trapezoid(a, dx=dr, initial=0)
+    B = cumulative_trapezoid(b, dx=dr, initial=0)
     Btail = B[-1] - B
     vals = np.empty(grid.n)
     vals[0] = Btail[0]

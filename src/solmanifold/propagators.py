@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.integrate import cumulative_trapezoid
 
 from . import soliton
-from .grid import FOUR_PI, GridUsageError, RadialField, field_from_w
+from .grid import FOUR_PI, GridUsageError, RadialField, _values_from_w, field_from_w
 
 __all__ = [
     "SpaceTimeField",
@@ -90,7 +91,7 @@ class _Transport:
     def __init__(self, grid, w, reach):
         n, dr = grid.n, grid.dr
         w = np.asarray(w, dtype=float)
-        W = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dr)))
+        W = cumulative_trapezoid(w, dx=dr, initial=0)
         # centered derivative of w (even extension of w' across the origin)
         d = np.empty_like(w)
         d[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
@@ -298,8 +299,7 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     snaps = _leapfrog(
         grid, u0.w(), u1.w(), T, dt, Vvals, source_w=source_w, stride=stride, wg=wg
     )
-    samples = np.stack([field_from_w(grid, w).values for w in snaps])
-    return SpaceTimeField(grid, dt * stride, samples)
+    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, np.stack(snaps)))
 
 
 def perturbed_sine_duhamel(F, a=1.0, stride=1, project_out=None):
@@ -324,52 +324,40 @@ def free_pairing_series(data_field, weight_field, T, dt, kind):
     return samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * weight_field.values)
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1):
-    """Split the perturbed sine evolution into dispersive + secular parts.
+def _secular_decomposition(f, T, dt, S, stride, kind):
+    """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
-    Perturbed side: evolve data (0, P_c f) under H.  Secular side: the
-    rank-one projector applied to the running time integral of the free
-    sine evolution of f.  Returns (S_traj, secular_traj); their sum is the
-    full perturbed evolution.
+    Perturbed side: evolve the data (0, P_c f) for "sine", (P_c f, 0) for
+    "cosine" under H.  Secular side: the rank-one projector applied to the
+    running time integral of the free evolution of f of the same kind.
+    Returns (dispersive_traj, secular_traj); their sum is the full
+    perturbed evolution.
     """
     from .spectral import project_continuous_w, secular_coefficient
 
     grid = f.grid
     grid.require_budget(T)
     pcf = project_continuous_w(f, S)
-    full = evolve_linear_perturbed(
-        grid.zeros(), pcf, None, T, dt, a=S.a, stride=stride, project_out=S
-    )
+    data = (grid.zeros(), pcf) if kind == "sine" else (pcf, grid.zeros())
+    full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
 
     q = RadialField(grid, soliton.potential(grid.r, S.a) * S.resonance.values)
-    series = free_pairing_series(f, q, T, dt, "sine")
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * dt)))
+    series = free_pairing_series(f, q, T, dt, kind)
+    cum = cumulative_trapezoid(series, dx=dt, initial=0)
     coeff = -secular_coefficient(S) * cum[::stride]
-    secular = SpaceTimeField(
-        grid, dt * stride, np.outer(coeff, S.resonance.values)
-    )
-    S_traj = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)
-    return S_traj, secular
+    secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))
+    dispersive = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)
+    return dispersive, secular
+
+
+def secular_decomposition_S(f, T, dt, S, stride=1):
+    """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj)."""
+    return _secular_decomposition(f, T, dt, S, stride, "sine")
 
 
 def secular_decomposition_C(g0, T, dt, S, stride=1):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    from .spectral import project_continuous_w, secular_coefficient
-
-    grid = g0.grid
-    grid.require_budget(T)
-    pcg = project_continuous_w(g0, S)
-    full = evolve_linear_perturbed(
-        pcg, grid.zeros(), None, T, dt, a=S.a, stride=stride, project_out=S
-    )
-
-    q = RadialField(grid, soliton.potential(grid.r, S.a) * S.resonance.values)
-    series = free_pairing_series(g0, q, T, dt, "cosine")
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (series[1:] + series[:-1]) * dt)))
-    coeff = -secular_coefficient(S) * cum[::stride]
-    secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))
-    C_traj = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)
-    return C_traj, secular
+    return _secular_decomposition(g0, T, dt, S, stride, "cosine")
 
 
 def transport_energy(u, ut):

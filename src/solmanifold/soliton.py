@@ -14,16 +14,38 @@ DEFECT_WINDOW = (0.0, 2.0)
 
 
 def check_scale(a):
-    if not a > 0:
-        raise ValueError(f"soliton scale must be positive, got {a}")
-    return float(a)
+    """A scale as a float, or an array of scales as a float array; all must be > 0.
+
+    An array of scales (e.g. shape (M+1, 1) against r of shape (n,))
+    broadcasts every profile below over a whole scale history.
+    """
+    if np.ndim(a) == 0:
+        if not a > 0:
+            raise ValueError(f"soliton scale must be positive, got {a}")
+        return float(a)
+    a = np.asarray(a, dtype=float)
+    if not np.all(a > 0):
+        raise ValueError(f"soliton scales must be positive, got {a[~(a > 0)]}")
+    return a
+
+
+def _scale_pow(a, e):
+    """a**e with Python's float pow, also entrywise for an array of scales.
+
+    numpy's vectorised pow can differ from the scalar pow in the last bit;
+    evaluating the scale factors the scalar way keeps a broadcast profile
+    bit-identical to its per-scale evaluation.
+    """
+    if isinstance(a, float):
+        return a**e
+    return np.frompyfunc(pow, 2, 1)(a, e).astype(float)
 
 
 def phi(r, a=1.0):
     """Soliton profile (3a)^(1/4) (1 + a r^2)^(-1/2); positive, decreasing."""
     a = check_scale(a)
     r = np.asarray(r, dtype=float)
-    return (3.0 * a) ** 0.25 / np.sqrt(1.0 + a * r * r)
+    return _scale_pow(3.0 * a, 0.25) / np.sqrt(1.0 + a * r * r)
 
 
 def dphi_da(r, a=1.0):
@@ -31,7 +53,7 @@ def dphi_da(r, a=1.0):
     a = check_scale(a)
     r = np.asarray(r, dtype=float)
     s = 1.0 + a * r * r
-    return 3.0**0.25 * a**-0.75 * (0.25 / np.sqrt(s) - 0.5 * a * r * r * s**-1.5)
+    return 3.0**0.25 * _scale_pow(a, -0.75) * (0.25 / np.sqrt(s) - 0.5 * a * r * r * s**-1.5)
 
 
 def potential(r, a=1.0):
@@ -49,9 +71,11 @@ def resonance_defect_profile(r, a):
     resonance as a fixed profile plus a small localized defect.
     """
     a = check_scale(a)
-    if not (DEFECT_WINDOW[0] < a <= DEFECT_WINDOW[1]):
-        raise ValueError(f"defect profile defined for a in {DEFECT_WINDOW}, got {a}")
-    return dphi_da(r, a) - a**-1.25 * dphi_da(r, 1.0)
+    inside = (DEFECT_WINDOW[0] < a) & (a <= DEFECT_WINDOW[1])
+    if not np.all(inside):
+        bad = a if np.ndim(a) == 0 else a[~inside]
+        raise ValueError(f"defect profile defined for a in {DEFECT_WINDOW}, got {bad}")
+    return dphi_da(r, a) - _scale_pow(a, -1.25) * dphi_da(r, 1.0)
 
 
 def phi_field(grid, a=1.0):

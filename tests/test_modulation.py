@@ -379,3 +379,190 @@ def test_trajectory_modulation_diagnostics(manifold_run, mod_grid, S_mod):
     assert len(csv.splitlines()) == len(traj.times) + 1
     kinds = {d.kind for d in traj.diagnostics}
     assert {"L62x_Linf_t", "Linf_x_L2_t"} <= kinds
+
+
+# -- loop-free Picard map against per-step references -------------------------
+
+
+def _trap(y, dt):
+    if len(y) < 2:
+        return 0.0
+    return float(dt * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+
+
+def _loop_sums(B, dt):
+    """Per-step trapezoid double loops: the Duhamel and secular sums of B."""
+    M = B.shape[0] - 1
+    duh = np.zeros(M + 1)
+    sec = np.zeros(M + 1)
+    for m in range(1, M + 1):
+        jdx = np.arange(m + 1)
+        w = np.full(m + 1, dt)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        duh[m] = np.sum(w * B[jdx, m - jdx])
+        inner = np.array([_trap(B[j, : m - j + 1], dt) for j in jdx])
+        sec[m] = np.sum(w * inner)
+    return duh, sec
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 7, 40])
+def test_antidiagonal_sums_match_trapezoid_loops(M):
+    from solmanifold.modulation import _duhamel_sums, _secular_sums
+
+    dt = 0.04
+    B = np.random.default_rng(M).standard_normal((M + 1, M + 1))
+    duh, sec = _loop_sums(B, dt)
+    if M == 0:
+        assert _duhamel_sums(B, dt).tolist() == [0.0]
+        assert _secular_sums(B, dt).tolist() == [0.0]
+        return
+    assert _rel_err(_duhamel_sums(B, dt), duh) < 1e-13
+    assert _rel_err(_secular_sums(B, dt), sec) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def history(mod_grid):
+    """A nonzero frozen history (u0, a0, adot0) with M = 100 steps."""
+    M = 100
+    dt = 0.04
+    t = dt * np.arange(M + 1)
+    r = mod_grid.r
+    u = np.outer(np.exp(-0.3 * t), 1e-3 * np.exp(-((r - 2.0) ** 2)))
+    u += np.outer(np.sin(t), 4e-4 * np.exp(-((r - 4.0) ** 2)))
+    a0 = 1.0 + 2e-3 * np.sin(0.7 * t)
+    adot0 = np.gradient(a0, dt)
+    return SpaceTimeField(mod_grid, dt, u), a0, adot0
+
+
+def _loop_sources(u0_traj, a0, adot0, S):
+    """Per-step reference of the modulation source and its g-pairings."""
+    grid = S.grid
+    r = grid.r
+    V1 = soliton.potential(r, 1.0)
+    phi1 = soliton.phi(r, 1.0)
+    wg = r * S.g.values
+
+    def rho(phi_vals):
+        w = r * phi_vals
+        out = np.zeros(grid.n)
+        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / grid.dr**2
+        out[1:-1] += (phi_vals**5 * r)[1:-1]
+        return out
+
+    F, D, Fg, gam, res = [], [], [], [], []
+    for j, a in enumerate(a0):
+        u = RadialField(grid, u0_traj.samples[j])
+        phia = soliton.phi_field(grid, a)
+        vdiff = RadialField(grid, (V1 - soliton.potential(r, a)) * u.values)
+        Nf = nonlinearity(u, phia)
+        F.append(vdiff.values + Nf.values)
+        D.append(adot0[j] * soliton.resonance_defect_profile(r, a))
+        Fg.append(pair_w(vdiff, S.g) + pair_w(Nf, S.g))
+        gam.append(pair_w(RadialField(grid, phia.values - phi1), S.g))
+        res.append(4.0 * np.pi * grid.dr * np.sum((rho(phia.values) - rho(phi1)) * wg))
+    return np.array(F), np.array(D), np.array(Fg), np.array(gam), np.array(res)
+
+
+def test_h_fixed_point_matches_per_step_reference(history, S_mod):
+    from solmanifold.modulation import _leapfrog_rates
+
+    u0, a0, adot0 = history
+    dt = u0.dt
+    M = len(a0) - 1
+    _, _, Fg, gam, res = _loop_sources(u0, a0, adot0, S_mod)
+    _, kt, khat = _leapfrog_rates(S_mod.k, dt)
+    q = Fg - S_mod.k**2 * gam + res
+    w = np.exp(-kt * np.arange(M + 1) * dt) * dt
+    w[0] *= 0.5
+    h_ref = -(khat * 2e-4 + 3e-4 + np.sum(w * q)) / ((khat + S_mod.k) * S_mod.gg_w)
+    h, _ = h_fixed_point(u0, a0, adot0, S_mod, pert_overlap_w=2e-4, psi1_overlap_w=3e-4)
+    assert abs(h - h_ref) < 1e-10 * abs(h_ref)
+    h_src, _ = h_fixed_point(u0, a0, adot0, S_mod)
+    h_src_ref = -np.sum(w * q) / ((khat + S_mod.k) * S_mod.gg_w)
+    assert abs(h_src - h_src_ref) < 1e-10 * abs(h_src_ref)
+
+
+def test_xpm_evolution_matches_per_step_reference(history, S_mod, query_mod):
+    from solmanifold.modulation import _d2_series
+
+    u0, a0, adot0 = history
+    dt = u0.dt
+    k = S_mod.k
+    c = 1.0 / np.sqrt(2.0 * k)
+    M = len(a0) - 1
+    h = 3e-8
+    _, _, Fg, gam, _ = _loop_sources(u0, a0, adot0, S_mod)
+    w2g = Fg - _d2_series(gam, dt)
+    pert_c = RadialField(
+        S_mod.grid, query_mod.psi0_perturbation.values + h * S_mod.g.values
+    )
+    psi1c = RadialField(S_mod.grid, query_mod.psi1.values + h * k * S_mod.g.values)
+    x_minus0 = c * (k * pair_w(pert_c, S_mod.g) - pair_w(psi1c, S_mod.g))
+    decay = np.exp(-k * dt)
+    xm_ref = np.empty(M + 1)
+    xm_ref[0] = x_minus0
+    run = 0.0
+    for m in range(1, M + 1):
+        run = run * decay + 0.5 * dt * (w2g[m] + w2g[m - 1] * decay)
+        xm_ref[m] = np.exp(-k * m * dt) * x_minus0 - c * run
+    xp_ref = np.zeros(M + 1)
+    run = 0.0
+    for m in range(M - 1, -1, -1):
+        run = run * decay + 0.5 * dt * (w2g[m] + w2g[m + 1] * decay)
+        xp_ref[m] = -c * run
+    xp, xm, _ = xpm_evolution(u0, a0, adot0, query_mod, S_mod, h)
+    assert _rel_err(xp, xp_ref) < 1e-10
+    assert _rel_err(xm, xm_ref) < 1e-10
+
+
+def test_modulation_rate_series_matches_per_step_reference(history, S_mod, query_mod):
+    from solmanifold.propagators import (
+        free_cosine_traj,
+        free_pairing_series,
+        free_sine_traj,
+    )
+
+    u0, a0, adot0 = history
+    dt = u0.dt
+    M = len(a0) - 1
+    T = M * dt
+    grid = S_mod.grid
+    data0, data1 = query_mod.psi0_perturbation, query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
+    q = RadialField(grid, soliton.potential(grid.r, S_mod.a) * S_mod.resonance.values)
+    base = free_pairing_series(data0, q, T, dt, "cosine")
+    base = base + free_pairing_series(data1, q, T, dt, "sine")
+    F, D, _, _, _ = _loop_sources(u0, a0, adot0, S_mod)
+    wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
+    Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
+    Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
+    duh, _ = _loop_sums((F * wmat) @ Esin.T - (D * wmat) @ Ecos.T, dt)
+    ref = -(a0**1.25) * secular_coefficient(S_mod) * (base + duh)
+    got = modulation_rate_series(data0, data1, u0, a0, adot0, S_mod, T, dt)
+    assert np.max(np.abs(duh)) > 1e-3 * np.max(np.abs(base))  # the source counts
+    assert _rel_err(got, ref) < 1e-10
+
+
+def test_picard_map_transports_four_fields(monkeypatch, history, S_mod, query_mod):
+    # q = V dphi once each way plus the two data evolutions; counted under the
+    # names bound in modulation and in propagators, so no transport hides
+    import solmanifold.modulation as mod
+    import solmanifold.propagators as prop
+
+    calls = []
+    for module in (mod, prop):
+        for name in ("free_sine_traj", "free_cosine_traj"):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    u0, a0, adot0 = history
+    picard_map(u0, a0, adot0, query_mod, S_mod, u0.horizon, u0.dt)
+    assert sorted(calls) == ["free_cosine_traj"] * 2 + ["free_sine_traj"] * 2

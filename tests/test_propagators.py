@@ -374,3 +374,18 @@ def test_secular_C_of_resonance_is_constant():
     full = C_traj.samples + secular.samples
     for m in range(full.shape[0]):
         assert np.max(np.abs(full[m][sl] - S.resonance.values[sl])) < 2e-2 * scale
+
+
+def test_perturbed_snapshots_convert_in_one_pass(S_ref):
+    # the stacked w -> f conversion equals field_from_w slice by slice
+    import solmanifold.propagators as prop
+
+    grid = S_ref.grid
+    dt = 0.8 * grid.dr
+    u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
+    Vvals = soliton.potential(grid.r, 1.0)
+    snaps = prop._leapfrog(grid, u0.w(), u1.w(), 2.0, dt, Vvals, stride=5)
+    traj = evolve_linear_perturbed(u0, u1, None, 2.0, dt, stride=5)
+    expected = np.stack([prop.field_from_w(grid, w).values for w in snaps])
+    assert np.array_equal(traj.samples, expected)

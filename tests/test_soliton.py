@@ -105,3 +105,31 @@ def test_defect_matches_independent_construction():
     expected = fd - a**-1.25 * soliton.dphi_da(r, 1.0)
     got = soliton.resonance_defect_profile(r, a)
     assert np.max(np.abs(got - expected)) < 1e-7
+
+
+PROFILES = (soliton.phi, soliton.dphi_da, soliton.potential, soliton.resonance_defect_profile)
+
+
+def test_profiles_broadcast_over_scales_bit_for_bit():
+    # a column of scales against r gives, row by row, the scalar evaluations
+    r = np.linspace(0.0, 40.0, 801)
+    a = np.random.default_rng(7).uniform(0.5, 1.5, 57)
+    a[0] = 1.0
+    for prof in PROFILES:
+        rows = prof(r, a[:, None])
+        assert rows.shape == (57, 801)
+        assert np.array_equal(rows, np.stack([prof(r, x) for x in a]))
+
+
+def test_profiles_reject_any_bad_scale():
+    r = np.linspace(0.0, 10.0, 11)
+    for bad in (np.nan, 0.0, -0.5):
+        a = np.array([[0.9], [bad], [1.1]])
+        for prof in PROFILES:
+            with pytest.raises(ValueError):
+                prof(r, a)
+    # every entry must lie in the defect window, not just the first
+    with pytest.raises(ValueError):
+        soliton.resonance_defect_profile(r, np.array([[1.0], [2.5]]))
+    with pytest.raises(ValueError):
+        soliton.phi(r, np.nan)
