@@ -17,6 +17,7 @@ from . import soliton
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _manifold_trajectory,
     _write,
     family_field,
     run,
@@ -24,7 +25,7 @@ from .experiments import (
     validate,
 )
 from .grid import RadialField, RadialGrid, l2_norm
-from .modulation import evolve_nonlinear, picard_map, shoot_h, trajectory_modulation
+from .modulation import evolve_nonlinear, picard_map
 from .norms import energy, mixed_norm
 from .propagators import free_sine_traj, secular_decomposition_S
 from .spectral import ground_state, spectrum_report
@@ -113,20 +114,13 @@ def _cmd_manifold(args):
         )
     out = {}
     if args.method in ("shoot", "both"):
-        res = shoot_h(query, S, args.T, dt)
+        res, _, traj = _manifold_trajectory(S, query, args.T, dt, tol=None)
         out["shoot"] = {
             "h": res.h,
             "method": "shoot",
             "bracket_width": res.bracket_width,
             "tail_bound": None,
         }
-        phi_f = soliton.phi_field(grid)
-        psi0 = RadialField(
-            grid, phi_f.values + query.psi0_perturbation.values + res.h * S.g.values
-        )
-        psi1 = RadialField(grid, query.psi1.values + res.h * S.k * S.g.values)
-        nl = evolve_nonlinear(psi0, psi1, args.T - 4.0, dt, S=S, stride=5)
-        traj = trajectory_modulation(nl, S)
         _write(args.out, "trajectory.csv", traj.to_csv())
         out["diagnostics"] = [json.loads(d.to_json()) for d in traj.diagnostics]
     if args.method in ("picard", "both"):

@@ -31,8 +31,8 @@ from .modulation import (
     BracketError,
     LeftModulationWindow,
     ManifoldQuery,
+    _modulation_series,
     evolve_nonlinear,
-    extract_modulation,
     h_fixed_point,
     make_query,
     picard_map,
@@ -601,36 +601,20 @@ def _shoot_point(args):
     S = ground_state(grid)
     query = seeded_query(grid, S, eps, seed)
     res = shoot_h(query, S, T, dt)
-    # fixed-point h from the on-manifold trajectory
-    phi_f = soliton.phi_field(grid)
-    psi0 = RadialField(
-        grid, phi_f.values + query.psi0_perturbation.values + res.h * S.g.values
-    )
-    psi1 = RadialField(grid, query.psi1.values + res.h * S.k * S.g.values)
-    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, keep_dense=True, keep_fields=False)
-    # trim the residual-instability window at the end of the shoot (the final
+    # fixed-point h from the on-manifold trajectory, trimmed of the
+    # residual-instability window at the end of the shoot (the final
     # bisection bracket leaves a growing amplitude ~ width * e^{kT}); the
-    # truncated tail of the h integral is e^{-k(T-4)}-small
-    M = int(round((T - 4.0) / dt))
-    M = min(M, run.u_dense.shape[0] - 1)
-    a_series = np.empty(M + 1)
-    prev = 1.0
-    for m in range(M + 1):
-        prev = extract_modulation(
-            RadialField(grid, run.u_dense[m] + soliton.phi(grid.r, 1.0)), S, a_prev=prev
-        )
-        a_series[m] = prev
-    adot = np.gradient(a_series, dt)
-    u_mod = SpaceTimeField(
-        grid,
-        dt,
-        np.stack(
-            [
-                run.u_dense[m] + soliton.phi(grid.r, 1.0) - soliton.phi(grid.r, a_series[m])
-                for m in range(M + 1)
-            ]
-        ),
+    # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
+    # dropped once u is extracted
+    a_series, window_ok, u = _modulation_series(
+        evolve_nonlinear(*query.initial_data(S, res.h), T - 4.0, dt, S=S).psi.samples, S
     )
+    if not window_ok:
+        raise LeftModulationWindow(
+            f"the on-manifold run at eps={eps:g} leaves the modulation window"
+        )
+    adot = np.gradient(a_series, dt)
+    u_mod = SpaceTimeField(grid, dt, u)
     hfp, tail = h_fixed_point(
         u_mod,
         a_series,
@@ -687,15 +671,10 @@ def _run_codim1(cfg, outdir, report):
     S = ground_state(grid)
     query = seeded_query(grid, S, cfg.eps, cfg.seed)
     res = shoot_h(query, S, cfg.T, dt)
-    phi_f = soliton.phi_field(grid)
     rows = []
     signs = {}
     for offset in (+1e-6, -1e-6):
-        h = res.h + offset
-        psi0 = RadialField(
-            grid, phi_f.values + query.psi0_perturbation.values + h * S.g.values
-        )
-        psi1 = RadialField(grid, query.psi1.values + h * S.k * S.g.values)
+        psi0, psi1 = query.initial_data(S, res.h + offset)
         run = evolve_nonlinear(
             psi0, psi1, cfg.T, dt, S=S, overlap_cap=0.1, keep_fields=False
         )
@@ -724,19 +703,18 @@ def _run_codim1(cfg, outdir, report):
     _gnuplot(outdir, "codim1", "codim1.csv", "offset", "rate")
 
 
-def _manifold_trajectory(grid, S, query, T, dt, trim=4.0):
+def _manifold_trajectory(S, query, T, dt, tol, trim=4.0):
+    """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
+    res = shoot_h(query, S, T, dt, tol=tol)
+    run = evolve_nonlinear(*query.initial_data(S, res.h), T - trim, dt, S=S, stride=5)
+    return res, run, trajectory_modulation(run, S)
+
+
+def _tight_tol(query):
     # tighter-than-default bracket: the residual growing amplitude
     # (~ tol * e^{kT}) must stay below the smallest trajectory differences
     # measured downstream
-    res = shoot_h(query, S, T, dt, tol=1e-15 * max(query.epsilon, 1e-6))
-    phi_f = soliton.phi_field(grid)
-    psi0 = RadialField(
-        grid, phi_f.values + query.psi0_perturbation.values + res.h * S.g.values
-    )
-    psi1 = RadialField(grid, query.psi1.values + res.h * S.k * S.g.values)
-    run = evolve_nonlinear(psi0, psi1, T - trim, dt, S=S, stride=5)
-    traj = trajectory_modulation(run, S)
-    return res, run, traj
+    return 1e-15 * max(query.epsilon, 1e-6)
 
 
 def _run_adot_l1(cfg, outdir, report):
@@ -748,7 +726,7 @@ def _run_adot_l1(cfg, outdir, report):
     consts = []
     for e in sweep:
         query = seeded_query(grid, S, e, cfg.seed)
-        res, run, traj = _manifold_trajectory(grid, S, query, cfg.T, dt)
+        res, run, traj = _manifold_trajectory(S, query, cfg.T, dt, _tight_tol(query))
         mixed = max(d.value for d in traj.diagnostics)
         consts.append(mixed / query.epsilon)
         rows.append((query.epsilon, traj.adot_l1, mixed, traj.adot_l1 / query.epsilon))
@@ -781,7 +759,7 @@ def _run_lipschitz(cfg, outdir, report):
     S = ground_state(grid)
     deltas = cfg.sweep or (1e-4, 1e-3)
     base = seeded_query(grid, S, cfg.eps, cfg.seed)
-    res0, run0, traj0 = _manifold_trajectory(grid, S, base, cfg.T, dt)
+    res0, run0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
     rows = []
     consts = []
     for d in deltas:
@@ -796,7 +774,7 @@ def _run_lipschitz(cfg, outdir, report):
                 grid, other.psi0_perturbation.values - base.psi0_perturbation.values
             )
         )
-        res1, run1, traj1 = _manifold_trajectory(grid, S, other, cfg.T, dt)
+        res1, run1, traj1 = _manifold_trajectory(S, other, cfg.T, dt, _tight_tol(other))
         m = min(traj0.u_snapshots.samples.shape[0], traj1.u_snapshots.samples.shape[0])
         diff = SpaceTimeField(
             grid,
@@ -856,12 +834,8 @@ def _run_weighted_growth(cfg, outdir, report):
     S = ground_state(grid)
     query = seeded_query(grid, S, cfg.eps, cfg.seed)
     res = shoot_h(query, S, cfg.T, dt)
+    run = evolve_nonlinear(*query.initial_data(S, res.h), 5.0, dt, S=S, stride=5)
     phi_f = soliton.phi_field(grid)
-    psi0 = RadialField(
-        grid, phi_f.values + query.psi0_perturbation.values + res.h * S.g.values
-    )
-    psi1 = RadialField(grid, query.psi1.values + res.h * S.k * S.g.values)
-    run = evolve_nonlinear(psi0, psi1, 5.0, dt, S=S, stride=5)
     from .grid import weighted_norm
 
     rows = []

@@ -29,13 +29,14 @@ from .grid import (
     FOUR_PI,
     GridUsageError,
     RadialField,
-    field_from_w,
+    _values_from_w,
     inner_product,
     pair_w,
 )
 from .norms import NormReport, lorentz_norm, mixed_norm
 from .propagators import (
     SpaceTimeField,
+    _leapfrog,
     evolve_linear_perturbed,
     free_cosine_traj,
     free_pairing_series,
@@ -76,7 +77,6 @@ class NonlinearRun:
     g_overlap: np.ndarray             # <psi - phi, g>_w at every solver step (if S given)
     psi: SpaceTimeField = None        # strided psi snapshots
     dpsi_dt: SpaceTimeField = None    # strided centered time derivative
-    u_dense: np.ndarray = None        # every-step radiation samples (optional)
     departure_time: float = None
     exit_sign: float = None
 
@@ -90,7 +90,6 @@ def evolve_nonlinear(
     stride=1,
     ceiling=None,
     overlap_cap=None,
-    keep_dense=False,
     keep_fields=True,
 ):
     """Leapfrog integration of psi_tt = Delta psi + psi^5 in w = r*psi variables.
@@ -99,26 +98,24 @@ def evolve_nonlinear(
     equilibrium; the quintic enters as r[(phi+u)^5 - phi^5].  A blow-up
     detector aborts once sup |psi| on the observation ball exceeds the
     ceiling (default 10*phi(0,1)); the run is returned as a typed outcome,
-    never an exception.
+    never an exception.  Only every stride-th step is stored (none without
+    keep_fields), with its centred time derivative.
     """
     grid = psi0.grid
-    if dt > grid.dr + 1e-12:
-        raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
     if ceiling is None:
         ceiling = 10.0 * soliton.phi(0.0, 1.0)
     r = grid.r
-    dr2 = grid.dr**2
-    wphi = r * soliton.phi(r, 1.0)
+    phi = soliton.phi(r, 1.0)
+    wphi = r * phi
     obs = grid.obs_slice()
     robs = r[obs]
-    M = int(round(T / dt))
+    # loop invariants of the quintic force
+    wphi_in = wphi[1:-1]
+    wphi5 = wphi_in**5
+    r4 = r[1:-1] ** 4
 
-    def acc(wu):
-        out = np.zeros(grid.n)
-        out[1:-1] = (wu[2:] - 2.0 * wu[1:-1] + wu[:-2]) / dr2
-        wpsi = wphi + wu
-        out[1:-1] += (wpsi[1:-1] ** 5 - wphi[1:-1] ** 5) / r[1:-1] ** 4
-        return out
+    def force(wu, m, acc):
+        acc += ((wphi_in + wu[1:-1]) ** 5 - wphi5) / r4
 
     wg = r * S.g.values if S is not None else None
 
@@ -132,75 +129,52 @@ def evolve_nonlinear(
         vals = np.abs(wpsi[1:] / robs[1:])
         return float(np.max(vals))
 
-    w_prev = (psi0.values - soliton.phi(r, 1.0)) * r
-    w_cur = w_prev + dt * (r * psi1.values) + 0.5 * dt * dt * acc(w_prev)
+    ovs = []
 
-    dense = [w_prev.copy(), w_cur.copy()] if keep_dense else None
-    snaps = [w_prev.copy(), w_cur.copy()]
-    ovs = [overlap(w_prev), overlap(w_cur)]
-    status = "completed"
-    dep_time = None
-    m_end = M
-    for m in range(2, M + 1):
-        w_next = 2.0 * w_cur - w_prev + dt * dt * acc(w_cur)
-        w_prev, w_cur = w_cur, w_next
-        ovs.append(overlap(w_cur))
-        if keep_dense:
-            dense.append(w_cur.copy())
-        snaps.append(w_cur.copy())
-        if not np.isfinite(ovs[-1]) or sup_obs(w_cur) > ceiling:
-            status = "blowup"
-            dep_time = m * dt
-            m_end = m
-            break
+    def stop(m, wu):
+        ovs.append(overlap(wu))
+        if m < 2:  # the data and the Taylor step are not tested
+            return None
+        if not np.isfinite(ovs[-1]) or sup_obs(wu) > ceiling:
+            return "blowup"
         if overlap_cap is not None and abs(ovs[-1]) > overlap_cap:
-            status = "departed"
-            dep_time = m * dt
-            m_end = m
-            break
+            return "departed"
+        return None
 
-    times = np.arange(m_end + 1) * dt
-    ovs = np.array(ovs)
+    rows, rates, m_end, status = _leapfrog(
+        grid,
+        (psi0.values - phi) * r,
+        r * psi1.values,
+        T,
+        dt,
+        force,
+        stride=stride if keep_fields else None,
+        stop=stop,
+        rates=keep_fields,
+    )
 
     psi_traj = None
     dpsi_traj = None
     if keep_fields:
-        phi_vals = soliton.phi(r, 1.0)
-        idx = list(range(0, m_end + 1, stride))
-        psi_fields = []
-        for m in idx:
-            u = field_from_w(grid, snaps[m])
-            psi_fields.append(u.values + phi_vals)
-        psi_traj = SpaceTimeField(grid, dt * stride, np.stack(psi_fields))
-        dvals = []
-        for m in idx:
-            if 0 < m < m_end:
-                dw = (snaps[m + 1] - snaps[m - 1]) / (2.0 * dt)
-            elif m == 0:
-                dw = (snaps[1] - snaps[0]) / dt if m_end >= 1 else np.zeros(grid.n)
-            else:
-                dw = (snaps[m] - snaps[m - 1]) / dt
-            dvals.append(field_from_w(grid, dw).values)
-        dpsi_traj = SpaceTimeField(grid, dt * stride, np.stack(dvals))
+        psi = _values_from_w(grid, rows)
+        psi += phi
+        psi_traj = SpaceTimeField(grid, dt * stride, psi)
+        dpsi_traj = SpaceTimeField(grid, dt * stride, _values_from_w(grid, rates))
 
-    u_dense = None
-    if keep_dense:
-        u_dense = np.stack([field_from_w(grid, w).values for w in dense])
-
+    ovs = np.array(ovs)
     exit_sign = None
-    if status in ("departed", "blowup") and S is not None:
+    if status is not None and S is not None:
         exit_sign = float(np.sign(ovs[-1]))
 
     return NonlinearRun(
         grid=grid,
         dt=dt,
-        status=status,
-        times_dense=times,
+        status=status or "completed",
+        times_dense=np.arange(m_end + 1) * dt,
         g_overlap=ovs,
         psi=psi_traj,
         dpsi_dt=dpsi_traj,
-        u_dense=u_dense,
-        departure_time=dep_time,
+        departure_time=None if status is None else m_end * dt,
         exit_sign=exit_sign,
     )
 
@@ -257,6 +231,14 @@ class ManifoldQuery:
     epsilon: float
     constraint_residual: float
 
+    def initial_data(self, S, h):
+        """Nonlinear data (phi + p + h g, p1 + h k g) at unstable-direction offset h."""
+        grid = self.psi0_perturbation.grid
+        psi0 = RadialField(
+            grid, soliton.phi(grid.r, 1.0) + self.psi0_perturbation.values + h * S.g.values
+        )
+        return psi0, RadialField(grid, self.psi1.values + h * S.k * S.g.values)
+
 
 def data_norm(pert, psi1):
     """Proxy for the data norm: H1 seminorm + L2 + the L^{3/2,1} Lorentz size."""
@@ -299,12 +281,7 @@ class ShootResult:
 
 
 def _classify(query, h, S, T, dt, ceiling, overlap_cap):
-    phi_f = soliton.phi_field(query.psi0_perturbation.grid, 1.0)
-    psi0 = RadialField(
-        phi_f.grid,
-        phi_f.values + query.psi0_perturbation.values + h * S.g.values,
-    )
-    psi1 = RadialField(phi_f.grid, query.psi1.values + h * S.k * S.g.values)
+    psi0, psi1 = query.initial_data(S, h)
     run = evolve_nonlinear(
         psi0,
         psi1,
@@ -791,6 +768,28 @@ class ModulationTrajectory:
         return "\n".join(lines) + "\n"
 
 
+def _modulation_series(samples, S):
+    """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).
+
+    Each extraction starts from the previous root.  A row without a root
+    inside the window keeps the previous scale and clears window_ok.
+    Returns (a, window_ok, u).
+    """
+    grid = S.grid
+    a = np.empty(samples.shape[0])
+    prev = 1.0
+    window_ok = True
+    for m, row in enumerate(samples):
+        try:
+            # a copy: brentq's closures form a reference cycle, through which
+            # a row view would hold the whole trajectory until the next gc pass
+            prev = extract_modulation(RadialField(grid, row.copy()), S, a_prev=prev)
+        except LeftModulationWindow:
+            window_ok = False
+        a[m] = prev
+    return a, window_ok, samples - soliton.phi(grid.r, a[:, None])
+
+
 def trajectory_modulation(run, S):
     """Extract a(t), adot, x_pm and the radiation along a nonlinear run."""
     psi = run.psi
@@ -798,19 +797,8 @@ def trajectory_modulation(run, S):
     grid = psi.grid
     M = psi.samples.shape[0] - 1
     dt = psi.dt
-    a = np.empty(M + 1)
-    prev = 1.0
-    window_ok = True
-    for m in range(M + 1):
-        try:
-            prev = extract_modulation(psi.slice(m), S, a_prev=prev)
-        except LeftModulationWindow:
-            window_ok = False
-        a[m] = prev
+    a, window_ok, u_samples = _modulation_series(psi.samples, S)
     adot = np.gradient(a, dt)
-    u_samples = np.stack(
-        [psi.samples[m] - soliton.phi(grid.r, a[m]) for m in range(M + 1)]
-    )
     u_traj = SpaceTimeField(grid, dt, u_samples)
     xp = np.empty(M + 1)
     xm = np.empty(M + 1)

@@ -5,7 +5,10 @@ Free evolutions are computed by exact 1D d'Alembert transport on w = r*f
 every secular-term computation.  The perturbed evolution for H = -Delta + V
 is realized in the time domain by leapfrog on w; its spatial operator is the
 same stencil the spectral module diagonalizes, so the discrete eigenpair
-(k, g) is exact for the scheme.
+(k, g) is exact for the scheme.  That leapfrog, _leapfrog, is the package's
+only time stepper: the nonlinear flow of the modulation module runs on it
+with its own force and stop test.  It stores only the strided snapshots its
+callers read, so memory grows with the snapshots, not with the steps.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class _Transport:
 
         When dt is a whole number s of cells, row m pairs two windows of the
         extended node values shifted by +-m*s cells: no interpolation, and
-        two strided views feed a single ufunc call.  Otherwise each row
-        interpolates.
+        two strided views feed a single ufunc call.  Otherwise one
+        interpolation covers every row.
         """
         grid = self.grid
         half = 0.5 * self.values[name]  # exact: op(a/2, b/2) == op(a, b)/2
@@ -130,10 +133,9 @@ class _Transport:
             windows = sliding_window_view(half, grid.n)
             op(windows[K::cells][: M + 1], windows[K::-cells][: M + 1], out=out)
         else:
-            for m in range(M + 1):
-                t = m * dt
-                plus = np.interp(grid.r + t, self.x, half)
-                op(plus, np.interp(grid.r - t, self.x, half), out=out[m])
+            t = (dt * np.arange(M + 1))[:, None]
+            plus = np.interp(grid.r + t, self.x, half)
+            op(plus, np.interp(grid.r - t, self.x, half), out=out)
         return out
 
 
@@ -231,48 +233,84 @@ def free_duhamel(F, enforce_budget=True):
     return SpaceTimeField(grid, dt, acc * dt)
 
 
-def _leapfrog(grid, w0, wdot0, T, dt, Vvals, source_w=None, stride=1, wg=None):
-    """Three-level integration of w_tt = w_rr - V w + source_w.
+def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False):
+    """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
+    The package's one time-stepping loop.  The ends are Dirichlet; the
+    first step is the Taylor step from (w0, wdot0), every later one
+    2 w_m - w_{m-1} + dt^2 acc_m.  force(w, m, acc) adds everything but the
+    second difference to the interior acceleration acc of state m, in place.
     When wg is given (the reduced eigenvector r*g), the g-component of the
     state is removed after every step: the continuous-spectrum evolution
     commutes with that projection exactly, and without it rounding error
     reseeds the exponentially unstable mode and dominates long horizons.
-    Returns the strided list of w snapshots.
+    stop(m, w), when given, sees every state w_m as it is made; the first
+    value other than None ends the run there and is returned as its status.
+
+    Only the states m = 0, stride, 2 stride, ... up to the last step m_end
+    are stored (stride None stores none).  With rates, the centred
+    difference (w_{m+1} - w_{m-1}) / 2dt of each stored state is stored too,
+    one-sided at m = 0 and at m_end.  Returns (rows, rate_rows, m_end,
+    status); rate_rows is None without rates.
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
     M = int(round(T / dt))
     dr2 = grid.dr**2
+    acc = np.zeros(grid.n)
+    interior = acc[1:-1]
 
-    def acc(w, m):
-        out = np.zeros(grid.n)
-        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dr2
-        out[1:-1] -= Vvals[1:-1] * w[1:-1]
-        if source_w is not None:
-            out[1:-1] += source_w(m)[1:-1]
-        return out
+    def accel(w, m):
+        interior[...] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dr2
+        force(w, m, interior)
+        return acc
 
     if wg is not None:
         wg = wg / np.sqrt(np.sum(wg * wg))
 
     def suppress(w):
-        if wg is None:
-            return w
-        return w - np.dot(w, wg) * wg
+        if wg is not None:
+            w -= np.dot(w, wg) * wg
+        return w
 
-    w_prev = suppress(w0.copy())
-    w_cur = suppress(w_prev + dt * wdot0 + 0.5 * dt * dt * acc(w_prev, 0))
-    snaps = [w_prev.copy(), w_cur.copy()]
-    for m in range(2, M + 1):
-        w_next = suppress(2.0 * w_cur - w_prev + dt * dt * acc(w_cur, m - 1))
+    stored = 0 if stride is None else M // stride + 1
+    rows = np.empty((stored, grid.n))
+    drows = np.empty((stored, grid.n)) if rates else None
+    w_prev = None
+    w_cur = suppress(np.array(w0, dtype=float))
+    if stored:
+        rows[0] = w_cur
+    status = None if stop is None else stop(0, w_cur)
+    m = 0
+    while status is None and m < M:
+        m += 1
+        if m == 1:
+            w_next = suppress(w_cur + dt * wdot0 + 0.5 * dt * dt * accel(w_cur, 0))
+        else:
+            w_next = suppress(2.0 * w_cur - w_prev + dt * dt * accel(w_cur, m - 1))
+        if rates and (m - 1) % stride == 0:
+            if m == 1:
+                drows[0] = (w_next - w_cur) / dt
+            else:
+                drows[(m - 1) // stride] = (w_next - w_prev) / (2.0 * dt)
         w_prev, w_cur = w_cur, w_next
-        snaps.append(w_cur.copy())
-        if m % 64 == 0 and not np.all(np.isfinite(w_cur)):
+        if stored and m % stride == 0:
+            rows[m // stride] = w_cur
+        if stop is not None:
+            status = stop(m, w_cur)
+        # a stopped run keeps the verdict its stop test gave
+        if status is None and m % 64 == 0 and not np.all(np.isfinite(w_cur)):
             raise PropagatorError(f"leapfrog instability detected at t={m * dt}")
-    if not np.all(np.isfinite(snaps[-1])):
+    if status is None and not np.all(np.isfinite(w_cur)):
         raise PropagatorError("leapfrog instability detected at final step")
-    return [snaps[m] for m in range(0, M + 1, stride)]
+    if stored:
+        stored = m // stride + 1
+        rows = rows[:stored]
+    if rates:
+        drows = drows[:stored]
+        if m % stride == 0:
+            drows[-1] = (w_cur - w_prev) / dt if m else 0.0
+    return rows, drows, m, status
 
 
 def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
@@ -284,22 +322,22 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     drift over [0, T] is O(dt^2).
     """
     grid = u0.grid
-    Vvals = soliton.potential(grid.r, a)
-    source_w = None
+    V = soliton.potential(grid.r, a)[1:-1]
+    src = None
     if source is not None:
         if abs(source.dt - dt) > 1e-12:
             raise GridUsageError("source trajectory must be sampled at the solver dt")
-        src = source.samples
-        rr = grid.r
+        src = source.samples[:, 1:-1]
+        r = grid.r[1:-1]
 
-        def source_w(m):
-            return rr * src[min(m, src.shape[0] - 1)]
+    def force(w, m, acc):
+        acc -= V * w[1:-1]
+        if src is not None:
+            acc += r * src[min(m, src.shape[0] - 1)]
 
     wg = grid.r * project_out.g.values if project_out is not None else None
-    snaps = _leapfrog(
-        grid, u0.w(), u1.w(), T, dt, Vvals, source_w=source_w, stride=stride, wg=wg
-    )
-    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, np.stack(snaps)))
+    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, force, stride=stride, wg=wg)[0]
+    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
 
 
 def perturbed_sine_duhamel(F, a=1.0, stride=1, project_out=None):

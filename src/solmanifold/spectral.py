@@ -2,8 +2,8 @@
 
 The eigenproblem is solved on the reduced variable w = r*g with Dirichlet
 ends, which excludes the non-decaying zero resonance from the discrete point
-spectrum automatically.  Bisection on the Sturm sequence guarantees we find
-the minimal eigenvalue and lets us count negative eigenvalues, which doubles
+spectrum automatically.  LAPACK's tridiagonal solvers give the minimal
+eigenpair by index and count the eigenvalues in (-inf, 0]; the count doubles
 as the "exactly one negative symmetric eigenvalue" hypothesis check.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import soliton
 from .grid import RadialField, RadialGrid, inner_product, pair_w
@@ -41,57 +41,6 @@ class SpectralData:
     negative_count: int
 
 
-def _sturm_count(diag, off, lam):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below lam."""
-    count = 0
-    q = 1.0
-    tiny = 1e-300
-    for i in range(len(diag)):
-        b2 = off[i - 1] ** 2 if i > 0 else 0.0
-        q = diag[i] - lam - (b2 / q if q != 0.0 else b2 / tiny)
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _min_eigenvalue(diag, off):
-    """Smallest eigenvalue by Sturm bisection, plus the negative-eigenvalue count."""
-    lo = float(np.min(diag) - 2.0 * np.max(np.abs(off)))
-    hi = float(np.max(diag) + 2.0 * np.max(np.abs(off)))
-    n_neg = _sturm_count(diag, off, 0.0)
-    # bracket the minimal eigenvalue: count(lo) = 0, count(hi) >= 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(diag, off, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi), n_neg
-
-
-def _inverse_iteration(diag, off, lam):
-    m = len(diag)
-    shifted = diag - lam
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1, :] = shifted
-    ab[2, :-1] = off
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    for _ in range(6):
-        try:
-            v = solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            # shift sits on the eigenvalue; nudge by one ulp-scale amount
-            ab[1, :] = shifted + 1e-12 * max(1.0, abs(lam))
-            v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
-    return v
-
-
 def ground_state(grid, a=1.0):
     """Minimal eigenpair (k, g) of -Delta + V(a) restricted to symmetric functions.
 
@@ -106,20 +55,20 @@ def ground_state(grid, a=1.0):
     diag = 2.0 / dr**2 + soliton.potential(interior, a)
     off = np.full(grid.n - 3, -1.0 / dr**2)
 
-    lam, n_neg = _min_eigenvalue(diag, off)
+    lams, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    lam = float(lams[0])
     if lam >= 0.0:
         raise SpectralError(
             f"no negative eigenvalue on grid (R={grid.R}, n={grid.n}); grid too coarse"
         )
+    n_neg = len(eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)))
     if n_neg != 1:
         raise SpectralError(
-            f"expected exactly one negative symmetric eigenvalue, Sturm count gives {n_neg}"
+            f"expected exactly one negative symmetric eigenvalue, found {n_neg}"
         )
 
-    w = np.zeros(grid.n)
-    w[1:-1] = _inverse_iteration(diag, off, lam)
     gvals = np.zeros(grid.n)
-    gvals[1:-1] = w[1:-1] / interior
+    gvals[1:-1] = vecs[:, 0] / interior
     gvals[0] = (4.0 * gvals[1] - gvals[2]) / 3.0
     g = RadialField(grid, gvals)
     nrm = np.sqrt(inner_product(g, g))

@@ -34,14 +34,13 @@ def manifold_run(mod_grid, S_mod, query_mod):
     """Shoot once, evolve on-manifold densely; reused by several tests."""
     dt = 0.8 * mod_grid.dr
     res = shoot_h(query_mod, S_mod, 18.0, dt)
-    phi_f = soliton.phi_field(mod_grid)
-    psi0 = RadialField(
-        mod_grid,
-        phi_f.values + query_mod.psi0_perturbation.values + res.h * S_mod.g.values,
-    )
-    psi1 = RadialField(mod_grid, query_mod.psi1.values + res.h * S_mod.k * S_mod.g.values)
-    run = evolve_nonlinear(psi0, psi1, 18.0, dt, S=S_mod, keep_dense=True, stride=5)
+    run = evolve_nonlinear(*query_mod.initial_data(S_mod, res.h), 18.0, dt, S=S_mod)
     return res, run, dt
+
+
+def _strided(traj, s):
+    """Every s-th row of a trajectory: a stride-s run stores exactly these."""
+    return SpaceTimeField(traj.grid, s * traj.dt, traj.samples[::s])
 
 
 def test_nonlinearity_examples(mod_grid):
@@ -103,6 +102,59 @@ def test_blowup_detected_as_outcome(mod_grid, S_mod):
     run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod, keep_fields=False)
     assert run.status == "blowup"
     assert run.departure_time is not None and run.exit_sign is not None
+
+
+@pytest.mark.parametrize("cap", [None, 0.1])
+def test_strided_run_stores_the_dense_rows(mod_grid, S_mod, cap):
+    # cap None completes at M = 75 steps; cap 0.1 departs early
+    dt = 0.8 * mod_grid.dr
+    d = 1e-3
+    psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + d * S_mod.g.values)
+    psi1 = RadialField(mod_grid, d * S_mod.k * S_mod.g.values)
+    T = 3.0 if cap is None else 10.0
+    dense = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, overlap_cap=cap)
+    assert dense.status == ("completed" if cap is None else "departed")
+    m_end = len(dense.times_dense) - 1
+    # dpsi_dt is centred inside and one-sided at both ends
+    psi, dpsi = dense.psi.samples, dense.dpsi_dt.samples
+    ref = np.empty_like(psi)
+    ref[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dt)
+    ref[0] = (psi[1] - psi[0]) / dt
+    ref[-1] = (psi[-1] - psi[-2]) / dt
+    assert np.max(np.abs(dpsi - ref)) < 1e-9 * np.max(np.abs(dpsi))
+    for s in (3, 5, 7):
+        run = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, stride=s, overlap_cap=cap)
+        assert (run.status, run.departure_time) == (dense.status, dense.departure_time)
+        assert np.array_equal(run.g_overlap, dense.g_overlap)
+        assert run.psi.dt == run.dpsi_dt.dt == s * dt
+        assert run.psi.samples.shape[0] == m_end // s + 1
+        assert np.array_equal(run.psi.samples, dense.psi.samples[::s])
+        assert np.array_equal(run.dpsi_dt.samples, dense.dpsi_dt.samples[::s])
+
+
+def test_nonlinear_memory_follows_stored_rows():
+    # doubling T and stride together keeps the stored rows, so the peak
+    # allocation stays put; storing every step would double it
+    import tracemalloc
+
+    from solmanifold import RadialGrid
+
+    grid = RadialGrid(R=30.0, n=601)
+    dt = 0.8 * grid.dr
+    b = grid.field(0.3 * np.exp(-((grid.r - 2.0) ** 2)))
+
+    def peak(T, stride):
+        tracemalloc.start()
+        try:
+            evolve_nonlinear(b, grid.zeros(), T, dt, stride=stride)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(8.0, 10), peak(16.0, 20)
+    assert long < 1.25 * short
+    steps = int(round(16.0 / dt)) + 1
+    assert long < 0.5 * steps * grid.n * 8
 
 
 def test_extract_modulation_exact_roots(mod_grid, S_mod):
@@ -264,7 +316,9 @@ def test_shoot_h_zero_perturbation(mod_grid, S_mod):
 def test_shoot_h_agrees_with_fixed_point(manifold_run, mod_grid, S_mod, query_mod):
     res, run, dt = manifold_run
     M = int(round(14.0 / dt))
-    u_traj = SpaceTimeField(mod_grid, dt, run.u_dense[: M + 1])
+    u_traj = SpaceTimeField(
+        mod_grid, dt, run.psi.samples[: M + 1] - soliton.phi(mod_grid.r, 1.0)
+    )
     pg0 = pair_w(query_mod.psi0_perturbation, S_mod.g)
     pg1 = pair_w(query_mod.psi1, S_mod.g)
     h_fp, tail = h_fixed_point(
@@ -319,19 +373,13 @@ def test_picard_limit_matches_nonlinear_flow(mod_grid, S_mod, query_mod):
         it = picard_map(it.u, it.a, it.adot, query_mod, S_mod, T, dt)
     res = shoot_h(query_mod, S_mod, T, dt)
     assert abs(it.h - res.h) < 0.05 * query_mod.epsilon**2
-    phi_f = soliton.phi_field(mod_grid)
-    psi0 = RadialField(
-        mod_grid,
-        phi_f.values + query_mod.psi0_perturbation.values + res.h * S_mod.g.values,
-    )
-    psi1 = RadialField(mod_grid, query_mod.psi1.values + res.h * S_mod.k * S_mod.g.values)
-    run = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, keep_dense=True, keep_fields=False)
+    run = evolve_nonlinear(*query_mod.initial_data(S_mod, res.h), T, dt, S=S_mod)
     sl = mod_grid.obs_slice()
     data_scale = np.max(np.abs(query_mod.psi0_perturbation.values))
     worst = 0.0
-    for m in range(0, run.u_dense.shape[0], 15):
+    for m in range(0, run.psi.samples.shape[0], 15):
         psi_pic = it.u.samples[m] + soliton.phi(mod_grid.r, it.a[m])
-        psi_nl = run.u_dense[m] + soliton.phi(mod_grid.r, 1.0)
+        psi_nl = run.psi.samples[m]
         worst = max(worst, np.max(np.abs(psi_pic[sl] - psi_nl[sl])))
     assert worst < 0.05 * data_scale
 
@@ -366,8 +414,8 @@ def test_trajectory_modulation_diagnostics(manifold_run, mod_grid, S_mod):
             status=run.status,
             times_dense=run.times_dense,
             g_overlap=run.g_overlap,
-            psi=run.psi.restricted(14.0),
-            dpsi_dt=run.dpsi_dt.restricted(14.0),
+            psi=_strided(run.psi, 5).restricted(14.0),
+            dpsi_dt=_strided(run.dpsi_dt, 5).restricted(14.0),
         ),
         S_mod,
     )

@@ -195,15 +195,12 @@ def test_duhamel_consistency_with_leapfrog(wave_grid):
     import solmanifold.propagators as prop
 
     zero = grid.zeros()
-    lf = prop._leapfrog(
-        grid,
-        zero.w(),
-        zero.w(),
-        M * dt,
-        dt,
-        np.zeros(grid.n),
-        source_w=lambda m: grid.r * f.values,
-    )
+    source_w = (grid.r * f.values)[1:-1]
+
+    def force(w, m, acc):
+        acc += source_w
+
+    lf = prop._leapfrog(grid, zero.w(), zero.w(), M * dt, dt, force)[0]
     sl = grid.obs_slice()
     errs = []
     for m in (50, 100, 200):
@@ -220,7 +217,7 @@ def test_perturbed_free_limit(wave_grid):
 
     import solmanifold.propagators as prop
 
-    lf = prop._leapfrog(grid, grid.zeros().w(), f.w(), 10.0, dt, np.zeros(grid.n))
+    lf = prop._leapfrog(grid, grid.zeros().w(), f.w(), 10.0, dt, lambda w, m, acc: None)[0]
     sl = grid.obs_slice()
     m = 400  # t = 10
     u_lf = prop.field_from_w(grid, lf[m])
@@ -384,8 +381,27 @@ def test_perturbed_snapshots_convert_in_one_pass(S_ref):
     dt = 0.8 * grid.dr
     u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
     u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
-    Vvals = soliton.potential(grid.r, 1.0)
-    snaps = prop._leapfrog(grid, u0.w(), u1.w(), 2.0, dt, Vvals, stride=5)
+    V = soliton.potential(grid.r, 1.0)[1:-1]
+
+    def force(w, m, acc):
+        acc -= V * w[1:-1]
+
+    snaps = prop._leapfrog(grid, u0.w(), u1.w(), 2.0, dt, force, stride=5)[0]
     traj = evolve_linear_perturbed(u0, u1, None, 2.0, dt, stride=5)
     expected = np.stack([prop.field_from_w(grid, w).values for w in snaps])
     assert np.array_equal(traj.samples, expected)
+
+
+def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
+    # with a source and the g-suppression on, a stride-s run keeps rows [::s]
+    grid = S_ref.grid
+    dt = 0.8 * grid.dr
+    M = 100
+    u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
+    F = SpaceTimeField(grid, dt, np.outer(np.cos(dt * np.arange(M + 1)), u0.values))
+    dense = evolve_linear_perturbed(u0, u1, F, M * dt, dt, project_out=S_ref)
+    for s in (3, 7):
+        run = evolve_linear_perturbed(u0, u1, F, M * dt, dt, stride=s, project_out=S_ref)
+        assert run.dt == s * dt
+        assert np.array_equal(run.samples, dense.samples[::s])

@@ -14,7 +14,7 @@ from solmanifold import (
     x_pm,
 )
 from solmanifold import soliton
-from solmanifold.spectral import SpectralError, _sturm_count, project_continuous_w
+from solmanifold.spectral import SpectralError, project_continuous_w
 
 # continuum ground-state rate, frozen from a dense-eigensolver oracle with
 # Richardson extrapolation in dr (dr -> 0 limit of the tridiagonal spectrum)
@@ -73,28 +73,39 @@ def test_unique_negative_eigenvalue(S_ref):
     assert S_ref.negative_count == 1
 
 
-def test_sturm_count_against_dense_solver(rng):
-    n = 60
-    d = rng.standard_normal(n) * 2.0
-    e = rng.standard_normal(n - 1)
-    lams = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    for lam in (-2.0, 0.0, 1.3):
-        assert _sturm_count(d, e, lam) == int(np.sum(lams < lam))
+def _dense_spectrum(grid, scale=1.0):
+    """Eigenvalues of the reduced Dirichlet matrix of -Delta + scale * V."""
+    r = grid.r[1:-1]
+    off = np.full(grid.n - 3, -1.0 / grid.dr**2)
+    H = np.diag(2.0 / grid.dr**2 + scale * soliton.potential(r, 1.0))
+    return np.linalg.eigvalsh(H + np.diag(off, 1) + np.diag(off, -1))
 
 
-def test_no_negative_eigenvalue_error():
-    g = RadialGrid(R=20.0, n=1601)
-    with pytest.raises(SpectralError):
-        # sign-flipped potential is repulsive: no bound state at any resolution
-        from solmanifold.spectral import _min_eigenvalue
-        import solmanifold.spectral as spec
+def test_negative_count_against_dense_solver():
+    grid = RadialGrid(R=20.0, n=201)
+    S = ground_state(grid)
+    lams = _dense_spectrum(grid)
+    assert S.k == pytest.approx(np.sqrt(-lams[0]), rel=1e-12)
+    assert S.negative_count == int(np.sum(lams < 0)) == 1
 
-        r = g.r[1:-1]
-        diag = 2.0 / g.dr**2 - soliton.potential(r, 1.0)
-        off = np.full(g.n - 3, -1.0 / g.dr**2)
-        lam, n_neg = _min_eigenvalue(diag, off)
-        if lam >= 0:
-            raise SpectralError("no negative eigenvalue")
+
+def test_no_negative_eigenvalue_error(monkeypatch):
+    # sign-flipped potential is repulsive: no bound state at any resolution
+    potential = soliton.potential
+    monkeypatch.setattr(soliton, "potential", lambda r, a=1.0: -potential(r, a))
+    with pytest.raises(SpectralError, match="no negative eigenvalue"):
+        ground_state(RadialGrid(R=20.0, n=1601))
+
+
+def test_several_negative_eigenvalues_error(monkeypatch):
+    # a 30x deeper well binds several states; the error names their count
+    grid = RadialGrid(R=20.0, n=201)
+    count = int(np.sum(_dense_spectrum(grid, 30.0) < 0))
+    assert count > 1
+    potential = soliton.potential
+    monkeypatch.setattr(soliton, "potential", lambda r, a=1.0: 30.0 * potential(r, a))
+    with pytest.raises(SpectralError, match=f"found {count}$"):
+        ground_state(grid)
 
 
 def test_projection_examples(S_ref, rng):
