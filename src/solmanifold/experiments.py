@@ -286,7 +286,7 @@ def family_field(grid, family, center=2.0, width=1.0, S=None):
         return grid.field(soliton.phi(r, 1.0) ** 5)
     if family == "vdphi_bump":
         # resonance-aligned: the potential-weighted resonance profile
-        return grid.field(soliton.potential(r, 1.0) * soliton.dphi_da(r, 1.0))
+        return grid.field(soliton.resonance_weight(r))
     if family == "pc_bump":
         if S is None:
             raise ConfigError("pc_bump family needs spectral data")
@@ -458,35 +458,37 @@ def _run_energy(cfg, outdir, report):
 
 
 def _strichartz_constants(grid, dt, T, members, mode, S):
-    """Per-member reverse-Strichartz ratios for sine and cosine evolutions."""
+    """Per-member reverse-Strichartz ratios for sine and cosine evolutions.
+
+    Each member is evolved once by the sine and once by the cosine
+    propagator of the mode (free transport, or the dispersive part of the
+    perturbed evolution); every mixed norm is 1-homogeneous in the data, so
+    dividing it by the member's L2, H1 or L^{3/2,1} size gives the constant
+    of the normalised member.
+    """
+    if mode == "free":
+        sine, cosine = free_sine_traj, free_cosine_traj
+    else:
+
+        def sine(f, T, dt):
+            return secular_decomposition_S(f, T, dt, S)[0]
+
+        def cosine(f, T, dt):
+            return secular_decomposition_C(f, T, dt, S)[0]
+
     rows = []
     for i, f in enumerate(members):
-        l2 = l2_norm(f)
-        fs = RadialField(grid, f.values / l2)
-        if mode == "free":
-            traj = free_sine_traj(fs, T, dt)
-        else:
-            traj, _ = secular_decomposition_S(fs, T, dt, S)
-        c1 = mixed_norm(traj, ("lorentz", 6, 2), "Linf_t")
-        c2 = mixed_norm(traj, "Linf_x", "L2_t")
-        # cosine with H1-normalized data
-        h1 = h1_seminorm(f)
-        fc = RadialField(grid, f.values / h1)
-        if mode == "free":
-            ctraj = free_cosine_traj(fc, T, dt)
-        else:
-            ctraj, _ = secular_decomposition_C(fc, T, dt, S)
-        c3 = mixed_norm(ctraj, ("lorentz", 6, 2), "Linf_t")
-        c4 = mixed_norm(ctraj, "Linf_x", "L2_t")
-        # L^inf_x L^1_t against the Lorentz size of the data
-        l321 = lorentz_norm(f, 1.5, 1)
-        fl = RadialField(grid, f.values / l321)
-        if mode == "free":
-            ltraj = free_sine_traj(fl, T, dt)
-        else:
-            ltraj, _ = secular_decomposition_S(fl, T, dt, S)
-        c5 = mixed_norm(ltraj, "Linf_x", "L1_t")
-        rows.append((i, c1, c2, c3, c4, c5))
+        straj = sine(f, T, dt)
+        ctraj = cosine(f, T, dt)
+        l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
+        rows.append((
+            i,
+            mixed_norm(straj, ("lorentz", 6, 2), "Linf_t") / l2,
+            mixed_norm(straj, "Linf_x", "L2_t") / l2,
+            mixed_norm(ctraj, ("lorentz", 6, 2), "Linf_t") / h1,
+            mixed_norm(ctraj, "Linf_x", "L2_t") / h1,
+            mixed_norm(straj, "Linf_x", "L1_t") / l321,
+        ))
     return rows
 
 
@@ -577,9 +579,7 @@ def _run_pairing_identity(cfg, outdir, report):
     dt = grid.dr
     T = grid.R / 2.0
     psi1 = family_field(grid, "phi5")
-    q = grid.field(
-        soliton.potential(grid.r, 1.0) * soliton.dphi_da(grid.r, 1.0)
-    )  # = Delta dphi_da
+    q = family_field(grid, "vdphi_bump")  # = Delta dphi_da
     M = int(round(T / dt))
     series = free_pairing_series(psi1, q, T, dt, "sine")
     lhs = float(np.trapezoid(series, dx=dt))
@@ -760,14 +760,12 @@ def _run_lipschitz(cfg, outdir, report):
     deltas = cfg.sweep or (1e-4, 1e-3)
     base = seeded_query(grid, S, cfg.eps, cfg.seed)
     res0, run0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
+    bump = bump_field(grid, 1.5, 1.2)
+    size = l2_norm(bump)
     rows = []
     consts = []
     for d in deltas:
-        other_pert = RadialField(
-            grid,
-            base.psi0_perturbation.values
-            + d * bump_field(grid, 1.5, 1.2).values / l2_norm(bump_field(grid, 1.5, 1.2)),
-        )
+        other_pert = RadialField(grid, base.psi0_perturbation.values + d * bump.values / size)
         other = make_query(S, other_pert, grid.zeros())
         dist = h1_seminorm(
             RadialField(

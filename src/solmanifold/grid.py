@@ -89,9 +89,11 @@ class RadialGrid:
                 f"causality budget violated: T={T} but R - R_obs = {self.budget_horizon()}"
             )
 
-    def obs_slice(self):
-        """Index slice covering the observation ball B_{R_obs}."""
-        return slice(0, int(np.floor(self.R_obs / self.dr)) + 1)
+    def obs_slice(self, radius=None):
+        """Index slice of the nodes in the ball of the given radius (default R_obs)."""
+        if radius is None:
+            radius = self.R_obs
+        return slice(0, int(np.floor(radius / self.dr)) + 1)
 
     def field(self, values):
         return RadialField(self, np.asarray(values, dtype=float))
@@ -227,8 +229,7 @@ def h1_seminorm(f, radius=None):
     gr = f.grid
     w = f.w()
     if radius is not None:
-        jmax = int(np.floor(radius / gr.dr))
-        w = w[: jmax + 1]
+        w = w[gr.obs_slice(radius)]
     dw = np.diff(w) / gr.dr
     return float(np.sqrt(FOUR_PI * gr.dr * np.sum(dw * dw)))
 
@@ -248,7 +249,7 @@ def weighted_norm(f, kind, radius=None):
 def _restrict(f, radius):
     if radius is None:
         return f.values
-    jmax = int(np.floor(radius / f.grid.dr))
+    inside = f.grid.obs_slice(radius)
     out = np.zeros(f.grid.n)
-    out[: jmax + 1] = f.values[: jmax + 1]
+    out[inside] = f.values[inside]
     return out

@@ -41,7 +41,6 @@ from .propagators import (
     free_cosine_traj,
     free_pairing_series,
     free_sine_traj,
-    perturbed_sine_duhamel,
 )
 from .spectral import project_continuous, project_continuous_w, secular_coefficient
 
@@ -190,9 +189,9 @@ def extract_modulation(psi, S, a_prev=1.0, window=soliton.MODULATION_WINDOW):
     r = grid.r
 
     def F(a):
-        weight = soliton.potential(r, a) * soliton.dphi_da(r, a)
         return inner_product(
-            RadialField(grid, psi.values - soliton.phi(r, a)), grid.field(weight)
+            RadialField(grid, psi.values - soliton.phi(r, a)),
+            grid.field(soliton.resonance_weight(r, a)),
         )
 
     lo, hi = window
@@ -490,14 +489,9 @@ def h_fixed_point(
     integrated-by-parts adot form carries an O(dr^2 eps) bias on a grid).
     Returns (h, tail_bound).
     """
-    if isinstance(u0_traj, SpaceTimeField):
-        samples = u0_traj.samples
-        dt = u0_traj.dt
-    else:
-        samples, dt = u0_traj
-    a0 = _check_history(samples, a0, adot0)
-    src = _assemble(samples, a0, None, S)
-    return _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual)
+    a0 = _check_history(u0_traj.samples, a0, adot0)
+    src = _assemble(u0_traj.samples, a0, None, S)
+    return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual)
 
 
 def _d2_series(y, dt):
@@ -553,11 +547,6 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     """
     src = _assemble(u0_traj.samples, a0, None, S)
     return _xpm_from(src, query, S, h, u0_traj.dt)
-
-
-def _resonance_weight(S):
-    """q = V(a) dphi_da: every modulation pairing is taken against it."""
-    return RadialField(S.grid, soliton.potential(S.grid.r, S.a) * S.resonance.values)
 
 
 def _duhamel_kernel(src, q, T, dt):
@@ -618,7 +607,7 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     free evolutions: each source slice is paired against the free
     evolution of the weight V dphi.
     """
-    q = _resonance_weight(S)
+    q = S.grid.field(soliton.resonance_weight(S.grid.r, S.a))
     cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
     sin_pair = free_pairing_series(data1, q, T, dt, "sine")
     B = None
@@ -675,7 +664,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
 
     data0 = RadialField(grid, query.psi0_perturbation.values + h * S.g.values)
     data1 = RadialField(grid, query.psi1.values + h * S.k * S.g.values)
-    q = _resonance_weight(S)
+    q = grid.field(soliton.resonance_weight(grid.r, S.a))
     cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
     sin_pair = free_pairing_series(data1, q, T, dt, "sine")
     B = _duhamel_kernel(src, q, T, dt)
@@ -698,51 +687,36 @@ def _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt):
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
     Int C(t-s) adot0(s) defect(a0(s)) ds, with each operator realized as
     (perturbed evolution of the P_c input) minus (rank-one secular term).
-    The minus on the defect Duhamel matches modulation_rate_series (see
-    the sign discussion there).  cos_pair, sin_pair and B are the data
-    pairings and the Duhamel kernel that modulation_rate_series reads too.
+    The evolution is linear, so one leapfrog run with data (P_c data0,
+    P_c data1) and source P_c F gives the first three terms together; the
+    defect Duhamel takes a second run, whose centred time derivative turns
+    its sine Duhamel into the cosine one.  The minus on the defect Duhamel
+    matches modulation_rate_series (see the sign discussion there).
+    cos_pair, sin_pair and B are the data pairings and the Duhamel kernel
+    that modulation_rate_series reads too.
     """
     grid = S.grid
     cQ = secular_coefficient(S)
     resv = S.resonance.values
     g = S.g.values
 
-    # homogeneous parts (scheme-exact projector; leftover g-components would
-    # be amplified by e^{kT})
+    # scheme-exact projections: leftover g-components would be amplified by
+    # e^{kT}
     pc0 = project_continuous_w(data0, S)
     pc1 = project_continuous_w(data1, S)
-    cos_traj = evolve_linear_perturbed(
-        pc0, grid.zeros(), None, T, dt, a=S.a, project_out=S
-    )
-    sin_traj = evolve_linear_perturbed(
-        grid.zeros(), pc1, None, T, dt, a=S.a, project_out=S
-    )
-
-    sec_hom = -cQ * (
-        cumulative_trapezoid(cos_pair, dx=dt, initial=0)
-        + cumulative_trapezoid(sin_pair, dx=dt, initial=0)
-    )
-
-    out = cos_traj.samples + sin_traj.samples - np.outer(sec_hom, resv)
-
-    # source parts, with their g-components removed
-    Fpc = src.F - np.outer(src.Fg / S.gg_w, g)
-    Dpc = src.D - np.outer(src.Dg / S.gg_w, g)
-
-    F_traj = SpaceTimeField(grid, dt, Fpc)
-    duh_sin = perturbed_sine_duhamel(F_traj, a=S.a, project_out=S)
-    D_traj = SpaceTimeField(grid, dt, Dpc)
-    zs = perturbed_sine_duhamel(D_traj, a=S.a, project_out=S).samples
-    # cosine Duhamel = centered time derivative of the sine Duhamel
-    duh_cos_D = np.zeros_like(zs)
+    Fpc = SpaceTimeField(grid, dt, src.F - np.outer(src.Fg / S.gg_w, g))
+    Dpc = SpaceTimeField(grid, dt, src.D - np.outer(src.Dg / S.gg_w, g))
+    out = evolve_linear_perturbed(pc0, pc1, Fpc, T, dt, a=S.a, project_out=S).samples
+    zero = grid.zeros()
+    zs = evolve_linear_perturbed(zero, zero, Dpc, T, dt, a=S.a, project_out=S).samples
     if zs.shape[0] >= 3:
-        duh_cos_D[1:-1] = (zs[2:] - zs[:-2]) / (2.0 * dt)
-        duh_cos_D[-1] = (zs[-1] - zs[-2]) / dt
-    out += duh_sin.samples - duh_cos_D
+        out[1:-1] -= (zs[2:] - zs[:-2]) / (2.0 * dt)
+        out[-1] -= (zs[-1] - zs[-2]) / dt
 
-    # secular parts of the Duhamels: Q acting on the accumulated free evolution
-    out -= np.outer(-cQ * _secular_sums(B, dt), resv)
-
+    # secular parts: Q acting on the accumulated free evolutions of the data
+    # and of the Duhamel sources
+    sec = cumulative_trapezoid(cos_pair + sin_pair, dx=dt, initial=0) + _secular_sums(B, dt)
+    out += np.outer(cQ * sec, resv)
     return SpaceTimeField(grid, dt, out)
 
 
@@ -793,44 +767,34 @@ def _modulation_series(samples, S):
 def trajectory_modulation(run, S):
     """Extract a(t), adot, x_pm and the radiation along a nonlinear run."""
     psi = run.psi
-    dpsi = run.dpsi_dt
     grid = psi.grid
-    M = psi.samples.shape[0] - 1
     dt = psi.dt
     a, window_ok, u_samples = _modulation_series(psi.samples, S)
     adot = np.gradient(a, dt)
     u_traj = SpaceTimeField(grid, dt, u_samples)
-    xp = np.empty(M + 1)
-    xm = np.empty(M + 1)
-    ov = np.empty(M + 1)
-    for m in range(M + 1):
-        u = u_traj.slice(m)
-        udot_vals = dpsi.samples[m] - adot[m] * soliton.dphi_da(grid.r, a[m])
-        udot = RadialField(grid, udot_vals)
-        from .spectral import x_pm as xpm_op
-
-        xp[m], xm[m] = xpm_op(u, udot, S)
-        ov[m] = inner_product(u, S.g)
+    udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
+    # inner_product against g, every row at once; x_pm as in spectral.x_pm
+    wg = FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values
+    ov = u_samples @ wg
+    rate = udot @ wg
+    c = 1.0 / np.sqrt(2.0 * S.k)
+    xp = c * (S.k * ov + rate)
+    xm = c * (S.k * ov - rate)
     adot_l1 = float(np.sum(np.abs(adot)) * dt)
     diags = [
         NormReport(
-            kind="L62x_Linf_t",
-            value=mixed_norm(u_traj, ("lorentz", 6, 2), "Linf_t"),
+            kind=kind,
+            value=mixed_norm(u_traj, outer, inner),
             R=grid.R,
             R_obs=grid.R_obs,
             n=grid.n,
             dt=dt,
             T=psi.horizon,
-        ),
-        NormReport(
-            kind="Linf_x_L2_t",
-            value=mixed_norm(u_traj, "Linf_x", "L2_t"),
-            R=grid.R,
-            R_obs=grid.R_obs,
-            n=grid.n,
-            dt=dt,
-            T=psi.horizon,
-        ),
+        )
+        for kind, outer, inner in (
+            ("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"),
+            ("Linf_x_L2_t", "Linf_x", "L2_t"),
+        )
     ]
     return ModulationTrajectory(
         times=psi.times,

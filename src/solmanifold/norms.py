@@ -80,9 +80,9 @@ def lorentz_norm(f, p, q, radius=None):
     vals = f.values
     vols = grid.cell_volumes
     if radius is not None:
-        jmax = int(np.floor(radius / grid.dr))
-        vals = vals[: jmax + 1]
-        vols = vols[: jmax + 1]
+        inside = grid.obs_slice(radius)
+        vals = vals[inside]
+        vols = vols[inside]
     levels, cum = _rearrangement(vals, vols)
     keep = levels > 0
     if not np.any(keep):
@@ -103,9 +103,9 @@ def lp_norm_cells(f, p, radius=None):
     vals = np.abs(f.values)
     vols = grid.cell_volumes
     if radius is not None:
-        jmax = int(np.floor(radius / grid.dr))
-        vals = vals[: jmax + 1]
-        vols = vols[: jmax + 1]
+        inside = grid.obs_slice(radius)
+        vals = vals[inside]
+        vols = vols[inside]
     return float(np.sum(vals**p * vols) ** (1.0 / p))
 
 
@@ -133,11 +133,11 @@ def mixed_norm(u, outer, inner, radius=None):
     grid = u.grid
     if radius is None:
         radius = grid.R_obs
-    jmax = int(np.floor(radius / grid.dr))
+    inside = grid.obs_slice(radius)
     profile = np.zeros(grid.n)
-    profile[: jmax + 1] = _inner_time_profile(u.samples[:, : jmax + 1], u.dt, inner)
+    profile[inside] = _inner_time_profile(u.samples[:, inside], u.dt, inner)
     if outer == "Linf_x":
-        return float(np.max(np.abs(profile[: jmax + 1])))
+        return float(np.max(np.abs(profile[inside])))
     if isinstance(outer, tuple) and outer[0] == "lorentz":
         return lorentz_norm(grid.field(profile), outer[1], outer[2], radius=radius)
     raise GridUsageError(f"unknown outer norm {outer!r}")
@@ -145,12 +145,9 @@ def mixed_norm(u, outer, inner, radius=None):
 
 def spacetime_l8(u, radius=None):
     """L^8 over space-time: (Sum |u|^8 4 pi r^2 dr dt)^(1/8) inside B_{R_obs}."""
-    grid = u.grid
-    if radius is None:
-        radius = grid.R_obs
-    jmax = int(np.floor(radius / grid.dr))
-    vols = grid.cell_volumes[: jmax + 1]
-    total = float(np.sum(np.abs(u.samples[:, : jmax + 1]) ** 8 * vols) * u.dt)
+    inside = u.grid.obs_slice(radius)
+    vols = u.grid.cell_volumes[inside]
+    total = float(np.sum(np.abs(u.samples[:, inside]) ** 8 * vols) * u.dt)
     return total ** (1.0 / 8.0)
 
 

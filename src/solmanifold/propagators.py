@@ -27,13 +27,11 @@ __all__ = [
     "free_sine",
     "free_cosine",
     "free_sine_pair",
-    "free_cosine_pair",
     "free_sine_traj",
     "free_cosine_traj",
     "free_pairing_series",
     "free_duhamel",
     "evolve_linear_perturbed",
-    "perturbed_sine_duhamel",
     "secular_decomposition_S",
     "secular_decomposition_C",
     "transport_energy",
@@ -198,12 +196,6 @@ def free_cosine(g0, t, enforce_budget=True):
     return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
-def free_cosine_pair(g0, t, enforce_budget=True):
-    u = free_cosine(g0, t, enforce_budget)
-    vt = _Transport(g0.grid, g0.w(), t).half_sums("d", np.subtract, 1, t)[1]
-    return u, field_from_w(g0.grid, vt)
-
-
 def _free_traj(f, T, dt, kind, enforce_budget):
     _check_time(T)
     _budget_check(f.grid, T, enforce_budget)
@@ -316,7 +308,10 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
 def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    source may be None or a SpaceTimeField sampled at the solver dt.
+    source may be None or a SpaceTimeField sampled at the solver dt.  The
+    flow is linear: one run from (u0, u1) with source F is the cosine
+    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
+    integral of F.
     project_out, when set to SpectralData, keeps the state in the
     continuous subspace of the scheme (see _leapfrog).  Discrete energy
     drift over [0, T] is O(dt^2).
@@ -338,15 +333,6 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     wg = grid.r * project_out.g.values if project_out is not None else None
     rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, force, stride=stride, wg=wg)[0]
     return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
-
-
-def perturbed_sine_duhamel(F, a=1.0, stride=1, project_out=None):
-    """Int_0^t sin((t-s) sqrt(H))/sqrt(H) F(s) ds by leapfrog with source F."""
-    grid = F.grid
-    zero = grid.zeros()
-    return evolve_linear_perturbed(
-        zero, zero, F, F.horizon, F.dt, a=a, stride=stride, project_out=project_out
-    )
 
 
 def free_pairing_series(data_field, weight_field, T, dt, kind):
@@ -379,7 +365,7 @@ def _secular_decomposition(f, T, dt, S, stride, kind):
     data = (grid.zeros(), pcf) if kind == "sine" else (pcf, grid.zeros())
     full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
 
-    q = RadialField(grid, soliton.potential(grid.r, S.a) * S.resonance.values)
+    q = grid.field(soliton.resonance_weight(grid.r, S.a))
     series = free_pairing_series(f, q, T, dt, kind)
     cum = cumulative_trapezoid(series, dx=dt, initial=0)
     coeff = -secular_coefficient(S) * cum[::stride]

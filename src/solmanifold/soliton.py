@@ -63,6 +63,11 @@ def potential(r, a=1.0):
     return -5.0 * 3.0 * a / (1.0 + a * r * r) ** 2
 
 
+def resonance_weight(r, a=1.0):
+    """V(a) dphi_da(a): the weight every resonance pairing is taken against."""
+    return potential(r, a) * dphi_da(r, a)
+
+
 def resonance_defect_profile(r, a):
     """Difference dphi_da(r, a) - a^(-5/4) dphi_da(r, 1).
 

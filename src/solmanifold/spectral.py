@@ -114,13 +114,10 @@ def resonance_pairing(grid, a=1.0):
     """
 
     def simpson_pair(R, n):
-        rr = np.linspace(0.0, R, n)
-        ws = np.ones(n)
-        ws[1:-1:2] = 4.0
-        ws[2:-1:2] = 2.0
-        ws *= (R / (n - 1)) / 3.0
-        integrand = soliton.potential(rr, a) * soliton.dphi_da(rr, a) * rr * rr
-        return FOUR_PI * float(np.sum(ws * integrand))
+        mesh = RadialGrid(R, n)
+        r = mesh.r
+        integrand = soliton.resonance_weight(r, a) * r * r
+        return FOUR_PI * float(np.sum(mesh.simpson_weights * integrand))
 
     I1 = simpson_pair(grid.R, grid.n)
     I2 = simpson_pair(2.0 * grid.R, 2 * grid.n - 1)
@@ -163,9 +160,7 @@ def x_pm(u0, u1, S):
 def secular_projector(f, S):
     """Rank-one secular term Q f = -(4 pi / <V, dphi>^2) <f, V dphi> dphi."""
     grid = f.grid
-    q = RadialField(
-        grid, soliton.potential(grid.r, S.a) * S.resonance.values
-    )
+    q = grid.field(soliton.resonance_weight(grid.r, S.a))
     coeff = -FOUR_PI / S.pairing_VdaPhi**2 * inner_product(f, q)
     return RadialField(grid, coeff * S.resonance.values)
 

@@ -160,3 +160,52 @@ def test_cli_manifold_shoot(tmp_path):
     assert "shoot" in rep and np.isfinite(rep["shoot"]["h"])
     traj = (tmp_path / "mf" / "trajectory.csv").read_text()
     assert traj.splitlines()[0] == "t,a,adot,x_plus,x_minus,g_overlap"
+
+
+@pytest.mark.parametrize("mode", ["free", "perturbed"])
+def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
+    import solmanifold.experiments as ex
+    from solmanifold import RadialField, RadialGrid, ground_state, h1_seminorm, l2_norm
+    from solmanifold.norms import lorentz_norm, mixed_norm
+
+    grid = RadialGrid(R=40.0, n=401)
+    dt, T = grid.dr, grid.budget_horizon()
+    S = ground_state(grid)
+    members = ex.seeded_bumps(grid, 4, 3)
+
+    # reference: three evolutions per member, each of the normalised member
+    def evolve(f, kind):
+        if mode == "free":
+            return (ex.free_sine_traj if kind == "sine" else ex.free_cosine_traj)(f, T, dt)
+        split = ex.secular_decomposition_S if kind == "sine" else ex.secular_decomposition_C
+        return split(f, T, dt, S)[0]
+
+    ref = []
+    for i, f in enumerate(members):
+        s = evolve(RadialField(grid, f.values / l2_norm(f)), "sine")
+        c = evolve(RadialField(grid, f.values / h1_seminorm(f)), "cosine")
+        lt = evolve(RadialField(grid, f.values / lorentz_norm(f, 1.5, 1)), "sine")
+        ref.append((
+            i,
+            mixed_norm(s, ("lorentz", 6, 2), "Linf_t"),
+            mixed_norm(s, "Linf_x", "L2_t"),
+            mixed_norm(c, ("lorentz", 6, 2), "Linf_t"),
+            mixed_norm(c, "Linf_x", "L2_t"),
+            mixed_norm(lt, "Linf_x", "L1_t"),
+        ))
+
+    calls = []
+    for name in ("free_sine_traj", "free_cosine_traj"):
+        fn = getattr(ex, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ex, name, counted)
+    rows = ex._strichartz_constants(grid, dt, T, members, mode, S)
+    assert [row[0] for row in rows] == [0, 1, 2]
+    got, want = np.array(rows)[:, 1:], np.array(ref)[:, 1:]
+    assert np.max(np.abs(got - want) / want) < 1e-12
+    if mode == "free":
+        assert sorted(calls) == ["free_cosine_traj"] * 3 + ["free_sine_traj"] * 3

@@ -29,6 +29,18 @@ def test_constructor_rounds_to_odd_and_guards():
         RadialGrid(R=-1.0, n=100)
 
 
+def test_obs_slice_on_and_between_nodes():
+    # dr = 1/8 is exact in binary, so the node radii are exact multiples of it
+    g = RadialGrid(R=16.0, n=129, R_obs=4.0)
+    assert g.obs_slice() == g.obs_slice(4.0) == slice(0, 33)
+    for j in (0, 1, 7, 64, 128):
+        on = g.obs_slice(j * g.dr)
+        between = g.obs_slice((j + 0.5) * g.dr)
+        assert on == between == slice(0, j + 1)
+        assert np.array_equal(g.r[on], g.r[g.r <= (j + 0.5) * g.dr])
+    assert g.r[g.obs_slice(0.99 * g.dr)].tolist() == [0.0]
+
+
 def test_causality_budget():
     g = RadialGrid(R=40.0, n=401, R_obs=10.0)
     g.require_budget(30.0)

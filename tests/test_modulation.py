@@ -595,15 +595,58 @@ def test_modulation_rate_series_matches_per_step_reference(history, S_mod, query
     assert _rel_err(got, ref) < 1e-10
 
 
+def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
+    from solmanifold.modulation import _assemble, _duhamel_kernel, _pc_u_series
+    from solmanifold.propagators import evolve_linear_perturbed, free_pairing_series
+    from solmanifold.spectral import project_continuous_w
+
+    u0, a0, adot0 = history
+    dt, T = u0.dt, u0.horizon
+    grid = S_mod.grid
+    data0 = query_mod.psi0_perturbation
+    data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
+    src = _assemble(u0.samples, a0, adot0, S_mod)
+    q = grid.field(soliton.resonance_weight(grid.r, S_mod.a))
+    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
+    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
+    B = _duhamel_kernel(src, q, T, dt)
+    got = _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S_mod, T, dt).samples
+
+    # reference: the cosine run, the sine run and the two sine Duhamels apart
+    def run(v0, v1, source):
+        return evolve_linear_perturbed(
+            v0, v1, source, T, dt, a=S_mod.a, project_out=S_mod
+        ).samples
+
+    zero = grid.zeros()
+    g = S_mod.g.values
+    Fpc = SpaceTimeField(grid, dt, src.F - np.outer(src.Fg / S_mod.gg_w, g))
+    Dpc = SpaceTimeField(grid, dt, src.D - np.outer(src.Dg / S_mod.gg_w, g))
+    zs = run(zero, zero, Dpc)
+    duh_cos = np.zeros_like(zs)
+    duh_cos[1:-1] = (zs[2:] - zs[:-2]) / (2.0 * dt)
+    duh_cos[-1] = (zs[-1] - zs[-2]) / dt
+    _, sec_src = _loop_sums(B, dt)
+    sec = np.cumsum(np.r_[0.0, 0.5 * dt * (cos_pair[1:] + cos_pair[:-1])])
+    sec += np.cumsum(np.r_[0.0, 0.5 * dt * (sin_pair[1:] + sin_pair[:-1])])
+    ref = run(project_continuous_w(data0, S_mod), zero, None)
+    ref += run(zero, project_continuous_w(data1, S_mod), None)
+    ref += run(zero, zero, Fpc) - duh_cos
+    ref += np.outer(secular_coefficient(S_mod) * (sec + sec_src), S_mod.resonance.values)
+    assert np.max(np.abs(duh_cos)) > 1e-3 * np.max(np.abs(ref))  # the defect counts
+    assert _rel_err(got, ref) < 1e-12
+
+
 def test_picard_map_transports_four_fields(monkeypatch, history, S_mod, query_mod):
-    # q = V dphi once each way plus the two data evolutions; counted under the
-    # names bound in modulation and in propagators, so no transport hides
+    # q = V dphi once each way plus the two data evolutions, and two leapfrog
+    # runs (data with the F source, and the defect source); counted under the
+    # names bound in modulation and in propagators, so no evolution hides
     import solmanifold.modulation as mod
     import solmanifold.propagators as prop
 
     calls = []
     for module in (mod, prop):
-        for name in ("free_sine_traj", "free_cosine_traj"):
+        for name in ("free_sine_traj", "free_cosine_traj", "evolve_linear_perturbed"):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -613,4 +656,6 @@ def test_picard_map_transports_four_fields(monkeypatch, history, S_mod, query_mo
             monkeypatch.setattr(module, name, counted)
     u0, a0, adot0 = history
     picard_map(u0, a0, adot0, query_mod, S_mod, u0.horizon, u0.dt)
-    assert sorted(calls) == ["free_cosine_traj"] * 2 + ["free_sine_traj"] * 2
+    assert sorted(calls) == (
+        ["evolve_linear_perturbed"] * 2 + ["free_cosine_traj"] * 2 + ["free_sine_traj"] * 2
+    )

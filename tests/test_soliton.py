@@ -27,6 +27,17 @@ def test_phi_monotone_decreasing():
         assert np.all(vals > 0)
 
 
+def test_resonance_weight_is_potential_times_resonance(S_ref):
+    r = S_ref.grid.r
+    assert np.array_equal(
+        soliton.resonance_weight(r, S_ref.a), soliton.potential(r, S_ref.a) * S_ref.resonance.values
+    )
+    for a in (0.7, 1.3):
+        assert np.array_equal(
+            soliton.resonance_weight(r, a), soliton.potential(r, a) * soliton.dphi_da(r, a)
+        )
+
+
 def test_phi_domain_error():
     with pytest.raises(ValueError):
         soliton.phi(1.0, -1.0)
