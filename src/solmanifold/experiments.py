@@ -603,7 +603,7 @@ def _shoot_point(args):
     res = shoot_h(query, S, T, dt)
     # fixed-point h from the on-manifold trajectory, trimmed of the
     # residual-instability window at the end of the shoot (the final
-    # bisection bracket leaves a growing amplitude ~ width * e^{kT}); the
+    # shooting bracket leaves a growing amplitude ~ width * e^{kT}); the
     # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
     # dropped once u is extracted
     a_series, window_ok, u = _modulation_series(
@@ -630,6 +630,7 @@ def _shoot_point(args):
         "h_fixed_point": hfp,
         "h_diff": abs(hfp - res.h),
         "bracket_width": res.bracket_width,
+        "shoot_runs": len(res.trace),
         "tail_bound": tail,
     }
 

@@ -155,6 +155,14 @@ def _check_same_grid(f, g):
         raise GridUsageError("fields live on different grids")
 
 
+def cumulative_trapezoid(y, dx):
+    """Trapezoid integrals of y from its first sample to every sample, along
+    the last axis; the same operations as scipy's with initial=0."""
+    out = np.zeros(y.shape)
+    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _values_from_w(grid, w):
     """In place along the last axis: w = r*f becomes f, the origin by parabolic
     extrapolation (f even).  One call converts a whole (M+1, n) stack."""

@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .grid import FOUR_PI, GridUsageError, h1_seminorm, inner_product
+from .grid import FOUR_PI, GridUsageError, cumulative_trapezoid, h1_seminorm, inner_product
 
 __all__ = [
     "NormReport",
@@ -165,8 +164,8 @@ def kato_norm(f):
     # cumulative trapezoids of |f| rho^2 and |f| rho
     a = af * r * r
     b = af * r
-    A = cumulative_trapezoid(a, dx=dr, initial=0)
-    B = cumulative_trapezoid(b, dx=dr, initial=0)
+    A = cumulative_trapezoid(a, dx=dr)
+    B = cumulative_trapezoid(b, dx=dr)
     Btail = B[-1] - B
     vals = np.empty(grid.n)
     vals[0] = FOUR_PI * Btail[0]
@@ -185,8 +184,8 @@ def newton_potential(f):
     dr = grid.dr
     a = f.values * r * r
     b = f.values * r
-    A = cumulative_trapezoid(a, dx=dr, initial=0)
-    B = cumulative_trapezoid(b, dx=dr, initial=0)
+    A = cumulative_trapezoid(a, dx=dr)
+    B = cumulative_trapezoid(b, dx=dr)
     Btail = B[-1] - B
     vals = np.empty(grid.n)
     vals[0] = Btail[0]

@@ -17,10 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_trapezoid
 
 from . import soliton
-from .grid import FOUR_PI, GridUsageError, RadialField, _values_from_w, field_from_w
+from .grid import (
+    FOUR_PI,
+    GridUsageError,
+    RadialField,
+    _values_from_w,
+    cumulative_trapezoid,
+)
 
 __all__ = [
     "SpaceTimeField",
@@ -92,7 +97,7 @@ class _Transport:
     def __init__(self, grid, w, reach):
         n, dr = grid.n, grid.dr
         w = np.asarray(w, dtype=float)
-        W = cumulative_trapezoid(w, dx=dr, initial=0)
+        W = cumulative_trapezoid(w, dx=dr)
         # centered derivative of w (even extension of w' across the origin)
         d = np.empty_like(w)
         d[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
@@ -305,6 +310,16 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     return rows, drows, m, status
 
 
+def _centred_rates(rows, dt):
+    """The rates _leapfrog stores with rates, from its rows stored at stride 1."""
+    out = np.zeros(rows.shape)
+    if len(rows) > 1:
+        out[1:-1] = (rows[2:] - rows[:-2]) / (2.0 * dt)
+        out[0] = (rows[1] - rows[0]) / dt
+        out[-1] = (rows[-1] - rows[-2]) / dt
+    return out
+
+
 def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
@@ -367,7 +382,7 @@ def _secular_decomposition(f, T, dt, S, stride, kind):
 
     q = grid.field(soliton.resonance_weight(grid.r, S.a))
     series = free_pairing_series(f, q, T, dt, kind)
-    cum = cumulative_trapezoid(series, dx=dt, initial=0)
+    cum = cumulative_trapezoid(series, dx=dt)
     coeff = -secular_coefficient(S) * cum[::stride]
     secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))
     dispersive = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)

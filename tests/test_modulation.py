@@ -659,3 +659,129 @@ def test_picard_map_transports_four_fields(monkeypatch, history, S_mod, query_mo
     assert sorted(calls) == (
         ["evolve_linear_perturbed"] * 2 + ["free_cosine_traj"] * 2 + ["free_sine_traj"] * 2
     )
+
+
+def _bisect_h(query, S, T, dt):
+    """The bisection shoot_h ran before it shot on the growth amplitude: the
+    independent oracle for the regula falsi (same bracket, same tol)."""
+    from solmanifold.modulation import _classify
+
+    eps = query.epsilon
+    lo, hi = -max(200.0 * eps**2, 1e-9), max(200.0 * eps**2, 1e-9)
+    tol = 1e-12 * max(eps, 1e-6)
+    s_lo = _classify(query, lo, S, T, dt, None, 0.25)[0]
+    assert _classify(query, hi, S, T, dt, None, 0.25)[0] == -s_lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _classify(query, mid, S, T, dt, None, 0.25)[0] == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tol
+
+
+def test_shoot_h_matches_bisection(manifold_run, mod_grid, S_mod, query_mod):
+    from solmanifold.modulation import _classify
+
+    res, _, dt = manifold_run
+    h_bisect, tol = _bisect_h(query_mod, S_mod, 18.0, dt)
+    assert abs(res.h - h_bisect) <= tol
+    assert res.status == "converged" and res.bracket_width <= tol
+    # the final bracket is spanned by two traced runs of opposite exit sign
+    s_lo = res.trace[0][1]
+    lo = max(h for h, s, _, _ in res.trace if s == s_lo)
+    hi = min(h for h, s, _, _ in res.trace if s == -s_lo)
+    assert hi - lo == res.bracket_width
+    assert 0.5 * (lo + hi) == res.h
+    signs = [_classify(query_mod, h, S_mod, 18.0, dt, None, 0.25)[0] for h in (lo, hi)]
+    assert signs == [s_lo, -s_lo]
+
+
+def test_shoot_h_run_count(monkeypatch, mod_grid, S_mod, query_mod):
+    # every classification is one evolve_nonlinear call, as the tracer counts it
+    from solmanifold import modulation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve_nonlinear(*args, **kwargs)
+
+    monkeypatch.setattr(modulation, "evolve_nonlinear", counted)
+    res = shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr)
+    assert len(calls) == len(res.trace) == res.iterations + 2
+    assert len(calls) <= 12
+    for h, sign, c, status in res.trace:
+        assert sign in (-1.0, 1.0) and np.isfinite(c)
+        assert status in ("completed", "departed", "blowup")
+
+
+def test_shoot_h_tight_tol_converges(mod_grid, S_mod, query_mod):
+    from solmanifold.experiments import _tight_tol
+
+    tol = _tight_tol(query_mod)
+    res = shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, tol=tol)
+    assert res.status == "converged"
+    assert 0.0 < res.bracket_width <= tol
+    # 16 runs measured; the bisection took about 50 here
+    assert len(res.trace) <= 24
+
+
+def test_shoot_h_same_sign_bracket_raises(mod_grid, S_mod, query_mod):
+    # h* ~ -1e-8 lies outside the bracket even after four widenings
+    from solmanifold.modulation import BracketError
+
+    with pytest.raises(BracketError, match="both bracket ends"):
+        shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, h_max=1e-15)
+
+
+def _stub_classify(monkeypatch, amplitude, root=0.3):
+    """Replace the nonlinear runs by a run whose exit sign is sign(h - root)
+    and whose one-step overlap series is amplitude(h - root)."""
+    from types import SimpleNamespace
+
+    from solmanifold import modulation
+
+    def stub(query, h, S, T, dt, ceiling, overlap_cap):
+        run = SimpleNamespace(g_overlap=np.array([amplitude(h - root)]), status="completed")
+        return (1.0 if h > root else -1.0), run
+
+    monkeypatch.setattr(modulation, "_classify", stub)
+
+
+def test_shoot_h_affine_amplitude_closes_in_two_steps(monkeypatch, mod_grid, S_mod, query_mod):
+    # the secant lands on the root; the next estimate falls within tol/2 of
+    # the end it moved, so that end plus tol/2 is classified and closes
+    _stub_classify(monkeypatch, lambda x: x)
+    res = shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, h_max=1.0, tol=1e-9)
+    assert len(res.trace) == 4
+    assert res.bracket_width <= 1e-9 and abs(res.h - 0.3) <= 1e-9
+
+
+@pytest.mark.parametrize("amplitude", [lambda x: np.expm1(4.0 * x), lambda x: -np.expm1(-4.0 * x)])
+def test_shoot_h_curved_amplitude_keeps_illinois_pace(monkeypatch, mod_grid, S_mod, query_mod, amplitude):
+    # convex (lo moves, hi is kept) and concave (the mirror): plain regula
+    # falsi stalls on the kept end; halving its c restores the pace.  With
+    # the halving the shoot takes 13 and 18 runs, without it 27 and 23
+    _stub_classify(monkeypatch, amplitude)
+    res = shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, h_max=1.0, tol=1e-9)
+    assert len(res.trace) <= 20
+    assert res.bracket_width <= 1e-9 and abs(res.h - 0.3) <= 1e-9
+
+
+def test_shoot_h_flat_amplitude_falls_back_to_bisection(monkeypatch, mod_grid, S_mod, query_mod):
+    # an amplitude stuck at 0 below the root (a noise floor) pins every
+    # secant estimate to lo; only the bisection steps shrink the bracket
+    _stub_classify(monkeypatch, lambda x: 0.0 if x < 0 else 1.0)
+    res = shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, h_max=1.0, tol=1e-9)
+    assert res.bracket_width <= 1e-9 and abs(res.h - 0.3) <= 1e-9
+
+
+def test_shoot_h_stall_raises(monkeypatch, mod_grid, S_mod, query_mod):
+    # an amplitude stuck at one value gives no secant step, and once the
+    # bisections reach adjacent floats the width stops shrinking above tol
+    from solmanifold.modulation import BracketError
+
+    _stub_classify(monkeypatch, lambda x: 0.5)
+    with pytest.raises(BracketError, match="after 200 steps"):
+        shoot_h(query_mod, S_mod, 18.0, 0.8 * mod_grid.dr, h_max=1.0, tol=1e-70)
