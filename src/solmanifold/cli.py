@@ -52,7 +52,7 @@ def _cmd_evolve(args):
     grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
     dt = args.dt if args.dt else 0.8 * grid.dr
     S = ground_state(grid)
-    f = family_field(grid, args.family, S=S)
+    f = family_field(grid, args.family)
     nf = l2_norm(f)
     psi0 = RadialField(grid, soliton.phi(grid.r, 1.0) + args.eps * f.values / nf)
     run_out = evolve_nonlinear(psi0, grid.zeros(), args.T, dt, S=S, stride=10)
@@ -73,7 +73,7 @@ def _cmd_strichartz(args):
     dt = args.dt if args.dt else grid.dr
     T = min(args.T, grid.budget_horizon())
     S = ground_state(grid)
-    f = family_field(grid, args.family, S=S)
+    f = family_field(grid, args.family)
     fn = RadialField(grid, f.values / l2_norm(f))
     if args.mode == "free":
         traj = free_sine_traj(fn, T, dt)
@@ -108,7 +108,7 @@ def _cmd_manifold(args):
     if args.family == "pc_bump":
         query = seeded_query(grid, S, args.eps, args.seed)
     else:
-        f = family_field(grid, args.family, S=S)
+        f = family_field(grid, args.family)
         query = make_query(
             S, RadialField(grid, args.eps * f.values / l2_norm(f)), grid.zeros()
         )

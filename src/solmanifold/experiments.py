@@ -70,13 +70,20 @@ EXPERIMENTS = (
     "weighted_growth",
 )
 
-_SECTIONS = {
-    "experiment": {"name", "seed", "workers"},
-    "grid": {"R", "n", "R_obs"},
-    "time": {"T", "dt", "cfl"},
-    "data": {"family", "center", "width", "eps"},
-    "sweep": {"values"},
-    "output": {"dir"},
+
+def _floats(text):
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+# INI section -> key -> (ExperimentConfig field, conversion); the one table
+# behind both the unknown-key check and the parsing
+_KEYS = {
+    "experiment": {"name": ("experiment", str), "seed": ("seed", int), "workers": ("workers", int)},
+    "grid": {"R": ("R", float), "n": ("n", int), "R_obs": ("R_obs", float)},
+    "time": {"T": ("T", float), "dt": ("dt", float), "cfl": ("cfl", float)},
+    "data": {"eps": ("eps", float)},
+    "sweep": {"values": ("sweep", _floats)},
+    "output": {"dir": ("output_dir", str)},
 }
 
 
@@ -95,9 +102,6 @@ class ExperimentConfig:
     T: float = 18.0
     dt: float = None
     cfl: float = 0.8
-    family: str = "pc_bump"
-    center: float = 2.0
-    width: float = 1.0
     eps: float = 1e-3
     sweep: tuple = ()
     output_dir: str = "out"
@@ -116,44 +120,15 @@ class ExperimentConfig:
             parser.read_file(fh)
         kw = {}
         for section in parser.sections():
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _SECTIONS[section]:
+            for key, value in parser[section].items():
+                if key not in _KEYS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-        get = parser.get
-        if parser.has_option("experiment", "name"):
-            kw["experiment"] = get("experiment", "name")
-        else:
+                attr, conv = _KEYS[section][key]
+                kw[attr] = conv(value)
+        if "experiment" not in kw:
             raise ConfigError("missing experiment.name")
-        if parser.has_option("experiment", "seed"):
-            kw["seed"] = parser.getint("experiment", "seed")
-        if parser.has_option("experiment", "workers"):
-            kw["workers"] = parser.getint("experiment", "workers")
-        for key, attr, conv in (
-            ("R", "R", float),
-            ("n", "n", int),
-            ("R_obs", "R_obs", float),
-        ):
-            if parser.has_option("grid", key):
-                kw[attr] = conv(get("grid", key))
-        for key, attr in (("T", "T"), ("dt", "dt"), ("cfl", "cfl")):
-            if parser.has_option("time", key):
-                kw[attr] = float(get("time", key))
-        for key, attr, conv in (
-            ("family", "family", str),
-            ("center", "center", float),
-            ("width", "width", float),
-            ("eps", "eps", float),
-        ):
-            if parser.has_option("data", key):
-                kw[attr] = conv(get("data", key))
-        if parser.has_option("sweep", "values"):
-            kw["sweep"] = tuple(
-                float(v) for v in get("sweep", "values").replace(",", " ").split()
-            )
-        if parser.has_option("output", "dir"):
-            kw["output_dir"] = get("output", "dir")
         return ExperimentConfig(**kw)
 
 
@@ -276,36 +251,25 @@ def bump_field(grid, center, width):
     return grid.field(np.exp(-((grid.r - center) ** 2) / width**2))
 
 
-def family_field(grid, family, center=2.0, width=1.0, S=None):
+def family_field(grid, family):
     r = grid.r
     if family == "ball":
         return grid.field((r <= 1.0).astype(float))
     if family == "bump":
-        return bump_field(grid, center, width)
+        return bump_field(grid, 2.0, 1.0)
     if family == "phi5":
         return grid.field(soliton.phi(r, 1.0) ** 5)
     if family == "vdphi_bump":
         # resonance-aligned: the potential-weighted resonance profile
         return grid.field(soliton.resonance_weight(r))
-    if family == "pc_bump":
-        if S is None:
-            raise ConfigError("pc_bump family needs spectral data")
-        b = bump_field(grid, center, width)
-        nb = np.sqrt(inner_product(b, b))
-        return grid.field(b.values / nb)
     raise ConfigError(f"unknown data family {family!r}")
 
 
-def seeded_bumps(grid, seed, count, positive=True):
+def seeded_bumps(grid, seed, count):
     """Deterministic family of smooth radial bumps for constant sweeps."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        center = rng.uniform(0.0, 3.5)
-        width = rng.uniform(0.7, 2.0)
-        amp = 1.0 if positive else rng.choice([-1.0, 1.0])
-        out.append(grid.field(amp * np.exp(-((grid.r - center) ** 2) / width**2)))
-    return out
+    # centre first, then width: the order the seeded draws are pinned in
+    return [bump_field(grid, rng.uniform(0.0, 3.5), rng.uniform(0.7, 2.0)) for _ in range(count)]
 
 
 def seeded_query(grid, S, eps, seed):
@@ -594,6 +558,11 @@ def _run_pairing_identity(cfg, outdir, report):
     _gnuplot(outdir, "pairing_identity", "pairing_identity.csv", "T", "integral")
 
 
+# on-manifold runs stop this long before the shooting horizon: the final
+# shooting bracket leaves a growing amplitude ~ width * e^{kT} at its end
+_TRIM = 4.0
+
+
 def _shoot_point(args):
     (R, n, R_obs, T, cfl, seed, eps) = args
     grid = RadialGrid(R=R, n=n, R_obs=R_obs)
@@ -601,13 +570,11 @@ def _shoot_point(args):
     S = ground_state(grid)
     query = seeded_query(grid, S, eps, seed)
     res = shoot_h(query, S, T, dt)
-    # fixed-point h from the on-manifold trajectory, trimmed of the
-    # residual-instability window at the end of the shoot (the final
-    # shooting bracket leaves a growing amplitude ~ width * e^{kT}); the
+    # fixed-point h from the on-manifold trajectory, trimmed by _TRIM; the
     # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
     # dropped once u is extracted
     a_series, window_ok, u = _modulation_series(
-        evolve_nonlinear(*query.initial_data(S, res.h), T - 4.0, dt, S=S).psi.samples, S
+        evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S).psi.samples, S
     )
     if not window_ok:
         raise LeftModulationWindow(
@@ -704,10 +671,10 @@ def _run_codim1(cfg, outdir, report):
     _gnuplot(outdir, "codim1", "codim1.csv", "offset", "rate")
 
 
-def _manifold_trajectory(S, query, T, dt, tol, trim=4.0):
+def _manifold_trajectory(S, query, T, dt, tol):
     """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
     res = shoot_h(query, S, T, dt, tol=tol)
-    run = evolve_nonlinear(*query.initial_data(S, res.h), T - trim, dt, S=S, stride=5)
+    run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=5)
     return res, run, trajectory_modulation(run, S)
 
 

@@ -142,11 +142,11 @@ class RadialField:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text, R_obs=None):
+    def from_csv(text):
         rows = [ln for ln in text.strip().splitlines()[1:] if ln]
         r = np.array([float(ln.split(",")[0]) for ln in rows])
         v = np.array([float(ln.split(",")[1]) for ln in rows])
-        grid = RadialGrid(R=r[-1], n=len(r), R_obs=R_obs)
+        grid = RadialGrid(R=r[-1], n=len(r))
         return grid.field(v)
 
 

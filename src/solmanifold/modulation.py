@@ -111,7 +111,6 @@ def evolve_nonlinear(
     dt,
     S=None,
     stride=1,
-    ceiling=None,
     overlap_cap=None,
     keep_fields=True,
 ):
@@ -119,16 +118,15 @@ def evolve_nonlinear(
 
     Internally evolves u = psi - phi so the soliton is an exact discrete
     equilibrium; the quintic enters as r[(phi+u)^5 - phi^5].  A blow-up
-    detector aborts once sup |psi| on the observation ball exceeds the
-    ceiling (default 10*phi(0,1)); the run is returned as a typed outcome,
+    detector aborts once sup |psi| on the observation ball exceeds
+    10*phi(0,1); the run is returned as a typed outcome,
     never an exception.  Only every stride-th step is stored (none without
     keep_fields), with its centred time derivative.  Both are converted to
     SpaceTimeFields when first read; at stride 1 the rates are differences
     of the stored rows, taken only if dpsi_dt is read.
     """
     grid = psi0.grid
-    if ceiling is None:
-        ceiling = 10.0 * soliton.phi(0.0, 1.0)
+    ceiling = 10.0 * soliton.phi(0.0, 1.0)
     r = grid.r
     phi = soliton.phi(r, 1.0)
     wphi = r * phi
@@ -149,7 +147,7 @@ def evolve_nonlinear(
     def overlap(wu):
         if wg is None:
             return 0.0
-        return 4.0 * np.pi * grid.dr * float((wu * wg).sum())
+        return FOUR_PI * grid.dr * float((wu * wg).sum())
 
     def sup_obs(wu):
         return float(np.abs((wphi_obs + wu[obs][1:]) / robs).max())
@@ -206,7 +204,7 @@ def evolve_nonlinear(
     )
 
 
-def extract_modulation(psi, S, a_prev=1.0, window=soliton.MODULATION_WINDOW):
+def extract_modulation(psi, S, a_prev=1.0):
     """Scale a solving <psi - phi(a), V(a) dphi(a)> = 0 inside the window.
 
     This instantaneous orthogonality kills the resonance direction locally;
@@ -222,7 +220,7 @@ def extract_modulation(psi, S, a_prev=1.0, window=soliton.MODULATION_WINDOW):
             grid.field(soliton.resonance_weight(r, a)),
         )
 
-    lo, hi = window
+    lo, hi = soliton.MODULATION_WINDOW
     a0 = min(max(a_prev, lo + 1e-9), hi - 1e-9)
     # expand a bracket around the previous value; F is increasing near the root
     step = 0.01
@@ -267,6 +265,15 @@ class ManifoldQuery:
         return psi0, RadialField(grid, self.psi1.values + h * S.k * S.g.values)
 
 
+def _offset_data(query, S, h):
+    """The perturbation pair moved to offset h: (p + h g, p1 + h k g)."""
+    grid = S.grid
+    return (
+        RadialField(grid, query.psi0_perturbation.values + h * S.g.values),
+        RadialField(grid, query.psi1.values + h * S.k * S.g.values),
+    )
+
+
 def data_norm(pert, psi1):
     """Proxy for the data norm: H1 seminorm + L2 + the L^{3/2,1} Lorentz size."""
     from .grid import h1_seminorm, l2_norm
@@ -308,18 +315,9 @@ class ShootResult:
     trace: tuple = ()  # (h, exit_sign, c, status) of every run, in order
 
 
-def _classify(query, h, S, T, dt, ceiling, overlap_cap):
+def _classify(query, h, S, T, dt):
     psi0, psi1 = query.initial_data(S, h)
-    run = evolve_nonlinear(
-        psi0,
-        psi1,
-        T,
-        dt,
-        S=S,
-        ceiling=ceiling,
-        overlap_cap=overlap_cap,
-        keep_fields=False,
-    )
+    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, overlap_cap=0.25, keep_fields=False)
     ov = run.g_overlap[-1]
     if ov == 0.0:
         return 0.0, run
@@ -337,7 +335,7 @@ def _growth_amplitude(g_overlap, mu):
     return float(g_overlap[m] * mu ** -float(m))
 
 
-def shoot_h(query, S, T, dt, h_max=None, tol=None, ceiling=None, overlap_cap=0.25):
+def shoot_h(query, S, T, dt, h_max=None, tol=None):
     """Shoot on the unstable-direction offset h of the full nonlinear flow.
 
     Runs data (phi + pert + h g, psi1 + h k g) and classifies each run by
@@ -372,7 +370,7 @@ def shoot_h(query, S, T, dt, h_max=None, tol=None, ceiling=None, overlap_cap=0.2
     trace = []
 
     def shoot(h):
-        sign, run = _classify(query, h, S, T, dt, ceiling, overlap_cap)
+        sign, run = _classify(query, h, S, T, dt)
         c = _growth_amplitude(run.g_overlap, mu)
         trace.append((h, sign, c, run.status))
         return sign, c
@@ -530,13 +528,11 @@ def _check_history(samples, a0, adot0):
     return a0
 
 
-def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual):
+def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w):
     """The fixed-point offset h and its tail bound from an assembled source."""
     M = len(src.Fg) - 1
     mu, kt, khat = _leapfrog_rates(S.k, dt)
-    q = src.Fg - S.k**2 * src.gamma
-    if include_scheme_residual:
-        q = q + src.residual
+    q = src.Fg - S.k**2 * src.gamma + src.residual
 
     j = np.arange(M + 1)
     weights = np.exp(-kt * j * dt) * dt
@@ -547,15 +543,7 @@ def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual)
     return h, tail
 
 
-def h_fixed_point(
-    u0_traj,
-    a0,
-    adot0,
-    S,
-    pert_overlap_w=0.0,
-    psi1_overlap_w=0.0,
-    include_scheme_residual=True,
-):
+def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0):
     """Unstable-direction offset from the boundedness of the growing coordinate.
 
     Solves 2 k h <g,g> = -(weighted integral of the modulation sources) in
@@ -574,7 +562,7 @@ def h_fixed_point(
     """
     a0 = _check_history(u0_traj.samples, a0, adot0)
     src = _assemble(u0_traj.samples, a0, None, S)
-    return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w, include_scheme_residual)
+    return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
 
 
 def _d2_series(y, dt):
@@ -586,9 +574,11 @@ def _d2_series(y, dt):
     return out
 
 
-def _xpm_from(src, query, S, h, dt):
-    """x_plus, x_minus and the tail bound from an assembled source."""
-    grid = S.grid
+def _xpm_from(src, data0, data1, S, dt):
+    """x_plus, x_minus and the tail bound from an assembled source.
+
+    (data0, data1) is the offset data pair (p + h g, p1 + h k g).
+    """
     k = S.k
     c = 1.0 / np.sqrt(2.0 * k)
     M = len(src.Fg) - 1
@@ -598,10 +588,7 @@ def _xpm_from(src, query, S, h, dt):
     w2g = src.Fg - _d2_series(src.gamma, dt)
 
     # x_minus(0) from the corrected data pair
-    pert = query.psi0_perturbation
-    psi1c = RadialField(grid, query.psi1.values + h * k * S.g.values)
-    pert_c = RadialField(grid, pert.values + h * S.g.values)
-    x_minus0 = c * (k * pair_w(pert_c, S.g) - pair_w(psi1c, S.g))
+    x_minus0 = c * (k * pair_w(data0, S.g) - pair_w(data1, S.g))
 
     # trapezoid steps of e^{-k(t-s)} w2g(s), accumulated forward from t = 0
     # for x_minus and backward from the horizon for x_plus: step i reaches
@@ -629,7 +616,7 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     with the truncated tail bound e^{-k(T-t)} sup|source|/k recorded.
     """
     src = _assemble(u0_traj.samples, a0, None, S)
-    return _xpm_from(src, query, S, h, u0_traj.dt)
+    return _xpm_from(src, *_offset_data(query, S, h), S, u0_traj.dt)
 
 
 def _duhamel_kernel(src, q, T, dt):
@@ -640,7 +627,7 @@ def _duhamel_kernel(src, q, T, dt):
     of q, so one transport of q each way serves every source slice.
     """
     grid = q.grid
-    wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
+    wmat = grid.simpson_weights * grid.r**2 * FOUR_PI
     Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
     Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
     return (src.F * wmat) @ Esin.T - (src.D * wmat) @ Ecos.T
@@ -743,10 +730,9 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
     pg1 = pair_w(query.psi1, S.g)
-    h, tail = _h_from(src, u0_traj.dt, S, pg0, pg1, include_scheme_residual=True)
+    h, tail = _h_from(src, u0_traj.dt, S, pg0, pg1)
 
-    data0 = RadialField(grid, query.psi0_perturbation.values + h * S.g.values)
-    data1 = RadialField(grid, query.psi1.values + h * S.k * S.g.values)
+    data0, data1 = _offset_data(query, S, h)
     q = grid.field(soliton.resonance_weight(grid.r, S.a))
     cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
     sin_pair = free_pairing_series(data1, q, T, dt, "sine")
@@ -756,7 +742,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     a = 1.0 + cumulative_trapezoid(adot, dx=dt)
 
     pcu = _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt)
-    xp, xm, xtail = _xpm_from(src, query, S, h, u0_traj.dt)
+    xp, xm, xtail = _xpm_from(src, data0, data1, S, u0_traj.dt)
     coef = (xp + xm) / np.sqrt(2.0 * S.k)
     u = SpaceTimeField(grid, dt, pcu.samples + np.outer(coef, S.g.values))
     return PicardIterate(

@@ -31,7 +31,6 @@ __all__ = [
     "SpaceTimeField",
     "free_sine",
     "free_cosine",
-    "free_sine_pair",
     "free_sine_traj",
     "free_cosine_traj",
     "free_pairing_series",
@@ -187,11 +186,6 @@ def free_sine(f, t, enforce_budget=True):
     return RadialField(f.grid, _free_slices(f, 1, t, "sine")[1])
 
 
-def free_sine_pair(f, t, enforce_budget=True):
-    """(u, du/dt) of the sine evolution; the pair feeds energy identities."""
-    return free_sine(f, t, enforce_budget), free_cosine(f, t, enforce_budget)
-
-
 def free_cosine(g0, t, enforce_budget=True):
     """cos(t sqrt(-Delta)) applied to g0; t = 0 returns g0 exactly."""
     _check_time(t)
@@ -216,12 +210,12 @@ def free_cosine_traj(g0, T, dt, enforce_budget=True):
     return _free_traj(g0, T, dt, "cosine", enforce_budget)
 
 
-def free_duhamel(F, enforce_budget=True):
+def free_duhamel(F):
     """Trapezoid-in-s superposition of sine slices: Int_0^t sin((t-s)L)/L F(s) ds."""
     grid = F.grid
     dt = F.dt
     M = F.samples.shape[0] - 1
-    _budget_check(grid, F.horizon, enforce_budget)
+    grid.require_budget(F.horizon)
     acc = np.zeros_like(F.samples)
     for j in range(M + 1):
         slices = _free_slices(F.slice(j), M - j, dt, "sine")

@@ -15,9 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import soliton
-from .grid import RadialField, RadialGrid, inner_product, pair_w
-
-FOUR_PI = 4.0 * np.pi
+from .grid import FOUR_PI, RadialField, RadialGrid, inner_product, pair_w
 
 
 class SpectralError(RuntimeError):
@@ -34,7 +32,6 @@ class SpectralData:
     g: RadialField
     resonance: RadialField          # dphi_da at the given scale
     pairing_VdaPhi: float           # <V, dphi_da>, R->2R extrapolated
-    gg: float                       # <g, g> in the Simpson pairing (= 1)
     gg_w: float                     # <g, g> in the scheme pairing
     overlap_g_resonance: float      # discrete <g, dphi_da>, O(dr^2) small
     residual: float                 # ||H g + k^2 g||_2
@@ -97,7 +94,6 @@ def ground_state(grid, a=1.0):
         g=g,
         resonance=resonance,
         pairing_VdaPhi=resonance_pairing(grid, a),
-        gg=1.0,
         gg_w=pair_w(g, g),
         overlap_g_resonance=inner_product(g, resonance),
         residual=residual,
@@ -161,7 +157,7 @@ def secular_projector(f, S):
     """Rank-one secular term Q f = -(4 pi / <V, dphi>^2) <f, V dphi> dphi."""
     grid = f.grid
     q = grid.field(soliton.resonance_weight(grid.r, S.a))
-    coeff = -FOUR_PI / S.pairing_VdaPhi**2 * inner_product(f, q)
+    coeff = -secular_coefficient(S) * inner_product(f, q)
     return RadialField(grid, coeff * S.resonance.values)
 
 

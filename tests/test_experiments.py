@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -36,12 +37,34 @@ def test_config_parsing(tmp_path):
 
 
 def test_unknown_key_is_error(tmp_path):
-    bad = BASE + "\n[grid]\nbogus = 1\n"
-    with pytest.raises(Exception):
-        ExperimentConfig.from_file(write_config(tmp_path, bad))
-    bad2 = BASE.replace("[grid]", "[grud]")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_file(write_config(tmp_path, bad2))
+    for edit, message in (
+        (("[grid]\n", "[grid]\nbogus = 1\n"), "unknown key grid.bogus"),
+        (("[time]\n", "[data]\nfamily = ball\n\n[time]\n"), "unknown key data.family"),
+        (("[time]\n", "[data]\ncenter = 2\n\n[time]\n"), "unknown key data.center"),
+        (("[time]\n", "[data]\nwidth = 1\n\n[time]\n"), "unknown key data.width"),
+        (("[grid]", "[grud]"), r"unknown config section \[grud\]"),
+        (("name = stationarity\n", ""), "missing experiment.name"),
+    ):
+        bad = BASE.replace(*edit)
+        assert bad != BASE
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_file(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.ini"))),
+    ids=os.path.basename,
+)
+def test_shipped_configs_parse_and_validate(path):
+    from dataclasses import fields
+
+    from solmanifold.experiments import _KEYS
+
+    assert validate(ExperimentConfig.from_file(path)) == []
+    # every config field is set by exactly one INI key
+    attrs = [attr for keys in _KEYS.values() for attr, _ in keys.values()]
+    assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_validate_flags_cfl_and_causality(tmp_path):

@@ -669,11 +669,11 @@ def _bisect_h(query, S, T, dt):
     eps = query.epsilon
     lo, hi = -max(200.0 * eps**2, 1e-9), max(200.0 * eps**2, 1e-9)
     tol = 1e-12 * max(eps, 1e-6)
-    s_lo = _classify(query, lo, S, T, dt, None, 0.25)[0]
-    assert _classify(query, hi, S, T, dt, None, 0.25)[0] == -s_lo
+    s_lo = _classify(query, lo, S, T, dt)[0]
+    assert _classify(query, hi, S, T, dt)[0] == -s_lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _classify(query, mid, S, T, dt, None, 0.25)[0] == s_lo:
+        if _classify(query, mid, S, T, dt)[0] == s_lo:
             lo = mid
         else:
             hi = mid
@@ -693,7 +693,7 @@ def test_shoot_h_matches_bisection(manifold_run, mod_grid, S_mod, query_mod):
     hi = min(h for h, s, _, _ in res.trace if s == -s_lo)
     assert hi - lo == res.bracket_width
     assert 0.5 * (lo + hi) == res.h
-    signs = [_classify(query_mod, h, S_mod, 18.0, dt, None, 0.25)[0] for h in (lo, hi)]
+    signs = [_classify(query_mod, h, S_mod, 18.0, dt)[0] for h in (lo, hi)]
     assert signs == [s_lo, -s_lo]
 
 
@@ -742,7 +742,7 @@ def _stub_classify(monkeypatch, amplitude, root=0.3):
 
     from solmanifold import modulation
 
-    def stub(query, h, S, T, dt, ceiling, overlap_cap):
+    def stub(query, h, S, T, dt):
         run = SimpleNamespace(g_overlap=np.array([amplitude(h - root)]), status="completed")
         return (1.0 if h > root else -1.0), run
 

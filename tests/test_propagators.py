@@ -20,7 +20,6 @@ from solmanifold.grid import GridUsageError, field_from_w
 from solmanifold.propagators import (
     SpaceTimeField,
     free_cosine_traj,
-    free_sine_pair,
     free_sine_traj,
 )
 from solmanifold.spectral import project_continuous_w
@@ -51,11 +50,10 @@ def test_sine_small_time_limit(wave_grid):
 
 def test_sine_energy_identity_exact(wave_grid):
     f = wave_grid.field(np.exp(-((wave_grid.r - 3.0) ** 2)))
-    u0, ut0 = free_sine_pair(f, 0.0)
-    E0 = transport_energy(u0, ut0)
+    E0 = transport_energy(free_sine(f, 0.0), free_cosine(f, 0.0))
     for steps in (40, 200, 400):
-        u, ut = free_sine_pair(f, steps * wave_grid.dr)
-        assert transport_energy(u, ut) == pytest.approx(E0, rel=1e-10)
+        t = steps * wave_grid.dr
+        assert transport_energy(free_sine(f, t), free_cosine(f, t)) == pytest.approx(E0, rel=1e-10)
 
 
 def test_sine_energy_identity_field_level(wave_grid):
@@ -64,7 +62,8 @@ def test_sine_energy_identity_field_level(wave_grid):
 
     f = wave_grid.field(np.exp(-((wave_grid.r - 3.0) ** 2)))
     n2 = l2_norm(f) ** 2
-    u, ut = free_sine_pair(f, 160 * wave_grid.dr)
+    t = 160 * wave_grid.dr
+    u, ut = free_sine(f, t), free_cosine(f, t)
     total = l2_norm(ut) ** 2 + h1_seminorm(u) ** 2
     assert total == pytest.approx(n2, rel=1e-4)
 
