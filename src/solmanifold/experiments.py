@@ -117,7 +117,10 @@ class ExperimentConfig:
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case sensitive (R vs r)
         with open(path) as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ConfigError(str(exc)) from exc
         kw = {}
         for section in parser.sections():
             if section not in _KEYS:
@@ -126,7 +129,10 @@ class ExperimentConfig:
                 if key not in _KEYS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
                 attr, conv = _KEYS[section][key]
-                kw[attr] = conv(value)
+                try:
+                    kw[attr] = conv(value)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
         if "experiment" not in kw:
             raise ConfigError("missing experiment.name")
         return ExperimentConfig(**kw)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import elementwise
 
 from . import soliton
 from .grid import (
@@ -204,47 +204,19 @@ def evolve_nonlinear(
     )
 
 
-def extract_modulation(psi, S, a_prev=1.0):
+def extract_modulation(psi, S):
     """Scale a solving <psi - phi(a), V(a) dphi(a)> = 0 inside the window.
 
     This instantaneous orthogonality kills the resonance direction locally;
     it is the practical stand-in for the nonlocal modulation condition,
-    whose mutual consistency with this extraction is itself a test.
+    whose mutual consistency with this extraction is itself a test.  The
+    one-row case of _modulation_series; raises LeftModulationWindow when
+    the window holds no root.
     """
-    grid = psi.grid
-    r = grid.r
-
-    def F(a):
-        return inner_product(
-            RadialField(grid, psi.values - soliton.phi(r, a)),
-            grid.field(soliton.resonance_weight(r, a)),
-        )
-
-    lo, hi = soliton.MODULATION_WINDOW
-    a0 = min(max(a_prev, lo + 1e-9), hi - 1e-9)
-    # expand a bracket around the previous value; F is increasing near the root
-    step = 0.01
-    aL, aR = a0, a0
-    fL = fR = F(a0)
-    for _ in range(60):
-        if fL > 0:
-            aL = max(lo, aL - step)
-            fL = F(aL)
-        if fR < 0:
-            aR = min(hi, aR + step)
-            fR = F(aR)
-        step *= 1.6
-        if fL <= 0 <= fR:
-            break
-    else:
-        raise LeftModulationWindow(
-            f"no modulation root in ({lo}, {hi}); bracket values {fL:.3e}, {fR:.3e}"
-        )
-    if fL == 0.0:
-        return float(aL)
-    if fR == 0.0:
-        return float(aR)
-    return float(brentq(F, aL, aR, xtol=1e-14, rtol=1e-14))
+    a, window_ok, _ = _modulation_series(psi.values[None], S)
+    if not window_ok:
+        raise LeftModulationWindow(f"no modulation root in {soliton.MODULATION_WINDOW}")
+    return float(a[0])
 
 
 @dataclass(frozen=True)
@@ -469,7 +441,7 @@ class _Sources:
     residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
 
 
-_ROWS = 32  # history rows per assembly block
+_ROWS = 32  # history rows per assembly or root-find block
 
 
 def _assemble(samples, a0, adot0, S):
@@ -814,23 +786,42 @@ class ModulationTrajectory:
 def _modulation_series(samples, S):
     """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).
 
-    Each extraction starts from the previous root.  A row without a root
-    inside the window keeps the previous scale and clears window_ok.
-    Returns (a, window_ok, u).
+    a_m is the root of F_m(a) = <psi_m - phi(a), V(a) dphi_da(a)>, bracketed
+    by the whole modulation window; on the pinned on-manifold runs F_m is
+    increasing there with a single sign change, so this is the root a search
+    from the previous row's scale finds.  One vectorised F serves _ROWS rows
+    per call of scipy's elementwise find_root (Chandrupatla's method); the
+    row index rides in args because converged rows drop out of later calls.
+    A row without a root inside the window keeps the previous scale (1.0
+    before the first) and clears window_ok.  Returns (a, window_ok, u).
     """
     grid = S.grid
+    r = grid.r
+    W = FOUR_PI * grid.simpson_weights * r**2
+
+    def F(x, m):
+        x = x[:, None]
+        return np.sum(
+            W * (samples[m] - soliton.phi(r, x)) * soliton.resonance_weight(r, x), axis=1
+        )
+
     a = np.empty(samples.shape[0])
-    prev = 1.0
+    u = np.empty(samples.shape)
     window_ok = True
-    for m, row in enumerate(samples):
-        try:
-            # a copy: brentq's closures form a reference cycle, through which
-            # a row view would hold the whole trajectory until the next gc pass
-            prev = extract_modulation(RadialField(grid, row.copy()), S, a_prev=prev)
-        except LeftModulationWindow:
+    for start in range(0, len(a), _ROWS):
+        rows = slice(start, start + _ROWS)
+        res = elementwise.find_root(
+            F,
+            soliton.MODULATION_WINDOW,
+            args=(np.arange(len(a))[rows],),
+            tolerances=dict(xatol=1e-14, xrtol=1e-14),
+        )
+        a[rows] = res.x
+        for m in start + np.flatnonzero(res.status):
+            a[m] = a[m - 1] if m else 1.0
             window_ok = False
-        a[m] = prev
-    return a, window_ok, samples - soliton.phi(grid.r, a[:, None])
+        u[rows] = samples[rows] - soliton.phi(r, a[rows, None])
+    return a, window_ok, u
 
 
 def trajectory_modulation(run, S):

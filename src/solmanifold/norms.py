@@ -157,20 +157,7 @@ def kato_norm(f):
     computed over every grid value of |y| (the sup sits at y = 0 for
     radially decreasing |f|, but no monotonicity is assumed).
     """
-    grid = f.grid
-    r = grid.r
-    dr = grid.dr
-    af = np.abs(f.values)
-    # cumulative trapezoids of |f| rho^2 and |f| rho
-    a = af * r * r
-    b = af * r
-    A = cumulative_trapezoid(a, dx=dr)
-    B = cumulative_trapezoid(b, dx=dr)
-    Btail = B[-1] - B
-    vals = np.empty(grid.n)
-    vals[0] = FOUR_PI * Btail[0]
-    vals[1:] = FOUR_PI * (A[1:] / r[1:] + Btail[1:])
-    return float(np.max(vals))
+    return FOUR_PI * float(np.max(newton_potential(f.grid.field(np.abs(f.values))).values))
 
 
 def newton_potential(f):

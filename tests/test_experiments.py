@@ -152,6 +152,17 @@ def test_cli_validate_and_exit_codes(tmp_path):
     assert main(["bogus-subcommand"]) == 2
 
 
+def test_cli_malformed_value_exits_2(tmp_path, capsys):
+    bad = write_config(tmp_path, BASE.replace("n = 401", "n = abc"))
+    assert main(["validate", "--config", bad]) == 2
+    assert "grid.n" in capsys.readouterr().err
+
+
+def test_cli_repeated_section_exits_2(tmp_path):
+    bad = write_config(tmp_path, BASE + "\n[grid]\nR = 30\n")
+    assert main(["validate", "--config", bad]) == 2
+
+
 def test_cli_sweep_pass(tmp_path):
     path = write_config(tmp_path, BASE)
     code = main(["sweep", "--config", path, "--out", str(tmp_path / "sweep_out")])

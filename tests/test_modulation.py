@@ -18,7 +18,12 @@ from solmanifold import (
 )
 from solmanifold import soliton
 from solmanifold.grid import pair_w
-from solmanifold.modulation import LeftModulationWindow, modulation_rate_series
+from solmanifold.modulation import (
+    _ROWS,
+    LeftModulationWindow,
+    _modulation_series,
+    modulation_rate_series,
+)
 from solmanifold.spectral import secular_coefficient
 
 
@@ -160,7 +165,7 @@ def test_nonlinear_memory_follows_stored_rows():
 def test_extract_modulation_exact_roots(mod_grid, S_mod):
     for a_star in (0.9, 1.0, 1.1):
         psi = soliton.phi_field(mod_grid, a_star)
-        got = extract_modulation(psi, S_mod, a_prev=1.0)
+        got = extract_modulation(psi, S_mod)
         assert got == pytest.approx(a_star, abs=1e-8)
 
 
@@ -184,7 +189,7 @@ def test_extract_modulation_least_squares_consistency(mod_grid, S_mod, rng):
         soliton.phi(mod_grid.r, a_true)
         + 1e-3 * np.exp(-((mod_grid.r - 2.0) ** 2)),
     )
-    a_orth = extract_modulation(psi, S_mod, a_prev=1.0)
+    a_orth = extract_modulation(psi, S_mod)
 
     def h1_dist(a):
         return h1_seminorm(
@@ -208,6 +213,76 @@ def test_extract_modulation_window_error(mod_grid, S_mod):
     psi = soliton.phi_field(mod_grid, 0.45)  # outside the trusted window
     with pytest.raises(LeftModulationWindow):
         extract_modulation(psi, S_mod)
+
+
+def _brentq_scale(row, grid, a_prev):
+    """The extraction _modulation_series replaced, kept as its oracle: a
+    bracket grown outward from the previous scale, closed by brentq.
+    Returns None when the bracket cannot be closed inside the window."""
+    from scipy.optimize import brentq
+
+    r = grid.r
+
+    def F(a):
+        return inner_product(
+            RadialField(grid, row - soliton.phi(r, a)),
+            grid.field(soliton.resonance_weight(r, a)),
+        )
+
+    lo, hi = soliton.MODULATION_WINDOW
+    a0 = min(max(a_prev, lo + 1e-9), hi - 1e-9)
+    step = 0.01
+    aL = aR = a0
+    fL = fR = F(a0)
+    for _ in range(60):
+        if fL > 0:
+            aL = max(lo, aL - step)
+            fL = F(aL)
+        if fR < 0:
+            aR = min(hi, aR + step)
+            fR = F(aR)
+        step *= 1.6
+        if fL <= 0 <= fR:
+            break
+    else:
+        return None
+    if fL == 0.0:
+        return aL
+    if fR == 0.0:
+        return aR
+    return brentq(F, aL, aR, xtol=1e-14, rtol=1e-14)
+
+
+def test_modulation_series_matches_brentq_oracle(manifold_run, mod_grid, S_mod):
+    _, run, _ = manifold_run
+    samples = run.psi.samples
+    a, window_ok, u = _modulation_series(samples, S_mod)
+    assert window_ok
+    ref = []
+    for row in samples:
+        ref.append(_brentq_scale(row, mod_grid, ref[-1] if ref else 1.0))
+    assert None not in ref
+    assert np.max(np.abs(a - ref)) < 1e-13
+    assert np.array_equal(u, samples - soliton.phi(mod_grid.r, a[:, None]))
+
+
+def test_modulation_series_window_miss_keeps_previous_scale(mod_grid, S_mod):
+    rows = np.array([soliton.phi(mod_grid.r, s) for s in (1.0, 0.45, 1.1)])
+    a, window_ok, _ = _modulation_series(rows, S_mod)
+    assert not window_ok
+    assert a == pytest.approx([1.0, 1.0, 1.1], abs=1e-12)
+    assert a[1] == a[0]
+    # a miss on the first row keeps the unit scale
+    a, window_ok, _ = _modulation_series(rows[1:], S_mod)
+    assert not window_ok
+    assert a[0] == 1.0 and a[1] == pytest.approx(1.1, abs=1e-12)
+    # a miss opening a root-find block keeps the last scale of the block before
+    scales = [1.0 + 1e-3 * m for m in range(_ROWS)] + [0.45]
+    a, window_ok, _ = _modulation_series(
+        np.array([soliton.phi(mod_grid.r, s) for s in scales]), S_mod
+    )
+    assert not window_ok
+    assert a[-1] == a[-2] == pytest.approx(scales[-2], abs=1e-12)
 
 
 def test_make_query_constraint(mod_grid, S_mod, rng):
