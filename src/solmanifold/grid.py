@@ -52,6 +52,12 @@ class RadialGrid:
         r = np.linspace(0.0, self.R, self.n)
         r.setflags(write=False)
         object.__setattr__(self, "_r", r)
+        ws = np.ones(self.n)
+        ws[1:-1:2] = 4.0
+        ws[2:-1:2] = 2.0
+        ws *= self.dr / 3.0
+        ws.setflags(write=False)
+        object.__setattr__(self, "_simpson", ws)
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, so their node
@@ -69,10 +75,8 @@ class RadialGrid:
 
     @property
     def simpson_weights(self):
-        w = np.ones(self.n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * (self.dr / 3.0)
+        """Composite-Simpson weights, built once per grid and shared read-only."""
+        return self._simpson
 
     @property
     def cell_volumes(self):

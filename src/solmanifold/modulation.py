@@ -61,6 +61,35 @@ def _quintic(v, p):
     return v * v * (10.0 * p**3 + v * (10.0 * p**2 + v * (5.0 * p + v)))
 
 
+def _fifth(x, out):
+    """out = x^5 as (x^2)^2 x: both fifth powers of the nonlinear force."""
+    np.multiply(x, x, out=out)
+    np.multiply(out, out, out=out)
+    return np.multiply(out, x, out=out)
+
+
+def _quintic_force(r, wphi):
+    """The _leapfrog force ((w_phi + w_u)^5 - w_phi^5) / r^4 of the u flow.
+
+    Its invariants and its two buffers are made once, here; see
+    evolve_nonlinear for why both fifth powers come from _fifth.
+    """
+    wphi_in = wphi[1:-1]
+    wphi5 = _fifth(wphi_in, np.empty_like(wphi_in))
+    inv_r4 = 1.0 / r[1:-1] ** 4
+    wpsi = np.empty_like(wphi_in)
+    quint = np.empty_like(wphi_in)
+
+    def force(wu, m, acc):
+        np.add(wphi_in, wu[1:-1], out=wpsi)
+        _fifth(wpsi, quint)
+        np.subtract(quint, wphi5, out=quint)
+        np.multiply(quint, inv_r4, out=quint)
+        acc += quint
+
+    return force
+
+
 def nonlinearity(u, phi_a):
     """N(u, phi) = 10 phi^3 u^2 + 10 phi^2 u^3 + 5 phi u^4 + u^5."""
     return RadialField(u.grid, _quintic(u.values, phi_a.values))
@@ -99,7 +128,7 @@ class NonlinearRun:
     times_dense: np.ndarray
     g_overlap: np.ndarray             # <psi - phi, g>_w at every solver step (if S given)
     psi: SpaceTimeField = _Stored()       # strided psi snapshots
-    dpsi_dt: SpaceTimeField = _Stored()   # strided centered time derivative
+    dpsi_dt: SpaceTimeField = _Stored()   # strided five-point time derivative
     departure_time: float = None
     exit_sign: float = None
 
@@ -117,13 +146,21 @@ def evolve_nonlinear(
     """Leapfrog integration of psi_tt = Delta psi + psi^5 in w = r*psi variables.
 
     Internally evolves u = psi - phi so the soliton is an exact discrete
-    equilibrium; the quintic enters as r[(phi+u)^5 - phi^5].  A blow-up
-    detector aborts once sup |psi| on the observation ball exceeds
-    10*phi(0,1); the run is returned as a typed outcome,
-    never an exception.  Only every stride-th step is stored (none without
-    keep_fields), with its centred time derivative.  Both are converted to
-    SpaceTimeFields when first read; at stride 1 the rates are differences
-    of the stored rows, taken only if dpsi_dt is read.
+    equilibrium.  The quintic enters the w equation as the force
+    ((w_phi + w_u)^5 - w_phi^5) / r^4 = r[(phi+u)^5 - phi^5].  Both fifth
+    powers come from one product chain, _fifth, written into preallocated
+    buffers, never from **: libm pow takes a slow path on the tiny values
+    a spreading wave leaves in the far field, so a pow force grew several
+    times slower as a run went on.  Sharing the formula matters as much:
+    a w_phi^5 rounded otherwise than the step's own fifth power would make
+    the force at u = 0 a rounding error instead of exactly 0.
+    A blow-up detector aborts once sup |psi| on the observation ball
+    exceeds 10*phi(0,1); the run is returned as a typed outcome, never an
+    exception.  Only every stride-th step is stored (none without
+    keep_fields), with its time derivative (five-point centred, see
+    propagators._rate).  Both are converted to SpaceTimeFields when first
+    read; at stride 1 the rates are taken from the stored rows, only if
+    dpsi_dt is read.
     """
     grid = psi0.grid
     ceiling = 10.0 * soliton.phi(0.0, 1.0)
@@ -134,14 +171,6 @@ def evolve_nonlinear(
     # the blow-up test reads the observation ball without its origin node
     wphi_obs = wphi[obs][1:]
     robs = r[obs][1:]
-    # loop invariants of the quintic force
-    wphi_in = wphi[1:-1]
-    wphi5 = wphi_in**5
-    r4 = r[1:-1] ** 4
-
-    def force(wu, m, acc):
-        acc += ((wphi_in + wu[1:-1]) ** 5 - wphi5) / r4
-
     wg = r * S.g.values if S is not None else None
 
     def overlap(wu):
@@ -170,7 +199,7 @@ def evolve_nonlinear(
         r * psi1.values,
         T,
         dt,
-        force,
+        _quintic_force(r, wphi),
         stride=stride if keep_fields else None,
         stop=stop,
         rates=keep_fields and stride > 1,

@@ -184,7 +184,8 @@ def energy(psi, psi_t):
     """E = 1/2 Int |grad psi|^2 + psi_t^2 - 1/6 Int psi^6."""
     grad2 = h1_seminorm(psi) ** 2
     kin = inner_product(psi_t, psi_t)
-    pot = inner_product(
-        psi.grid.field(psi.values**3), psi.grid.field(psi.values**3)
-    )
+    # a product, not **: libm pow is slow on the tiny far-field values
+    v = psi.values
+    cube = psi.grid.field(v * v * v)
+    pot = inner_product(cube, cube)
     return 0.5 * (grad2 + kin) - pot / 6.0

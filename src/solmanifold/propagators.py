@@ -239,10 +239,11 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     value other than None ends the run there and is returned as its status.
 
     Only the states m = 0, stride, 2 stride, ... up to the last step m_end
-    are stored (stride None stores none).  With rates, the centred
-    difference (w_{m+1} - w_{m-1}) / 2dt of each stored state is stored too,
-    one-sided at m = 0 and at m_end.  Returns (rows, rate_rows, m_end,
-    status); rate_rows is None without rates.
+    are stored (stride None stores none).  With rates, the time derivative
+    of each stored state is stored too, by _rate from the last five states
+    the loop keeps: five-point centred, lower-order within two steps of
+    m = 0 and of m_end.  Returns (rows, rate_rows, m_end, status);
+    rate_rows is None without rates.
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
@@ -269,6 +270,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     drows = np.empty((stored, grid.n)) if rates else None
     w_prev = None
     w_cur = suppress(np.array(w0, dtype=float))
+    recent = [w_cur]  # the states m-4..m whose rates _rate reads
     if stored:
         rows[0] = w_cur
     status = None if stop is None else stop(0, w_cur)
@@ -279,12 +281,11 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             w_next = suppress(w_cur + dt * wdot0 + 0.5 * dt * dt * accel(w_cur, 0))
         else:
             w_next = suppress(2.0 * w_cur - w_prev + dt * dt * accel(w_cur, m - 1))
-        if rates and (m - 1) % stride == 0:
-            if m == 1:
-                drows[0] = (w_next - w_cur) / dt
-            else:
-                drows[(m - 1) // stride] = (w_next - w_prev) / (2.0 * dt)
         w_prev, w_cur = w_cur, w_next
+        if rates:
+            recent = recent[-4:] + [w_cur]
+            if m >= 2 and (m - 2) % stride == 0:
+                drows[(m - 2) // stride] = _rate(recent, len(recent) - 3, dt)
         if stored and m % stride == 0:
             rows[m // stride] = w_cur
         if stop is not None:
@@ -299,18 +300,39 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         rows = rows[:stored]
     if rates:
         drows = drows[:stored]
-        if m % stride == 0:
-            drows[-1] = (w_cur - w_prev) / dt if m else 0.0
+        # the stored states among the last two still wait for their rates
+        for j in (m - 1, m):
+            if j >= 0 and j % stride == 0:
+                drows[j // stride] = _rate(recent, len(recent) - 1 - (m - j), dt)
     return rows, drows, m, status
+
+
+def _rate(w, i, dt):
+    """Time derivative of the state w[i] of consecutive states w, dt apart.
+
+    The five-point centred difference
+    (8 (w[i+1] - w[i-1]) - (w[i+2] - w[i-2])) / 12dt (Fornberg, Math. Comp.
+    51, 1988) where two states lie on each side; with fewer, the centred
+    difference, then the one-sided one, then 0 for a lone state.  w is a
+    list of states or an array of rows.
+    """
+    before, after = min(i, 2), min(len(w) - 1 - i, 2)
+    if before == after == 2:
+        return (8.0 * (w[i + 1] - w[i - 1]) - (w[i + 2] - w[i - 2])) / (12.0 * dt)
+    if before and after:
+        return (w[i + 1] - w[i - 1]) / (2.0 * dt)
+    if after:
+        return (w[i + 1] - w[i]) / dt
+    if before:
+        return (w[i] - w[i - 1]) / dt
+    return np.zeros_like(w[i])
 
 
 def _centred_rates(rows, dt):
     """The rates _leapfrog stores with rates, from its rows stored at stride 1."""
-    out = np.zeros(rows.shape)
-    if len(rows) > 1:
-        out[1:-1] = (rows[2:] - rows[:-2]) / (2.0 * dt)
-        out[0] = (rows[1] - rows[0]) / dt
-        out[-1] = (rows[-1] - rows[-2]) / dt
+    out = np.empty(rows.shape)
+    for i in range(len(rows)):
+        out[i] = _rate(rows, i, dt)
     return out
 
 

@@ -22,6 +22,7 @@ from solmanifold.modulation import (
     _ROWS,
     LeftModulationWindow,
     _modulation_series,
+    _quintic_force,
     modulation_rate_series,
 )
 from solmanifold.spectral import secular_coefficient
@@ -73,6 +74,45 @@ def test_soliton_is_stationary(mod_grid, S_mod):
     assert drift <= 10 * mod_grid.dr**2
 
 
+def test_soliton_is_an_exact_equilibrium(mod_grid, S_mod):
+    # the force at u = 0 is exactly 0 only if w_phi^5 is rounded exactly as
+    # the step's own fifth power of w_phi + w_u
+    dt = 0.8 * mod_grid.dr
+    phi = soliton.phi_field(mod_grid)
+    run = evolve_nonlinear(phi, mod_grid.zeros(), 250 * dt, dt, S=S_mod)
+    assert run.status == "completed"
+    assert len(run.times_dense) == 251
+    assert all(np.array_equal(row, phi.values) for row in run.psi.samples)
+    assert not run.g_overlap.any()
+
+
+def test_pow_free_force_and_energy_match_pow_formulas(mod_grid):
+    from solmanifold.grid import h1_seminorm
+    from solmanifold.norms import energy
+
+    grid = mod_grid
+    r = grid.r
+    dt = 0.8 * grid.dr
+    phi = soliton.phi(r, 1.0)
+    wphi = r * phi
+    b = grid.field(0.3 * np.exp(-((r - 2.0) ** 2)))
+    run = evolve_nonlinear(b, grid.zeros(), 16.0, dt, stride=40)
+    force = _quintic_force(r, wphi)
+    rows = run.psi.samples.shape[0]
+    assert rows >= 10
+    for m in range(1, rows - 1):
+        psi, psi_t = run.psi.slice(m), run.dpsi_dt.slice(m)
+        wu = r * (psi.values - phi)
+        new = np.zeros(grid.n - 2)
+        force(wu, m, new)
+        old = ((wphi[1:-1] + wu[1:-1]) ** 5 - wphi[1:-1] ** 5) / r[1:-1] ** 4
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+        cube = grid.field(psi.values**3)
+        E_old = 0.5 * (h1_seminorm(psi) ** 2 + inner_product(psi_t, psi_t))
+        E_old -= inner_product(cube, cube) / 6.0
+        assert abs(energy(psi, psi_t) - E_old) <= 1e-14 * abs(E_old)
+
+
 def test_energy_conserved_along_nonlinear(mod_grid, S_mod):
     from solmanifold.norms import energy
 
@@ -120,14 +160,18 @@ def test_strided_run_stores_the_dense_rows(mod_grid, S_mod, cap):
     dense = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, overlap_cap=cap)
     assert dense.status == ("completed" if cap is None else "departed")
     m_end = len(dense.times_dense) - 1
-    # dpsi_dt is centred inside and one-sided at both ends
+    # dpsi_dt is five-point centred inside, centred next to the ends and
+    # one-sided at both ends
     psi, dpsi = dense.psi.samples, dense.dpsi_dt.samples
     ref = np.empty_like(psi)
-    ref[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dt)
+    ref[2:-2] = (-psi[4:] + 8.0 * psi[3:-1] - 8.0 * psi[1:-3] + psi[:-4]) / (12.0 * dt)
+    ref[[1, -2]] = (psi[[2, -1]] - psi[[0, -3]]) / (2.0 * dt)
     ref[0] = (psi[1] - psi[0]) / dt
     ref[-1] = (psi[-1] - psi[-2]) / dt
     assert np.max(np.abs(dpsi - ref)) < 1e-9 * np.max(np.abs(dpsi))
-    for s in (3, 5, 7):
+    # strides 2 and 59 store the state m_end - 1 of the completed (75) and
+    # of the departed (60) run, whose rate is centred, not five-point
+    for s in (2, 3, 5, 7, 59):
         run = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, stride=s, overlap_cap=cap)
         assert (run.status, run.departure_time) == (dense.status, dense.departure_time)
         assert np.array_equal(run.g_overlap, dense.g_overlap)
