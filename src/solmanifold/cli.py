@@ -25,7 +25,7 @@ from .experiments import (
     validate,
 )
 from .grid import RadialField, RadialGrid, l2_norm
-from .modulation import evolve_nonlinear, picard_map
+from .modulation import evolve_nonlinear, make_query, picard_map
 from .norms import energy, mixed_norm
 from .propagators import free_sine_traj, secular_decomposition_S
 from .spectral import ground_state, spectrum_report
@@ -100,8 +100,6 @@ def _cmd_strichartz(args):
 
 
 def _cmd_manifold(args):
-    from solmanifold.modulation import make_query
-
     grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
     dt = args.dt if args.dt else 0.8 * grid.dr
     S = ground_state(grid)

@@ -26,6 +26,8 @@ from .grid import (
     inner_product,
     l2_norm,
     laplacian,
+    pair_w,
+    weighted_norm,
 )
 from .modulation import (
     BracketError,
@@ -44,15 +46,14 @@ from .norms import energy, lorentz_norm, mixed_norm
 from .propagators import (
     PropagatorError,
     SpaceTimeField,
+    _resonance_transport,
     evolve_linear_perturbed,
     free_cosine_traj,
-    free_pairing_series,
     free_sine_traj,
     secular_decomposition_C,
     secular_decomposition_S,
 )
 from .spectral import SpectralError, ground_state, resonance_pairing, spectrum_report
-from .grid import pair_w
 
 EXPERIMENTS = (
     "spectrum",
@@ -549,9 +550,10 @@ def _run_pairing_identity(cfg, outdir, report):
     dt = grid.dr
     T = grid.R / 2.0
     psi1 = family_field(grid, "phi5")
-    q = family_field(grid, "vdphi_bump")  # = Delta dphi_da
     M = int(round(T / dt))
-    series = free_pairing_series(psi1, q, T, dt, "sine")
+    # <sine-free(psi1)(t), V dphi> (V dphi = Delta dphi_da), paired on the q side
+    E, w = _resonance_transport(grid, 1.0, T, dt, "sine")
+    series = E @ (w * psi1.values)
     lhs = float(np.trapezoid(series, dx=dt))
     rhs = -inner_product(soliton.dphi_da_field(grid), psi1)
     scale = float(np.trapezoid(np.abs(series), dx=dt))
@@ -678,10 +680,19 @@ def _run_codim1(cfg, outdir, report):
 
 
 def _manifold_trajectory(S, query, T, dt, tol):
-    """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
+    """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract.
+
+    Raises LeftModulationWindow when a stored row has no modulation root
+    inside the window, as _shoot_point does.
+    """
     res = shoot_h(query, S, T, dt, tol=tol)
     run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=5)
-    return res, run, trajectory_modulation(run, S)
+    traj = trajectory_modulation(run, S)
+    if not traj.window_ok:
+        raise LeftModulationWindow(
+            f"the on-manifold run at eps={query.epsilon:g} leaves the modulation window"
+        )
+    return res, run, traj
 
 
 def _tight_tol(query):
@@ -808,8 +819,6 @@ def _run_weighted_growth(cfg, outdir, report):
     res = shoot_h(query, S, cfg.T, dt)
     run = evolve_nonlinear(*query.initial_data(S, res.h), 5.0, dt, S=S, stride=5)
     phi_f = soliton.phi_field(grid)
-    from .grid import weighted_norm
-
     rows = []
     for m in range(run.psi.samples.shape[0]):
         t = m * run.psi.dt

@@ -30,7 +30,9 @@ from .grid import (
     RadialField,
     _values_from_w,
     cumulative_trapezoid,
+    h1_seminorm,
     inner_product,
+    l2_norm,
     pair_w,
 )
 from .norms import NormReport, lorentz_norm, mixed_norm
@@ -38,10 +40,8 @@ from .propagators import (
     SpaceTimeField,
     _centred_rates,
     _leapfrog,
+    _resonance_transport,
     evolve_linear_perturbed,
-    free_cosine_traj,
-    free_pairing_series,
-    free_sine_traj,
 )
 from .spectral import project_continuous, project_continuous_w, secular_coefficient
 
@@ -258,7 +258,10 @@ class ManifoldQuery:
     constraint_residual: float
 
     def initial_data(self, S, h):
-        """Nonlinear data (phi + p + h g, p1 + h k g) at unstable-direction offset h."""
+        """Nonlinear data (phi + p + h g, p1 + h k g) at unstable-direction offset h.
+
+        The one constructor of the manifold data; _offset_data subtracts phi.
+        """
         grid = self.psi0_perturbation.grid
         psi0 = RadialField(
             grid, soliton.phi(grid.r, 1.0) + self.psi0_perturbation.values + h * S.g.values
@@ -267,18 +270,13 @@ class ManifoldQuery:
 
 
 def _offset_data(query, S, h):
-    """The perturbation pair moved to offset h: (p + h g, p1 + h k g)."""
-    grid = S.grid
-    return (
-        RadialField(grid, query.psi0_perturbation.values + h * S.g.values),
-        RadialField(grid, query.psi1.values + h * S.k * S.g.values),
-    )
+    """The perturbation pair moved to offset h: initial_data less the soliton."""
+    psi0, psi1 = query.initial_data(S, h)
+    return RadialField(S.grid, psi0.values - soliton.phi(S.grid.r, 1.0)), psi1
 
 
 def data_norm(pert, psi1):
     """Proxy for the data norm: H1 seminorm + L2 + the L^{3/2,1} Lorentz size."""
-    from .grid import h1_seminorm, l2_norm
-
     return (
         h1_seminorm(pert)
         + l2_norm(psi1)
@@ -620,18 +618,20 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     return _xpm_from(src, *_offset_data(query, S, h), S, u0_traj.dt)
 
 
-def _duhamel_kernel(src, q, T, dt):
-    """B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q, t_i)>.
+def _resonance_pairings(data0, data1, src, S, T, dt):
+    """The data pairings and the Duhamel kernel, from one transport of q each way.
 
-    Self-adjointness of the free evolutions turns each Duhamel pairing
-    against q into a pairing of the source slice with the free evolution
-    of q, so one transport of q each way serves every source slice.
+    base[i] = <cos-free(t_i) data0 + sine-free(t_i) data1, q> and
+    B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q, t_i)> (None
+    without a source), q = V dphi.  Self-adjointness of the free evolutions
+    turns every pairing against q into a pairing with the free evolution of
+    q, so the two transports of q serve the data and every source slice.
     """
-    grid = q.grid
-    wmat = grid.simpson_weights * grid.r**2 * FOUR_PI
-    Esin = free_sine_traj(q, T, dt, enforce_budget=False).samples
-    Ecos = free_cosine_traj(q, T, dt, enforce_budget=False).samples
-    return (src.F * wmat) @ Esin.T - (src.D * wmat) @ Ecos.T
+    Esin, w = _resonance_transport(S.grid, S.a, T, dt, "sine")
+    Ecos, _ = _resonance_transport(S.grid, S.a, T, dt, "cosine")
+    base = Ecos @ (w * data0.values) + Esin @ (w * data1.values)
+    B = None if src is None else (src.F * w) @ Esin.T - (src.D * w) @ Ecos.T
+    return base, B
 
 
 def _antidiagonal_sums(X):
@@ -674,17 +674,13 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     limit of the perturbed evolution (measured directly) pins the overall
     orientation; written-out versions of this condition elsewhere carry
     the opposite sign and double the resonance content instead of
-    cancelling it.  The Duhamel pairings use the self-adjointness of the
-    free evolutions: each source slice is paired against the free
-    evolution of the weight V dphi.
+    cancelling it.  Every pairing uses the self-adjointness of the free
+    evolutions: the data and each source slice are paired against the
+    free evolution of the weight V dphi (_resonance_pairings).
     """
-    q = S.grid.field(soliton.resonance_weight(S.grid.r, S.a))
-    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
-    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
-    B = None
-    if u0_traj is not None:
-        B = _duhamel_kernel(_assemble(u0_traj.samples, a0, adot0, S), q, T, dt)
-    return _rate_from(a0, S, cos_pair + sin_pair, B, dt)
+    src = None if u0_traj is None else _assemble(u0_traj.samples, a0, adot0, S)
+    base, B = _resonance_pairings(data0, data1, src, S, T, dt)
+    return _rate_from(a0, S, base, B, dt)
 
 
 def x_norm(u_traj, adot, dt):
@@ -718,7 +714,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     the free-evolution condition, the continuous-spectrum part from the
     secularly decomposed Duhamel form, and the discrete-spectrum part from
     the x_pm integrals.  The source of the frozen history is assembled once,
-    and q = V dphi and the data are transported once, for all four parts.
+    and q = V dphi is transported once each way, for all four parts.
     """
     grid = S.grid
     M = int(round(T / dt))
@@ -734,15 +730,12 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     h, tail = _h_from(src, u0_traj.dt, S, pg0, pg1)
 
     data0, data1 = _offset_data(query, S, h)
-    q = grid.field(soliton.resonance_weight(grid.r, S.a))
-    cos_pair = free_pairing_series(data0, q, T, dt, "cosine")
-    sin_pair = free_pairing_series(data1, q, T, dt, "sine")
-    B = _duhamel_kernel(src, q, T, dt)
+    base, B = _resonance_pairings(data0, data1, src, S, T, dt)
 
-    adot = _rate_from(a0, S, cos_pair + sin_pair, B, dt)
+    adot = _rate_from(a0, S, base, B, dt)
     a = 1.0 + cumulative_trapezoid(adot, dx=dt)
 
-    pcu = _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt)
+    pcu = _pc_u_series(data0, data1, src, base, B, S, T, dt)
     xp, xm, xtail = _xpm_from(src, data0, data1, S, u0_traj.dt)
     coef = (xp + xm) / np.sqrt(2.0 * S.k)
     u = SpaceTimeField(grid, dt, pcu.samples + np.outer(coef, S.g.values))
@@ -751,7 +744,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     )
 
 
-def _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt):
+def _pc_u_series(data0, data1, src, base, B, S, T, dt):
     """Continuous-spectrum trajectory via secular-decomposed propagators.
 
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
@@ -762,8 +755,8 @@ def _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt):
     defect Duhamel takes a second run, whose centred time derivative turns
     its sine Duhamel into the cosine one.  The minus on the defect Duhamel
     matches modulation_rate_series (see the sign discussion there).
-    cos_pair, sin_pair and B are the data pairings and the Duhamel kernel
-    that modulation_rate_series reads too.
+    base and B are the summed data pairings and the Duhamel kernel of
+    _resonance_pairings, which modulation_rate_series reads too.
     """
     grid = S.grid
     cQ = secular_coefficient(S)
@@ -785,7 +778,7 @@ def _pc_u_series(data0, data1, src, cos_pair, sin_pair, B, S, T, dt):
 
     # secular parts: Q acting on the accumulated free evolutions of the data
     # and of the Duhamel sources
-    sec = cumulative_trapezoid(cos_pair + sin_pair, dx=dt) + _secular_sums(B, dt)
+    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(B, dt)
     out += np.outer(cQ * sec, resv)
     return SpaceTimeField(grid, dt, out)
 

@@ -26,6 +26,7 @@ from .grid import (
     _values_from_w,
     cumulative_trapezoid,
 )
+from .spectral import project_continuous_w, secular_coefficient
 
 __all__ = [
     "SpaceTimeField",
@@ -33,7 +34,6 @@ __all__ = [
     "free_cosine",
     "free_sine_traj",
     "free_cosine_traj",
-    "free_pairing_series",
     "free_duhamel",
     "evolve_linear_perturbed",
     "secular_decomposition_S",
@@ -164,17 +164,12 @@ def _free_slices(f, M, dt, kind):
     return out
 
 
-def _budget_check(grid, t, enforce):
-    if enforce:
-        grid.require_budget(t)
-
-
 def _check_time(t):
     if t < 0:
         raise ValueError("free evolution defined for t >= 0")
 
 
-def free_sine(f, t, enforce_budget=True):
+def free_sine(f, t):
     """sin(t sqrt(-Delta))/sqrt(-Delta) applied to f, by spherical means.
 
     In the radial reduction this is d'Alembert transport of w = r*f:
@@ -182,32 +177,45 @@ def free_sine(f, t, enforce_budget=True):
     odd extension of w; u = v/r with u(0, t) = w(t).
     """
     _check_time(t)
-    _budget_check(f.grid, t, enforce_budget)
+    f.grid.require_budget(t)
     return RadialField(f.grid, _free_slices(f, 1, t, "sine")[1])
 
 
-def free_cosine(g0, t, enforce_budget=True):
+def free_cosine(g0, t):
     """cos(t sqrt(-Delta)) applied to g0; t = 0 returns g0 exactly."""
     _check_time(t)
     if t == 0.0:
         return g0
-    _budget_check(g0.grid, t, enforce_budget)
+    g0.grid.require_budget(t)
     return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
-def _free_traj(f, T, dt, kind, enforce_budget):
+def _free_traj(f, T, dt, kind):
     _check_time(T)
-    _budget_check(f.grid, T, enforce_budget)
+    f.grid.require_budget(T)
     M = int(round(T / dt))
     return SpaceTimeField(f.grid, dt, _free_slices(f, M, dt, kind))
 
 
-def free_sine_traj(f, T, dt, enforce_budget=True):
-    return _free_traj(f, T, dt, "sine", enforce_budget)
+def free_sine_traj(f, T, dt):
+    return _free_traj(f, T, dt, "sine")
 
 
-def free_cosine_traj(g0, T, dt, enforce_budget=True):
-    return _free_traj(g0, T, dt, "cosine", enforce_budget)
+def free_cosine_traj(g0, T, dt):
+    return _free_traj(g0, T, dt, "cosine")
+
+
+def _resonance_transport(grid, a, T, dt, kind):
+    """Free sine or cosine trajectory of q = V(a) dphi_da(a), and its pairing weights.
+
+    Returns the (M+1, n) samples E and w = 4 pi * simpson * r^2.  The free
+    evolutions are self-adjoint, <free(f)(t), q> = <f, free(q)(t)>, so
+    E @ (w * f) is the series <free(f)(t_m), q> of any f: one transport of
+    q serves every resonance pairing.
+    """
+    q = grid.field(soliton.resonance_weight(grid.r, a))
+    traj = free_sine_traj if kind == "sine" else free_cosine_traj
+    return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
 
 
 def free_duhamel(F):
@@ -366,39 +374,23 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
 
 
-def free_pairing_series(data_field, weight_field, T, dt, kind):
-    """<free sine or cosine evolution of data (t), weight> for t = 0..T.
-
-    One trajectory of exact transport against the inner_product weights
-    4 pi * simpson * r^2 * weight; no budget check (pairings against a
-    decaying weight are read at every radius).
-    """
-    grid = weight_field.grid
-    traj = free_sine_traj if kind == "sine" else free_cosine_traj
-    samples = traj(data_field, T, dt, enforce_budget=False).samples
-    return samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * weight_field.values)
-
-
 def _secular_decomposition(f, T, dt, S, stride, kind):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
     Perturbed side: evolve the data (0, P_c f) for "sine", (P_c f, 0) for
     "cosine" under H.  Secular side: the rank-one projector applied to the
-    running time integral of the free evolution of f of the same kind.
-    Returns (dispersive_traj, secular_traj); their sum is the full
-    perturbed evolution.
+    running time integral of <free evolution of f of the same kind, q>,
+    paired on the q side (_resonance_transport).  Returns (dispersive_traj,
+    secular_traj); their sum is the full perturbed evolution.
     """
-    from .spectral import project_continuous_w, secular_coefficient
-
     grid = f.grid
     grid.require_budget(T)
     pcf = project_continuous_w(f, S)
     data = (grid.zeros(), pcf) if kind == "sine" else (pcf, grid.zeros())
     full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
 
-    q = grid.field(soliton.resonance_weight(grid.r, S.a))
-    series = free_pairing_series(f, q, T, dt, kind)
-    cum = cumulative_trapezoid(series, dx=dt)
+    E, w = _resonance_transport(grid, S.a, T, dt, kind)
+    cum = cumulative_trapezoid(E @ (w * f.values), dx=dt)
     coeff = -secular_coefficient(S) * cum[::stride]
     secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))
     dispersive = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import soliton
-from .grid import FOUR_PI, RadialField, RadialGrid, inner_product, pair_w
+from .grid import FOUR_PI, RadialField, RadialGrid, inner_product, laplacian, pair_w
 
 
 class SpectralError(RuntimeError):
@@ -76,8 +76,6 @@ def ground_state(grid, a=1.0):
     resonance = soliton.dphi_da_field(grid, a)
 
     # eigen-residual through the same grid Laplacian stencil
-    from .grid import laplacian
-
     res = RadialField(
         grid,
         -laplacian(g).values + soliton.potential(r, a) * g.values + k * k * g.values,

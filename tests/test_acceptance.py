@@ -129,7 +129,7 @@ def test_criterion_06_pairing_identity(tmp_path):
     dt = grid.dr
     M = int(round((grid.R / 2) / dt))
     series = np.array(
-        [inner_product(free_sine(psi1, m * dt, enforce_budget=False), q) for m in range(M + 1)]
+        [inner_product(free_sine(psi1, m * dt), q) for m in range(M + 1)]
     )
     lhs = float(np.trapezoid(series, dx=dt))
     rhs = -inner_product(soliton.dphi_da_field(grid), psi1)

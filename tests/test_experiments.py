@@ -243,3 +243,39 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     assert np.max(np.abs(got - want) / want) < 1e-12
     if mode == "free":
         assert sorted(calls) == ["free_cosine_traj"] * 3 + ["free_sine_traj"] * 3
+
+
+def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):
+    # a window that holds no scale near 1: every on-manifold row leaves it,
+    # and the lipschitz run must fail with the typed error, not pass quietly
+    from solmanifold import soliton
+
+    text = """[experiment]
+name = lipschitz
+seed = 6
+
+[grid]
+R = 30
+n = 301
+R_obs = 10
+
+[time]
+T = 10
+cfl = 0.8
+
+[data]
+eps = 1e-3
+
+[sweep]
+values = 1e-4
+"""
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    cfg.output_dir = str(tmp_path / "out")
+    monkeypatch.setattr(soliton, "MODULATION_WINDOW", (1.05, 1.5))
+    rep = run(cfg)
+    assert not rep.passed
+    (record,) = [r for r in rep.records if "error" in r]
+    assert record["error"].startswith("LeftModulationWindow: ")
+    assert "_manifold_trajectory" in record["traceback"]
+    (check,) = [c for c in rep.checks if c.name == "run_completed"]
+    assert not check.passed

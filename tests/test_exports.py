@@ -1,9 +1,11 @@
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 
 import solmanifold
+from solmanifold.grid import RadialGrid
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +28,22 @@ def test_every_exported_name_resolves():
                 if not hasattr(source, alias.name) or not hasattr(solmanifold, alias.name)
             ]
     assert missing == []
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracing.py patches these names from outside the package; a
+    # renamed or deleted target, or r cached by anything but a plain
+    # property, would break the benchmark's traced runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for pairs in tracing.GROUPS.values() for t in pairs]
+    targets += list(tracing.COUNTED.values())
+    missing = [
+        f"{module}.{name}"
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(f"solmanifold.{module}"), name, None))
+    ]
+    assert missing == []
+    assert type(vars(RadialGrid)["r"]) is property

@@ -19,6 +19,7 @@ from solmanifold import soliton
 from solmanifold.grid import GridUsageError, field_from_w
 from solmanifold.propagators import (
     SpaceTimeField,
+    _resonance_transport,
     free_cosine_traj,
     free_sine_traj,
 )
@@ -72,7 +73,7 @@ def test_huygens(wave_grid):
     r = wave_grid.r
     f = wave_grid.field(np.where(r < 4.0, (4.0 - r) ** 2 * r**2, 0.0))
     t = 16.0
-    u = free_sine(f, t, enforce_budget=False)
+    u = free_sine(f, t)
     inner = np.abs(u.values[r < t - 4.0 - 2 * wave_grid.dr])
     outer = np.abs(u.values[r > t + 4.0 + 2 * wave_grid.dr])
     assert np.max(inner) == 0.0
@@ -161,8 +162,49 @@ def test_cosine_energy_bound(wave_grid):
     phi_f = soliton.phi_field(wave_grid)
     base = h1_seminorm(phi_f)
     for t in (2.0, 10.0, 25.0):
-        u = free_cosine(phi_f, t, enforce_budget=False)
+        u = free_cosine(phi_f, t)
         assert h1_seminorm(u) <= base * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("kind", ["sine", "cosine"])
+def test_q_side_pairing_converges_to_data_side(kind):
+    # <free(f)(t), q> from one transport of q = V dphi against the data's own
+    # free trajectory paired with q by the Simpson weights: two quadratures
+    # of one pairing, which differ by O(dr^4)
+    gaps = []
+    for n in (401, 801, 1601):
+        grid = RadialGrid(R=40.0, n=n, R_obs=12.0)
+        dt = 0.8 * grid.dr
+        f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+        E, w = _resonance_transport(grid, 1.0, 16.0, dt, kind)
+        traj = (free_sine_traj if kind == "sine" else free_cosine_traj)(f, 16.0, dt)
+        q = soliton.resonance_weight(grid.r, 1.0)
+        ref = traj.samples @ (4.0 * np.pi * grid.simpson_weights * grid.r**2 * q)
+        gaps.append(np.max(np.abs(E @ (w * f.values) - ref)) / np.max(np.abs(ref)))
+    assert gaps[0] < 5e-5
+    assert gaps[0] >= 12.0 * gaps[1] and gaps[1] >= 12.0 * gaps[2]
+
+
+@pytest.mark.parametrize("kind", ["sine", "cosine"])
+def test_secular_part_is_the_accumulated_resonance_pairing(kind):
+    # secular(t) = -c_Q Int_0^t <free(f)(s), V dphi> ds dphi_da, against a
+    # data-side reference: per-slice free evolutions of f of the same kind
+    from solmanifold import ground_state
+    from solmanifold.spectral import secular_coefficient
+
+    grid = RadialGrid(R=40.0, n=401, R_obs=12.0)
+    S = ground_state(grid)
+    dt = grid.dr
+    f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    q = grid.field(soliton.resonance_weight(grid.r, S.a))
+    free = free_sine if kind == "sine" else free_cosine
+    M = int(round(16.0 / dt))
+    series = np.array([inner_product(free(f, m * dt), q) for m in range(M + 1)])
+    cum = np.r_[0.0, np.cumsum(0.5 * dt * (series[1:] + series[:-1]))]
+    ref = np.outer(-secular_coefficient(S) * cum, S.resonance.values)
+    split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
+    _, secular = split(f, M * dt, dt, S)
+    assert np.max(np.abs(secular.samples - ref)) < 1e-4 * np.max(np.abs(ref))
 
 
 def test_free_duhamel_zero_and_box(wave_grid):
