@@ -34,21 +34,16 @@ from .modulation import (
 from .norms import (
     NormReport,
     energy,
-    kato_norm,
     lorentz_norm,
     mixed_norm,
-    newton_potential,
-    spacetime_l8,
 )
 from .propagators import (
     SpaceTimeField,
     evolve_linear_perturbed,
     free_cosine,
-    free_duhamel,
     free_sine,
     secular_decomposition_C,
     secular_decomposition_S,
-    transport_energy,
 )
 from .soliton import dphi_da, phi, potential, resonance_defect_profile
 from .spectral import (
@@ -57,7 +52,6 @@ from .spectral import (
     ground_state,
     project_continuous,
     resonance_pairing,
-    secular_projector,
     x_pm,
 )
 

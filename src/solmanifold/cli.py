@@ -1,4 +1,8 @@
-"""Command-line interface: spectrum | evolve | manifold | strichartz | sweep | validate.
+"""Command-line interface: spectrum | manifold | sweep | validate.
+
+Every claim with checks runs as a config experiment through sweep; energy
+conservation and the reverse Strichartz bounds, for instance, are
+configs/energy.ini and configs/strichartz_{free,perturbed}.ini.
 
 Exit codes: 0 = all checks passed, 1 = at least one check failed,
 2 = usage or configuration error.
@@ -11,9 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import soliton
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -25,9 +26,7 @@ from .experiments import (
     validate,
 )
 from .grid import RadialField, RadialGrid, l2_norm
-from .modulation import evolve_nonlinear, make_query, picard_map
-from .norms import energy, mixed_norm
-from .propagators import free_sine_traj, secular_decomposition_S
+from .modulation import make_query, picard_map
 from .spectral import ground_state, spectrum_report
 
 
@@ -45,57 +44,6 @@ def _cmd_spectrum(args):
     _write(args.out, "spectrum.json", json.dumps(rep, indent=2, sort_keys=True))
     _write(args.out, "g_profile.csv", S.g.to_csv())
     print(json.dumps(rep, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_evolve(args):
-    grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
-    dt = args.dt if args.dt else 0.8 * grid.dr
-    S = ground_state(grid)
-    f = family_field(grid, args.family)
-    nf = l2_norm(f)
-    psi0 = RadialField(grid, soliton.phi(grid.r, 1.0) + args.eps * f.values / nf)
-    run_out = evolve_nonlinear(psi0, grid.zeros(), args.T, dt, S=S, stride=10)
-    rows = ["t,energy,g_overlap"]
-    stride_steps = max(1, run_out.psi.samples.shape[0] // 400)
-    for m in range(0, run_out.psi.samples.shape[0], stride_steps):
-        E = energy(run_out.psi.slice(m), run_out.dpsi_dt.slice(m))
-        rows.append(
-            f"{m * run_out.psi.dt:.17g},{E:.17g},{run_out.g_overlap[min(m * 10, len(run_out.g_overlap) - 1)]:.17g}"
-        )
-    _write(args.out, "evolution.csv", "\n".join(rows) + "\n")
-    print(f"status: {run_out.status}; wrote {os.path.join(args.out, 'evolution.csv')}")
-    return 0
-
-
-def _cmd_strichartz(args):
-    grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
-    dt = args.dt if args.dt else grid.dr
-    T = min(args.T, grid.budget_horizon())
-    S = ground_state(grid)
-    f = family_field(grid, args.family)
-    fn = RadialField(grid, f.values / l2_norm(f))
-    if args.mode == "free":
-        traj = free_sine_traj(fn, T, dt)
-    else:
-        traj, _ = secular_decomposition_S(fn, T, dt, S)
-    kinds = {
-        "L62x_Linf_t": (("lorentz", 6, 2), "Linf_t"),
-        "Linf_x_L2_t": ("Linf_x", "L2_t"),
-        "Linf_x_L1_t": ("Linf_x", "L1_t"),
-    }
-    rows = ["t,norm_kind,value"]
-    horizons = np.linspace(T / 8.0, T, 8)
-    norms = {}
-    for kind, (outer, inner) in kinds.items():
-        for Th in horizons:
-            val = mixed_norm(traj.restricted(Th), outer, inner)
-            rows.append(f"{Th:.17g},{kind},{val:.17g}")
-        norms[kind] = val
-    _write(args.out, "strichartz_run.csv", "\n".join(rows) + "\n")
-    summary = {"mode": args.mode, "family": args.family, "T": T, "sup_constants": norms}
-    _write(args.out, "strichartz_summary.json", json.dumps(summary, indent=2, sort_keys=True))
-    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -172,23 +120,6 @@ def build_parser():
     _add_grid_args(sp, R=20.0, n=1601)
     sp.add_argument("--a", type=float, default=1.0)
     sp.set_defaults(fn=_cmd_spectrum)
-
-    ev = sub.add_parser("evolve", help="nonlinear evolution with energy diagnostics")
-    _add_grid_args(ev)
-    ev.add_argument("--T", type=float, default=20.0)
-    ev.add_argument("--dt", type=float, default=None)
-    ev.add_argument("--eps", type=float, default=1e-3)
-    ev.add_argument("--family", type=str, default="bump",
-                    choices=["ball", "bump", "phi5", "vdphi_bump"])
-    ev.set_defaults(fn=_cmd_evolve)
-
-    st = sub.add_parser("strichartz", help="reverse Strichartz norms of one run")
-    _add_grid_args(st, R=80.0, n=1601)
-    st.add_argument("--dt", type=float, default=None)
-    st.add_argument("--T", type=float, default=40.0)
-    st.add_argument("--family", type=str, default="bump", choices=["ball", "bump", "phi5"])
-    st.add_argument("--mode", type=str, default="free", choices=["free", "perturbed"])
-    st.set_defaults(fn=_cmd_strichartz)
 
     mf = sub.add_parser("manifold", help="manifold offset by shooting and/or Picard")
     _add_grid_args(mf)

@@ -150,8 +150,13 @@ def validate(config):
         issues.append(f"grid: {exc}")
         return issues
     dt = config.timestep(grid)
-    if dt > grid.dr + 1e-12:
+    if not dt > 0:
+        key = "time.cfl" if config.dt is None else "time.dt"
+        issues.append(f"{key}: time step must be positive, dt={dt}")
+    elif dt > grid.dr + 1e-12:
         issues.append(f"time.dt: CFL violation dt={dt} > dr={grid.dr}")
+    if not config.T > 0:
+        issues.append(f"time.T: horizon must be positive, T={config.T}")
     if config.T > grid.budget_horizon() + 1e-12 and config.experiment not in (
         "spectrum",
         "stationarity",
@@ -651,9 +656,7 @@ def _run_codim1(cfg, outdir, report):
     signs = {}
     for offset in (+1e-6, -1e-6):
         psi0, psi1 = query.initial_data(S, res.h + offset)
-        run = evolve_nonlinear(
-            psi0, psi1, cfg.T, dt, S=S, overlap_cap=0.1, keep_fields=False
-        )
+        run = evolve_nonlinear(psi0, psi1, cfg.T, dt, S=S, stride=None, overlap_cap=0.1)
         ov = run.g_overlap
         t = run.times_dense
         window = (np.abs(ov) > 10 * abs(offset)) & (np.abs(ov) < 0.05)
@@ -869,7 +872,8 @@ All CSVs carry a single header row; floats use up to 17 significant digits.
 - `spectrum.json`: `{R, n, a, k, residual, overlap_g_daPhi, pairing_VdaPhi, negative_count, ...}`.
 - `stationarity.csv`: `dr,pde_residual_max` - elliptic residual under refinement.
 - `energy_drift.csv`: `dt,relative_drift` - energy conservation under dt halving (CFL locked).
-- `strichartz_{free,perturbed}.csv`: `member,<constant columns>` - per-member reverse-Strichartz ratios.
+- `strichartz_free.csv`: `member,<constant columns>` - per-member reverse-Strichartz ratios of the free evolutions.
+- `strichartz_perturbed.csv`: `member,<constant columns>` - the same ratios for the perturbed evolutions.
 - `secular.csv`: `T,S_LinfL2,full_LinfL1` - dispersive-part boundedness vs secular growth.
 - `pairing_identity.csv`: `T,integral` - running resonance pairing integral.
 - `h_scaling.csv`: `eps,abs_h_shoot,abs_h_fixed_point` - manifold offset vs perturbation size.

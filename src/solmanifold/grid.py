@@ -145,14 +145,6 @@ class RadialField:
             buf.write(f"{r:.17g},{v:.17g}\n")
         return buf.getvalue()
 
-    @staticmethod
-    def from_csv(text):
-        rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-        r = np.array([float(ln.split(",")[0]) for ln in rows])
-        v = np.array([float(ln.split(",")[1]) for ln in rows])
-        grid = RadialGrid(R=r[-1], n=len(r))
-        return grid.field(v)
-
 
 def _check_same_grid(f, g):
     if f.grid is not g.grid and (f.grid.R != g.grid.R or f.grid.n != g.grid.n):

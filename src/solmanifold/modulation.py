@@ -43,7 +43,7 @@ from .propagators import (
     _resonance_transport,
     evolve_linear_perturbed,
 )
-from .spectral import project_continuous, project_continuous_w, secular_coefficient
+from .spectral import project_continuous, project_continuous_w, secular_coefficient, x_pm
 
 TWO = 2.0
 
@@ -141,7 +141,6 @@ def evolve_nonlinear(
     S=None,
     stride=1,
     overlap_cap=None,
-    keep_fields=True,
 ):
     """Leapfrog integration of psi_tt = Delta psi + psi^5 in w = r*psi variables.
 
@@ -156,8 +155,8 @@ def evolve_nonlinear(
     the force at u = 0 a rounding error instead of exactly 0.
     A blow-up detector aborts once sup |psi| on the observation ball
     exceeds 10*phi(0,1); the run is returned as a typed outcome, never an
-    exception.  Only every stride-th step is stored (none without
-    keep_fields), with its time derivative (five-point centred, see
+    exception.  Only every stride-th step is stored (none with stride
+    None), with its time derivative (five-point centred, see
     propagators._rate).  Both are converted to SpaceTimeFields when first
     read; at stride 1 the rates are taken from the stored rows, only if
     dpsi_dt is read.
@@ -200,9 +199,9 @@ def evolve_nonlinear(
         T,
         dt,
         _quintic_force(r, wphi),
-        stride=stride if keep_fields else None,
+        stride=stride,
         stop=stop,
-        rates=keep_fields and stride > 1,
+        rates=stride is not None and stride > 1,
     )
 
     def psi_traj():
@@ -226,8 +225,8 @@ def evolve_nonlinear(
         status=status or "completed",
         times_dense=np.arange(m_end + 1) * dt,
         g_overlap=ovs,
-        psi=psi_traj if keep_fields else None,
-        dpsi_dt=dpsi_traj if keep_fields else None,
+        psi=None if stride is None else psi_traj,
+        dpsi_dt=None if stride is None else dpsi_traj,
         departure_time=None if status is None else m_end * dt,
         exit_sign=exit_sign,
     )
@@ -316,7 +315,7 @@ class ShootResult:
 
 def _classify(query, h, S, T, dt):
     psi0, psi1 = query.initial_data(S, h)
-    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, overlap_cap=0.25, keep_fields=False)
+    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, stride=None, overlap_cap=0.25)
     ov = run.g_overlap[-1]
     if ov == 0.0:
         return 0.0, run
@@ -855,13 +854,9 @@ def trajectory_modulation(run, S):
     adot = np.gradient(a, dt)
     u_traj = SpaceTimeField(grid, dt, u_samples)
     udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
-    # inner_product against g, every row at once; x_pm as in spectral.x_pm
-    wg = FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values
-    ov = u_samples @ wg
-    rate = udot @ wg
-    c = 1.0 / np.sqrt(2.0 * S.k)
-    xp = c * (S.k * ov + rate)
-    xm = c * (S.k * ov - rate)
+    xp, xm = x_pm(u_samples, udot, S)
+    # the Simpson pairing of every row with g that x_pm makes
+    ov = u_samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values)
     adot_l1 = float(np.sum(np.abs(adot)) * dt)
     diags = [
         NormReport(

@@ -1,4 +1,4 @@
-"""Discrete Lorentz, mixed space-time, Kato, and energy functionals.
+"""Discrete Lorentz, mixed space-time, and energy functionals.
 
 Rearrangements are computed against the exact discrete volume measure
 (cell volumes 4 pi r^2 dr), not node counts: the radial measure is wildly
@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FOUR_PI, GridUsageError, cumulative_trapezoid, h1_seminorm, inner_product
+from .grid import GridUsageError, h1_seminorm, inner_product
 
 __all__ = [
     "NormReport",
     "lorentz_norm",
-    "lp_norm_cells",
     "mixed_norm",
-    "spacetime_l8",
-    "kato_norm",
-    "newton_potential",
     "energy",
 ]
 
@@ -96,18 +92,6 @@ def lorentz_norm(f, p, q, radius=None):
     return float(np.sum(levels**q * pieces) ** (1.0 / q))
 
 
-def lp_norm_cells(f, p, radius=None):
-    """Plain L^p against the same cell-volume measure (the Lorentz diagonal)."""
-    grid = f.grid
-    vals = np.abs(f.values)
-    vols = grid.cell_volumes
-    if radius is not None:
-        inside = grid.obs_slice(radius)
-        vals = vals[inside]
-        vols = vols[inside]
-    return float(np.sum(vals**p * vols) ** (1.0 / p))
-
-
 _INNER_TAGS = ("Linf_t", "L2_t", "L1_t")
 
 
@@ -140,44 +124,6 @@ def mixed_norm(u, outer, inner, radius=None):
     if isinstance(outer, tuple) and outer[0] == "lorentz":
         return lorentz_norm(grid.field(profile), outer[1], outer[2], radius=radius)
     raise GridUsageError(f"unknown outer norm {outer!r}")
-
-
-def spacetime_l8(u, radius=None):
-    """L^8 over space-time: (Sum |u|^8 4 pi r^2 dr dt)^(1/8) inside B_{R_obs}."""
-    inside = u.grid.obs_slice(radius)
-    vols = u.grid.cell_volumes[inside]
-    total = float(np.sum(np.abs(u.samples[:, inside]) ** 8 * vols) * u.dt)
-    return total ** (1.0 / 8.0)
-
-
-def kato_norm(f):
-    """sup_y Int |f(x)| / |x-y| dx via Newton's theorem for radial integrands.
-
-    Int |f(x)|/|x-y| dx = 4 pi Int_0^inf |f(rho)| rho^2 / max(rho, |y|) drho;
-    computed over every grid value of |y| (the sup sits at y = 0 for
-    radially decreasing |f|, but no monotonicity is assumed).
-    """
-    return FOUR_PI * float(np.max(newton_potential(f.grid.field(np.abs(f.values))).values))
-
-
-def newton_potential(f):
-    """(-Delta)^{-1} f for radial f: Int f(rho) rho^2 / max(rho, r) drho * 4 pi / (4 pi).
-
-    Explicitly: ((-Delta)^{-1} f)(r) = Int_0^inf f(rho) rho^2 / max(rho, r) drho.
-    Used as the long-time oracle for the accumulated free sine evolution.
-    """
-    grid = f.grid
-    r = grid.r
-    dr = grid.dr
-    a = f.values * r * r
-    b = f.values * r
-    A = cumulative_trapezoid(a, dx=dr)
-    B = cumulative_trapezoid(b, dx=dr)
-    Btail = B[-1] - B
-    vals = np.empty(grid.n)
-    vals[0] = Btail[0]
-    vals[1:] = A[1:] / r[1:] + Btail[1:]
-    return grid.field(vals)
 
 
 def energy(psi, psi_t):

@@ -34,11 +34,9 @@ __all__ = [
     "free_cosine",
     "free_sine_traj",
     "free_cosine_traj",
-    "free_duhamel",
     "evolve_linear_perturbed",
     "secular_decomposition_S",
     "secular_decomposition_C",
-    "transport_energy",
 ]
 
 
@@ -218,20 +216,6 @@ def _resonance_transport(grid, a, T, dt, kind):
     return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
 
 
-def free_duhamel(F):
-    """Trapezoid-in-s superposition of sine slices: Int_0^t sin((t-s)L)/L F(s) ds."""
-    grid = F.grid
-    dt = F.dt
-    M = F.samples.shape[0] - 1
-    grid.require_budget(F.horizon)
-    acc = np.zeros_like(F.samples)
-    for j in range(M + 1):
-        slices = _free_slices(F.slice(j), M - j, dt, "sine")
-        # trapezoid end weights: the s = 0 slice halves, the s = t one vanishes
-        acc[j:] += 0.5 * slices if j == 0 else slices
-    return SpaceTimeField(grid, dt, acc * dt)
-
-
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
@@ -405,18 +389,3 @@ def secular_decomposition_S(f, T, dt, S, stride=1):
 def secular_decomposition_C(g0, T, dt, S, stride=1):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
     return _secular_decomposition(g0, T, dt, S, stride, "cosine")
-
-
-def transport_energy(u, ut):
-    """Staggered 1D wave energy 4 pi Int (v_r^2 + v_t^2) dr on w-variables.
-
-    Exactly shift invariant for the transport propagators when t/dr is an
-    integer, so free evolutions conserve it to rounding error.
-    """
-    grid = u.grid
-    dr = grid.dr
-    v = u.w()
-    vt = ut.w()
-    dv = np.diff(v) / dr
-    vt_mid = 0.5 * (vt[1:] + vt[:-1])
-    return FOUR_PI * dr * float(np.sum(dv * dv + vt_mid * vt_mid))

@@ -138,25 +138,20 @@ def project_continuous_w(f, S):
 def x_pm(u0, u1, S):
     """Coordinates along the exponentially growing/decaying modes.
 
+    u0 and u1 are stacks of rows (the last axis is the grid), each row
+    paired with g by composite Simpson as in inner_product:
     x_pm = (2k)^(-1/2) (k <u0, g> +/- <u1, g>).  The growing coordinate is
     x_plus: under the linearized flow, data (g, k g) gives d/dt x_plus =
     +k x_plus with x_minus = 0 (verified empirically in the test suite;
     display bookkeeping elsewhere writes the same pair with the opposite
     role assignment, so the ordering here is pinned by the dynamics).
     """
-    k = S.k
-    c = 1.0 / np.sqrt(2.0 * k)
-    a0 = inner_product(u0, S.g)
-    a1 = inner_product(u1, S.g)
-    return c * (k * a0 + a1), c * (k * a0 - a1)
-
-
-def secular_projector(f, S):
-    """Rank-one secular term Q f = -(4 pi / <V, dphi>^2) <f, V dphi> dphi."""
-    grid = f.grid
-    q = grid.field(soliton.resonance_weight(grid.r, S.a))
-    coeff = -secular_coefficient(S) * inner_product(f, q)
-    return RadialField(grid, coeff * S.resonance.values)
+    grid = S.grid
+    wg = FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values
+    ov = u0 @ wg
+    rate = u1 @ wg
+    c = 1.0 / np.sqrt(2.0 * S.k)
+    return c * (S.k * ov + rate), c * (S.k * ov - rate)
 
 
 def secular_coefficient(S):

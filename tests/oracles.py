@@ -1,0 +1,111 @@
+"""Reference implementations the tests compare the package against.
+
+None of these has a caller in the package: each is either an independent
+route to a quantity the package computes another way (the Newton
+potential as the long-time limit of the accumulated sine evolution, the
+rank-one secular projector, the free Duhamel superposition, the Lorentz
+diagonal) or a conserved quantity that checks a propagator.
+"""
+
+import numpy as np
+
+from solmanifold import soliton
+from solmanifold.grid import FOUR_PI, RadialField, RadialGrid, cumulative_trapezoid, inner_product
+from solmanifold.propagators import SpaceTimeField, _free_slices
+from solmanifold.spectral import secular_coefficient
+
+
+def from_csv(text):
+    """Inverse of RadialField.to_csv: the field on the grid its r column spans."""
+    rows = [ln for ln in text.strip().splitlines()[1:] if ln]
+    r = np.array([float(ln.split(",")[0]) for ln in rows])
+    v = np.array([float(ln.split(",")[1]) for ln in rows])
+    grid = RadialGrid(R=r[-1], n=len(r))
+    return grid.field(v)
+
+
+def lp_norm_cells(f, p, radius=None):
+    """Plain L^p against the same cell-volume measure (the Lorentz diagonal)."""
+    grid = f.grid
+    vals = np.abs(f.values)
+    vols = grid.cell_volumes
+    if radius is not None:
+        inside = grid.obs_slice(radius)
+        vals = vals[inside]
+        vols = vols[inside]
+    return float(np.sum(vals**p * vols) ** (1.0 / p))
+
+
+def spacetime_l8(u, radius=None):
+    """L^8 over space-time: (Sum |u|^8 4 pi r^2 dr dt)^(1/8) inside B_{R_obs}."""
+    inside = u.grid.obs_slice(radius)
+    vols = u.grid.cell_volumes[inside]
+    total = float(np.sum(np.abs(u.samples[:, inside]) ** 8 * vols) * u.dt)
+    return total ** (1.0 / 8.0)
+
+
+def kato_norm(f):
+    """sup_y Int |f(x)| / |x-y| dx via Newton's theorem for radial integrands.
+
+    Int |f(x)|/|x-y| dx = 4 pi Int_0^inf |f(rho)| rho^2 / max(rho, |y|) drho;
+    computed over every grid value of |y| (the sup sits at y = 0 for
+    radially decreasing |f|, but no monotonicity is assumed).
+    """
+    return FOUR_PI * float(np.max(newton_potential(f.grid.field(np.abs(f.values))).values))
+
+
+def newton_potential(f):
+    """(-Delta)^{-1} f for radial f: Int f(rho) rho^2 / max(rho, r) drho * 4 pi / (4 pi).
+
+    Explicitly: ((-Delta)^{-1} f)(r) = Int_0^inf f(rho) rho^2 / max(rho, r) drho.
+    Used as the long-time oracle for the accumulated free sine evolution.
+    """
+    grid = f.grid
+    r = grid.r
+    dr = grid.dr
+    a = f.values * r * r
+    b = f.values * r
+    A = cumulative_trapezoid(a, dx=dr)
+    B = cumulative_trapezoid(b, dx=dr)
+    Btail = B[-1] - B
+    vals = np.empty(grid.n)
+    vals[0] = Btail[0]
+    vals[1:] = A[1:] / r[1:] + Btail[1:]
+    return grid.field(vals)
+
+
+def secular_projector(f, S):
+    """Rank-one secular term Q f = -(4 pi / <V, dphi>^2) <f, V dphi> dphi."""
+    grid = f.grid
+    q = grid.field(soliton.resonance_weight(grid.r, S.a))
+    coeff = -secular_coefficient(S) * inner_product(f, q)
+    return RadialField(grid, coeff * S.resonance.values)
+
+
+def free_duhamel(F):
+    """Trapezoid-in-s superposition of sine slices: Int_0^t sin((t-s)L)/L F(s) ds."""
+    grid = F.grid
+    dt = F.dt
+    M = F.samples.shape[0] - 1
+    grid.require_budget(F.horizon)
+    acc = np.zeros_like(F.samples)
+    for j in range(M + 1):
+        slices = _free_slices(F.slice(j), M - j, dt, "sine")
+        # trapezoid end weights: the s = 0 slice halves, the s = t one vanishes
+        acc[j:] += 0.5 * slices if j == 0 else slices
+    return SpaceTimeField(grid, dt, acc * dt)
+
+
+def transport_energy(u, ut):
+    """Staggered 1D wave energy 4 pi Int (v_r^2 + v_t^2) dr on w-variables.
+
+    Exactly shift invariant for the transport propagators when t/dr is an
+    integer, so free evolutions conserve it to rounding error.
+    """
+    grid = u.grid
+    dr = grid.dr
+    v = u.w()
+    vt = ut.w()
+    dv = np.diff(v) / dr
+    vt_mid = 0.5 * (vt[1:] + vt[:-1])
+    return FOUR_PI * dr * float(np.sum(dv * dv + vt_mid * vt_mid))

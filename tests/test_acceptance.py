@@ -17,6 +17,11 @@ def _run(tmp_path, label, **kw):
         status = "PASS" if c.passed else "FAIL"
         print(f"  [{status}] {c.name}: {c.value:.6g} {c.op} {c.threshold:.6g}")
     print(f"[{'PASS' if report.passed else 'FAIL'}] {label}")
+    # every data file the run wrote is documented in its SCHEMA.md
+    outdir = tmp_path / kw["experiment"]
+    schema = (outdir / "SCHEMA.md").read_text()
+    written = [p.name for p in outdir.iterdir() if p.suffix in (".csv", ".json")]
+    assert [name for name in written if f"`{name}`" not in schema] == []
     return report
 
 

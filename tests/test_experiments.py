@@ -83,6 +83,16 @@ dt = 9.0
     issues = validate(cfg)
     assert any("CFL" in s for s in issues)
     assert any("causality" in s for s in issues)
+    # a time step or horizon that is not positive
+    for edit, key in (
+        ("T = 6\ncfl = 0\n", "time.cfl"),
+        ("T = 6\ndt = 0\n", "time.dt"),
+        ("T = 6\ndt = -0.01\n", "time.dt"),
+        ("T = 6\ncfl = -0.8\n", "time.cfl"),
+        ("T = -5\n", "time.T"),
+    ):
+        cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE.replace("T = 6\n", edit)))
+        assert any(s.startswith(f"{key}: ") and "must be positive" in s for s in validate(cfg))
 
 
 def test_validate_unknown_experiment(tmp_path):
@@ -149,6 +159,8 @@ def test_cli_validate_and_exit_codes(tmp_path):
     bad = write_config(tmp_path, BASE.replace("stationarity", "nope"), name="bad.ini")
     assert main(["validate", "--config", bad]) == 1
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
+    zero_step = write_config(tmp_path, BASE.replace("T = 6\n", "T = 6\ndt = 0\n"), name="dt0.ini")
+    assert main(["sweep", "--config", zero_step, "--out", str(tmp_path / "dt0")]) == 2
     assert main(["bogus-subcommand"]) == 2
 
 

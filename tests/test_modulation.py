@@ -133,7 +133,7 @@ def test_unstable_mode_departure_rate(mod_grid, S_mod):
     d = 1e-3
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + d * S_mod.g.values)
     psi1 = RadialField(mod_grid, d * S_mod.k * S_mod.g.values)
-    run = evolve_nonlinear(psi0, psi1, 10.0, dt, S=S_mod, overlap_cap=0.1, keep_fields=False)
+    run = evolve_nonlinear(psi0, psi1, 10.0, dt, S=S_mod, stride=None, overlap_cap=0.1)
     assert run.status == "departed"
     ov = run.g_overlap
     t = run.times_dense
@@ -145,7 +145,7 @@ def test_unstable_mode_departure_rate(mod_grid, S_mod):
 def test_blowup_detected_as_outcome(mod_grid, S_mod):
     dt = 0.8 * mod_grid.dr
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + 0.3 * S_mod.g.values)
-    run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod, keep_fields=False)
+    run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod, stride=None)
     assert run.status == "blowup"
     assert run.departure_time is not None and run.exit_sign is not None
 

@@ -7,14 +7,14 @@ from solmanifold import (
     RadialField,
     RadialGrid,
     energy,
-    kato_norm,
     lorentz_norm,
     mixed_norm,
-    spacetime_l8,
 )
 from solmanifold import soliton
-from solmanifold.norms import NormReport, lp_norm_cells
+from solmanifold.norms import NormReport
 from solmanifold.propagators import SpaceTimeField, free_sine_traj
+
+from oracles import kato_norm, lp_norm_cells, spacetime_l8
 
 INT_PHI6 = 3.0**1.5 * np.pi**2 / 4.0
 

@@ -6,14 +6,11 @@ from solmanifold import (
     RadialGrid,
     evolve_linear_perturbed,
     free_cosine,
-    free_duhamel,
     free_sine,
     inner_product,
     l2_norm,
-    newton_potential,
     secular_decomposition_C,
     secular_decomposition_S,
-    transport_energy,
 )
 from solmanifold import soliton
 from solmanifold.grid import GridUsageError, field_from_w
@@ -24,6 +21,8 @@ from solmanifold.propagators import (
     free_sine_traj,
 )
 from solmanifold.spectral import project_continuous_w
+
+from oracles import free_duhamel, newton_potential, secular_projector, transport_energy
 
 
 @pytest.fixture(scope="module")
@@ -384,7 +383,7 @@ def test_secular_field_long_time_limit():
     # for resonance-coupled data the secular part of the perturbed sine
     # evolution converges to the rank-one projector applied to the Newton
     # potential of the data; this pins the orientation of the projector
-    from solmanifold import ground_state, secular_projector
+    from solmanifold import ground_state
 
     grid = RadialGrid(R=80.0, n=1601, R_obs=15.0)
     S = ground_state(grid)

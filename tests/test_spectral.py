@@ -10,11 +10,12 @@ from solmanifold import (
     inner_product,
     l2_norm,
     project_continuous,
-    secular_projector,
     x_pm,
 )
 from solmanifold import soliton
 from solmanifold.spectral import SpectralError, project_continuous_w
+
+from oracles import secular_projector
 
 # continuum ground-state rate, frozen from a dense-eigensolver oracle with
 # Richardson extrapolation in dr (dr -> 0 limit of the tridiagonal spectrum)
@@ -129,22 +130,19 @@ def test_projection_examples(S_ref, rng):
 def test_x_pm_mode_coordinates(S_ref):
     k = S_ref.k
     g = S_ref.g
-    grid = S_ref.grid
-    up = RadialField(grid, k * g.values)
-    xp, xm = x_pm(g, up, S_ref)
-    assert xp == pytest.approx(np.sqrt(2 * k), rel=1e-12)
-    assert abs(xm) < 1e-12
-    um = RadialField(grid, -k * g.values)
-    xp, xm = x_pm(g, um, S_ref)
-    assert abs(xp) < 1e-12
-    assert xm == pytest.approx(np.sqrt(2 * k), rel=1e-12)
+    # one stack: the growing data (g, k g) above the decaying (g, -k g)
+    xp, xm = x_pm(np.stack([g.values, g.values]), np.stack([k * g.values, -k * g.values]), S_ref)
+    assert xp[0] == pytest.approx(np.sqrt(2 * k), rel=1e-12)
+    assert abs(xm[0]) < 1e-12
+    assert abs(xp[1]) < 1e-12
+    assert xm[1] == pytest.approx(np.sqrt(2 * k), rel=1e-12)
 
 
 def test_x_pm_kills_continuous_data(S_ref, rng):
     grid = S_ref.grid
     f = project_continuous(grid.field(rng.standard_normal(grid.n)), S_ref)
     h = project_continuous(grid.field(rng.standard_normal(grid.n)), S_ref)
-    xp, xm = x_pm(f, h, S_ref)
+    xp, xm = x_pm(f.values, h.values, S_ref)
     assert abs(xp) < 1e-10 and abs(xm) < 1e-10
 
 
