@@ -4,6 +4,10 @@ Every claim with checks runs as a config experiment through sweep; energy
 conservation and the reverse Strichartz bounds, for instance, are
 configs/energy.ini and configs/strichartz_{free,perturbed}.ini.
 
+spectrum and manifold check their arguments as sweep checks a config (the
+experiment spectrum and adot_l1, whose pipeline manifold shares), and
+write SCHEMA.md beside their files.
+
 Exit codes: 0 = all checks passed, 1 = at least one check failed,
 2 = usage or configuration error.
 """
@@ -14,8 +18,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .experiments import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     _manifold_trajectory,
@@ -25,7 +31,7 @@ from .experiments import (
     seeded_query,
     validate,
 )
-from .grid import RadialField, RadialGrid, l2_norm
+from .grid import RadialField, l2_norm
 from .modulation import make_query, picard_map
 from .spectral import ground_state, spectrum_report
 
@@ -37,19 +43,35 @@ def _add_grid_args(p, R=60.0, n=1201):
     p.add_argument("--out", type=str, default="out", help="output directory")
 
 
+def _checked(args, experiment, **kw):
+    """The config of a CLI command's arguments, after the sweep's own validate."""
+    cfg = ExperimentConfig(experiment, R=args.R, n=args.n, R_obs=args.R_obs, **kw)
+    issues = validate(cfg)
+    if issues:
+        raise ConfigError("; ".join(issues))
+    return cfg
+
+
 def _cmd_spectrum(args):
-    grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
+    if not args.a > 0:
+        raise ConfigError(f"--a: soliton scale must be positive, a={args.a}")
+    grid = _checked(args, "spectrum").grid()
     S = ground_state(grid, a=args.a)
     rep = spectrum_report(S)
     _write(args.out, "spectrum.json", json.dumps(rep, indent=2, sort_keys=True))
     _write(args.out, "g_profile.csv", S.g.to_csv())
+    _write(args.out, "SCHEMA.md", _SCHEMA)
     print(json.dumps(rep, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_manifold(args):
-    grid = RadialGrid(R=args.R, n=args.n, R_obs=args.R_obs)
-    dt = args.dt if args.dt else 0.8 * grid.dr
+    if args.picard_iters < 1:
+        raise ConfigError(f"--picard-iters: must be at least 1, got {args.picard_iters}")
+    # adot_l1 runs the same shoot-then-extract pipeline, under the same checks
+    cfg = _checked(args, "adot_l1", seed=args.seed, T=args.T, dt=args.dt, eps=args.eps)
+    grid = cfg.grid()
+    dt = cfg.timestep(grid)
     S = ground_state(grid)
     if args.family == "pc_bump":
         query = seeded_query(grid, S, args.eps, args.seed)
@@ -60,7 +82,7 @@ def _cmd_manifold(args):
         )
     out = {}
     if args.method in ("shoot", "both"):
-        res, _, traj = _manifold_trajectory(S, query, args.T, dt, tol=None)
+        res, traj = _manifold_trajectory(S, query, args.T, dt, tol=None)
         out["shoot"] = {
             "h": res.h,
             "method": "shoot",
@@ -68,12 +90,11 @@ def _cmd_manifold(args):
             "tail_bound": None,
         }
         _write(args.out, "trajectory.csv", traj.to_csv())
-        out["diagnostics"] = [json.loads(d.to_json()) for d in traj.diagnostics]
+        out["diagnostics"] = [asdict(d) for d in traj.diagnostics]
     if args.method in ("picard", "both"):
-        T = min(args.T, grid.budget_horizon())
-        it = picard_map(None, None, None, query, S, T, dt)
+        it = picard_map(None, None, None, query, S, args.T, dt)
         for _ in range(args.picard_iters - 1):
-            it = picard_map(it.u, it.a, it.adot, query, S, T, dt)
+            it = picard_map(it.u, it.a, it.adot, query, S, args.T, dt)
         out["picard"] = {
             "h": it.h,
             "method": "picard",
@@ -81,6 +102,7 @@ def _cmd_manifold(args):
             "tail_bound": it.tail_bound,
         }
     _write(args.out, "h_report.json", json.dumps(out, indent=2, sort_keys=True))
+    _write(args.out, "SCHEMA.md", _SCHEMA)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -144,6 +144,8 @@ def validate(config):
     issues = []
     if config.experiment not in EXPERIMENTS:
         issues.append(f"experiment.name: unknown experiment {config.experiment!r}")
+    if config.seed < 0:
+        issues.append(f"experiment.seed: seed must be non-negative, seed={config.seed}")
     try:
         grid = config.grid()
     except ValueError as exc:
@@ -661,14 +663,14 @@ def _run_codim1(cfg, outdir, report):
         t = run.times_dense
         window = (np.abs(ov) > 10 * abs(offset)) & (np.abs(ov) < 0.05)
         rate = np.polyfit(t[window], np.log(np.abs(ov[window])), 1)[0]
-        rows.append((offset, rate, run.exit_sign or np.sign(ov[-1])))
-        signs[offset] = np.sign(ov[-1])
+        signs[offset] = float(np.sign(ov[-1]))
+        rows.append((offset, rate, signs[offset]))
         report.records.append(
             {
                 "offset": offset,
                 "rate": float(rate),
                 "rate_rel_err": float(abs(rate - S.k) / S.k),
-                "exit_sign": float(np.sign(ov[-1])),
+                "exit_sign": signs[offset],
                 "status": run.status,
             }
         )
@@ -695,7 +697,7 @@ def _manifold_trajectory(S, query, T, dt, tol):
         raise LeftModulationWindow(
             f"the on-manifold run at eps={query.epsilon:g} leaves the modulation window"
         )
-    return res, run, traj
+    return res, traj
 
 
 def _tight_tol(query):
@@ -714,7 +716,7 @@ def _run_adot_l1(cfg, outdir, report):
     consts = []
     for e in sweep:
         query = seeded_query(grid, S, e, cfg.seed)
-        res, run, traj = _manifold_trajectory(S, query, cfg.T, dt, _tight_tol(query))
+        res, traj = _manifold_trajectory(S, query, cfg.T, dt, _tight_tol(query))
         mixed = max(d.value for d in traj.diagnostics)
         consts.append(mixed / query.epsilon)
         rows.append((query.epsilon, traj.adot_l1, mixed, traj.adot_l1 / query.epsilon))
@@ -747,7 +749,7 @@ def _run_lipschitz(cfg, outdir, report):
     S = ground_state(grid)
     deltas = cfg.sweep or (1e-4, 1e-3)
     base = seeded_query(grid, S, cfg.eps, cfg.seed)
-    res0, run0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
+    res0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
     bump = bump_field(grid, 1.5, 1.2)
     size = l2_norm(bump)
     rows = []
@@ -760,7 +762,7 @@ def _run_lipschitz(cfg, outdir, report):
                 grid, other.psi0_perturbation.values - base.psi0_perturbation.values
             )
         )
-        res1, run1, traj1 = _manifold_trajectory(S, other, cfg.T, dt, _tight_tol(other))
+        res1, traj1 = _manifold_trajectory(S, other, cfg.T, dt, _tight_tol(other))
         m = min(traj0.u_snapshots.samples.shape[0], traj1.u_snapshots.samples.shape[0])
         diff = SpaceTimeField(
             grid,
@@ -883,6 +885,7 @@ All CSVs carry a single header row; floats use up to 17 significant digits.
 - `contraction.csv`: `eps,contraction_ratio`.
 - `weighted_growth.csv`: `t,weighted_H1`.
 - `trajectory.csv` (manifold runs): `t,a,adot,x_plus,x_minus,g_overlap`.
+- `h_report.json` (manifold runs): `{shoot, picard}` with `h, method, bracket_width, tail_bound` each, and `diagnostics`, one `{kind, value, R, R_obs, n, dt, T}` per norm of the shot trajectory.
 - `report.json`: config echo, per-run records, fits with uncertainties, explicit pass/fail checks.
 """
 

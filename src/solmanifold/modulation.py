@@ -38,7 +38,6 @@ from .grid import (
 from .norms import NormReport, lorentz_norm, mixed_norm
 from .propagators import (
     SpaceTimeField,
-    _centred_rates,
     _leapfrog,
     _resonance_transport,
     evolve_linear_perturbed,
@@ -95,29 +94,6 @@ def nonlinearity(u, phi_a):
     return RadialField(u.grid, _quintic(u.values, phi_a.values))
 
 
-class _Stored:
-    """A NonlinearRun trajectory made from the solver's rows when first read.
-
-    evolve_nonlinear hands the field a callable instead of a SpaceTimeField;
-    the first read calls it and keeps the result, so a caller that never
-    reads a field never pays for it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, run, owner=None):
-        if run is None:
-            return None  # the dataclass default
-        value = run.__dict__[self.slot]
-        if callable(value):
-            value = run.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, run, value):
-        run.__dict__[self.slot] = value
-
-
 @dataclass
 class NonlinearRun:
     """Outcome of evolve_nonlinear: trajectory plus departure bookkeeping."""
@@ -127,10 +103,9 @@ class NonlinearRun:
     status: str                       # "completed" | "departed" | "blowup"
     times_dense: np.ndarray
     g_overlap: np.ndarray             # <psi - phi, g>_w at every solver step (if S given)
-    psi: SpaceTimeField = _Stored()       # strided psi snapshots
-    dpsi_dt: SpaceTimeField = _Stored()   # strided five-point time derivative
+    psi: SpaceTimeField = None        # strided psi snapshots (None: stride None)
+    dpsi_dt: SpaceTimeField = None    # strided five-point time derivative
     departure_time: float = None
-    exit_sign: float = None
 
 
 def evolve_nonlinear(
@@ -157,9 +132,8 @@ def evolve_nonlinear(
     exceeds 10*phi(0,1); the run is returned as a typed outcome, never an
     exception.  Only every stride-th step is stored (none with stride
     None), with its time derivative (five-point centred, see
-    propagators._rate).  Both are converted to SpaceTimeFields when first
-    read; at stride 1 the rates are taken from the stored rows, only if
-    dpsi_dt is read.
+    propagators._rate) taken in the loop; both stacks become
+    SpaceTimeFields in place, once, after it.
     """
     grid = psi0.grid
     ceiling = 10.0 * soliton.phi(0.0, 1.0)
@@ -201,34 +175,24 @@ def evolve_nonlinear(
         _quintic_force(r, wphi),
         stride=stride,
         stop=stop,
-        rates=stride is not None and stride > 1,
+        rates=stride is not None,
     )
-
-    def psi_traj():
-        # at stride 1 the w rows stay intact for the rates
-        psi = _values_from_w(grid, rows if rates is not None else rows.copy())
-        psi += phi
-        return SpaceTimeField(grid, dt * stride, psi)
-
-    def dpsi_traj():
-        w_rates = rates if rates is not None else _centred_rates(rows, dt)
-        return SpaceTimeField(grid, dt * stride, _values_from_w(grid, w_rates))
-
-    ovs = np.array(ovs)
-    exit_sign = None
-    if status is not None and S is not None:
-        exit_sign = float(np.sign(ovs[-1]))
+    psi = dpsi_dt = None
+    if stride is not None:
+        _values_from_w(grid, rows)
+        rows += phi
+        psi = SpaceTimeField(grid, dt * stride, rows)
+        dpsi_dt = SpaceTimeField(grid, dt * stride, _values_from_w(grid, rates))
 
     return NonlinearRun(
         grid=grid,
         dt=dt,
         status=status or "completed",
         times_dense=np.arange(m_end + 1) * dt,
-        g_overlap=ovs,
-        psi=None if stride is None else psi_traj,
-        dpsi_dt=None if stride is None else dpsi_traj,
+        g_overlap=np.array(ovs),
+        psi=psi,
+        dpsi_dt=dpsi_dt,
         departure_time=None if status is None else m_end * dt,
-        exit_sign=exit_sign,
     )
 
 

@@ -9,7 +9,6 @@ keeps the truncation boundary out of every reported number.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +32,6 @@ class NormReport:
     n: int
     dt: float = None
     T: float = None
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "value": self.value,
-                "R": self.R,
-                "R_obs": self.R_obs,
-                "n": self.n,
-                "dt": self.dt,
-                "T": self.T,
-            }
-        )
 
 
 def _rearrangement(values, volumes):

@@ -305,8 +305,7 @@ def _rate(w, i, dt):
     The five-point centred difference
     (8 (w[i+1] - w[i-1]) - (w[i+2] - w[i-2])) / 12dt (Fornberg, Math. Comp.
     51, 1988) where two states lie on each side; with fewer, the centred
-    difference, then the one-sided one, then 0 for a lone state.  w is a
-    list of states or an array of rows.
+    difference, then the one-sided one, then 0 for a lone state.
     """
     before, after = min(i, 2), min(len(w) - 1 - i, 2)
     if before == after == 2:
@@ -318,14 +317,6 @@ def _rate(w, i, dt):
     if before:
         return (w[i] - w[i - 1]) / dt
     return np.zeros_like(w[i])
-
-
-def _centred_rates(rows, dt):
-    """The rates _leapfrog stores with rates, from its rows stored at stride 1."""
-    out = np.empty(rows.shape)
-    for i in range(len(rows)):
-        out[i] = _rate(rows, i, dt)
-    return out
 
 
 def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):

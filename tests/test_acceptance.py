@@ -9,6 +9,8 @@ import numpy as np
 
 from solmanifold.experiments import ExperimentConfig, run
 
+from schema_check import assert_schema_names_outputs
+
 
 def _run(tmp_path, label, **kw):
     cfg = ExperimentConfig(output_dir=str(tmp_path / kw["experiment"]), **kw)
@@ -18,10 +20,7 @@ def _run(tmp_path, label, **kw):
         print(f"  [{status}] {c.name}: {c.value:.6g} {c.op} {c.threshold:.6g}")
     print(f"[{'PASS' if report.passed else 'FAIL'}] {label}")
     # every data file the run wrote is documented in its SCHEMA.md
-    outdir = tmp_path / kw["experiment"]
-    schema = (outdir / "SCHEMA.md").read_text()
-    written = [p.name for p in outdir.iterdir() if p.suffix in (".csv", ".json")]
-    assert [name for name in written if f"`{name}`" not in schema] == []
+    assert_schema_names_outputs(tmp_path / kw["experiment"])
     return report
 
 

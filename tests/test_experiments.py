@@ -8,6 +8,8 @@ import pytest
 from solmanifold.cli import main
 from solmanifold.experiments import ConfigError, ExperimentConfig, run, validate
 
+from schema_check import assert_schema_names_outputs
+
 
 def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -93,6 +95,9 @@ dt = 9.0
     ):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE.replace("T = 6\n", edit)))
         assert any(s.startswith(f"{key}: ") and "must be positive" in s for s in validate(cfg))
+    # a negative seed, which np.random.default_rng rejects
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE.replace("seed = 3", "seed = -1")))
+    assert any(s.startswith("experiment.seed: ") for s in validate(cfg))
 
 
 def test_validate_unknown_experiment(tmp_path):
@@ -161,7 +166,20 @@ def test_cli_validate_and_exit_codes(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
     zero_step = write_config(tmp_path, BASE.replace("T = 6\n", "T = 6\ndt = 0\n"), name="dt0.ini")
     assert main(["sweep", "--config", zero_step, "--out", str(tmp_path / "dt0")]) == 2
+    negative_seed = write_config(tmp_path, BASE.replace("seed = 3", "seed = -1"), name="seed.ini")
+    assert main(["sweep", "--config", negative_seed, "--out", str(tmp_path / "seed")]) == 2
     assert main(["bogus-subcommand"]) == 2
+    # spectrum and manifold arguments pass the same checks before any run
+    out = ["--out", str(tmp_path / "cli")]
+    shoot = ["manifold", "--R", "40", "--n", "401", "--R-obs", "12"]
+    for argv in (
+        ["spectrum", "--a", "0"],
+        ["spectrum", "--n", "8"],
+        shoot + ["--T", "14", "--dt", "0.5"],
+        shoot + ["--T", "40"],
+        shoot + ["--T", "14", "--method", "picard", "--picard-iters", "0"],
+    ):
+        assert main(argv + out) == 2, argv
 
 
 def test_cli_malformed_value_exits_2(tmp_path, capsys):
@@ -190,6 +208,7 @@ def test_cli_spectrum(tmp_path, capsys):
     assert rep["k"] == pytest.approx(1.9055, abs=2e-3)
     g_csv = (tmp_path / "spec" / "g_profile.csv").read_text()
     assert g_csv.splitlines()[0] == "r,value"
+    assert_schema_names_outputs(tmp_path / "spec")
 
 
 def test_cli_manifold_shoot(tmp_path):
@@ -206,6 +225,10 @@ def test_cli_manifold_shoot(tmp_path):
     assert "shoot" in rep and np.isfinite(rep["shoot"]["h"])
     traj = (tmp_path / "mf" / "trajectory.csv").read_text()
     assert traj.splitlines()[0] == "t,a,adot,x_plus,x_minus,g_overlap"
+    assert rep["diagnostics"]
+    for d in rep["diagnostics"]:
+        assert set(d) == {"kind", "value", "R", "R_obs", "n", "dt", "T"}
+    assert_schema_names_outputs(tmp_path / "mf")
 
 
 @pytest.mark.parametrize("mode", ["free", "perturbed"])

@@ -147,7 +147,7 @@ def test_blowup_detected_as_outcome(mod_grid, S_mod):
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + 0.3 * S_mod.g.values)
     run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod, stride=None)
     assert run.status == "blowup"
-    assert run.departure_time is not None and run.exit_sign is not None
+    assert run.departure_time is not None and np.sign(run.g_overlap[-1]) != 0
 
 
 @pytest.mark.parametrize("cap", [None, 0.1])
@@ -205,6 +205,28 @@ def test_nonlinear_memory_follows_stored_rows():
     assert long < 1.25 * short
     steps = int(round(16.0 / dt)) + 1
     assert long < 0.5 * steps * grid.n * 8
+
+
+def test_stride_one_run_holds_two_stacks():
+    # psi and dpsi_dt are the loop's own two (M+1, n) stacks, converted in
+    # place; a copy of the rows or a second pass for the rates adds a third
+    import tracemalloc
+
+    from solmanifold import RadialGrid
+
+    grid = RadialGrid(R=30.0, n=601)
+    dt = 0.8 * grid.dr
+    b = grid.field(0.3 * np.exp(-((grid.r - 2.0) ** 2)))
+    tracemalloc.start()
+    try:
+        run = evolve_nonlinear(b, grid.zeros(), 8.0, dt)
+        shapes = run.psi.samples.shape, run.dpsi_dt.samples.shape
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = int(round(8.0 / dt)) + 1
+    assert shapes == ((steps, grid.n),) * 2
+    assert peak < 2.5 * steps * grid.n * 8
 
 
 def test_extract_modulation_exact_roots(mod_grid, S_mod):

@@ -11,7 +11,6 @@ from solmanifold import (
     mixed_norm,
 )
 from solmanifold import soliton
-from solmanifold.norms import NormReport
 from solmanifold.propagators import SpaceTimeField, free_sine_traj
 
 from oracles import kato_norm, lp_norm_cells, spacetime_l8
@@ -186,11 +185,3 @@ def test_energy_scale_invariance():
     vals = [energy(soliton.phi_field(g, a), g.zeros()) for a in (0.5, 1.0, 2.0)]
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-6)
-
-
-def test_norm_report_json(norm_grid):
-    rep = NormReport(kind="L62x_Linf_t", value=1.5, R=60.0, R_obs=20.0, n=1201, dt=0.05, T=10.0)
-    import json
-
-    back = json.loads(rep.to_json())
-    assert back["kind"] == "L62x_Linf_t" and back["value"] == 1.5
