@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict
 
 from .experiments import (
+    _KEYS,
     _SCHEMA,
     ConfigError,
     ExperimentConfig,
@@ -44,9 +45,18 @@ def _add_grid_args(p, R=60.0, n=1201):
 
 
 def _checked(args, experiment, **kw):
-    """The config of a CLI command's arguments, after the sweep's own validate."""
+    """The config of a CLI command's arguments, after the sweep's own validate.
+
+    An issue about a key the command takes as a flag names the flag (--dt, not time.dt).
+    """
     cfg = ExperimentConfig(experiment, R=args.R, n=args.n, R_obs=args.R_obs, **kw)
     issues = validate(cfg)
+    for i, issue in enumerate(issues):
+        key, _, text = issue.partition(": ")
+        section, _, name = key.partition(".")
+        attr = _KEYS.get(section, {}).get(name, ("",))[0]
+        if attr and hasattr(args, attr):
+            issues[i] = f"--{attr.replace('_', '-')}: {text}"
     if issues:
         raise ConfigError("; ".join(issues))
     return cfg

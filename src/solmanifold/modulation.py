@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.optimize import elementwise
 
 from . import soliton
@@ -202,8 +203,8 @@ def extract_modulation(psi, S):
     This instantaneous orthogonality kills the resonance direction locally;
     it is the practical stand-in for the nonlocal modulation condition,
     whose mutual consistency with this extraction is itself a test.  The
-    one-row case of _modulation_series; raises LeftModulationWindow when
-    the window holds no root.
+    one-row case of _modulation_series (the same Chebyshev proxy and
+    root-find); raises LeftModulationWindow when the window holds no root.
     """
     a, window_ok, _ = _modulation_series(psi.values[None], S)
     if not window_ok:
@@ -431,7 +432,8 @@ class _Sources:
     residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
 
 
-_ROWS = 32  # history rows per assembly or root-find block
+_ROWS = 32  # history rows per _assemble block
+_NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
 
 
 def _assemble(samples, a0, adot0, S):
@@ -774,39 +776,38 @@ def _modulation_series(samples, S):
     a_m is the root of F_m(a) = <psi_m - phi(a), V(a) dphi_da(a)>, bracketed
     by the whole modulation window; on the pinned on-manifold runs F_m is
     increasing there with a single sign change, so this is the root a search
-    from the previous row's scale finds.  One vectorised F serves _ROWS rows
-    per call of scipy's elementwise find_root (Chandrupatla's method); the
-    row index rides in args because converged rows drop out of later calls.
+    from the previous row's scale finds.  F_m is analytic in a except at
+    a <= 0, so its interpolant at _NODES Chebyshev points of the window
+    converges like (2 + sqrt 3)^-N (Trefethen, ATAP Thm 8.2): the profiles
+    are evaluated once, at the nodes, one product gives every row's F there,
+    and one call of scipy's elementwise find_root (Chandrupatla's method)
+    solves every row on its Chebyshev series, the row index riding in args.
     A row without a root inside the window keeps the previous scale (1.0
     before the first) and clears window_ok.  Returns (a, window_ok, u).
     """
-    grid = S.grid
-    r = grid.r
-    W = FOUR_PI * grid.simpson_weights * r**2
+    r = S.grid.r
+    lo, hi = soliton.MODULATION_WINDOW
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = chebyshev.chebpts1(_NODES)
+    nodes = (mid + half * x)[:, None]
+    Q = FOUR_PI * S.grid.simpson_weights * r**2 * soliton.resonance_weight(r, nodes)
+    c = np.sum(soliton.phi(r, nodes) * Q, axis=1)
+    # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
+    T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
+    coef = T.T @ (samples @ Q.T - c).T
 
-    def F(x, m):
-        x = x[:, None]
-        return np.sum(
-            W * (samples[m] - soliton.phi(r, x)) * soliton.resonance_weight(r, x), axis=1
-        )
+    def F(a, m):
+        return chebyshev.chebval((a - mid) / half, coef[:, m], tensor=False)
 
-    a = np.empty(samples.shape[0])
-    u = np.empty(samples.shape)
+    res = elementwise.find_root(
+        F, (lo, hi), args=(np.arange(len(samples)),), tolerances=dict(xatol=1e-14, xrtol=1e-14)
+    )
+    a = res.x
     window_ok = True
-    for start in range(0, len(a), _ROWS):
-        rows = slice(start, start + _ROWS)
-        res = elementwise.find_root(
-            F,
-            soliton.MODULATION_WINDOW,
-            args=(np.arange(len(a))[rows],),
-            tolerances=dict(xatol=1e-14, xrtol=1e-14),
-        )
-        a[rows] = res.x
-        for m in start + np.flatnonzero(res.status):
-            a[m] = a[m - 1] if m else 1.0
-            window_ok = False
-        u[rows] = samples[rows] - soliton.phi(r, a[rows, None])
-    return a, window_ok, u
+    for m in np.flatnonzero(res.status):
+        a[m] = a[m - 1] if m else 1.0
+        window_ok = False
+    return a, window_ok, samples - soliton.phi(r, a[:, None])
 
 
 def trajectory_modulation(run, S):

@@ -1,0 +1,91 @@
+"""One-line mutants of the package, each run against the tier-1 suite.
+
+Usage, from the root of a checkout:
+
+    python tests/mutants.py
+
+Each mutant replaces one exact fragment of one source file (it must occur
+once) in a fresh temporary copy of the checkout, then runs the tier-1 suite
+there with -x.  A failing suite kills the mutant; a passing one lets it
+survive.  The script prints one line per mutant and exits 1 if any mutant
+survived or its run could not be judged.  Copies go under $TMPDIR.
+
+It is not part of tier-1 (pytest does not collect it): every mutant costs
+up to one suite run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, file, old text, new text)
+MUTANTS = [
+    (
+        "evolve_linear_perturbed ignores a",
+        "src/solmanifold/propagators.py",
+        "V = soliton.potential(grid.r, a)[1:-1]",
+        "V = soliton.potential(grid.r, 1.0)[1:-1]",
+    ),
+    (
+        "_resonance_transport ignores a",
+        "src/solmanifold/propagators.py",
+        "q = grid.field(soliton.resonance_weight(grid.r, a))",
+        "q = grid.field(soliton.resonance_weight(grid.r, 1.0))",
+    ),
+    (
+        "modulation node values drop <phi(a_j), Q_j>",
+        "src/solmanifold/modulation.py",
+        "(samples @ Q.T - c)",
+        "(samples @ Q.T)",
+    ),
+]
+
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
+
+
+def run_mutant(path, old, new):
+    """Apply one mutant to a copy of the checkout; returns (verdict, seconds)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, copy, ignore=_IGNORE)
+        target = os.path.join(copy, path)
+        with open(target) as fh:
+            text = fh.read()
+        if text.count(old) != 1:
+            return f"error: {old!r} occurs {text.count(old)} times in {path}", 0.0
+        with open(target, "w") as fh:
+            fh.write(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        seconds = time.monotonic() - start
+    if proc.returncode == 0:
+        return "survived", seconds
+    if proc.returncode == 1:
+        failed = [ln for ln in proc.stdout.splitlines() if ln.startswith("FAILED")]
+        return "killed" + (f" by {failed[0][7:].split(' - ')[0]}" if failed else ""), seconds
+    return f"error: pytest exited {proc.returncode}", seconds
+
+
+def main():
+    bad = 0
+    for name, *mutant in MUTANTS:
+        verdict, seconds = run_mutant(*mutant)
+        bad += not verdict.startswith("killed")
+        print(f"{name}: {verdict} ({seconds:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - bad} killed, {bad} not killed, of {len(MUTANTS)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -158,7 +158,7 @@ def test_stationarity_run_and_determinism(tmp_path):
     assert os.path.exists(os.path.join(cfg1.output_dir, "stationarity.gp"))
 
 
-def test_cli_validate_and_exit_codes(tmp_path):
+def test_cli_validate_and_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     assert main(["validate", "--config", path]) == 0
     bad = write_config(tmp_path, BASE.replace("stationarity", "nope"), name="bad.ini")
@@ -180,6 +180,16 @@ def test_cli_validate_and_exit_codes(tmp_path):
         shoot + ["--T", "14", "--method", "picard", "--picard-iters", "0"],
     ):
         assert main(argv + out) == 2, argv
+    # their errors name the flag that was typed, not the config key
+    for argv, flag, key in (
+        (["--T", "14", "--dt", "0.5"], "--dt: CFL violation", "time.dt"),
+        (["--T", "14", "--seed", "-2"], "--seed: seed must be non-", "experiment.seed"),
+    ):
+        argv = shoot + argv
+        capsys.readouterr()
+        assert main(argv + out) == 2, argv
+        err = capsys.readouterr().err
+        assert flag in err and key not in err, err
 
 
 def test_cli_malformed_value_exits_2(tmp_path, capsys):

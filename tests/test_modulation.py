@@ -343,13 +343,39 @@ def test_modulation_series_window_miss_keeps_previous_scale(mod_grid, S_mod):
     a, window_ok, _ = _modulation_series(rows[1:], S_mod)
     assert not window_ok
     assert a[0] == 1.0 and a[1] == pytest.approx(1.1, abs=1e-12)
-    # a miss opening a root-find block keeps the last scale of the block before
+    # a miss after _ROWS good rows keeps the scale of the row just before it
     scales = [1.0 + 1e-3 * m for m in range(_ROWS)] + [0.45]
     a, window_ok, _ = _modulation_series(
         np.array([soliton.phi(mod_grid.r, s) for s in scales]), S_mod
     )
     assert not window_ok
     assert a[-1] == a[-2] == pytest.approx(scales[-2], abs=1e-12)
+
+
+def test_modulation_series_roots_near_the_window_edges(mod_grid, S_mod):
+    lo, hi = soliton.MODULATION_WINDOW
+    scales = [lo + 1e-3, hi - 1e-3]
+    rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
+    a, window_ok, _ = _modulation_series(rows, S_mod)
+    assert window_ok
+    assert np.max(np.abs(a - scales)) < 1e-12
+
+
+@pytest.mark.parametrize("n_rows", [3, 351])
+def test_modulation_series_evaluates_the_profiles_once(monkeypatch, mod_grid, S_mod, n_rows):
+    # one evaluation at the Chebyshev nodes per series, whatever its length
+    calls = []
+    weight = soliton.resonance_weight
+
+    def counted(r, a=1.0):
+        calls.append(a)
+        return weight(r, a)
+
+    monkeypatch.setattr(soliton, "resonance_weight", counted)
+    scales = np.linspace(0.9, 1.1, n_rows)
+    a, window_ok, _ = _modulation_series(soliton.phi(mod_grid.r, scales[:, None]), S_mod)
+    assert window_ok and np.max(np.abs(a - scales)) < 1e-12
+    assert len(calls) == 1
 
 
 def test_make_query_constraint(mod_grid, S_mod, rng):

@@ -7,6 +7,7 @@ from solmanifold import (
     evolve_linear_perturbed,
     free_cosine,
     free_sine,
+    ground_state,
     inner_product,
     l2_norm,
     secular_decomposition_C,
@@ -445,3 +446,27 @@ def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
         run = evolve_linear_perturbed(u0, u1, F, M * dt, dt, stride=s, project_out=S_ref)
         assert run.dt == s * dt
         assert np.array_equal(run.samples, dense.samples[::s])
+
+
+def test_linear_evolution_is_scale_covariant():
+    # psi -> lambda^(1/2) psi(lambda t, lambda r) maps phi(., a) to
+    # phi(., lambda^2 a); with lambda = 4 every factor is a power of two, so
+    # the scheme on (R/4, n) at scale 16 and step dt/4 is the scheme on
+    # (R, n) at scale 1, scaled exactly: data (f, f1) -> (2 f, 8 f1) gives
+    # u -> 2 u, and q -> 2 q gives sine transports E/2 and cosine ones 2 E
+    big = RadialGrid(R=40.0, n=801, R_obs=12.0)
+    small = RadialGrid(R=10.0, n=801, R_obs=3.0)
+    T, dt = 16.0, 0.8 * big.dr
+    assert ground_state(small, 16.0).k / ground_state(big, 1.0).k == 4.0
+    f = np.exp(-((big.r - 3.0) ** 2))
+    f1 = big.r * np.exp(-((big.r - 2.0) ** 2))
+    ref = evolve_linear_perturbed(big.field(f), big.field(f1), None, T, dt, a=1.0).samples
+    out = evolve_linear_perturbed(
+        small.field(2.0 * f), small.field(8.0 * f1), None, T / 4, dt / 4, a=16.0
+    ).samples
+    assert np.max(np.abs(out - 2.0 * ref)) <= 1e-15 * np.max(np.abs(ref))
+    for kind in ("sine", "cosine"):
+        E = _resonance_transport(big, 1.0, T, dt, kind)[0]
+        E_s = _resonance_transport(small, 16.0, T / 4, dt / 4, kind)[0]
+        factor = 0.5 if kind == "sine" else 2.0
+        assert np.max(np.abs(E_s - factor * E)) <= 1e-15 * np.max(np.abs(E))
