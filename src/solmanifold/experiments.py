@@ -442,22 +442,33 @@ def _strichartz_constants(grid, dt, T, members, mode, S):
     propagator of the mode (free transport, or the dispersive part of the
     perturbed evolution); every mixed norm is 1-homogeneous in the data, so
     dividing it by the member's L2, H1 or L^{3/2,1} size gives the constant
-    of the normalised member.
+    of the normalised member.  The norms read only the observation ball, so
+    every trajectory holds only its nodes, and the perturbed mode transports
+    q once per kind for all members.
     """
+    radius = grid.R_obs
     if mode == "free":
-        sine, cosine = free_sine_traj, free_cosine_traj
+
+        def sine(f):
+            return free_sine_traj(f, T, dt, radius=radius)
+
+        def cosine(f):
+            return free_cosine_traj(f, T, dt, radius=radius)
+
     else:
+        E_sine = _resonance_transport(grid, S.a, T, dt, "sine")
+        E_cosine = _resonance_transport(grid, S.a, T, dt, "cosine")
 
-        def sine(f, T, dt):
-            return secular_decomposition_S(f, T, dt, S)[0]
+        def sine(f):
+            return secular_decomposition_S(f, T, dt, S, transport=E_sine, radius=radius)[0]
 
-        def cosine(f, T, dt):
-            return secular_decomposition_C(f, T, dt, S)[0]
+        def cosine(f):
+            return secular_decomposition_C(f, T, dt, S, transport=E_cosine, radius=radius)[0]
 
     rows = []
     for i, f in enumerate(members):
-        straj = sine(f, T, dt)
-        ctraj = cosine(f, T, dt)
+        straj = sine(f)
+        ctraj = cosine(f)
         l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
         rows.append((
             i,

@@ -161,8 +161,9 @@ def cumulative_trapezoid(y, dx):
 
 def _values_from_w(grid, w):
     """In place along the last axis: w = r*f becomes f, the origin by parabolic
-    extrapolation (f even).  One call converts a whole (M+1, n) stack."""
-    w[..., 1:] /= grid.r[1:]
+    extrapolation (f even).  One call converts a whole (M+1, n) stack, or its
+    leading columns."""
+    w[..., 1:] /= grid.r[1 : w.shape[-1]]
     w[..., 0] = (4.0 * w[..., 1] - w[..., 2]) / 3.0
     return w
 

@@ -97,12 +97,16 @@ def mixed_norm(u, outer, inner, radius=None):
     outer: ("lorentz", p, q) or "Linf_x"; inner: "Linf_t" | "L2_t" | "L1_t".
     The inner norm is computed per spatial node, then the outer norm is
     taken of the resulting radial profile inside B_{R_obs} by default.
-    Only the nodes inside that ball are read.
+    Only the nodes inside that ball are read; a bounded trajectory must
+    hold them all.
     """
     grid = u.grid
     if radius is None:
         radius = grid.R_obs
     inside = grid.obs_slice(radius)
+    if inside.stop > u.samples.shape[1]:
+        raise GridUsageError(f"radius {radius} needs {inside.stop} nodes, "
+                             f"the trajectory holds {u.samples.shape[1]}")
     profile = np.zeros(grid.n)
     profile[inside] = _inner_time_profile(u.samples[:, inside], u.dt, inner)
     if outer == "Linf_x":

@@ -8,7 +8,11 @@ same stencil the spectral module diagonalizes, so the discrete eigenpair
 (k, g) is exact for the scheme.  That leapfrog, _leapfrog, is the package's
 only time stepper: the nonlinear flow of the modulation module runs on it
 with its own force and stop test.  It stores only the strided snapshots its
-callers read, so memory grows with the snapshots, not with the steps.
+callers read, so memory grows with the snapshots, not with the steps.  Both
+the transport and the leapfrog also store only the columns their callers
+read: given a radius, a trajectory holds the nodes of that ball (the mixed
+norms read only the observation ball), while the leapfrog still evolves,
+projects and checks the whole state.
 """
 
 from __future__ import annotations
@@ -51,16 +55,18 @@ class SpaceTimeField:
     Trajectories that feed solvers (sources) must be sampled at the solver
     dt, which carries the unit-CFL constraint dt <= dr; that is enforced at
     the use sites so strided outputs (dt > dr) remain representable.
+    A bounded trajectory holds only the leading k <= n columns, the nodes
+    of a ball about the origin; it serves the norms of that ball, not slices.
     """
 
     grid: object
     dt: float
-    samples: np.ndarray = field(repr=False)  # shape (M+1, n)
+    samples: np.ndarray = field(repr=False)  # shape (M+1, k), k <= n
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != self.grid.n:
-            raise GridUsageError("samples must have shape (M+1, n)")
+        if self.samples.ndim != 2 or not 1 <= self.samples.shape[1] <= self.grid.n:
+            raise GridUsageError("samples must have shape (M+1, k) with 1 <= k <= n")
         if not np.all(np.isfinite(self.samples)):
             raise GridUsageError("non-finite trajectory samples")
 
@@ -73,6 +79,8 @@ class SpaceTimeField:
         return self.dt * (self.samples.shape[0] - 1)
 
     def slice(self, m):
+        if self.samples.shape[1] != self.grid.n:
+            raise GridUsageError("a bounded trajectory has no full-grid slices")
         return RadialField(self.grid, self.samples[m])
 
     def restricted(self, T):
@@ -115,8 +123,9 @@ class _Transport:
     def at(self, name, x):
         return np.interp(x, self.x, self.values[name])
 
-    def half_sums(self, name, op, M, dt):
-        """Rows m = 0..M of op(F(r + m dt), F(r - m dt)) / 2 for F = W, w or d.
+    def half_sums(self, name, op, M, dt, cols):
+        """Rows m = 0..M of op(F(r + m dt), F(r - m dt)) / 2 for F = W, w or d,
+        at the first cols nodes.
 
         When dt is a whole number s of cells, row m pairs two windows of the
         extended node values shifted by +-m*s cells: no interpolation, and
@@ -125,40 +134,50 @@ class _Transport:
         """
         grid = self.grid
         half = 0.5 * self.values[name]  # exact: op(a/2, b/2) == op(a, b)/2
-        out = np.empty((M + 1, grid.n))
+        out = np.empty((M + 1, cols))
         s = dt / grid.dr
         cells = int(round(s))
         if cells >= 1 and abs(s - cells) <= 1e-12 * s:
             K = self.K
-            windows = sliding_window_view(half, grid.n)
+            windows = sliding_window_view(half, cols)
             op(windows[K::cells][: M + 1], windows[K::-cells][: M + 1], out=out)
         else:
             t = (dt * np.arange(M + 1))[:, None]
-            plus = np.interp(grid.r + t, self.x, half)
-            op(plus, np.interp(grid.r - t, self.x, half), out=out)
+            r = grid.r[:cols]
+            op(np.interp(r + t, self.x, half), np.interp(r - t, self.x, half), out=out)
         return out
 
 
-def _free_slices(f, M, dt, kind):
+def _columns(grid, radius):
+    """Leading node count of the ball of the given radius; None is the whole grid.
+
+    At least 3: the origin value of f = w/r is extrapolated from nodes 1, 2.
+    """
+    return grid.n if radius is None else max(grid.obs_slice(radius).stop, 3)
+
+
+def _free_slices(f, M, dt, kind, radius=None):
     """All M+1 slices t_m = m*dt of the free sine or cosine evolution of f.
 
     One d'Alembert transport of w = r*f: the sine rows are (W(r+t) -
     W(r-t))/2r with origin value w(t), the cosine rows (w(r+t) + w(r-t))/2r
     with origin value w'(t), and cosine row 0 is f itself.  Returns the
-    (M+1, n) array of field values; callers check the budget.
+    (M+1, cols) array of field values at the nodes of the ball of the given
+    radius (default the whole grid); callers check the budget.
     """
+    cols = _columns(f.grid, radius)
     tr = _Transport(f.grid, f.w(), M * dt)
     times = dt * np.arange(M + 1)
     if kind == "sine":
-        out = tr.half_sums("W", np.subtract, M, dt)
+        out = tr.half_sums("W", np.subtract, M, dt, cols)
         origin = tr.at("w", times)
     else:
-        out = tr.half_sums("w", np.add, M, dt)
+        out = tr.half_sums("w", np.add, M, dt, cols)
         origin = tr.at("d", times)
-    out[:, 1:] /= f.grid.r[1:]
+    out[:, 1:] /= f.grid.r[1:cols]
     out[:, 0] = origin
     if kind != "sine":
-        out[0] = f.values
+        out[0] = f.values[:cols]
     return out
 
 
@@ -188,19 +207,21 @@ def free_cosine(g0, t):
     return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
-def _free_traj(f, T, dt, kind):
+def _free_traj(f, T, dt, kind, radius):
     _check_time(T)
     f.grid.require_budget(T)
     M = int(round(T / dt))
-    return SpaceTimeField(f.grid, dt, _free_slices(f, M, dt, kind))
+    return SpaceTimeField(f.grid, dt, _free_slices(f, M, dt, kind, radius))
 
 
-def free_sine_traj(f, T, dt):
-    return _free_traj(f, T, dt, "sine")
+def free_sine_traj(f, T, dt, radius=None):
+    """Free sine trajectory of f on [0, T]; with a radius, only the nodes of that ball."""
+    return _free_traj(f, T, dt, "sine", radius)
 
 
-def free_cosine_traj(g0, T, dt):
-    return _free_traj(g0, T, dt, "cosine")
+def free_cosine_traj(g0, T, dt, radius=None):
+    """Free cosine trajectory of g0 on [0, T]; with a radius, only the nodes of that ball."""
+    return _free_traj(g0, T, dt, "cosine", radius)
 
 
 def _resonance_transport(grid, a, T, dt, kind):
@@ -216,7 +237,8 @@ def _resonance_transport(grid, a, T, dt, kind):
     return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
 
 
-def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False):
+def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
+              radius=None):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
     The package's one time-stepping loop.  The ends are Dirichlet; the
@@ -231,7 +253,8 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     value other than None ends the run there and is returned as its status.
 
     Only the states m = 0, stride, 2 stride, ... up to the last step m_end
-    are stored (stride None stores none).  With rates, the time derivative
+    are stored (stride None stores none), and of each only the nodes of the
+    ball of the given radius (default the whole grid).  With rates, the time derivative
     of each stored state is stored too, by _rate from the last five states
     the loop keeps: five-point centred, lower-order within two steps of
     m = 0 and of m_end.  Returns (rows, rate_rows, m_end, status);
@@ -258,13 +281,14 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         return w
 
     stored = 0 if stride is None else M // stride + 1
-    rows = np.empty((stored, grid.n))
+    cols = _columns(grid, radius)
+    rows = np.empty((stored, cols))
     drows = np.empty((stored, grid.n)) if rates else None
     w_prev = None
     w_cur = suppress(np.array(w0, dtype=float))
     recent = [w_cur]  # the states m-4..m whose rates _rate reads
     if stored:
-        rows[0] = w_cur
+        rows[0] = w_cur[:cols]
     status = None if stop is None else stop(0, w_cur)
     m = 0
     while status is None and m < M:
@@ -279,7 +303,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             if m >= 2 and (m - 2) % stride == 0:
                 drows[(m - 2) // stride] = _rate(recent, len(recent) - 3, dt)
         if stored and m % stride == 0:
-            rows[m // stride] = w_cur
+            rows[m // stride] = w_cur[:cols]
         if stop is not None:
             status = stop(m, w_cur)
         # a stopped run keeps the verdict its stop test gave
@@ -319,16 +343,18 @@ def _rate(w, i, dt):
     return np.zeros_like(w[i])
 
 
-def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
+def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None,
+                            radius=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    source may be None or a SpaceTimeField sampled at the solver dt.  The
-    flow is linear: one run from (u0, u1) with source F is the cosine
-    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
-    integral of F.
+    source may be None or a full-grid SpaceTimeField sampled at the solver
+    dt.  The flow is linear: one run from (u0, u1) with source F is the
+    cosine evolution of u0 plus the sine evolution of u1 plus the sine
+    Duhamel integral of F.
     project_out, when set to SpectralData, keeps the state in the
-    continuous subspace of the scheme (see _leapfrog).  Discrete energy
-    drift over [0, T] is O(dt^2).
+    continuous subspace of the scheme (see _leapfrog).  With a radius, the
+    returned trajectory holds only the nodes of that ball; the whole grid
+    is evolved either way.  Discrete energy drift over [0, T] is O(dt^2).
     """
     grid = u0.grid
     V = soliton.potential(grid.r, a)[1:-1]
@@ -336,6 +362,8 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     if source is not None:
         if abs(source.dt - dt) > 1e-12:
             raise GridUsageError("source trajectory must be sampled at the solver dt")
+        if source.samples.shape[1] != grid.n:
+            raise GridUsageError("a bounded trajectory cannot be a source")
         src = source.samples[:, 1:-1]
         r = grid.r[1:-1]
 
@@ -345,38 +373,51 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
             acc += r * src[min(m, src.shape[0] - 1)]
 
     wg = grid.r * project_out.g.values if project_out is not None else None
-    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, force, stride=stride, wg=wg)[0]
+    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, force, stride=stride, wg=wg,
+                     radius=radius)[0]
     return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
 
 
-def _secular_decomposition(f, T, dt, S, stride, kind):
+def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
     Perturbed side: evolve the data (0, P_c f) for "sine", (P_c f, 0) for
     "cosine" under H.  Secular side: the rank-one projector applied to the
     running time integral of <free evolution of f of the same kind, q>,
-    paired on the q side (_resonance_transport).  Returns (dispersive_traj,
-    secular_traj); their sum is the full perturbed evolution.
+    paired on the q side: transport is the pair (E, w) that
+    _resonance_transport(grid, S.a, T, dt, kind) returns, made here when
+    None, so a caller splitting many f on one grid transports q once.
+    With a radius both parts hold only the nodes of that ball.  Returns
+    (dispersive_traj, secular_traj); their sum is the full perturbed
+    evolution.
     """
     grid = f.grid
     grid.require_budget(T)
+    E, w = transport if transport is not None else _resonance_transport(grid, S.a, T, dt, kind)
+    if E.shape != (int(round(T / dt)) + 1, grid.n):
+        raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
     pcf = project_continuous_w(f, S)
     data = (grid.zeros(), pcf) if kind == "sine" else (pcf, grid.zeros())
-    full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
+    full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S,
+                                   radius=radius)
 
-    E, w = _resonance_transport(grid, S.a, T, dt, kind)
     cum = cumulative_trapezoid(E @ (w * f.values), dx=dt)
     coeff = -secular_coefficient(S) * cum[::stride]
-    secular = SpaceTimeField(grid, dt * stride, np.outer(coeff, S.resonance.values))
-    dispersive = SpaceTimeField(grid, dt * stride, full.samples - secular.samples)
-    return dispersive, secular
+    resonance = S.resonance.values[: full.samples.shape[1]]
+    secular = SpaceTimeField(grid, dt * stride, coeff[:, None] * resonance)
+    np.subtract(full.samples, secular.samples, out=full.samples)  # now the dispersive part
+    return full, secular
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1):
-    """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj)."""
-    return _secular_decomposition(f, T, dt, S, stride, "sine")
+def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, radius=None):
+    """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj).
+
+    transport: the sine _resonance_transport of the grid, to share it
+    between calls; radius: store only the nodes of that ball.
+    """
+    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, radius)
 
 
-def secular_decomposition_C(g0, T, dt, S, stride=1):
+def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, radius=None):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    return _secular_decomposition(g0, T, dt, S, stride, "cosine")
+    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, radius)

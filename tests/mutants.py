@@ -40,6 +40,18 @@ MUTANTS = [
         "q = grid.field(soliton.resonance_weight(grid.r, 1.0))",
     ),
     (
+        "column bound one node short of the ball",
+        "src/solmanifold/propagators.py",
+        "grid.obs_slice(radius).stop",
+        "grid.obs_slice(radius).stop - 1",
+    ),
+    (
+        "cosine split reuses the sine q transport",
+        "src/solmanifold/experiments.py",
+        "transport=E_cosine",
+        "transport=E_sine",
+    ),
+    (
         "modulation node values drop <phi(a_j), Q_j>",
         "src/solmanifold/modulation.py",
         "(samples @ Q.T - c)",

@@ -273,21 +273,32 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             mixed_norm(lt, "Linf_x", "L1_t"),
         ))
 
+    # count the free transports under both names: experiments calls them for
+    # the free members, propagators._resonance_transport for q
+    import solmanifold.propagators as prop
+
     calls = []
-    for name in ("free_sine_traj", "free_cosine_traj"):
-        fn = getattr(ex, name)
+    for module in (ex, prop):
+        for name in ("free_sine_traj", "free_cosine_traj"):
+            fn = getattr(module, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, kwargs.get("radius")))
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(ex, name, counted)
+            monkeypatch.setattr(module, name, counted)
     rows = ex._strichartz_constants(grid, dt, T, members, mode, S)
     assert [row[0] for row in rows] == [0, 1, 2]
     got, want = np.array(rows)[:, 1:], np.array(ref)[:, 1:]
     assert np.max(np.abs(got - want) / want) < 1e-12
     if mode == "free":
-        assert sorted(calls) == ["free_cosine_traj"] * 3 + ["free_sine_traj"] * 3
+        # every member's trajectories hold only the observation ball
+        assert sorted(calls) == (
+            [("free_cosine_traj", grid.R_obs)] * 3 + [("free_sine_traj", grid.R_obs)] * 3
+        )
+    else:
+        # one full-width transport of q per kind serves all three members
+        assert sorted(calls) == [("free_cosine_traj", None), ("free_sine_traj", None)]
 
 
 def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from solmanifold import (
     mixed_norm,
 )
 from solmanifold import soliton
+from solmanifold.grid import GridUsageError
 from solmanifold.propagators import SpaceTimeField, free_sine_traj
 
 from oracles import kato_norm, lp_norm_cells, spacetime_l8
@@ -116,6 +117,23 @@ def test_mixed_norm_reads_only_the_observation_ball(norm_grid, rng):
                 assert mixed_norm(spoiled, outer, inner, radius=radius) == mixed_norm(
                     traj, outer, inner, radius=radius
                 )
+
+
+def test_mixed_norm_of_a_bounded_trajectory(norm_grid):
+    # a trajectory holding the observation ball gives the full one's norms;
+    # a wider ball than it holds is a typed failure, not a silent cut
+    f = norm_grid.field(np.exp(-((norm_grid.r - 3.0) ** 2)))
+    full = free_sine_traj(f, 20.0, norm_grid.dr)
+    bounded = free_sine_traj(f, 20.0, norm_grid.dr, radius=norm_grid.R_obs)
+    for inner in ("Linf_t", "L2_t", "L1_t"):
+        assert mixed_norm(bounded, ("lorentz", 6, 2), inner) == mixed_norm(
+            full, ("lorentz", 6, 2), inner
+        )
+    assert mixed_norm(bounded, "Linf_x", "L2_t", radius=8.0) == mixed_norm(
+        full, "Linf_x", "L2_t", radius=8.0
+    )
+    with pytest.raises(GridUsageError):
+        mixed_norm(bounded, "Linf_x", "L2_t", radius=norm_grid.R_obs + norm_grid.dr)
 
 
 def test_spacetime_l8_block(norm_grid):

@@ -470,3 +470,73 @@ def test_linear_evolution_is_scale_covariant():
         E_s = _resonance_transport(small, 16.0, T / 4, dt / 4, kind)[0]
         factor = 0.5 if kind == "sine" else 2.0
         assert np.max(np.abs(E_s - factor * E)) <= 1e-15 * np.max(np.abs(E))
+
+
+@pytest.mark.parametrize("cells", [1.0, 0.8])
+def test_bounded_free_trajectory_is_the_leading_columns(cells):
+    # whole-cell shifts (dt = dr) and the interpolating path (dt = 0.8 dr):
+    # the bounded rows are the full rows cut, bit for bit
+    grid = RadialGrid(R=40.0, n=801, R_obs=10.0)
+    f = grid.field(np.exp(-((grid.r - 3.0) ** 2)) + 0.1 / (1.0 + grid.r**2))
+    dt = cells * grid.dr
+    cols = grid.obs_slice().stop
+    for traj_fn in (free_sine_traj, free_cosine_traj):
+        full = traj_fn(f, 20.0, dt).samples
+        bounded = traj_fn(f, 20.0, dt, radius=grid.R_obs).samples
+        assert bounded.shape == (full.shape[0], cols)
+        assert np.array_equal(bounded, full[:, :cols])
+
+
+def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
+    # the leapfrog evolves the whole grid either way; the bounded run stores
+    # the leading columns of the same states, and the secular split built on
+    # them (with the q transport passed in) is the full split cut
+    grid = S_ref.grid
+    dt = 0.8 * grid.dr
+    cols = grid.obs_slice().stop
+    u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
+    for stride in (1, 3):
+        full = evolve_linear_perturbed(u0, u1, None, 6.0, dt, stride=stride, project_out=S_ref)
+        bounded = evolve_linear_perturbed(
+            u0, u1, None, 6.0, dt, stride=stride, project_out=S_ref, radius=grid.R_obs
+        )
+        assert bounded.samples.shape == (full.samples.shape[0], cols)
+        assert np.array_equal(bounded.samples, full.samples[:, :cols])
+    # a ball of one cell still holds the 3 nodes the origin value reads
+    tiny = evolve_linear_perturbed(
+        u0, u1, None, 6.0, dt, stride=3, project_out=S_ref, radius=grid.dr
+    )
+    assert np.array_equal(tiny.samples, full.samples[:, :3])
+    for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
+        transport = _resonance_transport(grid, S_ref.a, 6.0, dt, kind)
+        ref = split(u0, 6.0, dt, S_ref, stride=2)
+        got = split(u0, 6.0, dt, S_ref, stride=2, transport=transport, radius=grid.R_obs)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.samples, b.samples[:, :cols])
+
+
+def test_bounded_trajectories_fail_typed(S_ref):
+    grid = S_ref.grid
+    dt = grid.dr
+    f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    bounded = free_sine_traj(f, 5.0, dt, radius=grid.R_obs)
+    with pytest.raises(GridUsageError):
+        bounded.slice(0)
+    # a bounded trajectory is never a source, and a q transport must match
+    with pytest.raises(GridUsageError):
+        evolve_linear_perturbed(f, grid.zeros(), bounded, 5.0, dt)
+    short = _resonance_transport(grid, S_ref.a, 4.0, dt, "sine")
+    with pytest.raises(GridUsageError):
+        secular_decomposition_S(f, 5.0, dt, S_ref, transport=short)
+    # a NaN inside the observation ball: the finiteness scan covers every
+    # stored sample of a bounded trajectory
+    bad = f.values.copy()
+    bad[grid.obs_slice().stop // 2] = np.nan
+    for traj_fn in (free_sine_traj, free_cosine_traj):
+        with pytest.raises(GridUsageError):
+            traj_fn(grid.field(bad), 5.0, dt, radius=grid.R_obs)
+    samples = bounded.samples.copy()
+    samples[-1, -1] = np.nan
+    with pytest.raises(GridUsageError):
+        SpaceTimeField(grid, dt, samples)
