@@ -590,11 +590,11 @@ _TRIM = 4.0
 
 
 def _shoot_point(args):
-    (R, n, R_obs, T, cfl, seed, eps) = args
-    grid = RadialGrid(R=R, n=n, R_obs=R_obs)
-    dt = cfl * grid.dr
+    cfg, eps = args
+    grid = cfg.grid()
+    T, dt = cfg.T, cfg.timestep(grid)
     S = ground_state(grid)
-    query = seeded_query(grid, S, eps, seed)
+    query = seeded_query(grid, S, eps, cfg.seed)
     res = shoot_h(query, S, T, dt)
     # fixed-point h from the on-manifold trajectory, trimmed by _TRIM; the
     # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
@@ -606,12 +606,10 @@ def _shoot_point(args):
         raise LeftModulationWindow(
             f"the on-manifold run at eps={eps:g} leaves the modulation window"
         )
-    adot = np.gradient(a_series, dt)
-    u_mod = SpaceTimeField(grid, dt, u)
     hfp, tail = h_fixed_point(
-        u_mod,
+        SpaceTimeField(grid, dt, u),
         a_series,
-        adot,
+        np.gradient(a_series, dt),
         S,
         pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
         psi1_overlap_w=pair_w(query.psi1, S.g),
@@ -629,12 +627,7 @@ def _shoot_point(args):
 
 
 def _run_h_scaling(cfg, outdir, report):
-    sweep = cfg.sweep or (1e-4, 2e-4, 4e-4, 8e-4)
-    args = [
-        (cfg.R, cfg.n, cfg.R_obs or cfg.R / 3.0, cfg.T, cfg.cfl, cfg.seed, e)
-        for e in sweep
-    ]
-    results = _pmap(_shoot_point, args, cfg.workers)
+    results = _pmap(_shoot_point, [(cfg, e) for e in cfg.sweep], cfg.workers)
     report.records.extend(results)
     eps = [r["eps"] for r in results]
     hs = [abs(r["h_shoot"]) for r in results]

@@ -7,7 +7,8 @@ residual cannot seed the unstable mode and bury epsilon^2-scale manifold
 offsets.  All g-overlap bookkeeping uses the scheme pairing pair_w, in which
 the discrete evolution operator is exactly self-adjoint; the fixed-point
 formula for the offset h then reproduces the shooting value to quadrature
-accuracy.
+accuracy.  Every formula is centred on S.a, the scale of the SpectralData
+passed in, and the modulation window is S.a * soliton.MODULATION_WINDOW.
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -130,16 +131,17 @@ def evolve_nonlinear(
     a w_phi^5 rounded otherwise than the step's own fifth power would make
     the force at u = 0 a rounding error instead of exactly 0.
     A blow-up detector aborts once sup |psi| on the observation ball
-    exceeds 10*phi(0,1); the run is returned as a typed outcome, never an
-    exception.  Only every stride-th step is stored (none with stride
+    exceeds 10*phi(0, S.a); the run is returned as a typed outcome, never
+    an exception.  Only every stride-th step is stored (none with stride
     None), with its time derivative (five-point centred, see
     propagators._rate) taken in the loop; both stacks become
     SpaceTimeFields in place, once, after it.
     """
     grid = psi0.grid
-    ceiling = 10.0 * soliton.phi(0.0, 1.0)
     r = grid.r
-    phi = soliton.phi(r, 1.0)
+    # runs without S (the energy runs) have no centre; they keep their pinned frame a = 1
+    phi = soliton.phi(r, 1.0 if S is None else S.a)
+    ceiling = 10.0 * phi[0]
     wphi = r * phi
     obs = grid.obs_slice()
     # the blow-up test reads the observation ball without its origin node
@@ -208,7 +210,7 @@ def extract_modulation(psi, S):
     """
     a, window_ok, _ = _modulation_series(psi.values[None], S)
     if not window_ok:
-        raise LeftModulationWindow(f"no modulation root in {soliton.MODULATION_WINDOW}")
+        raise LeftModulationWindow(f"no modulation root in {_window(S)}")
     return float(a[0])
 
 
@@ -228,7 +230,7 @@ class ManifoldQuery:
         """
         grid = self.psi0_perturbation.grid
         psi0 = RadialField(
-            grid, soliton.phi(grid.r, 1.0) + self.psi0_perturbation.values + h * S.g.values
+            grid, soliton.phi(grid.r, S.a) + self.psi0_perturbation.values + h * S.g.values
         )
         return psi0, RadialField(grid, self.psi1.values + h * S.k * S.g.values)
 
@@ -236,7 +238,7 @@ class ManifoldQuery:
 def _offset_data(query, S, h):
     """The perturbation pair moved to offset h: initial_data less the soliton."""
     psi0, psi1 = query.initial_data(S, h)
-    return RadialField(S.grid, psi0.values - soliton.phi(S.grid.r, 1.0)), psi1
+    return RadialField(S.grid, psi0.values - soliton.phi(S.grid.r, S.a)), psi1
 
 
 def data_norm(pert, psi1):
@@ -440,10 +442,10 @@ def _assemble(samples, a0, adot0, S):
     """Build the _Sources of a history, every profile broadcast over the scales.
 
     The rows are assembled _ROWS at a time, so the temporaries stay at a few
-    block-sized arrays whatever the horizon.  The residual is
+    block-sized arrays whatever the horizon; bare phi and V are at S.a.  The residual is
     <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w per step: the
     analytic soliton solves the elliptic equation exactly but the discrete
-    stencil leaves an O(dr^2 (a-1)) residual along the family; the
+    stencil leaves an O(dr^2 (a - S.a)) residual along the family; the
     well-balanced flow feels exactly this difference, so the fixed-point
     integrand carries it too (it vanishes under refinement).
     """
@@ -451,9 +453,9 @@ def _assemble(samples, a0, adot0, S):
     r = grid.r
     g = S.g.values
     a_vals = np.asarray(a0, dtype=float)
-    V1 = soliton.potential(r, 1.0)
-    phi1 = soliton.phi(r, 1.0)
-    rho1 = _elliptic_residual(grid, phi1)
+    Vc = soliton.potential(r, S.a)
+    phic = soliton.phi(r, S.a)
+    rhoc = _elliptic_residual(grid, phic)
     F = np.empty(samples.shape)
     D = None if adot0 is None else np.empty(samples.shape)
     adot = None if adot0 is None else np.asarray(adot0, dtype=float)[:, None]
@@ -464,13 +466,13 @@ def _assemble(samples, a0, adot0, S):
         a = a_vals[rows, None]
         u = samples[rows]
         phia = soliton.phi(r, a)
-        F[rows] = (V1 - soliton.potential(r, a)) * u + _quintic(u, phia)
-        gamma[rows] = np.sum((phia - phi1) * g * r**2, axis=1)
-        rho = _elliptic_residual(grid, phia) - rho1
+        F[rows] = (Vc - soliton.potential(r, a)) * u + _quintic(u, phia)
+        gamma[rows] = np.sum((phia - phic) * g * r**2, axis=1)
+        rho = _elliptic_residual(grid, phia) - rhoc
         residual[rows] = np.sum(rho * (r * g), axis=1)
         if D is not None:
-            D[rows] = adot[rows] * soliton.resonance_defect_profile(r, a)
-    residual[np.abs(a_vals - 1.0) < 1e-15] = 0.0
+            D[rows] = adot[rows] * soliton.resonance_defect_profile(r, a, S.a)
+    residual[np.abs(a_vals - S.a) < 1e-15 * S.a] = 0.0
     wg = FOUR_PI * grid.dr * r * r * g
     return _Sources(
         F=F,
@@ -482,13 +484,17 @@ def _assemble(samples, a0, adot0, S):
     )
 
 
-def _check_history(samples, a0, adot0):
-    M = samples.shape[0] - 1
+def _window(S):  # relative, and read at call time
+    return tuple(S.a * w for w in soliton.MODULATION_WINDOW)
+
+
+def _check_history(samples, a0, adot0, S):
     a0 = np.asarray(a0, dtype=float)
-    if len(a0) != M + 1 or len(adot0) != M + 1:
+    if len(a0) != len(samples) or len(adot0) != len(samples):
         raise GridUsageError("history lengths disagree")
-    if np.any((a0 <= soliton.MODULATION_WINDOW[0]) | (a0 >= soliton.MODULATION_WINDOW[1])):
-        raise LeftModulationWindow("a0 history leaves the modulation window")
+    lo, hi = _window(S)
+    if np.any((a0 <= lo) | (a0 >= hi)):
+        raise LeftModulationWindow(f"a0 history leaves the modulation window {(lo, hi)}")
     return a0
 
 
@@ -524,7 +530,7 @@ def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0)
     integrated-by-parts adot form carries an O(dr^2 eps) bias on a grid).
     Returns (h, tail_bound).
     """
-    a0 = _check_history(u0_traj.samples, a0, adot0)
+    a0 = _check_history(u0_traj.samples, a0, adot0, S)
     src = _assemble(u0_traj.samples, a0, None, S)
     return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
 
@@ -624,13 +630,13 @@ def _secular_sums(B, dt):
 def _rate_from(a0, S, base, B, dt):
     """Modulation rate from the data pairings and the Duhamel kernel (None: no source)."""
     duh = 0.0 if B is None else _duhamel_sums(B, dt)
-    return -(np.asarray(a0) ** 1.25) * secular_coefficient(S) * (base + duh)
+    return -((np.asarray(a0) / S.a) ** 1.25) * secular_coefficient(S) * (base + duh)
 
 
 def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     """Right-hand side of the modulation condition at every time step.
 
-    adot(t) = -a0(t)^{5/4} (4 pi / <V, dphi>^2) < cos-free(t) data0 +
+    adot(t) = -(a0(t)/S.a)^{5/4} (4 pi / <V, dphi>^2) < cos-free(t) data0 +
     sine-free(t) data1 + sine-Duhamel of the nonlinear sources -
     cosine-Duhamel of adot0 * defect, V dphi >.  The signs follow from
     demanding that the resonance multiples cancel in the Duhamel
@@ -685,9 +691,9 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     M = int(round(T / dt))
     if u0_traj is None:
         u0_traj = SpaceTimeField(grid, dt, np.zeros((M + 1, grid.n)))
-        a0 = np.ones(M + 1)
+        a0 = np.full(M + 1, S.a)
         adot0 = np.zeros(M + 1)
-    a0 = _check_history(u0_traj.samples, a0, adot0)
+    a0 = _check_history(u0_traj.samples, a0, adot0, S)
     src = _assemble(u0_traj.samples, a0, adot0, S)
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
@@ -698,7 +704,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt):
     base, B = _resonance_pairings(data0, data1, src, S, T, dt)
 
     adot = _rate_from(a0, S, base, B, dt)
-    a = 1.0 + cumulative_trapezoid(adot, dx=dt)
+    a = S.a + cumulative_trapezoid(adot, dx=dt)
 
     pcu = _pc_u_series(data0, data1, src, base, B, S, T, dt)
     xp, xm, xtail = _xpm_from(src, data0, data1, S, u0_traj.dt)
@@ -737,9 +743,9 @@ def _pc_u_series(data0, data1, src, base, B, S, T, dt):
     out = evolve_linear_perturbed(pc0, pc1, Fpc, T, dt, a=S.a, project_out=S).samples
     zero = grid.zeros()
     zs = evolve_linear_perturbed(zero, zero, Dpc, T, dt, a=S.a, project_out=S).samples
+    del Fpc, Dpc  # np.gradient's (M+1, n) stack takes their place
     if zs.shape[0] >= 3:
-        out[1:-1] -= (zs[2:] - zs[:-2]) / (2.0 * dt)
-        out[-1] -= (zs[-1] - zs[-2]) / dt
+        out[1:] -= np.gradient(zs, dt, axis=0)[1:]
 
     # secular parts: Q acting on the accumulated free evolutions of the data
     # and of the Duhamel sources
@@ -774,7 +780,7 @@ def _modulation_series(samples, S):
     """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).
 
     a_m is the root of F_m(a) = <psi_m - phi(a), V(a) dphi_da(a)>, bracketed
-    by the whole modulation window; on the pinned on-manifold runs F_m is
+    by the whole window S.a * MODULATION_WINDOW; on the pinned on-manifold runs F_m is
     increasing there with a single sign change, so this is the root a search
     from the previous row's scale finds.  F_m is analytic in a except at
     a <= 0, so its interpolant at _NODES Chebyshev points of the window
@@ -782,11 +788,11 @@ def _modulation_series(samples, S):
     are evaluated once, at the nodes, one product gives every row's F there,
     and one call of scipy's elementwise find_root (Chandrupatla's method)
     solves every row on its Chebyshev series, the row index riding in args.
-    A row without a root inside the window keeps the previous scale (1.0
+    A row without a root inside the window keeps the previous scale (S.a
     before the first) and clears window_ok.  Returns (a, window_ok, u).
     """
     r = S.grid.r
-    lo, hi = soliton.MODULATION_WINDOW
+    lo, hi = _window(S)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     x = chebyshev.chebpts1(_NODES)
     nodes = (mid + half * x)[:, None]
@@ -805,7 +811,7 @@ def _modulation_series(samples, S):
     a = res.x
     window_ok = True
     for m in np.flatnonzero(res.status):
-        a[m] = a[m - 1] if m else 1.0
+        a[m] = a[m - 1] if m else S.a
         window_ok = False
     return a, window_ok, samples - soliton.phi(r, a[:, None])
 

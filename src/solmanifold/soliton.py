@@ -2,6 +2,7 @@
 
 All profiles are evaluated analytically (never by differencing samples) so the
 spectral and modulation modules carry no avoidable discretization error.
+The centre of a construction is SpectralData.a; both windows are multiples of it.
 """
 
 from __future__ import annotations
@@ -68,19 +69,19 @@ def resonance_weight(r, a=1.0):
     return potential(r, a) * dphi_da(r, a)
 
 
-def resonance_defect_profile(r, a):
-    """Difference dphi_da(r, a) - a^(-5/4) dphi_da(r, 1).
+def resonance_defect_profile(r, a, centre):
+    """Difference dphi_da(r, a) - (a/centre)^(-5/4) dphi_da(r, centre).
 
-    Vanishes at a = 1 and decays like <r>^-3 with an O(|a-1|) amplitude,
-    which is what lets the modulation equations treat the rescaled
-    resonance as a fixed profile plus a small localized defect.
+    Vanishes at a = centre and decays like <r>^-3 with an O(|a/centre - 1|)
+    amplitude, which is what lets the modulation equations treat the
+    rescaled resonance as a fixed profile plus a small defect; a in centre * DEFECT_WINDOW.
     """
     a = check_scale(a)
-    inside = (DEFECT_WINDOW[0] < a) & (a <= DEFECT_WINDOW[1])
+    inside = (centre * DEFECT_WINDOW[0] < a) & (a <= centre * DEFECT_WINDOW[1])
     if not np.all(inside):
         bad = a if np.ndim(a) == 0 else a[~inside]
-        raise ValueError(f"defect profile defined for a in {DEFECT_WINDOW}, got {bad}")
-    return dphi_da(r, a) - _scale_pow(a, -1.25) * dphi_da(r, 1.0)
+        raise ValueError(f"defect profile defined for a in {centre} * {DEFECT_WINDOW}, got {bad}")
+    return dphi_da(r, a) - _scale_pow(a / centre, -1.25) * dphi_da(r, centre)
 
 
 def phi_field(grid, a=1.0):

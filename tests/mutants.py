@@ -57,6 +57,42 @@ MUTANTS = [
         "(samples @ Q.T - c)",
         "(samples @ Q.T)",
     ),
+    (
+        "evolve_nonlinear takes phi at 1",
+        "src/solmanifold/modulation.py",
+        "phi = soliton.phi(r, 1.0 if S is None else S.a)",
+        "phi = soliton.phi(r, 1.0)",
+    ),
+    (
+        "initial_data adds phi at 1",
+        "src/solmanifold/modulation.py",
+        "soliton.phi(grid.r, S.a) + self.psi0_perturbation.values",
+        "soliton.phi(grid.r, 1.0) + self.psi0_perturbation.values",
+    ),
+    (
+        "_assemble takes V at 1",
+        "src/solmanifold/modulation.py",
+        "Vc = soliton.potential(r, S.a)",
+        "Vc = soliton.potential(r, 1.0)",
+    ),
+    (
+        "_rate_from scales a0 relative to 1",
+        "src/solmanifold/modulation.py",
+        "(np.asarray(a0) / S.a) ** 1.25",
+        "np.asarray(a0) ** 1.25",
+    ),
+    (
+        "modulation window absolute",
+        "src/solmanifold/modulation.py",
+        "tuple(S.a * w for w in soliton.MODULATION_WINDOW)",
+        "tuple(soliton.MODULATION_WINDOW)",
+    ),
+    (
+        "defect profile about 1",
+        "src/solmanifold/soliton.py",
+        "* dphi_da(r, centre)",
+        "* dphi_da(r, 1.0)",
+    ),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")

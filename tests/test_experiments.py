@@ -335,3 +335,38 @@ values = 1e-4
     assert "_manifold_trajectory" in record["traceback"]
     (check,) = [c for c in rep.checks if c.name == "run_completed"]
     assert not check.passed
+
+
+def test_h_scaling_shoots_on_the_validated_grid_and_step(tmp_path, monkeypatch):
+    # each sweep point runs on cfg.grid() (R_obs defaults to R/2) with
+    # cfg.timestep() (a set time.dt), the grid and step that validate checked
+    import solmanifold.experiments as ex
+
+    text = """[experiment]
+name = h_scaling
+seed = 5
+
+[grid]
+R = 30
+n = 301
+
+[time]
+T = 10
+dt = 0.07
+
+[sweep]
+values = 1e-4
+"""
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    cfg.output_dir = str(tmp_path / "out")
+    assert validate(cfg) == []
+    seen = []
+    shoot_h = ex.shoot_h
+
+    def spy(query, S, T, dt, **kw):
+        seen.append((S.grid.R, S.grid.n, S.grid.R_obs, T, dt))
+        return shoot_h(query, S, T, dt, **kw)
+
+    monkeypatch.setattr(ex, "shoot_h", spy)
+    run(cfg)
+    assert seen == [(30.0, 301, 15.0, 10.0, 0.07)]

@@ -3,9 +3,11 @@ import pytest
 
 from solmanifold import (
     RadialField,
+    RadialGrid,
     SpaceTimeField,
     evolve_nonlinear,
     extract_modulation,
+    ground_state,
     h_fixed_point,
     inner_product,
     make_query,
@@ -591,6 +593,62 @@ def test_trajectory_modulation_diagnostics(manifold_run, mod_grid, S_mod):
     assert {"L62x_Linf_t", "Linf_x_L2_t"} <= kinds
 
 
+def test_nonlinear_path_is_scale_covariant():
+    # the scaling of test_linear_evolution_is_scale_covariant (lambda = 4) on
+    # the nonlinear path, centred at S.a = 16 on (R/4, n) with dt/4: data
+    # (f, f1) -> (2 f, 8 f1) maps psi -> 2 psi, psi_t -> 8 psi_t, g -> 8 g,
+    # so g-overlaps -> 1/4 and h -> h/4, and a -> 16 a, adot -> 64 adot;
+    # every factor is a power of two, so the maps are exact
+    big = RadialGrid(R=40.0, n=801, R_obs=12.0)
+    small = RadialGrid(R=10.0, n=801, R_obs=3.0)
+    T, dt = 16.0, 0.8 * big.dr
+    S, Ss = ground_state(big, 1.0), ground_state(small, 16.0)
+    f = 4e-4 * np.exp(-((big.r - 2.0) ** 2))
+    f1 = 2e-4 * big.r * np.exp(-((big.r - 3.0) ** 2))
+    q = make_query(S, big.field(f), big.field(f1))
+    qs = make_query(Ss, small.field(2.0 * f), small.field(8.0 * f1))
+
+    # shooting: the growth amplitude is read past an absolute overlap of
+    # 1e-3, so the regula falsi steps differ; both brackets close on the root
+    h_max, tol = 200.0 * q.epsilon**2, 1e-12 * q.epsilon
+    sh = shoot_h(q, S, T, dt, h_max=h_max, tol=tol)
+    shs = shoot_h(qs, Ss, T / 4, dt / 4, h_max=h_max / 4, tol=tol / 4)
+    assert abs(4.0 * shs.h - sh.h) <= sh.bracket_width
+
+    # the on-manifold run, to the trimmed horizon
+    run = evolve_nonlinear(*q.initial_data(S, sh.h), T - 4.0, dt, S=S, stride=4)
+    runs = evolve_nonlinear(
+        *qs.initial_data(Ss, sh.h / 4), (T - 4.0) / 4, dt / 4, S=Ss, stride=4
+    )
+    assert run.status == runs.status == "completed"
+    assert np.array_equal(runs.psi.samples, 2.0 * run.psi.samples)
+    assert np.array_equal(runs.dpsi_dt.samples, 8.0 * run.dpsi_dt.samples)
+    assert np.array_equal(runs.g_overlap, run.g_overlap / 4)
+
+    # the modulation root-find: xatol is absolute, so not exactly covariant
+    tm, tms = trajectory_modulation(run, S), trajectory_modulation(runs, Ss)
+    assert tm.window_ok and tms.window_ok
+    assert np.max(np.abs(tms.a - 16.0 * tm.a)) <= 1e-13 * 16.0 * np.max(tm.a)
+
+    # two Picard iterates, and the fixed-point h of the first one's history
+    def check(it, its):
+        assert 4.0 * its.h == it.h
+        assert np.array_equal(its.a, 16.0 * it.a)
+        assert np.array_equal(its.adot, 64.0 * it.adot)
+        assert np.array_equal(its.u.samples, 2.0 * it.u.samples)
+
+    it = picard_map(None, None, None, q, S, T, dt)
+    its = picard_map(None, None, None, qs, Ss, T / 4, dt / 4)
+    check(it, its)
+    h_fp = h_fixed_point(it.u, it.a, it.adot, S)[0]
+    assert 4.0 * h_fixed_point(its.u, its.a, its.adot, Ss)[0] == h_fp
+    it2 = picard_map(it.u, it.a, it.adot, q, S, T, dt)
+    its2 = picard_map(its.u, its.a, its.adot, qs, Ss, T / 4, dt / 4)
+    check(it2, its2)
+    # centred on S.a = 16, not on 1
+    assert np.max(np.abs(its2.a / 16.0 - 1.0)) < 0.02
+
+
 # -- loop-free Picard map against per-step references -------------------------
 
 
@@ -653,8 +711,8 @@ def _loop_sources(u0_traj, a0, adot0, S):
     """Per-step reference of the modulation source and its g-pairings."""
     grid = S.grid
     r = grid.r
-    V1 = soliton.potential(r, 1.0)
-    phi1 = soliton.phi(r, 1.0)
+    Vc = soliton.potential(r, S.a)
+    phic = soliton.phi(r, S.a)
     wg = r * S.g.values
 
     def rho(phi_vals):
@@ -668,13 +726,13 @@ def _loop_sources(u0_traj, a0, adot0, S):
     for j, a in enumerate(a0):
         u = RadialField(grid, u0_traj.samples[j])
         phia = soliton.phi_field(grid, a)
-        vdiff = RadialField(grid, (V1 - soliton.potential(r, a)) * u.values)
+        vdiff = RadialField(grid, (Vc - soliton.potential(r, a)) * u.values)
         Nf = nonlinearity(u, phia)
         F.append(vdiff.values + Nf.values)
-        D.append(adot0[j] * soliton.resonance_defect_profile(r, a))
+        D.append(adot0[j] * soliton.resonance_defect_profile(r, a, S.a))
         Fg.append(pair_w(vdiff, S.g) + pair_w(Nf, S.g))
-        gam.append(pair_w(RadialField(grid, phia.values - phi1), S.g))
-        res.append(4.0 * np.pi * grid.dr * np.sum((rho(phia.values) - rho(phi1)) * wg))
+        gam.append(pair_w(RadialField(grid, phia.values - phic), S.g))
+        res.append(4.0 * np.pi * grid.dr * np.sum((rho(phia.values) - rho(phic)) * wg))
     return np.array(F), np.array(D), np.array(Fg), np.array(gam), np.array(res)
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -85,12 +87,27 @@ def test_potential_values_and_tail():
 
 def test_defect_vanishes_at_one():
     r = np.linspace(0.0, 40.0, 300)
-    assert np.max(np.abs(soliton.resonance_defect_profile(r, 1.0))) < 1e-15
+    assert np.max(np.abs(soliton.resonance_defect_profile(r, 1.0, 1.0))) < 1e-15
 
 
 def test_defect_window_guard():
     with pytest.raises(ValueError):
-        soliton.resonance_defect_profile(1.0, 2.5)
+        soliton.resonance_defect_profile(1.0, 2.5, 1.0)
+
+
+def test_defect_is_relative_to_its_centre():
+    # phi(r, 16 a) = 2 phi(4 r, a) gives dphi_da(r, 16 a) = dphi_da(4 r, a) / 8,
+    # so the defect about centre 16 is the defect about 1, rescaled
+    r = np.linspace(0.0, 10.0, 401)
+    assert np.array_equal(soliton.resonance_defect_profile(r, 4.0, 4.0), np.zeros_like(r))
+    for a in (0.6, 1.3, 1.9):
+        got = soliton.resonance_defect_profile(r, 16.0 * a, 16.0)
+        ref = soliton.resonance_defect_profile(4.0 * r, a, 1.0) / 8.0
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # the window is centre * DEFECT_WINDOW: 2.5 lies inside it about 4, 8.5 not
+    soliton.resonance_defect_profile(r, 2.5, 4.0)
+    with pytest.raises(ValueError):
+        soliton.resonance_defect_profile(r, 8.5, 4.0)
 
 
 def test_defect_is_localized_and_linear_in_a():
@@ -99,11 +116,11 @@ def test_defect_is_localized_and_linear_in_a():
     bracket = (1.0 + r * r) ** 1.5
     Cs = []
     for a in (0.9, 1.1):
-        prof = soliton.resonance_defect_profile(r, a)
+        prof = soliton.resonance_defect_profile(r, a, 1.0)
         Cs.append(np.max(bracket * np.abs(prof)) / abs(a - 1.0))
     C = max(Cs)
     for a in (0.95, 1.05):
-        prof = soliton.resonance_defect_profile(r, a)
+        prof = soliton.resonance_defect_profile(r, a, 1.0)
         assert np.max(bracket * np.abs(prof)) <= 1.05 * C * abs(a - 1.0)
 
 
@@ -114,11 +131,16 @@ def test_defect_matches_independent_construction():
     a = 1.1
     fd = (soliton.phi(r, a + da) - soliton.phi(r, a - da)) / (2 * da)
     expected = fd - a**-1.25 * soliton.dphi_da(r, 1.0)
-    got = soliton.resonance_defect_profile(r, a)
+    got = soliton.resonance_defect_profile(r, a, 1.0)
     assert np.max(np.abs(got - expected)) < 1e-7
 
 
-PROFILES = (soliton.phi, soliton.dphi_da, soliton.potential, soliton.resonance_defect_profile)
+PROFILES = (
+    soliton.phi,
+    soliton.dphi_da,
+    soliton.potential,
+    functools.partial(soliton.resonance_defect_profile, centre=1.0),
+)
 
 
 def test_profiles_broadcast_over_scales_bit_for_bit():
@@ -141,6 +163,6 @@ def test_profiles_reject_any_bad_scale():
                 prof(r, a)
     # every entry must lie in the defect window, not just the first
     with pytest.raises(ValueError):
-        soliton.resonance_defect_profile(r, np.array([[1.0], [2.5]]))
+        soliton.resonance_defect_profile(r, np.array([[1.0], [2.5]]), 1.0)
     with pytest.raises(ValueError):
         soliton.phi(r, np.nan)
