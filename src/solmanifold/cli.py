@@ -25,6 +25,8 @@ from .experiments import (
     _SCHEMA,
     ConfigError,
     ExperimentConfig,
+    _csv,
+    _g_profile,
     _manifold_trajectory,
     _write,
     family_field,
@@ -69,7 +71,7 @@ def _cmd_spectrum(args):
     S = ground_state(grid, a=args.a)
     rep = spectrum_report(S)
     _write(args.out, "spectrum.json", json.dumps(rep, indent=2, sort_keys=True))
-    _write(args.out, "g_profile.csv", S.g.to_csv())
+    _write(args.out, "g_profile.csv", _csv(*_g_profile(S)))
     _write(args.out, "SCHEMA.md", _SCHEMA)
     print(json.dumps(rep, indent=2, sort_keys=True))
     return 0
@@ -99,7 +101,8 @@ def _cmd_manifold(args):
             "bracket_width": res.bracket_width,
             "tail_bound": None,
         }
-        _write(args.out, "trajectory.csv", traj.to_csv())
+        cols = (traj.times, traj.a, traj.adot, traj.x_plus, traj.x_minus, traj.g_overlap)
+        _write(args.out, "trajectory.csv", _csv(zip(*cols), "t,a,adot,x_plus,x_minus,g_overlap"))
         out["diagnostics"] = [asdict(d) for d in traj.diagnostics]
     if args.method in ("picard", "both"):
         it = picard_map(None, None, None, query, S, args.T, dt)

@@ -228,6 +228,11 @@ def _csv(rows, header):
     return "\n".join(lines) + "\n"
 
 
+def _g_profile(S):
+    """Rows and header of g_profile.csv: the ground state g on its grid."""
+    return zip(S.grid.r, S.g.values), "r,value"
+
+
 def _loglog_fit(x, y):
     """Least-squares slope of log y vs log x with its standard error."""
     lx, ly = np.log(np.asarray(x)), np.log(np.abs(np.asarray(y)))
@@ -243,7 +248,9 @@ def _loglog_fit(x, y):
     return float(coef[0]), float(coef[1]), stderr
 
 
-def _gnuplot(outdir, name, csvfile, xlabel, ylabel, logscale=False):
+def _emit(outdir, name, rows, header, xlabel, ylabel, logscale=False):
+    """Write name.csv from rows and name.gp, which plots its columns 1:2."""
+    _write(outdir, f"{name}.csv", _csv(rows, header))
     lines = [
         f"# gnuplot script for {name}",
         f"set xlabel '{xlabel}'",
@@ -253,7 +260,7 @@ def _gnuplot(outdir, name, csvfile, xlabel, ylabel, logscale=False):
     ]
     if logscale:
         lines.append("set logscale xy")
-    lines.append(f"plot '{csvfile}' using 1:2 skip 1 with linespoints title '{name}'")
+    lines.append(f"plot '{name}.csv' using 1:2 skip 1 with linespoints title '{name}'")
     _write(outdir, f"{name}.gp", "\n".join(lines) + "\n")
 
 
@@ -340,9 +347,8 @@ def _run_spectrum(cfg, outdir, report):
     )
     report.add_check("negative_count_is_one", abs(S.negative_count - 1), 0.5)
     report.add_check("scaling_k4_eq_2k1", abs(k_rich4 - 2.0 * k_rich1), 1e-4)
-    _write(outdir, "g_profile.csv", S.g.to_csv())
+    _emit(outdir, "g_profile", *_g_profile(S), "r", "g(r)")
     _write(outdir, "spectrum.json", json.dumps(rep, indent=2, sort_keys=True))
-    _gnuplot(outdir, "g_profile", "g_profile.csv", "r", "g(r)")
 
 
 def _run_stationarity(cfg, outdir, report):
@@ -382,15 +388,8 @@ def _run_stationarity(cfg, outdir, report):
     report.add_check("residual_refinement_ratio_upper", ratio, 5.5)
     report.add_check("pairing_VdaPhi_rel_err", abs(pairing - truth) / truth, 1e-4)
     report.add_check("stationary_drift", drift, (grid.dr**2) * 10 + 1e-12)
-    _write(
-        outdir,
-        "stationarity.csv",
-        _csv(
-            [(grid.dr, resids[0]), (grid.dr / 2, resids[1])],
-            "dr,pde_residual_max",
-        ),
-    )
-    _gnuplot(outdir, "stationarity", "stationarity.csv", "dr", "residual", logscale=True)
+    rows = [(grid.dr, resids[0]), (grid.dr / 2, resids[1])]
+    _emit(outdir, "stationarity", rows, "dr,pde_residual_max", "dr", "residual", logscale=True)
 
 
 def _energy_drift(R, n, T, cfl, amp, seed):
@@ -431,11 +430,10 @@ def _run_energy(cfg, outdir, report):
     )
     report.add_check("relative_drift", drifts[0], 1e-4)
     report.add_check("drift_refinement_ratio", drifts[0] / drifts[1], 2.5, op=">")
-    _write(outdir, "energy_drift.csv", _csv(rows, "dt,relative_drift"))
-    _gnuplot(outdir, "energy_drift", "energy_drift.csv", "dt", "drift", logscale=True)
+    _emit(outdir, "energy_drift", rows, "dt,relative_drift", "dt", "drift", logscale=True)
 
 
-def _strichartz_constants(grid, dt, T, members, mode, S):
+def _strichartz_constants(grid, dt, T, members, mode):
     """Per-member reverse-Strichartz ratios for sine and cosine evolutions.
 
     Each member is evolved once by the sine and once by the cosine
@@ -443,8 +441,8 @@ def _strichartz_constants(grid, dt, T, members, mode, S):
     perturbed evolution); every mixed norm is 1-homogeneous in the data, so
     dividing it by the member's L2, H1 or L^{3/2,1} size gives the constant
     of the normalised member.  The norms read only the observation ball, so
-    every trajectory holds only its nodes, and the perturbed mode transports
-    q once per kind for all members.
+    every trajectory holds only its nodes, and the perturbed mode solves for
+    the ground state of grid and transports q once per kind for all members.
     """
     radius = grid.R_obs
     if mode == "free":
@@ -456,6 +454,7 @@ def _strichartz_constants(grid, dt, T, members, mode, S):
             return free_cosine_traj(f, T, dt, radius=radius)
 
     else:
+        S = ground_state(grid)
         E_sine = _resonance_transport(grid, S.a, T, dt, "sine")
         E_cosine = _resonance_transport(grid, S.a, T, dt, "cosine")
 
@@ -485,9 +484,8 @@ def _run_strichartz(cfg, outdir, report, mode):
     grid = cfg.grid()
     dt = grid.dr  # exact transport for the free pieces
     T = min(cfg.T, grid.budget_horizon())
-    S = ground_state(grid)
     members = seeded_bumps(grid, cfg.seed, 20)
-    rows = _strichartz_constants(grid, dt, T, members, mode, S)
+    rows = _strichartz_constants(grid, dt, T, members, mode)
     cols = list(zip(*rows))
     names = ("sine_L62Linf_over_L2", "sine_LinfL2_over_L2",
              "cos_L62Linf_over_H1", "cos_LinfL2_over_H1",
@@ -504,9 +502,8 @@ def _run_strichartz(cfg, outdir, report, mode):
         report.add_check(f"{name}_finite", float(vals.max()), 1e6)
     # resolution stability on a refined grid
     grid2 = RadialGrid(R=cfg.R, n=2 * cfg.n - 1, R_obs=grid.R_obs)
-    S2 = ground_state(grid2) if mode != "free" else None
     members2 = seeded_bumps(grid2, cfg.seed, 20)
-    rows2 = _strichartz_constants(grid2, grid2.dr, T, members2, mode, S2 or S)
+    rows2 = _strichartz_constants(grid2, grid2.dr, T, members2, mode)
     cols2 = list(zip(*rows2))
     for name, v1, v2 in zip(names, cols[1:], cols2[1:]):
         ratio = max(np.array(v2)) / max(np.array(v1))
@@ -518,12 +515,7 @@ def _run_strichartz(cfg, outdir, report, mode):
     report.records.extend(
         {"member": r[0], **{nm: v for nm, v in zip(names, r[1:])}} for r in rows
     )
-    _write(
-        outdir,
-        f"strichartz_{mode}.csv",
-        _csv(rows, "member," + ",".join(names)),
-    )
-    _gnuplot(outdir, f"strichartz_{mode}", f"strichartz_{mode}.csv", "member", "constant")
+    _emit(outdir, f"strichartz_{mode}", rows, "member," + ",".join(names), "member", "constant")
 
 
 def _run_secular(cfg, outdir, report):
@@ -559,8 +551,7 @@ def _run_secular(cfg, outdir, report):
     report.add_check("S_bounded_variation", max(s_norms) / min(s_norms), 1.5)
     report.add_check("full_growth_exponent_low", slope, 0.85, op=">")
     report.add_check("full_growth_exponent_high", slope, 1.15)
-    _write(outdir, "secular.csv", _csv(rows, "T,S_LinfL2,full_LinfL1"))
-    _gnuplot(outdir, "secular", "secular.csv", "T", "norm", logscale=True)
+    _emit(outdir, "secular", rows, "T,S_LinfL2,full_LinfL1", "T", "norm", logscale=True)
 
 
 def _run_pairing_identity(cfg, outdir, report):
@@ -580,8 +571,7 @@ def _run_pairing_identity(cfg, outdir, report):
         {"lhs_at_T": lhs, "rhs": rhs, "abs_mass_scale": scale, "T": T}
     )
     report.add_check("pairing_identity_rel_to_mass", abs(lhs - rhs) / scale, 0.01)
-    _write(outdir, "pairing_identity.csv", _csv(rows, "T,integral"))
-    _gnuplot(outdir, "pairing_identity", "pairing_identity.csv", "T", "integral")
+    _emit(outdir, "pairing_identity", rows, "T,integral", "T", "integral")
 
 
 # on-manifold runs stop this long before the shooting horizon: the final
@@ -641,15 +631,9 @@ def _run_h_scaling(cfg, outdir, report):
             r["h_diff"],
             1e-3 * r["eps"] ** 2,
         )
-    _write(
-        outdir,
-        "h_scaling.csv",
-        _csv(
-            [(r["eps"], abs(r["h_shoot"]), abs(r["h_fixed_point"])) for r in results],
-            "eps,abs_h_shoot,abs_h_fixed_point",
-        ),
-    )
-    _gnuplot(outdir, "h_scaling", "h_scaling.csv", "eps", "|h|", logscale=True)
+    rows = [(r["eps"], abs(r["h_shoot"]), abs(r["h_fixed_point"])) for r in results]
+    header = "eps,abs_h_shoot,abs_h_fixed_point"
+    _emit(outdir, "h_scaling", rows, header, "eps", "|h|", logscale=True)
 
 
 def _run_codim1(cfg, outdir, report):
@@ -684,8 +668,7 @@ def _run_codim1(cfg, outdir, report):
     report.add_check(
         "opposite_exit_signs", -(signs[1e-6] * signs[-1e-6]), 0.0, op=">"
     )
-    _write(outdir, "codim1.csv", _csv(rows, "offset,rate,exit_sign"))
-    _gnuplot(outdir, "codim1", "codim1.csv", "offset", "rate")
+    _emit(outdir, "codim1", rows, "offset,rate,exit_sign", "offset", "rate")
 
 
 def _manifold_trajectory(S, query, T, dt, tol):
@@ -743,22 +726,21 @@ def _run_adot_l1(cfg, outdir, report):
         abs(tv - traj.adot_l1) / max(traj.adot_l1, 1e-300),
         0.05,
     )
-    _write(outdir, "adot_l1.csv", _csv(rows, "eps,adot_l1,mixed_norm,adot_l1_over_eps"))
-    _gnuplot(outdir, "adot_l1", "adot_l1.csv", "eps", "adot L1", logscale=True)
+    header = "eps,adot_l1,mixed_norm,adot_l1_over_eps"
+    _emit(outdir, "adot_l1", rows, header, "eps", "adot L1", logscale=True)
 
 
 def _run_lipschitz(cfg, outdir, report):
     grid = cfg.grid()
     dt = cfg.timestep(grid)
     S = ground_state(grid)
-    deltas = cfg.sweep or (1e-4, 1e-3)
     base = seeded_query(grid, S, cfg.eps, cfg.seed)
     res0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
     bump = bump_field(grid, 1.5, 1.2)
     size = l2_norm(bump)
     rows = []
     consts = []
-    for d in deltas:
+    for d in cfg.sweep:
         other_pert = RadialField(grid, base.psi0_perturbation.values + d * bump.values / size)
         other = make_query(S, other_pert, grid.zeros())
         dist = h1_seminorm(
@@ -781,8 +763,8 @@ def _run_lipschitz(cfg, outdir, report):
         )
     report.fits["lipschitz_constants"] = {"values": consts}
     report.add_check("lipschitz_constant_stable", max(consts) / min(consts), 3.0)
-    _write(outdir, "lipschitz.csv", _csv(rows, "delta,traj_distance,constant,h_shift"))
-    _gnuplot(outdir, "lipschitz", "lipschitz.csv", "delta", "distance", logscale=True)
+    header = "delta,traj_distance,constant,h_shift"
+    _emit(outdir, "lipschitz", rows, header, "delta", "distance", logscale=True)
 
 
 def _run_contraction(cfg, outdir, report):
@@ -790,9 +772,8 @@ def _run_contraction(cfg, outdir, report):
     dt = cfg.timestep(grid)
     S = ground_state(grid)
     T = min(cfg.T, grid.budget_horizon())
-    eps_list = cfg.sweep or (1e-3, 2e-3)
     ratios = []
-    for e in eps_list:
+    for e in cfg.sweep:
         query = seeded_query(grid, S, e, cfg.seed)
         p1 = picard_map(None, None, None, query, S, T, dt)
         q2 = seeded_query(grid, S, e, cfg.seed + 1)
@@ -809,15 +790,11 @@ def _run_contraction(cfg, outdir, report):
         report.records.append({"eps": e, "contraction_ratio": num / den})
         report.add_check(f"contraction_ratio_eps_{e:g}", num / den, 1.0)
     if len(ratios) >= 2:
-        order = np.argsort(eps_list)
+        order = np.argsort(cfg.sweep)
         sorted_r = np.array(ratios)[order]
         report.add_check("ratio_decreases_with_eps", sorted_r[0] / sorted_r[-1], 1.0)
-    _write(
-        outdir,
-        "contraction.csv",
-        _csv(list(zip(eps_list, ratios)), "eps,contraction_ratio"),
-    )
-    _gnuplot(outdir, "contraction", "contraction.csv", "eps", "ratio", logscale=True)
+    rows = zip(cfg.sweep, ratios)
+    _emit(outdir, "contraction", rows, "eps,contraction_ratio", "eps", "ratio", logscale=True)
 
 
 def _run_weighted_growth(cfg, outdir, report):
@@ -843,8 +820,7 @@ def _run_weighted_growth(cfg, outdir, report):
     report.fits["weighted_growth"] = {"C": C, "exponent": slope}
     report.add_check("bounded_by_C_exp_t", C, 1e3)
     report.add_check("growth_exponent", slope, 1.1)
-    _write(outdir, "weighted_growth.csv", _csv(rows, "t,weighted_H1"))
-    _gnuplot(outdir, "weighted_growth", "weighted_growth.csv", "t", "norm")
+    _emit(outdir, "weighted_growth", rows, "t,weighted_H1", "t", "norm")
 
 
 def _pmap(fn, items, workers):

@@ -8,7 +8,6 @@ profiles that matter here.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +136,6 @@ class RadialField:
         return RadialField(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("r,value\n")
-        for r, v in zip(self.grid.r, self.values):
-            buf.write(f"{r:.17g},{v:.17g}\n")
-        return buf.getvalue()
 
 
 def _check_same_grid(f, g):

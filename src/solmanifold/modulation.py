@@ -769,12 +769,6 @@ class ModulationTrajectory:
     window_ok: bool = True
     adot_l1: float = 0.0
 
-    def to_csv(self):
-        lines = ["t,a,adot,x_plus,x_minus,g_overlap"]
-        for row in zip(self.times, self.a, self.adot, self.x_plus, self.x_minus, self.g_overlap):
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def _modulation_series(samples, S):
     """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).

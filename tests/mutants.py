@@ -93,6 +93,12 @@ MUTANTS = [
         "* dphi_da(r, centre)",
         "* dphi_da(r, 1.0)",
     ),
+    (
+        "_csv writes 16 significant digits",
+        "src/solmanifold/experiments.py",
+        'f"{v:.17g}"',
+        'f"{v:.16g}"',
+    ),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")

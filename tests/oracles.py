@@ -16,7 +16,7 @@ from solmanifold.spectral import secular_coefficient
 
 
 def from_csv(text):
-    """Inverse of RadialField.to_csv: the field on the grid its r column spans."""
+    """Inverse of g_profile.csv (experiments._csv): the field on the grid its r column spans."""
     rows = [ln for ln in text.strip().splitlines()[1:] if ln]
     r = np.array([float(ln.split(",")[0]) for ln in rows])
     v = np.array([float(ln.split(",")[1]) for ln in rows])

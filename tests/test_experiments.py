@@ -155,7 +155,16 @@ def test_stationarity_run_and_determinism(tmp_path):
     rep = json.load(open(os.path.join(cfg1.output_dir, "report.json")))
     assert all({"name", "value", "threshold", "op", "passed"} <= set(c) for c in rep["checks"])
     assert os.path.exists(os.path.join(cfg1.output_dir, "SCHEMA.md"))
-    assert os.path.exists(os.path.join(cfg1.output_dir, "stationarity.gp"))
+    gp = open(os.path.join(cfg1.output_dir, "stationarity.gp")).read()
+    assert gp == (
+        "# gnuplot script for stationarity\n"
+        "set xlabel 'dr'\n"
+        "set ylabel 'residual'\n"
+        "set datafile separator ','\n"
+        "set key top left\n"
+        "set logscale xy\n"
+        "plot 'stationarity.csv' using 1:2 skip 1 with linespoints title 'stationarity'\n"
+    )
 
 
 def test_cli_validate_and_exit_codes(tmp_path, capsys):
@@ -233,11 +242,18 @@ def test_cli_manifold_shoot(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "mf" / "h_report.json").read_text())
     assert "shoot" in rep and np.isfinite(rep["shoot"]["h"])
-    traj = (tmp_path / "mf" / "trajectory.csv").read_text()
-    assert traj.splitlines()[0] == "t,a,adot,x_plus,x_minus,g_overlap"
+    header, *lines = (tmp_path / "mf" / "trajectory.csv").read_text().splitlines()
+    assert header == "t,a,adot,x_plus,x_minus,g_overlap"
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    assert rows.shape == (len(lines), 6) and len(lines) > 2
+    assert np.all(np.isfinite(rows))
     assert rep["diagnostics"]
     for d in rep["diagnostics"]:
         assert set(d) == {"kind", "value", "R", "R_obs", "n", "dt", "T"}
+        # one row per stored time of the run the diagnostics were taken on
+        assert len(lines) == round(d["T"] / d["dt"]) + 1
+        assert rows[0, 0] == 0 and np.isclose(rows[-1, 0], d["T"], rtol=1e-12, atol=0)
+        assert np.allclose(np.diff(rows[:, 0]), d["dt"], rtol=1e-9, atol=0)
     assert_schema_names_outputs(tmp_path / "mf")
 
 
@@ -287,7 +303,7 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    rows = ex._strichartz_constants(grid, dt, T, members, mode, S)
+    rows = ex._strichartz_constants(grid, dt, T, members, mode)
     assert [row[0] for row in rows] == [0, 1, 2]
     got, want = np.array(rows)[:, 1:], np.array(ref)[:, 1:]
     assert np.max(np.abs(got - want) / want) < 1e-12
