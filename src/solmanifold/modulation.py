@@ -44,7 +44,7 @@ from .propagators import (
     _resonance_transport,
     evolve_linear_perturbed,
 )
-from .spectral import project_continuous, project_continuous_w, secular_coefficient, x_pm
+from .spectral import project_continuous, secular_coefficient, x_pm
 
 TWO = 2.0
 
@@ -208,10 +208,7 @@ def extract_modulation(psi, S):
     one-row case of _modulation_series (the same Chebyshev proxy and
     root-find); raises LeftModulationWindow when the window holds no root.
     """
-    a, window_ok, _ = _modulation_series(psi.values[None], S)
-    if not window_ok:
-        raise LeftModulationWindow(f"no modulation root in {_window(S)}")
-    return float(a[0])
+    return float(_modulation_series(psi.values[None], S)[0][0])
 
 
 @dataclass(frozen=True)
@@ -429,7 +426,6 @@ class _Sources:
     F: np.ndarray         # (V - V(a)) u0 + N(u0, phi(a)), shape (M+1, n)
     D: np.ndarray         # adot0 * defect(a0), or None without an adot history
     Fg: np.ndarray        # <F_j, g>_w
-    Dg: np.ndarray        # <D_j, g>_w, or None
     gamma: np.ndarray     # <phi(a_j) - phi, g>_w
     residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
 
@@ -478,7 +474,6 @@ def _assemble(samples, a0, adot0, S):
         F=F,
         D=D,
         Fg=F @ wg,
-        Dg=None if D is None else D @ wg,
         gamma=FOUR_PI * grid.dr * gamma,
         residual=FOUR_PI * grid.dr * residual,
     )
@@ -721,29 +716,24 @@ def _pc_u_series(data0, data1, src, base, B, S, T, dt):
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
     Int C(t-s) adot0(s) defect(a0(s)) ds, with each operator realized as
     (perturbed evolution of the P_c input) minus (rank-one secular term).
-    The evolution is linear, so one leapfrog run with data (P_c data0,
-    P_c data1) and source P_c F gives the first three terms together; the
-    defect Duhamel takes a second run, whose centred time derivative turns
-    its sine Duhamel into the cosine one.  The minus on the defect Duhamel
-    matches modulation_rate_series (see the sign discussion there).
+    The evolution is linear, so one leapfrog run with data (data0, data1)
+    and source F gives the first three terms together; the defect Duhamel
+    takes a second run, whose centred time derivative turns its sine
+    Duhamel into the cosine one.  project_out=S is their only P_c: raw and
+    P_c-projected inputs give the same states in exact arithmetic (see
+    evolve_linear_perturbed).  The minus on the defect Duhamel matches
+    modulation_rate_series (see the sign discussion there).
     base and B are the summed data pairings and the Duhamel kernel of
     _resonance_pairings, which modulation_rate_series reads too.
     """
     grid = S.grid
     cQ = secular_coefficient(S)
     resv = S.resonance.values
-    g = S.g.values
 
-    # scheme-exact projections: leftover g-components would be amplified by
-    # e^{kT}
-    pc0 = project_continuous_w(data0, S)
-    pc1 = project_continuous_w(data1, S)
-    Fpc = SpaceTimeField(grid, dt, src.F - np.outer(src.Fg / S.gg_w, g))
-    Dpc = SpaceTimeField(grid, dt, src.D - np.outer(src.Dg / S.gg_w, g))
-    out = evolve_linear_perturbed(pc0, pc1, Fpc, T, dt, a=S.a, project_out=S).samples
+    F, D = SpaceTimeField(grid, dt, src.F), SpaceTimeField(grid, dt, src.D)
+    out = evolve_linear_perturbed(data0, data1, F, T, dt, a=S.a, project_out=S).samples
     zero = grid.zeros()
-    zs = evolve_linear_perturbed(zero, zero, Dpc, T, dt, a=S.a, project_out=S).samples
-    del Fpc, Dpc  # np.gradient's (M+1, n) stack takes their place
+    zs = evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S).samples
     if zs.shape[0] >= 3:
         out[1:] -= np.gradient(zs, dt, axis=0)[1:]
 
@@ -766,7 +756,6 @@ class ModulationTrajectory:
     g_overlap: np.ndarray
     u_snapshots: SpaceTimeField
     diagnostics: list = field(default_factory=list)
-    window_ok: bool = True
     adot_l1: float = 0.0
 
 
@@ -782,8 +771,9 @@ def _modulation_series(samples, S):
     are evaluated once, at the nodes, one product gives every row's F there,
     and one call of scipy's elementwise find_root (Chandrupatla's method)
     solves every row on its Chebyshev series, the row index riding in args.
-    A row without a root inside the window keeps the previous scale (S.a
-    before the first) and clears window_ok.  Returns (a, window_ok, u).
+    A row without a root inside the window raises LeftModulationWindow
+    naming the first such row: the one place a window miss surfaces.
+    Returns (a, u).
     """
     r = S.grid.r
     lo, hi = _window(S)
@@ -802,12 +792,10 @@ def _modulation_series(samples, S):
     res = elementwise.find_root(
         F, (lo, hi), args=(np.arange(len(samples)),), tolerances=dict(xatol=1e-14, xrtol=1e-14)
     )
-    a = res.x
-    window_ok = True
-    for m in np.flatnonzero(res.status):
-        a[m] = a[m - 1] if m else S.a
-        window_ok = False
-    return a, window_ok, samples - soliton.phi(r, a[:, None])
+    miss = np.flatnonzero(res.status)
+    if len(miss):
+        raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {(lo, hi)}")
+    return res.x, samples - soliton.phi(r, res.x[:, None])
 
 
 def trajectory_modulation(run, S):
@@ -815,7 +803,7 @@ def trajectory_modulation(run, S):
     psi = run.psi
     grid = psi.grid
     dt = psi.dt
-    a, window_ok, u_samples = _modulation_series(psi.samples, S)
+    a, u_samples = _modulation_series(psi.samples, S)
     adot = np.gradient(a, dt)
     u_traj = SpaceTimeField(grid, dt, u_samples)
     udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
@@ -847,6 +835,5 @@ def trajectory_modulation(run, S):
         g_overlap=ov,
         u_snapshots=u_traj,
         diagnostics=diags,
-        window_ok=window_ok,
         adot_l1=adot_l1,
     )

@@ -30,7 +30,7 @@ from .grid import (
     _values_from_w,
     cumulative_trapezoid,
 )
-from .spectral import project_continuous_w, secular_coefficient
+from .spectral import secular_coefficient
 
 __all__ = [
     "SpaceTimeField",
@@ -352,9 +352,14 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     cosine evolution of u0 plus the sine evolution of u1 plus the sine
     Duhamel integral of F.
     project_out, when set to SpectralData, keeps the state in the
-    continuous subspace of the scheme (see _leapfrog).  With a radius, the
-    returned trajectory holds only the nodes of that ball; the whole grid
-    is evolved either way.  Discrete energy drift over [0, T] is O(dt^2).
+    continuous subspace of the scheme (see _leapfrog), and is the only P_c
+    the flow needs: in w = r f, _leapfrog's projection is the scheme-pairing
+    P_c, an orthogonal projector P applied to state 0, the Taylor step and
+    every later state; P(r F) = r P_c F and P(I - P) = 0, so by induction
+    (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
+    arithmetic.  With a radius, the returned trajectory holds only the
+    nodes of that ball; the whole grid is evolved either way.  Discrete
+    energy drift over [0, T] is O(dt^2).
     """
     grid = u0.grid
     V = soliton.potential(grid.r, a)[1:-1]
@@ -381,9 +386,10 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
 def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
-    Perturbed side: evolve the data (0, P_c f) for "sine", (P_c f, 0) for
-    "cosine" under H.  Secular side: the rank-one projector applied to the
-    running time integral of <free evolution of f of the same kind, q>,
+    Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
+    under H with project_out=S, which evolves P_c f (see
+    evolve_linear_perturbed).  Secular side: the rank-one projector applied
+    to the running time integral of <free evolution of f of the same kind, q>,
     paired on the q side: transport is the pair (E, w) that
     _resonance_transport(grid, S.a, T, dt, kind) returns, made here when
     None, so a caller splitting many f on one grid transports q once.
@@ -396,8 +402,7 @@ def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius):
     E, w = transport if transport is not None else _resonance_transport(grid, S.a, T, dt, kind)
     if E.shape != (int(round(T / dt)) + 1, grid.n):
         raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
-    pcf = project_continuous_w(f, S)
-    data = (grid.zeros(), pcf) if kind == "sine" else (pcf, grid.zeros())
+    data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
     full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S,
                                    radius=radius)
 

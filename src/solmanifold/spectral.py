@@ -123,18 +123,6 @@ def project_continuous(f, S):
     return RadialField(f.grid, f.values - inner_product(f, S.g) * S.g.values)
 
 
-def project_continuous_w(f, S):
-    """P_c in the scheme pairing: the exact Riesz projector of the discrete flow.
-
-    Agrees with project_continuous to quadrature accuracy; the distinction
-    matters inside linear evolutions, where any leftover g-component is
-    amplified by e^{kT}.
-    """
-    return RadialField(
-        f.grid, f.values - (pair_w(f, S.g) / S.gg_w) * S.g.values
-    )
-
-
 def x_pm(u0, u1, S):
     """Coordinates along the exponentially growing/decaying modes.
 

@@ -94,6 +94,18 @@ MUTANTS = [
         "* dphi_da(r, 1.0)",
     ),
     (
+        "_leapfrog skips the g-projection",
+        "src/solmanifold/propagators.py",
+        "w -= np.dot(w, wg) * wg",
+        "w -= 0.0 * wg",
+    ),
+    (
+        "window miss not raised",
+        "src/solmanifold/modulation.py",
+        "if len(miss):",
+        "if False:",
+    ),
+    (
         "_csv writes 16 significant digits",
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',

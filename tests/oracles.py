@@ -4,13 +4,21 @@ None of these has a caller in the package: each is either an independent
 route to a quantity the package computes another way (the Newton
 potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
-diagonal) or a conserved quantity that checks a propagator.
+diagonal, the scheme-pairing P_c that the projected linear flow applies
+at every step) or a conserved quantity that checks a propagator.
 """
 
 import numpy as np
 
 from solmanifold import soliton
-from solmanifold.grid import FOUR_PI, RadialField, RadialGrid, cumulative_trapezoid, inner_product
+from solmanifold.grid import (
+    FOUR_PI,
+    RadialField,
+    RadialGrid,
+    cumulative_trapezoid,
+    inner_product,
+    pair_w,
+)
 from solmanifold.propagators import SpaceTimeField, _free_slices
 from solmanifold.spectral import secular_coefficient
 
@@ -72,6 +80,18 @@ def newton_potential(f):
     vals[0] = Btail[0]
     vals[1:] = A[1:] / r[1:] + Btail[1:]
     return grid.field(vals)
+
+
+def project_continuous_w(f, S):
+    """P_c in the scheme pairing: the exact Riesz projector of the discrete flow.
+
+    Agrees with spectral.project_continuous to quadrature accuracy; the
+    distinction matters inside linear evolutions, where any leftover
+    g-component is amplified by e^{kT}.
+    """
+    return RadialField(
+        f.grid, f.values - (pair_w(f, S.g) / S.gg_w) * S.g.values
+    )
 
 
 def secular_projector(f, S):

@@ -177,6 +177,8 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", zero_step, "--out", str(tmp_path / "dt0")]) == 2
     negative_seed = write_config(tmp_path, BASE.replace("seed = 3", "seed = -1"), name="seed.ini")
     assert main(["sweep", "--config", negative_seed, "--out", str(tmp_path / "seed")]) == 2
+    zero_value = write_config(tmp_path, BASE + "\n[sweep]\nvalues = 0, 1e-3\n", name="v0.ini")
+    assert main(["sweep", "--config", zero_value, "--out", str(tmp_path / "v0")]) == 2
     assert main(["bogus-subcommand"]) == 2
     # spectrum and manifold arguments pass the same checks before any run
     out = ["--out", str(tmp_path / "cli")]
@@ -193,6 +195,7 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     for argv, flag, key in (
         (["--T", "14", "--dt", "0.5"], "--dt: CFL violation", "time.dt"),
         (["--T", "14", "--seed", "-2"], "--seed: seed must be non-", "experiment.seed"),
+        (["--T", "14", "--eps", "0"], "--eps: amplitude must be positive", "data.eps"),
     ):
         argv = shoot + argv
         capsys.readouterr()

@@ -30,6 +30,8 @@ from solmanifold.modulation import (
 )
 from solmanifold.spectral import secular_coefficient
 
+from oracles import project_continuous_w
+
 
 @pytest.fixture(scope="module")
 def query_mod(mod_grid, S_mod):
@@ -325,8 +327,7 @@ def _brentq_scale(row, grid, a_prev):
 def test_modulation_series_matches_brentq_oracle(manifold_run, mod_grid, S_mod):
     _, run, _ = manifold_run
     samples = run.psi.samples
-    a, window_ok, u = _modulation_series(samples, S_mod)
-    assert window_ok
+    a, u = _modulation_series(samples, S_mod)
     ref = []
     for row in samples:
         ref.append(_brentq_scale(row, mod_grid, ref[-1] if ref else 1.0))
@@ -335,31 +336,23 @@ def test_modulation_series_matches_brentq_oracle(manifold_run, mod_grid, S_mod):
     assert np.array_equal(u, samples - soliton.phi(mod_grid.r, a[:, None]))
 
 
-def test_modulation_series_window_miss_keeps_previous_scale(mod_grid, S_mod):
-    rows = np.array([soliton.phi(mod_grid.r, s) for s in (1.0, 0.45, 1.1)])
-    a, window_ok, _ = _modulation_series(rows, S_mod)
-    assert not window_ok
-    assert a == pytest.approx([1.0, 1.0, 1.1], abs=1e-12)
-    assert a[1] == a[0]
-    # a miss on the first row keeps the unit scale
-    a, window_ok, _ = _modulation_series(rows[1:], S_mod)
-    assert not window_ok
-    assert a[0] == 1.0 and a[1] == pytest.approx(1.1, abs=1e-12)
-    # a miss after _ROWS good rows keeps the scale of the row just before it
-    scales = [1.0 + 1e-3 * m for m in range(_ROWS)] + [0.45]
-    a, window_ok, _ = _modulation_series(
-        np.array([soliton.phi(mod_grid.r, s) for s in scales]), S_mod
-    )
-    assert not window_ok
-    assert a[-1] == a[-2] == pytest.approx(scales[-2], abs=1e-12)
+def test_modulation_series_window_miss_raises(mod_grid, S_mod):
+    # a miss on the first row, on a middle row and after _ROWS good rows
+    for scales, row in (
+        ((0.45, 1.1), 0),
+        ((1.0, 0.45, 1.1), 1),
+        ([1.0 + 1e-3 * m for m in range(_ROWS)] + [0.45], _ROWS),
+    ):
+        rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
+        with pytest.raises(LeftModulationWindow, match=rf"^row {row} has no modulation root in "):
+            _modulation_series(rows, S_mod)
 
 
 def test_modulation_series_roots_near_the_window_edges(mod_grid, S_mod):
     lo, hi = soliton.MODULATION_WINDOW
     scales = [lo + 1e-3, hi - 1e-3]
     rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
-    a, window_ok, _ = _modulation_series(rows, S_mod)
-    assert window_ok
+    a, _ = _modulation_series(rows, S_mod)
     assert np.max(np.abs(a - scales)) < 1e-12
 
 
@@ -375,8 +368,8 @@ def test_modulation_series_evaluates_the_profiles_once(monkeypatch, mod_grid, S_
 
     monkeypatch.setattr(soliton, "resonance_weight", counted)
     scales = np.linspace(0.9, 1.1, n_rows)
-    a, window_ok, _ = _modulation_series(soliton.phi(mod_grid.r, scales[:, None]), S_mod)
-    assert window_ok and np.max(np.abs(a - scales)) < 1e-12
+    a, _ = _modulation_series(soliton.phi(mod_grid.r, scales[:, None]), S_mod)
+    assert np.max(np.abs(a - scales)) < 1e-12
     assert len(calls) == 1
 
 
@@ -583,7 +576,6 @@ def test_trajectory_modulation_diagnostics(manifold_run, mod_grid, S_mod):
         ),
         S_mod,
     )
-    assert traj.window_ok
     assert np.all(np.abs(traj.a - 1.0) < 0.01)
     assert traj.adot_l1 < 0.1
     kinds = {d.kind for d in traj.diagnostics}
@@ -624,7 +616,6 @@ def test_nonlinear_path_is_scale_covariant():
 
     # the modulation root-find: xatol is absolute, so not exactly covariant
     tm, tms = trajectory_modulation(run, S), trajectory_modulation(runs, Ss)
-    assert tm.window_ok and tms.window_ok
     assert np.max(np.abs(tms.a - 16.0 * tm.a)) <= 1e-13 * 16.0 * np.max(tm.a)
 
     # two Picard iterates, and the fixed-point h of the first one's history
@@ -823,7 +814,6 @@ def test_modulation_rate_series_matches_per_step_reference(history, S_mod, query
 def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     from solmanifold.modulation import _assemble, _pc_u_series, _resonance_pairings
     from solmanifold.propagators import evolve_linear_perturbed
-    from solmanifold.spectral import project_continuous_w
 
     u0, a0, adot0 = history
     dt, T = u0.dt, u0.horizon
@@ -842,10 +832,12 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
             v0, v1, source, T, dt, a=S_mod.a, project_out=S_mod
         ).samples
 
+    def pc(rows):  # the oracle P_c, row by row
+        return np.array([project_continuous_w(grid.field(v), S_mod).values for v in rows])
+
     zero = grid.zeros()
-    g = S_mod.g.values
-    Fpc = SpaceTimeField(grid, dt, src.F - np.outer(src.Fg / S_mod.gg_w, g))
-    Dpc = SpaceTimeField(grid, dt, src.D - np.outer(src.Dg / S_mod.gg_w, g))
+    Fpc = SpaceTimeField(grid, dt, pc(src.F))
+    Dpc = SpaceTimeField(grid, dt, pc(src.D))
     zs = run(zero, zero, Dpc)
     duh_cos = np.zeros_like(zs)
     duh_cos[1:-1] = (zs[2:] - zs[:-2]) / (2.0 * dt)

@@ -21,9 +21,14 @@ from solmanifold.propagators import (
     free_cosine_traj,
     free_sine_traj,
 )
-from solmanifold.spectral import project_continuous_w
 
-from oracles import free_duhamel, newton_potential, secular_projector, transport_energy
+from oracles import (
+    free_duhamel,
+    newton_potential,
+    project_continuous_w,
+    secular_projector,
+    transport_energy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +299,37 @@ def test_perturbed_continuous_data_bounded(S_ref, rng):
         for m in range(traj.samples.shape[0])
     ]
     assert max(norms) <= 2.5 * norms[0]
+
+
+def test_projected_flow_ignores_the_g_component():
+    # project_out=S projects g out of state 0, the Taylor step and every
+    # later state, so data and source with a g-component evolve to the
+    # states of their P_c images, up to rounding (which grows with the node
+    # and step counts: 1.4e-13 relative on the 1601-node spec_grid)
+    grid = RadialGrid(R=20.0, n=401)
+    S = ground_state(grid)
+    r, g = grid.r, S.g.values
+    dt, T = 0.8 * grid.dr, 6.0
+    t = dt * np.arange(int(round(T / dt)) + 1)[:, None]
+    f = grid.field(np.exp(-((r - 2.0) ** 2)) + 0.3 * g)
+    f1 = grid.field(r * np.exp(-((r - 3.0) ** 2)) - 0.2 * g)
+    F = np.cos(t) * np.exp(-((r - 2.5) ** 2)) + 0.1 * np.sin(t) * g
+
+    def pc(v):
+        return project_continuous_w(grid.field(v), S)
+
+    def run(v0, v1, source):
+        source = SpaceTimeField(grid, dt, source)
+        return evolve_linear_perturbed(v0, v1, source, T, dt, project_out=S).samples
+
+    raw = run(f, f1, F)
+    ref = run(pc(f.values), pc(f1.values), np.array([pc(row).values for row in F]))
+    assert np.max(np.abs(raw - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the secular splits evolve f itself; their sums are the P_c f evolutions
+    for split in (secular_decomposition_S, secular_decomposition_C):
+        got = sum(part.samples for part in split(f, T, dt, S))
+        want = sum(part.samples for part in split(pc(f.values), T, dt, S))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_cfl_guard(S_ref):

@@ -13,9 +13,9 @@ from solmanifold import (
     x_pm,
 )
 from solmanifold import soliton
-from solmanifold.spectral import SpectralError, project_continuous_w
+from solmanifold.spectral import SpectralError
 
-from oracles import secular_projector
+from oracles import project_continuous_w, secular_projector
 
 # continuum ground-state rate, frozen from a dense-eigensolver oracle with
 # Richardson extrapolation in dr (dr -> 0 limit of the tridiagonal spectrum)
