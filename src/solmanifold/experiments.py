@@ -33,7 +33,6 @@ from .grid import (
 from .modulation import (
     BracketError,
     LeftModulationWindow,
-    ManifoldQuery,
     _modulation_series,
     evolve_nonlinear,
     h_fixed_point,
@@ -48,7 +47,6 @@ from .propagators import (
     PropagatorError,
     SpaceTimeField,
     _resonance_transport,
-    evolve_linear_perturbed,
     free_cosine_traj,
     free_sine_traj,
     secular_decomposition_C,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.optimize import elementwise
 
 from . import soliton
 from .grid import (
@@ -430,7 +429,7 @@ class _Sources:
     residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
 
 
-_ROWS = 32  # history rows per _assemble block
+_ROWS = 32  # history rows per block in _assemble and _modulation_series
 _NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
 
 
@@ -759,6 +758,24 @@ class ModulationTrajectory:
     adot_l1: float = 0.0
 
 
+def _series_roots(coef):
+    """Roots in [-1, 1] of the Chebyshev series coef[:, m], one per column.
+
+    60 halvings of [-1, 1]: the right half is kept where F at the midpoint
+    has the sign of F(-1), the left half otherwise.  Returns (s, miss);
+    miss flags the columns where F(-1) * F(1) <= 0 fails, which includes
+    every column with a NaN or inf.
+    """
+    f_lo = chebyshev.chebval(-1.0, coef)
+    miss = ~(f_lo * chebyshev.chebval(1.0, coef) <= 0.0)
+    lo, hi = np.full(coef.shape[1], -1.0), np.ones(coef.shape[1])
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        right = np.sign(chebyshev.chebval(s, coef, tensor=False)) == np.sign(f_lo)
+        lo, hi = np.where(right, s, lo), np.where(right, hi, s)
+    return 0.5 * (lo + hi), miss
+
+
 def _modulation_series(samples, S):
     """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).
 
@@ -769,11 +786,11 @@ def _modulation_series(samples, S):
     a <= 0, so its interpolant at _NODES Chebyshev points of the window
     converges like (2 + sqrt 3)^-N (Trefethen, ATAP Thm 8.2): the profiles
     are evaluated once, at the nodes, one product gives every row's F there,
-    and one call of scipy's elementwise find_root (Chandrupatla's method)
-    solves every row on its Chebyshev series, the row index riding in args.
-    A row without a root inside the window raises LeftModulationWindow
-    naming the first such row: the one place a window miss surfaces.
-    Returns (a, u).
+    and one vectorised bisection (_series_roots) solves every row on its
+    Chebyshev series.  A row without a sign change across the window raises
+    LeftModulationWindow naming the first such row: the one place a window
+    miss surfaces.  u is filled _ROWS rows at a time, so no second (M+1, n)
+    stack is held beside it.  Returns (a, u).
     """
     r = S.grid.r
     lo, hi = _window(S)
@@ -784,18 +801,16 @@ def _modulation_series(samples, S):
     c = np.sum(soliton.phi(r, nodes) * Q, axis=1)
     # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
     T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
-    coef = T.T @ (samples @ Q.T - c).T
-
-    def F(a, m):
-        return chebyshev.chebval((a - mid) / half, coef[:, m], tensor=False)
-
-    res = elementwise.find_root(
-        F, (lo, hi), args=(np.arange(len(samples)),), tolerances=dict(xatol=1e-14, xrtol=1e-14)
-    )
-    miss = np.flatnonzero(res.status)
+    s, miss = _series_roots(T.T @ (samples @ Q.T - c).T)
+    miss = np.flatnonzero(miss)
     if len(miss):
         raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {(lo, hi)}")
-    return res.x, samples - soliton.phi(r, res.x[:, None])
+    a = mid + half * s
+    u = np.empty_like(samples)
+    for start in range(0, len(a), _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.subtract(samples[rows], soliton.phi(r, a[rows, None]), out=u[rows])
+    return a, u
 
 
 def trajectory_modulation(run, S):

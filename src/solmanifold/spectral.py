@@ -5,6 +5,8 @@ ends, which excludes the non-decaying zero resonance from the discrete point
 spectrum automatically.  LAPACK's tridiagonal solvers give the minimal
 eigenpair by index and count the eigenvalues in (-inf, 0]; the count doubles
 as the "exactly one negative symmetric eigenvalue" hypothesis check.
+scipy.linalg (LAPACK) is imported on the first eigensolve, not with the
+package: runs that never solve for the ground state do not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import soliton
 from .grid import FOUR_PI, RadialField, RadialGrid, inner_product, laplacian, pair_w
@@ -45,6 +46,8 @@ def ground_state(grid, a=1.0):
     one; aborts with a diagnostic otherwise (a too-coarse grid shows up as a
     missing negative eigenvalue).
     """
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
     soliton.check_scale(a)
     r = grid.r
     dr = grid.dr

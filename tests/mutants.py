@@ -106,6 +106,18 @@ MUTANTS = [
         "if False:",
     ),
     (
+        "bisection keeps the wrong half",
+        "src/solmanifold/modulation.py",
+        "== np.sign(f_lo)",
+        "!= np.sign(f_lo)",
+    ),
+    (
+        "a root on a window end is a miss",
+        "src/solmanifold/modulation.py",
+        "<= 0.0)",
+        "< 0.0)",
+    ),
+    (
         "_csv writes 16 significant digits",
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',

@@ -1,8 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import solmanifold
 from solmanifold.grid import RadialGrid
@@ -28,6 +31,24 @@ def test_every_exported_name_resolves():
                 if not hasattr(source, alias.name) or not hasattr(solmanifold, alias.name)
             ]
     assert missing == []
+
+
+def test_import_leaves_scipy_optimize_and_linalg_unloaded():
+    # a fresh process: the package imports neither, and scipy.linalg
+    # arrives with the first ground-state eigensolve
+    code = (
+        "import sys, solmanifold\n"
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+        "solmanifold.ground_state(solmanifold.RadialGrid(R=20.0, n=201))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def test_tracer_targets_resolve():

@@ -26,6 +26,7 @@ from solmanifold.modulation import (
     ManifoldQuery,
     _modulation_series,
     _quintic_force,
+    _series_roots,
     modulation_rate_series,
 )
 from solmanifold.spectral import secular_coefficient
@@ -346,6 +347,23 @@ def test_modulation_series_window_miss_raises(mod_grid, S_mod):
         rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
         with pytest.raises(LeftModulationWindow, match=rf"^row {row} has no modulation root in "):
             _modulation_series(rows, S_mod)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modulation_series_non_finite_row_is_a_miss(mod_grid, S_mod, bad):
+    # one non-finite entry in a middle row of a stack longer than one block
+    rows = soliton.phi(mod_grid.r, np.linspace(0.9, 1.1, 2 * _ROWS + 1)[:, None])
+    rows[_ROWS + 3, 17] = bad
+    with pytest.raises(LeftModulationWindow, match=rf"^row {_ROWS + 3} has no modulation root in "):
+        _modulation_series(rows, S_mod)
+
+
+def test_series_roots_on_the_window_ends():
+    # F(s) = 1 + s and 1 - s vanish exactly at s = -1 and s = 1: a root, not a miss
+    s, miss = _series_roots(np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert not miss.any()
+    assert np.max(np.abs(s - [-1.0, 1.0])) < 1e-15
 
 
 def test_modulation_series_roots_near_the_window_edges(mod_grid, S_mod):
