@@ -117,6 +117,7 @@ def evolve_nonlinear(
     S=None,
     stride=1,
     overlap_cap=None,
+    consume=None,
 ):
     """Leapfrog integration of psi_tt = Delta psi + psi^5 in w = r*psi variables.
 
@@ -131,10 +132,14 @@ def evolve_nonlinear(
     the force at u = 0 a rounding error instead of exactly 0.
     A blow-up detector aborts once sup |psi| on the observation ball
     exceeds 10*phi(0, S.a); the run is returned as a typed outcome, never
-    an exception.  Only every stride-th step is stored (none with stride
+    an exception.  Only every stride-th step is kept (none with stride
     None), with its time derivative (five-point centred, see
-    propagators._rate) taken in the loop; both stacks become
-    SpaceTimeFields in place, once, after it.
+    propagators._rate) taken in the loop.  Without consume both are stored,
+    and the two stacks become SpaceTimeFields in place, once, after it.
+    With consume, nothing is stored: consume(j, psi, psi_t) receives the
+    RadialFields of snapshot j, in order, as the loop makes them (see
+    propagators._leapfrog), each checked finite as a stored trajectory is,
+    and the returned run has psi = dpsi_dt = None.
     """
     grid = psi0.grid
     r = grid.r
@@ -168,6 +173,17 @@ def evolve_nonlinear(
             return "departed"
         return None
 
+    emit = None
+    if consume is not None:
+
+        def emit(j, row, rate):
+            psi = _values_from_w(grid, np.array(row))
+            psi += phi
+            psi_t = _values_from_w(grid, rate)
+            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
+                raise GridUsageError("non-finite trajectory samples")
+            consume(j, RadialField(grid, psi), RadialField(grid, psi_t))
+
     rows, rates, m_end, status = _leapfrog(
         grid,
         (psi0.values - phi) * r,
@@ -178,9 +194,10 @@ def evolve_nonlinear(
         stride=stride,
         stop=stop,
         rates=stride is not None,
+        emit=emit,
     )
     psi = dpsi_dt = None
-    if stride is not None:
+    if consume is None and stride is not None:
         _values_from_w(grid, rows)
         rows += phi
         psi = SpaceTimeField(grid, dt * stride, rows)

@@ -7,8 +7,10 @@ is realized in the time domain by leapfrog on w; its spatial operator is the
 same stencil the spectral module diagonalizes, so the discrete eigenpair
 (k, g) is exact for the scheme.  That leapfrog, _leapfrog, is the package's
 only time stepper: the nonlinear flow of the modulation module runs on it
-with its own force and stop test.  It stores only the strided snapshots its
-callers read, so memory grows with the snapshots, not with the steps.  Both
+with its own force and stop test.  It hands only the strided snapshots its
+callers read to a consumer, which stores them by default, so memory grows
+with the snapshots, not with the steps, and with neither when the consumer
+reduces each snapshot as it is made.  Both
 the transport and the leapfrog also store only the columns their callers
 read: given a radius, a trajectory holds the nodes of that ball (the mixed
 norms read only the observation ball), while the leapfrog still evolves,
@@ -238,7 +240,7 @@ def _resonance_transport(grid, a, T, dt, kind):
 
 
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
-              radius=None):
+              radius=None, emit=None):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
     The package's one time-stepping loop.  The ends are Dirichlet; the
@@ -253,12 +255,18 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     value other than None ends the run there and is returned as its status.
 
     Only the states m = 0, stride, 2 stride, ... up to the last step m_end
-    are stored (stride None stores none), and of each only the nodes of the
-    ball of the given radius (default the whole grid).  With rates, the time derivative
-    of each stored state is stored too, by _rate from the last five states
-    the loop keeps: five-point centred, lower-order within two steps of
-    m = 0 and of m_end.  Returns (rows, rate_rows, m_end, status);
-    rate_rows is None without rates.
+    are emitted (stride None emits none), and of each only the nodes of the
+    ball of the given radius (default the whole grid).  With rates, the time
+    derivative of each emitted state goes with it, by _rate from the last
+    five states the loop keeps: five-point centred, lower-order within two
+    steps of m = 0 and of m_end.  emit(j, row, rate) receives snapshot j
+    once both exist: at step j stride without rates (rate None), at step
+    j stride + 2 with them, and the last two after the loop.  row is a view
+    of the live state, rate a fresh whole-grid array.  The default emit
+    stores the snapshots in two preallocated stacks, so memory grows with
+    the snapshots, not with the steps.  Returns (rows, rate_rows, m_end,
+    status); rows and rate_rows are those stacks, cut at m_end, and are
+    None when emit is given, rate_rows also without rates.
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
@@ -280,15 +288,23 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             w -= np.dot(w, wg) * wg
         return w
 
-    stored = 0 if stride is None else M // stride + 1
     cols = _columns(grid, radius)
-    rows = np.empty((stored, cols))
-    drows = np.empty((stored, grid.n)) if rates else None
+    rows = drows = None
+    if emit is None:
+        stored = 0 if stride is None else M // stride + 1
+        rows = np.empty((stored, cols))
+        drows = np.empty((stored, grid.n)) if rates else None
+
+        def emit(j, row, rate):
+            rows[j] = row
+            if rates:
+                drows[j] = rate
+
     w_prev = None
     w_cur = suppress(np.array(w0, dtype=float))
     recent = [w_cur]  # the states m-4..m whose rates _rate reads
-    if stored:
-        rows[0] = w_cur[:cols]
+    if stride is not None and not rates:
+        emit(0, w_cur[:cols], None)
     status = None if stop is None else stop(0, w_cur)
     m = 0
     while status is None and m < M:
@@ -301,9 +317,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         if rates:
             recent = recent[-4:] + [w_cur]
             if m >= 2 and (m - 2) % stride == 0:
-                drows[(m - 2) // stride] = _rate(recent, len(recent) - 3, dt)
-        if stored and m % stride == 0:
-            rows[m // stride] = w_cur[:cols]
+                emit((m - 2) // stride, recent[-3][:cols], _rate(recent, len(recent) - 3, dt))
+        elif stride is not None and m % stride == 0:
+            emit(m // stride, w_cur[:cols], None)
         if stop is not None:
             status = stop(m, w_cur)
         # a stopped run keeps the verdict its stop test gave
@@ -311,15 +327,17 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             raise PropagatorError(f"leapfrog instability detected at t={m * dt}")
     if status is None and not np.all(np.isfinite(w_cur)):
         raise PropagatorError("leapfrog instability detected at final step")
-    if stored:
-        stored = m // stride + 1
-        rows = rows[:stored]
     if rates:
-        drows = drows[:stored]
-        # the stored states among the last two still wait for their rates
+        # the emitted states among the last two still wait for their rates
         for j in (m - 1, m):
             if j >= 0 and j % stride == 0:
-                drows[j // stride] = _rate(recent, len(recent) - 1 - (m - j), dt)
+                i = len(recent) - 1 - (m - j)
+                emit(j // stride, recent[i][:cols], _rate(recent, i, dt))
+    if rows is not None:
+        kept = 0 if stride is None else m // stride + 1
+        rows = rows[:kept]
+        if rates:
+            drows = drows[:kept]
     return rows, drows, m, status
 
 

@@ -100,6 +100,12 @@ MUTANTS = [
         "w -= 0.0 * wg",
     ),
     (
+        "_leapfrog pairs row j with the rate of row j + 1",
+        "src/solmanifold/propagators.py",
+        "_rate(recent, len(recent) - 3, dt)",
+        "_rate(recent, len(recent) - 2, dt)",
+    ),
+    (
         "window miss not raised",
         "src/solmanifold/modulation.py",
         "if len(miss):",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from solmanifold.cli import main
-from solmanifold.experiments import ConfigError, ExperimentConfig, run, validate
+from solmanifold.experiments import ConfigError, ExperimentConfig, _energy_drift, run, validate
+from solmanifold.propagators import PropagatorError
 
 from schema_check import assert_schema_names_outputs
 
@@ -165,6 +166,31 @@ def test_stationarity_run_and_determinism(tmp_path):
         "set logscale xy\n"
         "plot 'stationarity.csv' using 1:2 skip 1 with linespoints title 'stationarity'\n"
     )
+
+
+@pytest.mark.parametrize("amp, t_stop", [(1.0, "1.4"), (2.0, "0.36")])
+def test_stopped_energy_run_raises(amp, t_stop):
+    # the blow-up detector stops both runs; their energies give no drift
+    with pytest.raises(PropagatorError, match=rf"'blowup' at t={t_stop} of T=20"):
+        _energy_drift(30.0, 601, 20.0, 0.8, amp, 2)
+
+
+def test_energy_drift_memory_does_not_grow_with_steps():
+    # each snapshot is reduced as it is made; storing the stride-10 rows
+    # would hold two stacks of 41 rows at T = 16
+    import tracemalloc
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            _energy_drift(30.0, 601, T, 0.8, 0.3, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(8.0), peak(16.0)
+    assert long < 1.25 * short
+    assert long < 40 * 601 * 8
 
 
 def test_cli_validate_and_exit_codes(tmp_path, capsys):

@@ -187,6 +187,53 @@ def test_strided_run_stores_the_dense_rows(mod_grid, S_mod, cap):
         assert np.array_equal(run.dpsi_dt.samples, dense.dpsi_dt.samples[::s])
 
 
+@pytest.mark.parametrize(
+    "stride, with_S, cap, T",
+    [
+        (10, False, None, 8.0),
+        (5, True, None, 3.0),
+        # departs at step 60; stride 1 leaves both of the last two rows to the flush
+        (1, True, 0.1, 10.0),
+    ],
+)
+def test_consumer_sees_the_stored_rows(mod_grid, S_mod, stride, with_S, cap, T):
+    dt = 0.8 * mod_grid.dr
+    if with_S:
+        d = 1e-3
+        psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + d * S_mod.g.values)
+        psi1 = RadialField(mod_grid, d * S_mod.k * S_mod.g.values)
+    else:
+        psi0 = mod_grid.field(0.3 * np.exp(-((mod_grid.r - 2.0) ** 2)))
+        psi1 = mod_grid.zeros()
+    S = S_mod if with_S else None
+    stored = evolve_nonlinear(psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=cap)
+    got = []
+    streamed = evolve_nonlinear(
+        psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=cap,
+        consume=lambda j, psi, psi_t: got.append((j, psi, psi_t)),
+    )
+    assert stored.status == ("completed" if cap is None else "departed")
+    assert streamed.psi is None and streamed.dpsi_dt is None
+    assert (streamed.status, streamed.departure_time) == (stored.status, stored.departure_time)
+    assert np.array_equal(streamed.times_dense, stored.times_dense)
+    assert np.array_equal(streamed.g_overlap, stored.g_overlap)
+    assert [j for j, _, _ in got] == list(range(stored.psi.samples.shape[0]))
+    for j, psi, psi_t in got:
+        assert np.array_equal(psi.values, stored.psi.slice(j).values)
+        assert np.array_equal(psi_t.values, stored.dpsi_dt.slice(j).values)
+
+
+def test_streamed_rows_are_checked_finite(mod_grid):
+    # a stored run checks its stacks when they become SpaceTimeFields; a
+    # streamed one checks each row before handing it on
+    from solmanifold.grid import GridUsageError
+
+    dt = 0.8 * mod_grid.dr
+    psi0 = RadialField(mod_grid, np.full(mod_grid.n, np.nan))
+    with pytest.raises(GridUsageError, match="non-finite trajectory samples"):
+        evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=10, consume=lambda *row: None)
+
+
 def test_nonlinear_memory_follows_stored_rows():
     # doubling T and stride together keeps the stored rows, so the peak
     # allocation stays put; storing every step would double it
