@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import soliton
 from .grid import (
@@ -292,14 +293,14 @@ def family_field(grid, family):
 
 def seeded_bumps(grid, seed, count):
     """Deterministic family of smooth radial bumps for constant sweeps."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     # centre first, then width: the order the seeded draws are pinned in
     return [bump_field(grid, rng.uniform(0.0, 3.5), rng.uniform(0.7, 2.0)) for _ in range(count)]
 
 
 def seeded_query(grid, S, eps, seed):
     """Perturbation pair for manifold studies: seeded mix of two bumps."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     c1, w1 = rng.uniform(1.0, 3.0), rng.uniform(0.8, 1.5)
     c2, w2 = rng.uniform(0.0, 2.0), rng.uniform(0.8, 1.5)
     mix = rng.uniform(0.2, 0.8)
@@ -411,7 +412,7 @@ def _energy_drift(R, n, T, cfl, amp, seed):
     """
     grid = RadialGrid(R=R, n=n)
     dt = cfl * grid.dr
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     b = bump_field(grid, rng.uniform(1.5, 2.5), 1.0)
     psi0 = RadialField(grid, amp * b.values)
     E = []

@@ -131,7 +131,7 @@ def evolve_nonlinear(
     a w_phi^5 rounded otherwise than the step's own fifth power would make
     the force at u = 0 a rounding error instead of exactly 0.
     A blow-up detector aborts once sup |psi| on the observation ball
-    exceeds 10*phi(0, S.a); the run is returned as a typed outcome, never
+    exceeds 10*phi(0, S.a) or is NaN; the run is a typed outcome, never
     an exception.  Only every stride-th step is kept (none with stride
     None), with its time derivative (five-point centred, see
     propagators._rate) taken in the loop.  Without consume both are stored,
@@ -167,7 +167,7 @@ def evolve_nonlinear(
         ovs.append(overlap(wu))
         if m < 2:  # the data and the Taylor step are not tested
             return None
-        if not np.isfinite(ovs[-1]) or sup_obs(wu) > ceiling:
+        if not np.isfinite(ovs[-1]) or not sup_obs(wu) <= ceiling:
             return "blowup"
         if overlap_cap is not None and abs(ovs[-1]) > overlap_cap:
             return "departed"

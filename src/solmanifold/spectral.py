@@ -2,15 +2,16 @@
 
 The eigenproblem is solved on the reduced variable w = r*g with Dirichlet
 ends, which excludes the non-decaying zero resonance from the discrete point
-spectrum automatically.  LAPACK's tridiagonal solvers give the minimal
-eigenpair by index and count the eigenvalues in (-inf, 0]; the count doubles
-as the "exactly one negative symmetric eigenvalue" hypothesis check.
-scipy.linalg (LAPACK) is imported on the first eigensolve, not with the
-package: runs that never solve for the ground state do not load it.
+spectrum automatically.  The Sturm count of the scheme tridiagonal's LDL^T
+pivots at 0 is the number of negative eigenvalues and doubles as the "exactly
+one negative symmetric eigenvalue" hypothesis check; bisection on the same
+count isolates the ground eigenvalue and Rayleigh-quotient iteration gives
+the pair, with numpy alone (O(n) per sweep).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +47,13 @@ def ground_state(grid, a=1.0):
     one; aborts with a diagnostic otherwise (a too-coarse grid shows up as a
     missing negative eigenvalue).
     """
-    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-
     soliton.check_scale(a)
     r = grid.r
-    dr = grid.dr
     interior = r[1:-1]
-    diag = 2.0 / dr**2 + soliton.potential(interior, a)
-    off = np.full(grid.n - 3, -1.0 / dr**2)
-
-    lams, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = float(lams[0])
-    if lam >= 0.0:
-        raise SpectralError(
-            f"no negative eigenvalue on grid (R={grid.R}, n={grid.n}); grid too coarse"
-        )
-    n_neg = len(eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)))
-    if n_neg != 1:
-        raise SpectralError(
-            f"expected exactly one negative symmetric eigenvalue, found {n_neg}"
-        )
+    lam, vec, n_neg = _ground_pair(grid, soliton.potential(interior, a))
 
     gvals = np.zeros(grid.n)
-    gvals[1:-1] = vecs[:, 0] / interior
+    gvals[1:-1] = vec / interior
     gvals[0] = (4.0 * gvals[1] - gvals[2]) / 3.0
     g = RadialField(grid, gvals)
     nrm = np.sqrt(inner_product(g, g))
@@ -100,6 +85,69 @@ def ground_state(grid, a=1.0):
         residual=residual,
         negative_count=n_neg,
     )
+
+
+def _pivots(V, sigma, dr2):
+    """Pivots d of dr^2 (T - sigma) = tridiag(-1, 2 + u, -1) = L D L^T, u = dr^2 (V - sigma).
+
+    d = 1 + t with t = u_i + t_prev / d_prev: the O(1) parts of 2 and -1/d_prev
+    cancel in closed form, so t keeps the digits of u ~ dr^2 that the plain
+    recurrence 2 + u_i - 1/d_prev loses.  A zero pivot is nudged to eps.
+    """
+    d, s = [], 1.0
+    for ui in ((V - sigma) * dr2).tolist():
+        t = s + ui
+        p = (1.0 + t) or math.ulp(1.0)
+        d.append(p)
+        s = t / p
+    return d
+
+
+def _ldl_solve(d, v):
+    """y with L D L^T y = v, l_i = -1/d_i, for the pivots d of _pivots."""
+    z, zi, prev = [], 0.0, 1.0
+    for vi, p in zip(v, d):
+        zi = vi + zi / prev
+        z.append(zi)
+        prev = p
+    y, yi = [], 0.0
+    for zi, p in zip(reversed(z), reversed(d)):
+        yi = (zi + yi) / p
+        y.append(yi)
+    return y[::-1]
+
+
+def _ground_pair(grid, V):
+    """(lambda_1, unit eigenvector, negative count) of T = tridiag(-b, 2b + V, -b), b = 1/dr^2.
+
+    The negative pivots at sigma count the eigenvalues below sigma (Barth, Martin
+    and Wilkinson 1967).  Bisection from the Gershgorin bound min V up to 0
+    brackets lambda_1; Rayleigh-quotient iteration (Parlett 1998) from the ones
+    vector updates sigma by 1/<v, (T - sigma)^-1 v>, not by <v, T v> (2/dr^2 cancels).
+    """
+    dr2 = grid.dr**2
+    n_neg = sum(p < 0.0 for p in _pivots(V, 0.0, dr2))
+    if n_neg != 1:
+        raise SpectralError(
+            f"expected exactly one negative symmetric eigenvalue, found {n_neg}" if n_neg
+            else f"no negative eigenvalue on grid (R={grid.R}, n={grid.n}); grid too coarse"
+        )
+    lo, hi = float(np.min(V)), 0.0
+    for _ in range(8):  # |min V| / 256 wide: the iteration then converges to lambda_1
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if any(p < 0.0 for p in _pivots(V, mid, dr2)) else (mid, hi)
+    sigma = 0.5 * (lo + hi)
+    v = np.full(len(V), len(V) ** -0.5)
+    for _ in range(20):
+        y = np.array(_ldl_solve(_pivots(V, sigma, dr2), v.tolist()))
+        step = 1.0 / (dr2 * (v @ y))
+        sigma += step
+        v = y / np.linalg.norm(y)
+        if abs(step) <= 4.0 * math.ulp(sigma):
+            if not lo <= sigma <= hi:
+                raise SpectralError(f"eigenvalue {sigma} outside the bracket [{lo}, {hi}]")
+            return sigma, v, n_neg
+    raise SpectralError("Rayleigh-quotient iteration did not converge in 20 steps")
 
 
 def resonance_pairing(grid, a=1.0):

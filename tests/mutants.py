@@ -124,6 +124,36 @@ MUTANTS = [
         "< 0.0)",
     ),
     (
+        "Sturm count takes the positive pivots",
+        "src/solmanifold/spectral.py",
+        "sum(p < 0.0 for p in _pivots(V, 0.0, dr2))",
+        "sum(p > 0.0 for p in _pivots(V, 0.0, dr2))",
+    ),
+    (
+        "spectral bisection keeps the wrong half",
+        "src/solmanifold/spectral.py",
+        "(lo, mid) if any(",
+        "(mid, hi) if any(",
+    ),
+    (
+        "solve's pivots drop the shift",
+        "src/solmanifold/spectral.py",
+        "_ldl_solve(_pivots(V, sigma, dr2)",
+        "_ldl_solve(_pivots(V, 0.0, dr2)",
+    ),
+    (
+        "Rayleigh update subtracts 1/<v, y>",
+        "src/solmanifold/spectral.py",
+        "sigma += step",
+        "sigma -= step",
+    ),
+    (
+        "pivots carried in the plain form 1 - 1/d",
+        "src/solmanifold/spectral.py",
+        "s = t / p",
+        "s = 1.0 - 1.0 / p",
+    ),
+    (
         "_csv writes 16 significant digits",
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',

@@ -33,22 +33,26 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_import_leaves_scipy_optimize_and_linalg_unloaded():
-    # a fresh process: the package imports neither, and scipy.linalg
-    # arrives with the first ground-state eigensolve
+def test_ground_state_and_a_run_load_no_scipy(tmp_path):
+    # a fresh process: the package, its ground-state eigensolve and one
+    # whole experiment run on numpy and the standard library alone
+    config = tmp_path / "stationarity.ini"
+    config.write_text("[experiment]\nname = stationarity\n[grid]\nR = 40\nn = 401\n[time]\nT = 6\n")
     code = (
         "import sys, solmanifold\n"
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+        "from solmanifold.experiments import ExperimentConfig, run\n"
         "solmanifold.ground_state(solmanifold.RadialGrid(R=20.0, n=201))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "cfg = ExperimentConfig.from_file(sys.argv[1])\n"
+        "cfg.output_dir = sys.argv[2]\n"
+        "print(run(cfg).passed, [m for m in sys.modules if m.startswith('scipy')])\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.split() == ["[]", "True"]
+    assert proc.stdout.split() == ["True", "[]"]
 
 
 def test_tracer_targets_resolve():

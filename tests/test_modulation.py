@@ -234,6 +234,22 @@ def test_streamed_rows_are_checked_finite(mod_grid):
         evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=10, consume=lambda *row: None)
 
 
+def test_nan_run_without_S_stops_at_its_first_tested_step(mod_grid):
+    # without S the overlap test sees nothing, so the sup test must catch a
+    # NaN: the dense run stops at step 2, and the stored and the streamed
+    # strided runs then fail alike on their non-finite rows
+    from solmanifold.grid import GridUsageError
+
+    dt = 0.8 * mod_grid.dr
+    psi0 = RadialField(mod_grid, np.full(mod_grid.n, np.nan))
+    run = evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=None)
+    assert run.status == "blowup"
+    assert run.departure_time == 2 * dt
+    for consume in (None, lambda *row: None):
+        with pytest.raises(GridUsageError, match="non-finite trajectory samples"):
+            evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=10, consume=consume)
+
+
 def test_nonlinear_memory_follows_stored_rows():
     # doubling T and stride together keeps the stored rows, so the peak
     # allocation stays put; storing every step would double it

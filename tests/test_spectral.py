@@ -12,7 +12,7 @@ from solmanifold import (
     project_continuous,
     x_pm,
 )
-from solmanifold import soliton
+from solmanifold import soliton, spectral
 from solmanifold.spectral import SpectralError
 
 from oracles import project_continuous_w, secular_projector
@@ -88,6 +88,47 @@ def test_negative_count_against_dense_solver():
     lams = _dense_spectrum(grid)
     assert S.k == pytest.approx(np.sqrt(-lams[0]), rel=1e-12)
     assert S.negative_count == int(np.sum(lams < 0)) == 1
+
+
+def _lapack_pair(grid, V):
+    """LAPACK's ground pair and negative count of the same tridiagonal (the oracle)."""
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
+    diag = 2.0 / grid.dr**2 + V
+    off = np.full(len(V) - 1, -1.0 / grid.dr**2)
+    lams, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    n_neg = len(eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)))
+    return float(lams[0]), vecs[:, 0], n_neg
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0])
+@pytest.mark.parametrize("n", [201, 801, 1601, 3201])
+def test_ground_state_against_lapack(monkeypatch, n, a):
+    # the same SpectralData with LAPACK's eigenpair in place of the Sturm
+    # count and Rayleigh-quotient iteration; g compared after the sign fix
+    grid = RadialGrid(R=20.0, n=n)
+    S = ground_state(grid, a)
+    monkeypatch.setattr(spectral, "_ground_pair", _lapack_pair)
+    L = ground_state(grid, a)
+    assert S.k == pytest.approx(L.k, rel=1e-12)
+    assert np.max(np.abs(S.g.values - L.g.values)) <= 1e-12
+    assert S.negative_count == L.negative_count == 1
+    assert S.residual <= 2.0 * L.residual
+
+
+def test_sturm_count_against_lapack_on_a_deep_well():
+    # 30 V binds several states: the negative pivots at every shift between
+    # two of LAPACK's eigenvalues count the eigenvalues below it
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    grid = RadialGrid(R=20.0, n=201)
+    V = 30.0 * soliton.potential(grid.r[1:-1])
+    lams = eigvalsh_tridiagonal(2.0 / grid.dr**2 + V, np.full(len(V) - 1, -1.0 / grid.dr**2))
+    m = int(np.sum(lams < 0.0))
+    assert m > 2
+    shifts = np.concatenate([[lams[0] - 1.0], 0.5 * (lams[:m] + lams[1 : m + 1]), [0.0]])
+    counts = [sum(p < 0.0 for p in spectral._pivots(V, sigma, grid.dr**2)) for sigma in shifts]
+    assert counts == [int(np.sum(lams < sigma)) for sigma in shifts]
 
 
 def test_no_negative_eigenvalue_error(monkeypatch):
