@@ -26,6 +26,7 @@ from .modulation import (
     modulation_rate_series,
     nonlinearity,
     picard_map,
+    picard_transport,
     shoot_h,
     trajectory_modulation,
     x_norm,

@@ -35,7 +35,7 @@ from .experiments import (
     validate,
 )
 from .grid import RadialField, l2_norm
-from .modulation import make_query, picard_map
+from .modulation import make_query, picard_map, picard_transport
 from .spectral import ground_state, spectrum_report
 
 
@@ -105,9 +105,10 @@ def _cmd_manifold(args):
         _write(args.out, "trajectory.csv", _csv(zip(*cols), "t,a,adot,x_plus,x_minus,g_overlap"))
         out["diagnostics"] = [asdict(d) for d in traj.diagnostics]
     if args.method in ("picard", "both"):
-        it = picard_map(None, None, None, query, S, args.T, dt)
+        transport = picard_transport(S, args.T, dt)
+        it = picard_map(None, None, None, query, S, args.T, dt, transport)
         for _ in range(args.picard_iters - 1):
-            it = picard_map(it.u, it.a, it.adot, query, S, args.T, dt)
+            it = picard_map(it.u, it.a, it.adot, query, S, args.T, dt, transport)
         out["picard"] = {
             "h": it.h,
             "method": "picard",

@@ -39,6 +39,7 @@ from .modulation import (
     h_fixed_point,
     make_query,
     picard_map,
+    picard_transport,
     shoot_h,
     trajectory_modulation,
     x_norm,
@@ -598,10 +599,9 @@ _TRIM = 4.0
 
 
 def _shoot_point(args):
-    cfg, eps = args
-    grid = cfg.grid()
+    cfg, S, eps = args
+    grid = S.grid
     T, dt = cfg.T, cfg.timestep(grid)
-    S = ground_state(grid)
     query = seeded_query(grid, S, eps, cfg.seed)
     res = shoot_h(query, S, T, dt)
     # fixed-point h from the on-manifold trajectory, trimmed by _TRIM; the
@@ -631,7 +631,8 @@ def _shoot_point(args):
 
 
 def _run_h_scaling(cfg, outdir, report):
-    results = _pmap(_shoot_point, [(cfg, e) for e in cfg.sweep], cfg.workers)
+    S = ground_state(cfg.grid())
+    results = _pmap(_shoot_point, [(cfg, S, e) for e in cfg.sweep], cfg.workers)
     report.records.extend(results)
     eps = [r["eps"] for r in results]
     hs = [abs(r["h_shoot"]) for r in results]
@@ -772,14 +773,16 @@ def _run_contraction(cfg, outdir, report):
     dt = cfg.timestep(grid)
     S = ground_state(grid)
     T = min(cfg.T, grid.budget_horizon())
+    # one transport of q each way serves the 4 iterates of every eps
+    transport = picard_transport(S, T, dt)
     ratios = []
     for e in cfg.sweep:
         query = seeded_query(grid, S, e, cfg.seed)
-        p1 = picard_map(None, None, None, query, S, T, dt)
+        p1 = picard_map(None, None, None, query, S, T, dt, transport)
         q2 = seeded_query(grid, S, e, cfg.seed + 1)
-        p2 = picard_map(None, None, None, q2, S, T, dt)
-        f1 = picard_map(p1.u, p1.a, p1.adot, query, S, T, dt)
-        f2 = picard_map(p2.u, p2.a, p2.adot, query, S, T, dt)
+        p2 = picard_map(None, None, None, q2, S, T, dt, transport)
+        f1 = picard_map(p1.u, p1.a, p1.adot, query, S, T, dt, transport)
+        f2 = picard_map(p2.u, p2.a, p2.adot, query, S, T, dt, transport)
         num = x_norm(
             SpaceTimeField(grid, dt, f1.u.samples - f2.u.samples), f1.adot - f2.adot, dt
         )

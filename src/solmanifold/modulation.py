@@ -39,6 +39,7 @@ from .grid import (
 from .norms import NormReport, lorentz_norm, mixed_norm
 from .propagators import (
     SpaceTimeField,
+    _check_transport,
     _leapfrog,
     _resonance_transport,
     evolve_linear_perturbed,
@@ -436,10 +437,10 @@ class _Sources:
     """The modulation source of one frozen history (u0, a0, adot0).
 
     Assembled once per Picard iterate; h, x_pm, the modulation rate and
-    P_c u all read from it.
+    P_c u all read from it.  The zero history has no source (_no_source).
     """
 
-    F: np.ndarray         # (V - V(a)) u0 + N(u0, phi(a)), shape (M+1, n)
+    F: np.ndarray         # (V - V(a)) u0 + N(u0, phi(a)), shape (M+1, n), or None: no source
     D: np.ndarray         # adot0 * defect(a0), or None without an adot history
     Fg: np.ndarray        # <F_j, g>_w
     gamma: np.ndarray     # <phi(a_j) - phi, g>_w
@@ -493,6 +494,17 @@ def _assemble(samples, a0, adot0, S):
         gamma=FOUR_PI * grid.dr * gamma,
         residual=FOUR_PI * grid.dr * residual,
     )
+
+
+def _no_source(M):
+    """The _Sources of the zero history on M steps: F and D are None, the pairings 0.
+
+    There u0 = 0 and a0 = S.a, so F = (V - V(S.a)) 0 + N(0, phi) and
+    D = 0 * defect vanish identically, and so does every pairing _assemble
+    would make of them.
+    """
+    zeros = np.zeros(M + 1)
+    return _Sources(F=None, D=None, Fg=zeros, gamma=zeros, residual=zeros)
 
 
 def _window(S):  # relative, and read at call time
@@ -576,7 +588,7 @@ def _xpm_from(src, data0, data1, S, dt):
     # step m damped by decay^|m-i|, one lower-triangular matrix for both
     decay = np.exp(-k * dt)
     lag = np.subtract.outer(np.arange(M), np.arange(M))
-    L = np.tril(decay ** np.maximum(lag, 0))
+    L = np.tril((decay ** np.arange(M))[np.maximum(lag, 0)])
     fwd = 0.5 * dt * (w2g[1:] + w2g[:-1] * decay)
     bwd = 0.5 * dt * (w2g[:-1] + w2g[1:] * decay)
 
@@ -600,19 +612,28 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     return _xpm_from(src, *_offset_data(query, S, h), S, u0_traj.dt)
 
 
-def _resonance_pairings(data0, data1, src, S, T, dt):
+def picard_transport(S, T, dt):
+    """The sine and cosine transports of q = V(S.a) dphi_da(S.a) over [0, T] at dt.
+
+    They depend on (S, T, dt) alone: make the pair once and hand it to every
+    picard_map call on those.
+    """
+    return tuple(_resonance_transport(S.grid, S.a, T, dt, kind) for kind in ("sine", "cosine"))
+
+
+def _resonance_pairings(data0, data1, src, transport):
     """The data pairings and the Duhamel kernel, from one transport of q each way.
 
     base[i] = <cos-free(t_i) data0 + sine-free(t_i) data1, q> and
     B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q, t_i)> (None
     without a source), q = V dphi.  Self-adjointness of the free evolutions
     turns every pairing against q into a pairing with the free evolution of
-    q, so the two transports of q serve the data and every source slice.
+    q, so the two transports of q, the picard_transport pair, serve the data
+    and every source slice.
     """
-    Esin, w = _resonance_transport(S.grid, S.a, T, dt, "sine")
-    Ecos, _ = _resonance_transport(S.grid, S.a, T, dt, "cosine")
+    (Esin, w), (Ecos, _) = transport
     base = Ecos @ (w * data0.values) + Esin @ (w * data1.values)
-    B = None if src is None else (src.F * w) @ Esin.T - (src.D * w) @ Ecos.T
+    B = None if src.F is None else (src.F * w) @ Esin.T - (src.D * w) @ Ecos.T
     return base, B
 
 
@@ -660,8 +681,11 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     evolutions: the data and each source slice are paired against the
     free evolution of the weight V dphi (_resonance_pairings).
     """
-    src = None if u0_traj is None else _assemble(u0_traj.samples, a0, adot0, S)
-    base, B = _resonance_pairings(data0, data1, src, S, T, dt)
+    if u0_traj is None:
+        src = _no_source(int(round(T / dt)))
+    else:
+        src = _assemble(u0_traj.samples, a0, adot0, S)
+    base, B = _resonance_pairings(data0, data1, src, picard_transport(S, T, dt))
     return _rate_from(a0, S, base, B, dt)
 
 
@@ -689,36 +713,43 @@ class PicardIterate:
     tail_bound: float
 
 
-def picard_map(u0_traj, a0, adot0, query, S, T, dt):
+def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
     """One application of the linearized-system solution map (u0, a0) -> (u, a).
 
     Computes h from the boundedness condition, the new modulation rate from
     the free-evolution condition, the continuous-spectrum part from the
     secularly decomposed Duhamel form, and the discrete-spectrum part from
-    the x_pm integrals.  The source of the frozen history is assembled once,
-    and q = V dphi is transported once each way, for all four parts.
+    the x_pm integrals.  The source of the frozen history is assembled once
+    for all four parts; u0_traj None is the zero history (u0, a0, adot0) =
+    (0, S.a, 0), which has no source at all.  transport is the
+    picard_transport pair of (S, T, dt), made here when None: a caller
+    iterating on one (S, T, dt) makes it once and hands it to every call.
     """
     grid = S.grid
     M = int(round(T / dt))
+    if transport is None:
+        transport = picard_transport(S, T, dt)
+    for E, _ in transport:
+        _check_transport(E, grid, T, dt)
     if u0_traj is None:
-        u0_traj = SpaceTimeField(grid, dt, np.zeros((M + 1, grid.n)))
         a0 = np.full(M + 1, S.a)
-        adot0 = np.zeros(M + 1)
-    a0 = _check_history(u0_traj.samples, a0, adot0, S)
-    src = _assemble(u0_traj.samples, a0, adot0, S)
+        src = _no_source(M)
+    else:
+        a0 = _check_history(u0_traj.samples, a0, adot0, S)
+        src = _assemble(u0_traj.samples, a0, adot0, S)
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
     pg1 = pair_w(query.psi1, S.g)
-    h, tail = _h_from(src, u0_traj.dt, S, pg0, pg1)
+    h, tail = _h_from(src, dt, S, pg0, pg1)
 
     data0, data1 = _offset_data(query, S, h)
-    base, B = _resonance_pairings(data0, data1, src, S, T, dt)
+    base, B = _resonance_pairings(data0, data1, src, transport)
 
     adot = _rate_from(a0, S, base, B, dt)
     a = S.a + cumulative_trapezoid(adot, dx=dt)
 
     pcu = _pc_u_series(data0, data1, src, base, B, S, T, dt)
-    xp, xm, xtail = _xpm_from(src, data0, data1, S, u0_traj.dt)
+    xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
     coef = (xp + xm) / np.sqrt(2.0 * S.k)
     u = SpaceTimeField(grid, dt, pcu.samples + np.outer(coef, S.g.values))
     return PicardIterate(
@@ -735,27 +766,33 @@ def _pc_u_series(data0, data1, src, base, B, S, T, dt):
     The evolution is linear, so one leapfrog run with data (data0, data1)
     and source F gives the first three terms together; the defect Duhamel
     takes a second run, whose centred time derivative turns its sine
-    Duhamel into the cosine one.  project_out=S is their only P_c: raw and
-    P_c-projected inputs give the same states in exact arithmetic (see
-    evolve_linear_perturbed).  The minus on the defect Duhamel matches
-    modulation_rate_series (see the sign discussion there).
-    base and B are the summed data pairings and the Duhamel kernel of
-    _resonance_pairings, which modulation_rate_series reads too.
+    Duhamel into the cosine one.  The zero history has no source (src.F
+    and src.D None): its one run has none, and there is no second run.
+    project_out=S is their only P_c: raw and P_c-projected inputs give the
+    same states in exact arithmetic (see evolve_linear_perturbed).  The
+    minus on the defect Duhamel matches modulation_rate_series (see the
+    sign discussion there).  base and B are the summed data pairings and
+    the Duhamel kernel (None without a source) of _resonance_pairings,
+    which modulation_rate_series reads too.
     """
     grid = S.grid
     cQ = secular_coefficient(S)
     resv = S.resonance.values
 
-    F, D = SpaceTimeField(grid, dt, src.F), SpaceTimeField(grid, dt, src.D)
+    F = None if src.F is None else SpaceTimeField(grid, dt, src.F)
     out = evolve_linear_perturbed(data0, data1, F, T, dt, a=S.a, project_out=S).samples
-    zero = grid.zeros()
-    zs = evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S).samples
-    if zs.shape[0] >= 3:
-        out[1:] -= np.gradient(zs, dt, axis=0)[1:]
+    if src.D is not None:
+        zero = grid.zeros()
+        D = SpaceTimeField(grid, dt, src.D)
+        zs = evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S).samples
+        if zs.shape[0] >= 3:
+            out[1:] -= np.gradient(zs, dt, axis=0)[1:]
 
     # secular parts: Q acting on the accumulated free evolutions of the data
     # and of the Duhamel sources
-    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(B, dt)
+    sec = cumulative_trapezoid(base, dx=dt)
+    if B is not None:
+        sec += _secular_sums(B, dt)
     out += np.outer(cQ * sec, resv)
     return SpaceTimeField(grid, dt, out)
 

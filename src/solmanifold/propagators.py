@@ -239,6 +239,12 @@ def _resonance_transport(grid, a, T, dt, kind):
     return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
 
 
+def _check_transport(E, grid, T, dt):
+    """Raise GridUsageError unless the q transport E covers [0, T] at dt on the whole grid."""
+    if E.shape != (int(round(T / dt)) + 1, grid.n):
+        raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
+
+
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
               radius=None, emit=None):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
@@ -418,8 +424,7 @@ def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius):
     grid = f.grid
     grid.require_budget(T)
     E, w = transport if transport is not None else _resonance_transport(grid, S.a, T, dt, kind)
-    if E.shape != (int(round(T / dt)) + 1, grid.n):
-        raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
+    _check_transport(E, grid, T, dt)
     data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
     full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S,
                                    radius=radius)

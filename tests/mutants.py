@@ -154,6 +154,24 @@ MUTANTS = [
         "s = 1.0 - 1.0 / p",
     ),
     (
+        "contraction hands the sine transport for both kinds",
+        "src/solmanifold/experiments.py",
+        "transport = picard_transport(S, T, dt)",
+        "transport = (picard_transport(S, T, dt)[0],) * 2",
+    ),
+    (
+        "_pc_u_series drops the defect run for a non-zero history",
+        "src/solmanifold/modulation.py",
+        "if src.D is not None:",
+        "if False:",
+    ),
+    (
+        "zero-history iterate drops data1 from its run",
+        "src/solmanifold/modulation.py",
+        "evolve_linear_perturbed(data0, data1, F,",
+        "evolve_linear_perturbed(data0, data1 if F is not None else grid.zeros(), F,",
+    ),
+    (
         "_csv writes 16 significant digits",
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',

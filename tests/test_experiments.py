@@ -415,3 +415,35 @@ values = 1e-4
     monkeypatch.setattr(ex, "shoot_h", spy)
     run(cfg)
     assert seen == [(30.0, 301, 15.0, 10.0, 0.07)]
+
+
+@pytest.mark.parametrize("caller", ["contraction", "cli"])
+def test_picard_callers_share_one_transport_of_their_grid(tmp_path, monkeypatch, caller):
+    # every iterate of a run is handed the same (sine, cosine) pair, and it
+    # is the one picard_transport makes for the iterate's (S, T, dt)
+    import solmanifold.cli as cli
+    import solmanifold.experiments as ex
+    from solmanifold.modulation import picard_transport
+
+    pairs = []
+    picard_map = ex.picard_map
+
+    def spy(u0, a0, adot0, query, S, T, dt, transport=None):
+        pairs.append(transport)
+        for (E, w), (E_ref, w_ref) in zip(transport, picard_transport(S, T, dt), strict=True):
+            assert np.array_equal(E, E_ref) and np.array_equal(w, w_ref)
+        return picard_map(u0, a0, adot0, query, S, T, dt, transport)
+
+    monkeypatch.setattr(ex, "picard_map", spy)
+    monkeypatch.setattr(cli, "picard_map", spy)
+    if caller == "contraction":
+        text = BASE.replace("stationarity", "contraction").replace("T = 6", "T = 12")
+        path = write_config(tmp_path, text + "\n[sweep]\nvalues = 1e-3\n")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        calls = 4
+    else:
+        argv = ["manifold", "--R", "40", "--n", "401", "--R-obs", "12", "--T", "12",
+                "--method", "picard", "--picard-iters", "3"]
+        assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+        calls = 3
+    assert len(pairs) == calls and all(p is pairs[0] for p in pairs)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,19 @@ from solmanifold import (
     make_query,
     nonlinearity,
     picard_map,
+    picard_transport,
     shoot_h,
     trajectory_modulation,
     x_norm,
     xpm_evolution,
 )
-from solmanifold import soliton
+from solmanifold import GridUsageError, soliton
 from solmanifold.grid import pair_w
 from solmanifold.modulation import (
     _ROWS,
     LeftModulationWindow,
     ManifoldQuery,
+    PicardIterate,
     _modulation_series,
     _quintic_force,
     _series_roots,
@@ -39,6 +43,13 @@ def query_mod(mod_grid, S_mod):
     b = mod_grid.field(np.exp(-((mod_grid.r - 2.0) ** 2)))
     nb = np.sqrt(inner_product(b, b))
     return make_query(S_mod, RadialField(mod_grid, 4e-4 * b.values / nb), mod_grid.zeros())
+
+
+@pytest.fixture(scope="module")
+def query_psi1(mod_grid, S_mod, query_mod):
+    """query_mod with a velocity: psi1 has a continuous-spectrum part."""
+    psi1 = mod_grid.field(2e-4 * mod_grid.r * np.exp(-((mod_grid.r - 3.0) ** 2)))
+    return make_query(S_mod, query_mod.psi0_perturbation, psi1)
 
 
 @pytest.fixture(scope="module")
@@ -902,7 +913,7 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     data0 = query_mod.psi0_perturbation
     data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
     src = _assemble(u0.samples, a0, adot0, S_mod)
-    base, B = _resonance_pairings(data0, data1, src, S_mod, T, dt)
+    base, B = _resonance_pairings(data0, data1, src, picard_transport(S_mod, T, dt))
     got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt).samples
     _, _, base_ref = _q_side_pairings(data0, data1, S_mod, T, dt)
     assert _rel_err(base, base_ref) < 1e-10
@@ -934,9 +945,11 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
 
 
 def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, query_mod):
-    # q = V dphi once each way serves the data and the source pairings, and
-    # two leapfrog runs (data with the F source, and the defect source);
-    # counted under every name bound in modulation and in propagators, so no
+    # q = V dphi is transported once each way per call, or never when the
+    # caller hands the pair in; the data and source pairings all read it.
+    # Leapfrog runs: the data with the F source and the defect source, or
+    # for the zero history, which has no source, the data alone.  Counted
+    # under every name bound in modulation and in propagators, so no
     # evolution hides
     import solmanifold.modulation as mod
     import solmanifold.propagators as prop
@@ -954,10 +967,55 @@ def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, quer
 
             monkeypatch.setattr(module, name, counted)
     u0, a0, adot0 = history
-    picard_map(u0, a0, adot0, query_mod, S_mod, u0.horizon, u0.dt)
-    assert sorted(calls) == (
-        ["evolve_linear_perturbed"] * 2 + ["free_cosine_traj"] + ["free_sine_traj"]
-    )
+    T, dt = u0.horizon, u0.dt
+    transport = picard_transport(S_mod, T, dt)
+    assert sorted(calls) == ["free_cosine_traj", "free_sine_traj"]
+    for history_args, runs in (((u0, a0, adot0), 2), ((None, None, None), 1)):
+        for pair, transports in ((transport, []), (None, ["free_cosine_traj", "free_sine_traj"])):
+            calls.clear()
+            picard_map(*history_args, query_mod, S_mod, T, dt, pair)
+            assert sorted(calls) == ["evolve_linear_perturbed"] * runs + transports
+
+
+def _assert_iterates_equal(got, ref):
+    for f in fields(PicardIterate):
+        x, y = getattr(got, f.name), getattr(ref, f.name)
+        if f.name == "u":
+            assert x.dt == y.dt
+            x, y = x.samples, y.samples
+        assert np.array_equal(x, y), f.name
+
+
+def test_zero_history_iterate_equals_explicit_zero_history(mod_grid, S_mod, query_psi1):
+    # u0_traj None skips the source: its (V - V(S.a)) 0 + N(0, phi) and
+    # 0 * defect vanish, so the iterate is the one of the explicit zero
+    # history (0, S.a, 0), bit for bit
+    T, dt = 8.0, 0.8 * mod_grid.dr
+    M = int(round(T / dt))
+    zero = SpaceTimeField(mod_grid, dt, np.zeros((M + 1, mod_grid.n)))
+    got = picard_map(None, None, None, query_psi1, S_mod, T, dt)
+    ref = picard_map(zero, np.full(M + 1, S_mod.a), np.zeros(M + 1), query_psi1, S_mod, T, dt)
+    assert np.max(np.abs(got.adot)) > 0.0 and got.h != 0.0
+    _assert_iterates_equal(got, ref)
+
+
+def test_shared_transport_gives_the_same_iterate(history, S_mod, query_psi1):
+    u0, a0, adot0 = history
+    T, dt = u0.horizon, u0.dt
+    transport = picard_transport(S_mod, T, dt)
+    for args in ((u0, a0, adot0), (None, None, None)):
+        got = picard_map(*args, query_psi1, S_mod, T, dt, transport)
+        _assert_iterates_equal(got, picard_map(*args, query_psi1, S_mod, T, dt))
+
+
+def test_picard_transport_of_another_grid_raises(history, S_mod, query_mod):
+    u0, a0, adot0 = history
+    T, dt = u0.horizon, u0.dt
+    sine, cosine = picard_transport(S_mod, T, dt)
+    for other in (picard_transport(S_mod, T / 2, dt), picard_transport(S_mod, T, dt / 2)):
+        for pair in (other, (sine, other[1]), (other[0], cosine)):
+            with pytest.raises(GridUsageError, match="q transport"):
+                picard_map(u0, a0, adot0, query_mod, S_mod, T, dt, pair)
 
 
 def _bisect_h(query, S, T, dt):
