@@ -44,7 +44,7 @@ from .modulation import (
     trajectory_modulation,
     x_norm,
 )
-from .norms import energy, lorentz_norm, mixed_norm
+from .norms import TimeProfiles, energy, lorentz_norm, mixed_norm
 from .propagators import (
     PropagatorError,
     SpaceTimeField,
@@ -459,42 +459,51 @@ def _strichartz_constants(grid, dt, T, members, mode):
     propagator of the mode (free transport, or the dispersive part of the
     perturbed evolution); every mixed norm is 1-homogeneous in the data, so
     dividing it by the member's L2, H1 or L^{3/2,1} size gives the constant
-    of the normalised member.  The norms read only the observation ball, so
-    every trajectory holds only its nodes, and the perturbed mode solves for
-    the ground state of grid and transports q once per kind for all members.
+    of the normalised member.  The norms read only the observation ball:
+    each evolution streams the rows of its nodes, block by block, into one
+    TimeProfiles per kind, and no trajectory is stored.  The perturbed mode
+    solves for the ground state of grid, replaces each member f by its
+    continuous part f - (<f, g>_w / <g, g>_w) g in the scheme pairing, and
+    transports q once per kind for all members.
     """
     radius = grid.R_obs
     if mode == "free":
 
-        def sine(f):
-            return free_sine_traj(f, T, dt, radius=radius)
+        def sine(f, consume):
+            free_sine_traj(f, T, dt, radius=radius, consume=consume)
 
-        def cosine(f):
-            return free_cosine_traj(f, T, dt, radius=radius)
+        def cosine(f, consume):
+            free_cosine_traj(f, T, dt, radius=radius, consume=consume)
 
     else:
         S = ground_state(grid)
+        # the split evolves P_c f, and builds its secular side from the f it
+        # is given: each member is projected once, and measured as projected
+        members = [grid.field(f.values - (pair_w(f, S.g) / S.gg_w) * S.g.values)
+                   for f in members]
         E_sine = _resonance_transport(grid, S.a, T, dt, "sine")
         E_cosine = _resonance_transport(grid, S.a, T, dt, "cosine")
 
-        def sine(f):
-            return secular_decomposition_S(f, T, dt, S, transport=E_sine, radius=radius)[0]
+        def sine(f, consume):
+            secular_decomposition_S(f, T, dt, S, transport=E_sine, radius=radius, consume=consume)
 
-        def cosine(f):
-            return secular_decomposition_C(f, T, dt, S, transport=E_cosine, radius=radius)[0]
+        def cosine(f, consume):
+            secular_decomposition_C(f, T, dt, S, transport=E_cosine, radius=radius,
+                                    consume=consume)
 
     rows = []
     for i, f in enumerate(members):
-        straj = sine(f)
-        ctraj = cosine(f)
+        s, c = TimeProfiles(grid, dt, radius), TimeProfiles(grid, dt, radius)
+        sine(f, s.add)
+        cosine(f, c.add)
         l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
         rows.append((
             i,
-            mixed_norm(straj, ("lorentz", 6, 2), "Linf_t") / l2,
-            mixed_norm(straj, "Linf_x", "L2_t") / l2,
-            mixed_norm(ctraj, ("lorentz", 6, 2), "Linf_t") / h1,
-            mixed_norm(ctraj, "Linf_x", "L2_t") / h1,
-            mixed_norm(straj, "Linf_x", "L1_t") / l321,
+            s.norm(("lorentz", 6, 2), "Linf_t") / l2,
+            s.norm("Linf_x", "L2_t") / l2,
+            c.norm(("lorentz", 6, 2), "Linf_t") / h1,
+            c.norm("Linf_x", "L2_t") / h1,
+            s.norm("Linf_x", "L1_t") / l321,
         ))
     return rows
 

@@ -36,7 +36,7 @@ from .grid import (
     l2_norm,
     pair_w,
 )
-from .norms import NormReport, lorentz_norm, mixed_norm
+from .norms import NormReport, TimeProfiles, lorentz_norm
 from .propagators import (
     SpaceTimeField,
     _check_transport,
@@ -570,7 +570,10 @@ def _d2_series(y, dt):
 def _xpm_from(src, data0, data1, S, dt):
     """x_plus, x_minus and the tail bound from an assembled source.
 
-    (data0, data1) is the offset data pair (p + h g, p1 + h k g).
+    (data0, data1) is the offset data pair (p + h g, p1 + h k g).  Where
+    w2g vanishes, as for the zero history, both integrals vanish: x_minus is
+    e^{-kt} x_minus(0), and x_plus and the tail bound are 0 (+0.0, never
+    the -0.0 that -c * (L.T @ 0) would give).
     """
     k = S.k
     c = 1.0 / np.sqrt(2.0 * k)
@@ -582,6 +585,9 @@ def _xpm_from(src, data0, data1, S, dt):
 
     # x_minus(0) from the corrected data pair
     x_minus0 = c * (k * pair_w(data0, S.g) - pair_w(data1, S.g))
+    xm = np.exp(-k * dt * np.arange(M + 1)) * x_minus0
+    if not w2g.any():
+        return np.zeros(M + 1), xm, 0.0
 
     # trapezoid steps of e^{-k(t-s)} w2g(s), accumulated forward from t = 0
     # for x_minus and backward from the horizon for x_plus: step i reaches
@@ -592,7 +598,6 @@ def _xpm_from(src, data0, data1, S, dt):
     fwd = 0.5 * dt * (w2g[1:] + w2g[:-1] * decay)
     bwd = 0.5 * dt * (w2g[:-1] + w2g[1:] * decay)
 
-    xm = np.exp(-k * dt * np.arange(M + 1)) * x_minus0
     xm[1:] -= c * (L @ fwd)
     xp = np.zeros(M + 1)
     xp[:-1] = -c * (L.T @ bwd)
@@ -690,11 +695,15 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
 
 
 def x_norm(u_traj, adot, dt):
-    """Distance in the iteration space X: trajectory mixed norms + adot norms."""
+    """Distance in the iteration space X: trajectory mixed norms + adot norms.
+
+    The three mixed norms come from one TimeProfiles pass over the trajectory.
+    """
+    profiles = TimeProfiles.of(u_traj)
     mixed = max(
-        mixed_norm(u_traj, ("lorentz", 6, 2), "Linf_t"),
-        mixed_norm(u_traj, "Linf_x", "L2_t"),
-        mixed_norm(u_traj, "Linf_x", "L1_t"),
+        profiles.norm(("lorentz", 6, 2), "Linf_t"),
+        profiles.norm("Linf_x", "L2_t"),
+        profiles.norm("Linf_x", "L1_t"),
     )
     adot = np.asarray(adot)
     l1 = float(np.sum(np.abs(adot)) * dt)
@@ -880,10 +889,11 @@ def trajectory_modulation(run, S):
     # the Simpson pairing of every row with g that x_pm makes
     ov = u_samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values)
     adot_l1 = float(np.sum(np.abs(adot)) * dt)
+    profiles = TimeProfiles.of(u_traj)
     diags = [
         NormReport(
             kind=kind,
-            value=mixed_norm(u_traj, outer, inner),
+            value=profiles.norm(outer, inner),
             R=grid.R,
             R_obs=grid.R_obs,
             n=grid.n,

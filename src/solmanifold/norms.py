@@ -17,6 +17,7 @@ from .grid import GridUsageError, h1_seminorm, inner_product
 
 __all__ = [
     "NormReport",
+    "TimeProfiles",
     "lorentz_norm",
     "mixed_norm",
     "energy",
@@ -81,14 +82,81 @@ def lorentz_norm(f, p, q, radius=None):
 _INNER_TAGS = ("Linf_t", "L2_t", "L1_t")
 
 
-def _inner_time_profile(samples, dt, inner):
-    if inner == "Linf_t":
-        return np.max(np.abs(samples), axis=0)
-    if inner == "L2_t":
-        return np.sqrt(np.sum(samples**2, axis=0) * dt)
-    if inner == "L1_t":
-        return np.sum(np.abs(samples), axis=0) * dt
-    raise GridUsageError(f"unknown inner time norm {inner!r} (use one of {_INNER_TAGS})")
+def _carried(reduce, buf, running):
+    """reduce(buf, axis=0), with the running value as row 0 of buf when there is one."""
+    if running is None:
+        return reduce(buf, axis=0)
+    buf[0] = running
+    return reduce(buf, axis=0, out=running)
+
+
+class TimeProfiles:
+    """Inner time norms, per node, of a trajectory whose rows arrive in blocks.
+
+    For each node of the ball of the given radius (default R_obs) it keeps
+    the running max |v|, sum v^2 and sum |v| of the rows fed so far: the
+    Linf_t, L2_t and L1_t profiles.  A later block is reduced with the
+    running values as its row 0: numpy adds the rows of a C-ordered stack
+    along axis 0 in order, so any blocking gives the sums of the whole
+    stack bit for bit, and no block outlives its add call.
+    """
+
+    def __init__(self, grid, dt, radius=None):
+        self.grid = grid
+        self.dt = dt
+        self.radius = grid.R_obs if radius is None else radius
+        self.inside = grid.obs_slice(self.radius)
+        self._peak = self._l2 = self._l1 = None
+        self._buf = np.empty((0, self.inside.stop))
+
+    @classmethod
+    def of(cls, u, radius=None):
+        """The profiles of a stored trajectory u, fed as one block."""
+        profiles = cls(u.grid, u.dt, radius)
+        profiles.add(u.samples)
+        return profiles
+
+    def add(self, block):
+        """Fold in the next rows of the trajectory; block must hold the ball's nodes."""
+        cols = self.inside.stop
+        if block.shape[1] < cols:
+            raise GridUsageError(f"radius {self.radius} needs {cols} nodes, "
+                                 f"the trajectory holds {block.shape[1]}")
+        lead = 0 if self._peak is None else 1  # row 0 carries the running values
+        if len(self._buf) < len(block) + lead:
+            self._buf = np.empty((len(block) + lead, cols))
+        buf = self._buf[: len(block) + lead]
+        mags = buf[lead:]
+        np.abs(block[:, :cols], out=mags)
+        self._peak = _carried(np.max, buf, self._peak)
+        self._l1 = _carried(np.sum, buf, self._l1)
+        np.square(mags, out=mags)  # |v| |v| == v v exactly
+        self._l2 = _carried(np.sum, buf, self._l2)
+
+    def profile(self, inner):
+        """The inner time norm ("Linf_t" | "L2_t" | "L1_t") at each node of the ball."""
+        if self._peak is None:
+            raise GridUsageError("no trajectory rows were added")
+        if not np.all(np.isfinite(self._peak)):
+            raise GridUsageError("non-finite trajectory samples")
+        if inner == "Linf_t":
+            return self._peak
+        if inner == "L2_t":
+            return np.sqrt(self._l2 * self.dt)
+        if inner == "L1_t":
+            return self._l1 * self.dt
+        raise GridUsageError(f"unknown inner time norm {inner!r} (use one of {_INNER_TAGS})")
+
+    def norm(self, outer, inner):
+        """Space-outer norm ("Linf_x" or ("lorentz", p, q)) of an inner time profile."""
+        profile = self.profile(inner)
+        if outer == "Linf_x":
+            return float(np.max(np.abs(profile)))
+        if isinstance(outer, tuple) and outer[0] == "lorentz":
+            full = np.zeros(self.grid.n)
+            full[self.inside] = profile
+            return lorentz_norm(self.grid.field(full), outer[1], outer[2], radius=self.radius)
+        raise GridUsageError(f"unknown outer norm {outer!r}")
 
 
 def mixed_norm(u, outer, inner, radius=None):
@@ -100,20 +168,7 @@ def mixed_norm(u, outer, inner, radius=None):
     Only the nodes inside that ball are read; a bounded trajectory must
     hold them all.
     """
-    grid = u.grid
-    if radius is None:
-        radius = grid.R_obs
-    inside = grid.obs_slice(radius)
-    if inside.stop > u.samples.shape[1]:
-        raise GridUsageError(f"radius {radius} needs {inside.stop} nodes, "
-                             f"the trajectory holds {u.samples.shape[1]}")
-    profile = np.zeros(grid.n)
-    profile[inside] = _inner_time_profile(u.samples[:, inside], u.dt, inner)
-    if outer == "Linf_x":
-        return float(np.max(np.abs(profile[inside])))
-    if isinstance(outer, tuple) and outer[0] == "lorentz":
-        return lorentz_norm(grid.field(profile), outer[1], outer[2], radius=radius)
-    raise GridUsageError(f"unknown outer norm {outer!r}")
+    return TimeProfiles.of(u, radius).norm(outer, inner)
 
 
 def energy(psi, psi_t):

@@ -14,7 +14,9 @@ reduces each snapshot as it is made.  Both
 the transport and the leapfrog also store only the columns their callers
 read: given a radius, a trajectory holds the nodes of that ball (the mixed
 norms read only the observation ball), while the leapfrog still evolves,
-projects and checks the whole state.
+projects and checks the whole state.  Given a consumer, the free
+trajectories and the secular split store no trajectory at all: their rows
+go to it in blocks of about BLOCK_BYTES as they are made.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ class _Transport:
     def at(self, name, x):
         return np.interp(x, self.x, self.values[name])
 
-    def half_sums(self, name, op, M, dt, cols):
-        """Rows m = 0..M of op(F(r + m dt), F(r - m dt)) / 2 for F = W, w or d,
-        at the first cols nodes.
+    def half_sums(self, name, op, m0, dt, out):
+        """Rows m = m0, m0+1, ... of op(F(r + m dt), F(r - m dt)) / 2 for
+        F = W, w or d, into out, one row per row of out, at its columns.
 
         When dt is a whole number s of cells, row m pairs two windows of the
         extended node values shifted by +-m*s cells: no interpolation, and
@@ -135,19 +137,18 @@ class _Transport:
         interpolation covers every row.
         """
         grid = self.grid
+        rows, cols = out.shape
         half = 0.5 * self.values[name]  # exact: op(a/2, b/2) == op(a, b)/2
-        out = np.empty((M + 1, cols))
         s = dt / grid.dr
         cells = int(round(s))
         if cells >= 1 and abs(s - cells) <= 1e-12 * s:
-            K = self.K
+            K, shift = self.K, m0 * cells
             windows = sliding_window_view(half, cols)
-            op(windows[K::cells][: M + 1], windows[K::-cells][: M + 1], out=out)
+            op(windows[K + shift::cells][:rows], windows[K - shift::-cells][:rows], out=out)
         else:
-            t = (dt * np.arange(M + 1))[:, None]
+            t = (dt * np.arange(m0, m0 + rows))[:, None]
             r = grid.r[:cols]
             op(np.interp(r + t, self.x, half), np.interp(r - t, self.x, half), out=out)
-        return out
 
 
 def _columns(grid, radius):
@@ -158,29 +159,44 @@ def _columns(grid, radius):
     return grid.n if radius is None else max(grid.obs_slice(radius).stop, 3)
 
 
-def _free_slices(f, M, dt, kind, radius=None):
+# bytes of one block of rows that a streamed evolution hands to its consumer
+BLOCK_BYTES = 2**20
+
+
+def _block_rows(cols):
+    return max(1, BLOCK_BYTES // (8 * cols))
+
+
+def _free_slices(f, M, dt, kind, radius=None, consume=None):
     """All M+1 slices t_m = m*dt of the free sine or cosine evolution of f.
 
     One d'Alembert transport of w = r*f: the sine rows are (W(r+t) -
     W(r-t))/2r with origin value w(t), the cosine rows (w(r+t) + w(r-t))/2r
-    with origin value w'(t), and cosine row 0 is f itself.  Returns the
-    (M+1, cols) array of field values at the nodes of the ball of the given
-    radius (default the whole grid); callers check the budget.
+    with origin value w'(t), and cosine row 0 is f itself.  The rows are
+    made in blocks of about BLOCK_BYTES, at the nodes of the ball of the
+    given radius (default the whole grid).  Without consume the blocks fill
+    the returned (M+1, cols) array; with it, consume(rows) receives each
+    block in turn, in one reused buffer, and nothing is stored or returned.
+    Callers check the budget.
     """
-    cols = _columns(f.grid, radius)
-    tr = _Transport(f.grid, f.w(), M * dt)
-    times = dt * np.arange(M + 1)
-    if kind == "sine":
-        out = tr.half_sums("W", np.subtract, M, dt, cols)
-        origin = tr.at("w", times)
-    else:
-        out = tr.half_sums("w", np.add, M, dt, cols)
-        origin = tr.at("d", times)
-    out[:, 1:] /= f.grid.r[1:cols]
-    out[:, 0] = origin
-    if kind != "sine":
-        out[0] = f.values[:cols]
-    return out
+    grid = f.grid
+    cols = _columns(grid, radius)
+    tr = _Transport(grid, f.w(), M * dt)
+    name, op, origin = ("W", np.subtract, "w") if kind == "sine" else ("w", np.add, "d")
+    r = grid.r[1:cols]
+    step = _block_rows(cols)
+    out = np.empty((M + 1, cols)) if consume is None else np.empty((min(step, M + 1), cols))
+    for m0 in range(0, M + 1, step):
+        m1 = min(m0 + step, M + 1)
+        block = out[m0:m1] if consume is None else out[: m1 - m0]
+        tr.half_sums(name, op, m0, dt, block)
+        block[:, 1:] /= r
+        block[:, 0] = tr.at(origin, dt * np.arange(m0, m1))
+        if m0 == 0 and kind != "sine":
+            block[0] = f.values[:cols]
+        if consume is not None:
+            consume(block)
+    return out if consume is None else None
 
 
 def _check_time(t):
@@ -209,21 +225,27 @@ def free_cosine(g0, t):
     return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
-def _free_traj(f, T, dt, kind, radius):
+def _free_traj(f, T, dt, kind, radius, consume):
     _check_time(T)
     f.grid.require_budget(T)
     M = int(round(T / dt))
-    return SpaceTimeField(f.grid, dt, _free_slices(f, M, dt, kind, radius))
+    rows = _free_slices(f, M, dt, kind, radius, consume)
+    return None if consume is not None else SpaceTimeField(f.grid, dt, rows)
 
 
-def free_sine_traj(f, T, dt, radius=None):
-    """Free sine trajectory of f on [0, T]; with a radius, only the nodes of that ball."""
-    return _free_traj(f, T, dt, "sine", radius)
+def free_sine_traj(f, T, dt, radius=None, consume=None):
+    """Free sine trajectory of f on [0, T]; with a radius, only the nodes of that ball.
+
+    With consume, the rows go to consume(rows) block by block as they are
+    made (see _free_slices), nothing is stored and None is returned; the
+    consumer owns the finiteness check a stored trajectory makes.
+    """
+    return _free_traj(f, T, dt, "sine", radius, consume)
 
 
-def free_cosine_traj(g0, T, dt, radius=None):
-    """Free cosine trajectory of g0 on [0, T]; with a radius, only the nodes of that ball."""
-    return _free_traj(g0, T, dt, "cosine", radius)
+def free_cosine_traj(g0, T, dt, radius=None, consume=None):
+    """Free cosine trajectory of g0 on [0, T]; radius and consume as for free_sine_traj."""
+    return _free_traj(g0, T, dt, "cosine", radius, consume)
 
 
 def _resonance_transport(grid, a, T, dt, kind):
@@ -367,8 +389,7 @@ def _rate(w, i, dt):
     return np.zeros_like(w[i])
 
 
-def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None,
-                            radius=None):
+def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
     source may be None or a full-grid SpaceTimeField sampled at the solver
@@ -381,11 +402,17 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     P_c, an orthogonal projector P applied to state 0, the Taylor step and
     every later state; P(r F) = r P_c F and P(I - P) = 0, so by induction
     (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
-    arithmetic.  With a radius, the returned trajectory holds only the
-    nodes of that ball; the whole grid is evolved either way.  Discrete
-    energy drift over [0, T] is O(dt^2).
+    arithmetic.  Discrete energy drift over [0, T] is O(dt^2).
     """
     grid = u0.grid
+    wg = grid.r * project_out.g.values if project_out is not None else None
+    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, _linear_force(grid, a, source, dt),
+                     stride=stride, wg=wg)[0]
+    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
+
+
+def _linear_force(grid, a, source, dt):
+    """The _leapfrog force of H = -Delta + V(a) with an optional source trajectory."""
     V = soliton.potential(grid.r, a)[1:-1]
     src = None
     if source is not None:
@@ -401,51 +428,71 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
         if src is not None:
             acc += r * src[min(m, src.shape[0] - 1)]
 
-    wg = grid.r * project_out.g.values if project_out is not None else None
-    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, force, stride=stride, wg=wg,
-                     radius=radius)[0]
-    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
+    return force
 
 
-def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius):
+def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius, consume=None):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
     Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
-    under H with project_out=S, which evolves P_c f (see
-    evolve_linear_perturbed).  Secular side: the rank-one projector applied
-    to the running time integral of <free evolution of f of the same kind, q>,
-    paired on the q side: transport is the pair (E, w) that
-    _resonance_transport(grid, S.a, T, dt, kind) returns, made here when
-    None, so a caller splitting many f on one grid transports q once.
-    With a radius both parts hold only the nodes of that ball.  Returns
-    (dispersive_traj, secular_traj); their sum is the full perturbed
-    evolution.
+    under H with the per-step projection of evolve_linear_perturbed's
+    project_out=S, which evolves P_c f.  Secular side: the rank-one
+    projector applied to the running time integral of <free evolution of f
+    of the same kind, q>, paired on the q side: transport is the pair
+    (E, w) that _resonance_transport(grid, S.a, T, dt, kind) returns, made
+    here when None, so a caller splitting many f on one grid transports q
+    once.  The secular side is built from f as given, so the split is that
+    of P_c f only when f has no g-component: a caller holding any other f
+    passes P_c f.  With a radius both parts hold only the nodes of that
+    ball.  Each dispersive row, the field of its state minus coeff_j times
+    the resonance, is made in blocks of about BLOCK_BYTES as the leapfrog
+    emits the states.  Returns (dispersive_traj, secular_traj); their sum
+    is the full perturbed evolution.  With consume, consume(rows) receives
+    each dispersive block in turn, in one reused buffer, and nothing is
+    stored or returned.
     """
     grid = f.grid
     grid.require_budget(T)
     E, w = transport if transport is not None else _resonance_transport(grid, S.a, T, dt, kind)
     _check_transport(E, grid, T, dt)
-    data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
-    full = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S,
-                                   radius=radius)
-
     cum = cumulative_trapezoid(E @ (w * f.values), dx=dt)
     coeff = -secular_coefficient(S) * cum[::stride]
-    resonance = S.resonance.values[: full.samples.shape[1]]
+    cols = _columns(grid, radius)
+    resonance = S.resonance.values[:cols]
+    last = len(coeff) - 1
+    step = _block_rows(cols)
+    out = np.empty((last + 1, cols)) if consume is None else np.empty((min(step, last + 1), cols))
+
+    def emit(j, row, rate):
+        i = j % step  # the block holds rows j - i .. j so far
+        block = out[j - i :] if consume is None else out
+        block[i] = row
+        if i == step - 1 or j == last:
+            block = block[: i + 1]
+            _values_from_w(grid, block)
+            block -= coeff[j - i : j + 1, None] * resonance  # now the dispersive part
+            if consume is not None:
+                consume(block)
+
+    data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
+    _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None, dt),
+              stride=stride, wg=grid.r * S.g.values, radius=radius, emit=emit)
+    if consume is not None:
+        return None
     secular = SpaceTimeField(grid, dt * stride, coeff[:, None] * resonance)
-    np.subtract(full.samples, secular.samples, out=full.samples)  # now the dispersive part
-    return full, secular
+    return SpaceTimeField(grid, dt * stride, out), secular
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, radius=None):
+def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, radius=None, consume=None):
     """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj).
 
     transport: the sine _resonance_transport of the grid, to share it
-    between calls; radius: store only the nodes of that ball.
+    between calls; radius: store only the nodes of that ball; consume:
+    stream the dispersive rows to it instead (see _secular_decomposition).
     """
-    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, radius)
+    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, radius, consume)
 
 
-def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, radius=None):
+def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, radius=None, consume=None):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, radius)
+    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, radius, consume)

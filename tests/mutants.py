@@ -172,6 +172,48 @@ MUTANTS = [
         "evolve_linear_perturbed(data0, data1 if F is not None else grid.zeros(), F,",
     ),
     (
+        "blocked sums drop the carried row",
+        "src/solmanifold/norms.py",
+        "return reduce(buf, axis=0, out=running)",
+        "return reduce(buf[1:], axis=0, out=running)",
+    ),
+    (
+        "streamed profiles skip the finiteness check",
+        "src/solmanifold/norms.py",
+        "if not np.all(np.isfinite(self._peak)):",
+        "if False:",
+    ),
+    (
+        "cosine row 0 restored in every later block",
+        "src/solmanifold/propagators.py",
+        'if m0 == 0 and kind != "sine":',
+        'if kind != "sine":',
+    ),
+    (
+        "half_sums starts every block at row 0",
+        "src/solmanifold/propagators.py",
+        "K, shift = self.K, m0 * cells",
+        "K, shift = self.K, 0",
+    ),
+    (
+        "dispersive blocks subtract the first block's coefficients",
+        "src/solmanifold/propagators.py",
+        "coeff[j - i : j + 1, None]",
+        "coeff[: i + 1, None]",
+    ),
+    (
+        "perturbed Strichartz members split as given",
+        "src/solmanifold/experiments.py",
+        "(pair_w(f, S.g) / S.gg_w) * S.g.values",
+        "0.0 * S.g.values",
+    ),
+    (
+        "zero-history x_minus drops x_minus(0)",
+        "src/solmanifold/modulation.py",
+        "return np.zeros(M + 1), xm, 0.0",
+        "return np.zeros(M + 1), 0.0 * xm, 0.0",
+    ),
+    (
         "_csv writes 16 significant digits",
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',

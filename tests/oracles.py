@@ -5,7 +5,8 @@ route to a quantity the package computes another way (the Newton
 potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
 diagonal, the scheme-pairing P_c that the projected linear flow applies
-at every step) or a conserved quantity that checks a propagator.
+at every step, the inner time norms of a whole stored stack) or a
+conserved quantity that checks a propagator.
 """
 
 import numpy as np
@@ -80,6 +81,17 @@ def newton_potential(f):
     vals[0] = Btail[0]
     vals[1:] = A[1:] / r[1:] + Btail[1:]
     return grid.field(vals)
+
+
+def inner_time_profiles(samples, dt):
+    """Per-node Linf_t, L2_t and L1_t of a stored (M+1, k) stack, each in one
+    reduction along time: the reference the blocked TimeProfiles must equal
+    bit for bit."""
+    return (
+        np.max(np.abs(samples), axis=0),
+        np.sqrt(np.sum(samples**2, axis=0) * dt),
+        np.sum(np.abs(samples), axis=0) * dt,
+    )
 
 
 def project_continuous_w(f, S):

@@ -292,12 +292,15 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     from solmanifold import RadialField, RadialGrid, ground_state, h1_seminorm, l2_norm
     from solmanifold.norms import lorentz_norm, mixed_norm
 
+    from oracles import project_continuous_w
+
     grid = RadialGrid(R=40.0, n=401)
     dt, T = grid.dr, grid.budget_horizon()
     S = ground_state(grid)
     members = ex.seeded_bumps(grid, 4, 3)
 
-    # reference: three evolutions per member, each of the normalised member
+    # reference: three stored evolutions per member, each of the normalised
+    # member; the perturbed split is of P_c f, and so are the sizes
     def evolve(f, kind):
         if mode == "free":
             return (ex.free_sine_traj if kind == "sine" else ex.free_cosine_traj)(f, T, dt)
@@ -306,6 +309,8 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
 
     ref = []
     for i, f in enumerate(members):
+        if mode == "perturbed":
+            f = project_continuous_w(f, S)
         s = evolve(RadialField(grid, f.values / l2_norm(f)), "sine")
         c = evolve(RadialField(grid, f.values / h1_seminorm(f)), "cosine")
         lt = evolve(RadialField(grid, f.values / lorentz_norm(f, 1.5, 1)), "sine")
@@ -318,17 +323,23 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             mixed_norm(lt, "Linf_x", "L1_t"),
         ))
 
-    # count the free transports under both names: experiments calls them for
-    # the free members, propagators._resonance_transport for q
+    # count the evolutions, with their radius and whether they stream: the
+    # free transports under both names (experiments calls them for the free
+    # members, propagators._resonance_transport for q) and the splits
     import solmanifold.propagators as prop
 
     calls = []
-    for module in (ex, prop):
-        for name in ("free_sine_traj", "free_cosine_traj"):
+    names = {
+        ex: ("free_sine_traj", "free_cosine_traj", "secular_decomposition_S",
+             "secular_decomposition_C"),
+        prop: ("free_sine_traj", "free_cosine_traj"),
+    }
+    for module, traced in names.items():
+        for name in traced:
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls.append((_name, kwargs.get("radius")))
+                calls.append((_name, kwargs.get("radius"), kwargs.get("consume") is not None))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -337,13 +348,42 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     got, want = np.array(rows)[:, 1:], np.array(ref)[:, 1:]
     assert np.max(np.abs(got - want) / want) < 1e-12
     if mode == "free":
-        # every member's trajectories hold only the observation ball
+        # every member streams the rows of the observation ball, twice
         assert sorted(calls) == (
-            [("free_cosine_traj", grid.R_obs)] * 3 + [("free_sine_traj", grid.R_obs)] * 3
+            [("free_cosine_traj", grid.R_obs, True)] * 3
+            + [("free_sine_traj", grid.R_obs, True)] * 3
         )
     else:
-        # one full-width transport of q per kind serves all three members
-        assert sorted(calls) == [("free_cosine_traj", None), ("free_sine_traj", None)]
+        # one stored full-width transport of q per kind serves all three
+        # members, whose splits stream the rows of the observation ball
+        assert sorted(calls) == (
+            [("free_cosine_traj", None, False), ("free_sine_traj", None, False)]
+            + [("secular_decomposition_C", grid.R_obs, True)] * 3
+            + [("secular_decomposition_S", grid.R_obs, True)] * 3
+        )
+
+
+def test_strichartz_perturbed_projects_each_member_once(tmp_path):
+    # seed 25 on a 21-node grid: with members split as given, the g-component
+    # of a member entered the secular side through its free transport, and
+    # four family-variation checks read 8.7-12.6 against 8; projected once,
+    # every check passes
+    cfg = ExperimentConfig(experiment="strichartz_perturbed", seed=25, R=6.0, n=21,
+                           R_obs=2.0, T=4.0, output_dir=str(tmp_path / "out"))
+    report = run(cfg)
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_streamed_free_member_with_a_nan_fails_typed():
+    import solmanifold.experiments as ex
+    from solmanifold import GridUsageError, RadialGrid
+
+    grid = RadialGrid(R=40.0, n=401)
+    f = ex.seeded_bumps(grid, 4, 1)[0]
+    bad = f.values.copy()
+    bad[grid.obs_slice().stop // 2] = np.nan
+    with pytest.raises(GridUsageError, match="non-finite trajectory samples"):
+        ex._strichartz_constants(grid, grid.dr, 10.0, [grid.field(bad)], "free")
 
 
 def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):

@@ -999,6 +999,45 @@ def test_zero_history_iterate_equals_explicit_zero_history(mod_grid, S_mod, quer
     _assert_iterates_equal(got, ref)
 
 
+def test_xpm_of_a_vanishing_source_is_the_free_decay(mod_grid, S_mod, query_psi1):
+    # w2g == 0 skips the decay matrix: x_minus decays from x_minus(0), and
+    # x_plus and the tail are +0.0 (no -0.0); a source of 1e-200 takes the
+    # general path and gives the same x_minus bit for bit
+    import dataclasses
+
+    from solmanifold.modulation import _no_source, _offset_data, _xpm_from
+
+    dt = 0.8 * mod_grid.dr
+    M = 200
+    data = _offset_data(query_psi1, S_mod, 1e-4)
+    xp, xm, tail = _xpm_from(_no_source(M), *data, S_mod, dt)
+    assert xp.shape == xm.shape == (M + 1,) and tail == 0.0
+    assert not np.any(xp) and not np.any(np.signbit(xp))
+    tiny = dataclasses.replace(_no_source(M), Fg=np.full(M + 1, 1e-200))
+    xp_tiny, xm_tiny, tail_tiny = _xpm_from(tiny, *data, S_mod, dt)
+    assert np.array_equal(xm_tiny, xm) and xm[0] != 0.0
+    assert 0.0 < np.max(np.abs(xp_tiny)) < 1e-150 and 0.0 < tail_tiny < 1e-150
+
+
+def test_x_norm_reads_its_trajectory_once(monkeypatch, history):
+    # one TimeProfiles pass gives the three mixed norms of three mixed_norm calls
+    from solmanifold import mixed_norm
+    from solmanifold.norms import TimeProfiles
+
+    u0, a0, adot0 = history
+    adot = np.gradient(a0, u0.dt)
+    want = max(
+        mixed_norm(u0, ("lorentz", 6, 2), "Linf_t"),
+        mixed_norm(u0, "Linf_x", "L2_t"),
+        mixed_norm(u0, "Linf_x", "L1_t"),
+    ) + max(float(np.sum(np.abs(adot)) * u0.dt), float(np.max(np.abs(adot))))
+    added = []
+    add = TimeProfiles.add
+    monkeypatch.setattr(TimeProfiles, "add", lambda self, block: added.append(1) or add(self, block))
+    assert x_norm(u0, adot, u0.dt) == want
+    assert added == [1]
+
+
 def test_shared_transport_gives_the_same_iterate(history, S_mod, query_psi1):
     u0, a0, adot0 = history
     T, dt = u0.horizon, u0.dt

@@ -12,9 +12,10 @@ from solmanifold import (
 )
 from solmanifold import soliton
 from solmanifold.grid import GridUsageError
+from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import SpaceTimeField, free_sine_traj
 
-from oracles import kato_norm, lp_norm_cells, spacetime_l8
+from oracles import inner_time_profiles, kato_norm, lp_norm_cells, spacetime_l8
 
 INT_PHI6 = 3.0**1.5 * np.pi**2 / 4.0
 
@@ -134,6 +135,32 @@ def test_mixed_norm_of_a_bounded_trajectory(norm_grid):
     )
     with pytest.raises(GridUsageError):
         mixed_norm(bounded, "Linf_x", "L2_t", radius=norm_grid.R_obs + norm_grid.dr)
+
+
+@pytest.mark.parametrize("rows", [1, 13, 161, 400])
+def test_time_profiles_in_blocks_equal_the_whole_stack(norm_grid, rng, rows):
+    # blocks of 1 row, of a non-divisor of M+1 = 161, of exactly M+1 and of
+    # more: the carried row 0 makes every blocking sum in the stack's order
+    dt = 0.05
+    samples = rng.standard_normal((161, norm_grid.n)) * np.exp(-norm_grid.r / 4.0)
+    profiles = TimeProfiles(norm_grid, dt)
+    for m0 in range(0, len(samples), rows):
+        profiles.add(samples[m0 : m0 + rows])
+    inside = norm_grid.obs_slice()
+    for inner, want in zip(("Linf_t", "L2_t", "L1_t"), inner_time_profiles(samples[:, inside], dt)):
+        assert np.array_equal(profiles.profile(inner), want)
+
+
+def test_time_profiles_of_non_finite_rows_raise(norm_grid):
+    rows = np.ones((5, norm_grid.n))
+    rows[3, 2] = np.inf
+    profiles = TimeProfiles(norm_grid, 0.05)
+    profiles.add(rows[:2])
+    profiles.add(rows[2:])
+    with pytest.raises(GridUsageError, match="non-finite"):
+        profiles.norm("Linf_x", "L1_t")
+    with pytest.raises(GridUsageError):
+        TimeProfiles(norm_grid, 0.05).norm("Linf_x", "L1_t")
 
 
 def test_spacetime_l8_block(norm_grid):

@@ -15,6 +15,7 @@ from solmanifold import (
 )
 from solmanifold import soliton
 from solmanifold.grid import GridUsageError, field_from_w
+from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
     _resonance_transport,
@@ -24,6 +25,7 @@ from solmanifold.propagators import (
 
 from oracles import (
     free_duhamel,
+    inner_time_profiles,
     newton_potential,
     project_continuous_w,
     secular_projector,
@@ -524,32 +526,23 @@ def test_bounded_free_trajectory_is_the_leading_columns(cells):
 
 
 def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
-    # the leapfrog evolves the whole grid either way; the bounded run stores
-    # the leading columns of the same states, and the secular split built on
-    # them (with the q transport passed in) is the full split cut
+    # the leapfrog evolves the whole grid either way; a bounded secular split
+    # (with the q transport passed in) stores the leading columns of the
+    # full split's rows, and a ball of one cell still holds the 3 nodes the
+    # origin value reads
     grid = S_ref.grid
     dt = 0.8 * grid.dr
     cols = grid.obs_slice().stop
-    u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
-    u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
-    for stride in (1, 3):
-        full = evolve_linear_perturbed(u0, u1, None, 6.0, dt, stride=stride, project_out=S_ref)
-        bounded = evolve_linear_perturbed(
-            u0, u1, None, 6.0, dt, stride=stride, project_out=S_ref, radius=grid.R_obs
-        )
-        assert bounded.samples.shape == (full.samples.shape[0], cols)
-        assert np.array_equal(bounded.samples, full.samples[:, :cols])
-    # a ball of one cell still holds the 3 nodes the origin value reads
-    tiny = evolve_linear_perturbed(
-        u0, u1, None, 6.0, dt, stride=3, project_out=S_ref, radius=grid.dr
-    )
-    assert np.array_equal(tiny.samples, full.samples[:, :3])
+    u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)) + 0.5 * np.exp(-((grid.r - 3.0) ** 2)))
     for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
         transport = _resonance_transport(grid, S_ref.a, 6.0, dt, kind)
-        ref = split(u0, 6.0, dt, S_ref, stride=2)
-        got = split(u0, 6.0, dt, S_ref, stride=2, transport=transport, radius=grid.R_obs)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a.samples, b.samples[:, :cols])
+        for stride in (1, 3):
+            ref = split(u0, 6.0, dt, S_ref, stride=stride)
+            for radius, k in ((grid.R_obs, cols), (grid.dr, 3)):
+                got = split(u0, 6.0, dt, S_ref, stride=stride, transport=transport, radius=radius)
+                for a, b in zip(got, ref):
+                    assert a.samples.shape == (b.samples.shape[0], k)
+                    assert np.array_equal(a.samples, b.samples[:, :k])
 
 
 def test_bounded_trajectories_fail_typed(S_ref):
@@ -572,7 +565,70 @@ def test_bounded_trajectories_fail_typed(S_ref):
     for traj_fn in (free_sine_traj, free_cosine_traj):
         with pytest.raises(GridUsageError):
             traj_fn(grid.field(bad), 5.0, dt, radius=grid.R_obs)
+        # streamed, the profiles the rows feed carry the check
+        profiles = TimeProfiles(grid, dt)
+        traj_fn(grid.field(bad), 5.0, dt, radius=grid.R_obs, consume=profiles.add)
+        with pytest.raises(GridUsageError, match="non-finite"):
+            profiles.norm("Linf_x", "L2_t")
     samples = bounded.samples.copy()
     samples[-1, -1] = np.nan
     with pytest.raises(GridUsageError):
         SpaceTimeField(grid, dt, samples)
+
+
+@pytest.fixture(scope="module")
+def stream_setup():
+    grid = RadialGrid(R=20.0, n=201, R_obs=5.0)
+    return grid, ground_state(grid)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 101, 500])
+@pytest.mark.parametrize(
+    "producer, kind, stride, cfl",
+    [("free", "sine", 1, 1.0), ("free", "cosine", 1, 1.0), ("free", "cosine", 1, 0.8),
+     ("split", "sine", 1, 1.0), ("split", "cosine", 1, 1.0), ("split", "sine", 3, 1.0)],
+    ids=["free-sine", "free-cosine", "free-cosine-interpolated", "split-sine",
+         "split-cosine", "split-sine-stride-3"],
+)
+def test_streamed_rows_give_the_stored_profiles(monkeypatch, stream_setup, producer, kind,
+                                                stride, cfl, rows):
+    # the rows a producer streams in blocks of 1, of a non-divisor of the
+    # 101 rows (dt = dr), of exactly 101 and of more give, fed to
+    # TimeProfiles, the profiles of its stored trajectory bit for bit; the
+    # stored trajectory does not depend on the block size either
+    import solmanifold.propagators as prop
+
+    grid, S = stream_setup
+    dt = cfl * grid.dr
+    T = 100 * dt
+    f = grid.field(np.exp(-((grid.r - 2.0) ** 2)) * (1.0 + 0.3 * np.sin(3.0 * grid.r)))
+    if producer == "free":
+        traj_fn = free_sine_traj if kind == "sine" else free_cosine_traj
+
+        def evolve(**kw):
+            return traj_fn(f, T, dt, radius=grid.R_obs, **kw)
+    else:
+        split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
+
+        def evolve(**kw):
+            out = split(f, T, dt, S, stride=stride, radius=grid.R_obs, **kw)
+            return None if out is None else out[0]
+
+    stored = evolve()
+    cols = stored.samples.shape[1]
+    monkeypatch.setattr(prop, "BLOCK_BYTES", 8 * cols * rows)
+    assert np.array_equal(evolve().samples, stored.samples)
+    profiles = TimeProfiles(grid, stored.dt)
+    blocks = []
+
+    def consume(block):
+        blocks.append(len(block))
+        profiles.add(block)
+
+    assert evolve(consume=consume) is None
+    assert blocks[:-1] == [min(rows, len(stored.samples))] * (len(blocks) - 1)
+    assert sum(blocks) == len(stored.samples)
+    inside = grid.obs_slice()
+    want = inner_time_profiles(stored.samples[:, inside], stored.dt)
+    for inner, ref in zip(("Linf_t", "L2_t", "L1_t"), want):
+        assert np.array_equal(profiles.profile(inner), ref)
