@@ -56,23 +56,6 @@ from .propagators import (
 )
 from .spectral import SpectralError, ground_state, resonance_pairing, spectrum_report
 
-EXPERIMENTS = (
-    "spectrum",
-    "stationarity",
-    "energy_conservation",
-    "strichartz_free",
-    "strichartz_perturbed",
-    "secular",
-    "pairing_identity",
-    "h_scaling",
-    "codim1",
-    "lipschitz",
-    "contraction",
-    "adot_l1",
-    "weighted_growth",
-)
-
-
 def _floats(text):
     return tuple(float(v) for v in text.replace(",", " ").split())
 
@@ -143,7 +126,7 @@ class ExperimentConfig:
 def validate(config):
     """Static checks; a nonempty list of violations means the config won't run."""
     issues = []
-    if config.experiment not in EXPERIMENTS:
+    if config.experiment not in _RUNNERS:
         issues.append(f"experiment.name: unknown experiment {config.experiment!r}")
     if config.seed < 0:
         issues.append(f"experiment.seed: seed must be non-negative, seed={config.seed}")
@@ -357,6 +340,19 @@ def _run_spectrum(cfg, outdir, report):
     _write(outdir, "spectrum.json", json.dumps(rep, indent=2, sort_keys=True))
 
 
+def _completed(run, T):
+    """run itself; PropagatorError unless it reached its horizon T."""
+    if run.status != "completed":
+        raise PropagatorError(f"nonlinear run ended {run.status!r} at "
+                              f"t={run.departure_time:.6g} of T={T}")
+    return run
+
+
+def _continuous_part(f, S):
+    """P_c f = f - (<f, g>_w / <g, g>_w) g, in the scheme pairing."""
+    return f.grid.field(f.values - (pair_w(f, S.g) / S.gg_w) * S.g.values)
+
+
 def _run_stationarity(cfg, outdir, report):
     grid = cfg.grid()
     # PDE residual refinement
@@ -379,7 +375,9 @@ def _run_stationarity(cfg, outdir, report):
     def h1_drift(j, psi, psi_t):
         drifts.append(h1_seminorm(psi - phi_f, radius=grid.R_obs))
 
-    evolve_nonlinear(phi_f, grid.zeros(), min(cfg.T, 20.0), dt, S=S, stride=25, consume=h1_drift)
+    T = min(cfg.T, 20.0)
+    run = evolve_nonlinear(phi_f, grid.zeros(), T, dt, S=S, stride=25, consume=h1_drift)
+    _completed(run, T)
     drift = max(drifts)
     report.records.append(
         {
@@ -425,11 +423,7 @@ def _energy_drift(R, n, T, cfl, amp, seed):
             E.append(energy(*held))
         held[:] = psi, psi_t
 
-    run = evolve_nonlinear(psi0, grid.zeros(), T, dt, stride=10, consume=reduce)
-    if run.status != "completed":
-        raise PropagatorError(
-            f"energy run ended {run.status!r} at t={run.departure_time:.6g} of T={T}"
-        )
+    _completed(evolve_nonlinear(psi0, grid.zeros(), T, dt, stride=10, consume=reduce), T)
     E0 = E[0]
     drift = max(abs(e - E0) for e in E) / abs(E0)
     return drift, E0
@@ -463,39 +457,35 @@ def _strichartz_constants(grid, dt, T, members, mode):
     each evolution streams the rows of its nodes, block by block, into one
     TimeProfiles per kind, and no trajectory is stored.  The perturbed mode
     solves for the ground state of grid, replaces each member f by its
-    continuous part f - (<f, g>_w / <g, g>_w) g in the scheme pairing, and
-    transports q once per kind for all members.
+    continuous part, and transports q once per kind for all members.
     """
-    radius = grid.R_obs
     if mode == "free":
 
-        def sine(f, consume):
-            free_sine_traj(f, T, dt, radius=radius, consume=consume)
+        def sine(f, profiles):
+            free_sine_traj(f, T, dt, profiles=profiles)
 
-        def cosine(f, consume):
-            free_cosine_traj(f, T, dt, radius=radius, consume=consume)
+        def cosine(f, profiles):
+            free_cosine_traj(f, T, dt, profiles=profiles)
 
     else:
         S = ground_state(grid)
         # the split evolves P_c f, and builds its secular side from the f it
         # is given: each member is projected once, and measured as projected
-        members = [grid.field(f.values - (pair_w(f, S.g) / S.gg_w) * S.g.values)
-                   for f in members]
+        members = [_continuous_part(f, S) for f in members]
         E_sine = _resonance_transport(grid, S.a, T, dt, "sine")
         E_cosine = _resonance_transport(grid, S.a, T, dt, "cosine")
 
-        def sine(f, consume):
-            secular_decomposition_S(f, T, dt, S, transport=E_sine, radius=radius, consume=consume)
+        def sine(f, profiles):
+            secular_decomposition_S(f, T, dt, S, transport=E_sine, profiles=profiles)
 
-        def cosine(f, consume):
-            secular_decomposition_C(f, T, dt, S, transport=E_cosine, radius=radius,
-                                    consume=consume)
+        def cosine(f, profiles):
+            secular_decomposition_C(f, T, dt, S, transport=E_cosine, profiles=profiles)
 
     rows = []
     for i, f in enumerate(members):
-        s, c = TimeProfiles(grid, dt, radius), TimeProfiles(grid, dt, radius)
-        sine(f, s.add)
-        cosine(f, c.add)
+        s, c = TimeProfiles(grid, dt), TimeProfiles(grid, dt)
+        sine(f, s)
+        cosine(f, c)
         l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
         rows.append((
             i,
@@ -550,7 +540,8 @@ def _run_secular(cfg, outdir, report):
     grid = cfg.grid()
     dt = grid.dr
     S = ground_state(grid)
-    f = family_field(grid, "vdphi_bump")
+    # split as the split is documented: continuous-spectrum data
+    f = _continuous_part(family_field(grid, "vdphi_bump"), S)
     horizons = [h for h in (25.0, 50.0, 100.0) if h <= grid.budget_horizon()]
     if len(horizons) < 3:
         raise ConfigError(
@@ -616,9 +607,9 @@ def _shoot_point(args):
     # fixed-point h from the on-manifold trajectory, trimmed by _TRIM; the
     # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
     # dropped once u is extracted
-    a_series, u = _modulation_series(
-        evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S).psi.samples, S
-    )
+    a_series, u = _modulation_series(_completed(
+        evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S), T - _TRIM
+    ).psi.samples, S)
     hfp, tail = h_fixed_point(
         SpaceTimeField(grid, dt, u),
         a_series,
@@ -699,7 +690,7 @@ def _manifold_trajectory(S, query, T, dt, tol):
     """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
     res = shoot_h(query, S, T, dt, tol=tol)
     run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=5)
-    return res, trajectory_modulation(run, S)
+    return res, trajectory_modulation(_completed(run, T - _TRIM), S)
 
 
 def _tight_tol(query):
@@ -759,11 +750,8 @@ def _run_lipschitz(cfg, outdir, report):
             )
         )
         res1, traj1 = _manifold_trajectory(S, other, cfg.T, dt, _tight_tol(other))
-        m = min(traj0.u_snapshots.samples.shape[0], traj1.u_snapshots.samples.shape[0])
         diff = SpaceTimeField(
-            grid,
-            traj0.u_snapshots.dt,
-            traj1.u_snapshots.samples[:m] - traj0.u_snapshots.samples[:m],
+            grid, traj0.u_snapshots.dt, traj1.u_snapshots.samples - traj0.u_snapshots.samples
         )
         dnorm = mixed_norm(diff, ("lorentz", 6, 2), "Linf_t")
         consts.append(dnorm / dist)
@@ -816,6 +804,7 @@ def _run_weighted_growth(cfg, outdir, report):
     query = seeded_query(grid, S, cfg.eps, cfg.seed)
     res = shoot_h(query, S, cfg.T, dt)
     run = evolve_nonlinear(*query.initial_data(S, res.h), 5.0, dt, S=S, stride=5)
+    _completed(run, 5.0)
     phi_f = soliton.phi_field(grid)
     rows = []
     for m in range(run.psi.samples.shape[0]):

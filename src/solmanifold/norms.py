@@ -165,8 +165,7 @@ def mixed_norm(u, outer, inner, radius=None):
     outer: ("lorentz", p, q) or "Linf_x"; inner: "Linf_t" | "L2_t" | "L1_t".
     The inner norm is computed per spatial node, then the outer norm is
     taken of the resulting radial profile inside B_{R_obs} by default.
-    Only the nodes inside that ball are read; a bounded trajectory must
-    hold them all.
+    Only the nodes inside that ball are read.
     """
     return TimeProfiles.of(u, radius).norm(outer, inner)
 

@@ -10,13 +10,10 @@ only time stepper: the nonlinear flow of the modulation module runs on it
 with its own force and stop test.  It hands only the strided snapshots its
 callers read to a consumer, which stores them by default, so memory grows
 with the snapshots, not with the steps, and with neither when the consumer
-reduces each snapshot as it is made.  Both
-the transport and the leapfrog also store only the columns their callers
-read: given a radius, a trajectory holds the nodes of that ball (the mixed
-norms read only the observation ball), while the leapfrog still evolves,
-projects and checks the whole state.  Given a consumer, the free
-trajectories and the secular split store no trajectory at all: their rows
-go to it in blocks of about BLOCK_BYTES as they are made.
+reduces each snapshot as it is made.  A stored trajectory holds the
+whole grid.  Given a norms.TimeProfiles, the free trajectories and the
+secular split store no trajectory at all: the rows of the ball it reads go
+to it in blocks of about BLOCK_BYTES as they are made.
 """
 
 from __future__ import annotations
@@ -59,18 +56,16 @@ class SpaceTimeField:
     Trajectories that feed solvers (sources) must be sampled at the solver
     dt, which carries the unit-CFL constraint dt <= dr; that is enforced at
     the use sites so strided outputs (dt > dr) remain representable.
-    A bounded trajectory holds only the leading k <= n columns, the nodes
-    of a ball about the origin; it serves the norms of that ball, not slices.
     """
 
     grid: object
     dt: float
-    samples: np.ndarray = field(repr=False)  # shape (M+1, k), k <= n
+    samples: np.ndarray = field(repr=False)  # shape (M+1, n)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 2 or not 1 <= self.samples.shape[1] <= self.grid.n:
-            raise GridUsageError("samples must have shape (M+1, k) with 1 <= k <= n")
+        if self.samples.ndim != 2 or self.samples.shape[1] != self.grid.n:
+            raise GridUsageError("samples must have shape (M+1, n)")
         if not np.all(np.isfinite(self.samples)):
             raise GridUsageError("non-finite trajectory samples")
 
@@ -83,8 +78,6 @@ class SpaceTimeField:
         return self.dt * (self.samples.shape[0] - 1)
 
     def slice(self, m):
-        if self.samples.shape[1] != self.grid.n:
-            raise GridUsageError("a bounded trajectory has no full-grid slices")
         return RadialField(self.grid, self.samples[m])
 
     def restricted(self, T):
@@ -151,15 +144,15 @@ class _Transport:
             op(np.interp(r + t, self.x, half), np.interp(r - t, self.x, half), out=out)
 
 
-def _columns(grid, radius):
-    """Leading node count of the ball of the given radius; None is the whole grid.
+def _columns(grid, profiles):
+    """Leading node count a producer makes: the whole grid, or the ball profiles read.
 
     At least 3: the origin value of f = w/r is extrapolated from nodes 1, 2.
     """
-    return grid.n if radius is None else max(grid.obs_slice(radius).stop, 3)
+    return grid.n if profiles is None else max(profiles.inside.stop, 3)
 
 
-# bytes of one block of rows that a streamed evolution hands to its consumer
+# bytes of one block of rows that a streamed evolution hands to its profiles
 BLOCK_BYTES = 2**20
 
 
@@ -167,36 +160,35 @@ def _block_rows(cols):
     return max(1, BLOCK_BYTES // (8 * cols))
 
 
-def _free_slices(f, M, dt, kind, radius=None, consume=None):
+def _free_slices(f, M, dt, kind, profiles=None):
     """All M+1 slices t_m = m*dt of the free sine or cosine evolution of f.
 
     One d'Alembert transport of w = r*f: the sine rows are (W(r+t) -
     W(r-t))/2r with origin value w(t), the cosine rows (w(r+t) + w(r-t))/2r
     with origin value w'(t), and cosine row 0 is f itself.  The rows are
-    made in blocks of about BLOCK_BYTES, at the nodes of the ball of the
-    given radius (default the whole grid).  Without consume the blocks fill
-    the returned (M+1, cols) array; with it, consume(rows) receives each
-    block in turn, in one reused buffer, and nothing is stored or returned.
-    Callers check the budget.
+    made in blocks of about BLOCK_BYTES.  Without profiles the blocks fill
+    the returned (M+1, n) array; with them, profiles.add(rows) receives
+    each block in turn, at the nodes of their ball, in one reused buffer,
+    and nothing is stored or returned.  Callers check the budget.
     """
     grid = f.grid
-    cols = _columns(grid, radius)
+    cols = _columns(grid, profiles)
     tr = _Transport(grid, f.w(), M * dt)
     name, op, origin = ("W", np.subtract, "w") if kind == "sine" else ("w", np.add, "d")
     r = grid.r[1:cols]
     step = _block_rows(cols)
-    out = np.empty((M + 1, cols)) if consume is None else np.empty((min(step, M + 1), cols))
+    out = np.empty((M + 1, cols)) if profiles is None else np.empty((min(step, M + 1), cols))
     for m0 in range(0, M + 1, step):
         m1 = min(m0 + step, M + 1)
-        block = out[m0:m1] if consume is None else out[: m1 - m0]
+        block = out[m0:m1] if profiles is None else out[: m1 - m0]
         tr.half_sums(name, op, m0, dt, block)
         block[:, 1:] /= r
         block[:, 0] = tr.at(origin, dt * np.arange(m0, m1))
         if m0 == 0 and kind != "sine":
             block[0] = f.values[:cols]
-        if consume is not None:
-            consume(block)
-    return out if consume is None else None
+        if profiles is not None:
+            profiles.add(block)
+    return out if profiles is None else None
 
 
 def _check_time(t):
@@ -225,27 +217,28 @@ def free_cosine(g0, t):
     return RadialField(g0.grid, _free_slices(g0, 1, t, "cosine")[1])
 
 
-def _free_traj(f, T, dt, kind, radius, consume):
+def _free_traj(f, T, dt, kind, profiles):
     _check_time(T)
     f.grid.require_budget(T)
     M = int(round(T / dt))
-    rows = _free_slices(f, M, dt, kind, radius, consume)
-    return None if consume is not None else SpaceTimeField(f.grid, dt, rows)
+    rows = _free_slices(f, M, dt, kind, profiles)
+    return None if profiles is not None else SpaceTimeField(f.grid, dt, rows)
 
 
-def free_sine_traj(f, T, dt, radius=None, consume=None):
-    """Free sine trajectory of f on [0, T]; with a radius, only the nodes of that ball.
+def free_sine_traj(f, T, dt, profiles=None):
+    """Free sine trajectory of f on [0, T].
 
-    With consume, the rows go to consume(rows) block by block as they are
-    made (see _free_slices), nothing is stored and None is returned; the
-    consumer owns the finiteness check a stored trajectory makes.
+    With profiles (a norms.TimeProfiles), the rows of their ball go to
+    profiles.add block by block as they are made (see _free_slices),
+    nothing is stored and None is returned; the profiles own the
+    finiteness check a stored trajectory makes.
     """
-    return _free_traj(f, T, dt, "sine", radius, consume)
+    return _free_traj(f, T, dt, "sine", profiles)
 
 
-def free_cosine_traj(g0, T, dt, radius=None, consume=None):
-    """Free cosine trajectory of g0 on [0, T]; radius and consume as for free_sine_traj."""
-    return _free_traj(g0, T, dt, "cosine", radius, consume)
+def free_cosine_traj(g0, T, dt, profiles=None):
+    """Free cosine trajectory of g0 on [0, T]; profiles as for free_sine_traj."""
+    return _free_traj(g0, T, dt, "cosine", profiles)
 
 
 def _resonance_transport(grid, a, T, dt, kind):
@@ -268,7 +261,7 @@ def _check_transport(E, grid, T, dt):
 
 
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
-              radius=None, emit=None):
+              emit=None):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
     The package's one time-stepping loop.  The ends are Dirichlet; the
@@ -283,14 +276,13 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     value other than None ends the run there and is returned as its status.
 
     Only the states m = 0, stride, 2 stride, ... up to the last step m_end
-    are emitted (stride None emits none), and of each only the nodes of the
-    ball of the given radius (default the whole grid).  With rates, the time
+    are emitted (stride None emits none).  With rates, the time
     derivative of each emitted state goes with it, by _rate from the last
     five states the loop keeps: five-point centred, lower-order within two
     steps of m = 0 and of m_end.  emit(j, row, rate) receives snapshot j
     once both exist: at step j stride without rates (rate None), at step
     j stride + 2 with them, and the last two after the loop.  row is a view
-    of the live state, rate a fresh whole-grid array.  The default emit
+    of the live state, rate a fresh array.  The default emit
     stores the snapshots in two preallocated stacks, so memory grows with
     the snapshots, not with the steps.  Returns (rows, rate_rows, m_end,
     status); rows and rate_rows are those stacks, cut at m_end, and are
@@ -316,11 +308,10 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             w -= np.dot(w, wg) * wg
         return w
 
-    cols = _columns(grid, radius)
     rows = drows = None
     if emit is None:
         stored = 0 if stride is None else M // stride + 1
-        rows = np.empty((stored, cols))
+        rows = np.empty((stored, grid.n))
         drows = np.empty((stored, grid.n)) if rates else None
 
         def emit(j, row, rate):
@@ -332,7 +323,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     w_cur = suppress(np.array(w0, dtype=float))
     recent = [w_cur]  # the states m-4..m whose rates _rate reads
     if stride is not None and not rates:
-        emit(0, w_cur[:cols], None)
+        emit(0, w_cur, None)
     status = None if stop is None else stop(0, w_cur)
     m = 0
     while status is None and m < M:
@@ -345,9 +336,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         if rates:
             recent = recent[-4:] + [w_cur]
             if m >= 2 and (m - 2) % stride == 0:
-                emit((m - 2) // stride, recent[-3][:cols], _rate(recent, len(recent) - 3, dt))
+                emit((m - 2) // stride, recent[-3], _rate(recent, len(recent) - 3, dt))
         elif stride is not None and m % stride == 0:
-            emit(m // stride, w_cur[:cols], None)
+            emit(m // stride, w_cur, None)
         if stop is not None:
             status = stop(m, w_cur)
         # a stopped run keeps the verdict its stop test gave
@@ -360,7 +351,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         for j in (m - 1, m):
             if j >= 0 and j % stride == 0:
                 i = len(recent) - 1 - (m - j)
-                emit(j // stride, recent[i][:cols], _rate(recent, i, dt))
+                emit(j // stride, recent[i], _rate(recent, i, dt))
     if rows is not None:
         kept = 0 if stride is None else m // stride + 1
         rows = rows[:kept]
@@ -392,10 +383,10 @@ def _rate(w, i, dt):
 def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    source may be None or a full-grid SpaceTimeField sampled at the solver
-    dt.  The flow is linear: one run from (u0, u1) with source F is the
-    cosine evolution of u0 plus the sine evolution of u1 plus the sine
-    Duhamel integral of F.
+    source may be None or a SpaceTimeField sampled at the solver dt.  The
+    flow is linear: one run from (u0, u1) with source F is the cosine
+    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
+    integral of F.
     project_out, when set to SpectralData, keeps the state in the
     continuous subspace of the scheme (see _leapfrog), and is the only P_c
     the flow needs: in w = r f, _leapfrog's projection is the scheme-pairing
@@ -418,8 +409,6 @@ def _linear_force(grid, a, source, dt):
     if source is not None:
         if abs(source.dt - dt) > 1e-12:
             raise GridUsageError("source trajectory must be sampled at the solver dt")
-        if source.samples.shape[1] != grid.n:
-            raise GridUsageError("a bounded trajectory cannot be a source")
         src = source.samples[:, 1:-1]
         r = grid.r[1:-1]
 
@@ -431,7 +420,7 @@ def _linear_force(grid, a, source, dt):
     return force
 
 
-def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius, consume=None):
+def _secular_decomposition(f, T, dt, S, stride, kind, transport, profiles=None):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
     Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
@@ -443,13 +432,13 @@ def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius, consume
     here when None, so a caller splitting many f on one grid transports q
     once.  The secular side is built from f as given, so the split is that
     of P_c f only when f has no g-component: a caller holding any other f
-    passes P_c f.  With a radius both parts hold only the nodes of that
-    ball.  Each dispersive row, the field of its state minus coeff_j times
-    the resonance, is made in blocks of about BLOCK_BYTES as the leapfrog
-    emits the states.  Returns (dispersive_traj, secular_traj); their sum
-    is the full perturbed evolution.  With consume, consume(rows) receives
-    each dispersive block in turn, in one reused buffer, and nothing is
-    stored or returned.
+    passes P_c f.  Each dispersive row, the field of its state minus
+    coeff_j times the resonance, is made in blocks of about BLOCK_BYTES as
+    the leapfrog emits the states.  Returns (dispersive_traj,
+    secular_traj); their sum is the full perturbed evolution.  With
+    profiles, profiles.add(rows) receives each dispersive block in turn, at
+    the nodes of their ball, in one reused buffer, and nothing is stored or
+    returned.
     """
     grid = f.grid
     grid.require_budget(T)
@@ -457,42 +446,42 @@ def _secular_decomposition(f, T, dt, S, stride, kind, transport, radius, consume
     _check_transport(E, grid, T, dt)
     cum = cumulative_trapezoid(E @ (w * f.values), dx=dt)
     coeff = -secular_coefficient(S) * cum[::stride]
-    cols = _columns(grid, radius)
+    cols = _columns(grid, profiles)
     resonance = S.resonance.values[:cols]
     last = len(coeff) - 1
     step = _block_rows(cols)
-    out = np.empty((last + 1, cols)) if consume is None else np.empty((min(step, last + 1), cols))
+    out = np.empty((last + 1, cols)) if profiles is None else np.empty((min(step, last + 1), cols))
 
     def emit(j, row, rate):
         i = j % step  # the block holds rows j - i .. j so far
-        block = out[j - i :] if consume is None else out
-        block[i] = row
+        block = out[j - i :] if profiles is None else out
+        block[i] = row[:cols]
         if i == step - 1 or j == last:
             block = block[: i + 1]
             _values_from_w(grid, block)
             block -= coeff[j - i : j + 1, None] * resonance  # now the dispersive part
-            if consume is not None:
-                consume(block)
+            if profiles is not None:
+                profiles.add(block)
 
     data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
     _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None, dt),
-              stride=stride, wg=grid.r * S.g.values, radius=radius, emit=emit)
-    if consume is not None:
+              stride=stride, wg=grid.r * S.g.values, emit=emit)
+    if profiles is not None:
         return None
     secular = SpaceTimeField(grid, dt * stride, coeff[:, None] * resonance)
     return SpaceTimeField(grid, dt * stride, out), secular
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, radius=None, consume=None):
+def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, profiles=None):
     """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj).
 
     transport: the sine _resonance_transport of the grid, to share it
-    between calls; radius: store only the nodes of that ball; consume:
-    stream the dispersive rows to it instead (see _secular_decomposition).
+    between calls; profiles: stream the dispersive rows of their ball to
+    them instead of storing (see _secular_decomposition).
     """
-    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, radius, consume)
+    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, profiles)
 
 
-def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, radius=None, consume=None):
+def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, profiles=None):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, radius, consume)
+    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, profiles)

@@ -42,8 +42,8 @@ MUTANTS = [
     (
         "column bound one node short of the ball",
         "src/solmanifold/propagators.py",
-        "grid.obs_slice(radius).stop",
-        "grid.obs_slice(radius).stop - 1",
+        "max(profiles.inside.stop, 3)",
+        "max(profiles.inside.stop - 1, 3)",
     ),
     (
         "cosine split reuses the sine q transport",
@@ -206,6 +206,18 @@ MUTANTS = [
         "src/solmanifold/experiments.py",
         "(pair_w(f, S.g) / S.gg_w) * S.g.values",
         "0.0 * S.g.values",
+    ),
+    (
+        "secular splits vdphi_bump as given",
+        "src/solmanifold/experiments.py",
+        'f = _continuous_part(family_field(grid, "vdphi_bump"), S)',
+        'f = family_field(grid, "vdphi_bump")',
+    ),
+    (
+        "on-manifold run not checked for completion",
+        "src/solmanifold/experiments.py",
+        "trajectory_modulation(_completed(run, T - _TRIM), S)",
+        "trajectory_modulation(run, S)",
     ),
     (
         "zero-history x_minus drops x_minus(0)",

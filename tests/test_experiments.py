@@ -323,9 +323,10 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             mixed_norm(lt, "Linf_x", "L1_t"),
         ))
 
-    # count the evolutions, with their radius and whether they stream: the
-    # free transports under both names (experiments calls them for the free
-    # members, propagators._resonance_transport for q) and the splits
+    # count the evolutions, with the radius of the profiles they stream to
+    # (None: stored on the whole grid): the free transports under both
+    # names (experiments calls them for the free members,
+    # propagators._resonance_transport for q) and the splits
     import solmanifold.propagators as prop
 
     calls = []
@@ -339,7 +340,7 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls.append((_name, kwargs.get("radius"), kwargs.get("consume") is not None))
+                calls.append((_name, getattr(kwargs.get("profiles"), "radius", None)))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -350,16 +351,15 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     if mode == "free":
         # every member streams the rows of the observation ball, twice
         assert sorted(calls) == (
-            [("free_cosine_traj", grid.R_obs, True)] * 3
-            + [("free_sine_traj", grid.R_obs, True)] * 3
+            [("free_cosine_traj", grid.R_obs)] * 3 + [("free_sine_traj", grid.R_obs)] * 3
         )
     else:
         # one stored full-width transport of q per kind serves all three
         # members, whose splits stream the rows of the observation ball
         assert sorted(calls) == (
-            [("free_cosine_traj", None, False), ("free_sine_traj", None, False)]
-            + [("secular_decomposition_C", grid.R_obs, True)] * 3
-            + [("secular_decomposition_S", grid.R_obs, True)] * 3
+            [("free_cosine_traj", None), ("free_sine_traj", None)]
+            + [("secular_decomposition_C", grid.R_obs)] * 3
+            + [("secular_decomposition_S", grid.R_obs)] * 3
         )
 
 
@@ -386,13 +386,8 @@ def test_streamed_free_member_with_a_nan_fails_typed():
         ex._strichartz_constants(grid, grid.dr, 10.0, [grid.field(bad)], "free")
 
 
-def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):
-    # a window that holds no scale near 1: every on-manifold row leaves it,
-    # and the lipschitz run must fail with the typed error, not pass quietly
-    from solmanifold import soliton
-
-    text = """[experiment]
-name = lipschitz
+SMALL_MANIFOLD = """[experiment]
+name = {name}
 seed = 6
 
 [grid]
@@ -404,12 +399,17 @@ R_obs = 10
 T = 10
 cfl = 0.8
 
-[data]
-eps = 1e-3
-
 [sweep]
 values = 1e-4
 """
+
+
+def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):
+    # a window that holds no scale near 1: every on-manifold row leaves it,
+    # and the lipschitz run must fail with the typed error, not pass quietly
+    from solmanifold import soliton
+
+    text = SMALL_MANIFOLD.format(name="lipschitz")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     cfg.output_dir = str(tmp_path / "out")
     monkeypatch.setattr(soliton, "MODULATION_WINDOW", (1.05, 1.5))
@@ -420,6 +420,61 @@ values = 1e-4
     assert "_manifold_trajectory" in record["traceback"]
     (check,) = [c for c in rep.checks if c.name == "run_completed"]
     assert not check.passed
+
+
+@pytest.mark.parametrize("experiment, caller", [
+    ("stationarity", "_run_stationarity"),
+    ("h_scaling", "_shoot_point"),
+    ("lipschitz", "_manifold_trajectory"),
+    ("adot_l1", "_manifold_trajectory"),
+    ("weighted_growth", "_run_weighted_growth"),
+])
+def test_a_stopped_nonlinear_run_fails_the_run(tmp_path, monkeypatch, experiment, caller):
+    # every nonlinear run an experiment reads must reach its horizon: one
+    # that reports a blow-up is a typed failure with its traceback, never a
+    # shorter trajectory read as if it were whole
+    import dataclasses
+
+    import solmanifold.experiments as ex
+
+    evolve = ex.evolve_nonlinear
+
+    def blown_up(*args, **kwargs):
+        run = evolve(*args, **kwargs)
+        return dataclasses.replace(run, status="blowup", departure_time=run.times_dense[-1])
+
+    monkeypatch.setattr(ex, "evolve_nonlinear", blown_up)
+    text = SMALL_MANIFOLD.format(name=experiment)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    cfg.output_dir = str(tmp_path / "out")
+    rep = run(cfg)
+    (record,) = [r for r in rep.records if "error" in r]
+    assert record["error"].startswith("PropagatorError: nonlinear run ended 'blowup'")
+    assert caller in record["traceback"] and "_completed" in record["traceback"]
+    (check,) = [c for c in rep.checks if c.name == "run_completed"]
+    assert not check.passed
+
+
+def test_secular_splits_continuous_spectrum_data(tmp_path, monkeypatch):
+    # the split builds its secular side from the f it is given, so
+    # _run_secular hands it the continuous part of vdphi_bump (whose own
+    # g-share is -0.65): no g-component above rounding in the scheme pairing
+    import solmanifold.experiments as ex
+    from solmanifold.grid import pair_w
+
+    seen = []
+    split = ex.secular_decomposition_S
+
+    def spy(f, T, dt, S, **kwargs):
+        seen.append((f, S))
+        return split(f, T, dt, S, **kwargs)
+
+    monkeypatch.setattr(ex, "secular_decomposition_S", spy)
+    cfg = ExperimentConfig(experiment="secular", R=110.0, n=1101, R_obs=10.0,
+                           output_dir=str(tmp_path / "out"))
+    run(cfg)
+    ((f, S),) = seen
+    assert abs(pair_w(f, S.g)) <= 1e-12 * np.sqrt(S.gg_w * pair_w(f, f))
 
 
 def test_h_scaling_shoots_on_the_validated_grid_and_step(tmp_path, monkeypatch):

@@ -121,20 +121,21 @@ def test_mixed_norm_reads_only_the_observation_ball(norm_grid, rng):
 
 
 def test_mixed_norm_of_a_bounded_trajectory(norm_grid):
-    # a trajectory holding the observation ball gives the full one's norms;
-    # a wider ball than it holds is a typed failure, not a silent cut
+    # the rows of a ball streamed to its profiles give the stored whole-grid
+    # trajectory's norms on that ball; a block narrower than the ball it
+    # feeds is a typed failure, not a silent cut
     f = norm_grid.field(np.exp(-((norm_grid.r - 3.0) ** 2)))
-    full = free_sine_traj(f, 20.0, norm_grid.dr)
-    bounded = free_sine_traj(f, 20.0, norm_grid.dr, radius=norm_grid.R_obs)
-    for inner in ("Linf_t", "L2_t", "L1_t"):
-        assert mixed_norm(bounded, ("lorentz", 6, 2), inner) == mixed_norm(
-            full, ("lorentz", 6, 2), inner
-        )
-    assert mixed_norm(bounded, "Linf_x", "L2_t", radius=8.0) == mixed_norm(
-        full, "Linf_x", "L2_t", radius=8.0
-    )
+    dt = norm_grid.dr
+    full = free_sine_traj(f, 20.0, dt)
+    for radius in (None, 8.0):
+        streamed = TimeProfiles(norm_grid, dt, radius)
+        free_sine_traj(f, 20.0, dt, profiles=streamed)
+        for outer in (("lorentz", 6, 2), "Linf_x"):
+            for inner in ("Linf_t", "L2_t", "L1_t"):
+                assert streamed.norm(outer, inner) == mixed_norm(full, outer, inner, radius=radius)
+    wider = TimeProfiles(norm_grid, dt, norm_grid.R_obs + norm_grid.dr)
     with pytest.raises(GridUsageError):
-        mixed_norm(bounded, "Linf_x", "L2_t", radius=norm_grid.R_obs + norm_grid.dr)
+        wider.add(full.samples[:, : norm_grid.obs_slice().stop])
 
 
 @pytest.mark.parametrize("rows", [1, 13, 161, 400])

@@ -510,26 +510,49 @@ def test_linear_evolution_is_scale_covariant():
         assert np.max(np.abs(E_s - factor * E)) <= 1e-15 * np.max(np.abs(E))
 
 
+def _streamed_blocks(produce, grid, dt, radius=None):
+    """(blocks, profiles): produce(profiles) streams to the TimeProfiles of
+    the ball of radius, and blocks are copies of the blocks it hands them."""
+    profiles = TimeProfiles(grid, dt, radius)
+    blocks = []
+    add = profiles.add
+
+    def record(block):
+        blocks.append(block.copy())
+        add(block)
+
+    profiles.add = record
+    assert produce(profiles) is None
+    return blocks, profiles
+
+
+def _assert_same_profiles(profiles, traj):
+    stored = TimeProfiles.of(traj, profiles.radius)
+    for inner in ("Linf_t", "L2_t", "L1_t"):
+        assert np.array_equal(profiles.profile(inner), stored.profile(inner))
+
+
 @pytest.mark.parametrize("cells", [1.0, 0.8])
 def test_bounded_free_trajectory_is_the_leading_columns(cells):
     # whole-cell shifts (dt = dr) and the interpolating path (dt = 0.8 dr):
-    # the bounded rows are the full rows cut, bit for bit
+    # the rows streamed to the profiles of a ball are the whole-grid rows
+    # cut to its nodes, bit for bit, and give the stored rows' profiles
     grid = RadialGrid(R=40.0, n=801, R_obs=10.0)
     f = grid.field(np.exp(-((grid.r - 3.0) ** 2)) + 0.1 / (1.0 + grid.r**2))
     dt = cells * grid.dr
     cols = grid.obs_slice().stop
     for traj_fn in (free_sine_traj, free_cosine_traj):
-        full = traj_fn(f, 20.0, dt).samples
-        bounded = traj_fn(f, 20.0, dt, radius=grid.R_obs).samples
-        assert bounded.shape == (full.shape[0], cols)
-        assert np.array_equal(bounded, full[:, :cols])
+        full = traj_fn(f, 20.0, dt)
+        blocks, profiles = _streamed_blocks(lambda p: traj_fn(f, 20.0, dt, profiles=p), grid, dt)
+        assert np.array_equal(np.concatenate(blocks), full.samples[:, :cols])
+        _assert_same_profiles(profiles, full)
 
 
 def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
-    # the leapfrog evolves the whole grid either way; a bounded secular split
-    # (with the q transport passed in) stores the leading columns of the
-    # full split's rows, and a ball of one cell still holds the 3 nodes the
-    # origin value reads
+    # the leapfrog evolves the whole grid either way; the dispersive rows a
+    # secular split (with the q transport passed in) streams to the profiles
+    # of a ball are the leading columns of the stored whole-grid split, and
+    # a ball of one cell still gets the 3 nodes the origin value reads
     grid = S_ref.grid
     dt = 0.8 * grid.dr
     cols = grid.obs_slice().stop
@@ -537,40 +560,47 @@ def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
     for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
         transport = _resonance_transport(grid, S_ref.a, 6.0, dt, kind)
         for stride in (1, 3):
-            ref = split(u0, 6.0, dt, S_ref, stride=stride)
+            ref = split(u0, 6.0, dt, S_ref, stride=stride)[0]
             for radius, k in ((grid.R_obs, cols), (grid.dr, 3)):
-                got = split(u0, 6.0, dt, S_ref, stride=stride, transport=transport, radius=radius)
-                for a, b in zip(got, ref):
-                    assert a.samples.shape == (b.samples.shape[0], k)
-                    assert np.array_equal(a.samples, b.samples[:, :k])
+                blocks, profiles = _streamed_blocks(
+                    lambda p: split(u0, 6.0, dt, S_ref, stride=stride, transport=transport,
+                                    profiles=p),
+                    grid, ref.dt, radius,
+                )
+                assert np.array_equal(np.concatenate(blocks), ref.samples[:, :k])
+                _assert_same_profiles(profiles, ref)
 
 
 def test_bounded_trajectories_fail_typed(S_ref):
+    # a trajectory holds the whole grid: the rows of a ball are no
+    # SpaceTimeField, and rows narrower than a ball are no block of its
+    # profiles
     grid = S_ref.grid
     dt = grid.dr
     f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
-    bounded = free_sine_traj(f, 5.0, dt, radius=grid.R_obs)
-    with pytest.raises(GridUsageError):
-        bounded.slice(0)
-    # a bounded trajectory is never a source, and a q transport must match
-    with pytest.raises(GridUsageError):
-        evolve_linear_perturbed(f, grid.zeros(), bounded, 5.0, dt)
+    full = free_sine_traj(f, 5.0, dt)
+    cols = grid.obs_slice().stop
+    for samples in (full.samples[:, :cols], np.zeros((2, grid.n + 1)), full.samples[0]):
+        with pytest.raises(GridUsageError, match="shape"):
+            SpaceTimeField(grid, dt, samples)
+    with pytest.raises(GridUsageError, match="needs"):
+        TimeProfiles(grid, dt).add(full.samples[:, : cols - 1])
+    # a q transport must match
     short = _resonance_transport(grid, S_ref.a, 4.0, dt, "sine")
     with pytest.raises(GridUsageError):
         secular_decomposition_S(f, 5.0, dt, S_ref, transport=short)
     # a NaN inside the observation ball: the finiteness scan covers every
-    # stored sample of a bounded trajectory
+    # stored sample, and streamed, the profiles the rows feed carry the check
     bad = f.values.copy()
-    bad[grid.obs_slice().stop // 2] = np.nan
+    bad[cols // 2] = np.nan
     for traj_fn in (free_sine_traj, free_cosine_traj):
         with pytest.raises(GridUsageError):
-            traj_fn(grid.field(bad), 5.0, dt, radius=grid.R_obs)
-        # streamed, the profiles the rows feed carry the check
+            traj_fn(grid.field(bad), 5.0, dt)
         profiles = TimeProfiles(grid, dt)
-        traj_fn(grid.field(bad), 5.0, dt, radius=grid.R_obs, consume=profiles.add)
+        traj_fn(grid.field(bad), 5.0, dt, profiles=profiles)
         with pytest.raises(GridUsageError, match="non-finite"):
             profiles.norm("Linf_x", "L2_t")
-    samples = bounded.samples.copy()
+    samples = full.samples.copy()
     samples[-1, -1] = np.nan
     with pytest.raises(GridUsageError):
         SpaceTimeField(grid, dt, samples)
@@ -593,9 +623,10 @@ def stream_setup():
 def test_streamed_rows_give_the_stored_profiles(monkeypatch, stream_setup, producer, kind,
                                                 stride, cfl, rows):
     # the rows a producer streams in blocks of 1, of a non-divisor of the
-    # 101 rows (dt = dr), of exactly 101 and of more give, fed to
-    # TimeProfiles, the profiles of its stored trajectory bit for bit; the
-    # stored trajectory does not depend on the block size either
+    # 101 rows (dt = dr), of exactly 101 and of more are the observation
+    # ball's columns of its stored whole-grid trajectory and give, fed to
+    # TimeProfiles, the profiles of that ball bit for bit; the stored
+    # trajectory does not depend on the block size either
     import solmanifold.propagators as prop
 
     grid, S = stream_setup
@@ -606,29 +637,22 @@ def test_streamed_rows_give_the_stored_profiles(monkeypatch, stream_setup, produ
         traj_fn = free_sine_traj if kind == "sine" else free_cosine_traj
 
         def evolve(**kw):
-            return traj_fn(f, T, dt, radius=grid.R_obs, **kw)
+            return traj_fn(f, T, dt, **kw)
     else:
         split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
 
         def evolve(**kw):
-            out = split(f, T, dt, S, stride=stride, radius=grid.R_obs, **kw)
+            out = split(f, T, dt, S, stride=stride, **kw)
             return None if out is None else out[0]
 
     stored = evolve()
-    cols = stored.samples.shape[1]
-    monkeypatch.setattr(prop, "BLOCK_BYTES", 8 * cols * rows)
-    assert np.array_equal(evolve().samples, stored.samples)
-    profiles = TimeProfiles(grid, stored.dt)
-    blocks = []
-
-    def consume(block):
-        blocks.append(len(block))
-        profiles.add(block)
-
-    assert evolve(consume=consume) is None
-    assert blocks[:-1] == [min(rows, len(stored.samples))] * (len(blocks) - 1)
-    assert sum(blocks) == len(stored.samples)
     inside = grid.obs_slice()
+    # a streamed block holds the nodes of the observation ball
+    monkeypatch.setattr(prop, "BLOCK_BYTES", 8 * inside.stop * rows)
+    assert np.array_equal(evolve().samples, stored.samples)
+    blocks, profiles = _streamed_blocks(lambda p: evolve(profiles=p), grid, stored.dt)
+    assert [len(b) for b in blocks[:-1]] == [min(rows, len(stored.samples))] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks), stored.samples[:, : inside.stop])
     want = inner_time_profiles(stored.samples[:, inside], stored.dt)
     for inner, ref in zip(("Linf_t", "L2_t", "L1_t"), want):
         assert np.array_equal(profiles.profile(inner), ref)
