@@ -13,7 +13,6 @@ import configparser
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -549,16 +548,18 @@ def _run_secular(cfg, outdir, report):
         )
     Smax = max(horizons)
     S_traj, secular = secular_decomposition_S(f, Smax, dt, S, stride=2)
+    # the full evolution, summed once into the secular stack; each horizon
+    # reads the leading rows of the two stacks as views
+    full = secular.samples
+    del secular
+    full += S_traj.samples
     rows = []
     s_norms = []
     full_l1 = []
     for T in horizons:
-        St = S_traj.restricted(T)
-        full = SpaceTimeField(
-            grid, S_traj.dt, S_traj.samples + secular.samples
-        ).restricted(T)
-        ns = mixed_norm(St, "Linf_x", "L2_t")
-        nf = mixed_norm(full, "Linf_x", "L1_t")
+        m = int(round(T / S_traj.dt)) + 1
+        ns = mixed_norm(SpaceTimeField(grid, S_traj.dt, S_traj.samples[:m]), "Linf_x", "L2_t")
+        nf = mixed_norm(SpaceTimeField(grid, S_traj.dt, full[:m]), "Linf_x", "L1_t")
         s_norms.append(ns)
         full_l1.append(nf)
         rows.append((T, ns, nf))
@@ -772,23 +773,26 @@ def _run_contraction(cfg, outdir, report):
     T = min(cfg.T, grid.budget_horizon())
     # one transport of q each way serves the 4 iterates of every eps
     transport = picard_transport(S, T, dt)
+
+    def distance(x, y):
+        return x_norm(SpaceTimeField(grid, dt, x.u.samples - y.u.samples), x.adot - y.adot, dt)
+
     ratios = []
     for e in cfg.sweep:
+        # each iterate is dropped after its last reader, and none outlives its eps
         query = seeded_query(grid, S, e, cfg.seed)
         p1 = picard_map(None, None, None, query, S, T, dt, transport)
         q2 = seeded_query(grid, S, e, cfg.seed + 1)
         p2 = picard_map(None, None, None, q2, S, T, dt, transport)
+        den = distance(p1, p2)
         f1 = picard_map(p1.u, p1.a, p1.adot, query, S, T, dt, transport)
+        del p1
         f2 = picard_map(p2.u, p2.a, p2.adot, query, S, T, dt, transport)
-        num = x_norm(
-            SpaceTimeField(grid, dt, f1.u.samples - f2.u.samples), f1.adot - f2.adot, dt
-        )
-        den = x_norm(
-            SpaceTimeField(grid, dt, p1.u.samples - p2.u.samples), p1.adot - p2.adot, dt
-        )
-        ratios.append(num / den)
-        report.records.append({"eps": e, "contraction_ratio": num / den})
-        report.add_check(f"contraction_ratio_eps_{e:g}", num / den, 1.0)
+        del p2
+        ratios.append(distance(f1, f2) / den)
+        del f1, f2
+        report.records.append({"eps": e, "contraction_ratio": ratios[-1]})
+        report.add_check(f"contraction_ratio_eps_{e:g}", ratios[-1], 1.0)
     if len(ratios) >= 2:
         order = np.argsort(cfg.sweep)
         sorted_r = np.array(ratios)[order]
@@ -827,6 +831,9 @@ def _run_weighted_growth(cfg, outdir, report):
 def _pmap(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev
 
 from . import soliton
@@ -447,7 +448,7 @@ class _Sources:
     residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
 
 
-_ROWS = 32  # history rows per block in _assemble and _modulation_series
+_ROWS = 32  # rows per block in _assemble, _add_outer and _modulation_series
 _NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
 
 
@@ -593,8 +594,9 @@ def _xpm_from(src, data0, data1, S, dt):
     # for x_minus and backward from the horizon for x_plus: step i reaches
     # step m damped by decay^|m-i|, one lower-triangular matrix for both
     decay = np.exp(-k * dt)
-    lag = np.subtract.outer(np.arange(M), np.arange(M))
-    L = np.tril((decay ** np.arange(M))[np.maximum(lag, 0)])
+    # its rows: reversed windows of M - 1 zeros and the powers, copied once
+    powers = np.concatenate((np.zeros(M - 1), decay ** np.arange(M)))
+    L = np.ascontiguousarray(sliding_window_view(powers, M)[:, ::-1])
     fwd = 0.5 * dt * (w2g[1:] + w2g[:-1] * decay)
     bwd = 0.5 * dt * (w2g[:-1] + w2g[1:] * decay)
 
@@ -733,6 +735,8 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
     (0, S.a, 0), which has no source at all.  transport is the
     picard_transport pair of (S, T, dt), made here when None: a caller
     iterating on one (S, T, dt) makes it once and hands it to every call.
+    The iterate's u is the array of _pc_u_series with the discrete part
+    added in place, so it takes no second (M+1, n) stack.
     """
     grid = S.grid
     M = int(round(T / dt))
@@ -752,18 +756,25 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
     h, tail = _h_from(src, dt, S, pg0, pg1)
 
     data0, data1 = _offset_data(query, S, h)
+    xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
     base, B = _resonance_pairings(data0, data1, src, transport)
 
     adot = _rate_from(a0, S, base, B, dt)
     a = S.a + cumulative_trapezoid(adot, dx=dt)
 
-    pcu = _pc_u_series(data0, data1, src, base, B, S, T, dt)
-    xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
-    coef = (xp + xm) / np.sqrt(2.0 * S.k)
-    u = SpaceTimeField(grid, dt, pcu.samples + np.outer(coef, S.g.values))
+    samples = _pc_u_series(data0, data1, src, base, B, S, T, dt)
+    _add_outer(samples, (xp + xm) / np.sqrt(2.0 * S.k), S.g.values)
+    u = SpaceTimeField(grid, dt, samples)
     return PicardIterate(
         u=u, a=a, adot=adot, h=h, x_plus=xp, x_minus=xm, tail_bound=max(tail, xtail)
     )
+
+
+def _add_outer(out, coef, profile):
+    """out += outer(coef, profile), in place, _ROWS rows at a time."""
+    for start in range(0, len(coef), _ROWS):
+        rows = slice(start, start + _ROWS)
+        out[rows] += np.outer(coef[rows], profile)
 
 
 def _pc_u_series(data0, data1, src, base, B, S, T, dt):
@@ -775,35 +786,44 @@ def _pc_u_series(data0, data1, src, base, B, S, T, dt):
     The evolution is linear, so one leapfrog run with data (data0, data1)
     and source F gives the first three terms together; the defect Duhamel
     takes a second run, whose centred time derivative turns its sine
-    Duhamel into the cosine one.  The zero history has no source (src.F
+    Duhamel into the cosine one.  That run is streamed, never stored: from
+    its last two rows, each row's derivative (np.gradient's expressions:
+    centred inside, one-sided at the horizon, none for M < 2) is subtracted
+    as the run makes the next.  The zero history has no source (src.F
     and src.D None): its one run has none, and there is no second run.
     project_out=S is their only P_c: raw and P_c-projected inputs give the
     same states in exact arithmetic (see evolve_linear_perturbed).  The
     minus on the defect Duhamel matches modulation_rate_series (see the
     sign discussion there).  base and B are the summed data pairings and
     the Duhamel kernel (None without a source) of _resonance_pairings,
-    which modulation_rate_series reads too.
+    which modulation_rate_series reads too.  Returns the (M+1, n) samples,
+    which the caller completes and checks as a SpaceTimeField.
     """
     grid = S.grid
-    cQ = secular_coefficient(S)
-    resv = S.resonance.values
-
     F = None if src.F is None else SpaceTimeField(grid, dt, src.F)
     out = evolve_linear_perturbed(data0, data1, F, T, dt, a=S.a, project_out=S).samples
+    M = out.shape[0] - 1
     if src.D is not None:
+        recent = []  # the defect run's rows j - 2 and j - 1
+
+        def consume(j, z):
+            if j >= 2:
+                out[j - 1] -= (z - recent[0]) / (2.0 * dt)
+                if j == M:
+                    out[M] -= (z - recent[1]) / dt
+            recent[:] = recent[-1:] + [z]
+
         zero = grid.zeros()
         D = SpaceTimeField(grid, dt, src.D)
-        zs = evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S).samples
-        if zs.shape[0] >= 3:
-            out[1:] -= np.gradient(zs, dt, axis=0)[1:]
+        evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S, consume=consume)
 
     # secular parts: Q acting on the accumulated free evolutions of the data
     # and of the Duhamel sources
     sec = cumulative_trapezoid(base, dx=dt)
     if B is not None:
         sec += _secular_sums(B, dt)
-    out += np.outer(cQ * sec, resv)
-    return SpaceTimeField(grid, dt, out)
+    _add_outer(out, secular_coefficient(S) * sec, S.resonance.values)
+    return out
 
 
 @dataclass

@@ -80,11 +80,6 @@ class SpaceTimeField:
     def slice(self, m):
         return RadialField(self.grid, self.samples[m])
 
-    def restricted(self, T):
-        """Truncate the trajectory to [0, T]."""
-        m = int(round(T / self.dt))
-        return SpaceTimeField(self.grid, self.dt, self.samples[: m + 1].copy())
-
 
 class _Transport:
     """d'Alembert transport of one field w = r*f, odd through the origin.
@@ -380,7 +375,8 @@ def _rate(w, i, dt):
     return np.zeros_like(w[i])
 
 
-def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
+def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None,
+                            consume=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
     source may be None or a SpaceTimeField sampled at the solver dt.  The
@@ -394,11 +390,22 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     every later state; P(r F) = r P_c F and P(I - P) = 0, so by induction
     (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
     arithmetic.  Discrete energy drift over [0, T] is O(dt^2).
+    With consume, nothing is stored: consume(j, row) receives the values of
+    snapshot j, a fresh array, in order, as the leapfrog makes it (see
+    _leapfrog), and None is returned.
     """
     grid = u0.grid
     wg = grid.r * project_out.g.values if project_out is not None else None
+    emit = None
+    if consume is not None:
+
+        def emit(j, row, rate):
+            consume(j, _values_from_w(grid, np.array(row)))
+
     rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, _linear_force(grid, a, source, dt),
-                     stride=stride, wg=wg)[0]
+                     stride=stride, wg=wg, emit=emit)[0]
+    if consume is not None:
+        return None
     return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
 
 

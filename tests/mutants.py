@@ -166,6 +166,24 @@ MUTANTS = [
         "if False:",
     ),
     (
+        "defect derivative lands one row late",
+        "src/solmanifold/modulation.py",
+        "out[j - 1] -= (z - recent[0])",
+        "out[j] -= (z - recent[0])",
+    ),
+    (
+        "last row's one-sided difference dropped",
+        "src/solmanifold/modulation.py",
+        "out[M] -= (z - recent[1]) / dt",
+        "pass",
+    ),
+    (
+        "L built upper-triangular",
+        "src/solmanifold/modulation.py",
+        "sliding_window_view(powers, M)[:, ::-1]",
+        "sliding_window_view(powers, M)[::-1]",
+    ),
+    (
         "zero-history iterate drops data1 from its run",
         "src/solmanifold/modulation.py",
         "evolve_linear_perturbed(data0, data1, F,",

@@ -5,8 +5,9 @@ route to a quantity the package computes another way (the Newton
 potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
 diagonal, the scheme-pairing P_c that the projected linear flow applies
-at every step, the inner time norms of a whole stored stack) or a
-conserved quantity that checks a propagator.
+at every step, the inner time norms of a whole stored stack), a
+conserved quantity that checks a propagator, or a way to cut a stored
+trajectory that the package no longer needs.
 """
 
 import numpy as np
@@ -31,6 +32,12 @@ def from_csv(text):
     v = np.array([float(ln.split(",")[1]) for ln in rows])
     grid = RadialGrid(R=r[-1], n=len(r))
     return grid.field(v)
+
+
+def restricted(traj, T):
+    """A copy of the trajectory truncated to [0, T]."""
+    m = int(round(T / traj.dt))
+    return SpaceTimeField(traj.grid, traj.dt, traj.samples[: m + 1].copy())
 
 
 def lp_norm_cells(f, p, radius=None):

@@ -35,7 +35,8 @@ def test_every_exported_name_resolves():
 
 def test_ground_state_and_a_run_load_no_scipy(tmp_path):
     # a fresh process: the package, its ground-state eigensolve and one
-    # whole experiment run on numpy and the standard library alone
+    # whole experiment run on numpy and the standard library alone, and a
+    # serial run never loads the process pool (nor multiprocessing with it)
     config = tmp_path / "stationarity.ini"
     config.write_text("[experiment]\nname = stationarity\n[grid]\nR = 40\nn = 401\n[time]\nT = 6\n")
     code = (
@@ -44,7 +45,8 @@ def test_ground_state_and_a_run_load_no_scipy(tmp_path):
         "solmanifold.ground_state(solmanifold.RadialGrid(R=20.0, n=201))\n"
         "cfg = ExperimentConfig.from_file(sys.argv[1])\n"
         "cfg.output_dir = sys.argv[2]\n"
-        "print(run(cfg).passed, [m for m in sys.modules if m.startswith('scipy')])\n"
+        "print(run(cfg).passed, [m for m in sys.modules if m.startswith('scipy')],\n"
+        "      'concurrent.futures.process' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -52,7 +54,7 @@ def test_ground_state_and_a_run_load_no_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.split() == ["True", "[]"]
+    assert proc.stdout.split() == ["True", "[]", "False"]
 
 
 def test_tracer_targets_resolve():

@@ -35,7 +35,7 @@ from solmanifold.modulation import (
 )
 from solmanifold.spectral import secular_coefficient
 
-from oracles import project_continuous_w
+from oracles import project_continuous_w, restricted
 
 
 @pytest.fixture(scope="module")
@@ -663,8 +663,8 @@ def test_trajectory_modulation_diagnostics(manifold_run, mod_grid, S_mod):
             status=run.status,
             times_dense=run.times_dense,
             g_overlap=run.g_overlap,
-            psi=_strided(run.psi, 5).restricted(14.0),
-            dpsi_dt=_strided(run.dpsi_dt, 5).restricted(14.0),
+            psi=restricted(_strided(run.psi, 5), 14.0),
+            dpsi_dt=restricted(_strided(run.dpsi_dt, 5), 14.0),
         ),
         S_mod,
     )
@@ -914,7 +914,7 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
     src = _assemble(u0.samples, a0, adot0, S_mod)
     base, B = _resonance_pairings(data0, data1, src, picard_transport(S_mod, T, dt))
-    got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt).samples
+    got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt)
     _, _, base_ref = _q_side_pairings(data0, data1, S_mod, T, dt)
     assert _rel_err(base, base_ref) < 1e-10
 
@@ -942,6 +942,66 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     ref += np.outer(secular_coefficient(S_mod) * (sec + sec_src), S_mod.resonance.values)
     assert np.max(np.abs(duh_cos)) > 1e-3 * np.max(np.abs(ref))  # the defect counts
     assert _rel_err(got, ref) < 1e-12
+
+
+@pytest.mark.parametrize("M", [1, 2, 100])
+def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, M):
+    # the defect run handed to _pc_u_series row by row gives, bit for bit,
+    # the stored run differenced by np.gradient (none for M < 2), and the
+    # secular term added in blocks gives the whole outer product
+    from solmanifold.grid import cumulative_trapezoid
+    from solmanifold.modulation import (
+        _assemble,
+        _pc_u_series,
+        _resonance_pairings,
+        _secular_sums,
+    )
+    from solmanifold.propagators import evolve_linear_perturbed
+
+    u0, a0, adot0 = history
+    dt = u0.dt
+    T = M * dt
+    u0 = restricted(u0, T)
+    grid = S_mod.grid
+    data0 = query_mod.psi0_perturbation
+    data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
+    src = _assemble(u0.samples, a0[: M + 1], adot0[: M + 1], S_mod)
+    base, B = _resonance_pairings(data0, data1, src, picard_transport(S_mod, T, dt))
+    got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt)
+
+    def run(v0, v1, source):
+        return evolve_linear_perturbed(
+            v0, v1, SpaceTimeField(grid, dt, source), T, dt, a=S_mod.a, project_out=S_mod
+        ).samples
+
+    ref = run(data0, data1, src.F)
+    zs = run(grid.zeros(), grid.zeros(), src.D)
+    if M >= 2:
+        ref[1:] -= np.gradient(zs, dt, axis=0)[1:]
+    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(B, dt)
+    ref = ref + np.outer(secular_coefficient(S_mod) * sec, S_mod.resonance.values)
+    assert got.shape == (M + 1, grid.n)
+    assert np.array_equal(got, ref)
+
+
+def test_picard_map_peak_stays_near_its_floor(history, S_mod, query_mod):
+    # one non-zero-history iterate allocates F, D, the output and block-sized
+    # temporaries: the defect run and both rank-one terms store no
+    # (M+1, n) stack of their own
+    import tracemalloc
+
+    u0, a0, adot0 = history
+    T, dt = u0.horizon, u0.dt
+    transport = picard_transport(S_mod, T, dt)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        it = picard_map(u0, a0, adot0, query_mod, S_mod, T, dt, transport)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert it.u.samples.shape == u0.samples.shape
+    assert peak - entry <= 5 * u0.samples.nbytes
 
 
 def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, query_mod):

@@ -472,7 +472,8 @@ def test_perturbed_snapshots_convert_in_one_pass(S_ref):
 
 
 def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
-    # with a source and the g-suppression on, a stride-s run keeps rows [::s]
+    # with a source and the g-suppression on, a stride-s run keeps rows
+    # [::s]; with consume it hands over the same rows, in order, and stores none
     grid = S_ref.grid
     dt = 0.8 * grid.dr
     M = 100
@@ -484,6 +485,14 @@ def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
         run = evolve_linear_perturbed(u0, u1, F, M * dt, dt, stride=s, project_out=S_ref)
         assert run.dt == s * dt
         assert np.array_equal(run.samples, dense.samples[::s])
+    for s in (1, 3):
+        seen = []
+        assert evolve_linear_perturbed(
+            u0, u1, F, M * dt, dt, stride=s, project_out=S_ref,
+            consume=lambda j, row: seen.append((j, row)),
+        ) is None
+        assert [j for j, _ in seen] == list(range(len(dense.samples[::s])))
+        assert np.array_equal(np.array([row for _, row in seen]), dense.samples[::s])
 
 
 def test_linear_evolution_is_scale_covariant():
