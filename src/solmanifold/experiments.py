@@ -204,6 +204,12 @@ class ExperimentReport:
 def _write(outdir, name, text):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
+    # a fresh file: truncating and rewriting an existing one can stall on
+    # the flush some file systems (ext4) force when it is closed
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w") as fh:
         fh.write(text)
     return path

@@ -645,9 +645,16 @@ def _resonance_pairings(data0, data1, src, transport):
 
 
 def _antidiagonal_sums(X):
-    """s[m] = sum of X[j, k] over j + k = m, for m = 0..M of an (M+1, M+1) X."""
-    idx = np.arange(X.shape[0])
-    return np.bincount((idx[:, None] + idx).ravel(), weights=X.ravel())[: X.shape[0]]
+    """s[m] = sum of X[j, k] over j + k = m, for m = 0..M of an (M+1, M+1) X.
+
+    Each s[m] adds its terms to 0.0 in increasing j, as a bincount over the
+    flattened X would, without an (M+1)^2 index.
+    """
+    n = X.shape[0]
+    s = np.zeros(n)
+    for j in range(n):
+        s[j:] += X[j, : n - j]
+    return s
 
 
 def _duhamel_sums(B, dt):

@@ -124,7 +124,8 @@ class TimeProfiles:
                                  f"the trajectory holds {block.shape[1]}")
         lead = 0 if self._peak is None else 1  # row 0 carries the running values
         if len(self._buf) < len(block) + lead:
-            self._buf = np.empty((len(block) + lead, cols))
+            # with room for the carry row, so equal blocks reuse the first buffer
+            self._buf = np.empty((len(block) + 1, cols))
         buf = self._buf[: len(block) + lead]
         mags = buf[lead:]
         np.abs(block[:, :cols], out=mags)

@@ -13,7 +13,9 @@ with the snapshots, not with the steps, and with neither when the consumer
 reduces each snapshot as it is made.  A stored trajectory holds the
 whole grid.  Given a norms.TimeProfiles, the free trajectories and the
 secular split store no trajectory at all: the rows of the ball it reads go
-to it in blocks of about BLOCK_BYTES as they are made.
+to it in blocks of about BLOCK_BYTES (256 KB) as they are made, so that a
+block, the profiles' copy of it and the transport's windows fit in L2
+together.
 """
 
 from __future__ import annotations
@@ -115,28 +117,37 @@ class _Transport:
     def at(self, name, x):
         return np.interp(x, self.x, self.values[name])
 
-    def half_sums(self, name, op, m0, dt, out):
-        """Rows m = m0, m0+1, ... of op(F(r + m dt), F(r - m dt)) / 2 for
-        F = W, w or d, into out, one row per row of out, at its columns.
+    def half_sums(self, name, op, dt, cols):
+        """A filler of rows of op(F(r + m dt), F(r - m dt)) / 2 for F = W, w or d.
 
-        When dt is a whole number s of cells, row m pairs two windows of the
-        extended node values shifted by +-m*s cells: no interpolation, and
-        two strided views feed a single ufunc call.  Otherwise one
-        interpolation covers every row.
+        fill(m0, out) writes rows m = m0, m0+1, ... into out, one row per
+        row of out, at its cols leading columns.  The halved node values
+        are made once here and shared by every block.  When dt is a whole
+        number s of cells, row m pairs two windows of them shifted by
+        +-m*s cells, built once here too: no interpolation, and two
+        strided views feed a single ufunc call.  Otherwise one
+        interpolation covers each block.
         """
         grid = self.grid
-        rows, cols = out.shape
         half = 0.5 * self.values[name]  # exact: op(a/2, b/2) == op(a, b)/2
         s = dt / grid.dr
         cells = int(round(s))
         if cells >= 1 and abs(s - cells) <= 1e-12 * s:
-            K, shift = self.K, m0 * cells
             windows = sliding_window_view(half, cols)
-            op(windows[K + shift::cells][:rows], windows[K - shift::-cells][:rows], out=out)
+            ahead, behind = windows[self.K :: cells], windows[self.K :: -cells]
+
+            def fill(m0, out):
+                m1 = m0 + len(out)
+                op(ahead[m0:m1], behind[m0:m1], out=out)
+
         else:
-            t = (dt * np.arange(m0, m0 + rows))[:, None]
             r = grid.r[:cols]
-            op(np.interp(r + t, self.x, half), np.interp(r - t, self.x, half), out=out)
+
+            def fill(m0, out):
+                t = (dt * np.arange(m0, m0 + len(out)))[:, None]
+                op(np.interp(r + t, self.x, half), np.interp(r - t, self.x, half), out=out)
+
+        return fill
 
 
 def _columns(grid, profiles):
@@ -147,8 +158,9 @@ def _columns(grid, profiles):
     return grid.n if profiles is None else max(profiles.inside.stop, 3)
 
 
-# bytes of one block of rows that a streamed evolution hands to its profiles
-BLOCK_BYTES = 2**20
+# bytes of one block of rows that a streamed evolution hands to its profiles:
+# a block, the profiles' copy of it and the transport's windows fit in L2
+BLOCK_BYTES = 2**18
 
 
 def _block_rows(cols):
@@ -170,13 +182,14 @@ def _free_slices(f, M, dt, kind, profiles=None):
     cols = _columns(grid, profiles)
     tr = _Transport(grid, f.w(), M * dt)
     name, op, origin = ("W", np.subtract, "w") if kind == "sine" else ("w", np.add, "d")
+    fill = tr.half_sums(name, op, dt, cols)
     r = grid.r[1:cols]
     step = _block_rows(cols)
     out = np.empty((M + 1, cols)) if profiles is None else np.empty((min(step, M + 1), cols))
     for m0 in range(0, M + 1, step):
         m1 = min(m0 + step, M + 1)
         block = out[m0:m1] if profiles is None else out[: m1 - m0]
-        tr.half_sums(name, op, m0, dt, block)
+        fill(m0, block)
         block[:, 1:] /= r
         block[:, 0] = tr.at(origin, dt * np.arange(m0, m1))
         if m0 == 0 and kind != "sine":

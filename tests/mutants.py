@@ -208,10 +208,28 @@ MUTANTS = [
         'if kind != "sine":',
     ),
     (
-        "half_sums starts every block at row 0",
+        "half_sums starts every interpolated block at row 0",
         "src/solmanifold/propagators.py",
-        "K, shift = self.K, m0 * cells",
-        "K, shift = self.K, 0",
+        "t = (dt * np.arange(m0, m0 + len(out)))[:, None]",
+        "t = (dt * np.arange(len(out)))[:, None]",
+    ),
+    (
+        "every block reads the windows at shift 0",
+        "src/solmanifold/propagators.py",
+        "op(ahead[m0:m1], behind[m0:m1], out=out)",
+        "op(ahead[: len(out)], behind[: len(out)], out=out)",
+    ),
+    (
+        "cached windows built from the unhalved values",
+        "src/solmanifold/propagators.py",
+        "windows = sliding_window_view(half, cols)",
+        "windows = sliding_window_view(self.values[name], cols)",
+    ),
+    (
+        "anti-diagonal loop starts at row 1",
+        "src/solmanifold/modulation.py",
+        "for j in range(n):\n        s[j:] += X[j, : n - j]",
+        "for j in range(1, n):\n        s[j:] += X[j, : n - j]",
     ),
     (
         "dispersive blocks subtract the first block's coefficients",

@@ -4,10 +4,11 @@ None of these has a caller in the package: each is either an independent
 route to a quantity the package computes another way (the Newton
 potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
-diagonal, the scheme-pairing P_c that the projected linear flow applies
-at every step, the inner time norms of a whole stored stack), a
-conserved quantity that checks a propagator, or a way to cut a stored
-trajectory that the package no longer needs.
+diagonal, the anti-diagonal sums by one bincount, the scheme-pairing P_c
+that the projected linear flow applies at every step, the inner time
+norms of a whole stored stack), a conserved quantity that checks a
+propagator, or a way to cut a stored trajectory that the package no
+longer needs.
 """
 
 import numpy as np
@@ -99,6 +100,14 @@ def inner_time_profiles(samples, dt):
         np.sqrt(np.sum(samples**2, axis=0) * dt),
         np.sum(np.abs(samples), axis=0) * dt,
     )
+
+
+def antidiagonal_sums(X):
+    """s[m] = sum of X[j, k] over j + k = m, by one bincount over the flattened
+    (M+1, M+1) X and its index j + k: the reference the package's row loop
+    must equal bit for bit."""
+    idx = np.arange(X.shape[0])
+    return np.bincount((idx[:, None] + idx).ravel(), weights=X.ravel())[: X.shape[0]]
 
 
 def project_continuous_w(f, S):

@@ -124,17 +124,37 @@ def test_criterion_06_pairing_identity(tmp_path):
     # companion with a nonzero right-hand side: genuinely relative 1%.
     # The pairing weight peaks sharply at the origin, so this check needs
     # dr = 0.0125 for its O(dr^2) quadrature bias to clear 1%.
+    # The series <free_sine(psi1)(t_m), q> comes from one streamed
+    # transport, whose whole-grid row blocks a local consumer pairs with q;
+    # three per-slice free_sine pairings are its oracle.
     from solmanifold import RadialGrid, inner_product, free_sine
     from solmanifold import soliton
+    from solmanifold.grid import FOUR_PI
+    from solmanifold.propagators import free_sine_traj
 
     grid = RadialGrid(R=200.0, n=16001)
     psi1 = grid.field(np.exp(-(grid.r**2)))
     q = grid.field(soliton.potential(grid.r, 1.0) * soliton.dphi_da(grid.r, 1.0))
     dt = grid.dr
     M = int(round((grid.R / 2) / dt))
-    series = np.array(
-        [inner_product(free_sine(psi1, m * dt), q) for m in range(M + 1)]
-    )
+
+    class Pairing:
+        inside = slice(0, grid.n)
+        weights = FOUR_PI * grid.simpson_weights * grid.r**2 * q.values
+
+        def __init__(self):
+            self.parts = []
+
+        def add(self, block):
+            self.parts.append(block @ self.weights)
+
+    acc = Pairing()
+    assert free_sine_traj(psi1, grid.R / 2, dt, profiles=acc) is None
+    series = np.concatenate(acc.parts)
+    assert len(series) == M + 1
+    for m in (1, M // 2, M):
+        ref = inner_product(free_sine(psi1, m * dt), q)
+        assert abs(series[m] - ref) <= 1e-14 * abs(ref)
     lhs = float(np.trapezoid(series, dx=dt))
     rhs = -inner_product(soliton.dphi_da_field(grid), psi1)
     ok = abs(lhs - rhs) / abs(rhs) < 0.01

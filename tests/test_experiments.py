@@ -168,6 +168,28 @@ def test_stationarity_run_and_determinism(tmp_path):
     )
 
 
+def test_rerun_into_one_directory_writes_fresh_files(tmp_path):
+    # a second run into the same directory gives the same file set and the
+    # same CSV bytes; each output is a fresh file, not the old one truncated
+    # (the old one, held open here, is unlinked and keeps its bytes)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE))
+    cfg.output_dir = str(tmp_path / "out")
+
+    def outputs():
+        names = sorted(os.listdir(cfg.output_dir))
+        return names, {n: open(os.path.join(cfg.output_dir, n), "rb").read()
+                       for n in names if n.endswith(".csv")}
+
+    run(cfg)
+    first = outputs()
+    assert "stationarity.csv" in first[1]
+    with open(os.path.join(cfg.output_dir, "stationarity.csv"), "rb") as old:
+        run(cfg)
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == first[1]["stationarity.csv"]
+    assert outputs() == first
+
+
 @pytest.mark.parametrize("amp, t_stop", [(1.0, "1.4"), (2.0, "0.36")])
 def test_stopped_energy_run_raises(amp, t_stop):
     # the blow-up detector stops both runs; their energies give no drift

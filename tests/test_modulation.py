@@ -35,7 +35,7 @@ from solmanifold.modulation import (
 )
 from solmanifold.spectral import secular_coefficient
 
-from oracles import project_continuous_w, restricted
+from oracles import antidiagonal_sums, project_continuous_w, restricted
 
 
 @pytest.fixture(scope="module")
@@ -771,6 +771,18 @@ def test_antidiagonal_sums_match_trapezoid_loops(M):
         return
     assert _rel_err(_duhamel_sums(B, dt), duh) < 1e-13
     assert _rel_err(_secular_sums(B, dt), sec) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 401])
+def test_antidiagonal_sums_equal_the_bincount(n):
+    # the row loop adds each anti-diagonal's terms to 0.0 in increasing row
+    # order, the order of a bincount over the flattened matrix: the same
+    # bits, on entries whose magnitudes span 24 decades
+    from solmanifold.modulation import _antidiagonal_sums
+
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-12.0, 12.0, (n, n))
+    assert np.array_equal(_antidiagonal_sums(X), antidiagonal_sums(X))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from solmanifold import (
     RadialField,
@@ -665,3 +666,43 @@ def test_streamed_rows_give_the_stored_profiles(monkeypatch, stream_setup, produ
     want = inner_time_profiles(stored.samples[:, inside], stored.dt)
     for inner, ref in zip(("Linf_t", "L2_t", "L1_t"), want):
         assert np.array_equal(profiles.profile(inner), ref)
+
+
+def test_streamed_transport_peak_stays_near_its_blocks():
+    # a streamed free trajectory holds the transport's node values, one
+    # block of about BLOCK_BYTES and the profiles' copy of it: at R = 80,
+    # n = 3201 (1,601 rows of an 801-node ball) well under 1.5 MB above
+    # entry, where 1 MB blocks with per-block windows took 3.4 MB
+    import tracemalloc
+
+    grid = RadialGrid(R=80.0, n=3201, R_obs=20.0)
+    f = grid.field(np.exp(-((grid.r - 3.0) ** 2)) + 0.1 / (1.0 + grid.r**2))
+    tracemalloc.start()
+    try:
+        free_sine_traj(f, 40.0, grid.dr, profiles=TimeProfiles(grid, grid.dr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def test_whole_cell_transport_builds_its_windows_once(monkeypatch):
+    # the windows of the halved node values depend only on the call: every
+    # block of a whole-cell transport reads the one set built for it
+    import solmanifold.propagators as prop
+
+    grid = RadialGrid(R=40.0, n=801, R_obs=10.0)
+    f = grid.field(np.exp(-((grid.r - 3.0) ** 2)))
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args)
+        return sliding_window_view(*args, **kw)
+
+    monkeypatch.setattr(prop, "sliding_window_view", counted)
+    monkeypatch.setattr(prop, "BLOCK_BYTES", 8 * grid.obs_slice().stop * 7)
+    for traj_fn in (free_sine_traj, free_cosine_traj):
+        for profiles in (None, TimeProfiles(grid, grid.dr)):
+            built.clear()
+            traj_fn(f, 20.0, grid.dr, profiles=profiles)
+            assert len(built) == 1
