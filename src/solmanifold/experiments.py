@@ -47,7 +47,7 @@ from .norms import TimeProfiles, energy, lorentz_norm, mixed_norm
 from .propagators import (
     PropagatorError,
     SpaceTimeField,
-    _resonance_transport,
+    _resonance_series,
     free_cosine_traj,
     free_sine_traj,
     secular_decomposition_C,
@@ -462,35 +462,26 @@ def _strichartz_constants(grid, dt, T, members, mode):
     each evolution streams the rows of its nodes, block by block, into one
     TimeProfiles per kind, and no trajectory is stored.  The perturbed mode
     solves for the ground state of grid, replaces each member f by its
-    continuous part, and transports q once per kind for all members.
+    continuous part, and makes the resonance series the splits read first:
+    all sine series from one transport of q, then all cosine series from
+    another, so no transport is held through the member loop.
     """
-    if mode == "free":
-
-        def sine(f, profiles):
-            free_sine_traj(f, T, dt, profiles=profiles)
-
-        def cosine(f, profiles):
-            free_cosine_traj(f, T, dt, profiles=profiles)
-
-    else:
+    if mode != "free":
         S = ground_state(grid)
         # the split evolves P_c f, and builds its secular side from the f it
         # is given: each member is projected once, and measured as projected
         members = [_continuous_part(f, S) for f in members]
-        E_sine = _resonance_transport(grid, S.a, T, dt, "sine")
-        E_cosine = _resonance_transport(grid, S.a, T, dt, "cosine")
-
-        def sine(f, profiles):
-            secular_decomposition_S(f, T, dt, S, transport=E_sine, profiles=profiles)
-
-        def cosine(f, profiles):
-            secular_decomposition_C(f, T, dt, S, transport=E_cosine, profiles=profiles)
-
+        sines = _resonance_series(grid, S.a, T, dt, "sine", members)
+        cosines = _resonance_series(grid, S.a, T, dt, "cosine", members)
     rows = []
     for i, f in enumerate(members):
         s, c = TimeProfiles(grid, dt), TimeProfiles(grid, dt)
-        sine(f, s)
-        cosine(f, c)
+        if mode == "free":
+            free_sine_traj(f, T, dt, profiles=s)
+            free_cosine_traj(f, T, dt, profiles=c)
+        else:
+            secular_decomposition_S(f, T, dt, S, series=sines[i], profiles=s)
+            secular_decomposition_C(f, T, dt, S, series=cosines[i], profiles=c)
         l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
         rows.append((
             i,
@@ -587,8 +578,7 @@ def _run_pairing_identity(cfg, outdir, report):
     psi1 = family_field(grid, "phi5")
     M = int(round(T / dt))
     # <sine-free(psi1)(t), V dphi> (V dphi = Delta dphi_da), paired on the q side
-    E, w = _resonance_transport(grid, 1.0, T, dt, "sine")
-    series = E @ (w * psi1.values)
+    series = _resonance_series(grid, 1.0, T, dt, "sine", [psi1])[0]
     lhs = float(np.trapezoid(series, dx=dt))
     rhs = -inner_product(soliton.dphi_da_field(grid), psi1)
     scale = float(np.trapezoid(np.abs(series), dx=dt))
@@ -813,15 +803,14 @@ def _run_weighted_growth(cfg, outdir, report):
     S = ground_state(grid)
     query = seeded_query(grid, S, cfg.eps, cfg.seed)
     res = shoot_h(query, S, cfg.T, dt)
-    run = evolve_nonlinear(*query.initial_data(S, res.h), 5.0, dt, S=S, stride=5)
-    _completed(run, 5.0)
     phi_f = soliton.phi_field(grid)
     rows = []
-    for m in range(run.psi.samples.shape[0]):
-        t = m * run.psi.dt
-        dvals = RadialField(grid, run.psi.samples[m] - phi_f.values)
-        D = weighted_norm(dvals, "<x>^-1 H1", radius=grid.R_obs)
-        rows.append((t, D))
+
+    def reduce(j, psi, psi_t):
+        rows.append((j * (dt * 5), weighted_norm(psi - phi_f, "<x>^-1 H1", radius=grid.R_obs)))
+
+    data = query.initial_data(S, res.h)
+    _completed(evolve_nonlinear(*data, 5.0, dt, S=S, stride=5, consume=reduce), 5.0)
     t = np.array([r[0] for r in rows])
     D = np.array([r[1] for r in rows])
     C = float(np.max(D / (np.exp(t) * query.epsilon)))

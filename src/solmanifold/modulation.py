@@ -40,7 +40,6 @@ from .grid import (
 from .norms import NormReport, TimeProfiles, lorentz_norm
 from .propagators import (
     SpaceTimeField,
-    _check_transport,
     _leapfrog,
     _resonance_transport,
     evolve_linear_perturbed,
@@ -750,7 +749,8 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
     if transport is None:
         transport = picard_transport(S, T, dt)
     for E, _ in transport:
-        _check_transport(E, grid, T, dt)
+        if E.shape != (M + 1, grid.n):
+            raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
     if u0_traj is None:
         a0 = np.full(M + 1, S.a)
         src = _no_source(M)

@@ -255,17 +255,22 @@ def _resonance_transport(grid, a, T, dt, kind):
     Returns the (M+1, n) samples E and w = 4 pi * simpson * r^2.  The free
     evolutions are self-adjoint, <free(f)(t), q> = <f, free(q)(t)>, so
     E @ (w * f) is the series <free(f)(t_m), q> of any f: one transport of
-    q serves every resonance pairing.
+    q serves every resonance pairing.  Only the Picard pair keeps it across
+    calls; _resonance_series makes one per call and drops it on return.
     """
     q = grid.field(soliton.resonance_weight(grid.r, a))
     traj = free_sine_traj if kind == "sine" else free_cosine_traj
     return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
 
 
-def _check_transport(E, grid, T, dt):
-    """Raise GridUsageError unless the q transport E covers [0, T] at dt on the whole grid."""
-    if E.shape != (int(round(T / dt)) + 1, grid.n):
-        raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
+def _resonance_series(grid, a, T, dt, kind, fields):
+    """The series <free(f)(t_m), q>, m = 0..M, of each f in fields.
+
+    One _resonance_transport of q serves them all, one gemv per field (one
+    gemm over the fields differs in the last bits), and is dropped on return.
+    """
+    E, w = _resonance_transport(grid, a, T, dt, kind)
+    return [E @ (w * f.values) for f in fields]
 
 
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
@@ -440,32 +445,33 @@ def _linear_force(grid, a, source, dt):
     return force
 
 
-def _secular_decomposition(f, T, dt, S, stride, kind, transport, profiles=None):
+def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
     Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
     under H with the per-step projection of evolve_linear_perturbed's
     project_out=S, which evolves P_c f.  Secular side: the rank-one
-    projector applied to the running time integral of <free evolution of f
-    of the same kind, q>, paired on the q side: transport is the pair
-    (E, w) that _resonance_transport(grid, S.a, T, dt, kind) returns, made
-    here when None, so a caller splitting many f on one grid transports q
-    once.  The secular side is built from f as given, so the split is that
-    of P_c f only when f has no g-component: a caller holding any other f
-    passes P_c f.  Each dispersive row, the field of its state minus
-    coeff_j times the resonance, is made in blocks of about BLOCK_BYTES as
-    the leapfrog emits the states.  Returns (dispersive_traj,
-    secular_traj); their sum is the full perturbed evolution.  With
-    profiles, profiles.add(rows) receives each dispersive block in turn, at
-    the nodes of their ball, in one reused buffer, and nothing is stored or
-    returned.
+    projector applied to the running time integral of series, the
+    M+1 values <free(f)(t_m), q> of the free evolution of f of the same
+    kind, which _resonance_series(grid, S.a, T, dt, kind, [f]) makes here
+    when None: a caller splitting many f on one grid makes all their
+    series from one transport of q.  The secular side is built from f as
+    given, so the split is that of P_c f only when f has no g-component: a
+    caller holding any other f passes P_c f.  Each dispersive row, the
+    field of its state minus coeff_j times the resonance, is made in blocks
+    of about BLOCK_BYTES as the leapfrog emits the states.  Returns
+    (dispersive_traj, secular_traj); their sum is the full perturbed
+    evolution.  With profiles, profiles.add(rows) receives each dispersive
+    block in turn, at the nodes of their ball, in one reused buffer, and
+    nothing is stored or returned.
     """
     grid = f.grid
     grid.require_budget(T)
-    E, w = transport if transport is not None else _resonance_transport(grid, S.a, T, dt, kind)
-    _check_transport(E, grid, T, dt)
-    cum = cumulative_trapezoid(E @ (w * f.values), dx=dt)
-    coeff = -secular_coefficient(S) * cum[::stride]
+    if series is None:
+        series = _resonance_series(grid, S.a, T, dt, kind, [f])[0]
+    if len(series) != int(round(T / dt)) + 1:
+        raise GridUsageError("the resonance series must hold one value per time m*dt of [0, T]")
+    coeff = -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[::stride]
     cols = _columns(grid, profiles)
     resonance = S.resonance.values[:cols]
     last = len(coeff) - 1
@@ -492,16 +498,16 @@ def _secular_decomposition(f, T, dt, S, stride, kind, transport, profiles=None):
     return SpaceTimeField(grid, dt * stride, out), secular
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1, transport=None, profiles=None):
+def secular_decomposition_S(f, T, dt, S, stride=1, series=None, profiles=None):
     """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj).
 
-    transport: the sine _resonance_transport of the grid, to share it
-    between calls; profiles: stream the dispersive rows of their ball to
+    series: the sine _resonance_series of f, to make many from one
+    transport of q; profiles: stream the dispersive rows of their ball to
     them instead of storing (see _secular_decomposition).
     """
-    return _secular_decomposition(f, T, dt, S, stride, "sine", transport, profiles)
+    return _secular_decomposition(f, T, dt, S, stride, "sine", series, profiles)
 
 
-def secular_decomposition_C(g0, T, dt, S, stride=1, transport=None, profiles=None):
+def secular_decomposition_C(g0, T, dt, S, stride=1, series=None, profiles=None):
     """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    return _secular_decomposition(g0, T, dt, S, stride, "cosine", transport, profiles)
+    return _secular_decomposition(g0, T, dt, S, stride, "cosine", series, profiles)

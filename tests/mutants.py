@@ -46,10 +46,22 @@ MUTANTS = [
         "max(profiles.inside.stop - 1, 3)",
     ),
     (
-        "cosine split reuses the sine q transport",
+        "cosine split reads the sine series",
         "src/solmanifold/experiments.py",
-        "transport=E_cosine",
-        "transport=E_sine",
+        "series=cosines[i]",
+        "series=sines[i]",
+    ),
+    (
+        "the split's series length check dropped",
+        "src/solmanifold/propagators.py",
+        "if len(series) != int(round(T / dt)) + 1:",
+        "if False:",
+    ),
+    (
+        "the split makes its own series when it is given one",
+        "src/solmanifold/propagators.py",
+        "if series is None:",
+        "if True:",
     ),
     (
         "modulation node values drop <phi(a_j), Q_j>",

@@ -1,0 +1,200 @@
+"""Every shipped config through experiments.run, one fresh process each.
+
+Usage, from the root of a checkout:
+
+    python tests/sweep.py [--pairs N] [--against DIR]
+
+For every configs/*.ini, at its pinned seed, the script starts one fresh
+child with workers = 1 and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1.  The child imports the package from the
+checkout's src, runs experiments.run into a fresh temporary directory and
+prints one JSON line: the wall time of run, ru_maxrss, the failed checks,
+every error record with its traceback, and a sha256 of each CSV.  It
+changes no seed, grid or threshold: only the output directory and the
+worker count are set.
+
+Each config runs N times (default 1).  With --against DIR, the checkout at
+DIR runs each config N times too, from its own configs/ and src/, in pairs
+that alternate which checkout goes first.  Per config the script then
+prints each CSV as byte-identical or its largest relative difference, and
+the median wall time and max RSS of both checkouts with the median of the
+per-pair ratios (this checkout over DIR).
+
+The script exits 1 on any failed check or error record of either checkout,
+and when the CSVs of one checkout differ between its runs.
+It is not part of tier-1 (pytest does not collect it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child(root, path, outdir):
+    """Run one config of the checkout at root into outdir; print its JSON line."""
+    src = os.path.realpath(os.path.join(root, "src"))
+    sys.path.insert(0, src)
+    from solmanifold import experiments
+
+    if not os.path.realpath(experiments.__file__).startswith(src + os.sep):
+        raise ImportError(f"solmanifold imported from {experiments.__file__}, not {src}")
+    cfg = experiments.ExperimentConfig.from_file(path)
+    cfg.workers = 1
+    cfg.output_dir = outdir
+    out = {"failed": [], "errors": []}
+    start = time.perf_counter()
+    try:
+        report = experiments.run(cfg)
+    except Exception:
+        out["errors"].append({"error": "run raised", "traceback": traceback.format_exc()})
+    else:
+        out["failed"] = [f"{c.name}: {c.value:.6g} {c.op} {c.threshold:.6g}"
+                         for c in report.checks if not c.passed]
+        out["errors"] = [r for r in report.records if "error" in r]
+    out["wall_s"] = time.perf_counter() - start
+    out["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    out["csv"] = {}
+    for name in sorted(os.listdir(outdir)):
+        if name.endswith(".csv"):
+            with open(os.path.join(outdir, name), "rb") as fh:
+                out["csv"][name] = hashlib.sha256(fh.read()).hexdigest()
+    print(json.dumps(out))
+
+
+def run_one(root, path):
+    """One fresh child on one config; returns (result, {csv name: values})."""
+    env = dict(os.environ, **{k: "1" for k in THREADS})
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory(prefix="sweep-") as outdir:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", root, path, outdir],
+            env=env, capture_output=True, text=True,
+        )
+        try:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            error = {"error": f"child exited {proc.returncode}", "traceback": proc.stderr}
+            return {"failed": [], "errors": [error], "wall_s": None, "rss_mb": None, "csv": {}}, {}
+        values = {name: _read_csv(os.path.join(outdir, name)) for name in result["csv"]}
+    return result, values
+
+
+def _read_csv(path):
+    with open(path) as fh:
+        return [[float(v) for v in line.split(",")] for line in fh.read().splitlines()[1:]]
+
+
+def _largest_relative_difference(a, b):
+    """max |x - y| / max(|x|, |y|) over the entries of two CSV bodies; None if shapes differ."""
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return None
+    worst = 0.0
+    for x, y in zip(sum(a, []), sum(b, [])):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def _problems(label, name, runs):
+    """Print the failed checks and error records of runs; returns their count."""
+    count = 0
+    for result in runs:
+        for check in result["failed"]:
+            print(f"  {label} {name}: FAILED CHECK {check}")
+            count += 1
+        for record in result["errors"]:
+            print(f"  {label} {name}: ERROR {record['error']}\n{record['traceback']}")
+            count += 1
+    return count
+
+
+def _median(runs, key):
+    values = [r[key] for r in runs if r[key] is not None]
+    return statistics.median(values) if values else float("nan")
+
+
+def _ratio(runs, base, key):
+    ratios = [r[key] / b[key] for r, b in zip(runs, base) if r[key] and b[key]]
+    return statistics.median(ratios) if ratios else float("nan")
+
+
+def _configs(root):
+    folder = os.path.join(root, "configs")
+    names = sorted(f for f in os.listdir(folder) if f.endswith(".ini"))
+    return {f[:-4]: os.path.join(folder, f) for f in names}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pairs", type=int, default=1, help="runs per config and checkout")
+    parser.add_argument("--against", help="a second checkout to compare with")
+    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(*args.child)
+        return 0
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    other = os.path.abspath(args.against) if args.against else None
+    mine = _configs(ROOT)
+    theirs = _configs(other) if other else {}
+    bad = 0
+    for name, path in mine.items():
+        if other and name not in theirs:
+            print(f"{name}: no such config in {other}")
+            bad += 1
+            continue
+        done = {"this": [], "against": []}
+        order = ["this", "against"] if other else ["this"]
+        for k in range(args.pairs):
+            for side in order if k % 2 == 0 else order[::-1]:
+                root, ini = (ROOT, path) if side == "this" else (other, theirs[name])
+                done[side].append(run_one(root, ini))
+        runs, base = ([result for result, _ in done[side]] for side in ("this", "against"))
+        line = (f"{name}: wall {_median(runs, 'wall_s'):.3f} s, "
+                f"max RSS {_median(runs, 'rss_mb'):.1f} MB")
+        if other:
+            line += (f"; against: wall {_median(base, 'wall_s'):.3f} s "
+                     f"({_ratio(runs, base, 'wall_s'):.3f}x), max RSS "
+                     f"{_median(base, 'rss_mb'):.1f} MB ({_ratio(runs, base, 'rss_mb'):.3f}x)")
+        print(line, flush=True)
+        for label, side in (("this", runs), ("against", base)):
+            if len({json.dumps(r["csv"], sort_keys=True) for r in side}) > 1:
+                print(f"  {label}: CSVs differ between runs of one checkout")
+                bad += 1
+            bad += _problems(label, name, side)
+        if other:
+            for csv in sorted(set(runs[0]["csv"]) | set(base[0]["csv"])):
+                mine_hash, their_hash = runs[0]["csv"].get(csv), base[0]["csv"].get(csv)
+                if mine_hash is None or their_hash is None:
+                    verdict = "written by one checkout only"
+                elif mine_hash == their_hash:
+                    verdict = "byte-identical"
+                else:
+                    diff = _largest_relative_difference(done["this"][0][1][csv],
+                                                        done["against"][0][1][csv])
+                    verdict = ("shape differs" if diff is None
+                               else f"largest relative difference {diff:.3g}")
+                print(f"  {csv}: {verdict}")
+        else:
+            for csv, digest in runs[0]["csv"].items():
+                print(f"  {csv}: sha256 {digest[:16]}")
+    print(f"{len(mine)} configs, {bad} failed checks or errors")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -385,6 +385,34 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
         )
 
 
+def test_resonance_series_leave_no_transport_held():
+    # the splits read a series of M+1 values, and the transport of q it
+    # comes from, one (M+1, n) stack, is gone before the leapfrog runs:
+    # holding it took the peaks to 2.97 and 2.15 stacks here
+    import tracemalloc
+
+    import solmanifold.experiments as ex
+    from solmanifold import RadialGrid, ground_state
+
+    grid = RadialGrid(R=40.0, n=401, R_obs=10.0)
+    dt, T = grid.dr, 30.0
+    stack = (round(T / dt) + 1) * grid.n * 8
+    S = ground_state(grid)
+    members = ex.seeded_bumps(grid, 4, 4)
+    f = ex._continuous_part(members[0], S)
+    for measured in (
+        lambda: ex._strichartz_constants(grid, dt, T, members, "perturbed"),
+        lambda: ex.secular_decomposition_S(f, T, dt, S, stride=2),
+    ):
+        tracemalloc.start()
+        try:
+            measured()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack
+
+
 def test_strichartz_perturbed_projects_each_member_once(tmp_path):
     # seed 25 on a 21-node grid: with members split as given, the g-component
     # of a member entered the secular side through its free transport, and

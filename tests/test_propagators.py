@@ -19,6 +19,7 @@ from solmanifold.grid import GridUsageError, field_from_w
 from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
+    _resonance_series,
     _resonance_transport,
     free_cosine_traj,
     free_sine_traj,
@@ -191,6 +192,20 @@ def test_q_side_pairing_converges_to_data_side(kind):
         gaps.append(np.max(np.abs(E @ (w * f.values) - ref)) / np.max(np.abs(ref)))
     assert gaps[0] < 5e-5
     assert gaps[0] >= 12.0 * gaps[1] and gaps[1] >= 12.0 * gaps[2]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("kind", ["sine", "cosine"])
+def test_resonance_series_are_the_transport_pairings(kind, count):
+    # one gemv per field on one transport of q, bit for bit
+    grid = RadialGrid(R=40.0, n=401, R_obs=12.0)
+    dt = 0.8 * grid.dr
+    fields = [grid.field(np.exp(-((grid.r - c) ** 2))) for c in (2.0, 3.0, 5.0)[:count]]
+    E, w = _resonance_transport(grid, 1.3, 16.0, dt, kind)
+    got = _resonance_series(grid, 1.3, 16.0, dt, kind, fields)
+    assert len(got) == count
+    for f, series in zip(fields, got):
+        assert np.array_equal(series, E @ (w * f.values))
 
 
 @pytest.mark.parametrize("kind", ["sine", "cosine"])
@@ -560,7 +575,7 @@ def test_bounded_free_trajectory_is_the_leading_columns(cells):
 
 def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
     # the leapfrog evolves the whole grid either way; the dispersive rows a
-    # secular split (with the q transport passed in) streams to the profiles
+    # secular split (with its resonance series passed in) streams to the profiles
     # of a ball are the leading columns of the stored whole-grid split, and
     # a ball of one cell still gets the 3 nodes the origin value reads
     grid = S_ref.grid
@@ -568,12 +583,12 @@ def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
     cols = grid.obs_slice().stop
     u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)) + 0.5 * np.exp(-((grid.r - 3.0) ** 2)))
     for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
-        transport = _resonance_transport(grid, S_ref.a, 6.0, dt, kind)
+        series = _resonance_series(grid, S_ref.a, 6.0, dt, kind, [u0])[0]
         for stride in (1, 3):
             ref = split(u0, 6.0, dt, S_ref, stride=stride)[0]
             for radius, k in ((grid.R_obs, cols), (grid.dr, 3)):
                 blocks, profiles = _streamed_blocks(
-                    lambda p: split(u0, 6.0, dt, S_ref, stride=stride, transport=transport,
+                    lambda p: split(u0, 6.0, dt, S_ref, stride=stride, series=series,
                                     profiles=p),
                     grid, ref.dt, radius,
                 )
@@ -595,10 +610,11 @@ def test_bounded_trajectories_fail_typed(S_ref):
             SpaceTimeField(grid, dt, samples)
     with pytest.raises(GridUsageError, match="needs"):
         TimeProfiles(grid, dt).add(full.samples[:, : cols - 1])
-    # a q transport must match
-    short = _resonance_transport(grid, S_ref.a, 4.0, dt, "sine")
-    with pytest.raises(GridUsageError):
-        secular_decomposition_S(f, 5.0, dt, S_ref, transport=short)
+    # a resonance series must have one value per step, no more and no fewer
+    series = _resonance_series(grid, S_ref.a, 5.0, dt, "sine", [f])[0]
+    for wrong in (series[:-1], np.r_[series, 0.0]):
+        with pytest.raises(GridUsageError, match="resonance series"):
+            secular_decomposition_S(f, 5.0, dt, S_ref, series=wrong)
     # a NaN inside the observation ball: the finiteness scan covers every
     # stored sample, and streamed, the profiles the rows feed carry the check
     bad = f.values.copy()
