@@ -41,8 +41,9 @@ from .norms import NormReport, TimeProfiles, lorentz_norm
 from .propagators import (
     SpaceTimeField,
     _leapfrog,
-    _resonance_transport,
     evolve_linear_perturbed,
+    free_cosine_traj,
+    free_sine_traj,
 )
 from .spectral import project_continuous, secular_coefficient, x_pm
 
@@ -619,12 +620,15 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
 
 
 def picard_transport(S, T, dt):
-    """The sine and cosine transports of q = V(S.a) dphi_da(S.a) over [0, T] at dt.
+    """((E_sine, w), (E_cosine, w)): the stored free transports of q = V(S.a) dphi_da(S.a).
 
-    They depend on (S, T, dt) alone: make the pair once and hand it to every
-    picard_map call on those.
+    E holds the M+1 rows of [0, T] at dt, w = 4 pi * simpson * r^2, and
+    E @ (w * f) is <free(f)(t_m), q>.  The only stored transport of q (the
+    Duhamel kernel reads it whole): make it once per (S, T, dt).
     """
-    return tuple(_resonance_transport(S.grid, S.a, T, dt, kind) for kind in ("sine", "cosine"))
+    q = S.grid.field(soliton.resonance_weight(S.grid.r, S.a))
+    w = FOUR_PI * S.grid.simpson_weights * S.grid.r**2
+    return tuple((traj(q, T, dt).samples, w) for traj in (free_sine_traj, free_cosine_traj))
 
 
 def _resonance_pairings(data0, data1, src, transport):
@@ -730,7 +734,7 @@ class PicardIterate:
     tail_bound: float
 
 
-def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
+def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     """One application of the linearized-system solution map (u0, a0) -> (u, a).
 
     Computes h from the boundedness condition, the new modulation rate from
@@ -739,18 +743,14 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport=None):
     the x_pm integrals.  The source of the frozen history is assembled once
     for all four parts; u0_traj None is the zero history (u0, a0, adot0) =
     (0, S.a, 0), which has no source at all.  transport is the
-    picard_transport pair of (S, T, dt), made here when None: a caller
-    iterating on one (S, T, dt) makes it once and hands it to every call.
+    picard_transport pair of (S, T, dt), made once for every call on those.
     The iterate's u is the array of _pc_u_series with the discrete part
     added in place, so it takes no second (M+1, n) stack.
     """
     grid = S.grid
     M = int(round(T / dt))
-    if transport is None:
-        transport = picard_transport(S, T, dt)
-    for E, _ in transport:
-        if E.shape != (M + 1, grid.n):
-            raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
+    if any(E.shape != (M + 1, grid.n) for E, _ in transport):
+        raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
     if u0_traj is None:
         a0 = np.full(M + 1, S.a)
         src = _no_source(M)

@@ -106,6 +106,8 @@ class TimeProfiles:
         self.dt = dt
         self.radius = grid.R_obs if radius is None else radius
         self.inside = grid.obs_slice(self.radius)
+        if self.inside.stop > grid.n:
+            raise GridUsageError(f"radius {self.radius} is wider than the grid (R={grid.R})")
         self._peak = self._l2 = self._l1 = None
         self._buf = np.empty((0, self.inside.stop))
 

@@ -11,16 +11,18 @@ with its own force and stop test.  It hands only the strided snapshots its
 callers read to a consumer, which stores them by default, so memory grows
 with the snapshots, not with the steps, and with neither when the consumer
 reduces each snapshot as it is made.  A stored trajectory holds the
-whole grid.  Given a norms.TimeProfiles, the free trajectories and the
-secular split store no trajectory at all: the rows of the ball it reads go
-to it in blocks of about BLOCK_BYTES (256 KB) as they are made, so that a
-block, the profiles' copy of it and the transport's windows fit in L2
-together.
+whole grid.  Given a profiles consumer (inside and add, see _free_slices),
+the free trajectories and the secular split store no trajectory at all:
+the rows of the ball it reads go to it in blocks of about BLOCK_BYTES
+(256 KB) as they are made, so that a block, a norms.TimeProfiles' copy of
+it and the transport's windows fit in L2 together.  The resonance series
+stream to a whole-grid consumer that pairs each row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -174,9 +176,11 @@ def _free_slices(f, M, dt, kind, profiles=None):
     W(r-t))/2r with origin value w(t), the cosine rows (w(r+t) + w(r-t))/2r
     with origin value w'(t), and cosine row 0 is f itself.  The rows are
     made in blocks of about BLOCK_BYTES.  Without profiles the blocks fill
-    the returned (M+1, n) array; with them, profiles.add(rows) receives
-    each block in turn, at the nodes of their ball, in one reused buffer,
-    and nothing is stored or returned.  Callers check the budget.
+    the returned (M+1, n) array.  profiles is any object with inside, the
+    slice of the leading nodes it reads, and add(rows): a norms.TimeProfiles
+    or _resonance_series' pairing sink.  add receives each block in turn,
+    at the nodes of inside, in one reused buffer it must consume before it
+    returns, and nothing is stored or returned.  Callers check the budget.
     """
     grid = f.grid
     cols = _columns(grid, profiles)
@@ -236,10 +240,10 @@ def _free_traj(f, T, dt, kind, profiles):
 def free_sine_traj(f, T, dt, profiles=None):
     """Free sine trajectory of f on [0, T].
 
-    With profiles (a norms.TimeProfiles), the rows of their ball go to
-    profiles.add block by block as they are made (see _free_slices),
-    nothing is stored and None is returned; the profiles own the
-    finiteness check a stored trajectory makes.
+    With profiles (inside and add, see _free_slices), the rows of their
+    ball go to profiles.add block by block as they are made, nothing is
+    stored and None is returned; the consumer owns the finiteness check a
+    stored trajectory makes.
     """
     return _free_traj(f, T, dt, "sine", profiles)
 
@@ -249,28 +253,25 @@ def free_cosine_traj(g0, T, dt, profiles=None):
     return _free_traj(g0, T, dt, "cosine", profiles)
 
 
-def _resonance_transport(grid, a, T, dt, kind):
-    """Free sine or cosine trajectory of q = V(a) dphi_da(a), and its pairing weights.
+def _resonance_series(grid, a, T, dt, kind, fields):
+    """The (len(fields), M+1) series <free(f)(t_m), q> of each f in fields, q = V(a) dphi_da(a).
 
-    Returns the (M+1, n) samples E and w = 4 pi * simpson * r^2.  The free
-    evolutions are self-adjoint, <free(f)(t), q> = <f, free(q)(t)>, so
-    E @ (w * f) is the series <free(f)(t_m), q> of any f: one transport of
-    q serves every resonance pairing.  Only the Picard pair keeps it across
-    calls; _resonance_series makes one per call and drops it on return.
+    <free(f)(t), q> = <f, free(q)(t)>: one free transport of q, streamed to
+    a whole-grid profiles consumer, serves every f.  Each row is paired with
+    each w * f, w = 4 pi * simpson * r^2, by its own dot product (np.vecdot;
+    a gemv's bits would follow the rows of a block, so BLOCK_BYTES).  No
+    transport is stored, so a non-finite series raises GridUsageError.
     """
     q = grid.field(soliton.resonance_weight(grid.r, a))
-    traj = free_sine_traj if kind == "sine" else free_cosine_traj
-    return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
-
-
-def _resonance_series(grid, a, T, dt, kind, fields):
-    """The series <free(f)(t_m), q>, m = 0..M, of each f in fields.
-
-    One _resonance_transport of q serves them all, one gemv per field (one
-    gemm over the fields differs in the last bits), and is dropped on return.
-    """
-    E, w = _resonance_transport(grid, a, T, dt, kind)
-    return [E @ (w * f.values) for f in fields]
+    weighted = FOUR_PI * grid.simpson_weights * grid.r**2 * np.array([f.values for f in fields])
+    products = []  # per block, its (fields, rows) dot products
+    sink = SimpleNamespace(inside=slice(0, grid.n),
+                           add=lambda block: products.append(np.vecdot(weighted[:, None], block)))
+    (free_sine_traj if kind == "sine" else free_cosine_traj)(q, T, dt, profiles=sink)
+    series = np.concatenate(products, axis=1)
+    if not np.isfinite(series).all():
+        raise GridUsageError("non-finite trajectory samples")
+    return series
 
 
 def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
@@ -460,10 +461,10 @@ def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
     caller holding any other f passes P_c f.  Each dispersive row, the
     field of its state minus coeff_j times the resonance, is made in blocks
     of about BLOCK_BYTES as the leapfrog emits the states.  Returns
-    (dispersive_traj, secular_traj); their sum is the full perturbed
-    evolution.  With profiles, profiles.add(rows) receives each dispersive
-    block in turn, at the nodes of their ball, in one reused buffer, and
-    nothing is stored or returned.
+    (dispersive_traj, coeff); the secular part is coeff[:, None] *
+    S.resonance.values, not built.  With profiles, profiles.add(rows)
+    receives each dispersive block in turn, at the nodes of their ball, in
+    one reused buffer, and nothing is stored or returned.
     """
     grid = f.grid
     grid.require_budget(T)
@@ -492,14 +493,11 @@ def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
     data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
     _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None, dt),
               stride=stride, wg=grid.r * S.g.values, emit=emit)
-    if profiles is not None:
-        return None
-    secular = SpaceTimeField(grid, dt * stride, coeff[:, None] * resonance)
-    return SpaceTimeField(grid, dt * stride, out), secular
+    return None if profiles is not None else (SpaceTimeField(grid, dt * stride, out), coeff)
 
 
 def secular_decomposition_S(f, T, dt, S, stride=1, series=None, profiles=None):
-    """Split the perturbed sine evolution of (0, P_c f): (S_traj, secular_traj).
+    """Split the perturbed sine evolution of (0, P_c f): (S_traj, coeff).
 
     series: the sine _resonance_series of f, to make many from one
     transport of q; profiles: stream the dispersive rows of their ball to

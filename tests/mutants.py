@@ -34,7 +34,7 @@ MUTANTS = [
         "V = soliton.potential(grid.r, 1.0)[1:-1]",
     ),
     (
-        "_resonance_transport ignores a",
+        "_resonance_series ignores a",
         "src/solmanifold/propagators.py",
         "q = grid.field(soliton.resonance_weight(grid.r, a))",
         "q = grid.field(soliton.resonance_weight(grid.r, 1.0))",
@@ -272,6 +272,24 @@ MUTANTS = [
         "src/solmanifold/modulation.py",
         "return np.zeros(M + 1), xm, 0.0",
         "return np.zeros(M + 1), 0.0 * xm, 0.0",
+    ),
+    (
+        "secular's one pass restarts every horizon at row 0",
+        "src/solmanifold/experiments.py",
+        "done = m",
+        "done = 0",
+    ),
+    (
+        "the split returns -coeff",
+        "src/solmanifold/propagators.py",
+        "(SpaceTimeField(grid, dt * stride, out), coeff)",
+        "(SpaceTimeField(grid, dt * stride, out), -coeff)",
+    ),
+    (
+        "the pairing sink pairs every block with the first field",
+        "src/solmanifold/propagators.py",
+        "np.vecdot(weighted[:, None], block)",
+        "np.vecdot(np.broadcast_to(weighted[:1], weighted.shape)[:, None], block)",
     ),
     (
         "_csv writes 16 significant digits",

@@ -18,7 +18,10 @@ DIR runs each config N times too, from its own configs/ and src/, in pairs
 that alternate which checkout goes first.  Per config the script then
 prints each CSV as byte-identical or its largest relative difference, and
 the median wall time and max RSS of both checkouts with the median of the
-per-pair ratios (this checkout over DIR).
+per-pair ratios (this checkout over DIR).  It compares the numbers of the
+two report.json files the same way, leaving out output_dir, traceback and
+error: "report numbers identical", or the largest relative difference and
+its key path.
 
 The script exits 1 on any failed check or error record of either checkout,
 and when the CSVs of one checkout differ between its runs.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import statistics
@@ -41,6 +45,8 @@ import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# report.json keys that name the run's place or failure, not its numbers
+UNCOMPARED = ("output_dir", "traceback", "error")
 
 
 def child(root, path, outdir):
@@ -75,7 +81,7 @@ def child(root, path, outdir):
 
 
 def run_one(root, path):
-    """One fresh child on one config; returns (result, {csv name: values})."""
+    """One fresh child on one config; returns (result, {csv name: values}, report)."""
     env = dict(os.environ, **{k: "1" for k in THREADS})
     env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory(prefix="sweep-") as outdir:
@@ -87,9 +93,16 @@ def run_one(root, path):
             result = json.loads(proc.stdout.strip().splitlines()[-1])
         except (IndexError, json.JSONDecodeError):
             error = {"error": f"child exited {proc.returncode}", "traceback": proc.stderr}
-            return {"failed": [], "errors": [error], "wall_s": None, "rss_mb": None, "csv": {}}, {}
+            return ({"failed": [], "errors": [error], "wall_s": None, "rss_mb": None, "csv": {}},
+                    {}, None)
         values = {name: _read_csv(os.path.join(outdir, name)) for name in result["csv"]}
-    return result, values
+        report = os.path.join(outdir, "report.json")
+        if os.path.exists(report):
+            with open(report) as fh:
+                report = json.load(fh)
+        else:
+            report = None
+    return result, values, report
 
 
 def _read_csv(path):
@@ -106,6 +119,46 @@ def _largest_relative_difference(a, b):
         if x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return worst
+
+
+def _numbers(value, path=""):
+    """{key path: number} of every number in a parsed report, but under UNCOMPARED keys."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()
+                 if k not in UNCOMPARED]
+    elif isinstance(value, list):
+        # a named entry (a check) is keyed by its name
+        items = [(f"{path}[{v.get('name', i) if isinstance(v, dict) else i}]", v)
+                 for i, v in enumerate(value)]
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return {path: value} if number else {}
+    found = {}
+    for key, item in items:
+        found.update(_numbers(item, key))
+    return found
+
+
+def _report_verdict(mine, theirs):
+    """How the numbers of two parsed reports compare, as one line."""
+    if mine is None or theirs is None:
+        return "report.json written by one checkout only" if mine or theirs else "no report.json"
+    a, b = _numbers(mine), _numbers(theirs)
+    if a.keys() != b.keys():
+        return f"report numbers at different key paths: {sorted(a.keys() ^ b.keys())[:3]}"
+    worst, where, count = 0.0, None, 0
+    for key, x in a.items():
+        y = b[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        count += 1
+        diff = abs(x - y) / max(abs(x), abs(y))
+        if where is None or not diff <= worst:
+            worst, where = diff, key
+    if where is None:
+        return "report numbers identical"
+    return (f"report numbers: {count} differ, the largest relative difference "
+            f"{worst:.3g} at {where}")
 
 
 def _problems(label, name, runs):
@@ -163,7 +216,7 @@ def main(argv=None):
             for side in order if k % 2 == 0 else order[::-1]:
                 root, ini = (ROOT, path) if side == "this" else (other, theirs[name])
                 done[side].append(run_one(root, ini))
-        runs, base = ([result for result, _ in done[side]] for side in ("this", "against"))
+        runs, base = ([result for result, *_ in done[side]] for side in ("this", "against"))
         line = (f"{name}: wall {_median(runs, 'wall_s'):.3f} s, "
                 f"max RSS {_median(runs, 'rss_mb'):.1f} MB")
         if other:
@@ -189,6 +242,7 @@ def main(argv=None):
                     verdict = ("shape differs" if diff is None
                                else f"largest relative difference {diff:.3g}")
                 print(f"  {csv}: {verdict}")
+            print(f"  {_report_verdict(done['this'][0][2], done['against'][0][2])}")
         else:
             for csv, digest in runs[0]["csv"].items():
                 print(f"  {csv}: sha256 {digest[:16]}")

@@ -346,9 +346,9 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
         ))
 
     # count the evolutions, with the radius of the profiles they stream to
-    # (None: stored on the whole grid): the free transports under both
-    # names (experiments calls them for the free members,
-    # propagators._resonance_transport for q) and the splits
+    # (None: stored; the node count for a consumer without a radius): the
+    # free transports under both names (experiments calls them for the free
+    # members, propagators._resonance_series for q) and the splits
     import solmanifold.propagators as prop
 
     calls = []
@@ -362,7 +362,8 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls.append((_name, getattr(kwargs.get("profiles"), "radius", None)))
+                p = kwargs.get("profiles")
+                calls.append((_name, None if p is None else getattr(p, "radius", p.inside.stop)))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -376,33 +377,38 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
             [("free_cosine_traj", grid.R_obs)] * 3 + [("free_sine_traj", grid.R_obs)] * 3
         )
     else:
-        # one stored full-width transport of q per kind serves all three
-        # members, whose splits stream the rows of the observation ball
+        # one transport of q per kind, streamed on the whole grid, serves
+        # all three members, whose splits stream the rows of the observation
+        # ball; nothing is stored
         assert sorted(calls) == (
-            [("free_cosine_traj", None), ("free_sine_traj", None)]
+            [("free_cosine_traj", grid.n), ("free_sine_traj", grid.n)]
             + [("secular_decomposition_C", grid.R_obs)] * 3
             + [("secular_decomposition_S", grid.R_obs)] * 3
         )
 
 
 def test_resonance_series_leave_no_transport_held():
-    # the splits read a series of M+1 values, and the transport of q it
-    # comes from, one (M+1, n) stack, is gone before the leapfrog runs:
-    # holding it took the peaks to 2.97 and 2.15 stacks here
+    # the series stream the transport of q through a whole-grid consumer,
+    # so no (M+1, n) stack of it is ever held, and the stored split hands
+    # back its rank-one secular part as coefficients: peaks in stacks, at
+    # most 0.3 for the series of four fields, 0.5 for the perturbed
+    # constants of four members and 0.75 for the stored split at stride 2
+    # (holding the transport and the secular stack read 1.13, 1.14, 1.13)
     import tracemalloc
 
     import solmanifold.experiments as ex
     from solmanifold import RadialGrid, ground_state
 
-    grid = RadialGrid(R=40.0, n=401, R_obs=10.0)
+    grid = RadialGrid(R=40.0, n=801, R_obs=10.0)
     dt, T = grid.dr, 30.0
     stack = (round(T / dt) + 1) * grid.n * 8
     S = ground_state(grid)
     members = ex.seeded_bumps(grid, 4, 4)
     f = ex._continuous_part(members[0], S)
-    for measured in (
-        lambda: ex._strichartz_constants(grid, dt, T, members, "perturbed"),
-        lambda: ex.secular_decomposition_S(f, T, dt, S, stride=2),
+    for measured, bound in (
+        (lambda: ex._resonance_series(grid, S.a, T, dt, "sine", members), 0.3),
+        (lambda: ex._strichartz_constants(grid, dt, T, members, "perturbed"), 0.5),
+        (lambda: ex.secular_decomposition_S(f, T, dt, S, stride=2), 0.75),
     ):
         tracemalloc.start()
         try:
@@ -410,7 +416,7 @@ def test_resonance_series_leave_no_transport_held():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * stack
+        assert peak <= bound * stack
 
 
 def test_strichartz_perturbed_projects_each_member_once(tmp_path):
@@ -527,6 +533,30 @@ def test_secular_splits_continuous_spectrum_data(tmp_path, monkeypatch):
     assert abs(pair_w(f, S.g)) <= 1e-12 * np.sqrt(S.gg_w * pair_w(f, f))
 
 
+def test_secular_reads_its_horizons_in_one_pass(tmp_path):
+    # one pass feeds the rows of the ball to two TimeProfiles and reads each
+    # horizon's norms as the rows reach it: exactly the mixed norms of the
+    # stored prefix stacks, dispersive and dispersive + coeff * resonance
+    import solmanifold.experiments as ex
+    from solmanifold import ground_state, mixed_norm
+    from solmanifold.propagators import SpaceTimeField
+
+    cfg = ExperimentConfig(experiment="secular", R=110.0, n=1101, R_obs=10.0,
+                           output_dir=str(tmp_path / "out"))
+    report = run(cfg)
+    grid = cfg.grid()
+    S = ground_state(grid)
+    f = ex._continuous_part(ex.family_field(grid, "vdphi_bump"), S)
+    S_traj, coeff = ex.secular_decomposition_S(f, 100.0, grid.dr, S, stride=2)
+    full = S_traj.samples + coeff[:, None] * S.resonance.values
+    assert [r["T"] for r in report.records] == [25.0, 50.0, 100.0]
+    for record in report.records:
+        m = int(round(record["T"] / S_traj.dt)) + 1
+        for key, stack, inner in (("S_LinfL2", S_traj.samples, "L2_t"), ("full_LinfL1", full, "L1_t")):
+            prefix = SpaceTimeField(grid, S_traj.dt, stack[:m])
+            assert record[key] == mixed_norm(prefix, "Linf_x", inner)
+
+
 def test_h_scaling_shoots_on_the_validated_grid_and_step(tmp_path, monkeypatch):
     # each sweep point runs on cfg.grid() (R_obs defaults to R/2) with
     # cfg.timestep() (a set time.dt), the grid and step that validate checked
@@ -573,7 +603,7 @@ def test_picard_callers_share_one_transport_of_their_grid(tmp_path, monkeypatch,
     pairs = []
     picard_map = ex.picard_map
 
-    def spy(u0, a0, adot0, query, S, T, dt, transport=None):
+    def spy(u0, a0, adot0, query, S, T, dt, transport):
         pairs.append(transport)
         for (E, w), (E_ref, w_ref) in zip(transport, picard_transport(S, T, dt), strict=True):
             assert np.array_equal(E, E_ref) and np.array_equal(w, w_ref)

@@ -606,7 +606,8 @@ def test_xpm_evolution_pure_decay(mod_grid, S_mod):
 
 def test_picard_zero_fixed_point(mod_grid, S_mod):
     q = make_query(S_mod, mod_grid.zeros(), mod_grid.zeros())
-    it = picard_map(None, None, None, q, S_mod, 8.0, 0.8 * mod_grid.dr)
+    T, dt = 8.0, 0.8 * mod_grid.dr
+    it = picard_map(None, None, None, q, S_mod, T, dt, picard_transport(S_mod, T, dt))
     assert it.h == 0.0
     assert np.max(np.abs(it.u.samples)) == 0.0
     assert np.max(np.abs(it.adot)) == 0.0
@@ -617,9 +618,10 @@ def test_picard_limit_matches_nonlinear_flow(mod_grid, S_mod, query_mod):
     # (gauge-free comparison), to discretization accuracy
     dt = 0.8 * mod_grid.dr
     T = 12.0
-    it = picard_map(None, None, None, query_mod, S_mod, T, dt)
+    transport = picard_transport(S_mod, T, dt)
+    it = picard_map(None, None, None, query_mod, S_mod, T, dt, transport)
     for _ in range(3):
-        it = picard_map(it.u, it.a, it.adot, query_mod, S_mod, T, dt)
+        it = picard_map(it.u, it.a, it.adot, query_mod, S_mod, T, dt, transport)
     res = shoot_h(query_mod, S_mod, T, dt)
     assert abs(it.h - res.h) < 0.05 * query_mod.epsilon**2
     run = evolve_nonlinear(*query_mod.initial_data(S_mod, res.h), T, dt, S=S_mod)
@@ -636,9 +638,10 @@ def test_picard_limit_matches_nonlinear_flow(mod_grid, S_mod, query_mod):
 def test_picard_contracts(mod_grid, S_mod, query_mod):
     dt = 0.8 * mod_grid.dr
     T = 14.0
-    it1 = picard_map(None, None, None, query_mod, S_mod, T, dt)
-    it2 = picard_map(it1.u, it1.a, it1.adot, query_mod, S_mod, T, dt)
-    it3 = picard_map(it2.u, it2.a, it2.adot, query_mod, S_mod, T, dt)
+    transport = picard_transport(S_mod, T, dt)
+    it1 = picard_map(None, None, None, query_mod, S_mod, T, dt, transport)
+    it2 = picard_map(it1.u, it1.a, it1.adot, query_mod, S_mod, T, dt, transport)
+    it3 = picard_map(it2.u, it2.a, it2.adot, query_mod, S_mod, T, dt, transport)
     d21 = x_norm(
         SpaceTimeField(mod_grid, dt, it2.u.samples - it1.u.samples),
         it2.adot - it1.adot,
@@ -717,13 +720,14 @@ def test_nonlinear_path_is_scale_covariant():
         assert np.array_equal(its.adot, 64.0 * it.adot)
         assert np.array_equal(its.u.samples, 2.0 * it.u.samples)
 
-    it = picard_map(None, None, None, q, S, T, dt)
-    its = picard_map(None, None, None, qs, Ss, T / 4, dt / 4)
+    pair, pairs = picard_transport(S, T, dt), picard_transport(Ss, T / 4, dt / 4)
+    it = picard_map(None, None, None, q, S, T, dt, pair)
+    its = picard_map(None, None, None, qs, Ss, T / 4, dt / 4, pairs)
     check(it, its)
     h_fp = h_fixed_point(it.u, it.a, it.adot, S)[0]
     assert 4.0 * h_fixed_point(its.u, its.a, its.adot, Ss)[0] == h_fp
-    it2 = picard_map(it.u, it.a, it.adot, q, S, T, dt)
-    its2 = picard_map(its.u, its.a, its.adot, qs, Ss, T / 4, dt / 4)
+    it2 = picard_map(it.u, it.a, it.adot, q, S, T, dt, pair)
+    its2 = picard_map(its.u, its.a, its.adot, qs, Ss, T / 4, dt / 4, pairs)
     check(it2, its2)
     # centred on S.a = 16, not on 1
     assert np.max(np.abs(its2.a / 16.0 - 1.0)) < 0.02
@@ -1017,10 +1021,11 @@ def test_picard_map_peak_stays_near_its_floor(history, S_mod, query_mod):
 
 
 def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, query_mod):
-    # q = V dphi is transported once each way per call, or never when the
-    # caller hands the pair in; the data and source pairings all read it.
-    # Leapfrog runs: the data with the F source and the defect source, or
-    # for the zero history, which has no source, the data alone.  Counted
+    # q = V dphi is transported once each way by picard_transport, and never
+    # by picard_map, which reads the pair it is handed for the data and
+    # source pairings.  Leapfrog runs: the data with the F source and the
+    # defect source, or for the zero history, which has no source, the data
+    # alone.  Counted
     # under every name bound in modulation and in propagators, so no
     # evolution hides
     import solmanifold.modulation as mod
@@ -1043,10 +1048,9 @@ def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, quer
     transport = picard_transport(S_mod, T, dt)
     assert sorted(calls) == ["free_cosine_traj", "free_sine_traj"]
     for history_args, runs in (((u0, a0, adot0), 2), ((None, None, None), 1)):
-        for pair, transports in ((transport, []), (None, ["free_cosine_traj", "free_sine_traj"])):
-            calls.clear()
-            picard_map(*history_args, query_mod, S_mod, T, dt, pair)
-            assert sorted(calls) == ["evolve_linear_perturbed"] * runs + transports
+        calls.clear()
+        picard_map(*history_args, query_mod, S_mod, T, dt, transport)
+        assert sorted(calls) == ["evolve_linear_perturbed"] * runs
 
 
 def _assert_iterates_equal(got, ref):
@@ -1065,8 +1069,10 @@ def test_zero_history_iterate_equals_explicit_zero_history(mod_grid, S_mod, quer
     T, dt = 8.0, 0.8 * mod_grid.dr
     M = int(round(T / dt))
     zero = SpaceTimeField(mod_grid, dt, np.zeros((M + 1, mod_grid.n)))
-    got = picard_map(None, None, None, query_psi1, S_mod, T, dt)
-    ref = picard_map(zero, np.full(M + 1, S_mod.a), np.zeros(M + 1), query_psi1, S_mod, T, dt)
+    transport = picard_transport(S_mod, T, dt)
+    got = picard_map(None, None, None, query_psi1, S_mod, T, dt, transport)
+    ref = picard_map(zero, np.full(M + 1, S_mod.a), np.zeros(M + 1), query_psi1, S_mod, T, dt,
+                     transport)
     assert np.max(np.abs(got.adot)) > 0.0 and got.h != 0.0
     _assert_iterates_equal(got, ref)
 
@@ -1111,12 +1117,13 @@ def test_x_norm_reads_its_trajectory_once(monkeypatch, history):
 
 
 def test_shared_transport_gives_the_same_iterate(history, S_mod, query_psi1):
+    # the pair depends on (S, T, dt) alone: two pairs made apart give one iterate
     u0, a0, adot0 = history
     T, dt = u0.horizon, u0.dt
-    transport = picard_transport(S_mod, T, dt)
+    one, other = picard_transport(S_mod, T, dt), picard_transport(S_mod, T, dt)
     for args in ((u0, a0, adot0), (None, None, None)):
-        got = picard_map(*args, query_psi1, S_mod, T, dt, transport)
-        _assert_iterates_equal(got, picard_map(*args, query_psi1, S_mod, T, dt))
+        got = picard_map(*args, query_psi1, S_mod, T, dt, one)
+        _assert_iterates_equal(got, picard_map(*args, query_psi1, S_mod, T, dt, other))
 
 
 def test_picard_transport_of_another_grid_raises(history, S_mod, query_mod):

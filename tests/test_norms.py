@@ -138,6 +138,16 @@ def test_mixed_norm_of_a_bounded_trajectory(norm_grid):
         wider.add(full.samples[:, : norm_grid.obs_slice().stop])
 
 
+def test_a_ball_wider_than_the_grid_fails_typed():
+    # a ball of radius 50 on a grid of R = 40 holds 501 of the 401 nodes: it
+    # is refused when the profiles are made, before a streamed producer
+    # hands them a block of 401 columns
+    grid = RadialGrid(R=40.0, n=401)
+    with pytest.raises(GridUsageError, match="wider than the grid"):
+        TimeProfiles(grid, grid.dr, radius=50.0)
+    assert TimeProfiles(grid, grid.dr, radius=40.0).inside.stop == grid.n
+
+
 @pytest.mark.parametrize("rows", [1, 13, 161, 400])
 def test_time_profiles_in_blocks_equal_the_whole_stack(norm_grid, rng, rows):
     # blocks of 1 row, of a non-divisor of M+1 = 161, of exactly M+1 and of

@@ -15,12 +15,11 @@ from solmanifold import (
     secular_decomposition_S,
 )
 from solmanifold import soliton
-from solmanifold.grid import GridUsageError, field_from_w
+from solmanifold.grid import FOUR_PI, GridUsageError, field_from_w
 from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
     _resonance_series,
-    _resonance_transport,
     free_cosine_traj,
     free_sine_traj,
 )
@@ -175,6 +174,13 @@ def test_cosine_energy_bound(wave_grid):
         assert h1_seminorm(u) <= base * (1 + 1e-10)
 
 
+def _q_transport(grid, a, T, dt, kind):
+    """A stored free transport of q = V(a) dphi_da(a) and its pairing weights."""
+    q = grid.field(soliton.resonance_weight(grid.r, a))
+    traj = free_sine_traj if kind == "sine" else free_cosine_traj
+    return traj(q, T, dt).samples, FOUR_PI * grid.simpson_weights * grid.r**2
+
+
 @pytest.mark.parametrize("kind", ["sine", "cosine"])
 def test_q_side_pairing_converges_to_data_side(kind):
     # <free(f)(t), q> from one transport of q = V dphi against the data's own
@@ -185,7 +191,7 @@ def test_q_side_pairing_converges_to_data_side(kind):
         grid = RadialGrid(R=40.0, n=n, R_obs=12.0)
         dt = 0.8 * grid.dr
         f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
-        E, w = _resonance_transport(grid, 1.0, 16.0, dt, kind)
+        E, w = _q_transport(grid, 1.0, 16.0, dt, kind)
         traj = (free_sine_traj if kind == "sine" else free_cosine_traj)(f, 16.0, dt)
         q = soliton.resonance_weight(grid.r, 1.0)
         ref = traj.samples @ (4.0 * np.pi * grid.simpson_weights * grid.r**2 * q)
@@ -197,15 +203,29 @@ def test_q_side_pairing_converges_to_data_side(kind):
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("kind", ["sine", "cosine"])
 def test_resonance_series_are_the_transport_pairings(kind, count):
-    # one gemv per field on one transport of q, bit for bit
+    # the streamed series are, bit for bit, the row-by-row dot products of
+    # a stored transport of q with each w * f, and within 1e-14 its gemv
     grid = RadialGrid(R=40.0, n=401, R_obs=12.0)
     dt = 0.8 * grid.dr
     fields = [grid.field(np.exp(-((grid.r - c) ** 2))) for c in (2.0, 3.0, 5.0)[:count]]
-    E, w = _resonance_transport(grid, 1.3, 16.0, dt, kind)
+    E, w = _q_transport(grid, 1.3, 16.0, dt, kind)
     got = _resonance_series(grid, 1.3, 16.0, dt, kind, fields)
     assert len(got) == count
     for f, series in zip(fields, got):
-        assert np.array_equal(series, E @ (w * f.values))
+        assert np.array_equal(series, np.vecdot(E, w * f.values))
+        want = E @ (w * f.values)
+        assert np.max(np.abs(series - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_resonance_series_of_a_non_finite_field_fails_typed():
+    # the streamed transport of q stores nothing to scan, so the series
+    # carry the finiteness check a stored transport made
+    grid = RadialGrid(R=40.0, n=401, R_obs=12.0)
+    bad = np.exp(-((grid.r - 2.0) ** 2))
+    bad[50] = np.nan
+    fields = [grid.field(np.exp(-((grid.r - 3.0) ** 2))), grid.field(bad)]
+    with pytest.raises(GridUsageError, match="non-finite"):
+        _resonance_series(grid, 1.0, 8.0, grid.dr, "sine", fields)
 
 
 @pytest.mark.parametrize("kind", ["sine", "cosine"])
@@ -226,8 +246,9 @@ def test_secular_part_is_the_accumulated_resonance_pairing(kind):
     cum = np.r_[0.0, np.cumsum(0.5 * dt * (series[1:] + series[:-1]))]
     ref = np.outer(-secular_coefficient(S) * cum, S.resonance.values)
     split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
-    _, secular = split(f, M * dt, dt, S)
-    assert np.max(np.abs(secular.samples - ref)) < 1e-4 * np.max(np.abs(ref))
+    _, coeff = split(f, M * dt, dt, S)
+    secular = coeff[:, None] * S.resonance.values
+    assert np.max(np.abs(secular - ref)) < 1e-4 * np.max(np.abs(ref))
 
 
 def test_free_duhamel_zero_and_box(wave_grid):
@@ -345,8 +366,12 @@ def test_projected_flow_ignores_the_g_component():
     assert np.max(np.abs(raw - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the secular splits evolve f itself; their sums are the P_c f evolutions
     for split in (secular_decomposition_S, secular_decomposition_C):
-        got = sum(part.samples for part in split(f, T, dt, S))
-        want = sum(part.samples for part in split(pc(f.values), T, dt, S))
+
+        def full(v):
+            dispersive, coeff = split(v, T, dt, S)
+            return dispersive.samples + coeff[:, None] * S.resonance.values
+
+        got, want = full(f), full(pc(f.values))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -395,8 +420,10 @@ def test_secular_S_resonance_free_component():
     S = ground_state(grid)
     dt = grid.dr
     far = grid.field(np.exp(-((grid.r - 70.0) ** 2) / 1.5**2))
-    S_traj, secular = secular_decomposition_S(far, 10.0, dt, S, stride=10)
-    assert np.max(np.abs(secular.samples)) < 5e-3 * np.max(np.abs(S_traj.samples))
+    S_traj, coeff = secular_decomposition_S(far, 10.0, dt, S, stride=10)
+    assert coeff.shape == (len(S_traj.samples),)
+    secular = coeff[:, None] * S.resonance.values
+    assert np.max(np.abs(secular)) < 5e-3 * np.max(np.abs(S_traj.samples))
 
 
 def test_secular_long_time_limit():
@@ -445,9 +472,9 @@ def test_secular_field_long_time_limit():
     dt = grid.dr
     f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
     T = grid.budget_horizon()
-    _, secular = secular_decomposition_S(f, T, dt, S, stride=20)
+    _, coeff = secular_decomposition_S(f, T, dt, S, stride=20)
     target = secular_projector(newton_potential(f), S)
-    got = secular.samples[-1]
+    got = coeff[-1] * S.resonance.values
     sl = grid.obs_slice()
     scale = np.max(np.abs(target.values[sl]))
     # O(1/T) convergence of the time integral: a 10% window at T = 65
@@ -460,10 +487,10 @@ def test_secular_C_of_resonance_is_constant():
 
     S = ground_state(grid)
     dt = grid.dr
-    C_traj, secular = secular_decomposition_C(S.resonance, 25.0, dt, S, stride=25)
+    C_traj, coeff = secular_decomposition_C(S.resonance, 25.0, dt, S, stride=25)
     sl = grid.obs_slice()
     scale = np.max(np.abs(S.resonance.values[sl]))
-    full = C_traj.samples + secular.samples
+    full = C_traj.samples + coeff[:, None] * S.resonance.values
     for m in range(full.shape[0]):
         assert np.max(np.abs(full[m][sl] - S.resonance.values[sl])) < 2e-2 * scale
 
@@ -529,8 +556,8 @@ def test_linear_evolution_is_scale_covariant():
     ).samples
     assert np.max(np.abs(out - 2.0 * ref)) <= 1e-15 * np.max(np.abs(ref))
     for kind in ("sine", "cosine"):
-        E = _resonance_transport(big, 1.0, T, dt, kind)[0]
-        E_s = _resonance_transport(small, 16.0, T / 4, dt / 4, kind)[0]
+        E = _q_transport(big, 1.0, T, dt, kind)[0]
+        E_s = _q_transport(small, 16.0, T / 4, dt / 4, kind)[0]
         factor = 0.5 if kind == "sine" else 2.0
         assert np.max(np.abs(E_s - factor * E)) <= 1e-15 * np.max(np.abs(E))
 
