@@ -9,6 +9,10 @@ the discrete evolution operator is exactly self-adjoint; the fixed-point
 formula for the offset h then reproduces the shooting value to quadrature
 accuracy.  Every formula is centred on S.a, the scale of the SpectralData
 passed in, and the modulation window is S.a * soliton.MODULATION_WINDOW.
+The modulation source of a frozen history is never stored whole: it is
+made _ROWS rows at a time, as the Picard map's linear runs read it, and
+each block is folded into every quantity that reads it before the next
+replaces it (_source_rows).
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -435,77 +439,121 @@ def _elliptic_residual(grid, phi_vals):
 
 @dataclass(frozen=True)
 class _Sources:
-    """The modulation source of one frozen history (u0, a0, adot0).
+    """The pairings of the modulation source of one frozen history (u0, a0, adot0).
 
-    Assembled once per Picard iterate; h, x_pm, the modulation rate and
-    P_c u all read from it.  The zero history has no source (_no_source).
+    h, x_pm, the modulation rate and the secular part of P_c u read them.
+    The source itself, F = (V - V(a)) u0 + N(u0, phi(a)) and the defect
+    D = adot0 * defect(a0), is never stored: _source_rows makes it a block
+    at a time and folds every block into these.  The zero history has no
+    source (_no_source).
     """
 
-    F: np.ndarray         # (V - V(a)) u0 + N(u0, phi(a)), shape (M+1, n), or None: no source
-    D: np.ndarray         # adot0 * defect(a0), or None without an adot history
     Fg: np.ndarray        # <F_j, g>_w
     gamma: np.ndarray     # <phi(a_j) - phi, g>_w
-    residual: np.ndarray  # scheme elliptic residual pairing, see _assemble
+    residual: np.ndarray  # scheme elliptic residual pairing, see _source_rows
+    B: np.ndarray = None  # the Duhamel kernel, or None: no q transport or no source
 
 
-_ROWS = 32  # rows per block in _assemble, _add_outer and _modulation_series
+_ROWS = 32  # rows per block of the source, _add_outer, _secular_sums and _modulation_series
 _NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
 
 
-def _assemble(samples, a0, adot0, S):
-    """Build the _Sources of a history, every profile broadcast over the scales.
+class _Blocks:
+    """Rows 0..rows-1 of a stack that make(rows) builds _ROWS at a time, as a row source.
 
-    The rows are assembled _ROWS at a time, so the temporaries stay at a few
-    block-sized arrays whatever the horizon; bare phi and V are at S.a.  The residual is
-    <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w per step: the
-    analytic soliton solves the elliptic equation exactly but the discrete
-    stencil leaves an O(dr^2 (a - S.a)) residual along the family; the
-    well-balanced flow feels exactly this difference, so the fixed-point
-    integrand carries it too (it vanishes under refinement).
+    The row source evolve_linear_perturbed reads (dt, rows, row(m)).
+    row(m) makes every block up to the one holding row m, in order, and
+    holds only the last, so the rows are read in increasing m.  complete()
+    makes the blocks no run reached.
+    """
+
+    def __init__(self, make, rows, dt):
+        self._make, self.rows, self.dt = make, rows, dt
+        self._start, self._block = 0, np.empty((0, 0))
+
+    def row(self, m):
+        if not self._start <= m < self.rows:
+            raise GridUsageError(f"row {m} asked of a source made in order, now at row {self._start}")
+        while m >= self._start + len(self._block):
+            self._start += len(self._block)
+            self._block = self._make(slice(self._start, min(self._start + _ROWS, self.rows)))
+        return self._block[m - self._start]
+
+    def complete(self):
+        self.row(self.rows - 1)
+
+
+def _source_rows(samples, a0, adot0, S, dt, transport=None):
+    """(src, F, D): the _Sources of a history and the _Blocks of F and D that fill it.
+
+    Every profile is broadcast over the scales of a block; bare phi and V
+    are at S.a.  Each F block, as it is made, gives its rows of Fg, gamma,
+    the residual and, with a picard_transport pair, the F part of the
+    Duhamel kernel B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q,
+    t_i)>; each D block subtracts its part, so F must be complete before D
+    is read.  src is whole once both are complete.  D is None without adot0.
+    The residual is <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w
+    per step: the analytic soliton solves the elliptic equation exactly but
+    the discrete stencil leaves an O(dr^2 (a - S.a)) residual along the
+    family; the well-balanced flow feels exactly this difference, so the
+    fixed-point integrand carries it too (it vanishes under refinement).
     """
     grid = S.grid
     r = grid.r
     g = S.g.values
-    a_vals = np.asarray(a0, dtype=float)
+    a0 = np.asarray(a0, dtype=float)
+    adot0 = None if adot0 is None else np.asarray(adot0, dtype=float)
+    M = len(a0) - 1
     Vc = soliton.potential(r, S.a)
     phic = soliton.phi(r, S.a)
     rhoc = _elliptic_residual(grid, phic)
-    F = np.empty(samples.shape)
-    D = None if adot0 is None else np.empty(samples.shape)
-    adot = None if adot0 is None else np.asarray(adot0, dtype=float)[:, None]
-    gamma = np.empty(len(a_vals))
-    residual = np.empty(len(a_vals))
-    for start in range(0, len(a_vals), _ROWS):
-        rows = slice(start, start + _ROWS)
-        a = a_vals[rows, None]
+    wg = FOUR_PI * grid.dr * r * r * g
+    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1),
+                   B=None if transport is None else np.empty((M + 1, M + 1)))
+    if transport is not None:
+        (Esin, w), (Ecos, _) = transport
+
+    def make_F(rows):
+        a = a0[rows, None]
         u = samples[rows]
         phia = soliton.phi(r, a)
-        F[rows] = (Vc - soliton.potential(r, a)) * u + _quintic(u, phia)
-        gamma[rows] = np.sum((phia - phic) * g * r**2, axis=1)
-        rho = _elliptic_residual(grid, phia) - rhoc
-        residual[rows] = np.sum(rho * (r * g), axis=1)
-        if D is not None:
-            D[rows] = adot[rows] * soliton.resonance_defect_profile(r, a, S.a)
-    residual[np.abs(a_vals - S.a) < 1e-15 * S.a] = 0.0
-    wg = FOUR_PI * grid.dr * r * r * g
-    return _Sources(
-        F=F,
-        D=D,
-        Fg=F @ wg,
-        gamma=FOUR_PI * grid.dr * gamma,
-        residual=FOUR_PI * grid.dr * residual,
-    )
+        F = (Vc - soliton.potential(r, a)) * u + _quintic(u, phia)
+        src.Fg[rows] = F @ wg
+        src.gamma[rows] = FOUR_PI * grid.dr * np.sum((phia - phic) * g * r**2, axis=1)
+        residual = np.sum((_elliptic_residual(grid, phia) - rhoc) * (r * g), axis=1)
+        residual[np.abs(a[:, 0] - S.a) < 1e-15 * S.a] = 0.0
+        src.residual[rows] = FOUR_PI * grid.dr * residual
+        if src.B is not None:
+            src.B[rows] = (F * w) @ Esin.T
+        return F
+
+    def make_D(rows):
+        D = adot0[rows, None] * soliton.resonance_defect_profile(r, a0[rows, None], S.a)
+        src.B[rows] -= (D * w) @ Ecos.T
+        return D
+
+    D = None if adot0 is None else _Blocks(make_D, M + 1, dt)
+    return src, _Blocks(make_F, M + 1, dt), D
+
+
+def _assemble(samples, a0, adot0, S, dt, transport=None):
+    """The whole _Sources of a history that no linear run reads: every block made in turn."""
+    src, F, D = _source_rows(samples, a0, adot0, S, dt, transport)
+    F.complete()
+    if D is not None:
+        D.complete()
+    return src
 
 
 def _no_source(M):
-    """The _Sources of the zero history on M steps: F and D are None, the pairings 0.
+    """The _Sources of the zero history on M steps: no kernel, the pairings 0.
 
     There u0 = 0 and a0 = S.a, so F = (V - V(S.a)) 0 + N(0, phi) and
-    D = 0 * defect vanish identically, and so does every pairing _assemble
+    D = 0 * defect vanish identically, and so does every pairing _source_rows
     would make of them.
     """
     zeros = np.zeros(M + 1)
-    return _Sources(F=None, D=None, Fg=zeros, gamma=zeros, residual=zeros)
+    return _Sources(Fg=zeros, gamma=zeros, residual=zeros)
 
 
 def _window(S):  # relative, and read at call time
@@ -555,7 +603,7 @@ def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0)
     Returns (h, tail_bound).
     """
     a0 = _check_history(u0_traj.samples, a0, adot0, S)
-    src = _assemble(u0_traj.samples, a0, None, S)
+    src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
     return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
 
 
@@ -615,7 +663,7 @@ def xpm_evolution(u0_traj, a0, adot0, query, S, h):
     integral from t to the horizon (the bounded solution selected by h),
     with the truncated tail bound e^{-k(T-t)} sup|source|/k recorded.
     """
-    src = _assemble(u0_traj.samples, a0, None, S)
+    src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
     return _xpm_from(src, *_offset_data(query, S, h), S, u0_traj.dt)
 
 
@@ -631,32 +679,32 @@ def picard_transport(S, T, dt):
     return tuple((traj(q, T, dt).samples, w) for traj in (free_sine_traj, free_cosine_traj))
 
 
-def _resonance_pairings(data0, data1, src, transport):
-    """The data pairings and the Duhamel kernel, from one transport of q each way.
+def _resonance_pairings(data0, data1, transport):
+    """The data pairings base[i] = <cos-free(t_i) data0 + sine-free(t_i) data1, q>, q = V dphi.
 
-    base[i] = <cos-free(t_i) data0 + sine-free(t_i) data1, q> and
-    B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q, t_i)> (None
-    without a source), q = V dphi.  Self-adjointness of the free evolutions
-    turns every pairing against q into a pairing with the free evolution of
-    q, so the two transports of q, the picard_transport pair, serve the data
-    and every source slice.
+    Self-adjointness of the free evolutions turns every pairing against q
+    into a pairing with the free evolution of q, so the two transports of
+    q, the picard_transport pair, serve the data here and every source row
+    in the Duhamel kernel B that _source_rows folds.
     """
     (Esin, w), (Ecos, _) = transport
-    base = Ecos @ (w * data0.values) + Esin @ (w * data1.values)
-    B = None if src.F is None else (src.F * w) @ Esin.T - (src.D * w) @ Ecos.T
-    return base, B
+    return Ecos @ (w * data0.values) + Esin @ (w * data1.values)
 
 
-def _antidiagonal_sums(X):
+def _antidiagonal_sums(X, s=None, start=0):
     """s[m] = sum of X[j, k] over j + k = m, for m = 0..M of an (M+1, M+1) X.
 
     Each s[m] adds its terms to 0.0 in increasing j, as a bincount over the
-    flattened X would, without an (M+1)^2 index.
+    flattened X would, without an (M+1)^2 index.  X may also be the rows
+    j = start, start + 1, ... of such a matrix, added to the sums s of the
+    rows before them, so a matrix handed over in row blocks gives the bits
+    of the whole.
     """
-    n = X.shape[0]
-    s = np.zeros(n)
-    for j in range(n):
-        s[j:] += X[j, : n - j]
+    n = X.shape[1]
+    if s is None:
+        s = np.zeros(n)
+    for j, row in enumerate(X, start):
+        s[j:] += row[: n - j]
     return s
 
 
@@ -670,10 +718,16 @@ def _secular_sums(B, dt):
 
     The rows of C, the cumulative trapezoid of B along the lag, hold the
     inner integrals; the outer one is a trapezoid along the anti-diagonal of
-    C, whose s = t_m end C[m, 0] vanishes.
+    C, whose s = t_m end C[m, 0] vanishes.  C is made _ROWS rows at a time,
+    each block added to the anti-diagonal sums before the next is made.
     """
-    C = cumulative_trapezoid(B, dx=dt)
-    return dt * (_antidiagonal_sums(C) - 0.5 * C[0])
+    s = np.zeros(B.shape[1])
+    for start in range(0, len(B), _ROWS):
+        C = cumulative_trapezoid(B[start : start + _ROWS], dx=dt)
+        if start == 0:
+            C0 = C[0]
+        _antidiagonal_sums(C, s, start)
+    return dt * (s - 0.5 * C0)
 
 
 def _rate_from(a0, S, base, B, dt):
@@ -696,14 +750,14 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     the opposite sign and double the resonance content instead of
     cancelling it.  Every pairing uses the self-adjointness of the free
     evolutions: the data and each source slice are paired against the
-    free evolution of the weight V dphi (_resonance_pairings).
+    free evolution of the weight V dphi (_resonance_pairings, _source_rows).
     """
+    transport = picard_transport(S, T, dt)
     if u0_traj is None:
         src = _no_source(int(round(T / dt)))
     else:
-        src = _assemble(u0_traj.samples, a0, adot0, S)
-    base, B = _resonance_pairings(data0, data1, src, picard_transport(S, T, dt))
-    return _rate_from(a0, S, base, B, dt)
+        src = _assemble(u0_traj.samples, a0, adot0, S, dt, transport)
+    return _rate_from(a0, S, _resonance_pairings(data0, data1, transport), src.B, dt)
 
 
 def x_norm(u_traj, adot, dt):
@@ -737,15 +791,25 @@ class PicardIterate:
 def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     """One application of the linearized-system solution map (u0, a0) -> (u, a).
 
-    Computes h from the boundedness condition, the new modulation rate from
-    the free-evolution condition, the continuous-spectrum part from the
-    secularly decomposed Duhamel form, and the discrete-spectrum part from
-    the x_pm integrals.  The source of the frozen history is assembled once
-    for all four parts; u0_traj None is the zero history (u0, a0, adot0) =
-    (0, S.a, 0), which has no source at all.  transport is the
-    picard_transport pair of (S, T, dt), made once for every call on those.
-    The iterate's u is the array of _pc_u_series with the discrete part
-    added in place, so it takes no second (M+1, n) stack.
+    Computes the continuous-spectrum part from the secularly decomposed
+    Duhamel form, h from the boundedness condition, the discrete-spectrum
+    part from the x_pm integrals and the new modulation rate from the
+    free-evolution condition.  u0_traj None is the zero history (u0, a0,
+    adot0) = (0, S.a, 0), which has no source at all.  Otherwise the source
+    of the frozen history, F and D, is made a block at a time as the two
+    linear runs of _pc_u_series read it (_source_rows), and each block is
+    folded into the pairings that h, x_pm and the rate read and into the
+    Duhamel kernel B before the next replaces it: no source stack is stored.
+
+    The runs need no h, though h needs the pairing of every row of F: they
+    evolve (p, p1) = (query.psi0_perturbation, query.psi1), not the offset
+    data (p + h g, p1 + h k g), and with project_out=S both give the same
+    states in exact arithmetic (see _pc_u_series).  After the runs come h,
+    the offset data, x_pm, the data pairings base, the rate and a, and the
+    secular and discrete terms, in that order; both terms are added in
+    place to the runs' array, so the iterate takes no second (M+1, n) stack.
+    transport is the picard_transport pair of (S, T, dt), made once for
+    every call on those.
     """
     grid = S.grid
     M = int(round(T / dt))
@@ -753,10 +817,11 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
         raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
     if u0_traj is None:
         a0 = np.full(M + 1, S.a)
-        src = _no_source(M)
+        src, F, D = _no_source(M), None, None
     else:
         a0 = _check_history(u0_traj.samples, a0, adot0, S)
-        src = _assemble(u0_traj.samples, a0, adot0, S)
+        src, F, D = _source_rows(u0_traj.samples, a0, adot0, S, dt, transport)
+    samples = _pc_u_series(query, F, D, S, T, dt)
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
     pg1 = pair_w(query.psi1, S.g)
@@ -764,12 +829,16 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
 
     data0, data1 = _offset_data(query, S, h)
     xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
-    base, B = _resonance_pairings(data0, data1, src, transport)
-
-    adot = _rate_from(a0, S, base, B, dt)
+    base = _resonance_pairings(data0, data1, transport)
+    adot = _rate_from(a0, S, base, src.B, dt)
     a = S.a + cumulative_trapezoid(adot, dx=dt)
 
-    samples = _pc_u_series(data0, data1, src, base, B, S, T, dt)
+    # secular parts: Q acting on the accumulated free evolutions of the data
+    # and of the Duhamel sources
+    sec = cumulative_trapezoid(base, dx=dt)
+    if src.B is not None:
+        sec += _secular_sums(src.B, dt)
+    _add_outer(samples, secular_coefficient(S) * sec, S.resonance.values)
     _add_outer(samples, (xp + xm) / np.sqrt(2.0 * S.k), S.g.values)
     u = SpaceTimeField(grid, dt, samples)
     return PicardIterate(
@@ -784,33 +853,42 @@ def _add_outer(out, coef, profile):
         out[rows] += np.outer(coef[rows], profile)
 
 
-def _pc_u_series(data0, data1, src, base, B, S, T, dt):
-    """Continuous-spectrum trajectory via secular-decomposed propagators.
+def _pc_u_series(query, F, D, S, T, dt):
+    """The perturbed evolutions of the continuous-spectrum trajectory, before h is known.
 
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
-    Int C(t-s) adot0(s) defect(a0(s)) ds, with each operator realized as
-    (perturbed evolution of the P_c input) minus (rank-one secular term).
-    The evolution is linear, so one leapfrog run with data (data0, data1)
-    and source F gives the first three terms together; the defect Duhamel
-    takes a second run, whose centred time derivative turns its sine
-    Duhamel into the cosine one.  That run is streamed, never stored: from
-    its last two rows, each row's derivative (np.gradient's expressions:
-    centred inside, one-sided at the horizon, none for M < 2) is subtracted
-    as the run makes the next.  The zero history has no source (src.F
-    and src.D None): its one run has none, and there is no second run.
-    project_out=S is their only P_c: raw and P_c-projected inputs give the
-    same states in exact arithmetic (see evolve_linear_perturbed).  The
+    Int C(t-s) D(s) ds, D = adot0 defect(a0), with each operator realized
+    as (perturbed evolution of the P_c input) minus (rank-one secular
+    term); this makes the perturbed evolutions, and picard_map adds the
+    secular terms once h is known.  project_out=S is their only P_c: raw
+    and P_c-projected inputs give the same states in exact arithmetic (see
+    evolve_linear_perturbed).  The offset data (data0, data1) = (p + h g,
+    p1 + h k g) differ from (p, p1) = (query.psi0_perturbation,
+    query.psi1) by multiples of g, which P_c removes: in w = r f, _leapfrog
+    takes the component along r g out of state 0 and out of every step,
+    and the offset adds only multiples of r g to state 0 and to the Taylor
+    step.  So the run from (p, p1) is the run from the offset data, to
+    rounding, for every h, and the data run can read F before h exists.
+    The evolution is linear, so one run with data (p, p1) and source F
+    gives the first three terms together; the defect Duhamel takes a second
+    run, whose centred time derivative turns its sine Duhamel into the
+    cosine one.  That run is streamed, never stored: from its last two
+    rows, each row's derivative (np.gradient's expressions: centred inside,
+    one-sided at the horizon, none for M < 2) is subtracted as the run makes
+    the next.  F and D are the _Blocks of _source_rows, made as the runs
+    read them; each is completed after its run, F before the defect run
+    reads D, so the pairings and the kernel B are whole on return.  The
+    zero history (F and D None) runs the data alone, with no source.  The
     minus on the defect Duhamel matches modulation_rate_series (see the
-    sign discussion there).  base and B are the summed data pairings and
-    the Duhamel kernel (None without a source) of _resonance_pairings,
-    which modulation_rate_series reads too.  Returns the (M+1, n) samples,
-    which the caller completes and checks as a SpaceTimeField.
+    sign discussion there).  Returns the (M+1, n) samples.
     """
     grid = S.grid
-    F = None if src.F is None else SpaceTimeField(grid, dt, src.F)
-    out = evolve_linear_perturbed(data0, data1, F, T, dt, a=S.a, project_out=S).samples
+    p, p1 = query.psi0_perturbation, query.psi1
+    out = evolve_linear_perturbed(p, p1, F, T, dt, a=S.a, project_out=S).samples
     M = out.shape[0] - 1
-    if src.D is not None:
+    if F is not None:
+        F.complete()  # row M, which no step reads
+    if D is not None:
         recent = []  # the defect run's rows j - 2 and j - 1
 
         def consume(j, z):
@@ -821,15 +899,8 @@ def _pc_u_series(data0, data1, src, base, B, S, T, dt):
             recent[:] = recent[-1:] + [z]
 
         zero = grid.zeros()
-        D = SpaceTimeField(grid, dt, src.D)
         evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S, consume=consume)
-
-    # secular parts: Q acting on the accumulated free evolutions of the data
-    # and of the Duhamel sources
-    sec = cumulative_trapezoid(base, dx=dt)
-    if B is not None:
-        sec += _secular_sums(B, dt)
-    _add_outer(out, secular_coefficient(S) * sec, S.resonance.values)
+        D.complete()
     return out
 
 

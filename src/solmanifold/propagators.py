@@ -16,7 +16,9 @@ the free trajectories and the secular split store no trajectory at all:
 the rows of the ball it reads go to it in blocks of about BLOCK_BYTES
 (256 KB) as they are made, so that a block, a norms.TimeProfiles' copy of
 it and the transport's windows fit in L2 together.  The resonance series
-stream to a whole-grid consumer that pairs each row.
+stream to a whole-grid consumer that pairs each row.  A linear run reads
+its source one row per step through one accessor, so a source need not be
+stored: a row source may make its rows as the run reaches them.
 """
 
 from __future__ import annotations
@@ -398,10 +400,15 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
                             consume=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    source may be None or a SpaceTimeField sampled at the solver dt.  The
-    flow is linear: one run from (u0, u1) with source F is the cosine
-    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
-    integral of F.
+    source may be None, a SpaceTimeField sampled at the solver dt, or a row
+    source: any object with dt, rows (its row count) and row(m), the values
+    of row m, which the force asks for once per step in increasing m.  A
+    SpaceTimeField is adapted to one here; the modulation module's Picard
+    map hands one that makes its rows a block at a time as the run reaches
+    them.  The steps read rows 0..M-1 of [0, T], so a source of fewer rows
+    raises GridUsageError.  The flow is linear: one run from (u0, u1) with
+    source F is the cosine evolution of u0 plus the sine evolution of u1
+    plus the sine Duhamel integral of F.
     project_out, when set to SpectralData, keeps the state in the
     continuous subspace of the scheme (see _leapfrog), and is the only P_c
     the flow needs: in w = r f, _leapfrog's projection is the scheme-pairing
@@ -415,33 +422,39 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     """
     grid = u0.grid
     wg = grid.r * project_out.g.values if project_out is not None else None
+    source_row = None
+    if source is not None:
+        if isinstance(source, SpaceTimeField):
+            source = SimpleNamespace(dt=source.dt, rows=len(source.samples),
+                                     row=source.samples.__getitem__)
+        if abs(source.dt - dt) > 1e-12:
+            raise GridUsageError("source trajectory must be sampled at the solver dt")
+        steps = int(round(T / dt))
+        if source.rows < steps:
+            raise GridUsageError(f"a source of {source.rows} rows for a run that reads {steps}")
+        source_row = source.row
     emit = None
     if consume is not None:
 
         def emit(j, row, rate):
             consume(j, _values_from_w(grid, np.array(row)))
 
-    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, _linear_force(grid, a, source, dt),
+    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, _linear_force(grid, a, source_row),
                      stride=stride, wg=wg, emit=emit)[0]
     if consume is not None:
         return None
     return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
 
 
-def _linear_force(grid, a, source, dt):
-    """The _leapfrog force of H = -Delta + V(a) with an optional source trajectory."""
+def _linear_force(grid, a, row):
+    """The _leapfrog force of H = -Delta + V(a), with source row(m) at step m unless row is None."""
     V = soliton.potential(grid.r, a)[1:-1]
-    src = None
-    if source is not None:
-        if abs(source.dt - dt) > 1e-12:
-            raise GridUsageError("source trajectory must be sampled at the solver dt")
-        src = source.samples[:, 1:-1]
-        r = grid.r[1:-1]
+    r = grid.r[1:-1]
 
     def force(w, m, acc):
         acc -= V * w[1:-1]
-        if src is not None:
-            acc += r * src[min(m, src.shape[0] - 1)]
+        if row is not None:
+            acc += r * row(m)[1:-1]
 
     return force
 
@@ -491,7 +504,7 @@ def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
                 profiles.add(block)
 
     data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
-    _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None, dt),
+    _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None),
               stride=stride, wg=grid.r * S.g.values, emit=emit)
     return None if profiles is not None else (SpaceTimeField(grid, dt * stride, out), coeff)
 

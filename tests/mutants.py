@@ -82,7 +82,7 @@ MUTANTS = [
         "soliton.phi(grid.r, 1.0) + self.psi0_perturbation.values",
     ),
     (
-        "_assemble takes V at 1",
+        "the source takes V at 1",
         "src/solmanifold/modulation.py",
         "Vc = soliton.potential(r, S.a)",
         "Vc = soliton.potential(r, 1.0)",
@@ -174,8 +174,8 @@ MUTANTS = [
     (
         "_pc_u_series drops the defect run for a non-zero history",
         "src/solmanifold/modulation.py",
-        "if src.D is not None:",
-        "if False:",
+        "if D is not None:\n        recent = []",
+        "if False:\n        recent = []",
     ),
     (
         "defect derivative lands one row late",
@@ -198,8 +198,8 @@ MUTANTS = [
     (
         "zero-history iterate drops data1 from its run",
         "src/solmanifold/modulation.py",
-        "evolve_linear_perturbed(data0, data1, F,",
-        "evolve_linear_perturbed(data0, data1 if F is not None else grid.zeros(), F,",
+        "evolve_linear_perturbed(p, p1, F,",
+        "evolve_linear_perturbed(p, p1 if F is not None else grid.zeros(), F,",
     ),
     (
         "blocked sums drop the carried row",
@@ -240,8 +240,8 @@ MUTANTS = [
     (
         "anti-diagonal loop starts at row 1",
         "src/solmanifold/modulation.py",
-        "for j in range(n):\n        s[j:] += X[j, : n - j]",
-        "for j in range(1, n):\n        s[j:] += X[j, : n - j]",
+        "for j, row in enumerate(X, start):",
+        "for j, row in enumerate(X[1:], start + 1):",
     ),
     (
         "dispersive blocks subtract the first block's coefficients",
@@ -290,6 +290,28 @@ MUTANTS = [
         "src/solmanifold/propagators.py",
         "np.vecdot(weighted[:, None], block)",
         "np.vecdot(np.broadcast_to(weighted[:1], weighted.shape)[:, None], block)",
+    ),
+    (
+        "the Duhamel kernel adds the defect part",
+        "src/solmanifold/modulation.py",
+        "src.B[rows] -= (D * w) @ Ecos.T",
+        "src.B[rows] += (D * w) @ Ecos.T",
+    ),
+    (
+        "a source block reaches the run one block late",
+        "src/solmanifold/modulation.py",
+        "            self._start += len(self._block)\n"
+        "            self._block = self._make(slice(self._start, min(self._start + _ROWS, self.rows)))",
+        "            self._block = self._make(slice(self._start, min(self._start + _ROWS, self.rows)))\n"
+        "            self._start += len(self._block)",
+    ),
+    (
+        "a short source repeats its last row",
+        "src/solmanifold/propagators.py",
+        "        if source.rows < steps:\n"
+        '            raise GridUsageError(f"a source of {source.rows} rows for a run that reads {steps}")\n'
+        "        source_row = source.row",
+        "        source_row = lambda m, row=source.row, last=source.rows - 1: row(min(m, last))",
     ),
     (
         "_csv writes 16 significant digits",

@@ -6,9 +6,9 @@ potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
 diagonal, the anti-diagonal sums by one bincount, the scheme-pairing P_c
 that the projected linear flow applies at every step, the inner time
-norms of a whole stored stack), a conserved quantity that checks a
-propagator, or a way to cut a stored trajectory that the package no
-longer needs.
+norms of a whole stored stack, the whole modulation source stacks), a
+conserved quantity that checks a propagator, or a way to cut a stored
+trajectory that the package no longer needs.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from solmanifold.grid import (
     inner_product,
     pair_w,
 )
+from solmanifold.modulation import _quintic
 from solmanifold.propagators import SpaceTimeField, _free_slices
 from solmanifold.spectral import secular_coefficient
 
@@ -108,6 +109,21 @@ def antidiagonal_sums(X):
     must equal bit for bit."""
     idx = np.arange(X.shape[0])
     return np.bincount((idx[:, None] + idx).ravel(), weights=X.ravel())[: X.shape[0]]
+
+
+def source_stacks(u0_traj, a0, adot0, S):
+    """The whole (M+1, n) stacks F = (V - V(a)) u0 + N(u0, phi(a)) and D = adot0 * defect(a0).
+
+    The package's formulas broadcast over every row at once, as it stored
+    them before it made them a block at a time: the reference its blocks
+    must equal bit for bit.
+    """
+    r = S.grid.r
+    a = np.asarray(a0, dtype=float)[:, None]
+    u = u0_traj.samples
+    F = (soliton.potential(r, S.a) - soliton.potential(r, a)) * u + _quintic(u, soliton.phi(r, a))
+    D = np.asarray(adot0, dtype=float)[:, None] * soliton.resonance_defect_profile(r, a, S.a)
+    return F, D
 
 
 def project_continuous_w(f, S):

@@ -2,16 +2,21 @@
 
 Usage, from the root of a checkout:
 
-    python tests/sweep.py [--pairs N] [--against DIR]
+    python tests/sweep.py [--pairs N] [--against DIR] [--seeds N] [CONFIG ...]
 
-For every configs/*.ini, at its pinned seed, the script starts one fresh
-child with workers = 1 and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS set to 1.  The child imports the package from the
-checkout's src, runs experiments.run into a fresh temporary directory and
-prints one JSON line: the wall time of run, ru_maxrss, the failed checks,
-every error record with its traceback, and a sha256 of each CSV.  It
-changes no seed, grid or threshold: only the output directory and the
-worker count are set.
+For every configs/*.ini (or only the named ones), at its pinned seed, the
+script starts one fresh child with workers = 1 and OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1.  The child imports the
+package from the checkout's src, runs experiments.run into a fresh
+temporary directory and prints one JSON line: the wall time of run,
+ru_maxrss, every check's value, the failed checks, every error record
+with its traceback, and a sha256 of each CSV.  It changes no grid or
+threshold: only the output directory and the worker count are set, and
+the seed with --seeds N, which runs every config at each of the held-out
+seeds 0..N-1 in place of its pinned one.  Per config the script prints
+each check's worst margin over its runs, with the seed that gave it:
+value / threshold for a check "value < threshold", threshold / value for
+"value > threshold", so a passing check reads below 1.
 
 Each config runs N times (default 1).  With --against DIR, the checkout at
 DIR runs each config N times too, from its own configs/ and src/, in pairs
@@ -24,7 +29,7 @@ error: "report numbers identical", or the largest relative difference and
 its key path.
 
 The script exits 1 on any failed check or error record of either checkout,
-and when the CSVs of one checkout differ between its runs.
+at any seed, and when the CSVs of one checkout differ between its runs.
 It is not part of tier-1 (pytest does not collect it).
 """
 
@@ -49,8 +54,8 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 UNCOMPARED = ("output_dir", "traceback", "error")
 
 
-def child(root, path, outdir):
-    """Run one config of the checkout at root into outdir; print its JSON line."""
+def child(root, path, outdir, seed):
+    """Run one config of the checkout at root into outdir, at seed ("" = pinned); print its JSON line."""
     src = os.path.realpath(os.path.join(root, "src"))
     sys.path.insert(0, src)
     from solmanifold import experiments
@@ -60,13 +65,16 @@ def child(root, path, outdir):
     cfg = experiments.ExperimentConfig.from_file(path)
     cfg.workers = 1
     cfg.output_dir = outdir
-    out = {"failed": [], "errors": []}
+    if seed:
+        cfg.seed = int(seed)
+    out = {"checks": [], "failed": [], "errors": []}
     start = time.perf_counter()
     try:
         report = experiments.run(cfg)
     except Exception:
         out["errors"].append({"error": "run raised", "traceback": traceback.format_exc()})
     else:
+        out["checks"] = [[c.name, c.value, c.op, c.threshold] for c in report.checks]
         out["failed"] = [f"{c.name}: {c.value:.6g} {c.op} {c.threshold:.6g}"
                          for c in report.checks if not c.passed]
         out["errors"] = [r for r in report.records if "error" in r]
@@ -80,21 +88,22 @@ def child(root, path, outdir):
     print(json.dumps(out))
 
 
-def run_one(root, path):
-    """One fresh child on one config; returns (result, {csv name: values}, report)."""
+def run_one(root, path, seed=None):
+    """One fresh child on one config at seed (None: pinned); returns (result, {csv name: values}, report)."""
     env = dict(os.environ, **{k: "1" for k in THREADS})
     env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory(prefix="sweep-") as outdir:
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", root, path, outdir],
+            [sys.executable, os.path.abspath(__file__), "--child", root, path, outdir,
+             "" if seed is None else str(seed)],
             env=env, capture_output=True, text=True,
         )
         try:
             result = json.loads(proc.stdout.strip().splitlines()[-1])
         except (IndexError, json.JSONDecodeError):
             error = {"error": f"child exited {proc.returncode}", "traceback": proc.stderr}
-            return ({"failed": [], "errors": [error], "wall_s": None, "rss_mb": None, "csv": {}},
-                    {}, None)
+            return ({"checks": [], "failed": [], "errors": [error], "wall_s": None,
+                     "rss_mb": None, "csv": {}}, {}, None)
         values = {name: _read_csv(os.path.join(outdir, name)) for name in result["csv"]}
         report = os.path.join(outdir, "report.json")
         if os.path.exists(report):
@@ -174,6 +183,25 @@ def _problems(label, name, runs):
     return count
 
 
+def _margin(value, op, threshold):
+    """value / threshold for "<", threshold / value for ">": below 1 passes."""
+    if op == "<":
+        return value / threshold
+    return threshold / value if value else math.inf
+
+
+def _worst_margins(runs_by_seed):
+    """{check: (worst margin, its seed)} over runs_by_seed, a list of (seed, results)."""
+    worst = {}
+    for seed, runs in runs_by_seed:
+        for result in runs:
+            for name, value, op, threshold in result["checks"]:
+                margin = _margin(value, op, threshold)
+                if name not in worst or not margin <= worst[name][0]:
+                    worst[name] = (margin, seed)
+    return worst
+
+
 def _median(runs, key):
     values = [r[key] for r in runs if r[key] is not None]
     return statistics.median(values) if values else float("nan")
@@ -192,62 +220,89 @@ def _configs(root):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", help="config names (default: all)")
     parser.add_argument("--pairs", type=int, default=1, help="runs per config and checkout")
     parser.add_argument("--against", help="a second checkout to compare with")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--seeds", type=int, help="run at seeds 0..N-1, not the pinned seed")
+    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
         return 0
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.seeds is not None and args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     other = os.path.abspath(args.against) if args.against else None
     mine = _configs(ROOT)
+    unknown = sorted(set(args.configs) - set(mine))
+    if unknown:
+        parser.error(f"no such config: {', '.join(unknown)}")
+    if args.configs:
+        mine = {name: mine[name] for name in args.configs}
     theirs = _configs(other) if other else {}
+    seeds = [None] if args.seeds is None else list(range(args.seeds))
     bad = 0
     for name, path in mine.items():
         if other and name not in theirs:
             print(f"{name}: no such config in {other}")
             bad += 1
             continue
-        done = {"this": [], "against": []}
-        order = ["this", "against"] if other else ["this"]
-        for k in range(args.pairs):
-            for side in order if k % 2 == 0 else order[::-1]:
-                root, ini = (ROOT, path) if side == "this" else (other, theirs[name])
-                done[side].append(run_one(root, ini))
-        runs, base = ([result for result, *_ in done[side]] for side in ("this", "against"))
-        line = (f"{name}: wall {_median(runs, 'wall_s'):.3f} s, "
-                f"max RSS {_median(runs, 'rss_mb'):.1f} MB")
-        if other:
-            line += (f"; against: wall {_median(base, 'wall_s'):.3f} s "
-                     f"({_ratio(runs, base, 'wall_s'):.3f}x), max RSS "
-                     f"{_median(base, 'rss_mb'):.1f} MB ({_ratio(runs, base, 'rss_mb'):.3f}x)")
-        print(line, flush=True)
-        for label, side in (("this", runs), ("against", base)):
-            if len({json.dumps(r["csv"], sort_keys=True) for r in side}) > 1:
-                print(f"  {label}: CSVs differ between runs of one checkout")
-                bad += 1
-            bad += _problems(label, name, side)
-        if other:
-            for csv in sorted(set(runs[0]["csv"]) | set(base[0]["csv"])):
-                mine_hash, their_hash = runs[0]["csv"].get(csv), base[0]["csv"].get(csv)
-                if mine_hash is None or their_hash is None:
-                    verdict = "written by one checkout only"
-                elif mine_hash == their_hash:
-                    verdict = "byte-identical"
-                else:
-                    diff = _largest_relative_difference(done["this"][0][1][csv],
-                                                        done["against"][0][1][csv])
-                    verdict = ("shape differs" if diff is None
-                               else f"largest relative difference {diff:.3g}")
-                print(f"  {csv}: {verdict}")
-            print(f"  {_report_verdict(done['this'][0][2], done['against'][0][2])}")
-        else:
-            for csv, digest in runs[0]["csv"].items():
-                print(f"  {csv}: sha256 {digest[:16]}")
+        by_seed = []
+        for seed in seeds:
+            label = name if seed is None else f"{name} seed {seed}"
+            runs, problems = _compare(label, path, theirs.get(name), other, seed, args.pairs)
+            by_seed.append(("pinned" if seed is None else seed, runs))
+            bad += problems
+        for check, (margin, seed) in _worst_margins(by_seed).items():
+            print(f"  margin {check}: {margin:.4g} (seed {seed})")
     print(f"{len(mine)} configs, {bad} failed checks or errors")
     return 1 if bad else 0
+
+
+def _compare(name, path, their_path, other, seed, pairs):
+    """Run one config at one seed here (and at other); print its lines.
+
+    Returns (this checkout's results, count of failed checks and errors).
+    """
+    bad = 0
+    done = {"this": [], "against": []}
+    order = ["this", "against"] if other else ["this"]
+    for k in range(pairs):
+        for side in order if k % 2 == 0 else order[::-1]:
+            root, ini = (ROOT, path) if side == "this" else (other, their_path)
+            done[side].append(run_one(root, ini, seed))
+    runs, base = ([result for result, *_ in done[side]] for side in ("this", "against"))
+    line = (f"{name}: wall {_median(runs, 'wall_s'):.3f} s, "
+            f"max RSS {_median(runs, 'rss_mb'):.1f} MB")
+    if other:
+        line += (f"; against: wall {_median(base, 'wall_s'):.3f} s "
+                 f"({_ratio(runs, base, 'wall_s'):.3f}x), max RSS "
+                 f"{_median(base, 'rss_mb'):.1f} MB ({_ratio(runs, base, 'rss_mb'):.3f}x)")
+    print(line, flush=True)
+    for label, side in (("this", runs), ("against", base)):
+        if len({json.dumps(r["csv"], sort_keys=True) for r in side}) > 1:
+            print(f"  {label}: CSVs differ between runs of one checkout")
+            bad += 1
+        bad += _problems(label, name, side)
+    if other:
+        for csv in sorted(set(runs[0]["csv"]) | set(base[0]["csv"])):
+            mine_hash, their_hash = runs[0]["csv"].get(csv), base[0]["csv"].get(csv)
+            if mine_hash is None or their_hash is None:
+                verdict = "written by one checkout only"
+            elif mine_hash == their_hash:
+                verdict = "byte-identical"
+            else:
+                diff = _largest_relative_difference(done["this"][0][1][csv],
+                                                    done["against"][0][1][csv])
+                verdict = ("shape differs" if diff is None
+                           else f"largest relative difference {diff:.3g}")
+            print(f"  {csv}: {verdict}")
+        print(f"  {_report_verdict(done['this'][0][2], done['against'][0][2])}")
+    else:
+        for csv, digest in runs[0]["csv"].items():
+            print(f"  {csv}: sha256 {digest[:16]}")
+    return runs, bad
 
 
 if __name__ == "__main__":

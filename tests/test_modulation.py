@@ -35,7 +35,7 @@ from solmanifold.modulation import (
 )
 from solmanifold.spectral import secular_coefficient
 
-from oracles import antidiagonal_sums, project_continuous_w, restricted
+from oracles import antidiagonal_sums, project_continuous_w, restricted, source_stacks
 
 
 @pytest.fixture(scope="module")
@@ -919,8 +919,34 @@ def test_modulation_rate_series_matches_per_step_reference(history, S_mod, query
     assert _rel_err(got, ref) < 1e-10
 
 
+def _pc_u(data0, data1, u0, a0, adot0, S):
+    """picard_map's P_c u of the data pair (data0, data1), before the discrete part.
+
+    The runs of _pc_u_series on the source blocks, then the secular term of
+    the data pairings and of the kernel the blocks folded.  Returns
+    (samples, src, base).
+    """
+    from solmanifold.grid import cumulative_trapezoid
+    from solmanifold.modulation import (
+        _add_outer,
+        _pc_u_series,
+        _resonance_pairings,
+        _secular_sums,
+        _source_rows,
+    )
+
+    dt, T = u0.dt, u0.horizon
+    transport = picard_transport(S, T, dt)
+    src, F, D = _source_rows(u0.samples, a0, adot0, S, dt, transport)
+    query = ManifoldQuery(data0, data1, epsilon=0.0, constraint_residual=0.0)
+    got = _pc_u_series(query, F, D, S, T, dt)
+    base = _resonance_pairings(data0, data1, transport)
+    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(src.B, dt)
+    _add_outer(got, secular_coefficient(S) * sec, S.resonance.values)
+    return got, src, base
+
+
 def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
-    from solmanifold.modulation import _assemble, _pc_u_series, _resonance_pairings
     from solmanifold.propagators import evolve_linear_perturbed
 
     u0, a0, adot0 = history
@@ -928,11 +954,13 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     grid = S_mod.grid
     data0 = query_mod.psi0_perturbation
     data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
-    src = _assemble(u0.samples, a0, adot0, S_mod)
-    base, B = _resonance_pairings(data0, data1, src, picard_transport(S_mod, T, dt))
-    got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt)
-    _, _, base_ref = _q_side_pairings(data0, data1, S_mod, T, dt)
+    got, src, base = _pc_u(data0, data1, u0, a0, adot0, S_mod)
+    Esin, Ecos, base_ref = _q_side_pairings(data0, data1, S_mod, T, dt)
     assert _rel_err(base, base_ref) < 1e-10
+    F, D = source_stacks(u0, a0, adot0, S_mod)
+    wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
+    B = (F * wmat) @ Esin.T - (D * wmat) @ Ecos.T
+    assert _rel_err(src.B, B) < 1e-12
 
     # reference: the cosine run, the sine run and the two sine Duhamels apart
     def run(v0, v1, source):
@@ -944,8 +972,8 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
         return np.array([project_continuous_w(grid.field(v), S_mod).values for v in rows])
 
     zero = grid.zeros()
-    Fpc = SpaceTimeField(grid, dt, pc(src.F))
-    Dpc = SpaceTimeField(grid, dt, pc(src.D))
+    Fpc = SpaceTimeField(grid, dt, pc(F))
+    Dpc = SpaceTimeField(grid, dt, pc(D))
     zs = run(zero, zero, Dpc)
     duh_cos = np.zeros_like(zs)
     duh_cos[1:-1] = (zs[2:] - zs[:-2]) / (2.0 * dt)
@@ -962,51 +990,65 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
 
 @pytest.mark.parametrize("M", [1, 2, 100])
 def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, M):
-    # the defect run handed to _pc_u_series row by row gives, bit for bit,
-    # the stored run differenced by np.gradient (none for M < 2), and the
-    # secular term added in blocks gives the whole outer product
+    # the source blocks and the defect run handed to _pc_u_series row by row
+    # give, bit for bit, the runs of the stored source stacks, the defect
+    # run differenced by np.gradient (none for M < 2), and the secular term
+    # added in blocks gives the whole outer product; the blocks' pairings
+    # with g are the whole stack's gemv
     from solmanifold.grid import cumulative_trapezoid
-    from solmanifold.modulation import (
-        _assemble,
-        _pc_u_series,
-        _resonance_pairings,
-        _secular_sums,
-    )
+    from solmanifold.modulation import _secular_sums
     from solmanifold.propagators import evolve_linear_perturbed
 
     u0, a0, adot0 = history
     dt = u0.dt
     T = M * dt
     u0 = restricted(u0, T)
+    a0, adot0 = a0[: M + 1], adot0[: M + 1]
     grid = S_mod.grid
     data0 = query_mod.psi0_perturbation
     data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
-    src = _assemble(u0.samples, a0[: M + 1], adot0[: M + 1], S_mod)
-    base, B = _resonance_pairings(data0, data1, src, picard_transport(S_mod, T, dt))
-    got = _pc_u_series(data0, data1, src, base, B, S_mod, T, dt)
+    got, src, base = _pc_u(data0, data1, u0, a0, adot0, S_mod)
+    F, D = source_stacks(u0, a0, adot0, S_mod)
+    assert np.array_equal(src.Fg, F @ (4.0 * np.pi * grid.dr * grid.r * grid.r * S_mod.g.values))
 
     def run(v0, v1, source):
         return evolve_linear_perturbed(
             v0, v1, SpaceTimeField(grid, dt, source), T, dt, a=S_mod.a, project_out=S_mod
         ).samples
 
-    ref = run(data0, data1, src.F)
-    zs = run(grid.zeros(), grid.zeros(), src.D)
+    ref = run(data0, data1, F)
+    zs = run(grid.zeros(), grid.zeros(), D)
     if M >= 2:
         ref[1:] -= np.gradient(zs, dt, axis=0)[1:]
-    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(B, dt)
+    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(src.B, dt)
     ref = ref + np.outer(secular_coefficient(S_mod) * sec, S_mod.resonance.values)
     assert got.shape == (M + 1, grid.n)
     assert np.array_equal(got, ref)
 
 
-def test_picard_map_peak_stays_near_its_floor(history, S_mod, query_mod):
-    # one non-zero-history iterate allocates F, D, the output and block-sized
-    # temporaries: the defect run and both rank-one terms store no
-    # (M+1, n) stack of their own
+@pytest.fixture(scope="module")
+def long_history(mod_grid):
+    """The history fixture's frozen history on M = 400 steps (T = 16)."""
+    M = 400
+    dt = 0.04
+    t = dt * np.arange(M + 1)
+    r = mod_grid.r
+    u = np.outer(np.exp(-0.3 * t), 1e-3 * np.exp(-((r - 2.0) ** 2)))
+    u += np.outer(np.sin(t), 4e-4 * np.exp(-((r - 4.0) ** 2)))
+    a0 = 1.0 + 2e-3 * np.sin(0.7 * t)
+    return SpaceTimeField(mod_grid, dt, u), a0, np.gradient(a0, dt)
+
+
+def test_picard_map_peak_stays_near_its_floor(long_history, S_mod, query_mod):
+    # one non-zero-history iterate allocates its output, the Duhamel kernel
+    # B, x_pm's decay matrix (each (M+1)^2, a third of a stack here) and
+    # block-sized temporaries: F and D are made a block at a time as the
+    # runs read them, and neither the defect run nor the rank-one terms
+    # store an (M+1, n) stack of their own (the whole-stack source read
+    # above 4 stacks here)
     import tracemalloc
 
-    u0, a0, adot0 = history
+    u0, a0, adot0 = long_history
     T, dt = u0.horizon, u0.dt
     transport = picard_transport(S_mod, T, dt)
     tracemalloc.start()
@@ -1017,7 +1059,7 @@ def test_picard_map_peak_stays_near_its_floor(history, S_mod, query_mod):
     finally:
         tracemalloc.stop()
     assert it.u.samples.shape == u0.samples.shape
-    assert peak - entry <= 5 * u0.samples.nbytes
+    assert peak - entry <= 2.5 * u0.samples.nbytes
 
 
 def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, query_mod):

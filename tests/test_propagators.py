@@ -364,6 +364,12 @@ def test_projected_flow_ignores_the_g_component():
     raw = run(f, f1, F)
     ref = run(pc(f.values), pc(f1.values), np.array([pc(row).values for row in F]))
     assert np.max(np.abs(raw - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # so the Picard data run may evolve (p, p1) in place of the offset data
+    # (p + h g, p1 + h k g), whatever h (largest relative difference
+    # measured: 1.7e-14 at h = 1e-3, 1.4e-14 at h = -0.7)
+    for h in (1e-3, -0.7):
+        got = run(grid.field(f.values + h * g), grid.field(f1.values + h * S.k * g), F)
+        assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
     # the secular splits evolve f itself; their sums are the P_c f evolutions
     for split in (secular_decomposition_S, secular_decomposition_C):
 
@@ -373,6 +379,25 @@ def test_projected_flow_ignores_the_g_component():
 
         got, want = full(f), full(pc(f.values))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_short_source_fails_typed():
+    # the steps of a run of M steps read source rows 0..M-1: M rows are
+    # enough and give the run of the M + 1 rows, fewer raise instead of
+    # repeating the last row
+    grid = RadialGrid(R=20.0, n=201)
+    dt = 0.8 * grid.dr
+    M = 25
+    rows = np.exp(-((grid.r - 3.0) ** 2)) * np.cos(dt * np.arange(M + 1))[:, None]
+
+    def run(source_rows):
+        source = SpaceTimeField(grid, dt, source_rows)
+        return evolve_linear_perturbed(grid.zeros(), grid.zeros(), source, M * dt, dt).samples
+
+    assert np.array_equal(run(rows[:M]), run(rows))
+    for short in (5, M - 1):
+        with pytest.raises(GridUsageError, match="source"):
+            run(rows[:short])
 
 
 def test_cfl_guard(S_ref):
