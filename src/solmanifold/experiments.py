@@ -33,9 +33,8 @@ from .grid import (
 from .modulation import (
     BracketError,
     LeftModulationWindow,
-    _modulation_series,
+    _fixed_point_hs,
     evolve_nonlinear,
-    h_fixed_point,
     make_query,
     picard_map,
     picard_transport,
@@ -149,6 +148,12 @@ def validate(config):
     ):
         issues.append(
             f"time.T: causality budget violated, T={config.T} > R - R_obs = {grid.budget_horizon()}"
+        )
+    stride = _ON_MANIFOLD_STRIDE.get(config.experiment)
+    if stride and dt > 0 and config.T > 0 and int(round((config.T - _TRIM) / dt)) < stride:
+        issues.append(
+            f"time.T: the on-manifold run ends {_TRIM:g} before T and needs at least "
+            f"{stride} step(s) of dt={dt:g}, T={config.T}"
         )
     if not 0 < config.eps < np.inf:
         issues.append(f"data.eps: amplitude must be positive and finite, eps={config.eps}")
@@ -592,43 +597,47 @@ def _run_pairing_identity(cfg, outdir, report):
 # on-manifold runs stop this long before the shooting horizon: the final
 # shooting bracket leaves a growing amplitude ~ width * e^{kT} at its end
 _TRIM = 4.0
+# the snapshot stride of _manifold_trajectory's runs
+_STRIDE = 5
+# the stride of each experiment's on-manifold run: its readers need two
+# snapshots (np.gradient of the scales of a strided run), so a run must make
+# at least one stride of steps
+_ON_MANIFOLD_STRIDE = {"h_scaling": 1, "adot_l1": _STRIDE, "lipschitz": _STRIDE}
 
 
 def _shoot_point(args):
+    """The query of one sweep point and its shot: (query, ShootResult).
+
+    It stores and extracts nothing: the on-manifold runs of every point are
+    read afterwards, in the parent, by _fixed_point_hs.  With workers > 1,
+    _pmap runs one shoot per point in a process pool.
+    """
     cfg, S, eps = args
-    grid = S.grid
-    T, dt = cfg.T, cfg.timestep(grid)
-    query = seeded_query(grid, S, eps, cfg.seed)
-    res = shoot_h(query, S, T, dt)
-    # fixed-point h from the on-manifold trajectory, trimmed by _TRIM; the
-    # truncated tail of the h integral is e^{-k(T-4)}-small; the run is
-    # dropped once u is extracted
-    a_series, u = _modulation_series(_completed(
-        evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S), T - _TRIM
-    ).psi.samples, S)
-    hfp, tail = h_fixed_point(
-        SpaceTimeField(grid, dt, u),
-        a_series,
-        np.gradient(a_series, dt),
-        S,
-        pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
-        psi1_overlap_w=pair_w(query.psi1, S.g),
-    )
-    return {
-        "eps_nominal": eps,
-        "eps": query.epsilon,
-        "h_shoot": res.h,
-        "h_fixed_point": hfp,
-        "h_diff": abs(hfp - res.h),
-        "bracket_width": res.bracket_width,
-        "shoot_runs": len(res.trace),
-        "tail_bound": tail,
-    }
+    query = seeded_query(S.grid, S, eps, cfg.seed)
+    return query, shoot_h(query, S, cfg.T, cfg.timestep(S.grid))
 
 
 def _run_h_scaling(cfg, outdir, report):
     S = ground_state(cfg.grid())
-    results = _pmap(_shoot_point, [(cfg, S, e) for e in cfg.sweep], cfg.workers)
+    shots = _pmap(_shoot_point, [(cfg, S, e) for e in cfg.sweep], cfg.workers)
+    # fixed-point h of every on-manifold run, trimmed by _TRIM (the truncated
+    # tail of the h integral is e^{-k(T-4)}-small), from two streamed passes
+    # over all the points at once: no run is stored
+    fixed = _fixed_point_hs([q for q, _ in shots], [res.h for _, res in shots], S,
+                            cfg.T - _TRIM, cfg.timestep(S.grid))
+    results = [
+        {
+            "eps_nominal": eps,
+            "eps": query.epsilon,
+            "h_shoot": res.h,
+            "h_fixed_point": hfp,
+            "h_diff": abs(hfp - res.h),
+            "bracket_width": res.bracket_width,
+            "shoot_runs": len(res.trace),
+            "tail_bound": tail,
+        }
+        for eps, (query, res), (hfp, tail) in zip(cfg.sweep, shots, fixed)
+    ]
     report.records.extend(results)
     eps = [r["eps"] for r in results]
     hs = [abs(r["h_shoot"]) for r in results]
@@ -685,7 +694,7 @@ def _run_codim1(cfg, outdir, report):
 def _manifold_trajectory(S, query, T, dt, tol):
     """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
     res = shoot_h(query, S, T, dt, tol=tol)
-    run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=5)
+    run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=_STRIDE)
     return res, trajectory_modulation(_completed(run, T - _TRIM), S)
 
 

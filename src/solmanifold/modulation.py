@@ -12,7 +12,9 @@ passed in, and the modulation window is S.a * soliton.MODULATION_WINDOW.
 The modulation source of a frozen history is never stored whole: it is
 made _ROWS rows at a time, as the Picard map's linear runs read it, and
 each block is folded into every quantity that reads it before the next
-replaces it (_source_rows).
+replaces it (_source_rows).  The fixed-point h of the h_scaling sweep
+stores no run either: two streamed passes, the first stepping every sweep
+point as one stack, give it from the same blocks (_fixed_point_hs).
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -43,6 +45,7 @@ from .grid import (
 )
 from .norms import NormReport, TimeProfiles, lorentz_norm
 from .propagators import (
+    PropagatorError,
     SpaceTimeField,
     _leapfrog,
     evolve_linear_perturbed,
@@ -74,26 +77,54 @@ def _fifth(x, out):
     return np.multiply(out, x, out=out)
 
 
-def _quintic_force(r, wphi):
+def _quintic_force(r, wphi, lead=()):
     """The _leapfrog force ((w_phi + w_u)^5 - w_phi^5) / r^4 of the u flow.
 
-    Its invariants and its two buffers are made once, here; see
+    Its invariants and its two buffers are made once, here, for states of
+    leading shape lead: () for one state, (K,) for a stack of K.  See
     evolve_nonlinear for why both fifth powers come from _fifth.
     """
     wphi_in = wphi[1:-1]
     wphi5 = _fifth(wphi_in, np.empty_like(wphi_in))
     inv_r4 = 1.0 / r[1:-1] ** 4
-    wpsi = np.empty_like(wphi_in)
-    quint = np.empty_like(wphi_in)
+    wpsi = np.empty(lead + wphi_in.shape)
+    quint = np.empty_like(wpsi)
 
     def force(wu, m, acc):
-        np.add(wphi_in, wu[1:-1], out=wpsi)
+        np.add(wphi_in, wu[..., 1:-1], out=wpsi)
         _fifth(wpsi, quint)
         np.subtract(quint, wphi5, out=quint)
         np.multiply(quint, inv_r4, out=quint)
         acc += quint
 
     return force
+
+
+def _u_frame(grid, S):
+    """(phi, wphi, overlap, blown): the frame of the u flow, shared by every nonlinear run.
+
+    phi is the soliton at S.a, or at a = 1 without S (the energy runs keep
+    that pinned frame), and wphi = r phi.  overlap(wu) is <u, g>_w of each
+    row of a state or a stack, 0.0 without S.  blown(wu, ov) is the
+    blow-up test, per row: ov not finite, or sup |psi| on the observation
+    ball, its origin excluded, above 10 phi(0) or NaN.
+    """
+    r = grid.r
+    phi = soliton.phi(r, 1.0 if S is None else S.a)
+    ceiling = 10.0 * phi[0]
+    wphi = r * phi
+    ball = slice(1, grid.obs_slice().stop)
+    wphi_ball, r_ball = wphi[ball], r[ball]
+    wg = None if S is None else r * S.g.values
+
+    def overlap(wu):
+        return 0.0 if wg is None else FOUR_PI * grid.dr * (wu * wg).sum(axis=-1)
+
+    def blown(wu, ov):
+        sup = np.abs((wphi_ball + wu[..., ball]) / r_ball).max(axis=-1)
+        return ~(np.isfinite(ov) & (sup <= ceiling))
+
+    return phi, wphi, overlap, blown
 
 
 def nonlinearity(u, phi_a):
@@ -138,8 +169,10 @@ def evolve_nonlinear(
     the force at u = 0 a rounding error instead of exactly 0.
     A blow-up detector aborts once sup |psi| on the observation ball
     exceeds 10*phi(0, S.a) or is NaN; the run is a typed outcome, never
-    an exception.  Only every stride-th step is kept (none with stride
-    None), with its time derivative (five-point centred, see
+    an exception.  The frame, the force and that test are _u_frame's and
+    _quintic_force's, which _fixed_point_hs also steps on a stack.  Only
+    every stride-th step is kept (none with stride None), with its time
+    derivative (five-point centred, see
     propagators._rate) taken in the loop.  Without consume both are stored,
     and the two stacks become SpaceTimeFields in place, once, after it.
     With consume, nothing is stored: consume(j, psi, psi_t) receives the
@@ -149,31 +182,14 @@ def evolve_nonlinear(
     """
     grid = psi0.grid
     r = grid.r
-    # runs without S (the energy runs) have no centre; they keep their pinned frame a = 1
-    phi = soliton.phi(r, 1.0 if S is None else S.a)
-    ceiling = 10.0 * phi[0]
-    wphi = r * phi
-    obs = grid.obs_slice()
-    # the blow-up test reads the observation ball without its origin node
-    wphi_obs = wphi[obs][1:]
-    robs = r[obs][1:]
-    wg = r * S.g.values if S is not None else None
-
-    def overlap(wu):
-        if wg is None:
-            return 0.0
-        return FOUR_PI * grid.dr * float((wu * wg).sum())
-
-    def sup_obs(wu):
-        return float(np.abs((wphi_obs + wu[obs][1:]) / robs).max())
-
+    phi, wphi, overlap, blown = _u_frame(grid, S)
     ovs = []
 
     def stop(m, wu):
         ovs.append(overlap(wu))
         if m < 2:  # the data and the Taylor step are not tested
             return None
-        if not np.isfinite(ovs[-1]) or not sup_obs(wu) <= ceiling:
+        if blown(wu, ovs[-1]):
             return "blowup"
         if overlap_cap is not None and abs(ovs[-1]) > overlap_cap:
             return "departed"
@@ -498,31 +514,18 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
     family; the well-balanced flow feels exactly this difference, so the
     fixed-point integrand carries it too (it vanishes under refinement).
     """
-    grid = S.grid
-    r = grid.r
-    g = S.g.values
+    r = S.grid.r
     a0 = np.asarray(a0, dtype=float)
     adot0 = None if adot0 is None else np.asarray(adot0, dtype=float)
     M = len(a0) - 1
-    Vc = soliton.potential(r, S.a)
-    phic = soliton.phi(r, S.a)
-    rhoc = _elliptic_residual(grid, phic)
-    wg = FOUR_PI * grid.dr * r * r * g
     src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1),
                    B=None if transport is None else np.empty((M + 1, M + 1)))
+    fold = _source_fold(S, src)
     if transport is not None:
         (Esin, w), (Ecos, _) = transport
 
     def make_F(rows):
-        a = a0[rows, None]
-        u = samples[rows]
-        phia = soliton.phi(r, a)
-        F = (Vc - soliton.potential(r, a)) * u + _quintic(u, phia)
-        src.Fg[rows] = F @ wg
-        src.gamma[rows] = FOUR_PI * grid.dr * np.sum((phia - phic) * g * r**2, axis=1)
-        residual = np.sum((_elliptic_residual(grid, phia) - rhoc) * (r * g), axis=1)
-        residual[np.abs(a[:, 0] - S.a) < 1e-15 * S.a] = 0.0
-        src.residual[rows] = FOUR_PI * grid.dr * residual
+        F = fold(rows, samples[rows], a0[rows])
         if src.B is not None:
             src.B[rows] = (F * w) @ Esin.T
         return F
@@ -534,6 +537,35 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
 
     D = None if adot0 is None else _Blocks(make_D, M + 1, dt)
     return src, _Blocks(make_F, M + 1, dt), D
+
+
+def _source_fold(S, src):
+    """fold(rows, u, a): F = (V - V(a)) u + N(u, phi(a)) of a block of history rows.
+
+    Each block, as it is made, writes its rows of src.Fg, src.gamma and
+    src.residual (see _source_rows), and F is returned for the caller's
+    own pairings.  u holds the rows of the block, a their scales.
+    """
+    grid = S.grid
+    r = grid.r
+    g = S.g.values
+    Vc = soliton.potential(r, S.a)
+    phic = soliton.phi(r, S.a)
+    rhoc = _elliptic_residual(grid, phic)
+    wg = FOUR_PI * grid.dr * r * r * g
+
+    def fold(rows, u, a):
+        a = a[:, None]
+        phia = soliton.phi(r, a)
+        F = (Vc - soliton.potential(r, a)) * u + _quintic(u, phia)
+        src.Fg[rows] = F @ wg
+        src.gamma[rows] = FOUR_PI * grid.dr * np.sum((phia - phic) * g * r**2, axis=1)
+        residual = np.sum((_elliptic_residual(grid, phia) - rhoc) * (r * g), axis=1)
+        residual[np.abs(a[:, 0] - S.a) < 1e-15 * S.a] = 0.0
+        src.residual[rows] = FOUR_PI * grid.dr * residual
+        return F
+
+    return fold
 
 
 def _assemble(samples, a0, adot0, S, dt, transport=None):
@@ -564,6 +596,10 @@ def _check_history(samples, a0, adot0, S):
     a0 = np.asarray(a0, dtype=float)
     if len(a0) != len(samples) or len(adot0) != len(samples):
         raise GridUsageError("history lengths disagree")
+    return _check_window(a0, S)
+
+
+def _check_window(a0, S):
     lo, hi = _window(S)
     if np.any((a0 <= lo) | (a0 >= hi)):
         raise LeftModulationWindow(f"a0 history leaves the modulation window {(lo, hi)}")
@@ -600,11 +636,115 @@ def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0)
     which reduces the resonance-acceleration term exactly instead of
     through the continuum orthogonality <dphi_da, g> = 0 (the
     integrated-by-parts adot form carries an O(dr^2 eps) bias on a grid).
-    Returns (h, tail_bound).
+    Returns (h, tail_bound).  This takes a stored history; the h_scaling
+    experiment gets the same bits for its on-manifold runs, which it never
+    stores, from _fixed_point_hs.
     """
     a0 = _check_history(u0_traj.samples, a0, adot0, S)
     src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
     return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
+
+
+def _fixed_point_hs(queries, hs, S, T, dt):
+    """h_fixed_point of the on-manifold run of each query at its shot h, from no stored run.
+
+    Each run is evolve_nonlinear's from query.initial_data(S, h) over
+    [0, T] at dt, stride 1.  Two streamed passes replace the stored runs:
+
+    - pass 1 (_proxy_products) steps all K runs as one (K, n) stack and
+      keeps only each row's products with the modulation proxy; one
+      root-find then gives the scales of every run;
+    - pass 2 reruns each point alone and folds each block of _ROWS rows,
+      u = psi - phi(a), into its pairings (_source_fold), as
+      h_fixed_point's assembly does; _h_from then gives h.
+
+    A row of a stack takes the bits of its own run, and pass 2 folds the
+    blocks h_fixed_point's assembly folds, so every h and tail bound is
+    h_fixed_point's of the stored run with the u and a of
+    _modulation_series, bit for bit where the BLAS rounds each _ROWS-row
+    product with the proxy as it rounds the stored run's one product over
+    all its rows (it does for the 351 rows of the shipped h_scaling grid,
+    n = 1201; on small grids it need not, and h moves in its last digits).
+    A row without a modulation root raises LeftModulationWindow naming the
+    sweep point, its index in queries, and the row.  Returns
+    [(h, tail_bound)], one per query.
+    """
+    grid = S.grid
+    r = grid.r
+    K, M = len(queries), int(round(T / dt))
+    frame = _u_frame(grid, S)
+    phi, wphi = frame[:2]
+    data = [q.initial_data(S, h) for q, h in zip(queries, hs)]
+    w0 = np.array([(psi0.values - phi) * r for psi0, _ in data])
+    w1 = np.array([r * psi1.values for _, psi1 in data])
+    Q, scales = _modulation_proxy(S)
+    a, miss = scales(list(_proxy_products(grid, frame, w0, w1, T, dt, Q)))
+    a, miss = a.reshape(K, M + 1), miss.reshape(K, M + 1)
+    for k in range(K):
+        if miss[k].any():
+            raise LeftModulationWindow(f"sweep point {k}: row {np.flatnonzero(miss[k])[0]} has "
+                                       f"no modulation root in {_window(S)}")
+    _check_window(a, S)
+
+    out = []
+    force = _quintic_force(r, wphi)
+    block = np.empty((_ROWS, grid.n))
+    for k, query in enumerate(queries):
+        src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1))
+        fold = _source_fold(S, src)
+
+        def fold_block(j, w, rate):
+            i = j % _ROWS  # the block holds rows j - i .. j
+            block[i] = w
+            if i == _ROWS - 1 or j == M:
+                rows = slice(j - i, j + 1)
+                u = _values_from_w(grid, block[: i + 1])
+                u += phi
+                u -= soliton.phi(r, a[k, rows, None])
+                fold(rows, u, a[k, rows])
+
+        _leapfrog(grid, w0[k], w1[k], T, dt, force, emit=fold_block)
+        out.append(_h_from(src, dt, S, pair_w(query.psi0_perturbation, S.g),
+                           pair_w(query.psi1, S.g)))
+    return out
+
+
+def _proxy_products(grid, frame, w0, w1, T, dt, Q):
+    """Pass 1 of _fixed_point_hs: the (K, M+1, _NODES) products psi_m @ Q.T of K runs.
+
+    The K runs of the u flow from (w0, w1), (K, n) each, step as one stack
+    through _leapfrog; frame is _u_frame's.  Each run's rows are
+    projected _ROWS at a time, in blocks from row 0, into one reused
+    (K, _ROWS, n) buffer.  A blow-up in any row ends the pass and raises
+    PropagatorError naming that row's sweep point.
+    """
+    phi, wphi, overlap, blown = frame
+    K, n = w0.shape
+    M = int(round(T / dt))
+    P = np.empty((K, M + 1, _NODES))
+    psi = np.empty((K, _ROWS, n))
+
+    def project(j, w, rate):
+        i = j % _ROWS  # the block holds rows j - i .. j of every run
+        psi[:, i] = w
+        if i == _ROWS - 1 or j == M:
+            block = _values_from_w(grid, psi[:, : i + 1])
+            block += phi
+            for k in range(K):
+                P[k, j - i : j + 1] = block[k] @ Q.T
+
+    def stop(m, w):
+        if m < 2:  # the data and the Taylor step are not tested
+            return None
+        bad = np.flatnonzero(blown(w, overlap(w)))
+        return bad[0] if len(bad) else None
+
+    force = _quintic_force(grid.r, wphi, (K,))
+    m_end, point = _leapfrog(grid, w0, w1, T, dt, force, stop=stop, emit=project)[2:]
+    if point is not None:
+        raise PropagatorError(f"nonlinear run of sweep point {point} ended 'blowup' at "
+                              f"t={m_end * dt:.6g} of T={T}")
+    return P
 
 
 def _d2_series(y, dt):
@@ -923,7 +1063,10 @@ def _series_roots(coef):
     """Roots in [-1, 1] of the Chebyshev series coef[:, m], one per column.
 
     60 halvings of [-1, 1]: the right half is kept where F at the midpoint
-    has the sign of F(-1), the left half otherwise.  Returns (s, miss);
+    has the sign of F(-1), the left half otherwise.  Every step acts on
+    each column alone (Clenshaw down each column, then np.sign and
+    np.where), so a column gets the bits it gets by itself, and one call
+    can solve the rows of many runs.  Returns (s, miss);
     miss flags the columns where F(-1) * F(1) <= 0 fails, which includes
     every column with a NaN or inf.
     """
@@ -935,6 +1078,35 @@ def _series_roots(coef):
         right = np.sign(chebyshev.chebval(s, coef, tensor=False)) == np.sign(f_lo)
         lo, hi = np.where(right, s, lo), np.where(right, hi, s)
     return 0.5 * (lo + hi), miss
+
+
+def _modulation_proxy(S):
+    """(Q, scales): the Chebyshev proxy of the modulation scale, see _modulation_series.
+
+    rows @ Q.T holds each row's <psi, Q_j> at the _NODES Chebyshev points
+    a_j of the window, Q_j = W V(a_j) dphi_da(a_j) (W the Simpson weight
+    4 pi r^2).  scales(products) takes a list of such (rows, _NODES)
+    products, one per run, and returns the scales of all their rows, in
+    order, with the miss flags of _series_roots: one root-find over every
+    run.  Each run's Chebyshev coefficients come from one transform over
+    all its rows, as one run alone gets them: a transform over more or
+    fewer columns at once rounds them otherwise.
+    """
+    r = S.grid.r
+    lo, hi = _window(S)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = chebyshev.chebpts1(_NODES)
+    nodes = (mid + half * x)[:, None]
+    Q = FOUR_PI * S.grid.simpson_weights * r**2 * soliton.resonance_weight(r, nodes)
+    c = np.sum(soliton.phi(r, nodes) * Q, axis=1)
+    # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
+    T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
+
+    def scales(products):
+        s, miss = _series_roots(np.concatenate([T.T @ (P - c).T for P in products], axis=1))
+        return mid + half * s, miss
+
+    return Q, scales
 
 
 def _modulation_series(samples, S):
@@ -954,19 +1126,11 @@ def _modulation_series(samples, S):
     stack is held beside it.  Returns (a, u).
     """
     r = S.grid.r
-    lo, hi = _window(S)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = chebyshev.chebpts1(_NODES)
-    nodes = (mid + half * x)[:, None]
-    Q = FOUR_PI * S.grid.simpson_weights * r**2 * soliton.resonance_weight(r, nodes)
-    c = np.sum(soliton.phi(r, nodes) * Q, axis=1)
-    # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
-    T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
-    s, miss = _series_roots(T.T @ (samples @ Q.T - c).T)
+    Q, scales = _modulation_proxy(S)
+    a, miss = scales([samples @ Q.T])
     miss = np.flatnonzero(miss)
     if len(miss):
-        raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {(lo, hi)}")
-    a = mid + half * s
+        raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {_window(S)}")
     u = np.empty_like(samples)
     for start in range(0, len(a), _ROWS):
         rows = slice(start, start + _ROWS)

@@ -7,7 +7,9 @@ is realized in the time domain by leapfrog on w; its spatial operator is the
 same stencil the spectral module diagonalizes, so the discrete eigenpair
 (k, g) is exact for the scheme.  That leapfrog, _leapfrog, is the package's
 only time stepper: the nonlinear flow of the modulation module runs on it
-with its own force and stop test.  It hands only the strided snapshots its
+with its own force and stop test, one state at a time or, for the
+fixed-point h of a sweep, as one (K, n) stack of K states whose rows each
+keep the bits of their own run.  It hands only the strided snapshots its
 callers read to a consumer, which stores them by default, so memory grows
 with the snapshots, not with the steps, and with neither when the consumer
 reduces each snapshot as it is made.  A stored trajectory holds the
@@ -280,16 +282,20 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
               emit=None):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
-    The package's one time-stepping loop.  The ends are Dirichlet; the
-    first step is the Taylor step from (w0, wdot0), every later one
+    The package's one time-stepping loop.  A state is one row of n values,
+    or a (K, n) stack of K rows stepped together: every operation acts
+    along the last axis or elementwise, so each row of a stack takes the
+    bits of its own K = 1 run.  The ends are Dirichlet; the first step is
+    the Taylor step from (w0, wdot0), every later one
     2 w_m - w_{m-1} + dt^2 acc_m.  force(w, m, acc) adds everything but the
     second difference to the interior acceleration acc of state m, in place.
     When wg is given (the reduced eigenvector r*g), the g-component of the
     state is removed after every step: the continuous-spectrum evolution
     commutes with that projection exactly, and without it rounding error
     reseeds the exponentially unstable mode and dominates long horizons.
-    stop(m, w), when given, sees every state w_m as it is made; the first
-    value other than None ends the run there and is returned as its status.
+    A stack with wg raises GridUsageError.  stop(m, w), when given, sees
+    every state w_m as it is made; the first value other than None ends
+    the run there and is returned as its status.
 
     Only the states m = 0, stride, 2 stride, ... up to the last step m_end
     are emitted (stride None emits none).  With rates, the time
@@ -300,19 +306,23 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     j stride + 2 with them, and the last two after the loop.  row is a view
     of the live state, rate a fresh array.  The default emit
     stores the snapshots in two preallocated stacks, so memory grows with
-    the snapshots, not with the steps.  Returns (rows, rate_rows, m_end,
+    the snapshots, not with the steps; a (K, n) state stores (snapshots,
+    K, n).  Returns (rows, rate_rows, m_end,
     status); rows and rate_rows are those stacks, cut at m_end, and are
     None when emit is given, rate_rows also without rates.
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
+    shape = np.shape(w0)
+    if len(shape) > 1 and wg is not None:
+        raise GridUsageError("the g-projection steps one state, not a stack")
     M = int(round(T / dt))
     dr2 = grid.dr**2
-    acc = np.zeros(grid.n)
-    interior = acc[1:-1]
+    acc = np.zeros(shape)
+    interior = acc[..., 1:-1]
 
     def accel(w, m):
-        interior[...] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dr2
+        interior[...] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / dr2
         force(w, m, interior)
         return acc
 
@@ -327,8 +337,8 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     rows = drows = None
     if emit is None:
         stored = 0 if stride is None else M // stride + 1
-        rows = np.empty((stored, grid.n))
-        drows = np.empty((stored, grid.n)) if rates else None
+        rows = np.empty((stored, *shape))
+        drows = np.empty((stored, *shape)) if rates else None
 
         def emit(j, row, rate):
             rows[j] = row

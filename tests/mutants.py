@@ -66,8 +66,8 @@ MUTANTS = [
     (
         "modulation node values drop <phi(a_j), Q_j>",
         "src/solmanifold/modulation.py",
-        "(samples @ Q.T - c)",
-        "(samples @ Q.T)",
+        "(P - c).T",
+        "P.T",
     ),
     (
         "evolve_nonlinear takes phi at 1",
@@ -312,6 +312,26 @@ MUTANTS = [
         '            raise GridUsageError(f"a source of {source.rows} rows for a run that reads {steps}")\n'
         "        source_row = source.row",
         "        source_row = lambda m, row=source.row, last=source.rows - 1: row(min(m, last))",
+    ),
+    (
+        "pass 2 of the fixed-point h reads another run's scales",
+        "src/solmanifold/modulation.py",
+        "                u -= soliton.phi(r, a[k, rows, None])\n"
+        "                fold(rows, u, a[k, rows])",
+        "                u -= soliton.phi(r, a[k - 1, rows, None])\n"
+        "                fold(rows, u, a[k - 1, rows])",
+    ),
+    (
+        "the proxy's coefficient transform spans all runs' columns at once",
+        "src/solmanifold/modulation.py",
+        "[T.T @ (P - c).T for P in products]",
+        "[T.T @ (np.concatenate(products) - c).T]",
+    ),
+    (
+        "the stacked blow-up test reads only row 0",
+        "src/solmanifold/modulation.py",
+        "bad = np.flatnonzero(blown(w, overlap(w)))",
+        "bad = np.flatnonzero(blown(w[:1], overlap(w[:1])))",
     ),
     (
         "_csv writes 16 significant digits",

@@ -6,9 +6,10 @@ potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
 diagonal, the anti-diagonal sums by one bincount, the scheme-pairing P_c
 that the projected linear flow applies at every step, the inner time
-norms of a whole stored stack, the whole modulation source stacks), a
-conserved quantity that checks a propagator, or a way to cut a stored
-trajectory that the package no longer needs.
+norms of a whole stored stack, the whole modulation source stacks, the
+fixed-point h of a stored on-manifold run), a conserved quantity that
+checks a propagator, or a way to cut a stored trajectory that the package
+no longer needs.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from solmanifold.grid import (
     inner_product,
     pair_w,
 )
-from solmanifold.modulation import _quintic
+from solmanifold.modulation import _modulation_series, _quintic, evolve_nonlinear, h_fixed_point
 from solmanifold.propagators import SpaceTimeField, _free_slices
 from solmanifold.spectral import secular_coefficient
 
@@ -173,3 +174,19 @@ def transport_energy(u, ut):
     dv = np.diff(v) / dr
     vt_mid = 0.5 * (vt[1:] + vt[:-1])
     return FOUR_PI * dr * float(np.sum(dv * dv + vt_mid * vt_mid))
+
+
+def stored_fixed_point_h(query, h, S, T, dt):
+    """(h, tail_bound) of h_fixed_point along the stored stride-1 on-manifold run.
+
+    The route the h_scaling experiment took before its two streamed passes:
+    evolve the data at the shot h over [0, T], store every step, extract
+    (a, u) by _modulation_series, and assemble the whole history.  The
+    streamed passes must give the same bits.
+    """
+    run = evolve_nonlinear(*query.initial_data(S, h), T, dt, S=S)
+    assert run.status == "completed"
+    a, u = _modulation_series(run.psi.samples, S)
+    return h_fixed_point(SpaceTimeField(S.grid, dt, u), a, np.gradient(a, dt), S,
+                         pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
+                         psi1_overlap_w=pair_w(query.psi1, S.g))

@@ -101,6 +101,29 @@ dt = 9.0
     assert any(s.startswith("experiment.seed: ") for s in validate(cfg))
 
 
+@pytest.mark.parametrize("experiment, short, enough", [
+    ("h_scaling", (3.0, 4.0), 4.08),
+    ("adot_l1", (3.0, 4.2), 4.4),
+    ("lipschitz", (3.0, 4.2), 4.4),
+])
+def test_a_horizon_within_the_trim_is_a_config_error(tmp_path, experiment, short, enough):
+    # the on-manifold run ends _TRIM = 4 before T; with dt = 0.08 it must make
+    # one step for h_scaling's passes and one stride of 5 for the scales'
+    # np.gradient, or numpy's ValueError would escape run untyped
+    def config(T):
+        cfg = ExperimentConfig(experiment=experiment, seed=6, R=30.0, n=301, R_obs=10.0, T=T,
+                               sweep=(1e-4,), output_dir=str(tmp_path / "out"))
+        return cfg, [s for s in validate(cfg) if s.startswith("time.T: ")]
+
+    for T in short:
+        cfg, issues = config(T)
+        assert issues == [f"time.T: the on-manifold run ends 4 before T and needs at least "
+                          f"{1 if experiment == 'h_scaling' else 5} step(s) of dt=0.08, T={T}"]
+        with pytest.raises(ConfigError, match="time.T: the on-manifold run"):
+            run(cfg)
+    assert config(enough)[1] == []
+
+
 def test_validate_unknown_experiment(tmp_path):
     cfg = ExperimentConfig.from_file(
         write_config(tmp_path, BASE.replace("stationarity", "nope"))
@@ -480,7 +503,6 @@ def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypa
 
 @pytest.mark.parametrize("experiment, caller", [
     ("stationarity", "_run_stationarity"),
-    ("h_scaling", "_shoot_point"),
     ("lipschitz", "_manifold_trajectory"),
     ("adot_l1", "_manifold_trajectory"),
     ("weighted_growth", "_run_weighted_growth"),
@@ -507,6 +529,41 @@ def test_a_stopped_nonlinear_run_fails_the_run(tmp_path, monkeypatch, experiment
     (record,) = [r for r in rep.records if "error" in r]
     assert record["error"].startswith("PropagatorError: nonlinear run ended 'blowup'")
     assert caller in record["traceback"] and "_completed" in record["traceback"]
+    (check,) = [c for c in rep.checks if c.name == "run_completed"]
+    assert not check.passed
+
+
+def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
+    # h_scaling's fixed-point passes step its sweep points as one stack and
+    # call no evolve_nonlinear: a stacked row that the shared blow-up test
+    # flags (here the last, point 1 of 2) ends the run with the typed error
+    # naming that point, never a truncated run read as if it were whole
+    import solmanifold.modulation as mo
+
+    frame = mo._u_frame
+
+    def last_stacked_row_blows_up(grid, S):
+        phi, wphi, overlap, blown = frame(grid, S)
+
+        def test(wu, ov):
+            out = blown(wu, ov)
+            if np.ndim(wu) == 2:  # the shoots step one state, the pass a stack
+                out = out.copy()
+                out[-1] = True
+            return out
+
+        return phi, wphi, overlap, test
+
+    monkeypatch.setattr(mo, "_u_frame", last_stacked_row_blows_up)
+    text = SMALL_MANIFOLD.format(name="h_scaling").replace("values = 1e-4", "values = 1e-4, 2e-4")
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    cfg.output_dir = str(tmp_path / "out")
+    rep = run(cfg)
+    (record,) = [r for r in rep.records if "error" in r]
+    # the test is first read at step 2, t = 2 dt = 0.16 of the trimmed T = 10 - 4
+    assert record["error"] == ("PropagatorError: nonlinear run of sweep point 1 ended 'blowup' "
+                               "at t=0.16 of T=6.0")
+    assert "_run_h_scaling" in record["traceback"] and "_proxy_products" in record["traceback"]
     (check,) = [c for c in rep.checks if c.name == "run_completed"]
     assert not check.passed
 
