@@ -159,6 +159,13 @@ def validate(config):
         issues.append(f"data.eps: amplitude must be positive and finite, eps={config.eps}")
     if config.experiment in ("h_scaling", "lipschitz", "contraction") and not config.sweep:
         issues.append("sweep.values: sweep must be nonempty")
+    elif config.experiment in _COMPARES_SWEEP and len(config.sweep) and len(set(config.sweep)) < 2:
+        issues.append(f"sweep.values: {config.experiment} compares its sweep points and needs "
+                      f"at least two distinct values, got {list(config.sweep)}")
+    if config.experiment == "secular" and max(_SECULAR_HORIZONS) > grid.budget_horizon():
+        issues.append(f"grid: secular needs R - R_obs >= {max(_SECULAR_HORIZONS):g} "
+                      f"(horizons {', '.join(f'{h:g}' for h in _SECULAR_HORIZONS)}), "
+                      f"R - R_obs = {grid.budget_horizon():g}")
     bad = [v for v in config.sweep if not 0 < v < np.inf]
     if bad:
         issues.append(f"sweep.values: values must be positive and finite, got {bad}")
@@ -464,39 +471,43 @@ def _strichartz_constants(grid, dt, T, members, mode):
     perturbed evolution); every mixed norm is 1-homogeneous in the data, so
     dividing it by the member's L2, H1 or L^{3/2,1} size gives the constant
     of the normalised member.  The norms read only the observation ball:
-    each evolution streams the rows of its nodes, block by block, into one
-    TimeProfiles per kind, and no trajectory is stored.  The perturbed mode
-    solves for the ground state of grid, replaces each member f by its
-    continuous part, and makes the resonance series the splits read first:
-    all sine series from one transport of q, then all cosine series from
-    another, so no transport is held through the member loop.
+    each evolution streams the rows of its nodes, block by block, into a
+    TimeProfiles per kind, and no trajectory is stored.  The free mode
+    evolves one member at a time, into profiles of its own.  The perturbed
+    mode solves for the ground state of grid, replaces each member f by its
+    continuous part, makes all sine series from one transport of q and
+    splits all members as one sine stack into one TimeProfiles of all their
+    rows, then does the same for the cosine kind (see
+    _secular_decomposition), so no transport is held through a split.
     """
-    if mode != "free":
-        S = ground_state(grid)
-        # the split evolves P_c f, and builds its secular side from the f it
-        # is given: each member is projected once, and measured as projected
-        members = [_continuous_part(f, S) for f in members]
-        sines = _resonance_series(grid, S.a, T, dt, "sine", members)
-        cosines = _resonance_series(grid, S.a, T, dt, "cosine", members)
-    rows = []
-    for i, f in enumerate(members):
-        s, c = TimeProfiles(grid, dt), TimeProfiles(grid, dt)
-        if mode == "free":
+
+    def mixed(s, c):  # the five mixed norms of the ratios, of one member or of all
+        return (s.norm(("lorentz", 6, 2), "Linf_t"), s.norm("Linf_x", "L2_t"),
+                c.norm(("lorentz", 6, 2), "Linf_t"), c.norm("Linf_x", "L2_t"),
+                s.norm("Linf_x", "L1_t"))
+
+    def ratios(i, f, n):
+        l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
+        return (i, n[0] / l2, n[1] / l2, n[2] / h1, n[3] / h1, n[4] / l321)
+
+    if mode == "free":
+        rows = []
+        for i, f in enumerate(members):
+            s, c = TimeProfiles(grid, dt), TimeProfiles(grid, dt)
             free_sine_traj(f, T, dt, profiles=s)
             free_cosine_traj(f, T, dt, profiles=c)
-        else:
-            secular_decomposition_S(f, T, dt, S, series=sines[i], profiles=s)
-            secular_decomposition_C(f, T, dt, S, series=cosines[i], profiles=c)
-        l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
-        rows.append((
-            i,
-            s.norm(("lorentz", 6, 2), "Linf_t") / l2,
-            s.norm("Linf_x", "L2_t") / l2,
-            c.norm(("lorentz", 6, 2), "Linf_t") / h1,
-            c.norm("Linf_x", "L2_t") / h1,
-            s.norm("Linf_x", "L1_t") / l321,
-        ))
-    return rows
+            rows.append(ratios(i, f, mixed(s, c)))
+        return rows
+    S = ground_state(grid)
+    # the split evolves P_c f, and builds its secular side from the f it is
+    # given: each member is projected once, and measured as projected
+    members = [_continuous_part(f, S) for f in members]
+    s, c = TimeProfiles(grid, dt), TimeProfiles(grid, dt)
+    series = _resonance_series(grid, S.a, T, dt, "sine", members)
+    secular_decomposition_S(members, T, dt, S, series=series, profiles=s)
+    series = _resonance_series(grid, S.a, T, dt, "cosine", members)
+    secular_decomposition_C(members, T, dt, S, series=series, profiles=c)
+    return [ratios(i, f, n) for i, (f, n) in enumerate(zip(members, zip(*mixed(s, c))))]
 
 
 def _run_strichartz(cfg, outdir, report, mode):
@@ -537,17 +548,17 @@ def _run_strichartz(cfg, outdir, report, mode):
     _emit(outdir, f"strichartz_{mode}", rows, "member," + ",".join(names), "member", "constant")
 
 
+# the horizons _run_secular reads its norms at; validate requires R - R_obs >= the last
+_SECULAR_HORIZONS = (25.0, 50.0, 100.0)
+
+
 def _run_secular(cfg, outdir, report):
     grid = cfg.grid()
     dt = grid.dr
     S = ground_state(grid)
     # split as the split is documented: continuous-spectrum data
     f = _continuous_part(family_field(grid, "vdphi_bump"), S)
-    horizons = [h for h in (25.0, 50.0, 100.0) if h <= grid.budget_horizon()]
-    if len(horizons) < 3:
-        raise ConfigError(
-            "secular experiment needs R - R_obs >= 100 (horizons 25, 50, 100)"
-        )
+    horizons = _SECULAR_HORIZONS
     Smax = max(horizons)
     S_traj, coeff = secular_decomposition_S(f, Smax, dt, S, stride=2)
     # one pass: the ball's dispersive rows and full rows (plus the rank-one
@@ -603,6 +614,10 @@ _STRIDE = 5
 # snapshots (np.gradient of the scales of a strided run), so a run must make
 # at least one stride of steps
 _ON_MANIFOLD_STRIDE = {"h_scaling": 1, "adot_l1": _STRIDE, "lipschitz": _STRIDE}
+# the experiments whose checks compare their sweep points (a slope, a ratio
+# of largest to smallest, an ordering): a sweep of one distinct value would
+# pass or fail them vacuously
+_COMPARES_SWEEP = ("h_scaling", "lipschitz", "contraction", "adot_l1")
 
 
 def _shoot_point(args):
@@ -777,30 +792,35 @@ def _run_contraction(cfg, outdir, report):
     T = min(cfg.T, grid.budget_horizon())
     # one transport of q each way serves the 4 iterates of every eps
     transport = picard_transport(S, T, dt)
+    cols = grid.obs_slice().stop
+
+    def ball(it):
+        """What x_norm reads of an iterate: its rows at the ball's nodes, and adot."""
+        return it.u.samples[:, :cols].copy(), it.adot
 
     def distance(x, y):
-        return x_norm(SpaceTimeField(grid, dt, x.u.samples - y.u.samples), x.adot - y.adot, dt)
+        return x_norm(x[0] - y[0], x[1] - y[1], dt, grid)
 
     ratios = []
     for e in cfg.sweep:
-        # each iterate is dropped after its last reader, and none outlives its eps
+        # one whole history at a time: each iterate's ball is kept for the
+        # distances, and the iterate itself only while a map reads it
         query = seeded_query(grid, S, e, cfg.seed)
         p1 = picard_map(None, None, None, query, S, T, dt, transport)
+        f1 = picard_map(p1.u, p1.a, p1.adot, query, S, T, dt, transport)
+        b1, g1 = ball(p1), ball(f1)
+        del p1, f1
         q2 = seeded_query(grid, S, e, cfg.seed + 1)
         p2 = picard_map(None, None, None, q2, S, T, dt, transport)
-        den = distance(p1, p2)
-        f1 = picard_map(p1.u, p1.a, p1.adot, query, S, T, dt, transport)
-        del p1
+        den = distance(b1, ball(p2))
         f2 = picard_map(p2.u, p2.a, p2.adot, query, S, T, dt, transport)
         del p2
-        ratios.append(distance(f1, f2) / den)
-        del f1, f2
+        ratios.append(distance(g1, ball(f2)) / den)
+        del f2, b1, g1
         report.records.append({"eps": e, "contraction_ratio": ratios[-1]})
         report.add_check(f"contraction_ratio_eps_{e:g}", ratios[-1], 1.0)
-    if len(ratios) >= 2:
-        order = np.argsort(cfg.sweep)
-        sorted_r = np.array(ratios)[order]
-        report.add_check("ratio_decreases_with_eps", sorted_r[0] / sorted_r[-1], 1.0)
+    sorted_r = np.array(ratios)[np.argsort(cfg.sweep)]
+    report.add_check("ratio_decreases_with_eps", sorted_r[0] / sorted_r[-1], 1.0)
     rows = zip(cfg.sweep, ratios)
     _emit(outdir, "contraction", rows, "eps,contraction_ratio", "eps", "ratio", logscale=True)
 

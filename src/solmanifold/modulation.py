@@ -9,10 +9,11 @@ the discrete evolution operator is exactly self-adjoint; the fixed-point
 formula for the offset h then reproduces the shooting value to quadrature
 accuracy.  Every formula is centred on S.a, the scale of the SpectralData
 passed in, and the modulation window is S.a * soliton.MODULATION_WINDOW.
-The modulation source of a frozen history is never stored whole: it is
-made _ROWS rows at a time, as the Picard map's linear runs read it, and
-each block is folded into every quantity that reads it before the next
-replaces it (_source_rows).  The fixed-point h of the h_scaling sweep
+The modulation source of a frozen history is never stored whole, and
+neither is its Duhamel kernel: the source is made _ROWS rows at a time, as
+the Picard map's pair of linear runs reads it, and each block, with its
+rows of the kernel, is folded into every quantity that reads it before
+the next replaces it (_source_rows).  The fixed-point h of the h_scaling sweep
 stores no run either: two streamed passes, the first stepping every sweep
 point as one stack, give it from the same blocks (_fixed_point_hs).
 
@@ -26,6 +27,7 @@ authoritative here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -459,18 +461,20 @@ class _Sources:
 
     h, x_pm, the modulation rate and the secular part of P_c u read them.
     The source itself, F = (V - V(a)) u0 + N(u0, phi(a)) and the defect
-    D = adot0 * defect(a0), is never stored: _source_rows makes it a block
-    at a time and folds every block into these.  The zero history has no
-    source (_no_source).
+    D = adot0 * defect(a0), is never stored, and neither is the Duhamel
+    kernel B that pairs it with the q transports: _source_rows makes them
+    a block at a time and folds every block into these.  The zero history
+    has no source (_no_source).
     """
 
     Fg: np.ndarray        # <F_j, g>_w
     gamma: np.ndarray     # <phi(a_j) - phi, g>_w
     residual: np.ndarray  # scheme elliptic residual pairing, see _source_rows
-    B: np.ndarray = None  # the Duhamel kernel, or None: no q transport or no source
+    duhamel: np.ndarray = None  # the Duhamel sums of B (_kernel_fold), or None: no kernel
+    secular: np.ndarray = None  # the secular sums of B (_kernel_fold), or None: no kernel
 
 
-_ROWS = 32  # rows per block of the source, _add_outer, _secular_sums and _modulation_series
+_ROWS = 32  # rows per block of the source and its kernel, _add_outer and _modulation_series
 _NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
 
 
@@ -503,11 +507,16 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
     """(src, F, D): the _Sources of a history and the _Blocks of F and D that fill it.
 
     Every profile is broadcast over the scales of a block; bare phi and V
-    are at S.a.  Each F block, as it is made, gives its rows of Fg, gamma,
-    the residual and, with a picard_transport pair, the F part of the
+    are at S.a.  Each F block, as it is made, gives its rows of Fg, gamma
+    and the residual.  With a picard_transport pair, the rows of the
     Duhamel kernel B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q,
-    t_i)>; each D block subtracts its part, so F must be complete before D
-    is read.  src is whole once both are complete.  D is None without adot0.
+    t_i)> follow the source: each F block makes the F part of its rows and
+    keeps it until the D block of the same rows subtracts the D part and
+    folds the finished rows into src.duhamel and src.secular
+    (_kernel_fold), so the blocks of F and D are made in lockstep, each F
+    block before its D block, and B is never whole.  Without a transport D
+    is None and src has no kernel sums; adot0 is read only with one.  src
+    is whole once F and D are complete.
     The residual is <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w
     per step: the analytic soliton solves the elliptic equation exactly but
     the discrete stencil leaves an O(dr^2 (a - S.a)) residual along the
@@ -516,27 +525,34 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
     """
     r = S.grid.r
     a0 = np.asarray(a0, dtype=float)
-    adot0 = None if adot0 is None else np.asarray(adot0, dtype=float)
     M = len(a0) - 1
-    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1),
-                   B=None if transport is None else np.empty((M + 1, M + 1)))
+    sums = {} if transport is None else {"duhamel": np.empty(M + 1), "secular": np.empty(M + 1)}
+    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1), **sums)
     fold = _source_fold(S, src)
     if transport is not None:
         (Esin, w), (Ecos, _) = transport
+    pending = []  # the F part of the kernel rows of each F block whose D block is not made yet
 
     def make_F(rows):
         F = fold(rows, samples[rows], a0[rows])
-        if src.B is not None:
-            src.B[rows] = (F * w) @ Esin.T
+        if transport is not None:
+            pending.append((F * w) @ Esin.T)
         return F
+
+    F = _Blocks(make_F, M + 1, dt)
+    if transport is None:
+        return src, F, None
+    adot0 = np.asarray(adot0, dtype=float)
+    add_kernel = _kernel_fold(src, dt)
 
     def make_D(rows):
         D = adot0[rows, None] * soliton.resonance_defect_profile(r, a0[rows, None], S.a)
-        src.B[rows] -= (D * w) @ Ecos.T
+        B = pending.pop(0)
+        B -= (D * w) @ Ecos.T
+        add_kernel(rows.start, B)
         return D
 
-    D = None if adot0 is None else _Blocks(make_D, M + 1, dt)
-    return src, _Blocks(make_F, M + 1, dt), D
+    return src, F, _Blocks(make_D, M + 1, dt)
 
 
 def _source_fold(S, src):
@@ -569,11 +585,12 @@ def _source_fold(S, src):
 
 
 def _assemble(samples, a0, adot0, S, dt, transport=None):
-    """The whole _Sources of a history that no linear run reads: every block made in turn."""
+    """The whole _Sources of a history that no linear run reads: the blocks made in lockstep."""
     src, F, D = _source_rows(samples, a0, adot0, S, dt, transport)
-    F.complete()
-    if D is not None:
-        D.complete()
+    for m in range(0, F.rows, _ROWS):
+        F.row(m)
+        if D is not None:
+            D.row(m)
     return src
 
 
@@ -848,31 +865,39 @@ def _antidiagonal_sums(X, s=None, start=0):
     return s
 
 
-def _duhamel_sums(B, dt):
-    """Trapezoid over s in [0, t_m] of B[s, t_m - s], for every m."""
-    return dt * (_antidiagonal_sums(B) - 0.5 * (B[0] + B[:, 0]))
+def _kernel_fold(src, dt):
+    """fold(start, B): add the rows start, start + 1, ... of the Duhamel kernel B to src's sums.
 
-
-def _secular_sums(B, dt):
-    """Trapezoid over s in [0, t_m] of Int_0^{t_m - s} B[s, lag] dlag, for every m.
-
-    The rows of C, the cumulative trapezoid of B along the lag, hold the
-    inner integrals; the outer one is a trapezoid along the anti-diagonal of
-    C, whose s = t_m end C[m, 0] vanishes.  C is made _ROWS rows at a time,
-    each block added to the anti-diagonal sums before the next is made.
+    The blocks must come in order from row 0.  Once the last row M is in,
+    src.duhamel[m] holds the trapezoid over s in [0, t_m] of B[s, t_m - s]
+    and src.secular[m] that of Int_0^{t_m - s} B[s, lag] dlag, for every m.
+    The inner integrals are the rows of C, the cumulative trapezoid of B
+    along the lag; the outer ones are anti-diagonal sums of B and of C
+    (_antidiagonal_sums, carried from block to block), whose trapezoid end
+    corrections read row 0 and column 0 of B and row 0 of C (the s = t_m
+    end of C, C[m, 0], vanishes).  The sums take the bits of the whole B.
     """
-    s = np.zeros(B.shape[1])
-    for start in range(0, len(B), _ROWS):
-        C = cumulative_trapezoid(B[start : start + _ROWS], dx=dt)
+    M = len(src.duhamel) - 1
+    s_duhamel, s_secular, column0 = np.zeros(M + 1), np.zeros(M + 1), np.empty(M + 1)
+    row0 = {}
+
+    def fold(start, B):
+        C = cumulative_trapezoid(B, dx=dt)
         if start == 0:
-            C0 = C[0]
-        _antidiagonal_sums(C, s, start)
-    return dt * (s - 0.5 * C0)
+            row0.update(B=B[0].copy(), C=C[0].copy())
+        column0[start : start + len(B)] = B[:, 0]
+        _antidiagonal_sums(B, s_duhamel, start)
+        _antidiagonal_sums(C, s_secular, start)
+        if start + len(B) == M + 1:
+            src.duhamel[:] = dt * (s_duhamel - 0.5 * (row0["B"] + column0))
+            src.secular[:] = dt * (s_secular - 0.5 * row0["C"])
+
+    return fold
 
 
-def _rate_from(a0, S, base, B, dt):
-    """Modulation rate from the data pairings and the Duhamel kernel (None: no source)."""
-    duh = 0.0 if B is None else _duhamel_sums(B, dt)
+def _rate_from(a0, S, base, duhamel):
+    """Modulation rate from the data pairings and the Duhamel sums (None: no source)."""
+    duh = 0.0 if duhamel is None else duhamel
     return -((np.asarray(a0) / S.a) ** 1.25) * secular_coefficient(S) * (base + duh)
 
 
@@ -897,15 +922,21 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
         src = _no_source(int(round(T / dt)))
     else:
         src = _assemble(u0_traj.samples, a0, adot0, S, dt, transport)
-    return _rate_from(a0, S, _resonance_pairings(data0, data1, transport), src.B, dt)
+    return _rate_from(a0, S, _resonance_pairings(data0, data1, transport), src.duhamel)
 
 
-def x_norm(u_traj, adot, dt):
+def x_norm(u_traj, adot, dt, grid=None):
     """Distance in the iteration space X: trajectory mixed norms + adot norms.
 
-    The three mixed norms come from one TimeProfiles pass over the trajectory.
+    u_traj is a SpaceTimeField, or, with its grid, the array of its rows at
+    (at least) the leading nodes of the grid's observation ball, which are
+    all the norms read.  The three mixed norms come from one TimeProfiles
+    pass over the rows.
     """
-    profiles = TimeProfiles.of(u_traj)
+    if grid is None:
+        grid, u_traj = u_traj.grid, u_traj.samples
+    profiles = TimeProfiles(grid, dt)
+    profiles.add(u_traj)
     mixed = max(
         profiles.norm(("lorentz", 6, 2), "Linf_t"),
         profiles.norm("Linf_x", "L2_t"),
@@ -936,10 +967,12 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     part from the x_pm integrals and the new modulation rate from the
     free-evolution condition.  u0_traj None is the zero history (u0, a0,
     adot0) = (0, S.a, 0), which has no source at all.  Otherwise the source
-    of the frozen history, F and D, is made a block at a time as the two
-    linear runs of _pc_u_series read it (_source_rows), and each block is
-    folded into the pairings that h, x_pm and the rate read and into the
-    Duhamel kernel B before the next replaces it: no source stack is stored.
+    of the frozen history, F and D, is made a block at a time as the pair
+    of linear runs of _pc_u_series reads it (_source_rows), and each block
+    is folded into the pairings that h, x_pm and the rate read, and its
+    rows of the Duhamel kernel B into the kernel sums that the rate and the
+    secular term read, before the next replaces it: neither a source stack
+    nor the (M+1)^2 kernel is stored.
 
     The runs need no h, though h needs the pairing of every row of F: they
     evolve (p, p1) = (query.psi0_perturbation, query.psi1), not the offset
@@ -970,14 +1003,14 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     data0, data1 = _offset_data(query, S, h)
     xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
     base = _resonance_pairings(data0, data1, transport)
-    adot = _rate_from(a0, S, base, src.B, dt)
+    adot = _rate_from(a0, S, base, src.duhamel)
     a = S.a + cumulative_trapezoid(adot, dx=dt)
 
     # secular parts: Q acting on the accumulated free evolutions of the data
     # and of the Duhamel sources
     sec = cumulative_trapezoid(base, dx=dt)
-    if src.B is not None:
-        sec += _secular_sums(src.B, dt)
+    if src.secular is not None:
+        sec += src.secular
     _add_outer(samples, secular_coefficient(S) * sec, S.resonance.values)
     _add_outer(samples, (xp + xm) / np.sqrt(2.0 * S.k), S.g.values)
     u = SpaceTimeField(grid, dt, samples)
@@ -1011,36 +1044,50 @@ def _pc_u_series(query, F, D, S, T, dt):
     rounding, for every h, and the data run can read F before h exists.
     The evolution is linear, so one run with data (p, p1) and source F
     gives the first three terms together; the defect Duhamel takes a second
-    run, whose centred time derivative turns its sine Duhamel into the
-    cosine one.  That run is streamed, never stored: from its last two
-    rows, each row's derivative (np.gradient's expressions: centred inside,
-    one-sided at the horizon, none for M < 2) is subtracted as the run makes
-    the next.  F and D are the _Blocks of _source_rows, made as the runs
-    read them; each is completed after its run, F before the defect run
-    reads D, so the pairings and the kernel B are whole on return.  The
-    zero history (F and D None) runs the data alone, with no source.  The
-    minus on the defect Duhamel matches modulation_rate_series (see the
-    sign discussion there).  Returns the (M+1, n) samples.
+    run from zero data with source D, whose centred time derivative turns
+    its sine Duhamel into the cosine one.  The two runs step as one (2, n)
+    stack, each row with the bits of its own run, and the source hands
+    them F.row(m) and D.row(m) together in one reused buffer, so F and D,
+    the _Blocks of _source_rows, are made in lockstep as the kernel fold
+    needs.  Nothing of the defect run is stored: as the pair makes snapshot
+    j, its data row is stored and, from the defect rows j - 2 and j - 1,
+    the derivative of row j - 1 (np.gradient's expressions: centred inside,
+    one-sided at the horizon, none for M < 2) is subtracted from it.  F and
+    D are completed after the run, so the pairings and the kernel sums are
+    whole on return.  The zero history (F and D None) runs the data alone,
+    with no source.  The minus on the defect Duhamel matches
+    modulation_rate_series (see the sign discussion there).  Returns the
+    (M+1, n) samples.
     """
     grid = S.grid
     p, p1 = query.psi0_perturbation, query.psi1
-    out = evolve_linear_perturbed(p, p1, F, T, dt, a=S.a, project_out=S).samples
-    M = out.shape[0] - 1
-    if F is not None:
-        F.complete()  # row M, which no step reads
-    if D is not None:
-        recent = []  # the defect run's rows j - 2 and j - 1
+    if F is None:
+        return evolve_linear_perturbed(p, p1, None, T, dt, a=S.a, project_out=S).samples
+    M = int(round(T / dt))
+    out = np.empty((M + 1, grid.n))
+    pair = np.empty((2, grid.n))
 
-        def consume(j, z):
-            if j >= 2:
-                out[j - 1] -= (z - recent[0]) / (2.0 * dt)
-                if j == M:
-                    out[M] -= (z - recent[1]) / dt
-            recent[:] = recent[-1:] + [z]
+    def row(m):
+        pair[0] = F.row(m)
+        pair[1] = D.row(m)
+        return pair
 
-        zero = grid.zeros()
-        evolve_linear_perturbed(zero, zero, D, T, dt, a=S.a, project_out=S, consume=consume)
-        D.complete()
+    recent = []  # the defect run's rows j - 2 and j - 1
+
+    def consume(j, z):
+        out[j], z = z[0], z[1]
+        if j >= 2:
+            out[j - 1] -= (z - recent[0]) / (2.0 * dt)
+            if j == M:
+                out[M] -= (z - recent[1]) / dt
+        recent[:] = recent[-1:] + [z]
+
+    zero = grid.zeros()
+    source = SimpleNamespace(dt=dt, rows=F.rows, row=row)
+    evolve_linear_perturbed([p, zero], [p1, zero], source, T, dt, a=S.a, project_out=S,
+                            consume=consume)
+    F.complete()  # row M, which no step reads, then the D rows of its block
+    D.complete()
     return out
 
 

@@ -98,7 +98,11 @@ class TimeProfiles:
     Linf_t, L2_t and L1_t profiles.  A later block is reduced with the
     running values as its row 0: numpy adds the rows of a C-ordered stack
     along axis 0 in order, so any blocking gives the sums of the whole
-    stack bit for bit, and no block outlives its add call.
+    stack bit for bit, and no block outlives its add call.  The blocks may
+    also hold the rows of K trajectories stepped together, (rows, K, cols):
+    then every profile and norm has one entry per trajectory, each with the
+    bits of that trajectory fed alone, as the reduction along axis 0 adds
+    each node's rows in the same order.
     """
 
     def __init__(self, grid, dt, radius=None):
@@ -121,16 +125,16 @@ class TimeProfiles:
     def add(self, block):
         """Fold in the next rows of the trajectory; block must hold the ball's nodes."""
         cols = self.inside.stop
-        if block.shape[1] < cols:
+        if block.shape[-1] < cols:
             raise GridUsageError(f"radius {self.radius} needs {cols} nodes, "
-                                 f"the trajectory holds {block.shape[1]}")
+                                 f"the trajectory holds {block.shape[-1]}")
         lead = 0 if self._peak is None else 1  # row 0 carries the running values
-        if len(self._buf) < len(block) + lead:
+        if len(self._buf) < len(block) + lead or self._buf.shape[1:-1] != block.shape[1:-1]:
             # with room for the carry row, so equal blocks reuse the first buffer
-            self._buf = np.empty((len(block) + 1, cols))
+            self._buf = np.empty((len(block) + 1, *block.shape[1:-1], cols))
         buf = self._buf[: len(block) + lead]
         mags = buf[lead:]
-        np.abs(block[:, :cols], out=mags)
+        np.abs(block[..., :cols], out=mags)
         self._peak = _carried(np.max, buf, self._peak)
         self._l1 = _carried(np.sum, buf, self._l1)
         np.square(mags, out=mags)  # |v| |v| == v v exactly
@@ -151,8 +155,16 @@ class TimeProfiles:
         raise GridUsageError(f"unknown inner time norm {inner!r} (use one of {_INNER_TAGS})")
 
     def norm(self, outer, inner):
-        """Space-outer norm ("Linf_x" or ("lorentz", p, q)) of an inner time profile."""
+        """Space-outer norm ("Linf_x" or ("lorentz", p, q)) of an inner time profile.
+
+        A float, or for the rows of K trajectories a list of K floats.
+        """
         profile = self.profile(inner)
+        if profile.ndim > 1:
+            return [self._outer(outer, p) for p in profile]
+        return self._outer(outer, profile)
+
+    def _outer(self, outer, profile):
         if outer == "Linf_x":
             return float(np.max(np.abs(profile)))
         if isinstance(outer, tuple) and outer[0] == "lorentz":

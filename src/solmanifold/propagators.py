@@ -9,15 +9,18 @@ same stencil the spectral module diagonalizes, so the discrete eigenpair
 only time stepper: the nonlinear flow of the modulation module runs on it
 with its own force and stop test, one state at a time or, for the
 fixed-point h of a sweep, as one (K, n) stack of K states whose rows each
-keep the bits of their own run.  It hands only the strided snapshots its
-callers read to a consumer, which stores them by default, so memory grows
-with the snapshots, not with the steps, and with neither when the consumer
-reduces each snapshot as it is made.  A stored trajectory holds the
-whole grid.  Given a profiles consumer (inside and add, see _free_slices),
-the free trajectories and the secular split store no trajectory at all:
-the rows of the ball it reads go to it in blocks of about BLOCK_BYTES
-(256 KB) as they are made, so that a block, a norms.TimeProfiles' copy of
-it and the transport's windows fit in L2 together.  The resonance series
+keep the bits of their own run.  Projected linear runs step stacks too:
+the Picard map's data and defect runs as one pair, and the secular split
+of many fields as one stack per kind.  It hands only the strided
+snapshots its callers read to a consumer, which stores them by default,
+so memory grows with the snapshots, not with the steps, and with neither
+when the consumer reduces each snapshot as it is made.  A stored
+trajectory holds the whole grid.  Given a profiles consumer (inside and
+add, see _free_slices), the free trajectories and the secular split store
+no trajectory at all: the rows of the ball it reads go to it in blocks of
+about BLOCK_BYTES (256 KB) as they are made, so that a block, a
+norms.TimeProfiles' copy of it and the transport's windows fit in L2
+together.  The resonance series
 stream to a whole-grid consumer that pairs each row.  A linear run reads
 its source one row per step through one accessor, so a source need not be
 stored: a row source may make its rows as the run reaches them.
@@ -293,7 +296,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     state is removed after every step: the continuous-spectrum evolution
     commutes with that projection exactly, and without it rounding error
     reseeds the exponentially unstable mode and dominates long horizons.
-    A stack with wg raises GridUsageError.  stop(m, w), when given, sees
+    Each row of a stack is projected by its own dot product with wg
+    (np.vecdot, which gives np.dot's bits for one row), so a projected
+    stack keeps each row's bits too.  stop(m, w), when given, sees
     every state w_m as it is made; the first value other than None ends
     the run there and is returned as its status.
 
@@ -314,24 +319,26 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
     shape = np.shape(w0)
-    if len(shape) > 1 and wg is not None:
-        raise GridUsageError("the g-projection steps one state, not a stack")
     M = int(round(T / dt))
     dr2 = grid.dr**2
     acc = np.zeros(shape)
     interior = acc[..., 1:-1]
 
-    def accel(w, m):
-        interior[...] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / dr2
+    def accel(w, m):  # (w[2:] - 2 w[1:-1] + w[:-2]) / dr^2 + force, into acc
+        np.multiply(w[..., 1:-1], 2.0, out=interior)
+        np.subtract(w[..., 2:], interior, out=interior)
+        np.add(interior, w[..., :-2], out=interior)
+        np.divide(interior, dr2, out=interior)
         force(w, m, interior)
         return acc
 
     if wg is not None:
         wg = wg / np.sqrt(np.sum(wg * wg))
+        scratch = np.empty(shape)  # the g-components of a state, reused by every step
 
     def suppress(w):
         if wg is not None:
-            w -= np.dot(w, wg) * wg
+            w -= np.multiply(np.vecdot(w, wg)[..., None], wg, out=scratch)
         return w
 
     rows = drows = None
@@ -347,17 +354,23 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
 
     w_prev = None
     w_cur = suppress(np.array(w0, dtype=float))
-    recent = [w_cur]  # the states m-4..m whose rates _rate reads
+    recent = [w_cur] if rates else None  # the states m-4..m whose rates _rate reads
     if stride is not None and not rates:
         emit(0, w_cur, None)
     status = None if stop is None else stop(0, w_cur)
     m = 0
     while status is None and m < M:
         m += 1
-        if m == 1:
-            w_next = suppress(w_cur + dt * wdot0 + 0.5 * dt * dt * accel(w_cur, 0))
-        else:
-            w_next = suppress(2.0 * w_cur - w_prev + dt * dt * accel(w_cur, m - 1))
+        # each step makes one fresh array and no other temporary state
+        if m == 1:  # w_cur + dt wdot0 + dt^2/2 acc
+            w_next = np.multiply(wdot0, dt)
+            np.add(w_cur, w_next, out=w_next)
+            w_next += np.multiply(accel(w_cur, 0), 0.5 * dt * dt, out=acc)
+        else:  # 2 w_cur - w_prev + dt^2 acc
+            w_next = np.multiply(w_cur, 2.0)
+            w_next -= w_prev
+            w_next += np.multiply(accel(w_cur, m - 1), dt * dt, out=acc)
+        suppress(w_next)
         w_prev, w_cur = w_cur, w_next
         if rates:
             recent = recent[-4:] + [w_cur]
@@ -410,15 +423,18 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
                             consume=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    source may be None, a SpaceTimeField sampled at the solver dt, or a row
-    source: any object with dt, rows (its row count) and row(m), the values
-    of row m, which the force asks for once per step in increasing m.  A
-    SpaceTimeField is adapted to one here; the modulation module's Picard
-    map hands one that makes its rows a block at a time as the run reaches
-    them.  The steps read rows 0..M-1 of [0, T], so a source of fewer rows
-    raises GridUsageError.  The flow is linear: one run from (u0, u1) with
-    source F is the cosine evolution of u0 plus the sine evolution of u1
-    plus the sine Duhamel integral of F.
+    u0 and u1 are two fields, or two lists of K fields: the data of K runs
+    stepped as one (K, n) stack (see _leapfrog), each row with the bits of
+    its own run.  source may be None, a SpaceTimeField sampled at the
+    solver dt, or a row source: any object with dt, rows (its row count)
+    and row(m), the values of row m ((K, n) for a stack), which the force
+    asks for once per step in increasing m.  A SpaceTimeField is adapted to
+    one here; the modulation module's Picard map hands one that makes its
+    rows a block at a time as the run reaches them.  The steps read rows
+    0..M-1 of [0, T], so a source of fewer rows raises GridUsageError.  The
+    flow is linear: one run from (u0, u1) with source F is the cosine
+    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
+    integral of F.
     project_out, when set to SpectralData, keeps the state in the
     continuous subspace of the scheme (see _leapfrog), and is the only P_c
     the flow needs: in w = r f, _leapfrog's projection is the scheme-pairing
@@ -427,10 +443,13 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
     arithmetic.  Discrete energy drift over [0, T] is O(dt^2).
     With consume, nothing is stored: consume(j, row) receives the values of
-    snapshot j, a fresh array, in order, as the leapfrog makes it (see
-    _leapfrog), and None is returned.
+    snapshot j ((K, n) for a stack), a fresh array, in order, as the
+    leapfrog makes it (see _leapfrog), and None is returned.  Without it a
+    stack returns one SpaceTimeField per run.
     """
-    grid = u0.grid
+    stack = not isinstance(u0, RadialField)
+    grid = u0[0].grid if stack else u0.grid
+    w0, w1 = (np.array([f.w() for f in u]) if stack else u.w() for u in (u0, u1))
     wg = grid.r * project_out.g.values if project_out is not None else None
     source_row = None
     if source is not None:
@@ -449,22 +468,29 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
         def emit(j, row, rate):
             consume(j, _values_from_w(grid, np.array(row)))
 
-    rows = _leapfrog(grid, u0.w(), u1.w(), T, dt, _linear_force(grid, a, source_row),
+    rows = _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, a, source_row),
                      stride=stride, wg=wg, emit=emit)[0]
     if consume is not None:
         return None
-    return SpaceTimeField(grid, dt * stride, _values_from_w(grid, rows))
+    rows = _values_from_w(grid, rows)
+    if stack:
+        return [SpaceTimeField(grid, dt * stride, rows[:, k]) for k in range(len(w0))]
+    return SpaceTimeField(grid, dt * stride, rows)
 
 
 def _linear_force(grid, a, row):
     """The _leapfrog force of H = -Delta + V(a), with source row(m) at step m unless row is None."""
     V = soliton.potential(grid.r, a)[1:-1]
     r = grid.r[1:-1]
+    scratch = {}  # one product buffer per interior shape, reused by every step
 
     def force(w, m, acc):
-        acc -= V * w[1:-1]
+        tmp = scratch.get(acc.shape)
+        if tmp is None:
+            tmp = scratch[acc.shape] = np.empty(acc.shape)
+        acc -= np.multiply(V, w[..., 1:-1], out=tmp)
         if row is not None:
-            acc += r * row(m)[1:-1]
+            acc += np.multiply(r, row(m)[..., 1:-1], out=tmp)
 
     return force
 
@@ -472,59 +498,74 @@ def _linear_force(grid, a, row):
 def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
     """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
 
+    f is one field, or a list of K fields split together: their K runs
+    step as one (K, n) stack, each row with the bits of its own run.
     Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
     under H with the per-step projection of evolve_linear_perturbed's
     project_out=S, which evolves P_c f.  Secular side: the rank-one
     projector applied to the running time integral of series, the
     M+1 values <free(f)(t_m), q> of the free evolution of f of the same
-    kind, which _resonance_series(grid, S.a, T, dt, kind, [f]) makes here
-    when None: a caller splitting many f on one grid makes all their
-    series from one transport of q.  The secular side is built from f as
-    given, so the split is that of P_c f only when f has no g-component: a
-    caller holding any other f passes P_c f.  Each dispersive row, the
-    field of its state minus coeff_j times the resonance, is made in blocks
-    of about BLOCK_BYTES as the leapfrog emits the states.  Returns
-    (dispersive_traj, coeff); the secular part is coeff[:, None] *
-    S.resonance.values, not built.  With profiles, profiles.add(rows)
-    receives each dispersive block in turn, at the nodes of their ball, in
-    one reused buffer, and nothing is stored or returned.
+    kind ((K, M+1) for a list), which _resonance_series(grid, S.a, T, dt,
+    kind, fields) makes here when None: a caller splitting many f on one
+    grid makes all their series from one transport of q.  The secular side
+    is built from f as given, so the split is that of P_c f only when f
+    has no g-component: a caller holding any other f passes P_c f.  Each
+    dispersive row, the field of its state minus coeff_j times the
+    resonance, is made in (rows, K, cols) blocks of about BLOCK_BYTES as
+    the leapfrog emits the states.  Returns (dispersive_traj, coeff); the
+    secular part is coeff[:, None] * S.resonance.values, not built.  For a
+    list, dispersive_traj is a list of K trajectories and coeff has K rows.
+    With profiles, profiles.add(rows) receives each dispersive block in
+    turn, at the nodes of their ball, in one reused buffer, and nothing is
+    stored or returned; for a list the block holds the rows of every field,
+    (rows, K, cols), as a norms.TimeProfiles of K trajectories reads them.
     """
-    grid = f.grid
+    single, streamed = isinstance(f, RadialField), profiles is not None
+    fields = [f] if single else list(f)
+    grid = fields[0].grid
     grid.require_budget(T)
     if series is None:
-        series = _resonance_series(grid, S.a, T, dt, kind, [f])[0]
-    if len(series) != int(round(T / dt)) + 1:
+        series = _resonance_series(grid, S.a, T, dt, kind, fields)
+    series = np.atleast_2d(series)
+    if series.shape != (len(fields), int(round(T / dt)) + 1):
         raise GridUsageError("the resonance series must hold one value per time m*dt of [0, T]")
-    coeff = -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[::stride]
+    coeff = -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[:, ::stride]
     cols = _columns(grid, profiles)
     resonance = S.resonance.values[:cols]
-    last = len(coeff) - 1
-    step = _block_rows(cols)
-    out = np.empty((last + 1, cols)) if profiles is None else np.empty((min(step, last + 1), cols))
+    K, last = len(fields), coeff.shape[1] - 1
+    step = _block_rows(K * cols)
+    out = np.empty((min(step, last + 1) if streamed else last + 1, K, cols))
 
     def emit(j, row, rate):
         i = j % step  # the block holds rows j - i .. j so far
-        block = out[j - i :] if profiles is None else out
-        block[i] = row[:cols]
+        block = out if streamed else out[j - i :]
+        block[i] = row[:, :cols]
         if i == step - 1 or j == last:
             block = block[: i + 1]
             _values_from_w(grid, block)
-            block -= coeff[j - i : j + 1, None] * resonance  # now the dispersive part
-            if profiles is not None:
-                profiles.add(block)
+            block -= coeff[:, j - i : j + 1].T[..., None] * resonance  # now the dispersive part
+            if streamed:
+                profiles.add(block[:, 0] if single else block)
 
-    data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
-    _leapfrog(grid, data[0].w(), data[1].w(), T, dt, _linear_force(grid, S.a, None),
-              stride=stride, wg=grid.r * S.g.values, emit=emit)
-    return None if profiles is not None else (SpaceTimeField(grid, dt * stride, out), coeff)
+    w = np.array([g.w() for g in fields])
+    zero = np.broadcast_to(0.0, w.shape)  # _leapfrog copies state 0 and reads wdot0 once
+    data = (zero, w) if kind == "sine" else (w, zero)
+    _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), stride=stride,
+              wg=grid.r * S.g.values, emit=emit)
+    if streamed:
+        return None
+    if single:
+        return SpaceTimeField(grid, dt * stride, out[:, 0]), coeff[0]
+    return [SpaceTimeField(grid, dt * stride, out[:, k]) for k in range(K)], coeff
 
 
 def secular_decomposition_S(f, T, dt, S, stride=1, series=None, profiles=None):
     """Split the perturbed sine evolution of (0, P_c f): (S_traj, coeff).
 
-    series: the sine _resonance_series of f, to make many from one
-    transport of q; profiles: stream the dispersive rows of their ball to
-    them instead of storing (see _secular_decomposition).
+    f: one field, or a list of fields split as one stack; series: the sine
+    _resonance_series of f, to make many from one transport of q; profiles:
+    stream the dispersive rows of their ball to them instead of storing
+    (see _secular_decomposition).
     """
     return _secular_decomposition(f, T, dt, S, stride, "sine", series, profiles)
 

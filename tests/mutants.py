@@ -48,13 +48,13 @@ MUTANTS = [
     (
         "cosine split reads the sine series",
         "src/solmanifold/experiments.py",
-        "series=cosines[i]",
-        "series=sines[i]",
+        'series = _resonance_series(grid, S.a, T, dt, "cosine", members)',
+        'series = _resonance_series(grid, S.a, T, dt, "sine", members)',
     ),
     (
         "the split's series length check dropped",
         "src/solmanifold/propagators.py",
-        "if len(series) != int(round(T / dt)) + 1:",
+        "if series.shape != (len(fields), int(round(T / dt)) + 1):",
         "if False:",
     ),
     (
@@ -108,7 +108,7 @@ MUTANTS = [
     (
         "_leapfrog skips the g-projection",
         "src/solmanifold/propagators.py",
-        "w -= np.dot(w, wg) * wg",
+        "w -= np.multiply(np.vecdot(w, wg)[..., None], wg, out=scratch)",
         "w -= 0.0 * wg",
     ),
     (
@@ -172,10 +172,10 @@ MUTANTS = [
         "transport = (picard_transport(S, T, dt)[0],) * 2",
     ),
     (
-        "_pc_u_series drops the defect run for a non-zero history",
+        "_pc_u_series drops the defect source for a non-zero history",
         "src/solmanifold/modulation.py",
-        "if D is not None:\n        recent = []",
-        "if False:\n        recent = []",
+        "pair[1] = D.row(m)",
+        "pair[1] = 0.0 * D.row(m)",
     ),
     (
         "defect derivative lands one row late",
@@ -198,8 +198,8 @@ MUTANTS = [
     (
         "zero-history iterate drops data1 from its run",
         "src/solmanifold/modulation.py",
-        "evolve_linear_perturbed(p, p1, F,",
-        "evolve_linear_perturbed(p, p1 if F is not None else grid.zeros(), F,",
+        "evolve_linear_perturbed(p, p1, None,",
+        "evolve_linear_perturbed(p, grid.zeros(), None,",
     ),
     (
         "blocked sums drop the carried row",
@@ -246,8 +246,8 @@ MUTANTS = [
     (
         "dispersive blocks subtract the first block's coefficients",
         "src/solmanifold/propagators.py",
-        "coeff[j - i : j + 1, None]",
-        "coeff[: i + 1, None]",
+        "coeff[:, j - i : j + 1]",
+        "coeff[:, : i + 1]",
     ),
     (
         "perturbed Strichartz members split as given",
@@ -282,8 +282,8 @@ MUTANTS = [
     (
         "the split returns -coeff",
         "src/solmanifold/propagators.py",
-        "(SpaceTimeField(grid, dt * stride, out), coeff)",
-        "(SpaceTimeField(grid, dt * stride, out), -coeff)",
+        "return SpaceTimeField(grid, dt * stride, out[:, 0]), coeff[0]",
+        "return SpaceTimeField(grid, dt * stride, out[:, 0]), -coeff[0]",
     ),
     (
         "the pairing sink pairs every block with the first field",
@@ -294,8 +294,8 @@ MUTANTS = [
     (
         "the Duhamel kernel adds the defect part",
         "src/solmanifold/modulation.py",
-        "src.B[rows] -= (D * w) @ Ecos.T",
-        "src.B[rows] += (D * w) @ Ecos.T",
+        "B -= (D * w) @ Ecos.T",
+        "B += (D * w) @ Ecos.T",
     ),
     (
         "a source block reaches the run one block late",
@@ -332,6 +332,42 @@ MUTANTS = [
         "src/solmanifold/modulation.py",
         "bad = np.flatnonzero(blown(w, overlap(w)))",
         "bad = np.flatnonzero(blown(w[:1], overlap(w[:1])))",
+    ),
+    (
+        "the stacked projection uses row 0's coefficient for every row",
+        "src/solmanifold/propagators.py",
+        "np.vecdot(w, wg)[..., None]",
+        "np.vecdot(w.reshape(-1, w.shape[-1])[0], wg)",
+    ),
+    (
+        "the folded sums drop the B[:, 0] end correction",
+        "src/solmanifold/modulation.py",
+        'row0["B"] + column0',
+        'row0["B"] + 0.0 * column0',
+    ),
+    (
+        "contraction keeps a ball narrower than R_obs",
+        "src/solmanifold/experiments.py",
+        "return it.u.samples[:, :cols].copy(), it.adot",
+        "return it.u.samples[:, : cols - 1].copy(), it.adot",
+    ),
+    (
+        "the stacked split feeds its profiles the first field's rows",
+        "src/solmanifold/propagators.py",
+        "profiles.add(block[:, 0] if single else block)",
+        "profiles.add(block[:, 0] if single else block[:, [0] * len(fields)])",
+    ),
+    (
+        "the pair's data row is stored one snapshot late",
+        "src/solmanifold/modulation.py",
+        "out[j], z = z[0], z[1]",
+        "out[max(j - 1, 0)], z = z[0], z[1]",
+    ),
+    (
+        "validate lets a one-value sweep through",
+        "src/solmanifold/experiments.py",
+        "len(set(config.sweep)) < 2",
+        "len(set(config.sweep)) < 1",
     ),
     (
         "_csv writes 16 significant digits",

@@ -4,12 +4,12 @@ None of these has a caller in the package: each is either an independent
 route to a quantity the package computes another way (the Newton
 potential as the long-time limit of the accumulated sine evolution, the
 rank-one secular projector, the free Duhamel superposition, the Lorentz
-diagonal, the anti-diagonal sums by one bincount, the scheme-pairing P_c
-that the projected linear flow applies at every step, the inner time
-norms of a whole stored stack, the whole modulation source stacks, the
-fixed-point h of a stored on-manifold run), a conserved quantity that
-checks a propagator, or a way to cut a stored trajectory that the package
-no longer needs.
+diagonal, the anti-diagonal sums by one bincount, the sums of a whole
+Duhamel kernel, the scheme-pairing P_c that the projected linear flow
+applies at every step, the inner time norms of a whole stored stack, the
+whole modulation source stacks, the fixed-point h of a stored
+on-manifold run), a conserved quantity that checks a propagator, or a way
+to cut a stored trajectory that the package no longer needs.
 """
 
 import numpy as np
@@ -110,6 +110,20 @@ def antidiagonal_sums(X):
     must equal bit for bit."""
     idx = np.arange(X.shape[0])
     return np.bincount((idx[:, None] + idx).ravel(), weights=X.ravel())[: X.shape[0]]
+
+
+def kernel_sums(B, dt):
+    """(duhamel, secular) of a whole (M+1, M+1) Duhamel kernel B, each by one bincount.
+
+    duhamel[m] is the trapezoid over s in [0, t_m] of B[s, t_m - s], and
+    secular[m] that of Int_0^{t_m - s} B[s, lag] dlag, the inner integrals
+    being the rows of C, the cumulative trapezoid of B along the lag.  The
+    whole-B forms the package's block fold of the kernel must equal bit
+    for bit.
+    """
+    C = cumulative_trapezoid(B, dx=dt)
+    return (dt * (antidiagonal_sums(B) - 0.5 * (B[0] + B[:, 0])),
+            dt * (antidiagonal_sums(C) - 0.5 * C[0]))
 
 
 def source_stacks(u0_traj, a0, adot0, S):

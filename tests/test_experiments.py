@@ -112,7 +112,7 @@ def test_a_horizon_within_the_trim_is_a_config_error(tmp_path, experiment, short
     # np.gradient, or numpy's ValueError would escape run untyped
     def config(T):
         cfg = ExperimentConfig(experiment=experiment, seed=6, R=30.0, n=301, R_obs=10.0, T=T,
-                               sweep=(1e-4,), output_dir=str(tmp_path / "out"))
+                               sweep=(1e-4, 2e-4), output_dir=str(tmp_path / "out"))
         return cfg, [s for s in validate(cfg) if s.startswith("time.T: ")]
 
     for T in short:
@@ -122,6 +122,46 @@ def test_a_horizon_within_the_trim_is_a_config_error(tmp_path, experiment, short
         with pytest.raises(ConfigError, match="time.T: the on-manifold run"):
             run(cfg)
     assert config(enough)[1] == []
+
+
+@pytest.mark.parametrize("experiment, sweep", [
+    ("h_scaling", (1e-4,)),
+    ("h_scaling", (1e-4, 1e-4)),
+    ("lipschitz", (1e-4,)),
+    ("adot_l1", (1e-3,)),
+    ("contraction", (1e-3,)),
+])
+def test_a_sweep_of_one_distinct_value_is_a_config_error(tmp_path, experiment, sweep):
+    # each of these compares its sweep points: a slope (which one value, or
+    # one value twice, fits with stderr 0), a largest-over-smallest ratio
+    # (exactly 1 for one point) or an ordering (dropped for one point); two
+    # distinct values validate
+    def config(values):
+        return ExperimentConfig(experiment=experiment, seed=6, R=30.0, n=301, R_obs=10.0,
+                                T=10.0, sweep=values, output_dir=str(tmp_path / "out"))
+
+    assert validate(config(sweep)) == [
+        f"sweep.values: {experiment} compares its sweep points and needs at least two "
+        f"distinct values, got {list(sweep)}"
+    ]
+    with pytest.raises(ConfigError, match="sweep.values: "):
+        run(config(sweep))
+    assert validate(config((sweep[0], 2 * sweep[0]))) == []
+
+
+def test_a_secular_grid_short_of_its_horizons_is_a_config_error(tmp_path):
+    # secular reads its norms at T = 25, 50 and 100, so it needs R - R_obs
+    # >= 100: validate says so, before any run
+    def config(R):
+        return ExperimentConfig(experiment="secular", R=R, n=int(10 * R) + 1, R_obs=10.0,
+                                T=6.0, output_dir=str(tmp_path / "out"))
+
+    assert validate(config(109.0)) == [
+        "grid: secular needs R - R_obs >= 100 (horizons 25, 50, 100), R - R_obs = 99"
+    ]
+    with pytest.raises(ConfigError, match="grid: secular needs"):
+        run(config(109.0))
+    assert validate(config(110.0)) == []
 
 
 def test_validate_unknown_experiment(tmp_path):
@@ -401,13 +441,12 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
         )
     else:
         # one transport of q per kind, streamed on the whole grid, serves
-        # all three members, whose splits stream the rows of the observation
-        # ball; nothing is stored
-        assert sorted(calls) == (
-            [("free_cosine_traj", grid.n), ("free_sine_traj", grid.n)]
-            + [("secular_decomposition_C", grid.R_obs)] * 3
-            + [("secular_decomposition_S", grid.R_obs)] * 3
-        )
+        # all three members, which split as one stack per kind and stream
+        # the rows of the observation ball; nothing is stored
+        assert sorted(calls) == [
+            ("free_cosine_traj", grid.n), ("free_sine_traj", grid.n),
+            ("secular_decomposition_C", grid.R_obs), ("secular_decomposition_S", grid.R_obs),
+        ]
 
 
 def test_resonance_series_leave_no_transport_held():
@@ -440,6 +479,37 @@ def test_resonance_series_leave_no_transport_held():
         finally:
             tracemalloc.stop()
         assert peak <= bound * stack
+
+
+def test_contraction_holds_one_history_at_a_time(tmp_path):
+    # the runner keeps the observation ball of each iterate that a distance
+    # reads, and a whole iterate only while a map reads it: its peak stays
+    # below the q transport pair (two stacks), one history and one map
+    # output, the two kept balls, and 14 blocks of _ROWS whole-grid rows
+    # for the source fold's temporaries.  Measured 5.77 stacks against a
+    # bound of 6.09; holding three iterates and the (M+1)^2 kernel read 6.74
+    import tracemalloc
+
+    import solmanifold.experiments as ex
+    from solmanifold.modulation import _ROWS
+
+    cfg = ExperimentConfig(experiment="contraction", seed=3, R=40.0, n=401, R_obs=12.0,
+                           T=24.0, sweep=(1e-3, 2e-3), output_dir=str(tmp_path / "out"))
+    grid = cfg.grid()
+    M = int(round(cfg.T / cfg.timestep(grid)))
+    stack = (M + 1) * grid.n * 8
+    ball = (M + 1) * grid.obs_slice().stop * 8
+    ex.ground_state(grid)  # the eigensolve's one-time set-up is not the runner's
+    report = ex.ExperimentReport("contraction", {})
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        ex._run_contraction(cfg, cfg.output_dir, report)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert M == 300 and peak < 4 * stack + 2 * ball + 14 * _ROWS * grid.n * 8
 
 
 def test_strichartz_perturbed_projects_each_member_once(tmp_path):
@@ -479,7 +549,7 @@ T = 10
 cfl = 0.8
 
 [sweep]
-values = 1e-4
+values = 1e-4, 2e-4
 """
 
 
@@ -555,7 +625,7 @@ def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
         return phi, wphi, overlap, test
 
     monkeypatch.setattr(mo, "_u_frame", last_stacked_row_blows_up)
-    text = SMALL_MANIFOLD.format(name="h_scaling").replace("values = 1e-4", "values = 1e-4, 2e-4")
+    text = SMALL_MANIFOLD.format(name="h_scaling")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     cfg.output_dir = str(tmp_path / "out")
     rep = run(cfg)
@@ -632,7 +702,7 @@ T = 10
 dt = 0.07
 
 [sweep]
-values = 1e-4
+values = 1e-4, 2e-4
 """
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     cfg.output_dir = str(tmp_path / "out")
@@ -646,7 +716,7 @@ values = 1e-4
 
     monkeypatch.setattr(ex, "shoot_h", spy)
     run(cfg)
-    assert seen == [(30.0, 301, 15.0, 10.0, 0.07)]
+    assert seen == [(30.0, 301, 15.0, 10.0, 0.07)] * 2
 
 
 @pytest.mark.parametrize("caller", ["contraction", "cli"])
@@ -670,9 +740,9 @@ def test_picard_callers_share_one_transport_of_their_grid(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "picard_map", spy)
     if caller == "contraction":
         text = BASE.replace("stationarity", "contraction").replace("T = 6", "T = 12")
-        path = write_config(tmp_path, text + "\n[sweep]\nvalues = 1e-3\n")
+        path = write_config(tmp_path, text + "\n[sweep]\nvalues = 1e-3, 2e-3\n")
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "c")]) == 0
-        calls = 4
+        calls = 8
     else:
         argv = ["manifold", "--R", "40", "--n", "401", "--R-obs", "12", "--T", "12",
                 "--method", "picard", "--picard-iters", "3"]

@@ -35,7 +35,13 @@ from solmanifold.modulation import (
 )
 from solmanifold.spectral import secular_coefficient
 
-from oracles import antidiagonal_sums, project_continuous_w, restricted, source_stacks
+from oracles import (
+    antidiagonal_sums,
+    kernel_sums,
+    project_continuous_w,
+    restricted,
+    source_stacks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -640,15 +646,6 @@ def test_stacked_quintic_rows_equal_their_own_runs(small_shots):
         assert np.array_equal(rows[:, k], alone)
 
 
-def test_a_stack_takes_no_g_projection(small_shots):
-    from solmanifold.propagators import _leapfrog
-
-    S, _, dt = small_shots
-    zeros = np.zeros((2, S.grid.n))
-    with pytest.raises(GridUsageError, match="one state, not a stack"):
-        _leapfrog(S.grid, zeros, zeros, 1.0, dt, lambda w, m, acc: None, wg=S.grid.r * S.g.values)
-
-
 def test_streamed_fixed_point_h_equals_the_stored_run(manifold_run, mod_grid, S_mod, query_mod):
     # the two passes store no run, yet give h_fixed_point's bits along the
     # stored stride-1 run at each shot h, over the trimmed horizon 18 - 4 of
@@ -917,19 +914,46 @@ def _rel_err(got, ref):
     return np.max(np.abs(np.asarray(got) - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
+def _folded_sums(B, dt, rows=_ROWS):
+    """(duhamel, secular): the package's kernel fold fed B in blocks of rows, from row 0."""
+    from solmanifold.modulation import _kernel_fold, _Sources
+
+    M = len(B) - 1
+    src = _Sources(Fg=None, gamma=None, residual=None,
+                   duhamel=np.empty(M + 1), secular=np.empty(M + 1))
+    fold = _kernel_fold(src, dt)
+    for start in range(0, M + 1, rows):
+        fold(start, B[start : start + rows].copy())
+    return src.duhamel, src.secular
+
+
 @pytest.mark.parametrize("M", [0, 1, 2, 7, 40])
 def test_antidiagonal_sums_match_trapezoid_loops(M):
-    from solmanifold.modulation import _duhamel_sums, _secular_sums
-
     dt = 0.04
     B = np.random.default_rng(M).standard_normal((M + 1, M + 1))
     duh, sec = _loop_sums(B, dt)
+    got_duh, got_sec = _folded_sums(B, dt)
     if M == 0:
-        assert _duhamel_sums(B, dt).tolist() == [0.0]
-        assert _secular_sums(B, dt).tolist() == [0.0]
+        assert got_duh.tolist() == [0.0] and got_sec.tolist() == [0.0]
         return
-    assert _rel_err(_duhamel_sums(B, dt), duh) < 1e-13
-    assert _rel_err(_secular_sums(B, dt), sec) < 1e-13
+    assert _rel_err(got_duh, duh) < 1e-13
+    assert _rel_err(got_sec, sec) < 1e-13
+
+
+@pytest.mark.parametrize("M", [0, 31, 32, 33, 100])
+def test_folded_kernel_sums_equal_the_whole_kernel(M):
+    # the kernel is folded a block of rows at a time and never held whole:
+    # for any blocking, the bits of the whole-B sums, on entries whose
+    # magnitudes span 24 decades
+    from oracles import kernel_sums
+
+    dt = 0.04
+    rng = np.random.default_rng(M)
+    B = rng.standard_normal((M + 1, M + 1)) * 10.0 ** rng.uniform(-12.0, 12.0, (M + 1, M + 1))
+    want = kernel_sums(B, dt)
+    for rows in (1, 7, _ROWS, M + 1):
+        got = _folded_sums(B, dt, rows)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 401])
@@ -1086,7 +1110,6 @@ def _pc_u(data0, data1, u0, a0, adot0, S):
         _add_outer,
         _pc_u_series,
         _resonance_pairings,
-        _secular_sums,
         _source_rows,
     )
 
@@ -1096,7 +1119,7 @@ def _pc_u(data0, data1, u0, a0, adot0, S):
     query = ManifoldQuery(data0, data1, epsilon=0.0, constraint_residual=0.0)
     got = _pc_u_series(query, F, D, S, T, dt)
     base = _resonance_pairings(data0, data1, transport)
-    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(src.B, dt)
+    sec = cumulative_trapezoid(base, dx=dt) + src.secular
     _add_outer(got, secular_coefficient(S) * sec, S.resonance.values)
     return got, src, base
 
@@ -1115,7 +1138,8 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     F, D = source_stacks(u0, a0, adot0, S_mod)
     wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
     B = (F * wmat) @ Esin.T - (D * wmat) @ Ecos.T
-    assert _rel_err(src.B, B) < 1e-12
+    for got_sums, want_sums in zip((src.duhamel, src.secular), kernel_sums(B, dt)):
+        assert _rel_err(got_sums, want_sums) < 1e-12
 
     # reference: the cosine run, the sine run and the two sine Duhamels apart
     def run(v0, v1, source):
@@ -1151,7 +1175,6 @@ def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, 
     # added in blocks gives the whole outer product; the blocks' pairings
     # with g are the whole stack's gemv
     from solmanifold.grid import cumulative_trapezoid
-    from solmanifold.modulation import _secular_sums
     from solmanifold.propagators import evolve_linear_perturbed
 
     u0, a0, adot0 = history
@@ -1175,7 +1198,7 @@ def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, 
     zs = run(grid.zeros(), grid.zeros(), D)
     if M >= 2:
         ref[1:] -= np.gradient(zs, dt, axis=0)[1:]
-    sec = cumulative_trapezoid(base, dx=dt) + _secular_sums(src.B, dt)
+    sec = cumulative_trapezoid(base, dx=dt) + src.secular
     ref = ref + np.outer(secular_coefficient(S_mod) * sec, S_mod.resonance.values)
     assert got.shape == (M + 1, grid.n)
     assert np.array_equal(got, ref)
@@ -1195,12 +1218,13 @@ def long_history(mod_grid):
 
 
 def test_picard_map_peak_stays_near_its_floor(long_history, S_mod, query_mod):
-    # one non-zero-history iterate allocates its output, the Duhamel kernel
-    # B, x_pm's decay matrix (each (M+1)^2, a third of a stack here) and
-    # block-sized temporaries: F and D are made a block at a time as the
-    # runs read them, and neither the defect run nor the rank-one terms
-    # store an (M+1, n) stack of their own (the whole-stack source read
-    # above 4 stacks here)
+    # one non-zero-history iterate allocates its output, x_pm's decay matrix
+    # ((M+1)^2, a third of a stack here) and block-sized temporaries: F and
+    # D are made a block at a time as the pair of runs reads them, each
+    # block of the Duhamel kernel B is folded into its sums as soon as its
+    # D block exists, and neither the defect run nor the rank-one terms
+    # store an (M+1, n) stack of their own.  Measured 1.74 stacks (with the
+    # whole (M+1)^2 kernel held, 1.95; with the whole-stack source, above 4)
     import tracemalloc
 
     u0, a0, adot0 = long_history
@@ -1214,17 +1238,17 @@ def test_picard_map_peak_stays_near_its_floor(long_history, S_mod, query_mod):
     finally:
         tracemalloc.stop()
     assert it.u.samples.shape == u0.samples.shape
-    assert peak - entry <= 2.5 * u0.samples.nbytes
+    assert peak - entry <= 1.85 * u0.samples.nbytes
 
 
 def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, query_mod):
     # q = V dphi is transported once each way by picard_transport, and never
     # by picard_map, which reads the pair it is handed for the data and
-    # source pairings.  Leapfrog runs: the data with the F source and the
-    # defect source, or for the zero history, which has no source, the data
-    # alone.  Counted
-    # under every name bound in modulation and in propagators, so no
-    # evolution hides
+    # source pairings.  Leapfrog runs: one, the data with the F source and
+    # the zero data with the defect source stepped as a pair, or for the
+    # zero history, which has no source, the data alone.  Counted under
+    # every name bound in modulation and in propagators, so no evolution
+    # hides
     import solmanifold.modulation as mod
     import solmanifold.propagators as prop
 
@@ -1244,10 +1268,10 @@ def test_picard_map_transports_q_once_each_way(monkeypatch, history, S_mod, quer
     T, dt = u0.horizon, u0.dt
     transport = picard_transport(S_mod, T, dt)
     assert sorted(calls) == ["free_cosine_traj", "free_sine_traj"]
-    for history_args, runs in (((u0, a0, adot0), 2), ((None, None, None), 1)):
+    for history_args in ((u0, a0, adot0), (None, None, None)):
         calls.clear()
         picard_map(*history_args, query_mod, S_mod, T, dt, transport)
-        assert sorted(calls) == ["evolve_linear_perturbed"] * runs
+        assert calls == ["evolve_linear_perturbed"]
 
 
 def _assert_iterates_equal(got, ref):
@@ -1311,6 +1335,21 @@ def test_x_norm_reads_its_trajectory_once(monkeypatch, history):
     monkeypatch.setattr(TimeProfiles, "add", lambda self, block: added.append(1) or add(self, block))
     assert x_norm(u0, adot, u0.dt) == want
     assert added == [1]
+
+
+def test_x_norm_of_ball_rows_equals_that_of_the_trajectory(history):
+    # the ball's leading columns are all x_norm reads, so rows cut to them
+    # (or to any more columns) give the trajectory's distance bit for bit;
+    # fewer columns than the ball fail typed
+    u0, a0, _ = history
+    grid = u0.grid
+    adot = np.gradient(a0, u0.dt)
+    cols = grid.obs_slice().stop
+    want = x_norm(u0, adot, u0.dt)
+    for k in (cols, cols + 7):
+        assert x_norm(u0.samples[:, :k].copy(), adot, u0.dt, grid) == want
+    with pytest.raises(GridUsageError, match="needs"):
+        x_norm(u0.samples[:, : cols - 1], adot, u0.dt, grid)
 
 
 def test_shared_transport_gives_the_same_iterate(history, S_mod, query_psi1):

@@ -162,6 +162,24 @@ def test_time_profiles_in_blocks_equal_the_whole_stack(norm_grid, rng, rows):
         assert np.array_equal(profiles.profile(inner), want)
 
 
+@pytest.mark.parametrize("rows", [1, 13, 161])
+def test_time_profiles_of_a_stack_equal_each_trajectorys(norm_grid, rng, rows):
+    # blocks of (rows, K, cols) from K trajectories stepped together: every
+    # profile and norm has one entry per trajectory, with the bits of that
+    # trajectory fed alone
+    dt = 0.05
+    samples = rng.standard_normal((161, 3, norm_grid.n)) * np.exp(-norm_grid.r / 4.0)
+    stacked = TimeProfiles(norm_grid, dt)
+    for m0 in range(0, len(samples), rows):
+        stacked.add(samples[m0 : m0 + rows])
+    for k in range(3):
+        alone = TimeProfiles.of(SpaceTimeField(norm_grid, dt, samples[:, k]))
+        for inner in ("Linf_t", "L2_t", "L1_t"):
+            assert np.array_equal(stacked.profile(inner)[k], alone.profile(inner))
+            for outer in ("Linf_x", ("lorentz", 6, 2)):
+                assert stacked.norm(outer, inner)[k] == alone.norm(outer, inner)
+
+
 def test_time_profiles_of_non_finite_rows_raise(norm_grid):
     rows = np.ones((5, norm_grid.n))
     rows[3, 2] = np.inf

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -379,6 +381,95 @@ def test_projected_flow_ignores_the_g_component():
 
         got, want = full(f), full(pc(f.values))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_projected_stack_rows_equal_their_own_runs():
+    # a projected (K, n) stack with a per-row source: each row is projected
+    # by its own dot product with r g, so every row of the stack takes the
+    # bits of its own K = 1 run, at K = 1, 2 and 20
+    grid = RadialGrid(R=20.0, n=401)
+    S = ground_state(grid)
+    r, g = grid.r, S.g.values
+    dt, T = 0.8 * grid.dr, 4.0
+    t = dt * np.arange(int(round(T / dt)) + 1)[:, None]
+    rng = np.random.default_rng(5)
+    for K in (1, 2, 20):
+        c = rng.uniform(1.0, 4.0, (4, K))
+        data0 = [grid.field(np.exp(-((r - c[0, k]) ** 2)) + 0.3 * g) for k in range(K)]
+        data1 = [grid.field(c[1, k] * np.exp(-((r - c[2, k]) ** 2))) for k in range(K)]
+        sources = [np.cos(c[3, k] * t) * np.exp(-((r - 2.5) ** 2)) + 0.1 * np.sin(t) * g
+                   for k in range(K)]
+        stacked = np.stack(sources, axis=1)
+        source = SimpleNamespace(dt=dt, rows=len(stacked), row=stacked.__getitem__)
+        runs = evolve_linear_perturbed(data0, data1, source, T, dt, a=S.a, project_out=S)
+        assert len(runs) == K
+        for k in range(K):
+            alone = evolve_linear_perturbed(data0[k], data1[k], SpaceTimeField(grid, dt, sources[k]),
+                                            T, dt, a=S.a, project_out=S)
+            assert np.array_equal(runs[k].samples, alone.samples), (K, k)
+
+
+@pytest.mark.parametrize("kind", ["sine", "cosine"])
+def test_a_stacked_split_gives_each_fields_split(kind):
+    # the split of K fields steps them as one stack: its coefficients, its
+    # stored rows and one TimeProfiles fed all its rows give each field's
+    # own split and profiles bit for bit
+    grid = RadialGrid(R=20.0, n=401, R_obs=6.0)
+    S = ground_state(grid)
+    dt, T = grid.dr, 8.0
+    split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
+    fields = [project_continuous_w(grid.field(np.exp(-((grid.r - c) ** 2))), S)
+              for c in (1.0, 2.5, 4.0)]
+    series = _resonance_series(grid, S.a, T, dt, kind, fields)
+    runs, coeff = split(fields, T, dt, S, stride=2, series=series)
+    stacked = TimeProfiles(grid, dt)
+    assert split(fields, T, dt, S, series=series, profiles=stacked) is None
+    for k, f in enumerate(fields):
+        alone, coeff_k = split(f, T, dt, S, stride=2)
+        assert np.array_equal(coeff[k], coeff_k)
+        assert np.array_equal(runs[k].samples, alone.samples)
+        own = TimeProfiles(grid, dt)
+        split(f, T, dt, S, series=series[k], profiles=own)
+        for inner in ("Linf_t", "L2_t", "L1_t"):
+            assert np.array_equal(stacked.profile(inner)[k], own.profile(inner))
+        for outer in ("Linf_x", ("lorentz", 6, 2)):
+            assert stacked.norm(outer, "L2_t")[k] == own.norm(outer, "L2_t")
+
+
+def test_projected_runs_conserve_the_discrete_energy():
+    # the three-level scheme w_{m+1} = 2 w_m - w_{m-1} - dt^2 A w_m, with A
+    # the stencil of -d_rr + V on the interior (Dirichlet ends), conserves
+    # |w_{m+1} - w_m|^2 / dt^2 + <w_{m+1}, A w_m> exactly; the projection
+    # commutes with A (r g is its eigenvector), so the projected runs keep
+    # it to rounding, every row of a K = 3 stack and the K = 1 run alike.
+    # A wrong dt^2, stencil weight or per-row projection breaks it at once
+    from solmanifold.propagators import _leapfrog, _linear_force
+
+    grid = RadialGrid(R=40.0, n=401)
+    S = ground_state(grid)
+    r, dr = grid.r, grid.dr
+    dt, T = 0.8 * dr, 160.0  # 2000 steps
+    V = soliton.potential(r, S.a)
+    bumps = np.array([np.exp(-((r - c) ** 2)) * r for c in (2.0, 3.0, 5.0)])
+    w0, w1 = bumps, np.roll(bumps, 1, axis=0)
+
+    def energy(w):
+        Aw = np.zeros_like(w)
+        Aw[..., 1:-1] = -(w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / dr**2
+        Aw[..., 1:-1] += V[1:-1] * w[..., 1:-1]
+        return (np.sum((w[1:] - w[:-1]) ** 2, axis=-1) / dt**2
+                + np.sum(w[1:] * Aw[:-1], axis=-1))
+
+    def run(w0, w1):
+        return _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, S.a, None),
+                         wg=r * S.g.values)[0]
+
+    stack = energy(run(w0, w1))
+    assert stack.shape == (2000, 3)
+    for k in range(3):
+        alone = energy(run(w0[k], w1[k]))
+        assert np.array_equal(stack[:, k], alone)
+        assert np.max(np.abs(alone - alone[0])) < 1e-12 * abs(alone[0])
 
 
 def test_a_short_source_fails_typed():
