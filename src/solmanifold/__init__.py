@@ -24,7 +24,6 @@ from .modulation import (
     h_fixed_point,
     make_query,
     modulation_rate_series,
-    nonlinearity,
     picard_map,
     picard_transport,
     shoot_h,

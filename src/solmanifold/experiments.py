@@ -14,6 +14,7 @@ import json
 import os
 import traceback
 from dataclasses import dataclass, field, asdict
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import default_rng
@@ -47,6 +48,7 @@ from .propagators import (
     PropagatorError,
     SpaceTimeField,
     _resonance_series,
+    _secular_coefficients,
     free_cosine_traj,
     free_sine_traj,
     secular_decomposition_C,
@@ -476,9 +478,10 @@ def _strichartz_constants(grid, dt, T, members, mode):
     evolves one member at a time, into profiles of its own.  The perturbed
     mode solves for the ground state of grid, replaces each member f by its
     continuous part, makes all sine series from one transport of q and
-    splits all members as one sine stack into one TimeProfiles of all their
-    rows, then does the same for the cosine kind (see
-    _secular_decomposition), so no transport is held through a split.
+    hands them to one split of all members as one sine stack, which
+    streams into one TimeProfiles of all their rows, then does the same for
+    the cosine kind (see _secular_decomposition), so no transport is held
+    through a split.
     """
 
     def mixed(s, c):  # the five mixed norms of the ratios, of one member or of all
@@ -558,22 +561,31 @@ def _run_secular(cfg, outdir, report):
     S = ground_state(grid)
     # split as the split is documented: continuous-spectrum data
     f = _continuous_part(family_field(grid, "vdphi_bump"), S)
-    horizons = _SECULAR_HORIZONS
-    Smax = max(horizons)
-    S_traj, coeff = secular_decomposition_S(f, Smax, dt, S, stride=2)
+    horizons, stride = _SECULAR_HORIZONS, 2
+    series = _resonance_series(grid, S.a, max(horizons), dt, "sine", [f])
+    coeff = _secular_coefficients(series, dt, S, stride)[0]
     # one pass: the ball's dispersive rows and full rows (plus the rank-one
-    # secular part) feed one TimeProfiles each, read as they reach a horizon
-    dispersive, full = TimeProfiles(grid, S_traj.dt), TimeProfiles(grid, S_traj.dt)
+    # secular part) feed one TimeProfiles each, cut at the horizon rows so
+    # that each horizon's norms are read as its row arrives
+    dispersive, full = TimeProfiles(grid, stride * dt), TimeProfiles(grid, stride * dt)
     resonance = S.resonance.values[: full.inside.stop]
+    ends = [int(round(T / (stride * dt))) + 1 for T in horizons]  # rows fed at each horizon
     rows = []
-    done = 0
-    for T in horizons:
-        m = int(round(T / S_traj.dt)) + 1
-        block = S_traj.samples[done:m, : len(resonance)]
-        dispersive.add(block)
-        full.add(coeff[done:m, None] * resonance + block)
-        done = m
-        rows.append((T, dispersive.norm("Linf_x", "L2_t"), full.norm("Linf_x", "L1_t")))
+    fed = 0
+
+    def add(block):  # (rows, 1, cols) dispersive rows of the one field
+        nonlocal fed
+        block = block[:, 0, : len(resonance)]
+        for part in np.split(block, [e - fed for e in ends if fed < e < fed + len(block)]):
+            dispersive.add(part)
+            full.add(coeff[fed : fed + len(part), None] * resonance + part)
+            fed += len(part)
+            if fed in ends:
+                rows.append((horizons[len(rows)], dispersive.norm("Linf_x", "L2_t"),
+                             full.norm("Linf_x", "L1_t")))
+
+    sink = SimpleNamespace(inside=full.inside, add=add)
+    secular_decomposition_S([f], max(horizons), dt, S, series, sink, stride=stride)
     _, s_norms, full_l1 = zip(*rows)
     slope, _, stderr = _loglog_fit(horizons, full_l1)
     report.fits["secular_growth_exponent"] = {"slope": slope, "stderr": stderr}

@@ -129,11 +129,6 @@ def _u_frame(grid, S):
     return phi, wphi, overlap, blown
 
 
-def nonlinearity(u, phi_a):
-    """N(u, phi) = 10 phi^3 u^2 + 10 phi^2 u^3 + 5 phi u^4 + u^5."""
-    return RadialField(u.grid, _quintic(u.values, phi_a.values))
-
-
 @dataclass
 class NonlinearRun:
     """Outcome of evolve_nonlinear: trajectory plus departure bookkeeping."""

@@ -15,15 +15,16 @@ of many fields as one stack per kind.  It hands only the strided
 snapshots its callers read to a consumer, which stores them by default,
 so memory grows with the snapshots, not with the steps, and with neither
 when the consumer reduces each snapshot as it is made.  A stored
-trajectory holds the whole grid.  Given a profiles consumer (inside and
-add, see _free_slices), the free trajectories and the secular split store
-no trajectory at all: the rows of the ball it reads go to it in blocks of
-about BLOCK_BYTES (256 KB) as they are made, so that a block, a
+trajectory holds the whole grid.  The secular split always streams to a
+profiles consumer (inside and add, see _free_slices), and the free
+trajectories do when given one: then no trajectory is stored at all, and
+the rows of the ball the consumer reads go to it in blocks of about
+BLOCK_BYTES (256 KB) as they are made, so that a block, a
 norms.TimeProfiles' copy of it and the transport's windows fit in L2
-together.  The resonance series
-stream to a whole-grid consumer that pairs each row.  A linear run reads
-its source one row per step through one accessor, so a source need not be
-stored: a row source may make its rows as the run reaches them.
+together.  The resonance series stream to a whole-grid consumer that
+pairs each row, and the split takes them from its caller.  A linear run
+reads its source one row per step through one accessor, so a source need
+not be stored: a row source may make its rows as the run reaches them.
 """
 
 from __future__ import annotations
@@ -495,81 +496,72 @@ def _linear_force(grid, a, row):
     return force
 
 
-def _secular_decomposition(f, T, dt, S, stride, kind, series, profiles=None):
-    """Perturbed sine or cosine evolution of P_c f split as dispersive + secular.
+def _secular_coefficients(series, dt, S, stride):
+    """Coefficients of the rank-one secular part at the times t_j = j*stride*dt.
 
-    f is one field, or a list of K fields split together: their K runs
-    step as one (K, n) stack, each row with the bits of its own run.
-    Perturbed side: evolve the data (0, f) for "sine", (f, 0) for "cosine"
-    under H with the per-step projection of evolve_linear_perturbed's
-    project_out=S, which evolves P_c f.  Secular side: the rank-one
-    projector applied to the running time integral of series, the
-    M+1 values <free(f)(t_m), q> of the free evolution of f of the same
-    kind ((K, M+1) for a list), which _resonance_series(grid, S.a, T, dt,
-    kind, fields) makes here when None: a caller splitting many f on one
-    grid makes all their series from one transport of q.  The secular side
-    is built from f as given, so the split is that of P_c f only when f
-    has no g-component: a caller holding any other f passes P_c f.  Each
-    dispersive row, the field of its state minus coeff_j times the
-    resonance, is made in (rows, K, cols) blocks of about BLOCK_BYTES as
-    the leapfrog emits the states.  Returns (dispersive_traj, coeff); the
-    secular part is coeff[:, None] * S.resonance.values, not built.  For a
-    list, dispersive_traj is a list of K trajectories and coeff has K rows.
-    With profiles, profiles.add(rows) receives each dispersive block in
-    turn, at the nodes of their ball, in one reused buffer, and nothing is
-    stored or returned; for a list the block holds the rows of every field,
-    (rows, K, cols), as a norms.TimeProfiles of K trajectories reads them.
+    -c_Q times the running time integral of each row of series, the values
+    <free(f)(t_m), q> at t_m = m*dt that _resonance_series makes: the
+    secular part of the split of f at t_j is coeff_j * S.resonance.
     """
-    single, streamed = isinstance(f, RadialField), profiles is not None
-    fields = [f] if single else list(f)
+    return -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[..., ::stride]
+
+
+def _secular_decomposition(fields, T, dt, S, stride, kind, series, profiles):
+    """Perturbed sine or cosine evolutions of P_c f, f in fields, split as dispersive + secular.
+
+    The K fields' runs step as one (K, n) stack, each row with the bits of
+    its own run.  Perturbed side: evolve the data (0, f) for "sine", (f, 0)
+    for "cosine" under H with the per-step projection of
+    evolve_linear_perturbed's project_out=S, which evolves P_c f.  Secular
+    side: coeff_j * S.resonance, coeff by _secular_coefficients from
+    series, the (K, M+1) values <free(f)(t_m), q> of the free evolutions of
+    the same kind (_resonance_series(grid, S.a, T, dt, kind, fields) makes
+    them from one transport of q).  The secular side is built from f as
+    given, so the split is that of P_c f only when f has no g-component: a
+    caller holding any other f passes P_c f.  Each dispersive row, the
+    field of its state minus coeff_j times the resonance, is made at the
+    nodes of the ball of profiles (inside and add, see _free_slices) in
+    (rows, K, cols) blocks of about BLOCK_BYTES as the leapfrog emits the
+    states.  profiles.add receives each block in turn, in one reused
+    buffer, as a norms.TimeProfiles of K trajectories reads them.  Nothing
+    is stored or returned: a caller that reads the secular part makes its
+    coefficients from the same series.
+    """
     grid = fields[0].grid
     grid.require_budget(T)
-    if series is None:
-        series = _resonance_series(grid, S.a, T, dt, kind, fields)
-    series = np.atleast_2d(series)
     if series.shape != (len(fields), int(round(T / dt)) + 1):
         raise GridUsageError("the resonance series must hold one value per time m*dt of [0, T]")
-    coeff = -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[:, ::stride]
+    coeff = _secular_coefficients(series, dt, S, stride)
     cols = _columns(grid, profiles)
     resonance = S.resonance.values[:cols]
     K, last = len(fields), coeff.shape[1] - 1
     step = _block_rows(K * cols)
-    out = np.empty((min(step, last + 1) if streamed else last + 1, K, cols))
+    out = np.empty((min(step, last + 1), K, cols))
 
     def emit(j, row, rate):
         i = j % step  # the block holds rows j - i .. j so far
-        block = out if streamed else out[j - i :]
-        block[i] = row[:, :cols]
+        out[i] = row[:, :cols]
         if i == step - 1 or j == last:
-            block = block[: i + 1]
-            _values_from_w(grid, block)
+            block = _values_from_w(grid, out[: i + 1])
             block -= coeff[:, j - i : j + 1].T[..., None] * resonance  # now the dispersive part
-            if streamed:
-                profiles.add(block[:, 0] if single else block)
+            profiles.add(block)
 
     w = np.array([g.w() for g in fields])
     zero = np.broadcast_to(0.0, w.shape)  # _leapfrog copies state 0 and reads wdot0 once
     data = (zero, w) if kind == "sine" else (w, zero)
     _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), stride=stride,
               wg=grid.r * S.g.values, emit=emit)
-    if streamed:
-        return None
-    if single:
-        return SpaceTimeField(grid, dt * stride, out[:, 0]), coeff[0]
-    return [SpaceTimeField(grid, dt * stride, out[:, k]) for k in range(K)], coeff
 
 
-def secular_decomposition_S(f, T, dt, S, stride=1, series=None, profiles=None):
-    """Split the perturbed sine evolution of (0, P_c f): (S_traj, coeff).
+def secular_decomposition_S(fields, T, dt, S, series, profiles, stride=1):
+    """Split the perturbed sine evolutions of (0, P_c f), f in fields, streamed to profiles.
 
-    f: one field, or a list of fields split as one stack; series: the sine
-    _resonance_series of f, to make many from one transport of q; profiles:
-    stream the dispersive rows of their ball to them instead of storing
-    (see _secular_decomposition).
+    series: the (len(fields), M+1) sine _resonance_series of the fields.
+    See _secular_decomposition.
     """
-    return _secular_decomposition(f, T, dt, S, stride, "sine", series, profiles)
+    _secular_decomposition(fields, T, dt, S, stride, "sine", series, profiles)
 
 
-def secular_decomposition_C(g0, T, dt, S, stride=1, series=None, profiles=None):
-    """Cosine mirror of secular_decomposition_S with data (P_c g0, 0)."""
-    return _secular_decomposition(g0, T, dt, S, stride, "cosine", series, profiles)
+def secular_decomposition_C(fields, T, dt, S, series, profiles, stride=1):
+    """Cosine mirror of secular_decomposition_S with data (P_c f, 0) and cosine series."""
+    _secular_decomposition(fields, T, dt, S, stride, "cosine", series, profiles)

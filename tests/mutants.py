@@ -58,10 +58,11 @@ MUTANTS = [
         "if False:",
     ),
     (
-        "the split makes its own series when it is given one",
+        "the split makes its own series in place of the one it is given",
         "src/solmanifold/propagators.py",
-        "if series is None:",
-        "if True:",
+        "coeff = _secular_coefficients(series, dt, S, stride)",
+        "coeff = _secular_coefficients(_resonance_series(grid, S.a, T, dt, kind, fields), dt, S,"
+        " stride)",
     ),
     (
         "modulation node values drop <phi(a_j), Q_j>",
@@ -274,16 +275,28 @@ MUTANTS = [
         "return np.zeros(M + 1), 0.0 * xm, 0.0",
     ),
     (
-        "secular's one pass restarts every horizon at row 0",
+        "secular's full rows take every block's coefficients from row 0",
         "src/solmanifold/experiments.py",
-        "done = m",
-        "done = 0",
+        "coeff[fed : fed + len(part), None]",
+        "coeff[: len(part), None]",
     ),
     (
-        "the split returns -coeff",
+        "secular's full rows take their coefficients one row early",
+        "src/solmanifold/experiments.py",
+        "coeff[fed : fed + len(part), None]",
+        "coeff[max(fed - 1, 0) : max(fed - 1, 0) + len(part), None]",
+    ),
+    (
+        "secular reads each horizon one row late",
+        "src/solmanifold/experiments.py",
+        "int(round(T / (stride * dt))) + 1",
+        "int(round(T / (stride * dt))) + 2",
+    ),
+    (
+        "the secular coefficients change sign",
         "src/solmanifold/propagators.py",
-        "return SpaceTimeField(grid, dt * stride, out[:, 0]), coeff[0]",
-        "return SpaceTimeField(grid, dt * stride, out[:, 0]), -coeff[0]",
+        "return -secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[..., ::stride]",
+        "return secular_coefficient(S) * cumulative_trapezoid(series, dx=dt)[..., ::stride]",
     ),
     (
         "the pairing sink pairs every block with the first field",
@@ -354,8 +367,8 @@ MUTANTS = [
     (
         "the stacked split feeds its profiles the first field's rows",
         "src/solmanifold/propagators.py",
-        "profiles.add(block[:, 0] if single else block)",
-        "profiles.add(block[:, 0] if single else block[:, [0] * len(fields)])",
+        "# now the dispersive part\n            profiles.add(block)",
+        "# now the dispersive part\n            profiles.add(block[:, [0] * K])",
     ),
     (
         "the pair's data row is stored one snapshot late",

@@ -8,8 +8,10 @@ diagonal, the anti-diagonal sums by one bincount, the sums of a whole
 Duhamel kernel, the scheme-pairing P_c that the projected linear flow
 applies at every step, the inner time norms of a whole stored stack, the
 whole modulation source stacks, the fixed-point h of a stored
-on-manifold run), a conserved quantity that checks a propagator, or a way
-to cut a stored trajectory that the package no longer needs.
+on-manifold run, the secular split of one stored perturbed run), a
+conserved quantity that checks a propagator, a way to cut a stored
+trajectory that the package no longer needs, or a formula the package
+uses only in another form (the quintic nonlinearity on fields).
 """
 
 import numpy as np
@@ -24,7 +26,13 @@ from solmanifold.grid import (
     pair_w,
 )
 from solmanifold.modulation import _modulation_series, _quintic, evolve_nonlinear, h_fixed_point
-from solmanifold.propagators import SpaceTimeField, _free_slices
+from solmanifold.propagators import (
+    SpaceTimeField,
+    _free_slices,
+    _resonance_series,
+    _secular_coefficients,
+    evolve_linear_perturbed,
+)
 from solmanifold.spectral import secular_coefficient
 
 
@@ -139,6 +147,28 @@ def source_stacks(u0_traj, a0, adot0, S):
     F = (soliton.potential(r, S.a) - soliton.potential(r, a)) * u + _quintic(u, soliton.phi(r, a))
     D = np.asarray(adot0, dtype=float)[:, None] * soliton.resonance_defect_profile(r, a, S.a)
     return F, D
+
+
+def nonlinearity(u, phi_a):
+    """N(u, phi) = 10 phi^3 u^2 + 10 phi^2 u^3 + 5 phi u^4 + u^5, on fields."""
+    return RadialField(u.grid, _quintic(u.values, phi_a.values))
+
+
+def stored_secular_split(f, T, dt, S, kind, stride=1):
+    """(dispersive_traj, coeff): the split of one field f of the streamed secular split, stored whole.
+
+    One stored projected run of the data (0, f) for "sine", (f, 0) for
+    "cosine", less coeff[:, None] * S.resonance.values on every row, coeff
+    from f's series by the package's _secular_coefficients.  The rows the
+    package's split streams in blocks must be the leading columns of
+    dispersive_traj bit for bit.
+    """
+    series = _resonance_series(f.grid, S.a, T, dt, kind, [f])
+    coeff = _secular_coefficients(series, dt, S, stride)[0]
+    zero = f.grid.zeros()
+    data = (zero, f) if kind == "sine" else (f, zero)
+    run = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
+    return SpaceTimeField(f.grid, run.dt, run.samples - coeff[:, None] * S.resonance.values), coeff
 
 
 def project_continuous_w(f, S):

@@ -260,18 +260,23 @@ def test_stopped_energy_run_raises(amp, t_stop):
         _energy_drift(30.0, 601, 20.0, 0.8, amp, 2)
 
 
+def _traced_peak(measured):
+    """The tracemalloc peak, in bytes, of one call of measured()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        measured()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_energy_drift_memory_does_not_grow_with_steps():
     # each snapshot is reduced as it is made; storing the stride-10 rows
     # would hold two stacks of 41 rows at T = 16
-    import tracemalloc
-
     def peak(T):
-        tracemalloc.start()
-        try:
-            _energy_drift(30.0, 601, T, 0.8, 0.3, 2)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: _energy_drift(30.0, 601, T, 0.8, 0.3, 2))
 
     short, long = peak(8.0), peak(16.0)
     assert long < 1.25 * short
@@ -377,7 +382,7 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     from solmanifold import RadialField, RadialGrid, ground_state, h1_seminorm, l2_norm
     from solmanifold.norms import lorentz_norm, mixed_norm
 
-    from oracles import project_continuous_w
+    from oracles import project_continuous_w, stored_secular_split
 
     grid = RadialGrid(R=40.0, n=401)
     dt, T = grid.dr, grid.budget_horizon()
@@ -389,8 +394,7 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     def evolve(f, kind):
         if mode == "free":
             return (ex.free_sine_traj if kind == "sine" else ex.free_cosine_traj)(f, T, dt)
-        split = ex.secular_decomposition_S if kind == "sine" else ex.secular_decomposition_C
-        return split(f, T, dt, S)[0]
+        return stored_secular_split(f, T, dt, S, kind)[0]
 
     ref = []
     for i, f in enumerate(members):
@@ -451,13 +455,9 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
 
 def test_resonance_series_leave_no_transport_held():
     # the series stream the transport of q through a whole-grid consumer,
-    # so no (M+1, n) stack of it is ever held, and the stored split hands
-    # back its rank-one secular part as coefficients: peaks in stacks, at
-    # most 0.3 for the series of four fields, 0.5 for the perturbed
-    # constants of four members and 0.75 for the stored split at stride 2
-    # (holding the transport and the secular stack read 1.13, 1.14, 1.13)
-    import tracemalloc
-
+    # so no (M+1, n) stack of it is ever held: peaks in stacks, at most 0.3
+    # for the series of four fields and 0.5 for the perturbed constants of
+    # four members (holding the transport read 1.13 and 1.14)
     import solmanifold.experiments as ex
     from solmanifold import RadialGrid, ground_state
 
@@ -466,19 +466,35 @@ def test_resonance_series_leave_no_transport_held():
     stack = (round(T / dt) + 1) * grid.n * 8
     S = ground_state(grid)
     members = ex.seeded_bumps(grid, 4, 4)
-    f = ex._continuous_part(members[0], S)
     for measured, bound in (
         (lambda: ex._resonance_series(grid, S.a, T, dt, "sine", members), 0.3),
         (lambda: ex._strichartz_constants(grid, dt, T, members, "perturbed"), 0.5),
-        (lambda: ex.secular_decomposition_S(f, T, dt, S, stride=2), 0.75),
     ):
-        tracemalloc.start()
-        try:
-            measured()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * stack
+        assert _traced_peak(measured) <= bound * stack
+
+
+def test_secular_split_holds_no_dispersive_stack():
+    # secular's split on the test grid (R = 110, n = 1101, T = 100, stride
+    # 2), its series made first: the transport of q and the dispersive rows
+    # stream, so the peak stays near one block and its profiles' copy.
+    # Measured 0.204 of the (501, 1101) stack of its dispersive rows; the
+    # bound leaves a margin of 1.47x.  A split that stored those rows read
+    # 1.13 with its series
+    import solmanifold.experiments as ex
+    from solmanifold import RadialGrid, ground_state
+    from solmanifold.norms import TimeProfiles
+
+    grid = RadialGrid(R=110.0, n=1101, R_obs=10.0)
+    dt, T = grid.dr, 100.0
+    stack = (round(T / (2 * dt)) + 1) * grid.n * 8
+    S = ground_state(grid)
+    f = ex._continuous_part(ex.family_field(grid, "vdphi_bump"), S)
+
+    def split():
+        series = ex._resonance_series(grid, S.a, T, dt, "sine", [f])
+        ex.secular_decomposition_S([f], T, dt, S, series, TimeProfiles(grid, 2 * dt), stride=2)
+
+    assert _traced_peak(split) <= 0.3 * stack
 
 
 def test_contraction_holds_one_history_at_a_time(tmp_path):
@@ -648,15 +664,15 @@ def test_secular_splits_continuous_spectrum_data(tmp_path, monkeypatch):
     seen = []
     split = ex.secular_decomposition_S
 
-    def spy(f, T, dt, S, **kwargs):
-        seen.append((f, S))
-        return split(f, T, dt, S, **kwargs)
+    def spy(fields, T, dt, S, *args, **kwargs):
+        seen.append((fields, S))
+        return split(fields, T, dt, S, *args, **kwargs)
 
     monkeypatch.setattr(ex, "secular_decomposition_S", spy)
     cfg = ExperimentConfig(experiment="secular", R=110.0, n=1101, R_obs=10.0,
                            output_dir=str(tmp_path / "out"))
     run(cfg)
-    ((f, S),) = seen
+    (([f], S),) = seen
     assert abs(pair_w(f, S.g)) <= 1e-12 * np.sqrt(S.gg_w * pair_w(f, f))
 
 
@@ -668,13 +684,15 @@ def test_secular_reads_its_horizons_in_one_pass(tmp_path):
     from solmanifold import ground_state, mixed_norm
     from solmanifold.propagators import SpaceTimeField
 
+    from oracles import stored_secular_split
+
     cfg = ExperimentConfig(experiment="secular", R=110.0, n=1101, R_obs=10.0,
                            output_dir=str(tmp_path / "out"))
     report = run(cfg)
     grid = cfg.grid()
     S = ground_state(grid)
     f = ex._continuous_part(ex.family_field(grid, "vdphi_bump"), S)
-    S_traj, coeff = ex.secular_decomposition_S(f, 100.0, grid.dr, S, stride=2)
+    S_traj, coeff = stored_secular_split(f, 100.0, grid.dr, S, "sine", stride=2)
     full = S_traj.samples + coeff[:, None] * S.resonance.values
     assert [r["T"] for r in report.records] == [25.0, 50.0, 100.0]
     for record in report.records:

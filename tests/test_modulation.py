@@ -13,7 +13,6 @@ from solmanifold import (
     h_fixed_point,
     inner_product,
     make_query,
-    nonlinearity,
     picard_map,
     picard_transport,
     shoot_h,
@@ -38,6 +37,7 @@ from solmanifold.spectral import secular_coefficient
 from oracles import (
     antidiagonal_sums,
     kernel_sums,
+    nonlinearity,
     project_continuous_w,
     restricted,
     source_stacks,

@@ -22,6 +22,7 @@ from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
     _resonance_series,
+    _secular_coefficients,
     free_cosine_traj,
     free_sine_traj,
 )
@@ -32,6 +33,7 @@ from oracles import (
     newton_potential,
     project_continuous_w,
     secular_projector,
+    stored_secular_split,
     transport_energy,
 )
 
@@ -247,8 +249,7 @@ def test_secular_part_is_the_accumulated_resonance_pairing(kind):
     series = np.array([inner_product(free(f, m * dt), q) for m in range(M + 1)])
     cum = np.r_[0.0, np.cumsum(0.5 * dt * (series[1:] + series[:-1]))]
     ref = np.outer(-secular_coefficient(S) * cum, S.resonance.values)
-    split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
-    _, coeff = split(f, M * dt, dt, S)
+    _, coeff = stored_secular_split(f, M * dt, dt, S, kind)
     secular = coeff[:, None] * S.resonance.values
     assert np.max(np.abs(secular - ref)) < 1e-4 * np.max(np.abs(ref))
 
@@ -373,10 +374,10 @@ def test_projected_flow_ignores_the_g_component():
         got = run(grid.field(f.values + h * g), grid.field(f1.values + h * S.k * g), F)
         assert np.max(np.abs(got - raw)) <= 1e-13 * np.max(np.abs(raw))
     # the secular splits evolve f itself; their sums are the P_c f evolutions
-    for split in (secular_decomposition_S, secular_decomposition_C):
+    for kind in ("sine", "cosine"):
 
         def full(v):
-            dispersive, coeff = split(v, T, dt, S)
+            dispersive, coeff = stored_secular_split(v, T, dt, S, kind)
             return dispersive.samples + coeff[:, None] * S.resonance.values
 
         got, want = full(f), full(pc(f.values))
@@ -412,8 +413,8 @@ def test_projected_stack_rows_equal_their_own_runs():
 @pytest.mark.parametrize("kind", ["sine", "cosine"])
 def test_a_stacked_split_gives_each_fields_split(kind):
     # the split of K fields steps them as one stack: its coefficients, its
-    # stored rows and one TimeProfiles fed all its rows give each field's
-    # own split and profiles bit for bit
+    # rows and one TimeProfiles fed all its rows give each field's own
+    # split (stored whole, by the oracle) and profiles bit for bit
     grid = RadialGrid(R=20.0, n=401, R_obs=6.0)
     S = ground_state(grid)
     dt, T = grid.dr, 8.0
@@ -421,19 +422,38 @@ def test_a_stacked_split_gives_each_fields_split(kind):
     fields = [project_continuous_w(grid.field(np.exp(-((grid.r - c) ** 2))), S)
               for c in (1.0, 2.5, 4.0)]
     series = _resonance_series(grid, S.a, T, dt, kind, fields)
-    runs, coeff = split(fields, T, dt, S, stride=2, series=series)
+    coeff = _secular_coefficients(series, dt, S, 2)
+    blocks, _ = _streamed_blocks(lambda p: split(fields, T, dt, S, series, p, stride=2),
+                                 grid, 2 * dt)
+    runs = np.concatenate(blocks)
     stacked = TimeProfiles(grid, dt)
-    assert split(fields, T, dt, S, series=series, profiles=stacked) is None
+    assert split(fields, T, dt, S, series, stacked) is None
     for k, f in enumerate(fields):
-        alone, coeff_k = split(f, T, dt, S, stride=2)
+        alone, coeff_k = stored_secular_split(f, T, dt, S, kind, stride=2)
         assert np.array_equal(coeff[k], coeff_k)
-        assert np.array_equal(runs[k].samples, alone.samples)
+        assert np.array_equal(runs[:, k], alone.samples[:, : runs.shape[-1]])
         own = TimeProfiles(grid, dt)
-        split(f, T, dt, S, series=series[k], profiles=own)
+        split([f], T, dt, S, series[k : k + 1], _one_field(own))
         for inner in ("Linf_t", "L2_t", "L1_t"):
             assert np.array_equal(stacked.profile(inner)[k], own.profile(inner))
         for outer in ("Linf_x", ("lorentz", 6, 2)):
             assert stacked.norm(outer, "L2_t")[k] == own.norm(outer, "L2_t")
+
+
+def test_the_split_reads_the_series_it_is_given(S_ref):
+    # the secular side comes from the series passed in, not from the
+    # fields: with a zero series the dispersive rows are the projected run
+    # itself, bit for bit
+    grid = S_ref.grid
+    dt, T = 0.8 * grid.dr, 6.0
+    f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
+    M = int(round(T / dt))
+    for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
+        data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
+        run = evolve_linear_perturbed(*data, None, T, dt, a=S_ref.a, project_out=S_ref)
+        blocks, _ = _streamed_blocks(
+            lambda p: split([f], T, dt, S_ref, np.zeros((1, M + 1)), _one_field(p)), grid, dt)
+        assert np.array_equal(np.concatenate(blocks), run.samples[:, : blocks[0].shape[-1]])
 
 
 def test_projected_runs_conserve_the_discrete_energy():
@@ -536,7 +556,7 @@ def test_secular_S_resonance_free_component():
     S = ground_state(grid)
     dt = grid.dr
     far = grid.field(np.exp(-((grid.r - 70.0) ** 2) / 1.5**2))
-    S_traj, coeff = secular_decomposition_S(far, 10.0, dt, S, stride=10)
+    S_traj, coeff = stored_secular_split(far, 10.0, dt, S, "sine", stride=10)
     assert coeff.shape == (len(S_traj.samples),)
     secular = coeff[:, None] * S.resonance.values
     assert np.max(np.abs(secular)) < 5e-3 * np.max(np.abs(S_traj.samples))
@@ -588,7 +608,7 @@ def test_secular_field_long_time_limit():
     dt = grid.dr
     f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
     T = grid.budget_horizon()
-    _, coeff = secular_decomposition_S(f, T, dt, S, stride=20)
+    _, coeff = stored_secular_split(f, T, dt, S, "sine", stride=20)
     target = secular_projector(newton_potential(f), S)
     got = coeff[-1] * S.resonance.values
     sl = grid.obs_slice()
@@ -603,7 +623,7 @@ def test_secular_C_of_resonance_is_constant():
 
     S = ground_state(grid)
     dt = grid.dr
-    C_traj, coeff = secular_decomposition_C(S.resonance, 25.0, dt, S, stride=25)
+    C_traj, coeff = stored_secular_split(S.resonance, 25.0, dt, S, "cosine", stride=25)
     sl = grid.obs_slice()
     scale = np.max(np.abs(S.resonance.values[sl]))
     full = C_traj.samples + coeff[:, None] * S.resonance.values
@@ -694,6 +714,12 @@ def _streamed_blocks(produce, grid, dt, radius=None):
     return blocks, profiles
 
 
+def _one_field(profiles):
+    """A consumer of a one-field split that hands the field's rows of each
+    (rows, 1, cols) block to profiles."""
+    return SimpleNamespace(inside=profiles.inside, add=lambda block: profiles.add(block[:, 0]))
+
+
 def _assert_same_profiles(profiles, traj):
     stored = TimeProfiles.of(traj, profiles.radius)
     for inner in ("Linf_t", "L2_t", "L1_t"):
@@ -726,13 +752,12 @@ def test_bounded_perturbed_rows_are_the_leading_columns(S_ref):
     cols = grid.obs_slice().stop
     u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)) + 0.5 * np.exp(-((grid.r - 3.0) ** 2)))
     for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
-        series = _resonance_series(grid, S_ref.a, 6.0, dt, kind, [u0])[0]
+        series = _resonance_series(grid, S_ref.a, 6.0, dt, kind, [u0])
         for stride in (1, 3):
-            ref = split(u0, 6.0, dt, S_ref, stride=stride)[0]
+            ref = stored_secular_split(u0, 6.0, dt, S_ref, kind, stride=stride)[0]
             for radius, k in ((grid.R_obs, cols), (grid.dr, 3)):
                 blocks, profiles = _streamed_blocks(
-                    lambda p: split(u0, 6.0, dt, S_ref, stride=stride, series=series,
-                                    profiles=p),
+                    lambda p: split([u0], 6.0, dt, S_ref, series, _one_field(p), stride=stride),
                     grid, ref.dt, radius,
                 )
                 assert np.array_equal(np.concatenate(blocks), ref.samples[:, :k])
@@ -753,11 +778,12 @@ def test_bounded_trajectories_fail_typed(S_ref):
             SpaceTimeField(grid, dt, samples)
     with pytest.raises(GridUsageError, match="needs"):
         TimeProfiles(grid, dt).add(full.samples[:, : cols - 1])
-    # a resonance series must have one value per step, no more and no fewer
-    series = _resonance_series(grid, S_ref.a, 5.0, dt, "sine", [f])[0]
-    for wrong in (series[:-1], np.r_[series, 0.0]):
+    # a resonance series must have one row of one value per step, no more
+    # and no fewer
+    series = _resonance_series(grid, S_ref.a, 5.0, dt, "sine", [f])
+    for wrong in (series[:, :-1], np.pad(series, ((0, 0), (0, 1))), series[0]):
         with pytest.raises(GridUsageError, match="resonance series"):
-            secular_decomposition_S(f, 5.0, dt, S_ref, series=wrong)
+            secular_decomposition_S([f], 5.0, dt, S_ref, wrong, TimeProfiles(grid, dt))
     # a NaN inside the observation ball: the finiteness scan covers every
     # stored sample, and streamed, the profiles the rows feed carry the check
     bad = f.values.copy()
@@ -810,9 +836,11 @@ def test_streamed_rows_give_the_stored_profiles(monkeypatch, stream_setup, produ
     else:
         split = secular_decomposition_S if kind == "sine" else secular_decomposition_C
 
-        def evolve(**kw):
-            out = split(f, T, dt, S, stride=stride, **kw)
-            return None if out is None else out[0]
+        def evolve(profiles=None):
+            if profiles is None:
+                return stored_secular_split(f, T, dt, S, kind, stride=stride)[0]
+            series = _resonance_series(grid, S.a, T, dt, kind, [f])
+            return split([f], T, dt, S, series, _one_field(profiles), stride=stride)
 
     stored = evolve()
     inside = grid.obs_slice()
