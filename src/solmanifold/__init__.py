@@ -17,7 +17,6 @@ from .modulation import (
     BracketError,
     LeftModulationWindow,
     ManifoldQuery,
-    ModulationTrajectory,
     NonlinearRun,
     evolve_nonlinear,
     extract_modulation,
@@ -27,7 +26,6 @@ from .modulation import (
     picard_map,
     picard_transport,
     shoot_h,
-    trajectory_modulation,
     x_norm,
     xpm_evolution,
 )

@@ -20,14 +20,18 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .experiments import (
     _KEYS,
     _SCHEMA,
+    _STRIDE,
     ConfigError,
     ExperimentConfig,
     _csv,
+    _diagnostics,
     _g_profile,
-    _manifold_trajectory,
+    _on_manifold,
     _write,
     family_field,
     run,
@@ -36,7 +40,8 @@ from .experiments import (
 )
 from .grid import RadialField, l2_norm
 from .modulation import make_query, picard_map, picard_transport
-from .spectral import ground_state, spectrum_report
+from .norms import TimeProfiles
+from .spectral import _g_pairings, ground_state, spectrum_report, x_pm
 
 
 def _add_grid_args(p, R=60.0, n=1201):
@@ -94,16 +99,25 @@ def _cmd_manifold(args):
         )
     out = {}
     if args.method in ("shoot", "both"):
-        res, traj = _manifold_trajectory(S, query, args.T, dt, tol=None)
+        # the on-manifold run's radiation, block by block: its norms, x_pm and g-overlap
+        profiles = TimeProfiles(grid, _STRIDE * dt)
+        pairings = []
+
+        def fold(rows, u, a, udot):
+            profiles.add(u)
+            pairings.append((*x_pm(u[:, 0], udot[:, 0], S), _g_pairings(u[:, 0], S)))
+
+        (res,), (a,), (adot,) = _on_manifold(S, [query], args.T, dt, fold, tight=False, rates=True)
         out["shoot"] = {
             "h": res.h,
             "method": "shoot",
             "bracket_width": res.bracket_width,
             "tail_bound": None,
         }
-        cols = (traj.times, traj.a, traj.adot, traj.x_plus, traj.x_minus, traj.g_overlap)
+        cols = (profiles.dt * np.arange(len(a)), a, adot, *map(np.concatenate, zip(*pairings)))
         _write(args.out, "trajectory.csv", _csv(zip(*cols), "t,a,adot,x_plus,x_minus,g_overlap"))
-        out["diagnostics"] = [asdict(d) for d in traj.diagnostics]
+        (diags,) = _diagnostics(profiles, profiles.dt * (len(a) - 1))
+        out["diagnostics"] = [asdict(d) for d in diags]
     if args.method in ("picard", "both"):
         transport = picard_transport(S, args.T, dt)
         it = picard_map(None, None, None, query, S, args.T, dt, transport)

@@ -3,8 +3,9 @@
 Each experiment reproduces one testable claim at desk scale and emits CSV
 records, a JSON report with explicit pass/fail thresholds, and a gnuplot
 script referencing the CSVs.  Identical (config, seed) pairs produce
-byte-identical CSV bodies under the same BLAS thread settings (the thread
-count moves the last digits).
+byte-identical CSV bodies.  Of the CSVs only contraction.csv depends on the
+BLAS thread count (its Duhamel kernel is made by 32-row matrix products);
+every other product pairs one row at a time.
 """
 
 from __future__ import annotations
@@ -35,18 +36,17 @@ from .modulation import (
     BracketError,
     LeftModulationWindow,
     _fixed_point_hs,
+    _manifold_passes,
     evolve_nonlinear,
     make_query,
     picard_map,
     picard_transport,
     shoot_h,
-    trajectory_modulation,
     x_norm,
 )
-from .norms import TimeProfiles, energy, lorentz_norm, mixed_norm
+from .norms import NormReport, TimeProfiles, energy, lorentz_norm
 from .propagators import (
     PropagatorError,
-    SpaceTimeField,
     _resonance_series,
     _secular_coefficients,
     free_cosine_traj,
@@ -242,17 +242,16 @@ def _g_profile(S):
 
 
 def _loglog_fit(x, y):
-    """Least-squares slope of log y vs log x with its standard error."""
+    """Least-squares slope of log y vs log x with its standard error (None: two points)."""
     lx, ly = np.log(np.asarray(x)), np.log(np.abs(np.asarray(y)))
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
     n = len(lx)
+    stderr = None
     if n > 2 and np.size(res):
         sigma2 = float(res[0]) / (n - 2)
         cov = sigma2 * np.linalg.inv(A.T @ A)
         stderr = float(np.sqrt(cov[0, 0]))
-    else:
-        stderr = 0.0
     return float(coef[0]), float(coef[1]), stderr
 
 
@@ -620,11 +619,11 @@ def _run_pairing_identity(cfg, outdir, report):
 # on-manifold runs stop this long before the shooting horizon: the final
 # shooting bracket leaves a growing amplitude ~ width * e^{kT} at its end
 _TRIM = 4.0
-# the snapshot stride of _manifold_trajectory's runs
+# the snapshot stride of the on-manifold runs adot_l1, lipschitz and the CLI read
 _STRIDE = 5
 # the stride of each experiment's on-manifold run: its readers need two
-# snapshots (np.gradient of the scales of a strided run), so a run must make
-# at least one stride of steps
+# snapshots (np.gradient of the scales), so a run must make at least one
+# stride of steps
 _ON_MANIFOLD_STRIDE = {"h_scaling": 1, "adot_l1": _STRIDE, "lipschitz": _STRIDE}
 # the experiments whose checks compare their sweep points (a slope, a ratio
 # of largest to smallest, an ordering): a sweep of one distinct value would
@@ -697,6 +696,10 @@ def _run_codim1(cfg, outdir, report):
         ov = run.g_overlap
         t = run.times_dense
         window = (np.abs(ov) > 10 * abs(offset)) & (np.abs(ov) < 0.05)
+        if np.count_nonzero(window) < 2:
+            raise BracketError(f"offset {offset:+.0e}: the departure window 10|offset| < |ov| < "
+                               f"0.05 holds {np.count_nonzero(window)} step(s); horizon "
+                               f"T={cfg.T} too short to classify the offsets")
         rate = np.polyfit(t[window], np.log(np.abs(ov[window])), 1)[0]
         signs[offset] = float(np.sign(ov[-1]))
         rows.append((offset, rate, signs[offset]))
@@ -718,13 +721,6 @@ def _run_codim1(cfg, outdir, report):
     _emit(outdir, "codim1", rows, "offset,rate,exit_sign", "offset", "rate")
 
 
-def _manifold_trajectory(S, query, T, dt, tol):
-    """Shoot h at bracket tolerance tol (None: shoot_h's), then evolve and extract."""
-    res = shoot_h(query, S, T, dt, tol=tol)
-    run = evolve_nonlinear(*query.initial_data(S, res.h), T - _TRIM, dt, S=S, stride=_STRIDE)
-    return res, trajectory_modulation(_completed(run, T - _TRIM), S)
-
-
 def _tight_tol(query):
     # tighter-than-default bracket: the residual growing amplitude
     # (~ tol * e^{kT}) must stay below the smallest trajectory differences
@@ -732,31 +728,63 @@ def _tight_tol(query):
     return 1e-15 * max(query.epsilon, 1e-6)
 
 
+def _on_manifold(S, queries, T, dt, fold, tight=True, rates=False):
+    """(shots, a, adot): shoot each query, then read the runs from the shot h by _manifold_passes.
+
+    Each bracket closes at _tight_tol (tight) or at shoot_h's tolerance;
+    the runs end _TRIM before T and are read every _STRIDE steps.
+    """
+    shots = [shoot_h(q, S, T, dt, tol=_tight_tol(q) if tight else None) for q in queries]
+    a, adot = _manifold_passes(queries, [res.h for res in shots], S, T - _TRIM, dt, fold,
+                               stride=_STRIDE, rates=rates)
+    return shots, a, adot
+
+
+# the mixed norms of the radiation u of an on-manifold run that adot_l1 and
+# the CLI's manifold report: (kind, outer, inner)
+_DIAGNOSTICS = (("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"), ("Linf_x_L2_t", "Linf_x", "L2_t"))
+
+
+def _diagnostics(profiles, horizon):
+    """[[NormReport of each kind] per trajectory] of the rows of K trajectories in profiles."""
+    grid = profiles.grid
+    values = [profiles.norm(outer, inner) for _, outer, inner in _DIAGNOSTICS]
+    return [
+        [NormReport(kind=kind, value=v, R=grid.R, R_obs=grid.R_obs, n=grid.n, dt=profiles.dt,
+                    T=horizon) for (kind, _, _), v in zip(_DIAGNOSTICS, point)]
+        for point in zip(*values)
+    ]
+
+
 def _run_adot_l1(cfg, outdir, report):
     grid = cfg.grid()
     dt = cfg.timestep(grid)
     S = ground_state(grid)
     sweep = cfg.sweep or (1e-3, 3e-3, 1e-2)
+    queries = [seeded_query(grid, S, e, cfg.seed) for e in sweep]
+    # one TimeProfiles of the radiation of all the sweep's runs
+    profiles = TimeProfiles(grid, _STRIDE * dt)
+    _, a, adot = _on_manifold(S, queries, cfg.T, dt, lambda rows, u, a, udot: profiles.add(u))
+    diagnostics = _diagnostics(profiles, profiles.dt * (a.shape[1] - 1))
     rows = []
     consts = []
-    for e in sweep:
-        query = seeded_query(grid, S, e, cfg.seed)
-        res, traj = _manifold_trajectory(S, query, cfg.T, dt, _tight_tol(query))
-        mixed = max(d.value for d in traj.diagnostics)
+    for query, rate, diags in zip(queries, adot, diagnostics):
+        adot_l1 = float(np.sum(np.abs(rate)) * profiles.dt)
+        mixed = max(d.value for d in diags)
         consts.append(mixed / query.epsilon)
-        rows.append((query.epsilon, traj.adot_l1, mixed, traj.adot_l1 / query.epsilon))
+        rows.append((query.epsilon, adot_l1, mixed, adot_l1 / query.epsilon))
         report.records.append(
-            {"eps": query.epsilon, "adot_l1": traj.adot_l1, "mixed_norm": mixed}
+            {"eps": query.epsilon, "adot_l1": adot_l1, "mixed_norm": mixed}
         )
     ratios = [r[3] for r in rows]
     report.fits["adot_l1_over_eps"] = {"values": ratios}
     report.add_check("adot_l1_constant_stable", max(ratios) / max(min(ratios), 1e-300), 3.0)
     report.add_check("mixed_norm_constant_stable", max(consts) / min(consts), 3.0)
     # consistency of the two adot routes on the last trajectory
-    tv = float(np.sum(np.abs(np.diff(traj.a))))
+    tv = float(np.sum(np.abs(np.diff(a[-1]))))
     report.add_check(
         "extraction_vs_condition_tv",
-        abs(tv - traj.adot_l1) / max(traj.adot_l1, 1e-300),
+        abs(tv - rows[-1][1]) / max(rows[-1][1], 1e-300),
         0.05,
     )
     header = "eps,adot_l1,mixed_norm,adot_l1_over_eps"
@@ -768,24 +796,27 @@ def _run_lipschitz(cfg, outdir, report):
     dt = cfg.timestep(grid)
     S = ground_state(grid)
     base = seeded_query(grid, S, cfg.eps, cfg.seed)
-    res0, traj0 = _manifold_trajectory(S, base, cfg.T, dt, _tight_tol(base))
     bump = bump_field(grid, 1.5, 1.2)
     size = l2_norm(bump)
+    others = [
+        make_query(S, RadialField(grid, base.psi0_perturbation.values + d * bump.values / size),
+                   grid.zeros())
+        for d in cfg.sweep
+    ]
+    # the base run is row 0 of the stack; the radiation of each other run,
+    # less the base run's, feeds one TimeProfiles
+    diffs = TimeProfiles(grid, _STRIDE * dt)
+    cols = diffs.inside.stop
+
+    def fold(rows, u, a, udot):
+        diffs.add(u[:, 1:, :cols] - u[:, :1, :cols])
+
+    (res0, *shots), _, _ = _on_manifold(S, [base] + others, cfg.T, dt, fold)
+    dnorms = diffs.norm(("lorentz", 6, 2), "Linf_t")
     rows = []
     consts = []
-    for d in cfg.sweep:
-        other_pert = RadialField(grid, base.psi0_perturbation.values + d * bump.values / size)
-        other = make_query(S, other_pert, grid.zeros())
-        dist = h1_seminorm(
-            RadialField(
-                grid, other.psi0_perturbation.values - base.psi0_perturbation.values
-            )
-        )
-        res1, traj1 = _manifold_trajectory(S, other, cfg.T, dt, _tight_tol(other))
-        diff = SpaceTimeField(
-            grid, traj0.u_snapshots.dt, traj1.u_snapshots.samples - traj0.u_snapshots.samples
-        )
-        dnorm = mixed_norm(diff, ("lorentz", 6, 2), "Linf_t")
+    for other, res1, dnorm in zip(others, shots, dnorms):
+        dist = h1_seminorm(other.psi0_perturbation - base.psi0_perturbation)
         consts.append(dnorm / dist)
         rows.append((dist, dnorm, dnorm / dist, abs(res1.h - res0.h)))
         report.records.append(

@@ -13,9 +13,11 @@ The modulation source of a frozen history is never stored whole, and
 neither is its Duhamel kernel: the source is made _ROWS rows at a time, as
 the Picard map's pair of linear runs reads it, and each block, with its
 rows of the kernel, is folded into every quantity that reads it before
-the next replaces it (_source_rows).  The fixed-point h of the h_scaling sweep
-stores no run either: two streamed passes, the first stepping every sweep
-point as one stack, give it from the same blocks (_fixed_point_hs).
+the next replaces it (_source_rows).  No on-manifold run is stored either:
+two streamed passes, each stepping every sweep point as one stack, give the
+scales of its snapshots and then hand their blocks of u = psi - phi(a) to
+the caller (_manifold_passes); the fixed-point h of the h_scaling sweep
+folds them into the same pairings (_fixed_point_hs).
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -26,7 +28,7 @@ authoritative here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +47,7 @@ from .grid import (
     l2_norm,
     pair_w,
 )
-from .norms import NormReport, TimeProfiles, lorentz_norm
+from .norms import TimeProfiles, lorentz_norm
 from .propagators import (
     PropagatorError,
     SpaceTimeField,
@@ -54,7 +56,7 @@ from .propagators import (
     free_cosine_traj,
     free_sine_traj,
 )
-from .spectral import project_continuous, secular_coefficient, x_pm
+from .spectral import project_continuous, secular_coefficient
 
 TWO = 2.0
 
@@ -131,15 +133,13 @@ def _u_frame(grid, S):
 
 @dataclass
 class NonlinearRun:
-    """Outcome of evolve_nonlinear: trajectory plus departure bookkeeping."""
+    """Outcome of evolve_nonlinear: its steps and departure bookkeeping."""
 
     grid: object
     dt: float
     status: str                       # "completed" | "departed" | "blowup"
     times_dense: np.ndarray
     g_overlap: np.ndarray             # <psi - phi, g>_w at every solver step (if S given)
-    psi: SpaceTimeField = None        # strided psi snapshots (None: stride None)
-    dpsi_dt: SpaceTimeField = None    # strided five-point time derivative
     departure_time: float = None
 
 
@@ -167,15 +167,12 @@ def evolve_nonlinear(
     A blow-up detector aborts once sup |psi| on the observation ball
     exceeds 10*phi(0, S.a) or is NaN; the run is a typed outcome, never
     an exception.  The frame, the force and that test are _u_frame's and
-    _quintic_force's, which _fixed_point_hs also steps on a stack.  Only
-    every stride-th step is kept (none with stride None), with its time
-    derivative (five-point centred, see
-    propagators._rate) taken in the loop.  Without consume both are stored,
-    and the two stacks become SpaceTimeFields in place, once, after it.
-    With consume, nothing is stored: consume(j, psi, psi_t) receives the
-    RadialFields of snapshot j, in order, as the loop makes them (see
-    propagators._leapfrog), each checked finite as a stored trajectory is,
-    and the returned run has psi = dpsi_dt = None.
+    _quintic_force's, which _manifold_passes also steps on a stack.
+    Nothing is stored: with consume, consume(j, psi, psi_t) receives the
+    RadialFields of snapshot j, every stride-th step, with its time
+    derivative (five-point centred, see propagators._rate), in order, as
+    the loop makes them (see propagators._leapfrog), each checked finite;
+    without consume (or with stride None) no snapshot is made.
     """
     grid = psi0.grid
     r = grid.r
@@ -192,44 +189,33 @@ def evolve_nonlinear(
             return "departed"
         return None
 
-    emit = None
-    if consume is not None:
+    def emit(j, row, rate):
+        psi = _values_from_w(grid, np.array(row))
+        psi += phi
+        psi_t = _values_from_w(grid, rate)
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
+            raise GridUsageError("non-finite trajectory samples")
+        consume(j, RadialField(grid, psi), RadialField(grid, psi_t))
 
-        def emit(j, row, rate):
-            psi = _values_from_w(grid, np.array(row))
-            psi += phi
-            psi_t = _values_from_w(grid, rate)
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
-                raise GridUsageError("non-finite trajectory samples")
-            consume(j, RadialField(grid, psi), RadialField(grid, psi_t))
-
-    rows, rates, m_end, status = _leapfrog(
+    streamed = consume is not None and stride is not None
+    m_end, status = _leapfrog(
         grid,
         (psi0.values - phi) * r,
         r * psi1.values,
         T,
         dt,
         _quintic_force(r, wphi),
-        stride=stride,
+        stride=stride if streamed else None,
         stop=stop,
-        rates=stride is not None,
+        rates=streamed,
         emit=emit,
-    )
-    psi = dpsi_dt = None
-    if consume is None and stride is not None:
-        _values_from_w(grid, rows)
-        rows += phi
-        psi = SpaceTimeField(grid, dt * stride, rows)
-        dpsi_dt = SpaceTimeField(grid, dt * stride, _values_from_w(grid, rates))
-
+    )[2:]
     return NonlinearRun(
         grid=grid,
         dt=dt,
         status=status or "completed",
         times_dense=np.arange(m_end + 1) * dt,
         g_overlap=np.array(ovs),
-        psi=psi,
-        dpsi_dt=dpsi_dt,
         departure_time=None if status is None else m_end * dt,
     )
 
@@ -240,10 +226,15 @@ def extract_modulation(psi, S):
     This instantaneous orthogonality kills the resonance direction locally;
     it is the practical stand-in for the nonlocal modulation condition,
     whose mutual consistency with this extraction is itself a test.  The
-    one-row case of _modulation_series (the same Chebyshev proxy and
-    root-find); raises LeftModulationWindow when the window holds no root.
+    one-row case of the passes' extraction (the same Chebyshev proxy and
+    root-find, _modulation_proxy); raises LeftModulationWindow when the
+    window holds no root.
     """
-    return float(_modulation_series(psi.values[None], S)[0][0])
+    product, scales = _modulation_proxy(S)
+    a, miss = scales([product(psi.values[None])])
+    if miss[0]:
+        raise LeftModulationWindow(f"no modulation root in {_window(S)}")
+    return float(a[0])
 
 
 @dataclass(frozen=True)
@@ -469,8 +460,8 @@ class _Sources:
     secular: np.ndarray = None  # the secular sums of B (_kernel_fold), or None: no kernel
 
 
-_ROWS = 32  # rows per block of the source and its kernel, _add_outer and _modulation_series
-_NODES = 32  # Chebyshev nodes of the modulation window in _modulation_series
+_ROWS = 32  # rows per block of the source and its kernel, _add_outer and _manifold_passes
+_NODES = 32  # Chebyshev nodes of the modulation window in _modulation_proxy
 
 
 class _Blocks:
@@ -604,11 +595,11 @@ def _window(S):  # relative, and read at call time
     return tuple(S.a * w for w in soliton.MODULATION_WINDOW)
 
 
-def _check_history(samples, a0, adot0, S):
-    a0 = np.asarray(a0, dtype=float)
-    if len(a0) != len(samples) or len(adot0) != len(samples):
+def _check_history(samples, S, *series):
+    """series[0] (a0) as floats, each series checked against samples, a0 against the window."""
+    if any(len(x) != len(samples) for x in series):
         raise GridUsageError("history lengths disagree")
-    return _check_window(a0, S)
+    return _check_window(np.asarray(series[0], dtype=float), S)
 
 
 def _check_window(a0, S):
@@ -633,7 +624,7 @@ def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w):
     return h, tail
 
 
-def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0):
+def h_fixed_point(u0_traj, a0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0):
     """Unstable-direction offset from the boundedness of the growing coordinate.
 
     Solves 2 k h <g,g> = -(weighted integral of the modulation sources) in
@@ -652,7 +643,7 @@ def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0)
     experiment gets the same bits for its on-manifold runs, which it never
     stores, from _fixed_point_hs.
     """
-    a0 = _check_history(u0_traj.samples, a0, adot0, S)
+    a0 = _check_history(u0_traj.samples, S, a0)
     src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
     return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
 
@@ -660,90 +651,117 @@ def h_fixed_point(u0_traj, a0, adot0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0)
 def _fixed_point_hs(queries, hs, S, T, dt):
     """h_fixed_point of the on-manifold run of each query at its shot h, from no stored run.
 
+    The runs are read over [0, T] at stride 1 by _manifold_passes, whose
+    blocks of u go to each point's pairings (_source_fold) as
+    h_fixed_point's assembly folds the stored run's, so every h and tail
+    bound has the stored run's bits.  Returns [(h, tail_bound)], one per query.
+    """
+    M = int(round(T / dt))
+    srcs = [_Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1))
+            for _ in queries]
+    folds = [_source_fold(S, src) for src in srcs]
+
+    def fold(rows, u, a, udot):
+        for k, fold_k in enumerate(folds):
+            fold_k(rows, u[:, k], a[k])
+
+    _manifold_passes(queries, hs, S, T, dt, fold)
+    return [_h_from(src, dt, S, pair_w(q.psi0_perturbation, S.g), pair_w(q.psi1, S.g))
+            for q, src in zip(queries, srcs)]
+
+
+def _manifold_passes(queries, hs, S, T, dt, fold, stride=1, rates=False):
+    """Read the on-manifold run of each query at its shot h, from no stored run: (a, adot).
+
     Each run is evolve_nonlinear's from query.initial_data(S, h) over
-    [0, T] at dt, stride 1.  Two streamed passes replace the stored runs:
-
-    - pass 1 (_proxy_products) steps all K runs as one (K, n) stack and
-      keeps only each row's products with the modulation proxy; one
-      root-find then gives the scales of every run;
-    - pass 2 reruns each point alone and folds each block of _ROWS rows,
-      u = psi - phi(a), into its pairings (_source_fold), as
-      h_fixed_point's assembly does; _h_from then gives h.
-
-    A row of a stack takes the bits of its own run, and pass 2 folds the
-    blocks h_fixed_point's assembly folds, so every h and tail bound is
-    h_fixed_point's of the stored run with the u and a of
-    _modulation_series, bit for bit where the BLAS rounds each _ROWS-row
-    product with the proxy as it rounds the stored run's one product over
-    all its rows (it does for the 351 rows of the shipped h_scaling grid,
-    n = 1201; on small grids it need not, and h moves in its last digits).
-    A row without a modulation root raises LeftModulationWindow naming the
-    sweep point, its index in queries, and the row.  Returns
-    [(h, tail_bound)], one per query.
+    [0, T] at dt, read at its J snapshots, every stride-th step.  Both
+    passes step all K runs as one (K, n) stack, each row with its own
+    run's bits.  Pass 1 (_proxy_products) keeps each snapshot's proxy
+    products, whose one root-find gives the scales a, (K, J), and adot =
+    np.gradient(a, stride dt) along each run.  Pass 2 hands fold(rows, u,
+    a, udot) each block of up to _ROWS snapshots, in order: u = psi -
+    phi(a), (rows, K, n), the block's scales, (K, rows), and with rates
+    udot = psi_t - adot dphi_da(a) from _leapfrog's five-point rates, else
+    None; u and udot live until the next block.  Each row is paired with
+    the proxy alone (_modulation_proxy), so all of these are the stored
+    run's extraction, bit for bit, whatever the blocking or the BLAS
+    thread count.  A row without a modulation root raises
+    LeftModulationWindow naming its point, the index in queries, and the
+    row; a blow-up in pass 1 raises PropagatorError naming the point.
     """
     grid = S.grid
     r = grid.r
-    K, M = len(queries), int(round(T / dt))
+    K = len(queries)
+    J = int(round(T / dt)) // stride + 1
     frame = _u_frame(grid, S)
     phi, wphi = frame[:2]
     data = [q.initial_data(S, h) for q, h in zip(queries, hs)]
     w0 = np.array([(psi0.values - phi) * r for psi0, _ in data])
     w1 = np.array([r * psi1.values for _, psi1 in data])
-    Q, scales = _modulation_proxy(S)
-    a, miss = scales(list(_proxy_products(grid, frame, w0, w1, T, dt, Q)))
-    a, miss = a.reshape(K, M + 1), miss.reshape(K, M + 1)
+    product, scales = _modulation_proxy(S)
+    a, miss = scales(list(_proxy_products(grid, frame, w0, w1, T, dt, stride, product)))
+    del product, scales  # pass 2 holds no proxy
+    a, miss = a.reshape(K, J), miss.reshape(K, J)
     for k in range(K):
         if miss[k].any():
             raise LeftModulationWindow(f"sweep point {k}: row {np.flatnonzero(miss[k])[0]} has "
                                        f"no modulation root in {_window(S)}")
     _check_window(a, S)
+    adot = np.gradient(a, stride * dt, axis=-1)
 
-    out = []
-    force = _quintic_force(r, wphi)
-    block = np.empty((_ROWS, grid.n))
-    for k, query in enumerate(queries):
-        src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1))
-        fold = _source_fold(S, src)
+    def radiation(rows, u, udot):  # psi and psi_t become u and udot, in place
+        for k in range(K):  # one point at a time: (rows, n) temporaries
+            scale = a[k, rows, None]
+            u[k] -= soliton.phi(r, scale)
+            if rates:
+                udot[k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)
+        fold(rows, u.swapaxes(0, 1), a[:, rows], udot if udot is None else udot.swapaxes(0, 1))
 
-        def fold_block(j, w, rate):
-            i = j % _ROWS  # the block holds rows j - i .. j
-            block[i] = w
-            if i == _ROWS - 1 or j == M:
-                rows = slice(j - i, j + 1)
-                u = _values_from_w(grid, block[: i + 1])
-                u += phi
-                u -= soliton.phi(r, a[k, rows, None])
-                fold(rows, u, a[k, rows])
-
-        _leapfrog(grid, w0[k], w1[k], T, dt, force, emit=fold_block)
-        out.append(_h_from(src, dt, S, pair_w(query.psi0_perturbation, S.g),
-                           pair_w(query.psi1, S.g)))
-    return out
+    _leapfrog(grid, w0, w1, T, dt, _quintic_force(r, wphi, (K,)), stride=stride, rates=rates,
+              emit=_snapshot_blocks(grid, phi, K, J, rates, radiation))
+    return a, adot
 
 
-def _proxy_products(grid, frame, w0, w1, T, dt, Q):
-    """Pass 1 of _fixed_point_hs: the (K, M+1, _NODES) products psi_m @ Q.T of K runs.
+def _snapshot_blocks(grid, phi, K, J, rates, take):
+    """The emit of a (K, n) _leapfrog run of the u flow: its J snapshots, _ROWS at a time.
+
+    take(rows, psi, psi_t) gets the snapshots rows, in order: psi = w / r +
+    phi and psi_t the values of their rates (None without rates), each
+    (K, rows, n) with each point's rows together, in buffers the next block reuses.
+    """
+    psi = np.empty((K, _ROWS, grid.n))
+    psi_t = np.empty_like(psi) if rates else None
+
+    def emit(j, w, rate):
+        i = j % _ROWS  # the block holds snapshots j - i .. j of every run
+        psi[:, i] = w
+        if rates:
+            psi_t[:, i] = rate
+        if i == _ROWS - 1 or j == J - 1:
+            block = _values_from_w(grid, psi[:, : i + 1])
+            block += phi
+            take(slice(j - i, j + 1), block,
+                 _values_from_w(grid, psi_t[:, : i + 1]) if rates else None)
+
+    return emit
+
+
+def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
+    """Pass 1 of _manifold_passes: the (K, J, _NODES) proxy products of the snapshots of K runs.
 
     The K runs of the u flow from (w0, w1), (K, n) each, step as one stack
-    through _leapfrog; frame is _u_frame's.  Each run's rows are
-    projected _ROWS at a time, in blocks from row 0, into one reused
-    (K, _ROWS, n) buffer.  A blow-up in any row ends the pass and raises
+    through _leapfrog; frame is _u_frame's, product _modulation_proxy's.
+    Every stride-th state is a snapshot, paired a block at a time
+    (_snapshot_blocks).  A blow-up in any row ends the pass and raises
     PropagatorError naming that row's sweep point.
     """
     phi, wphi, overlap, blown = frame
-    K, n = w0.shape
-    M = int(round(T / dt))
-    P = np.empty((K, M + 1, _NODES))
-    psi = np.empty((K, _ROWS, n))
+    K = len(w0)
+    J = int(round(T / dt)) // stride + 1
+    P = np.empty((K, J, _NODES))
 
-    def project(j, w, rate):
-        i = j % _ROWS  # the block holds rows j - i .. j of every run
-        psi[:, i] = w
-        if i == _ROWS - 1 or j == M:
-            block = _values_from_w(grid, psi[:, : i + 1])
-            block += phi
-            for k in range(K):
-                P[k, j - i : j + 1] = block[k] @ Q.T
+    def project(rows, psi, psi_t):
+        P[:, rows] = product(psi)
 
     def stop(m, w):
         if m < 2:  # the data and the Taylor step are not tested
@@ -752,7 +770,8 @@ def _proxy_products(grid, frame, w0, w1, T, dt, Q):
         return bad[0] if len(bad) else None
 
     force = _quintic_force(grid.r, wphi, (K,))
-    m_end, point = _leapfrog(grid, w0, w1, T, dt, force, stop=stop, emit=project)[2:]
+    m_end, point = _leapfrog(grid, w0, w1, T, dt, force, stride=stride, stop=stop,
+                             emit=_snapshot_blocks(grid, phi, K, J, False, project))[2:]
     if point is not None:
         raise PropagatorError(f"nonlinear run of sweep point {point} ended 'blowup' at "
                               f"t={m_end * dt:.6g} of T={T}")
@@ -808,7 +827,7 @@ def _xpm_from(src, data0, data1, S, dt):
     return xp, xm, tail_bound
 
 
-def xpm_evolution(u0_traj, a0, adot0, query, S, h):
+def xpm_evolution(u0_traj, a0, query, S, h):
     """Discrete-spectrum coordinates from the frozen-history Duhamel forms.
 
     x_minus integrates forward from t = 0; x_plus uses the backward-stable
@@ -987,7 +1006,7 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
         a0 = np.full(M + 1, S.a)
         src, F, D = _no_source(M), None, None
     else:
-        a0 = _check_history(u0_traj.samples, a0, adot0, S)
+        a0 = _check_history(u0_traj.samples, S, a0, adot0)
         src, F, D = _source_rows(u0_traj.samples, a0, adot0, S, dt, transport)
     samples = _pc_u_series(query, F, D, S, T, dt)
 
@@ -1086,21 +1105,6 @@ def _pc_u_series(query, F, D, S, T, dt):
     return out
 
 
-@dataclass
-class ModulationTrajectory:
-    """Extracted modulation history of a nonlinear run, plus diagnostics."""
-
-    times: np.ndarray
-    a: np.ndarray
-    adot: np.ndarray
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-    g_overlap: np.ndarray
-    u_snapshots: SpaceTimeField
-    diagnostics: list = field(default_factory=list)
-    adot_l1: float = 0.0
-
-
 def _series_roots(coef):
     """Roots in [-1, 1] of the Chebyshev series coef[:, m], one per column.
 
@@ -1123,16 +1127,30 @@ def _series_roots(coef):
 
 
 def _modulation_proxy(S):
-    """(Q, scales): the Chebyshev proxy of the modulation scale, see _modulation_series.
+    """(product, scales): the Chebyshev proxy of the modulation scale.
 
-    rows @ Q.T holds each row's <psi, Q_j> at the _NODES Chebyshev points
-    a_j of the window, Q_j = W V(a_j) dphi_da(a_j) (W the Simpson weight
-    4 pi r^2).  scales(products) takes a list of such (rows, _NODES)
-    products, one per run, and returns the scales of all their rows, in
-    order, with the miss flags of _series_roots: one root-find over every
-    run.  Each run's Chebyshev coefficients come from one transform over
-    all its rows, as one run alone gets them: a transform over more or
-    fewer columns at once rounds them otherwise.
+    The scale a_m of a row psi_m is the root of F_m(a) = <psi_m - phi(a),
+    V(a) dphi_da(a)>, bracketed by the whole window S.a * MODULATION_WINDOW;
+    on the pinned on-manifold runs F_m is increasing there with a single
+    sign change, so this is the root a search from the previous row's scale
+    finds.  F_m is analytic in a except at a <= 0, so its interpolant at
+    _NODES Chebyshev points a_j of the window converges like
+    (2 + sqrt 3)^-N (Trefethen, ATAP Thm 8.2): the profiles are evaluated
+    once, at the nodes, and one vectorised bisection (_series_roots) solves
+    every row on its Chebyshev series.
+
+    product(rows) holds each row's <psi, Q_j> at the nodes, Q_j = W V(a_j)
+    dphi_da(a_j) (W the Simpson weight 4 pi r^2), shape rows.shape[:-1] +
+    (_NODES,).  Each row is paired by its own dot products (np.vecdot), so
+    its products, and its scale, do not depend on how many rows share a
+    call, nor on the BLAS thread count, as a matrix product's would.
+    scales(products) takes a list of (rows, _NODES) products, one per run,
+    and returns the scales of all their rows, in order, with the miss
+    flags of _series_roots (a row without a sign change across the window,
+    a non-finite one included): one root-find over every run.  Each run's
+    Chebyshev coefficients come from one transform over all its rows, as
+    one run alone gets them: a transform over more or fewer columns at
+    once rounds them otherwise.
     """
     r = S.grid.r
     lo, hi = _window(S)
@@ -1144,79 +1162,11 @@ def _modulation_proxy(S):
     # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
     T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
 
+    def product(rows):
+        return np.vecdot(rows[..., None, :], Q)
+
     def scales(products):
         s, miss = _series_roots(np.concatenate([T.T @ (P - c).T for P in products], axis=1))
         return mid + half * s, miss
 
-    return Q, scales
-
-
-def _modulation_series(samples, S):
-    """Scales a_m of the rows psi_m of a trajectory, and u_m = psi_m - phi(a_m).
-
-    a_m is the root of F_m(a) = <psi_m - phi(a), V(a) dphi_da(a)>, bracketed
-    by the whole window S.a * MODULATION_WINDOW; on the pinned on-manifold runs F_m is
-    increasing there with a single sign change, so this is the root a search
-    from the previous row's scale finds.  F_m is analytic in a except at
-    a <= 0, so its interpolant at _NODES Chebyshev points of the window
-    converges like (2 + sqrt 3)^-N (Trefethen, ATAP Thm 8.2): the profiles
-    are evaluated once, at the nodes, one product gives every row's F there,
-    and one vectorised bisection (_series_roots) solves every row on its
-    Chebyshev series.  A row without a sign change across the window raises
-    LeftModulationWindow naming the first such row: the one place a window
-    miss surfaces.  u is filled _ROWS rows at a time, so no second (M+1, n)
-    stack is held beside it.  Returns (a, u).
-    """
-    r = S.grid.r
-    Q, scales = _modulation_proxy(S)
-    a, miss = scales([samples @ Q.T])
-    miss = np.flatnonzero(miss)
-    if len(miss):
-        raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {_window(S)}")
-    u = np.empty_like(samples)
-    for start in range(0, len(a), _ROWS):
-        rows = slice(start, start + _ROWS)
-        np.subtract(samples[rows], soliton.phi(r, a[rows, None]), out=u[rows])
-    return a, u
-
-
-def trajectory_modulation(run, S):
-    """Extract a(t), adot, x_pm and the radiation along a nonlinear run."""
-    psi = run.psi
-    grid = psi.grid
-    dt = psi.dt
-    a, u_samples = _modulation_series(psi.samples, S)
-    adot = np.gradient(a, dt)
-    u_traj = SpaceTimeField(grid, dt, u_samples)
-    udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
-    xp, xm = x_pm(u_samples, udot, S)
-    # the Simpson pairing of every row with g that x_pm makes
-    ov = u_samples @ (FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values)
-    adot_l1 = float(np.sum(np.abs(adot)) * dt)
-    profiles = TimeProfiles.of(u_traj)
-    diags = [
-        NormReport(
-            kind=kind,
-            value=profiles.norm(outer, inner),
-            R=grid.R,
-            R_obs=grid.R_obs,
-            n=grid.n,
-            dt=dt,
-            T=psi.horizon,
-        )
-        for kind, outer, inner in (
-            ("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"),
-            ("Linf_x_L2_t", "Linf_x", "L2_t"),
-        )
-    ]
-    return ModulationTrajectory(
-        times=psi.times,
-        a=a,
-        adot=adot,
-        x_plus=xp,
-        x_minus=xm,
-        g_overlap=ov,
-        u_snapshots=u_traj,
-        diagnostics=diags,
-        adot_l1=adot_l1,
-    )
+    return product, scales

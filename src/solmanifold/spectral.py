@@ -174,21 +174,25 @@ def project_continuous(f, S):
     return RadialField(f.grid, f.values - inner_product(f, S.g) * S.g.values)
 
 
+def _g_pairings(rows, S):
+    """<row, g> of each row of a stack by composite Simpson, one np.vecdot per row."""
+    grid = S.grid
+    return np.vecdot(rows, FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values)
+
+
 def x_pm(u0, u1, S):
     """Coordinates along the exponentially growing/decaying modes.
 
     u0 and u1 are stacks of rows (the last axis is the grid), each row
-    paired with g by composite Simpson as in inner_product:
-    x_pm = (2k)^(-1/2) (k <u0, g> +/- <u1, g>).  The growing coordinate is
+    paired with g by composite Simpson as in inner_product, by its own dot
+    product (_g_pairings), so a row's coordinates do not depend on the rows
+    beside it: x_pm = (2k)^(-1/2) (k <u0, g> +/- <u1, g>).  The growing coordinate is
     x_plus: under the linearized flow, data (g, k g) gives d/dt x_plus =
     +k x_plus with x_minus = 0 (verified empirically in the test suite;
     display bookkeeping elsewhere writes the same pair with the opposite
     role assignment, so the ordering here is pinned by the dynamics).
     """
-    grid = S.grid
-    wg = FOUR_PI * grid.simpson_weights * grid.r**2 * S.g.values
-    ov = u0 @ wg
-    rate = u1 @ wg
+    ov, rate = _g_pairings(u0, S), _g_pairings(u1, S)
     c = 1.0 / np.sqrt(2.0 * S.k)
     return c * (S.k * ov + rate), c * (S.k * ov - rate)
 

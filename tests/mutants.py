@@ -121,7 +121,7 @@ MUTANTS = [
     (
         "window miss not raised",
         "src/solmanifold/modulation.py",
-        "if len(miss):",
+        "if miss[k].any():",
         "if False:",
     ),
     (
@@ -263,10 +263,10 @@ MUTANTS = [
         'f = family_field(grid, "vdphi_bump")',
     ),
     (
-        "on-manifold run not checked for completion",
-        "src/solmanifold/experiments.py",
-        "trajectory_modulation(_completed(run, T - _TRIM), S)",
-        "trajectory_modulation(run, S)",
+        "on-manifold pass 1 not checked for completion",
+        "src/solmanifold/modulation.py",
+        "    if point is not None:\n        raise PropagatorError",
+        "    if False:\n        raise PropagatorError",
     ),
     (
         "zero-history x_minus drops x_minus(0)",
@@ -327,12 +327,58 @@ MUTANTS = [
         "        source_row = lambda m, row=source.row, last=source.rows - 1: row(min(m, last))",
     ),
     (
-        "pass 2 of the fixed-point h reads another run's scales",
+        "pass 2 reads another run's scales",
         "src/solmanifold/modulation.py",
-        "                u -= soliton.phi(r, a[k, rows, None])\n"
-        "                fold(rows, u, a[k, rows])",
-        "                u -= soliton.phi(r, a[k - 1, rows, None])\n"
-        "                fold(rows, u, a[k - 1, rows])",
+        "scale = a[k, rows, None]",
+        "scale = a[k - 1, rows, None]",
+    ),
+    (
+        "the fixed-point h folds another point's scales",
+        "src/solmanifold/modulation.py",
+        "fold_k(rows, u[:, k], a[k])",
+        "fold_k(rows, u[:, k], a[k - 1])",
+    ),
+    (
+        "adot_l1 reads another point's scale rates",
+        "src/solmanifold/experiments.py",
+        "zip(queries, adot, diagnostics)",
+        "zip(queries, np.roll(adot, 1, axis=0), diagnostics)",
+    ),
+    (
+        "lipschitz takes the differences against the wrong row of the stack",
+        "src/solmanifold/experiments.py",
+        "u[:, 1:, :cols] - u[:, :1, :cols]",
+        "u[:, 1:, :cols] - u[:, -1:, :cols]",
+    ),
+    (
+        "pass 1 runs at a stride other than pass 2's",
+        "src/solmanifold/modulation.py",
+        "list(_proxy_products(grid, frame, w0, w1, T, dt, stride, product))",
+        "list(_proxy_products(grid, frame, w0, w1, T, dt, max(stride - 1, 1), product))",
+    ),
+    (
+        "the per-row proxy product pairs a row with its neighbour",
+        "src/solmanifold/modulation.py",
+        "np.vecdot(rows[..., None, :], Q)",
+        "np.vecdot(np.roll(rows, 1, axis=-2)[..., None, :], Q)",
+    ),
+    (
+        "pass 2's udot takes the rates without the scale term",
+        "src/solmanifold/modulation.py",
+        "udot[k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)",
+        "udot[k] -= 0.0 * soliton.dphi_da(r, scale)",
+    ),
+    (
+        "codim1 fits an empty departure window",
+        "src/solmanifold/experiments.py",
+        "if np.count_nonzero(window) < 2:",
+        "if False:",
+    ),
+    (
+        "a two-point fit reports a standard error of 0",
+        "src/solmanifold/experiments.py",
+        "    stderr = None\n    if n > 2",
+        "    stderr = 0.0\n    if n > 2",
     ),
     (
         "the proxy's coefficient transform spans all runs' columns at once",

@@ -8,11 +8,15 @@ diagonal, the anti-diagonal sums by one bincount, the sums of a whole
 Duhamel kernel, the scheme-pairing P_c that the projected linear flow
 applies at every step, the inner time norms of a whole stored stack, the
 whole modulation source stacks, the fixed-point h of a stored
-on-manifold run, the secular split of one stored perturbed run), a
-conserved quantity that checks a propagator, a way to cut a stored
-trajectory that the package no longer needs, or a formula the package
-uses only in another form (the quintic nonlinearity on fields).
+on-manifold run, the secular split of one stored perturbed run, the
+stored nonlinear run and the whole-run extraction of its modulation that
+the streamed passes replaced), a conserved quantity that checks a
+propagator, a way to cut a stored trajectory that the package no longer
+needs, or a formula the package uses only in another form (the quintic
+nonlinearity on fields).
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +29,18 @@ from solmanifold.grid import (
     inner_product,
     pair_w,
 )
-from solmanifold.modulation import _modulation_series, _quintic, evolve_nonlinear, h_fixed_point
+from solmanifold.modulation import (
+    _ROWS,
+    LeftModulationWindow,
+    NonlinearRun,
+    _modulation_proxy,
+    _quintic,
+    _window,
+    evolve_nonlinear,
+    h_fixed_point,
+    shoot_h,
+)
+from solmanifold.norms import NormReport, TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
     _free_slices,
@@ -33,7 +48,7 @@ from solmanifold.propagators import (
     _secular_coefficients,
     evolve_linear_perturbed,
 )
-from solmanifold.spectral import secular_coefficient
+from solmanifold.spectral import _g_pairings, secular_coefficient, x_pm
 
 
 def from_csv(text):
@@ -220,17 +235,126 @@ def transport_energy(u, ut):
     return FOUR_PI * dr * float(np.sum(dv * dv + vt_mid * vt_mid))
 
 
+@dataclass
+class StoredRun(NonlinearRun):
+    """A NonlinearRun with its strided snapshots stored whole."""
+
+    psi: SpaceTimeField = None      # strided psi snapshots
+    dpsi_dt: SpaceTimeField = None  # strided five-point time derivative
+
+
+def stored_nonlinear(psi0, psi1, T, dt, S=None, stride=1, overlap_cap=None):
+    """evolve_nonlinear's run with every stride-th snapshot and its rate stored in two stacks.
+
+    The stored route the package's nonlinear runs took before they all
+    streamed, built on consume: the rows consume receives, in order, are
+    the rows of psi and dpsi_dt (dt * stride apart), bit for bit.
+    """
+    grid = psi0.grid
+    rows = int(round(T / dt)) // stride + 1
+    psi, psi_t = np.empty((rows, grid.n)), np.empty((rows, grid.n))
+
+    def keep(j, p, p_t):
+        psi[j], psi_t[j] = p.values, p_t.values
+
+    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=overlap_cap,
+                           consume=keep)
+    kept = (len(run.times_dense) - 1) // stride + 1
+    return StoredRun(**vars(run), psi=SpaceTimeField(grid, dt * stride, psi[:kept]),
+                     dpsi_dt=SpaceTimeField(grid, dt * stride, psi_t[:kept]))
+
+
+def modulation_series(samples, S):
+    """Scales a_m of the rows psi_m of a stored trajectory, and u_m = psi_m - phi(a_m).
+
+    The whole-run extraction the passes replaced: one proxy product of all
+    the rows and one root-find (the package's _modulation_proxy), u filled
+    _ROWS rows at a time.  A row without a sign change across the window
+    raises LeftModulationWindow naming the first such row.  Returns (a, u).
+    """
+    r = S.grid.r
+    product, scales = _modulation_proxy(S)
+    a, miss = scales([product(samples)])
+    miss = np.flatnonzero(miss)
+    if len(miss):
+        raise LeftModulationWindow(f"row {miss[0]} has no modulation root in {_window(S)}")
+    u = np.empty_like(samples)
+    for start in range(0, len(a), _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.subtract(samples[rows], soliton.phi(r, a[rows, None]), out=u[rows])
+    return a, u
+
+
+@dataclass
+class ModulationTrajectory:
+    """Extracted modulation history of a stored nonlinear run, plus diagnostics."""
+
+    times: np.ndarray
+    a: np.ndarray
+    adot: np.ndarray
+    x_plus: np.ndarray
+    x_minus: np.ndarray
+    g_overlap: np.ndarray
+    u_snapshots: SpaceTimeField
+    diagnostics: list = field(default_factory=list)
+    adot_l1: float = 0.0
+
+
+def trajectory_modulation(run, S):
+    """Extract a(t), adot, x_pm, the g-overlap and the radiation's norms along a stored run."""
+    psi = run.psi
+    grid = psi.grid
+    dt = psi.dt
+    a, u_samples = modulation_series(psi.samples, S)
+    adot = np.gradient(a, dt)
+    u_traj = SpaceTimeField(grid, dt, u_samples)
+    udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
+    xp, xm = x_pm(u_samples, udot, S)
+    profiles = TimeProfiles.of(u_traj)
+    diags = [
+        NormReport(kind=kind, value=profiles.norm(outer, inner), R=grid.R, R_obs=grid.R_obs,
+                   n=grid.n, dt=dt, T=psi.horizon)
+        for kind, outer, inner in (
+            ("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"),
+            ("Linf_x_L2_t", "Linf_x", "L2_t"),
+        )
+    ]
+    return ModulationTrajectory(
+        times=psi.times,
+        a=a,
+        adot=adot,
+        x_plus=xp,
+        x_minus=xm,
+        g_overlap=_g_pairings(u_samples, S),
+        u_snapshots=u_traj,
+        diagnostics=diags,
+        adot_l1=float(np.sum(np.abs(adot)) * dt),
+    )
+
+
+def manifold_trajectory(S, query, T, dt, tol, stride=5, trim=4.0):
+    """(ShootResult, ModulationTrajectory): shoot h at tol, store the run to T - trim, extract.
+
+    The route adot_l1, lipschitz and the CLI's manifold took before the
+    passes: one stored run per point at the experiments' snapshot stride.
+    """
+    res = shoot_h(query, S, T, dt, tol=tol)
+    run = stored_nonlinear(*query.initial_data(S, res.h), T - trim, dt, S=S, stride=stride)
+    assert run.status == "completed"
+    return res, trajectory_modulation(run, S)
+
+
 def stored_fixed_point_h(query, h, S, T, dt):
     """(h, tail_bound) of h_fixed_point along the stored stride-1 on-manifold run.
 
     The route the h_scaling experiment took before its two streamed passes:
     evolve the data at the shot h over [0, T], store every step, extract
-    (a, u) by _modulation_series, and assemble the whole history.  The
+    (a, u) by modulation_series, and assemble the whole history.  The
     streamed passes must give the same bits.
     """
-    run = evolve_nonlinear(*query.initial_data(S, h), T, dt, S=S)
+    run = stored_nonlinear(*query.initial_data(S, h), T, dt, S=S)
     assert run.status == "completed"
-    a, u = _modulation_series(run.psi.samples, S)
-    return h_fixed_point(SpaceTimeField(S.grid, dt, u), a, np.gradient(a, dt), S,
+    a, u = modulation_series(run.psi.samples, S)
+    return h_fixed_point(SpaceTimeField(S.grid, dt, u), a, S,
                          pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
                          psi1_overlap_w=pair_w(query.psi1, S.g))

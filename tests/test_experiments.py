@@ -569,6 +569,103 @@ values = 1e-4, 2e-4
 """
 
 
+def _spy_on_manifold(monkeypatch):
+    """Record the (S, queries, T, dt) and the (shots, a, adot) of every _on_manifold call."""
+    import solmanifold.experiments as ex
+
+    calls = []
+    on_manifold = ex._on_manifold
+
+    def spy(S, queries, T, dt, *args, **kwargs):
+        out = on_manifold(S, queries, T, dt, *args, **kwargs)
+        calls.append(((S, queries, T, dt), out))
+        return out
+
+    monkeypatch.setattr(ex, "_on_manifold", spy)
+    return calls
+
+
+def test_adot_l1_reads_the_values_of_the_stored_runs(tmp_path, monkeypatch):
+    # the passes store no run, yet every number adot_l1 reads (a, adot, the
+    # adot L1 norm and both mixed norms of the radiation) is that of one
+    # stored stride-5 run per point and its whole-run extraction, bit for bit
+    import solmanifold.experiments as ex
+
+    from oracles import manifold_trajectory
+
+    calls = _spy_on_manifold(monkeypatch)
+    diagnostics = []
+    reports = ex._diagnostics
+
+    def spy(*args):
+        diagnostics.append(reports(*args))
+        return diagnostics[-1]
+
+    monkeypatch.setattr(ex, "_diagnostics", spy)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, SMALL_MANIFOLD.format(name="adot_l1")))
+    cfg.output_dir = str(tmp_path / "out")
+    report = run(cfg)
+    (((S, queries, T, dt), (shots, a, adot)),), (diags,) = calls, diagnostics
+    assert len(queries) == len(report.records) == 2
+    for k, (query, record) in enumerate(zip(queries, report.records)):
+        res, traj = manifold_trajectory(S, query, T, dt, ex._tight_tol(query))
+        assert shots[k] == res
+        assert np.array_equal(a[k], traj.a) and np.array_equal(adot[k], traj.adot)
+        assert diags[k] == traj.diagnostics
+        assert record["adot_l1"] == traj.adot_l1
+        assert record["mixed_norm"] == max(d.value for d in traj.diagnostics)
+
+
+def test_lipschitz_reads_the_differences_of_the_stored_runs(tmp_path, monkeypatch):
+    # each sweep point's trajectory distance is the mixed norm of the
+    # difference of two stored runs' radiation, bit for bit
+    import solmanifold.experiments as ex
+    from solmanifold.norms import mixed_norm
+    from solmanifold.propagators import SpaceTimeField
+
+    from oracles import manifold_trajectory
+
+    calls = _spy_on_manifold(monkeypatch)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path,
+                                                  SMALL_MANIFOLD.format(name="lipschitz")))
+    cfg.output_dir = str(tmp_path / "out")
+    report = run(cfg)
+    (((S, (base, *others), T, dt), _),) = calls
+    res0, traj0 = manifold_trajectory(S, base, T, dt, ex._tight_tol(base))
+    assert len(others) == len(report.records) == 2
+    for other, record in zip(others, report.records):
+        res1, traj1 = manifold_trajectory(S, other, T, dt, ex._tight_tol(other))
+        u = traj1.u_snapshots.samples - traj0.u_snapshots.samples
+        diff = SpaceTimeField(S.grid, traj0.u_snapshots.dt, u)
+        assert record["traj_distance"] == mixed_norm(diff, ("lorentz", 6, 2), "Linf_t")
+        assert record["h_shift"] == abs(res1.h - res0.h)
+
+
+def test_cli_manifold_trajectory_is_the_stored_runs(tmp_path):
+    # trajectory.csv and the diagnostics of h_report.json, from the passes,
+    # are those of the stored run's extraction, digit for digit
+    from dataclasses import asdict
+
+    from solmanifold import RadialGrid, ground_state
+    from solmanifold.experiments import _csv, seeded_query
+
+    from oracles import manifold_trajectory
+
+    argv = ["manifold", "--R", "30", "--n", "301", "--R-obs", "10", "--T", "10",
+            "--eps", "1e-3", "--seed", "2", "--method", "shoot", "--out", str(tmp_path / "mf")]
+    assert main(argv) == 0
+    grid = RadialGrid(R=30.0, n=301, R_obs=10.0)
+    S = ground_state(grid)
+    query = seeded_query(grid, S, 1e-3, 2)
+    res, traj = manifold_trajectory(S, query, 10.0, 0.8 * grid.dr, None)
+    cols = (traj.times, traj.a, traj.adot, traj.x_plus, traj.x_minus, traj.g_overlap)
+    expected = _csv(zip(*cols), "t,a,adot,x_plus,x_minus,g_overlap")
+    assert (tmp_path / "mf" / "trajectory.csv").read_text() == expected
+    rep = json.loads((tmp_path / "mf" / "h_report.json").read_text())
+    assert rep["shoot"]["h"] == res.h
+    assert rep["diagnostics"] == [asdict(d) for d in traj.diagnostics]
+
+
 def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypatch):
     # a window that holds no scale near 1: every on-manifold row leaves it,
     # and the lipschitz run must fail with the typed error, not pass quietly
@@ -581,16 +678,14 @@ def test_manifold_trajectory_leaving_the_window_fails_the_run(tmp_path, monkeypa
     rep = run(cfg)
     assert not rep.passed
     (record,) = [r for r in rep.records if "error" in r]
-    assert record["error"].startswith("LeftModulationWindow: ")
-    assert "_manifold_trajectory" in record["traceback"]
+    assert record["error"].startswith("LeftModulationWindow: sweep point 0: row 0 ")
+    assert "_run_lipschitz" in record["traceback"] and "_manifold_passes" in record["traceback"]
     (check,) = [c for c in rep.checks if c.name == "run_completed"]
     assert not check.passed
 
 
 @pytest.mark.parametrize("experiment, caller", [
     ("stationarity", "_run_stationarity"),
-    ("lipschitz", "_manifold_trajectory"),
-    ("adot_l1", "_manifold_trajectory"),
     ("weighted_growth", "_run_weighted_growth"),
 ])
 def test_a_stopped_nonlinear_run_fails_the_run(tmp_path, monkeypatch, experiment, caller):
@@ -619,16 +714,13 @@ def test_a_stopped_nonlinear_run_fails_the_run(tmp_path, monkeypatch, experiment
     assert not check.passed
 
 
-def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
-    # h_scaling's fixed-point passes step its sweep points as one stack and
-    # call no evolve_nonlinear: a stacked row that the shared blow-up test
-    # flags (here the last, point 1 of 2) ends the run with the typed error
-    # naming that point, never a truncated run read as if it were whole
+def _last_stacked_row_blows_up(monkeypatch):
+    """Make the shared blow-up test flag the last row of every stacked state."""
     import solmanifold.modulation as mo
 
     frame = mo._u_frame
 
-    def last_stacked_row_blows_up(grid, S):
+    def frame_with_test(grid, S):
         phi, wphi, overlap, blown = frame(grid, S)
 
         def test(wu, ov):
@@ -640,7 +732,15 @@ def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
 
         return phi, wphi, overlap, test
 
-    monkeypatch.setattr(mo, "_u_frame", last_stacked_row_blows_up)
+    monkeypatch.setattr(mo, "_u_frame", frame_with_test)
+
+
+def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
+    # h_scaling's fixed-point passes step its sweep points as one stack and
+    # call no evolve_nonlinear: a stacked row that the shared blow-up test
+    # flags (here the last, point 1 of 2) ends the run with the typed error
+    # naming that point, never a truncated run read as if it were whole
+    _last_stacked_row_blows_up(monkeypatch)
     text = SMALL_MANIFOLD.format(name="h_scaling")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
     cfg.output_dir = str(tmp_path / "out")
@@ -650,6 +750,26 @@ def test_a_blown_up_pass_row_fails_h_scaling(tmp_path, monkeypatch):
     assert record["error"] == ("PropagatorError: nonlinear run of sweep point 1 ended 'blowup' "
                                "at t=0.16 of T=6.0")
     assert "_run_h_scaling" in record["traceback"] and "_proxy_products" in record["traceback"]
+    (check,) = [c for c in rep.checks if c.name == "run_completed"]
+    assert not check.passed
+
+
+@pytest.mark.parametrize("experiment, caller, point", [
+    ("lipschitz", "_run_lipschitz", 2),  # the base run is point 0, the sweep's 1 and 2
+    ("adot_l1", "_run_adot_l1", 1),
+])
+def test_a_blown_up_pass_row_fails_the_run(tmp_path, monkeypatch, experiment, caller, point):
+    # adot_l1 and lipschitz read their on-manifold runs through the same
+    # stacked passes: a flagged row fails the run, typed, naming its point
+    _last_stacked_row_blows_up(monkeypatch)
+    text = SMALL_MANIFOLD.format(name=experiment)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
+    cfg.output_dir = str(tmp_path / "out")
+    rep = run(cfg)
+    (record,) = [r for r in rep.records if "error" in r]
+    assert record["error"] == (f"PropagatorError: nonlinear run of sweep point {point} ended "
+                               "'blowup' at t=0.16 of T=6.0")
+    assert caller in record["traceback"] and "_proxy_products" in record["traceback"]
     (check,) = [c for c in rep.checks if c.name == "run_completed"]
     assert not check.passed
 
@@ -700,6 +820,39 @@ def test_secular_reads_its_horizons_in_one_pass(tmp_path):
         for key, stack, inner in (("S_LinfL2", S_traj.samples, "L2_t"), ("full_LinfL1", full, "L1_t")):
             prefix = SpaceTimeField(grid, S_traj.dt, stack[:m])
             assert record[key] == mixed_norm(prefix, "Linf_x", inner)
+
+
+def test_a_two_point_loglog_fit_reports_no_standard_error(tmp_path):
+    # two points leave no residual: the slope is exact only by construction,
+    # so its standard error is unknown (null in report.json), never 0
+    from solmanifold.experiments import _loglog_fit
+
+    slope, _, stderr = _loglog_fit([1e-4, 2e-4], [3e-8, 1.1e-7])
+    assert np.isfinite(slope) and stderr is None
+    assert _loglog_fit([1.0, 2.0, 4.0], [1.0, 4.5, 15.0])[2] > 0.0
+    cfg = ExperimentConfig.from_file(write_config(tmp_path,
+                                                  SMALL_MANIFOLD.format(name="h_scaling")))
+    cfg.output_dir = str(tmp_path / "out")
+    run(cfg)
+    fits = json.loads((tmp_path / "out" / "report.json").read_text())["fits"]
+    assert fits["h_scaling"]["stderr"] is None
+
+
+@pytest.mark.parametrize("T", [0.2, 1.0])
+def test_a_codim1_horizon_too_short_to_classify_fails_typed(tmp_path, T):
+    # at these horizons no step of an offset run leaves 10 |offset| before
+    # T, so there is no departure to fit: a typed BracketError naming the
+    # offset and the window, not numpy's TypeError from an empty fit
+    cfg = ExperimentConfig(experiment="codim1", R=30.0, n=301, R_obs=10.0, T=T, seed=1,
+                           output_dir=str(tmp_path / "out"))
+    assert validate(cfg) == []
+    rep = run(cfg)
+    (record,) = [r for r in rep.records if "error" in r]
+    assert record["error"].startswith("BracketError: offset +1e-06: the departure window "
+                                      "10|offset| < |ov| < 0.05 holds 0 step(s)")
+    assert "_run_codim1" in record["traceback"]
+    (check,) = [c for c in rep.checks if c.name == "run_completed"]
+    assert not check.passed
 
 
 def test_h_scaling_shoots_on_the_validated_grid_and_step(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from solmanifold import (
     picard_map,
     picard_transport,
     shoot_h,
-    trajectory_modulation,
     x_norm,
     xpm_evolution,
 )
@@ -27,7 +27,6 @@ from solmanifold.modulation import (
     LeftModulationWindow,
     ManifoldQuery,
     PicardIterate,
-    _modulation_series,
     _quintic_force,
     _series_roots,
     modulation_rate_series,
@@ -37,10 +36,13 @@ from solmanifold.spectral import secular_coefficient
 from oracles import (
     antidiagonal_sums,
     kernel_sums,
+    modulation_series,
     nonlinearity,
     project_continuous_w,
     restricted,
     source_stacks,
+    stored_nonlinear,
+    trajectory_modulation,
 )
 
 
@@ -63,7 +65,7 @@ def manifold_run(mod_grid, S_mod, query_mod):
     """Shoot once, evolve on-manifold densely; reused by several tests."""
     dt = 0.8 * mod_grid.dr
     res = shoot_h(query_mod, S_mod, 18.0, dt)
-    run = evolve_nonlinear(*query_mod.initial_data(S_mod, res.h), 18.0, dt, S=S_mod)
+    run = stored_nonlinear(*query_mod.initial_data(S_mod, res.h), 18.0, dt, S=S_mod)
     return res, run, dt
 
 
@@ -86,7 +88,7 @@ def test_soliton_is_stationary(mod_grid, S_mod):
     from solmanifold.grid import h1_seminorm
 
     dt = 0.8 * mod_grid.dr
-    run = evolve_nonlinear(
+    run = stored_nonlinear(
         soliton.phi_field(mod_grid), mod_grid.zeros(), 20.0, dt, S=S_mod, stride=50
     )
     assert run.status == "completed"
@@ -102,7 +104,7 @@ def test_soliton_is_an_exact_equilibrium(mod_grid, S_mod):
     # the step's own fifth power of w_phi + w_u
     dt = 0.8 * mod_grid.dr
     phi = soliton.phi_field(mod_grid)
-    run = evolve_nonlinear(phi, mod_grid.zeros(), 250 * dt, dt, S=S_mod)
+    run = stored_nonlinear(phi, mod_grid.zeros(), 250 * dt, dt, S=S_mod)
     assert run.status == "completed"
     assert len(run.times_dense) == 251
     assert all(np.array_equal(row, phi.values) for row in run.psi.samples)
@@ -119,7 +121,7 @@ def test_pow_free_force_and_energy_match_pow_formulas(mod_grid):
     phi = soliton.phi(r, 1.0)
     wphi = r * phi
     b = grid.field(0.3 * np.exp(-((r - 2.0) ** 2)))
-    run = evolve_nonlinear(b, grid.zeros(), 16.0, dt, stride=40)
+    run = stored_nonlinear(b, grid.zeros(), 16.0, dt, stride=40)
     force = _quintic_force(r, wphi)
     rows = run.psi.samples.shape[0]
     assert rows >= 10
@@ -141,7 +143,7 @@ def test_energy_conserved_along_nonlinear(mod_grid, S_mod):
 
     dt = 0.8 * mod_grid.dr
     b = mod_grid.field(0.3 * np.exp(-((mod_grid.r - 2.0) ** 2)))
-    run = evolve_nonlinear(b, mod_grid.zeros(), 20.0, dt, stride=10)
+    run = stored_nonlinear(b, mod_grid.zeros(), 20.0, dt, stride=10)
     E = [
         energy(run.psi.slice(m), run.dpsi_dt.slice(m))
         for m in range(1, run.psi.samples.shape[0] - 1)
@@ -180,7 +182,7 @@ def test_strided_run_stores_the_dense_rows(mod_grid, S_mod, cap):
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + d * S_mod.g.values)
     psi1 = RadialField(mod_grid, d * S_mod.k * S_mod.g.values)
     T = 3.0 if cap is None else 10.0
-    dense = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, overlap_cap=cap)
+    dense = stored_nonlinear(psi0, psi1, T, dt, S=S_mod, overlap_cap=cap)
     assert dense.status == ("completed" if cap is None else "departed")
     m_end = len(dense.times_dense) - 1
     # dpsi_dt is five-point centred inside, centred next to the ends and
@@ -195,7 +197,7 @@ def test_strided_run_stores_the_dense_rows(mod_grid, S_mod, cap):
     # strides 2 and 59 store the state m_end - 1 of the completed (75) and
     # of the departed (60) run, whose rate is centred, not five-point
     for s in (2, 3, 5, 7, 59):
-        run = evolve_nonlinear(psi0, psi1, T, dt, S=S_mod, stride=s, overlap_cap=cap)
+        run = stored_nonlinear(psi0, psi1, T, dt, S=S_mod, stride=s, overlap_cap=cap)
         assert (run.status, run.departure_time) == (dense.status, dense.departure_time)
         assert np.array_equal(run.g_overlap, dense.g_overlap)
         assert run.psi.dt == run.dpsi_dt.dt == s * dt
@@ -223,14 +225,14 @@ def test_consumer_sees_the_stored_rows(mod_grid, S_mod, stride, with_S, cap, T):
         psi0 = mod_grid.field(0.3 * np.exp(-((mod_grid.r - 2.0) ** 2)))
         psi1 = mod_grid.zeros()
     S = S_mod if with_S else None
-    stored = evolve_nonlinear(psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=cap)
+    stored = stored_nonlinear(psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=cap)
     got = []
     streamed = evolve_nonlinear(
         psi0, psi1, T, dt, S=S, stride=stride, overlap_cap=cap,
         consume=lambda j, psi, psi_t: got.append((j, psi, psi_t)),
     )
     assert stored.status == ("completed" if cap is None else "departed")
-    assert streamed.psi is None and streamed.dpsi_dt is None
+    assert not {"psi", "dpsi_dt"} & set(vars(streamed))  # the package's run stores none
     assert (streamed.status, streamed.departure_time) == (stored.status, stored.departure_time)
     assert np.array_equal(streamed.times_dense, stored.times_dense)
     assert np.array_equal(streamed.g_overlap, stored.g_overlap)
@@ -262,9 +264,9 @@ def test_nan_run_without_S_stops_at_its_first_tested_step(mod_grid):
     run = evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=None)
     assert run.status == "blowup"
     assert run.departure_time == 2 * dt
-    for consume in (None, lambda *row: None):
+    for evolve in (stored_nonlinear, partial(evolve_nonlinear, consume=lambda *row: None)):
         with pytest.raises(GridUsageError, match="non-finite trajectory samples"):
-            evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=10, consume=consume)
+            evolve(psi0, mod_grid.zeros(), 1.0, dt, stride=10)
 
 
 def test_nonlinear_memory_follows_stored_rows():
@@ -281,7 +283,7 @@ def test_nonlinear_memory_follows_stored_rows():
     def peak(T, stride):
         tracemalloc.start()
         try:
-            evolve_nonlinear(b, grid.zeros(), T, dt, stride=stride)
+            stored_nonlinear(b, grid.zeros(), T, dt, stride=stride)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,7 +306,7 @@ def test_stride_one_run_holds_two_stacks():
     b = grid.field(0.3 * np.exp(-((grid.r - 2.0) ** 2)))
     tracemalloc.start()
     try:
-        run = evolve_nonlinear(b, grid.zeros(), 8.0, dt)
+        run = stored_nonlinear(b, grid.zeros(), 8.0, dt)
         shapes = run.psi.samples.shape, run.dpsi_dt.samples.shape
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -368,7 +370,7 @@ def test_extract_modulation_window_error(mod_grid, S_mod):
 
 
 def _brentq_scale(row, grid, a_prev):
-    """The extraction _modulation_series replaced, kept as its oracle: a
+    """The extraction modulation_series replaced, kept as its oracle: a
     bracket grown outward from the previous scale, closed by brentq.
     Returns None when the bracket cannot be closed inside the window."""
     from scipy.optimize import brentq
@@ -408,7 +410,7 @@ def _brentq_scale(row, grid, a_prev):
 def test_modulation_series_matches_brentq_oracle(manifold_run, mod_grid, S_mod):
     _, run, _ = manifold_run
     samples = run.psi.samples
-    a, u = _modulation_series(samples, S_mod)
+    a, u = modulation_series(samples, S_mod)
     ref = []
     for row in samples:
         ref.append(_brentq_scale(row, mod_grid, ref[-1] if ref else 1.0))
@@ -426,7 +428,7 @@ def test_modulation_series_window_miss_raises(mod_grid, S_mod):
     ):
         rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
         with pytest.raises(LeftModulationWindow, match=rf"^row {row} has no modulation root in "):
-            _modulation_series(rows, S_mod)
+            modulation_series(rows, S_mod)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -436,7 +438,7 @@ def test_modulation_series_non_finite_row_is_a_miss(mod_grid, S_mod, bad):
     rows = soliton.phi(mod_grid.r, np.linspace(0.9, 1.1, 2 * _ROWS + 1)[:, None])
     rows[_ROWS + 3, 17] = bad
     with pytest.raises(LeftModulationWindow, match=rf"^row {_ROWS + 3} has no modulation root in "):
-        _modulation_series(rows, S_mod)
+        modulation_series(rows, S_mod)
 
 
 def test_series_roots_on_the_window_ends():
@@ -469,7 +471,7 @@ def test_modulation_series_roots_near_the_window_edges(mod_grid, S_mod):
     lo, hi = soliton.MODULATION_WINDOW
     scales = [lo + 1e-3, hi - 1e-3]
     rows = np.array([soliton.phi(mod_grid.r, s) for s in scales])
-    a, _ = _modulation_series(rows, S_mod)
+    a, _ = modulation_series(rows, S_mod)
     assert np.max(np.abs(a - scales)) < 1e-12
 
 
@@ -485,7 +487,7 @@ def test_modulation_series_evaluates_the_profiles_once(monkeypatch, mod_grid, S_
 
     monkeypatch.setattr(soliton, "resonance_weight", counted)
     scales = np.linspace(0.9, 1.1, n_rows)
-    a, _ = _modulation_series(soliton.phi(mod_grid.r, scales[:, None]), S_mod)
+    a, _ = modulation_series(soliton.phi(mod_grid.r, scales[:, None]), S_mod)
     assert np.max(np.abs(a - scales)) < 1e-12
     assert len(calls) == 1
 
@@ -557,7 +559,7 @@ def test_h_fixed_point_zero_histories(mod_grid, S_mod):
     M = 100
     dt = 0.04
     u0 = SpaceTimeField(mod_grid, dt, np.zeros((M + 1, mod_grid.n)))
-    h, tail = h_fixed_point(u0, np.ones(M + 1), np.zeros(M + 1), S_mod)
+    h, tail = h_fixed_point(u0, np.ones(M + 1), S_mod)
     assert h == 0.0
     assert tail == 0.0
 
@@ -569,7 +571,7 @@ def test_h_fixed_point_window_guard(mod_grid, S_mod):
     a0 = np.ones(M + 1)
     a0[-1] = 1.6
     with pytest.raises(LeftModulationWindow):
-        h_fixed_point(u0, a0, np.zeros(M + 1), S_mod)
+        h_fixed_point(u0, a0, S_mod)
 
 
 def test_h_quadratic_dominance(mod_grid, S_mod):
@@ -581,7 +583,7 @@ def test_h_quadratic_dominance(mod_grid, S_mod):
     hs = []
     for lam in (1.0, 0.5, 0.25):
         u0 = SpaceTimeField(mod_grid, dt, lam * profile)
-        h, _ = h_fixed_point(u0, np.ones(M + 1), np.zeros(M + 1), S_mod)
+        h, _ = h_fixed_point(u0, np.ones(M + 1), S_mod)
         hs.append(h)
     assert hs[1] / hs[0] == pytest.approx(0.25, rel=0.01)
     assert hs[2] / hs[0] == pytest.approx(0.0625, rel=0.01)
@@ -604,7 +606,6 @@ def test_shoot_h_agrees_with_fixed_point(manifold_run, mod_grid, S_mod, query_mo
     h_fp, tail = h_fixed_point(
         u_traj,
         np.ones(M + 1),
-        np.zeros(M + 1),
         S_mod,
         pert_overlap_w=pg0,
         psi1_overlap_w=pg1,
@@ -649,10 +650,8 @@ def test_stacked_quintic_rows_equal_their_own_runs(small_shots):
 def test_streamed_fixed_point_h_equals_the_stored_run(manifold_run, mod_grid, S_mod, query_mod):
     # the two passes store no run, yet give h_fixed_point's bits along the
     # stored stride-1 run at each shot h, over the trimmed horizon 18 - 4 of
-    # the h_scaling grid.  The bits rest on the BLAS rounding each 32-row
-    # product with the proxy as the stored run's one product over all 351
-    # rows, as it does here; on small grids (n = 301, 76 rows) it does not,
-    # and h moves in its last digits
+    # the h_scaling grid: every row is paired with the proxy by its own dot
+    # products, so 32-row blocks give the scales of the whole run
     from solmanifold.modulation import _fixed_point_hs
 
     from oracles import stored_fixed_point_h
@@ -665,6 +664,41 @@ def test_streamed_fixed_point_h_equals_the_stored_run(manifold_run, mod_grid, S_
     for (q, h), got in zip(shots, streamed):
         assert got == stored_fixed_point_h(q, h, S_mod, 14.0, dt)
         assert abs(got[0] - h) < 1e-3 * q.epsilon**2
+
+
+def test_streamed_fixed_point_h_equals_the_stored_run_on_a_small_grid(small_shots):
+    # R = 30, n = 301, T = 6 (76 rows): when the proxy products were one
+    # matrix product per block, h differed here from the stored run's by
+    # 1.8e-9 relative
+    from solmanifold.modulation import _fixed_point_hs
+
+    from oracles import stored_fixed_point_h
+
+    S, shots, dt = small_shots
+    streamed = _fixed_point_hs([q for q, _ in shots], [h for _, h in shots], S, 6.0, dt)
+    for (q, h), got in zip(shots, streamed):
+        assert got == stored_fixed_point_h(q, h, S, 6.0, dt)
+
+
+def test_the_scales_of_a_run_do_not_depend_on_its_blocking(small_shots):
+    # each row's proxy products, and so every scale, are the same in blocks
+    # of 1, 7 and 32 rows as in one product of the whole run
+    from solmanifold.modulation import _modulation_proxy
+
+    from oracles import stored_nonlinear
+
+    S, shots, dt = small_shots
+    q, h = shots[1]
+    samples = stored_nonlinear(*q.initial_data(S, h), 6.0, dt, S=S).psi.samples
+    product, scales = _modulation_proxy(S)
+    whole = product(samples)
+    a, miss = scales([whole])
+    assert whole.shape == (len(samples), 32) and not miss.any()
+    for size in (1, 7, 32):
+        blocked = np.concatenate([product(samples[s : s + size])
+                                  for s in range(0, len(samples), size)])
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(scales([blocked])[0], a)
 
 
 @pytest.mark.parametrize("offset, error, match", [
@@ -683,8 +717,8 @@ def test_a_stacked_point_off_the_manifold_fails_typed(small_shots, offset, error
 
 
 def test_the_passes_hold_less_than_one_stored_run(manifold_run, S_mod, query_mod):
-    # pass 1 holds _ROWS rows per point and pass 2 one block of _ROWS rows,
-    # against the (M+1, n) stack the stored run held (M = 350, n = 1201)
+    # each pass holds _ROWS rows per point, against the (M+1, n) stack the
+    # stored run held (M = 350, n = 1201)
     import tracemalloc
 
     from solmanifold.modulation import _fixed_point_hs
@@ -709,7 +743,7 @@ def test_xpm_evolution_pure_decay(mod_grid, S_mod):
     psi1 = RadialField(mod_grid, -d * S_mod.k * S_mod.g.values)
     query = ManifoldQuery(pert, psi1, epsilon=d, constraint_residual=0.0)
 
-    xp, xm, tail = xpm_evolution(u0, np.ones(M + 1), np.zeros(M + 1), query, S_mod, 0.0)
+    xp, xm, tail = xpm_evolution(u0, np.ones(M + 1), query, S_mod, 0.0)
     t = dt * np.arange(M + 1)
     expected = xm[0] * np.exp(-S_mod.k * t)
     assert np.max(np.abs(xm - expected)) < 1e-12 * abs(xm[0]) + 1e-15
@@ -736,7 +770,7 @@ def test_picard_limit_matches_nonlinear_flow(mod_grid, S_mod, query_mod):
         it = picard_map(it.u, it.a, it.adot, query_mod, S_mod, T, dt, transport)
     res = shoot_h(query_mod, S_mod, T, dt)
     assert abs(it.h - res.h) < 0.05 * query_mod.epsilon**2
-    run = evolve_nonlinear(*query_mod.initial_data(S_mod, res.h), T, dt, S=S_mod)
+    run = stored_nonlinear(*query_mod.initial_data(S_mod, res.h), T, dt, S=S_mod)
     sl = mod_grid.obs_slice()
     data_scale = np.max(np.abs(query_mod.psi0_perturbation.values))
     worst = 0.0
@@ -852,8 +886,8 @@ def test_nonlinear_path_is_scale_covariant():
     assert abs(4.0 * shs.h - sh.h) <= sh.bracket_width
 
     # the on-manifold run, to the trimmed horizon
-    run = evolve_nonlinear(*q.initial_data(S, sh.h), T - 4.0, dt, S=S, stride=4)
-    runs = evolve_nonlinear(
+    run = stored_nonlinear(*q.initial_data(S, sh.h), T - 4.0, dt, S=S, stride=4)
+    runs = stored_nonlinear(
         *qs.initial_data(Ss, sh.h / 4), (T - 4.0) / 4, dt / 4, S=Ss, stride=4
     )
     assert run.status == runs.status == "completed"
@@ -876,8 +910,8 @@ def test_nonlinear_path_is_scale_covariant():
     it = picard_map(None, None, None, q, S, T, dt, pair)
     its = picard_map(None, None, None, qs, Ss, T / 4, dt / 4, pairs)
     check(it, its)
-    h_fp = h_fixed_point(it.u, it.a, it.adot, S)[0]
-    assert 4.0 * h_fixed_point(its.u, its.a, its.adot, Ss)[0] == h_fp
+    h_fp = h_fixed_point(it.u, it.a, S)[0]
+    assert 4.0 * h_fixed_point(its.u, its.a, Ss)[0] == h_fp
     it2 = picard_map(it.u, it.a, it.adot, q, S, T, dt, pair)
     its2 = picard_map(its.u, its.a, its.adot, qs, Ss, T / 4, dt / 4, pairs)
     check(it2, its2)
@@ -1023,9 +1057,9 @@ def test_h_fixed_point_matches_per_step_reference(history, S_mod):
     w = np.exp(-kt * np.arange(M + 1) * dt) * dt
     w[0] *= 0.5
     h_ref = -(khat * 2e-4 + 3e-4 + np.sum(w * q)) / ((khat + S_mod.k) * S_mod.gg_w)
-    h, _ = h_fixed_point(u0, a0, adot0, S_mod, pert_overlap_w=2e-4, psi1_overlap_w=3e-4)
+    h, _ = h_fixed_point(u0, a0, S_mod, pert_overlap_w=2e-4, psi1_overlap_w=3e-4)
     assert abs(h - h_ref) < 1e-10 * abs(h_ref)
-    h_src, _ = h_fixed_point(u0, a0, adot0, S_mod)
+    h_src, _ = h_fixed_point(u0, a0, S_mod)
     h_src_ref = -np.sum(w * q) / ((khat + S_mod.k) * S_mod.gg_w)
     assert abs(h_src - h_src_ref) < 1e-10 * abs(h_src_ref)
 
@@ -1058,7 +1092,7 @@ def test_xpm_evolution_matches_per_step_reference(history, S_mod, query_mod):
     for m in range(M - 1, -1, -1):
         run = run * decay + 0.5 * dt * (w2g[m] + w2g[m + 1] * decay)
         xp_ref[m] = -c * run
-    xp, xm, _ = xpm_evolution(u0, a0, adot0, query_mod, S_mod, h)
+    xp, xm, _ = xpm_evolution(u0, a0, query_mod, S_mod, h)
     assert _rel_err(xp, xp_ref) < 1e-10
     assert _rel_err(xm, xm_ref) < 1e-10
 
