@@ -141,8 +141,8 @@ def validate(config):
         issues.append(f"{key}: time step must be positive, dt={dt}")
     elif dt > grid.dr + 1e-12:
         issues.append(f"time.dt: CFL violation dt={dt} > dr={grid.dr}")
-    if not config.T > 0:
-        issues.append(f"time.T: horizon must be positive, T={config.T}")
+    if not 0 < config.T < np.inf:
+        issues.append(f"time.T: horizon must be positive and finite, T={config.T}")
     if config.T > grid.budget_horizon() + 1e-12 and config.experiment not in (
         "spectrum",
         "stationarity",
@@ -152,7 +152,7 @@ def validate(config):
             f"time.T: causality budget violated, T={config.T} > R - R_obs = {grid.budget_horizon()}"
         )
     stride = _ON_MANIFOLD_STRIDE.get(config.experiment)
-    if stride and dt > 0 and config.T > 0 and int(round((config.T - _TRIM) / dt)) < stride:
+    if stride and dt > 0 and 0 < config.T < np.inf and int(round((config.T - _TRIM) / dt)) < stride:
         issues.append(
             f"time.T: the on-manifold run ends {_TRIM:g} before T and needs at least "
             f"{stride} step(s) of dt={dt:g}, T={config.T}"

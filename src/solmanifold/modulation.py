@@ -205,11 +205,11 @@ def evolve_nonlinear(
         T,
         dt,
         _quintic_force(r, wphi),
+        emit,
         stride=stride if streamed else None,
         stop=stop,
         rates=streamed,
-        emit=emit,
-    )[2:]
+    )
     return NonlinearRun(
         grid=grid,
         dt=dt,
@@ -717,8 +717,8 @@ def _manifold_passes(queries, hs, S, T, dt, fold, stride=1, rates=False):
                 udot[k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)
         fold(rows, u.swapaxes(0, 1), a[:, rows], udot if udot is None else udot.swapaxes(0, 1))
 
-    _leapfrog(grid, w0, w1, T, dt, _quintic_force(r, wphi, (K,)), stride=stride, rates=rates,
-              emit=_snapshot_blocks(grid, phi, K, J, rates, radiation))
+    _leapfrog(grid, w0, w1, T, dt, _quintic_force(r, wphi, (K,)),
+              _snapshot_blocks(grid, phi, K, J, rates, radiation), stride=stride, rates=rates)
     return a, adot
 
 
@@ -770,8 +770,9 @@ def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
         return bad[0] if len(bad) else None
 
     force = _quintic_force(grid.r, wphi, (K,))
-    m_end, point = _leapfrog(grid, w0, w1, T, dt, force, stride=stride, stop=stop,
-                             emit=_snapshot_blocks(grid, phi, K, J, False, project))[2:]
+    m_end, point = _leapfrog(grid, w0, w1, T, dt, force,
+                             _snapshot_blocks(grid, phi, K, J, False, project), stride=stride,
+                             stop=stop)
     if point is not None:
         raise PropagatorError(f"nonlinear run of sweep point {point} ended 'blowup' at "
                               f"t={m_end * dt:.6g} of T={T}")
@@ -1069,16 +1070,22 @@ def _pc_u_series(query, F, D, S, T, dt):
     one-sided at the horizon, none for M < 2) is subtracted from it.  F and
     D are completed after the run, so the pairings and the kernel sums are
     whole on return.  The zero history (F and D None) runs the data alone,
-    with no source.  The minus on the defect Duhamel matches
+    with no source, as a stack of one run whose rows fill the same output
+    array.  The minus on the defect Duhamel matches
     modulation_rate_series (see the sign discussion there).  Returns the
     (M+1, n) samples.
     """
     grid = S.grid
     p, p1 = query.psi0_perturbation, query.psi1
-    if F is None:
-        return evolve_linear_perturbed(p, p1, None, T, dt, a=S.a, project_out=S).samples
     M = int(round(T / dt))
     out = np.empty((M + 1, grid.n))
+    if F is None:
+
+        def keep(j, z):
+            out[j] = z[0]
+
+        evolve_linear_perturbed([p], [p1], None, T, dt, keep, a=S.a, project_out=S)
+        return out
     pair = np.empty((2, grid.n))
 
     def row(m):
@@ -1098,8 +1105,7 @@ def _pc_u_series(query, F, D, S, T, dt):
 
     zero = grid.zeros()
     source = SimpleNamespace(dt=dt, rows=F.rows, row=row)
-    evolve_linear_perturbed([p, zero], [p1, zero], source, T, dt, a=S.a, project_out=S,
-                            consume=consume)
+    evolve_linear_perturbed([p, zero], [p1, zero], source, T, dt, consume, a=S.a, project_out=S)
     F.complete()  # row M, which no step reads, then the D rows of its block
     D.complete()
     return out

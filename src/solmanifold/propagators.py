@@ -11,20 +11,19 @@ with its own force and stop test, one state at a time or, for the
 fixed-point h of a sweep, as one (K, n) stack of K states whose rows each
 keep the bits of their own run.  Projected linear runs step stacks too:
 the Picard map's data and defect runs as one pair, and the secular split
-of many fields as one stack per kind.  It hands only the strided
-snapshots its callers read to a consumer, which stores them by default,
-so memory grows with the snapshots, not with the steps, and with neither
-when the consumer reduces each snapshot as it is made.  A stored
-trajectory holds the whole grid.  The secular split always streams to a
-profiles consumer (inside and add, see _free_slices), and the free
-trajectories do when given one: then no trajectory is stored at all, and
-the rows of the ball the consumer reads go to it in blocks of about
+of many fields as one stack per kind.  It stores no state: it hands the
+strided snapshots its callers read to their consumer as it makes them,
+so memory grows with what the consumer keeps, not with the steps.  A
+stored trajectory holds the whole grid.  The secular split always
+streams to a profiles consumer (inside and add, see _free_slices), and
+the free trajectories do when given one: then no trajectory is stored at
+all, and the rows of the ball the consumer reads go to it in blocks of about
 BLOCK_BYTES (256 KB) as they are made, so that a block, a
 norms.TimeProfiles' copy of it and the transport's windows fit in L2
 together.  The resonance series stream to a whole-grid consumer that
 pairs each row, and the split takes them from its caller.  A linear run
-reads its source one row per step through one accessor, so a source need
-not be stored: a row source may make its rows as the run reaches them.
+reads its source one row per step from a row source, which may make its
+rows as the run reaches them.
 """
 
 from __future__ import annotations
@@ -63,12 +62,7 @@ class PropagatorError(RuntimeError):
 
 @dataclass
 class SpaceTimeField:
-    """A radial field sampled on a uniform time grid t_m = m*dt.
-
-    Trajectories that feed solvers (sources) must be sampled at the solver
-    dt, which carries the unit-CFL constraint dt <= dr; that is enforced at
-    the use sites so strided outputs (dt > dr) remain representable.
-    """
+    """A radial field sampled on a uniform time grid t_m = m*dt."""
 
     grid: object
     dt: float
@@ -282,8 +276,7 @@ def _resonance_series(grid, a, T, dt, kind, fields):
     return series
 
 
-def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates=False,
-              emit=None):
+def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None, rates=False):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
     The package's one time-stepping loop.  A state is one row of n values,
@@ -310,12 +303,8 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
     steps of m = 0 and of m_end.  emit(j, row, rate) receives snapshot j
     once both exist: at step j stride without rates (rate None), at step
     j stride + 2 with them, and the last two after the loop.  row is a view
-    of the live state, rate a fresh array.  The default emit
-    stores the snapshots in two preallocated stacks, so memory grows with
-    the snapshots, not with the steps; a (K, n) state stores (snapshots,
-    K, n).  Returns (rows, rate_rows, m_end,
-    status); rows and rate_rows are those stacks, cut at m_end, and are
-    None when emit is given, rate_rows also without rates.
+    of the live state, rate a fresh array.  No state is stored.  Returns
+    (m_end, status).
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
@@ -341,17 +330,6 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
         if wg is not None:
             w -= np.multiply(np.vecdot(w, wg)[..., None], wg, out=scratch)
         return w
-
-    rows = drows = None
-    if emit is None:
-        stored = 0 if stride is None else M // stride + 1
-        rows = np.empty((stored, *shape))
-        drows = np.empty((stored, *shape)) if rates else None
-
-        def emit(j, row, rate):
-            rows[j] = row
-            if rates:
-                drows[j] = rate
 
     w_prev = None
     w_cur = suppress(np.array(w0, dtype=float))
@@ -392,12 +370,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None, stop=None, rates
             if j >= 0 and j % stride == 0:
                 i = len(recent) - 1 - (m - j)
                 emit(j // stride, recent[i], _rate(recent, i, dt))
-    if rows is not None:
-        kept = 0 if stride is None else m // stride + 1
-        rows = rows[:kept]
-        if rates:
-            drows = drows[:kept]
-    return rows, drows, m, status
+    return m, status
 
 
 def _rate(w, i, dt):
@@ -420,22 +393,19 @@ def _rate(w, i, dt):
     return np.zeros_like(w[i])
 
 
-def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None,
-                            consume=None):
+def evolve_linear_perturbed(u0, u1, source, T, dt, consume, a=1.0, project_out=None):
     """Time-domain realization of the evolution generated by H = -Delta + V(a).
 
-    u0 and u1 are two fields, or two lists of K fields: the data of K runs
-    stepped as one (K, n) stack (see _leapfrog), each row with the bits of
-    its own run.  source may be None, a SpaceTimeField sampled at the
-    solver dt, or a row source: any object with dt, rows (its row count)
-    and row(m), the values of row m ((K, n) for a stack), which the force
-    asks for once per step in increasing m.  A SpaceTimeField is adapted to
-    one here; the modulation module's Picard map hands one that makes its
-    rows a block at a time as the run reaches them.  The steps read rows
-    0..M-1 of [0, T], so a source of fewer rows raises GridUsageError.  The
-    flow is linear: one run from (u0, u1) with source F is the cosine
-    evolution of u0 plus the sine evolution of u1 plus the sine Duhamel
-    integral of F.
+    u0 and u1 are two lists of K fields: the data of K runs stepped as one
+    (K, n) stack (see _leapfrog), each row with the bits of its own run.
+    source is None or a row source: any object with dt, rows (its row
+    count) and row(m), the (K, n) values of row m, which the force asks for
+    once per step in increasing m; the modulation module's Picard map hands
+    one that makes its rows a block at a time as the run reaches them.  The
+    steps read rows 0..M-1 of [0, T], so a source of fewer rows raises
+    GridUsageError.  The flow is linear: one run from (u0, u1) with source
+    F is the cosine evolution of u0 plus the sine evolution of u1 plus the
+    sine Duhamel integral of F.
     project_out, when set to SpectralData, keeps the state in the
     continuous subspace of the scheme (see _leapfrog), and is the only P_c
     the flow needs: in w = r f, _leapfrog's projection is the scheme-pairing
@@ -443,40 +413,26 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, a=1.0, stride=1, project_out=
     every later state; P(r F) = r P_c F and P(I - P) = 0, so by induction
     (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
     arithmetic.  Discrete energy drift over [0, T] is O(dt^2).
-    With consume, nothing is stored: consume(j, row) receives the values of
-    snapshot j ((K, n) for a stack), a fresh array, in order, as the
-    leapfrog makes it (see _leapfrog), and None is returned.  Without it a
-    stack returns one SpaceTimeField per run.
+    Nothing is stored: consume(j, row) receives the (K, n) values of
+    snapshot j, t_j = j*dt, a fresh array, for j = 0..M in order, as the
+    leapfrog makes it, and None is returned.
     """
-    stack = not isinstance(u0, RadialField)
-    grid = u0[0].grid if stack else u0.grid
-    w0, w1 = (np.array([f.w() for f in u]) if stack else u.w() for u in (u0, u1))
+    grid = u0[0].grid
+    w0, w1 = (np.array([f.w() for f in u]) for u in (u0, u1))
     wg = grid.r * project_out.g.values if project_out is not None else None
     source_row = None
     if source is not None:
-        if isinstance(source, SpaceTimeField):
-            source = SimpleNamespace(dt=source.dt, rows=len(source.samples),
-                                     row=source.samples.__getitem__)
         if abs(source.dt - dt) > 1e-12:
             raise GridUsageError("source trajectory must be sampled at the solver dt")
         steps = int(round(T / dt))
         if source.rows < steps:
             raise GridUsageError(f"a source of {source.rows} rows for a run that reads {steps}")
         source_row = source.row
-    emit = None
-    if consume is not None:
 
-        def emit(j, row, rate):
-            consume(j, _values_from_w(grid, np.array(row)))
+    def emit(j, row, rate):
+        consume(j, _values_from_w(grid, np.array(row)))
 
-    rows = _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, a, source_row),
-                     stride=stride, wg=wg, emit=emit)[0]
-    if consume is not None:
-        return None
-    rows = _values_from_w(grid, rows)
-    if stack:
-        return [SpaceTimeField(grid, dt * stride, rows[:, k]) for k in range(len(w0))]
-    return SpaceTimeField(grid, dt * stride, rows)
+    _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, a, source_row), emit, wg=wg)
 
 
 def _linear_force(grid, a, row):
@@ -549,8 +505,8 @@ def _secular_decomposition(fields, T, dt, S, stride, kind, series, profiles):
     w = np.array([g.w() for g in fields])
     zero = np.broadcast_to(0.0, w.shape)  # _leapfrog copies state 0 and reads wdot0 once
     data = (zero, w) if kind == "sine" else (w, zero)
-    _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), stride=stride,
-              wg=grid.r * S.g.values, emit=emit)
+    _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), emit, stride=stride,
+              wg=grid.r * S.g.values)
 
 
 def secular_decomposition_S(fields, T, dt, S, series, profiles, stride=1):

@@ -113,6 +113,12 @@ MUTANTS = [
         "w -= 0.0 * wg",
     ),
     (
+        "_leapfrog emits the state one step late, as snapshot j the state j - 1",
+        "src/solmanifold/propagators.py",
+        "emit(m // stride, w_cur, None)",
+        "emit(m // stride, w_prev, None)",
+    ),
+    (
         "_leapfrog pairs row j with the rate of row j + 1",
         "src/solmanifold/propagators.py",
         "_rate(recent, len(recent) - 3, dt)",
@@ -199,8 +205,14 @@ MUTANTS = [
     (
         "zero-history iterate drops data1 from its run",
         "src/solmanifold/modulation.py",
-        "evolve_linear_perturbed(p, p1, None,",
-        "evolve_linear_perturbed(p, grid.zeros(), None,",
+        "evolve_linear_perturbed([p], [p1], None,",
+        "evolve_linear_perturbed([p], [grid.zeros()], None,",
+    ),
+    (
+        "the zero-history consumer writes row j into row j - 1",
+        "src/solmanifold/modulation.py",
+        "out[j] = z[0]",
+        "out[j - 1] = z[0]",
     ),
     (
         "blocked sums drop the carried row",

@@ -9,6 +9,7 @@ Duhamel kernel, the scheme-pairing P_c that the projected linear flow
 applies at every step, the inner time norms of a whole stored stack, the
 whole modulation source stacks, the fixed-point h of a stored
 on-manifold run, the secular split of one stored perturbed run, the
+stored leapfrog and linear runs that the streamed runs replaced, the
 stored nonlinear run and the whole-run extraction of its modulation that
 the streamed passes replaced), a conserved quantity that checks a
 propagator, a way to cut a stored trajectory that the package no longer
@@ -17,6 +18,7 @@ nonlinearity on fields).
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from solmanifold.norms import NormReport, TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
     _free_slices,
+    _leapfrog,
     _resonance_series,
     _secular_coefficients,
     evolve_linear_perturbed,
@@ -182,8 +185,50 @@ def stored_secular_split(f, T, dt, S, kind, stride=1):
     coeff = _secular_coefficients(series, dt, S, stride)[0]
     zero = f.grid.zeros()
     data = (zero, f) if kind == "sine" else (f, zero)
-    run = evolve_linear_perturbed(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
+    run = stored_linear(*data, None, T, dt, a=S.a, stride=stride, project_out=S)
     return SpaceTimeField(f.grid, run.dt, run.samples - coeff[:, None] * S.resonance.values), coeff
+
+
+def stored_leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None):
+    """The (snapshots, *shape) stack of every stride-th state of a _leapfrog run, in w = r f.
+
+    The stack _leapfrog stored by default before every caller handed it an
+    emit: the states emit receives, in order, bit for bit.
+    """
+    rows = np.empty((int(round(T / dt)) // stride + 1, *np.shape(w0)))
+
+    def keep(j, row, rate):
+        rows[j] = row
+
+    _leapfrog(grid, w0, wdot0, T, dt, force, keep, stride=stride, wg=wg)
+    return rows
+
+
+def stored_linear(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
+    """evolve_linear_perturbed's runs with every stride-th snapshot stored, dt * stride apart.
+
+    The stored return the linear flow had before every run streamed, built
+    on consume: u0 and u1 are two fields (one SpaceTimeField returned) or
+    two lists of K fields (a list of K returned, one per run of the stack).
+    source is None, a row source, or a SpaceTimeField sampled at dt, which
+    is adapted to a row source here.  The rows are the snapshots j = 0,
+    stride, 2 stride, ... that consume receives, bit for bit.
+    """
+    stack = not isinstance(u0, RadialField)
+    u0, u1 = (list(u) if stack else [u] for u in (u0, u1))
+    grid = u0[0].grid
+    if isinstance(source, SpaceTimeField):
+        source = SimpleNamespace(dt=source.dt, rows=len(source.samples),
+                                 row=source.samples.__getitem__)
+    rows = np.empty((int(round(T / dt)) // stride + 1, len(u0), grid.n))
+
+    def keep(j, row):
+        if j % stride == 0:
+            rows[j // stride] = row
+
+    evolve_linear_perturbed(u0, u1, source, T, dt, keep, a=a, project_out=project_out)
+    runs = [SpaceTimeField(grid, dt * stride, rows[:, k]) for k in range(len(u0))]
+    return runs if stack else runs[0]
 
 
 def project_continuous_w(f, S):

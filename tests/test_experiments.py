@@ -164,6 +164,20 @@ def test_a_secular_grid_short_of_its_horizons_is_a_config_error(tmp_path):
     assert validate(config(110.0)) == []
 
 
+@pytest.mark.parametrize("experiment", ["energy_conservation", "stationarity", "spectrum"])
+def test_an_infinite_horizon_is_a_config_error(tmp_path, experiment):
+    # these three are exempt from the causality budget, so only the horizon
+    # check stands between T = inf and a step count that overflows in run
+    def config(T):
+        return ExperimentConfig(experiment=experiment, R=30.0, n=301, R_obs=10.0, T=T,
+                                output_dir=str(tmp_path / "out"))
+
+    assert validate(config(np.inf)) == ["time.T: horizon must be positive and finite, T=inf"]
+    with pytest.raises(ConfigError, match="time.T: horizon"):
+        run(config(np.inf))
+    assert validate(config(6.0)) == []
+
+
 def test_validate_unknown_experiment(tmp_path):
     cfg = ExperimentConfig.from_file(
         write_config(tmp_path, BASE.replace("stationarity", "nope"))

@@ -41,6 +41,8 @@ from oracles import (
     project_continuous_w,
     restricted,
     source_stacks,
+    stored_leapfrog,
+    stored_linear,
     stored_nonlinear,
     trajectory_modulation,
 )
@@ -629,7 +631,6 @@ def test_stacked_quintic_rows_equal_their_own_runs(small_shots):
     # every operation of the stacked leapfrog acts along the last axis or
     # elementwise, so each row of a K = 3 stack is its K = 1 run, bit for bit
     from solmanifold.modulation import _u_frame
-    from solmanifold.propagators import _leapfrog
 
     S, shots, dt = small_shots
     grid = S.grid
@@ -639,11 +640,11 @@ def test_stacked_quintic_rows_equal_their_own_runs(small_shots):
     data = [q.initial_data(S, h) for q, h in shots[:2]] + [shots[2][0].initial_data(S, 0.01)]
     w0 = np.array([(psi0.values - phi) * r for psi0, _ in data])
     w1 = np.array([r * psi1.values for _, psi1 in data])
-    rows = _leapfrog(grid, w0, w1, 2.0, dt, _quintic_force(r, wphi, (3,)))[0]
+    rows = stored_leapfrog(grid, w0, w1, 2.0, dt, _quintic_force(r, wphi, (3,)))
     assert rows.shape == (int(round(2.0 / dt)) + 1, 3, grid.n)
     assert np.abs(rows[-1, 2]).max() > 100 * np.abs(rows[-1, 0]).max()
     for k in range(3):
-        alone = _leapfrog(grid, w0[k], w1[k], 2.0, dt, _quintic_force(r, wphi))[0]
+        alone = stored_leapfrog(grid, w0[k], w1[k], 2.0, dt, _quintic_force(r, wphi))
         assert np.array_equal(rows[:, k], alone)
 
 
@@ -1159,8 +1160,6 @@ def _pc_u(data0, data1, u0, a0, adot0, S):
 
 
 def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
-    from solmanifold.propagators import evolve_linear_perturbed
-
     u0, a0, adot0 = history
     dt, T = u0.dt, u0.horizon
     grid = S_mod.grid
@@ -1177,9 +1176,7 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
 
     # reference: the cosine run, the sine run and the two sine Duhamels apart
     def run(v0, v1, source):
-        return evolve_linear_perturbed(
-            v0, v1, source, T, dt, a=S_mod.a, project_out=S_mod
-        ).samples
+        return stored_linear(v0, v1, source, T, dt, a=S_mod.a, project_out=S_mod).samples
 
     def pc(rows):  # the oracle P_c, row by row
         return np.array([project_continuous_w(grid.field(v), S_mod).values for v in rows])
@@ -1209,7 +1206,6 @@ def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, 
     # added in blocks gives the whole outer product; the blocks' pairings
     # with g are the whole stack's gemv
     from solmanifold.grid import cumulative_trapezoid
-    from solmanifold.propagators import evolve_linear_perturbed
 
     u0, a0, adot0 = history
     dt = u0.dt
@@ -1224,9 +1220,8 @@ def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, 
     assert np.array_equal(src.Fg, F @ (4.0 * np.pi * grid.dr * grid.r * grid.r * S_mod.g.values))
 
     def run(v0, v1, source):
-        return evolve_linear_perturbed(
-            v0, v1, SpaceTimeField(grid, dt, source), T, dt, a=S_mod.a, project_out=S_mod
-        ).samples
+        return stored_linear(v0, v1, SpaceTimeField(grid, dt, source), T, dt, a=S_mod.a,
+                             project_out=S_mod).samples
 
     ref = run(data0, data1, F)
     zs = run(grid.zeros(), grid.zeros(), D)
@@ -1330,6 +1325,27 @@ def test_zero_history_iterate_equals_explicit_zero_history(mod_grid, S_mod, quer
                      transport)
     assert np.max(np.abs(got.adot)) > 0.0 and got.h != 0.0
     _assert_iterates_equal(got, ref)
+
+
+def test_zero_history_iterate_is_the_stored_run_plus_its_rank_one_terms(mod_grid, S_mod,
+                                                                         query_psi1):
+    # the zero-history run streams into the iterate's own array: its
+    # samples are the stored run from (p, p1) plus the secular and discrete
+    # terms picard_map adds, bit for bit
+    from solmanifold.grid import cumulative_trapezoid
+    from solmanifold.modulation import _add_outer, _offset_data, _resonance_pairings
+
+    T, dt = 8.0, 0.8 * mod_grid.dr
+    transport = picard_transport(S_mod, T, dt)
+    it = picard_map(None, None, None, query_psi1, S_mod, T, dt, transport)
+    ref = stored_linear(query_psi1.psi0_perturbation, query_psi1.psi1, None, T, dt, a=S_mod.a,
+                        project_out=S_mod).samples
+    base = _resonance_pairings(*_offset_data(query_psi1, S_mod, it.h), transport)
+    _add_outer(ref, secular_coefficient(S_mod) * cumulative_trapezoid(base, dx=dt),
+               S_mod.resonance.values)
+    _add_outer(ref, (it.x_plus + it.x_minus) / np.sqrt(2.0 * S_mod.k), S_mod.g.values)
+    assert it.u.dt == dt
+    assert np.array_equal(it.u.samples, ref)
 
 
 def test_xpm_of_a_vanishing_source_is_the_free_decay(mod_grid, S_mod, query_psi1):

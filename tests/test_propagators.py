@@ -33,6 +33,8 @@ from oracles import (
     newton_potential,
     project_continuous_w,
     secular_projector,
+    stored_leapfrog,
+    stored_linear,
     stored_secular_split,
     transport_energy,
 )
@@ -280,15 +282,13 @@ def test_duhamel_consistency_with_leapfrog(wave_grid):
     F = SpaceTimeField(grid, dt, np.tile(f.values, (M + 1, 1)))
     duh = free_duhamel(F)
 
-    import solmanifold.propagators as prop
-
     zero = grid.zeros()
     source_w = (grid.r * f.values)[1:-1]
 
     def force(w, m, acc):
         acc += source_w
 
-    lf = prop._leapfrog(grid, zero.w(), zero.w(), M * dt, dt, force)[0]
+    lf = stored_leapfrog(grid, zero.w(), zero.w(), M * dt, dt, force)
     sl = grid.obs_slice()
     errs = []
     for m in (50, 100, 200):
@@ -303,9 +303,7 @@ def test_perturbed_free_limit(wave_grid):
     dt = 0.5 * grid.dr
     f = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
 
-    import solmanifold.propagators as prop
-
-    lf = prop._leapfrog(grid, grid.zeros().w(), f.w(), 10.0, dt, lambda w, m, acc: None)[0]
+    lf = stored_leapfrog(grid, grid.zeros().w(), f.w(), 10.0, dt, lambda w, m, acc: None)
     sl = grid.obs_slice()
     m = 400  # t = 10
     u_lf = field_from_w(grid, lf[m])
@@ -316,7 +314,7 @@ def test_perturbed_free_limit(wave_grid):
 def test_perturbed_growing_mode(S_ref):
     grid = S_ref.grid
     dt = 0.5 * grid.dr
-    traj = evolve_linear_perturbed(S_ref.g, grid.zeros(), None, 4.0, dt, stride=20)
+    traj = stored_linear(S_ref.g, grid.zeros(), None, 4.0, dt, stride=20)
     ov = np.array(
         [inner_product(traj.slice(m), S_ref.g) for m in range(traj.samples.shape[0])]
     )
@@ -332,9 +330,7 @@ def test_perturbed_continuous_data_bounded(S_ref, rng):
     dt = 0.8 * grid.dr
     f = project_continuous_w(grid.field(np.exp(-((grid.r - 2.0) ** 2))), S_ref)
     T = min(10.0 / S_ref.k, grid.budget_horizon())
-    traj = evolve_linear_perturbed(
-        f, grid.zeros(), None, T, dt, project_out=S_ref, stride=10
-    )
+    traj = stored_linear(f, grid.zeros(), None, T, dt, project_out=S_ref, stride=10)
     sl = grid.obs_slice()
     norms = [
         l2_norm(traj.slice(m), radius=grid.R_obs)
@@ -362,7 +358,7 @@ def test_projected_flow_ignores_the_g_component():
 
     def run(v0, v1, source):
         source = SpaceTimeField(grid, dt, source)
-        return evolve_linear_perturbed(v0, v1, source, T, dt, project_out=S).samples
+        return stored_linear(v0, v1, source, T, dt, project_out=S).samples
 
     raw = run(f, f1, F)
     ref = run(pc(f.values), pc(f1.values), np.array([pc(row).values for row in F]))
@@ -402,11 +398,11 @@ def test_projected_stack_rows_equal_their_own_runs():
                    for k in range(K)]
         stacked = np.stack(sources, axis=1)
         source = SimpleNamespace(dt=dt, rows=len(stacked), row=stacked.__getitem__)
-        runs = evolve_linear_perturbed(data0, data1, source, T, dt, a=S.a, project_out=S)
+        runs = stored_linear(data0, data1, source, T, dt, a=S.a, project_out=S)
         assert len(runs) == K
         for k in range(K):
-            alone = evolve_linear_perturbed(data0[k], data1[k], SpaceTimeField(grid, dt, sources[k]),
-                                            T, dt, a=S.a, project_out=S)
+            alone = stored_linear(data0[k], data1[k], SpaceTimeField(grid, dt, sources[k]),
+                                  T, dt, a=S.a, project_out=S)
             assert np.array_equal(runs[k].samples, alone.samples), (K, k)
 
 
@@ -450,7 +446,7 @@ def test_the_split_reads_the_series_it_is_given(S_ref):
     M = int(round(T / dt))
     for kind, split in (("sine", secular_decomposition_S), ("cosine", secular_decomposition_C)):
         data = (grid.zeros(), f) if kind == "sine" else (f, grid.zeros())
-        run = evolve_linear_perturbed(*data, None, T, dt, a=S_ref.a, project_out=S_ref)
+        run = stored_linear(*data, None, T, dt, a=S_ref.a, project_out=S_ref)
         blocks, _ = _streamed_blocks(
             lambda p: split([f], T, dt, S_ref, np.zeros((1, M + 1)), _one_field(p)), grid, dt)
         assert np.array_equal(np.concatenate(blocks), run.samples[:, : blocks[0].shape[-1]])
@@ -463,7 +459,7 @@ def test_projected_runs_conserve_the_discrete_energy():
     # commutes with A (r g is its eigenvector), so the projected runs keep
     # it to rounding, every row of a K = 3 stack and the K = 1 run alike.
     # A wrong dt^2, stencil weight or per-row projection breaks it at once
-    from solmanifold.propagators import _leapfrog, _linear_force
+    from solmanifold.propagators import _linear_force
 
     grid = RadialGrid(R=40.0, n=401)
     S = ground_state(grid)
@@ -481,8 +477,8 @@ def test_projected_runs_conserve_the_discrete_energy():
                 + np.sum(w[1:] * Aw[:-1], axis=-1))
 
     def run(w0, w1):
-        return _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, S.a, None),
-                         wg=r * S.g.values)[0]
+        return stored_leapfrog(grid, w0, w1, T, dt, _linear_force(grid, S.a, None),
+                               wg=r * S.g.values)
 
     stack = energy(run(w0, w1))
     assert stack.shape == (2000, 3)
@@ -503,7 +499,7 @@ def test_a_short_source_fails_typed():
 
     def run(source_rows):
         source = SpaceTimeField(grid, dt, source_rows)
-        return evolve_linear_perturbed(grid.zeros(), grid.zeros(), source, M * dt, dt).samples
+        return stored_linear(grid.zeros(), grid.zeros(), source, M * dt, dt).samples
 
     assert np.array_equal(run(rows[:M]), run(rows))
     for short in (5, M - 1):
@@ -514,7 +510,8 @@ def test_a_short_source_fails_typed():
 def test_cfl_guard(S_ref):
     grid = S_ref.grid
     with pytest.raises(GridUsageError):
-        evolve_linear_perturbed(grid.zeros(), grid.zeros(), None, 1.0, 2 * grid.dr)
+        evolve_linear_perturbed([grid.zeros()], [grid.zeros()], None, 1.0, 2 * grid.dr,
+                                lambda j, row: None)
 
 
 def test_perturbed_energy_drift_second_order():
@@ -529,7 +526,7 @@ def test_perturbed_energy_drift_second_order():
         S = ground_state(grid)
         dt = 0.8 * grid.dr
         f = project_continuous_w(grid.field(np.exp(-((grid.r - 2.0) ** 2))), S)
-        traj = evolve_linear_perturbed(f, grid.zeros(), None, 25.0, dt, project_out=S)
+        traj = stored_linear(f, grid.zeros(), None, 25.0, dt, project_out=S)
         # field energy 1/2(|grad u|^2 + u_t^2) + 1/2 <V u, u>, u_t by a dense
         # centered difference (its own O(dt^2) error dominates over rounding,
         # so the x4 law reflects the full second-order bookkeeping)
@@ -587,7 +584,7 @@ def test_cosine_of_H_fixes_resonance(S_ref):
     S = ground_state(grid)
     dt = 0.8 * grid.dr
     res = S.resonance
-    traj = evolve_linear_perturbed(
+    traj = stored_linear(
         project_continuous_w(res, S), grid.zeros(), None, 25.0, dt,
         project_out=S, stride=25,
     )
@@ -633,8 +630,6 @@ def test_secular_C_of_resonance_is_constant():
 
 def test_perturbed_snapshots_convert_in_one_pass(S_ref):
     # the stacked w -> f conversion equals field_from_w slice by slice
-    import solmanifold.propagators as prop
-
     grid = S_ref.grid
     dt = 0.8 * grid.dr
     u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
@@ -644,34 +639,51 @@ def test_perturbed_snapshots_convert_in_one_pass(S_ref):
     def force(w, m, acc):
         acc -= V * w[1:-1]
 
-    snaps = prop._leapfrog(grid, u0.w(), u1.w(), 2.0, dt, force, stride=5)[0]
-    traj = evolve_linear_perturbed(u0, u1, None, 2.0, dt, stride=5)
+    snaps = stored_leapfrog(grid, u0.w(), u1.w(), 2.0, dt, force, stride=5)
+    traj = stored_linear(u0, u1, None, 2.0, dt, stride=5)
     expected = np.stack([field_from_w(grid, w).values for w in snaps])
     assert np.array_equal(traj.samples, expected)
 
 
 def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
     # with a source and the g-suppression on, a stride-s run keeps rows
-    # [::s]; with consume it hands over the same rows, in order, and stores none
+    # [::s], stored by the oracle or emitted by _leapfrog's own stride; the
+    # package's run stores none: it returns None and hands its consumer
+    # rows 0..M in order, for a K = 1 stack and each row of a K = 2 stack
+    from solmanifold.propagators import _linear_force
+
     grid = S_ref.grid
     dt = 0.8 * grid.dr
     M = 100
     u0 = grid.field(np.exp(-((grid.r - 2.0) ** 2)))
     u1 = grid.field(0.5 * np.exp(-((grid.r - 3.0) ** 2)))
     F = SpaceTimeField(grid, dt, np.outer(np.cos(dt * np.arange(M + 1)), u0.values))
-    dense = evolve_linear_perturbed(u0, u1, F, M * dt, dt, project_out=S_ref)
+    dense = stored_linear(u0, u1, F, M * dt, dt, project_out=S_ref)
+    force = _linear_force(grid, 1.0, F.samples.__getitem__)
     for s in (3, 7):
-        run = evolve_linear_perturbed(u0, u1, F, M * dt, dt, stride=s, project_out=S_ref)
+        run = stored_linear(u0, u1, F, M * dt, dt, stride=s, project_out=S_ref)
         assert run.dt == s * dt
         assert np.array_equal(run.samples, dense.samples[::s])
-    for s in (1, 3):
+        snaps = stored_leapfrog(grid, u0.w(), u1.w(), M * dt, dt, force, stride=s,
+                                wg=grid.r * S_ref.g.values)
+        assert np.array_equal(np.array([field_from_w(grid, w).values for w in snaps]),
+                              dense.samples[::s])
+    half = SpaceTimeField(grid, dt, 0.5 * F.samples)
+    swapped = stored_linear(u1, u0, half, M * dt, dt, project_out=S_ref)
+    for data0, data1, rows, runs in (
+        ([u0], [u1], F.samples, [dense]),
+        ([u0, u1], [u1, u0], np.stack([F.samples, half.samples], axis=1), [dense, swapped]),
+    ):
         seen = []
-        assert evolve_linear_perturbed(
-            u0, u1, F, M * dt, dt, stride=s, project_out=S_ref,
-            consume=lambda j, row: seen.append((j, row)),
-        ) is None
-        assert [j for j, _ in seen] == list(range(len(dense.samples[::s])))
-        assert np.array_equal(np.array([row for _, row in seen]), dense.samples[::s])
+        source = SimpleNamespace(dt=dt, rows=M + 1, row=rows.__getitem__)
+        assert evolve_linear_perturbed(data0, data1, source, M * dt, dt,
+                                       lambda j, row: seen.append((j, row)),
+                                       project_out=S_ref) is None
+        assert [j for j, _ in seen] == list(range(M + 1))
+        got = np.array([row for _, row in seen])
+        assert got.shape == (M + 1, len(runs), grid.n)
+        for k, run in enumerate(runs):
+            assert np.array_equal(got[:, k], run.samples), k
 
 
 def test_linear_evolution_is_scale_covariant():
@@ -686,8 +698,8 @@ def test_linear_evolution_is_scale_covariant():
     assert ground_state(small, 16.0).k / ground_state(big, 1.0).k == 4.0
     f = np.exp(-((big.r - 3.0) ** 2))
     f1 = big.r * np.exp(-((big.r - 2.0) ** 2))
-    ref = evolve_linear_perturbed(big.field(f), big.field(f1), None, T, dt, a=1.0).samples
-    out = evolve_linear_perturbed(
+    ref = stored_linear(big.field(f), big.field(f1), None, T, dt, a=1.0).samples
+    out = stored_linear(
         small.field(2.0 * f), small.field(8.0 * f1), None, T / 4, dt / 4, a=16.0
     ).samples
     assert np.max(np.abs(out - 2.0 * ref)) <= 1e-15 * np.max(np.abs(ref))
