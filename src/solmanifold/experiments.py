@@ -692,7 +692,7 @@ def _run_codim1(cfg, outdir, report):
     signs = {}
     for offset in (+1e-6, -1e-6):
         psi0, psi1 = query.initial_data(S, res.h + offset)
-        run = evolve_nonlinear(psi0, psi1, cfg.T, dt, S=S, stride=None, overlap_cap=0.1)
+        run = evolve_nonlinear(psi0, psi1, cfg.T, dt, S=S, overlap_cap=0.1)
         ov = run.g_overlap
         t = run.times_dense
         window = (np.abs(ov) > 10 * abs(offset)) & (np.abs(ov) < 0.05)

@@ -40,7 +40,6 @@ from .grid import (
     FOUR_PI,
     GridUsageError,
     RadialField,
-    _values_from_w,
     cumulative_trapezoid,
     h1_seminorm,
     inner_product,
@@ -70,8 +69,17 @@ class BracketError(RuntimeError):
 
 
 def _quintic(v, p):
-    """N(v, p) on arrays, in Horner form; rows of a history broadcast alike."""
-    return v * v * (10.0 * p**3 + v * (10.0 * p**2 + v * (5.0 * p + v)))
+    """N(v, p) on arrays, in Horner form; rows of a history broadcast alike.
+
+    v * v * (10 p**3 + v * (10 p**2 + v * (5 p + v))), accumulated in one
+    array, so that no more than three of the broadcast shape are held.
+    """
+    horner = 5.0 * p + v
+    for power in (2, 3):
+        horner *= v
+        horner += 10.0 * p**power
+    horner *= v * v
+    return horner
 
 
 def _fifth(x, out):
@@ -143,16 +151,7 @@ class NonlinearRun:
     departure_time: float = None
 
 
-def evolve_nonlinear(
-    psi0,
-    psi1,
-    T,
-    dt,
-    S=None,
-    stride=1,
-    overlap_cap=None,
-    consume=None,
-):
+def evolve_nonlinear(psi0, psi1, T, dt, S=None, stride=1, overlap_cap=None, consume=None):
     """Leapfrog integration of psi_tt = Delta psi + psi^5 in w = r*psi variables.
 
     Internally evolves u = psi - phi so the soliton is an exact discrete
@@ -169,10 +168,13 @@ def evolve_nonlinear(
     an exception.  The frame, the force and that test are _u_frame's and
     _quintic_force's, which _manifold_passes also steps on a stack.
     Nothing is stored: with consume, consume(j, psi, psi_t) receives the
-    RadialFields of snapshot j, every stride-th step, with its time
-    derivative (five-point centred, see propagators._rate), in order, as
-    the loop makes them (see propagators._leapfrog), each checked finite;
-    without consume (or with stride None) no snapshot is made.
+    RadialFields of snapshot j, every stride-th step, and of its time
+    derivative (five-point centred, see propagators._rate), in order, each
+    checked finite: its own copies of the loop's one-row value blocks (see
+    propagators._leapfrog), which it may keep.  One row, as consume takes
+    them: a larger block would only hold more rows, and an energy run's
+    memory must not grow with its steps.  Without consume no snapshot is
+    made.
     """
     grid = psi0.grid
     r = grid.r
@@ -189,27 +191,15 @@ def evolve_nonlinear(
             return "departed"
         return None
 
-    def emit(j, row, rate):
-        psi = _values_from_w(grid, np.array(row))
-        psi += phi
-        psi_t = _values_from_w(grid, rate)
+    def take(rows, psi, psi_t):  # the consumer's own copies of the one-row blocks
+        psi, psi_t = psi[0] + phi, psi_t[0].copy()
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(psi_t))):
             raise GridUsageError("non-finite trajectory samples")
-        consume(j, RadialField(grid, psi), RadialField(grid, psi_t))
+        consume(rows.start, RadialField(grid, psi), RadialField(grid, psi_t))
 
-    streamed = consume is not None and stride is not None
-    m_end, status = _leapfrog(
-        grid,
-        (psi0.values - phi) * r,
-        r * psi1.values,
-        T,
-        dt,
-        _quintic_force(r, wphi),
-        emit,
-        stride=stride if streamed else None,
-        stop=stop,
-        rates=streamed,
-    )
+    m_end, status = _leapfrog(grid, (psi0.values - phi) * r, r * psi1.values, T, dt,
+                              _quintic_force(r, wphi), None if consume is None else take,
+                              stride=stride, block=1, stop=stop, rates=consume is not None)
     return NonlinearRun(
         grid=grid,
         dt=dt,
@@ -305,7 +295,7 @@ class ShootResult:
 
 def _classify(query, h, S, T, dt):
     psi0, psi1 = query.initial_data(S, h)
-    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, stride=None, overlap_cap=0.25)
+    run = evolve_nonlinear(psi0, psi1, T, dt, S=S, overlap_cap=0.25)
     ov = run.g_overlap[-1]
     if ov == 0.0:
         return 0.0, run
@@ -432,12 +422,20 @@ def _leapfrog_rates(k, dt):
 
 
 def _elliptic_residual(grid, phi_vals):
-    """Delta_h phi + phi^5 in w-variables on the interior nodes, rowwise."""
+    """Delta_h phi + phi^5 in w-variables on the interior nodes, rowwise.
+
+    Written in place into the result and w = r phi: two arrays of its shape.
+    """
     r = grid.r
     w = r * phi_vals
     rho = np.zeros(w.shape)
-    rho[..., 1:-1] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / grid.dr**2
-    rho[..., 1:-1] += (phi_vals**5 * r)[..., 1:-1]
+    inner = rho[..., 1:-1]  # (w[2:] - 2 w[1:-1] + w[:-2]) / dr^2
+    np.subtract(w[..., 2:], np.multiply(w[..., 1:-1], 2.0, out=inner), out=inner)
+    inner += w[..., :-2]
+    inner /= grid.dr**2
+    np.power(phi_vals, 5, out=w)
+    w *= r
+    inner += w[..., 1:-1]
     return rho
 
 
@@ -692,7 +690,6 @@ def _manifold_passes(queries, hs, S, T, dt, fold, stride=1, rates=False):
     grid = S.grid
     r = grid.r
     K = len(queries)
-    J = int(round(T / dt)) // stride + 1
     frame = _u_frame(grid, S)
     phi, wphi = frame[:2]
     data = [q.initial_data(S, h) for q, h in zip(queries, hs)]
@@ -701,7 +698,7 @@ def _manifold_passes(queries, hs, S, T, dt, fold, stride=1, rates=False):
     product, scales = _modulation_proxy(S)
     a, miss = scales(list(_proxy_products(grid, frame, w0, w1, T, dt, stride, product)))
     del product, scales  # pass 2 holds no proxy
-    a, miss = a.reshape(K, J), miss.reshape(K, J)
+    a, miss = a.reshape(K, -1), miss.reshape(K, -1)
     for k in range(K):
         if miss[k].any():
             raise LeftModulationWindow(f"sweep point {k}: row {np.flatnonzero(miss[k])[0]} has "
@@ -709,41 +706,18 @@ def _manifold_passes(queries, hs, S, T, dt, fold, stride=1, rates=False):
     _check_window(a, S)
     adot = np.gradient(a, stride * dt, axis=-1)
 
-    def radiation(rows, u, udot):  # psi and psi_t become u and udot, in place
+    def radiation(rows, u, udot):  # the values of w and its rates become u and udot, in place
+        u += phi
         for k in range(K):  # one point at a time: (rows, n) temporaries
             scale = a[k, rows, None]
-            u[k] -= soliton.phi(r, scale)
+            u[:, k] -= soliton.phi(r, scale)
             if rates:
-                udot[k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)
-        fold(rows, u.swapaxes(0, 1), a[:, rows], udot if udot is None else udot.swapaxes(0, 1))
+                udot[:, k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)
+        fold(rows, u, a[:, rows], udot)
 
-    _leapfrog(grid, w0, w1, T, dt, _quintic_force(r, wphi, (K,)),
-              _snapshot_blocks(grid, phi, K, J, rates, radiation), stride=stride, rates=rates)
+    _leapfrog(grid, w0, w1, T, dt, _quintic_force(r, wphi, (K,)), radiation, stride=stride,
+              block=_ROWS, rates=rates)
     return a, adot
-
-
-def _snapshot_blocks(grid, phi, K, J, rates, take):
-    """The emit of a (K, n) _leapfrog run of the u flow: its J snapshots, _ROWS at a time.
-
-    take(rows, psi, psi_t) gets the snapshots rows, in order: psi = w / r +
-    phi and psi_t the values of their rates (None without rates), each
-    (K, rows, n) with each point's rows together, in buffers the next block reuses.
-    """
-    psi = np.empty((K, _ROWS, grid.n))
-    psi_t = np.empty_like(psi) if rates else None
-
-    def emit(j, w, rate):
-        i = j % _ROWS  # the block holds snapshots j - i .. j of every run
-        psi[:, i] = w
-        if rates:
-            psi_t[:, i] = rate
-        if i == _ROWS - 1 or j == J - 1:
-            block = _values_from_w(grid, psi[:, : i + 1])
-            block += phi
-            take(slice(j - i, j + 1), block,
-                 _values_from_w(grid, psi_t[:, : i + 1]) if rates else None)
-
-    return emit
 
 
 def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
@@ -751,8 +725,8 @@ def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
 
     The K runs of the u flow from (w0, w1), (K, n) each, step as one stack
     through _leapfrog; frame is _u_frame's, product _modulation_proxy's.
-    Every stride-th state is a snapshot, paired a block at a time
-    (_snapshot_blocks).  A blow-up in any row ends the pass and raises
+    Every stride-th state is a snapshot, paired a block of _ROWS
+    snapshots at a time.  A blow-up in any row ends the pass and raises
     PropagatorError naming that row's sweep point.
     """
     phi, wphi, overlap, blown = frame
@@ -761,7 +735,8 @@ def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
     P = np.empty((K, J, _NODES))
 
     def project(rows, psi, psi_t):
-        P[:, rows] = product(psi)
+        psi += phi
+        P[:, rows] = product(psi).swapaxes(0, 1)
 
     def stop(m, w):
         if m < 2:  # the data and the Taylor step are not tested
@@ -770,8 +745,7 @@ def _proxy_products(grid, frame, w0, w1, T, dt, stride, product):
         return bad[0] if len(bad) else None
 
     force = _quintic_force(grid.r, wphi, (K,))
-    m_end, point = _leapfrog(grid, w0, w1, T, dt, force,
-                             _snapshot_blocks(grid, phi, K, J, False, project), stride=stride,
+    m_end, point = _leapfrog(grid, w0, w1, T, dt, force, project, stride=stride, block=_ROWS,
                              stop=stop)
     if point is not None:
         raise PropagatorError(f"nonlinear run of sweep point {point} ended 'blowup' at "
@@ -1064,15 +1038,18 @@ def _pc_u_series(query, F, D, S, T, dt):
     stack, each row with the bits of its own run, and the source hands
     them F.row(m) and D.row(m) together in one reused buffer, so F and D,
     the _Blocks of _source_rows, are made in lockstep as the kernel fold
-    needs.  Nothing of the defect run is stored: as the pair makes snapshot
-    j, its data row is stored and, from the defect rows j - 2 and j - 1,
-    the derivative of row j - 1 (np.gradient's expressions: centred inside,
-    one-sided at the horizon, none for M < 2) is subtracted from it.  F and
-    D are completed after the run, so the pairings and the kernel sums are
-    whole on return.  The zero history (F and D None) runs the data alone,
-    with no source, as a stack of one run whose rows fill the same output
-    array.  The minus on the defect Duhamel matches
-    modulation_rate_series (see the sign discussion there).  Returns the
+    needs.  Nothing of the defect run is stored: as the pair hands on each
+    block of snapshots, its data rows are written straight into the output
+    and, for each row j >= 2 of the block, the derivative of the defect run
+    at row j - 1 from its rows j - 2 and j (np.gradient's expressions:
+    centred inside, one-sided at the horizon, none for M < 2) is
+    subtracted from row j - 1; the last two defect rows carry over to the
+    next block.  F and D are completed after the run, so the pairings and
+    the kernel sums are whole on return.  The zero history (F and D None)
+    runs the data alone, with no source, as a stack of one run whose
+    blocks are written straight into the same output array.  The minus on
+    the defect Duhamel matches modulation_rate_series (see the sign
+    discussion there).  Returns the
     (M+1, n) samples.
     """
     grid = S.grid
@@ -1081,8 +1058,8 @@ def _pc_u_series(query, F, D, S, T, dt):
     out = np.empty((M + 1, grid.n))
     if F is None:
 
-        def keep(j, z):
-            out[j] = z[0]
+        def keep(rows, z):
+            out[rows] = z[:, 0]
 
         evolve_linear_perturbed([p], [p1], None, T, dt, keep, a=S.a, project_out=S)
         return out
@@ -1093,15 +1070,17 @@ def _pc_u_series(query, F, D, S, T, dt):
         pair[1] = D.row(m)
         return pair
 
-    recent = []  # the defect run's rows j - 2 and j - 1
+    recent = np.empty((0, grid.n))  # the defect run's last rows before the block, up to two
 
-    def consume(j, z):
-        out[j], z = z[0], z[1]
-        if j >= 2:
-            out[j - 1] -= (z - recent[0]) / (2.0 * dt)
-            if j == M:
-                out[M] -= (z - recent[1]) / dt
-        recent[:] = recent[-1:] + [z]
+    def consume(rows, z):
+        nonlocal recent
+        out[rows] = z[:, 0]
+        z = np.concatenate((recent, z[:, 1]))  # the defect rows from max(rows.start - 2, 0)
+        if len(z) > 2:  # each row j >= 2 of the block: row j - 1 takes the centred difference
+            out[rows.stop - len(z) + 1 : rows.stop - 1] -= (z[2:] - z[:-2]) / (2.0 * dt)
+            if rows.stop == M + 1:
+                out[M] -= (z[-1] - z[-2]) / dt
+        recent = z[-2:]
 
     zero = grid.zeros()
     source = SimpleNamespace(dt=dt, rows=F.rows, row=row)

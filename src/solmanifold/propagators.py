@@ -8,12 +8,15 @@ same stencil the spectral module diagonalizes, so the discrete eigenpair
 (k, g) is exact for the scheme.  That leapfrog, _leapfrog, is the package's
 only time stepper: the nonlinear flow of the modulation module runs on it
 with its own force and stop test, one state at a time or, for the
-fixed-point h of a sweep, as one (K, n) stack of K states whose rows each
-keep the bits of their own run.  Projected linear runs step stacks too:
-the Picard map's data and defect runs as one pair, and the secular split
-of many fields as one stack per kind.  It stores no state: it hands the
-strided snapshots its callers read to their consumer as it makes them,
-so memory grows with what the consumer keeps, not with the steps.  A
+on-manifold passes, as one (K, n) stack of K states whose rows each keep
+the bits of their own run.  Projected linear runs step stacks too: the
+Picard map's data and defect runs as one pair, and the secular split of
+many fields as one stack per kind.  It stores no state and is the one
+owner of the snapshot format: it hands the strided snapshots its callers
+read to their consumer as blocks of field values f = w / r, converted a
+block at a time in one reused buffer, so memory grows with what the
+consumer keeps, not with the steps, and no consumer converts a
+snapshot itself (a stop test still reads each state in w).  A
 stored trajectory holds the whole grid.  The secular split always
 streams to a profiles consumer (inside and add, see _free_slices), and
 the free trajectories do when given one: then no trajectory is stored at
@@ -276,7 +279,8 @@ def _resonance_series(grid, a, T, dt, kind, fields):
     return series
 
 
-def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None, rates=False):
+def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, cols=None,
+              wg=None, stop=None, rates=False):
     """Three-level integration of w_tt = w_rr + force on the interior nodes.
 
     The package's one time-stepping loop.  A state is one row of n values,
@@ -296,15 +300,20 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None,
     every state w_m as it is made; the first value other than None ends
     the run there and is returned as its status.
 
-    Only the states m = 0, stride, 2 stride, ... up to the last step m_end
-    are emitted (stride None emits none).  With rates, the time
-    derivative of each emitted state goes with it, by _rate from the last
-    five states the loop keeps: five-point centred, lower-order within two
-    steps of m = 0 and of m_end.  emit(j, row, rate) receives snapshot j
-    once both exist: at step j stride without rates (rate None), at step
-    j stride + 2 with them, and the last two after the loop.  row is a view
-    of the live state, rate a fresh array.  No state is stored.  Returns
-    (m_end, status).
+    With take, the snapshots m = 0, stride, 2 stride, ... up to the last
+    step m_end go to the caller in blocks of field values, f = w / r with
+    the origin extrapolated (grid._values_from_w); without take none is
+    made.  A block of up to block snapshots (by default about BLOCK_BYTES)
+    at the cols leading nodes (by default all) fills one reused buffer and
+    is converted once, when full or when the run ends, a stopped run too.
+    take(rows, values, rates) receives the blocks in order from snapshot
+    0: rows is the slice of snapshot indices, values the (len(rows), K,
+    cols) block (no K axis for one row), and rates that of their time
+    derivatives, or None without rates.  A rate comes from the last five
+    states the loop keeps (_rate: five-point centred, lower-order within
+    two steps of m = 0 and of m_end), so it holds its snapshot back two
+    steps.  Both blocks are reused: take copies what it keeps.  No state
+    is stored.  Returns (m_end, status).
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
@@ -331,13 +340,36 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None,
             w -= np.multiply(np.vecdot(w, wg)[..., None], wg, out=scratch)
         return w
 
-    w_prev = None
+    if take is not None:
+        cols = shape[-1] if cols is None else cols
+        block = block or _block_rows(int(np.prod(shape[:-1])) * cols)
+        values = np.empty((min(block, M // stride + 1), *shape[:-1], cols))
+        slopes = np.empty_like(values) if rates else None
+    lag = 2 if rates else 0  # steps a snapshot waits for the states its rate reads
+    ahead = 0  # the step of the next snapshot
+
+    def settle(ready):  # every snapshot up to step ready into its row; a full block to take
+        nonlocal ahead
+        while ahead <= ready:
+            i, j = len(recent) - 1 - (m - ahead), ahead // stride
+            values[j % block] = recent[i][..., :cols]
+            if rates:
+                slopes[j % block] = _rate(recent, i, dt)[..., :cols]
+            ahead += stride
+            if (j + 1) % block == 0:
+                flush(j)
+
+    def flush(j):  # the block that ends at snapshot j
+        i = j % block
+        take(slice(j - i, j + 1), _values_from_w(grid, values[: i + 1]),
+             _values_from_w(grid, slopes[: i + 1]) if rates else None)
+
+    m, w_prev = 0, None
     w_cur = suppress(np.array(w0, dtype=float))
-    recent = [w_cur] if rates else None  # the states m-4..m whose rates _rate reads
-    if stride is not None and not rates:
-        emit(0, w_cur, None)
+    if take is not None:
+        recent = [w_cur]  # the states m-4..m that a snapshot and its rate read
+        settle(-lag)
     status = None if stop is None else stop(0, w_cur)
-    m = 0
     while status is None and m < M:
         m += 1
         # each step makes one fresh array and no other temporary state
@@ -351,12 +383,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None,
             w_next += np.multiply(accel(w_cur, m - 1), dt * dt, out=acc)
         suppress(w_next)
         w_prev, w_cur = w_cur, w_next
-        if rates:
-            recent = recent[-4:] + [w_cur]
-            if m >= 2 and (m - 2) % stride == 0:
-                emit((m - 2) // stride, recent[-3], _rate(recent, len(recent) - 3, dt))
-        elif stride is not None and m % stride == 0:
-            emit(m // stride, w_cur, None)
+        if take is not None:
+            recent = recent[-2 * lag :] + [w_cur] if lag else [w_cur]
+            settle(m - lag)
         if stop is not None:
             status = stop(m, w_cur)
         # a stopped run keeps the verdict its stop test gave
@@ -364,12 +393,10 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, emit, stride=1, wg=None, stop=None,
             raise PropagatorError(f"leapfrog instability detected at t={m * dt}")
     if status is None and not np.all(np.isfinite(w_cur)):
         raise PropagatorError("leapfrog instability detected at final step")
-    if rates:
-        # the emitted states among the last two still wait for their rates
-        for j in (m - 1, m):
-            if j >= 0 and j % stride == 0:
-                i = len(recent) - 1 - (m - j)
-                emit(j // stride, recent[i], _rate(recent, i, dt))
+    if take is not None:
+        settle(m)  # the snapshots among the last lag states, with one-sided rates
+        if (ahead // stride) % block:
+            flush(ahead // stride - 1)
     return m, status
 
 
@@ -413,9 +440,11 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, consume, a=1.0, project_out=N
     every later state; P(r F) = r P_c F and P(I - P) = 0, so by induction
     (u0, u1, F) and (P_c u0, P_c u1, P_c F) give the same states in exact
     arithmetic.  Discrete energy drift over [0, T] is O(dt^2).
-    Nothing is stored: consume(j, row) receives the (K, n) values of
-    snapshot j, t_j = j*dt, a fresh array, for j = 0..M in order, as the
-    leapfrog makes it, and None is returned.
+    Nothing is stored: consume(rows, values) receives the snapshots
+    t_j = j*dt, j = 0..M, in order, in blocks of about BLOCK_BYTES as the
+    leapfrog makes them: rows is the slice of their indices j and values
+    their (len(rows), K, n) field values, in a buffer the next block
+    reuses (see _leapfrog).  None is returned.
     """
     grid = u0[0].grid
     w0, w1 = (np.array([f.w() for f in u]) for u in (u0, u1))
@@ -428,11 +457,8 @@ def evolve_linear_perturbed(u0, u1, source, T, dt, consume, a=1.0, project_out=N
         if source.rows < steps:
             raise GridUsageError(f"a source of {source.rows} rows for a run that reads {steps}")
         source_row = source.row
-
-    def emit(j, row, rate):
-        consume(j, _values_from_w(grid, np.array(row)))
-
-    _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, a, source_row), emit, wg=wg)
+    _leapfrog(grid, w0, w1, T, dt, _linear_force(grid, a, source_row),
+              lambda rows, values, rates: consume(rows, values), wg=wg)
 
 
 def _linear_force(grid, a, row):
@@ -477,8 +503,8 @@ def _secular_decomposition(fields, T, dt, S, stride, kind, series, profiles):
     caller holding any other f passes P_c f.  Each dispersive row, the
     field of its state minus coeff_j times the resonance, is made at the
     nodes of the ball of profiles (inside and add, see _free_slices) in
-    (rows, K, cols) blocks of about BLOCK_BYTES as the leapfrog emits the
-    states.  profiles.add receives each block in turn, in one reused
+    the (rows, K, cols) value blocks of about BLOCK_BYTES that the leapfrog
+    hands on.  profiles.add receives each block in turn, in one reused
     buffer, as a norms.TimeProfiles of K trajectories reads them.  Nothing
     is stored or returned: a caller that reads the secular part makes its
     coefficients from the same series.
@@ -490,23 +516,16 @@ def _secular_decomposition(fields, T, dt, S, stride, kind, series, profiles):
     coeff = _secular_coefficients(series, dt, S, stride)
     cols = _columns(grid, profiles)
     resonance = S.resonance.values[:cols]
-    K, last = len(fields), coeff.shape[1] - 1
-    step = _block_rows(K * cols)
-    out = np.empty((min(step, last + 1), K, cols))
 
-    def emit(j, row, rate):
-        i = j % step  # the block holds rows j - i .. j so far
-        out[i] = row[:, :cols]
-        if i == step - 1 or j == last:
-            block = _values_from_w(grid, out[: i + 1])
-            block -= coeff[:, j - i : j + 1].T[..., None] * resonance  # now the dispersive part
-            profiles.add(block)
+    def take(rows, block, rates):
+        block -= coeff[:, rows].T[..., None] * resonance  # now the dispersive part
+        profiles.add(block)
 
     w = np.array([g.w() for g in fields])
     zero = np.broadcast_to(0.0, w.shape)  # _leapfrog copies state 0 and reads wdot0 once
     data = (zero, w) if kind == "sine" else (w, zero)
-    _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), emit, stride=stride,
-              wg=grid.r * S.g.values)
+    _leapfrog(grid, *data, T, dt, _linear_force(grid, S.a, None), take, stride=stride,
+              cols=cols, wg=grid.r * S.g.values)
 
 
 def secular_decomposition_S(fields, T, dt, S, series, profiles, stride=1):

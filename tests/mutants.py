@@ -115,14 +115,38 @@ MUTANTS = [
     (
         "_leapfrog emits the state one step late, as snapshot j the state j - 1",
         "src/solmanifold/propagators.py",
-        "emit(m // stride, w_cur, None)",
-        "emit(m // stride, w_prev, None)",
+        "values[j % block] = recent[i][..., :cols]",
+        "values[j % block] = recent[i - 1][..., :cols]",
+    ),
+    (
+        "_leapfrog drops the last, partial block of snapshots",
+        "src/solmanifold/propagators.py",
+        "        if (ahead // stride) % block:\n            flush(",
+        "        if False:\n            flush(",
+    ),
+    (
+        "_leapfrog hands each block on with its rows offset by one",
+        "src/solmanifold/propagators.py",
+        "take(slice(j - i, j + 1),",
+        "take(slice(j - i + 1, j + 2),",
+    ),
+    (
+        "_leapfrog's rates block is one row out of step with its values block",
+        "src/solmanifold/propagators.py",
+        "slopes[j % block] = _rate(recent, i, dt)",
+        "slopes[(j + 1) % block] = _rate(recent, i, dt)",
+    ),
+    (
+        "evolve_nonlinear hands its consumer views of the reused block",
+        "src/solmanifold/modulation.py",
+        "psi, psi_t = psi[0] + phi, psi_t[0].copy()",
+        "psi += phi\n        psi, psi_t = psi[0], psi_t[0]",
     ),
     (
         "_leapfrog pairs row j with the rate of row j + 1",
         "src/solmanifold/propagators.py",
-        "_rate(recent, len(recent) - 3, dt)",
-        "_rate(recent, len(recent) - 2, dt)",
+        "_rate(recent, i, dt)",
+        "_rate(recent, min(i + 1, len(recent) - 1), dt)",
     ),
     (
         "window miss not raised",
@@ -187,13 +211,13 @@ MUTANTS = [
     (
         "defect derivative lands one row late",
         "src/solmanifold/modulation.py",
-        "out[j - 1] -= (z - recent[0])",
-        "out[j] -= (z - recent[0])",
+        "out[rows.stop - len(z) + 1 : rows.stop - 1] -=",
+        "out[rows.stop - len(z) + 2 : rows.stop] -=",
     ),
     (
         "last row's one-sided difference dropped",
         "src/solmanifold/modulation.py",
-        "out[M] -= (z - recent[1]) / dt",
+        "out[M] -= (z[-1] - z[-2]) / dt",
         "pass",
     ),
     (
@@ -211,8 +235,9 @@ MUTANTS = [
     (
         "the zero-history consumer writes row j into row j - 1",
         "src/solmanifold/modulation.py",
-        "out[j] = z[0]",
-        "out[j - 1] = z[0]",
+        "        def keep(rows, z):\n            out[rows] = z[:, 0]",
+        "        def keep(rows, z):\n"
+        "            out[max(rows.start - 1, 0) : rows.stop - 1] = z[rows.start == 0 :, 0]",
     ),
     (
         "blocked sums drop the carried row",
@@ -259,8 +284,8 @@ MUTANTS = [
     (
         "dispersive blocks subtract the first block's coefficients",
         "src/solmanifold/propagators.py",
-        "coeff[:, j - i : j + 1]",
-        "coeff[:, : i + 1]",
+        "coeff[:, rows]",
+        "coeff[:, : rows.stop - rows.start]",
     ),
     (
         "perturbed Strichartz members split as given",
@@ -377,8 +402,8 @@ MUTANTS = [
     (
         "pass 2's udot takes the rates without the scale term",
         "src/solmanifold/modulation.py",
-        "udot[k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)",
-        "udot[k] -= 0.0 * soliton.dphi_da(r, scale)",
+        "udot[:, k] -= adot[k, rows, None] * soliton.dphi_da(r, scale)",
+        "udot[:, k] -= 0.0 * soliton.dphi_da(r, scale)",
     ),
     (
         "codim1 fits an empty departure window",
@@ -425,14 +450,15 @@ MUTANTS = [
     (
         "the stacked split feeds its profiles the first field's rows",
         "src/solmanifold/propagators.py",
-        "# now the dispersive part\n            profiles.add(block)",
-        "# now the dispersive part\n            profiles.add(block[:, [0] * K])",
+        "# now the dispersive part\n        profiles.add(block)",
+        "# now the dispersive part\n        profiles.add(block[:, [0] * len(fields)])",
     ),
     (
         "the pair's data row is stored one snapshot late",
         "src/solmanifold/modulation.py",
-        "out[j], z = z[0], z[1]",
-        "out[max(j - 1, 0)], z = z[0], z[1]",
+        "        out[rows] = z[:, 0]\n        z = np.concatenate",
+        "        out[rows.start + 1 : rows.stop + 1] = z[: M - rows.start, 0]\n"
+        "        z = np.concatenate",
     ),
     (
         "validate lets a one-value sweep through",

@@ -192,15 +192,17 @@ def stored_secular_split(f, T, dt, S, kind, stride=1):
 def stored_leapfrog(grid, w0, wdot0, T, dt, force, stride=1, wg=None):
     """The (snapshots, *shape) stack of every stride-th state of a _leapfrog run, in w = r f.
 
-    The stack _leapfrog stored by default before every caller handed it an
-    emit: the states emit receives, in order, bit for bit.
+    The raw states, which _leapfrog hands to no consumer (its snapshots
+    are field values), read through stop, which sees every state w_m as
+    it is made and here never ends the run.
     """
     rows = np.empty((int(round(T / dt)) // stride + 1, *np.shape(w0)))
 
-    def keep(j, row, rate):
-        rows[j] = row
+    def keep(m, w):
+        if m % stride == 0:
+            rows[m // stride] = w
 
-    _leapfrog(grid, w0, wdot0, T, dt, force, keep, stride=stride, wg=wg)
+    _leapfrog(grid, w0, wdot0, T, dt, force, wg=wg, stop=keep)
     return rows
 
 
@@ -212,7 +214,7 @@ def stored_linear(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     two lists of K fields (a list of K returned, one per run of the stack).
     source is None, a row source, or a SpaceTimeField sampled at dt, which
     is adapted to a row source here.  The rows are the snapshots j = 0,
-    stride, 2 stride, ... that consume receives, bit for bit.
+    stride, 2 stride, ... of the blocks consume receives, bit for bit.
     """
     stack = not isinstance(u0, RadialField)
     u0, u1 = (list(u) if stack else [u] for u in (u0, u1))
@@ -220,14 +222,13 @@ def stored_linear(u0, u1, source, T, dt, a=1.0, stride=1, project_out=None):
     if isinstance(source, SpaceTimeField):
         source = SimpleNamespace(dt=source.dt, rows=len(source.samples),
                                  row=source.samples.__getitem__)
-    rows = np.empty((int(round(T / dt)) // stride + 1, len(u0), grid.n))
+    rows = np.empty((int(round(T / dt)) + 1, len(u0), grid.n))
 
-    def keep(j, row):
-        if j % stride == 0:
-            rows[j // stride] = row
+    def keep(block_rows, values):
+        rows[block_rows] = values
 
     evolve_linear_perturbed(u0, u1, source, T, dt, keep, a=a, project_out=project_out)
-    runs = [SpaceTimeField(grid, dt * stride, rows[:, k]) for k in range(len(u0))]
+    runs = [SpaceTimeField(grid, dt * stride, rows[::stride, k]) for k in range(len(u0))]
     return runs if stack else runs[0]
 
 

@@ -74,3 +74,19 @@ def test_tracer_targets_resolve():
     ]
     assert missing == []
     assert type(vars(RadialGrid)["r"]) is property
+
+
+def test_the_snapshot_format_stays_in_grid_and_propagators():
+    # _leapfrog hands its consumers field values: only the module that
+    # defines the w -> f conversion and the stepper that applies it name it
+    package = pathlib.Path(solmanifold.__file__).resolve().parent
+    users = sorted(
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "_values_from_w")
+        or (isinstance(node, ast.Attribute) and node.attr == "_values_from_w")
+        or (isinstance(node, ast.alias) and node.name == "_values_from_w")
+        or (isinstance(node, ast.FunctionDef) and node.name == "_values_from_w")
+    )
+    assert set(users) == {"grid.py", "propagators.py"}

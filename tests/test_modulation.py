@@ -159,7 +159,7 @@ def test_unstable_mode_departure_rate(mod_grid, S_mod):
     d = 1e-3
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + d * S_mod.g.values)
     psi1 = RadialField(mod_grid, d * S_mod.k * S_mod.g.values)
-    run = evolve_nonlinear(psi0, psi1, 10.0, dt, S=S_mod, stride=None, overlap_cap=0.1)
+    run = evolve_nonlinear(psi0, psi1, 10.0, dt, S=S_mod, overlap_cap=0.1)
     assert run.status == "departed"
     ov = run.g_overlap
     t = run.times_dense
@@ -171,7 +171,7 @@ def test_unstable_mode_departure_rate(mod_grid, S_mod):
 def test_blowup_detected_as_outcome(mod_grid, S_mod):
     dt = 0.8 * mod_grid.dr
     psi0 = RadialField(mod_grid, soliton.phi(mod_grid.r, 1.0) + 0.3 * S_mod.g.values)
-    run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod, stride=None)
+    run = evolve_nonlinear(psi0, mod_grid.zeros(), 20.0, dt, S=S_mod)
     assert run.status == "blowup"
     assert run.departure_time is not None and np.sign(run.g_overlap[-1]) != 0
 
@@ -244,6 +244,22 @@ def test_consumer_sees_the_stored_rows(mod_grid, S_mod, stride, with_S, cap, T):
         assert np.array_equal(psi_t.values, stored.dpsi_dt.slice(j).values)
 
 
+def test_kept_fields_outlive_the_loops_blocks(mod_grid):
+    # a consumer that keeps every RadialField it gets, as _energy_drift
+    # keeps the previous snapshot, still holds the stored run's rows once
+    # the run is over: the fields are copies, never views of the block
+    # buffer the loop reuses for each later snapshot
+    dt = 0.8 * mod_grid.dr
+    psi0 = mod_grid.field(0.3 * np.exp(-((mod_grid.r - 2.0) ** 2)))
+    kept = []
+    evolve_nonlinear(psi0, mod_grid.zeros(), 3.0, dt, stride=2,
+                     consume=lambda j, psi, psi_t: kept.append((psi, psi_t)))
+    stored = stored_nonlinear(psi0, mod_grid.zeros(), 3.0, dt, stride=2)
+    assert len(kept) == len(stored.psi.samples) > 2
+    assert np.array_equal([psi.values for psi, _ in kept], stored.psi.samples)
+    assert np.array_equal([psi_t.values for _, psi_t in kept], stored.dpsi_dt.samples)
+
+
 def test_streamed_rows_are_checked_finite(mod_grid):
     # a stored run checks its stacks when they become SpaceTimeFields; a
     # streamed one checks each row before handing it on
@@ -263,7 +279,7 @@ def test_nan_run_without_S_stops_at_its_first_tested_step(mod_grid):
 
     dt = 0.8 * mod_grid.dr
     psi0 = RadialField(mod_grid, np.full(mod_grid.n, np.nan))
-    run = evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt, stride=None)
+    run = evolve_nonlinear(psi0, mod_grid.zeros(), 1.0, dt)
     assert run.status == "blowup"
     assert run.departure_time == 2 * dt
     for evolve in (stored_nonlinear, partial(evolve_nonlinear, consume=lambda *row: None)):

@@ -17,10 +17,13 @@ from solmanifold import (
     secular_decomposition_S,
 )
 from solmanifold import soliton
-from solmanifold.grid import FOUR_PI, GridUsageError, field_from_w
+from solmanifold.grid import FOUR_PI, GridUsageError, _values_from_w, field_from_w
 from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import (
     SpaceTimeField,
+    _block_rows,
+    _leapfrog,
+    _rate,
     _resonance_series,
     _secular_coefficients,
     free_cosine_traj,
@@ -647,9 +650,10 @@ def test_perturbed_snapshots_convert_in_one_pass(S_ref):
 
 def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
     # with a source and the g-suppression on, a stride-s run keeps rows
-    # [::s], stored by the oracle or emitted by _leapfrog's own stride; the
+    # [::s], stored from the consumer's blocks or from the raw states; the
     # package's run stores none: it returns None and hands its consumer
-    # rows 0..M in order, for a K = 1 stack and each row of a K = 2 stack
+    # rows 0..M in order, in blocks of BLOCK_BYTES, for a K = 1 stack and
+    # each row of a K = 2 stack
     from solmanifold.propagators import _linear_force
 
     grid = S_ref.grid
@@ -675,15 +679,77 @@ def test_perturbed_strided_run_stores_the_dense_rows(S_ref):
         ([u0, u1], [u1, u0], np.stack([F.samples, half.samples], axis=1), [dense, swapped]),
     ):
         seen = []
+        block = _block_rows(len(data0) * grid.n)
+        assert block < M + 1
         source = SimpleNamespace(dt=dt, rows=M + 1, row=rows.__getitem__)
         assert evolve_linear_perturbed(data0, data1, source, M * dt, dt,
-                                       lambda j, row: seen.append((j, row)),
+                                       lambda j, block: seen.append((j, block.copy())),
                                        project_out=S_ref) is None
-        assert [j for j, _ in seen] == list(range(M + 1))
-        got = np.array([row for _, row in seen])
+        assert [j for j, _ in seen] == [slice(j, min(j + block, M + 1))
+                                        for j in range(0, M + 1, block)]
+        got = np.concatenate([block for _, block in seen])
         assert got.shape == (M + 1, len(runs), grid.n)
         for k, run in enumerate(runs):
             assert np.array_equal(got[:, k], run.samples), k
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("rates", [False, True])
+@pytest.mark.parametrize("stop_at", [None, 52])
+def test_leapfrog_blocks_are_the_values_of_the_dense_states(K, stride, rates, stop_at):
+    # the blocks take hands on are _values_from_w of the raw states stop
+    # sees, snapshot by snapshot and bit for bit, in order from snapshot 0
+    # with none missing: 10-row blocks over M = 100 steps end in a partial
+    # block, and a run stopped at step 52 flushes the one it was filling;
+    # rates are _rate of the dense states about each snapshot
+    grid = RadialGrid(R=20.0, n=201)
+    dt = 0.8 * grid.dr
+    M, block, cols = 100, 10, 150
+    V = soliton.potential(grid.r, 1.0)[1:-1]
+    shifts = np.arange(K)[:, None] if K > 1 else 0.0
+    w0 = grid.r * np.exp(-((grid.r - 3.0 - shifts) ** 2))
+    w1 = 0.5 * grid.r * np.exp(-((grid.r - 2.0 - shifts) ** 2))
+    dense, got = [], []
+
+    def stop(m, w):
+        dense.append(w.copy())
+        return "stopped" if m == stop_at else None
+
+    def take(rows, values, slopes):
+        assert values.shape == (rows.stop - rows.start, *np.shape(w0)[:-1], cols)
+        assert (slopes is None) == (not rates)
+        got.append((rows, values.copy(), None if slopes is None else slopes.copy()))
+
+    def force(w, m, acc):
+        acc -= V * w[..., 1:-1]
+
+    m_end, status = _leapfrog(grid, w0, w1, M * dt, dt, force, take, stride=stride, block=block,
+                              cols=cols, stop=stop, rates=rates)
+    assert (m_end, status) == ((M, None) if stop_at is None else (stop_at, "stopped"))
+    J = m_end // stride + 1
+    assert [rows for rows, _, _ in got] == [slice(j, min(j + block, J)) for j in range(0, J, block)]
+    values = np.concatenate([v for _, v, _ in got])
+    states = np.array(dense)
+    assert np.array_equal(values, _values_from_w(grid, states[::stride, ..., :cols].copy()))
+    if rates:
+        slopes = np.concatenate([sl for _, _, sl in got])
+        for j in range(J):
+            m = j * stride
+            lo, hi = max(m - 2, 0), min(m + 2, m_end) + 1
+            rate = _rate(states[lo:hi], m - lo, dt)[..., :cols].copy()
+            assert np.array_equal(slopes[j], _values_from_w(grid, rate)), j
+
+
+def test_leapfrog_without_a_consumer_makes_no_snapshot():
+    # no take, no block buffer: the run only steps, and stop still sees every state
+    grid = RadialGrid(R=20.0, n=201)
+    dt = 0.8 * grid.dr
+    seen = []
+    w0 = grid.r * np.exp(-((grid.r - 3.0) ** 2))
+    assert _leapfrog(grid, w0, 0.0 * w0, 40 * dt, dt, lambda w, m, acc: None,
+                     stop=lambda m, w: seen.append(m)) == (40, None)
+    assert seen == list(range(41))
 
 
 def test_linear_evolution_is_scale_covariant():
