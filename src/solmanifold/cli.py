@@ -139,8 +139,6 @@ def _cmd_sweep(args):
     config = ExperimentConfig.from_file(args.config)
     if args.out:
         config.output_dir = args.out
-    if args.workers:
-        config.workers = args.workers
     report = run(config)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -185,7 +183,6 @@ def build_parser():
     sw = sub.add_parser("sweep", help="run a config-driven experiment")
     sw.add_argument("--config", type=str, required=True)
     sw.add_argument("--out", type=str, default=None)
-    sw.add_argument("--workers", type=int, default=None)
     sw.set_defaults(fn=_cmd_sweep)
 
     va = sub.add_parser("validate", help="static config checks")

@@ -63,7 +63,7 @@ def _floats(text):
 # INI section -> key -> (ExperimentConfig field, conversion); the one table
 # behind both the unknown-key check and the parsing
 _KEYS = {
-    "experiment": {"name": ("experiment", str), "seed": ("seed", int), "workers": ("workers", int)},
+    "experiment": {"name": ("experiment", str), "seed": ("seed", int)},
     "grid": {"R": ("R", float), "n": ("n", int), "R_obs": ("R_obs", float)},
     "time": {"T": ("T", float), "dt": ("dt", float), "cfl": ("cfl", float)},
     "data": {"eps": ("eps", float)},
@@ -80,6 +80,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     experiment: str
     seed: int = 0
+    # every run takes one process; the field stays only for callers that
+    # still pass workers=1 (perfbench/workloads.py), and validate refuses
+    # any other value
     workers: int = 1
     R: float = 60.0
     n: int = 1201
@@ -130,6 +133,8 @@ def validate(config):
         issues.append(f"experiment.name: unknown experiment {config.experiment!r}")
     if config.seed < 0:
         issues.append(f"experiment.seed: seed must be non-negative, seed={config.seed}")
+    if config.workers != 1:
+        issues.append(f"workers: every run takes one process, workers={config.workers}")
     try:
         grid = config.grid()
     except ValueError as exc:
@@ -631,26 +636,16 @@ _ON_MANIFOLD_STRIDE = {"h_scaling": 1, "adot_l1": _STRIDE, "lipschitz": _STRIDE}
 _COMPARES_SWEEP = ("h_scaling", "lipschitz", "contraction", "adot_l1")
 
 
-def _shoot_point(args):
-    """The query of one sweep point and its shot: (query, ShootResult).
-
-    It stores and extracts nothing: the on-manifold runs of every point are
-    read afterwards, in the parent, by _fixed_point_hs.  With workers > 1,
-    _pmap runs one shoot per point in a process pool.
-    """
-    cfg, S, eps = args
-    query = seeded_query(S.grid, S, eps, cfg.seed)
-    return query, shoot_h(query, S, cfg.T, cfg.timestep(S.grid))
-
-
 def _run_h_scaling(cfg, outdir, report):
-    S = ground_state(cfg.grid())
-    shots = _pmap(_shoot_point, [(cfg, S, e) for e in cfg.sweep], cfg.workers)
+    grid = cfg.grid()
+    dt = cfg.timestep(grid)
+    S = ground_state(grid)
+    queries = [seeded_query(grid, S, e, cfg.seed) for e in cfg.sweep]
+    shots = [shoot_h(q, S, cfg.T, dt) for q in queries]
     # fixed-point h of every on-manifold run, trimmed by _TRIM (the truncated
     # tail of the h integral is e^{-k(T-4)}-small), from two streamed passes
     # over all the points at once: no run is stored
-    fixed = _fixed_point_hs([q for q, _ in shots], [res.h for _, res in shots], S,
-                            cfg.T - _TRIM, cfg.timestep(S.grid))
+    fixed = _fixed_point_hs(queries, [res.h for res in shots], S, cfg.T - _TRIM, dt)
     results = [
         {
             "eps_nominal": eps,
@@ -662,7 +657,7 @@ def _run_h_scaling(cfg, outdir, report):
             "shoot_runs": len(res.trace),
             "tail_bound": tail,
         }
-        for eps, (query, res), (hfp, tail) in zip(cfg.sweep, shots, fixed)
+        for eps, query, res, (hfp, tail) in zip(cfg.sweep, queries, shots, fixed)
     ]
     report.records.extend(results)
     eps = [r["eps"] for r in results]
@@ -892,16 +887,6 @@ def _run_weighted_growth(cfg, outdir, report):
     report.add_check("bounded_by_C_exp_t", C, 1e3)
     report.add_check("growth_exponent", slope, 1.1)
     _emit(outdir, "weighted_growth", rows, "t,weighted_H1", "t", "norm")
-
-
-def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # imported here: it loads multiprocessing, which a serial run never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 _RUNNERS = {

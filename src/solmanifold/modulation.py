@@ -914,18 +914,15 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     return _rate_from(a0, S, _resonance_pairings(data0, data1, transport), src.duhamel)
 
 
-def x_norm(u_traj, adot, dt, grid=None):
+def x_norm(rows, adot, dt, grid):
     """Distance in the iteration space X: trajectory mixed norms + adot norms.
 
-    u_traj is a SpaceTimeField, or, with its grid, the array of its rows at
-    (at least) the leading nodes of the grid's observation ball, which are
-    all the norms read.  The three mixed norms come from one TimeProfiles
-    pass over the rows.
+    rows is the array of a trajectory's rows at (at least) the leading
+    nodes of grid's observation ball, which are all the norms read.  The
+    three mixed norms come from one TimeProfiles pass over the rows.
     """
-    if grid is None:
-        grid, u_traj = u_traj.grid, u_traj.samples
     profiles = TimeProfiles(grid, dt)
-    profiles.add(u_traj)
+    profiles.add(rows)
     mixed = max(
         profiles.norm(("lorentz", 6, 2), "Linf_t"),
         profiles.norm("Linf_x", "L2_t"),

@@ -311,9 +311,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
     cols) block (no K axis for one row), and rates that of their time
     derivatives, or None without rates.  A rate comes from the last five
     states the loop keeps (_rate: five-point centred, lower-order within
-    two steps of m = 0 and of m_end), so it holds its snapshot back two
-    steps.  Both blocks are reused: take copies what it keeps.  No state
-    is stored.  Returns (m_end, status).
+    two steps of m = 0 and of m_end), written straight into its row, so
+    it holds its snapshot back two steps.  Both blocks are reused: take
+    copies what it keeps.  No state is stored.  Returns (m_end, status).
     """
     if dt > grid.dr + 1e-12:
         raise GridUsageError(f"CFL violation: dt={dt} > dr={grid.dr}")
@@ -352,9 +352,9 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
         nonlocal ahead
         while ahead <= ready:
             i, j = len(recent) - 1 - (m - ahead), ahead // stride
-            values[j % block] = recent[i][..., :cols]
+            values[j % block] = recent[i]
             if rates:
-                slopes[j % block] = _rate(recent, i, dt)[..., :cols]
+                _rate(recent, i, dt, slopes[j % block])
             ahead += stride
             if (j + 1) % block == 0:
                 flush(j)
@@ -367,7 +367,8 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
     m, w_prev = 0, None
     w_cur = suppress(np.array(w0, dtype=float))
     if take is not None:
-        recent = [w_cur]  # the states m-4..m that a snapshot and its rate read
+        # the states m-4..m that a snapshot and its rate read, at the cols leading nodes
+        recent = [w_cur[..., :cols]]
         settle(-lag)
     status = None if stop is None else stop(0, w_cur)
     while status is None and m < M:
@@ -384,7 +385,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
         suppress(w_next)
         w_prev, w_cur = w_cur, w_next
         if take is not None:
-            recent = recent[-2 * lag :] + [w_cur] if lag else [w_cur]
+            recent = (recent + [w_cur[..., :cols]])[-2 * lag - 1 :]
             settle(m - lag)
         if stop is not None:
             status = stop(m, w_cur)
@@ -400,24 +401,30 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
     return m, status
 
 
-def _rate(w, i, dt):
-    """Time derivative of the state w[i] of consecutive states w, dt apart.
+def _rate(w, i, dt, out):
+    """Time derivative of the state w[i] of consecutive states w, dt apart, into out.
 
     The five-point centred difference
     (8 (w[i+1] - w[i-1]) - (w[i+2] - w[i-2])) / 12dt (Fornberg, Math. Comp.
     51, 1988) where two states lie on each side; with fewer, the centred
-    difference, then the one-sided one, then 0 for a lone state.
+    difference, then the one-sided one, then 0 for a lone state.  Each
+    formula's operations run in the order the expression gives them.
     """
     before, after = min(i, 2), min(len(w) - 1 - i, 2)
     if before == after == 2:
-        return (8.0 * (w[i + 1] - w[i - 1]) - (w[i + 2] - w[i - 2])) / (12.0 * dt)
-    if before and after:
-        return (w[i + 1] - w[i - 1]) / (2.0 * dt)
-    if after:
-        return (w[i + 1] - w[i]) / dt
-    if before:
-        return (w[i] - w[i - 1]) / dt
-    return np.zeros_like(w[i])
+        np.subtract(w[i + 1], w[i - 1], out=out)
+        out *= 8.0
+        out -= w[i + 2] - w[i - 2]
+        out /= 12.0 * dt
+    elif before and after:
+        np.subtract(w[i + 1], w[i - 1], out=out)
+        out /= 2.0 * dt
+    elif after or before:  # one-sided, forward where a later state exists
+        k = i + 1 if after else i
+        np.subtract(w[k], w[k - 1], out=out)
+        out /= dt
+    else:
+        out[...] = 0.0
 
 
 def evolve_linear_perturbed(u0, u1, source, T, dt, consume, a=1.0, project_out=None):

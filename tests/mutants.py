@@ -115,8 +115,8 @@ MUTANTS = [
     (
         "_leapfrog emits the state one step late, as snapshot j the state j - 1",
         "src/solmanifold/propagators.py",
-        "values[j % block] = recent[i][..., :cols]",
-        "values[j % block] = recent[i - 1][..., :cols]",
+        "values[j % block] = recent[i]",
+        "values[j % block] = recent[i - 1]",
     ),
     (
         "_leapfrog drops the last, partial block of snapshots",
@@ -133,8 +133,8 @@ MUTANTS = [
     (
         "_leapfrog's rates block is one row out of step with its values block",
         "src/solmanifold/propagators.py",
-        "slopes[j % block] = _rate(recent, i, dt)",
-        "slopes[(j + 1) % block] = _rate(recent, i, dt)",
+        "_rate(recent, i, dt, slopes[j % block])",
+        "_rate(recent, i, dt, slopes[(j + 1) % block])",
     ),
     (
         "evolve_nonlinear hands its consumer views of the reused block",
@@ -143,10 +143,22 @@ MUTANTS = [
         "psi += phi\n        psi, psi_t = psi[0], psi_t[0]",
     ),
     (
+        "_rate's five-point difference subtracts its outer states one at a time",
+        "src/solmanifold/propagators.py",
+        "        out -= w[i + 2] - w[i - 2]\n",
+        "        out -= w[i + 2]\n        out += w[i - 2]\n",
+    ),
+    (
+        "validate accepts any worker count",
+        "src/solmanifold/experiments.py",
+        "    if config.workers != 1:",
+        "    if False:",
+    ),
+    (
         "_leapfrog pairs row j with the rate of row j + 1",
         "src/solmanifold/propagators.py",
-        "_rate(recent, i, dt)",
-        "_rate(recent, min(i + 1, len(recent) - 1), dt)",
+        "_rate(recent, i, dt,",
+        "_rate(recent, min(i + 1, len(recent) - 1), dt,",
     ),
     (
         "window miss not raised",

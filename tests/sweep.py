@@ -5,18 +5,18 @@ Usage, from the root of a checkout:
     python tests/sweep.py [--pairs N] [--against DIR] [--seeds N] [CONFIG ...]
 
 For every configs/*.ini (or only the named ones), at its pinned seed, the
-script starts one fresh child with workers = 1 and OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to 1.  The child imports the
-package from the checkout's src, runs experiments.run into a fresh
-temporary directory and prints one JSON line: the wall time of run,
-ru_maxrss, every check's value, the failed checks, every error record
-with its traceback, and a sha256 of each CSV.  It changes no grid or
-threshold: only the output directory and the worker count are set, and
-the seed with --seeds N, which runs every config at each of the held-out
-seeds 0..N-1 in place of its pinned one.  Per config the script prints
-each check's worst margin over its runs, with the seed that gave it:
-value / threshold for a check "value < threshold", threshold / value for
-"value > threshold", so a passing check reads below 1.
+script starts one fresh child with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS set to 1.  The child imports the package from the
+checkout's src, runs experiments.run into a fresh temporary directory and
+prints one JSON line: the wall time of run, ru_maxrss, every check's
+value, the failed checks, every error record with its traceback, and a
+sha256 of each CSV.  It changes no grid or threshold: only the output
+directory is set, and the seed with --seeds N, which runs every config at
+each of the held-out seeds 0..N-1 in place of its pinned one.  Per config
+the script prints each check's worst margin over its runs, with the seed
+that gave it: value / threshold for a check "value < threshold",
+threshold / value for "value > threshold", so a passing check reads
+below 1.
 
 Each config runs N times (default 1).  With --against DIR, the checkout at
 DIR runs each config N times too, from its own configs/ and src/, in pairs
@@ -63,7 +63,6 @@ def child(root, path, outdir, seed):
     if not os.path.realpath(experiments.__file__).startswith(src + os.sep):
         raise ImportError(f"solmanifold imported from {experiments.__file__}, not {src}")
     cfg = experiments.ExperimentConfig.from_file(path)
-    cfg.workers = 1
     cfg.output_dir = outdir
     if seed:
         cfg.seed = int(seed)

@@ -176,7 +176,6 @@ def test_criterion_07_manifold_quadratic_law(tmp_path):
         cfl=0.8,
         seed=5,
         sweep=(1e-4, 2e-4, 4e-4, 8e-4),
-        workers=4,
     )
     assert report.passed
 

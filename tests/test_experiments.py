@@ -47,6 +47,8 @@ def test_unknown_key_is_error(tmp_path):
         (("[time]\n", "[data]\nwidth = 1\n\n[time]\n"), "unknown key data.width"),
         (("[grid]", "[grud]"), r"unknown config section \[grud\]"),
         (("name = stationarity\n", ""), "missing experiment.name"),
+        # every run takes one process: an old config's workers is never ignored
+        (("seed = 3\n", "seed = 3\nworkers = 4\n"), r"unknown key experiment\.workers"),
     ):
         bad = BASE.replace(*edit)
         assert bad != BASE
@@ -65,9 +67,10 @@ def test_shipped_configs_parse_and_validate(path):
     from solmanifold.experiments import _KEYS
 
     assert validate(ExperimentConfig.from_file(path)) == []
-    # every config field is set by exactly one INI key
+    # every config field is set by exactly one INI key, except workers: it
+    # has no key, and validate accepts only its default
     attrs = [attr for keys in _KEYS.values() for attr, _ in keys.values()]
-    assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
+    assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig) if f.name != "workers")
 
 
 def test_validate_flags_cfl_and_causality(tmp_path):
@@ -176,6 +179,19 @@ def test_an_infinite_horizon_is_a_config_error(tmp_path, experiment):
     with pytest.raises(ConfigError, match="time.T: horizon"):
         run(config(np.inf))
     assert validate(config(6.0)) == []
+
+
+def test_workers_other_than_one_is_a_config_error(tmp_path):
+    from dataclasses import replace
+
+    cfg = ExperimentConfig("h_scaling", workers=2, R=40.0, n=401, R_obs=12.0, T=14.0,
+                           sweep=(1e-3, 2e-3), output_dir=str(tmp_path / "out"))
+    assert validate(replace(cfg, workers=1)) == []
+    issues = validate(cfg)
+    assert len(issues) == 1 and issues[0].startswith("workers:") and "workers=2" in issues[0]
+    with pytest.raises(ConfigError, match="workers=2"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_unknown_experiment(tmp_path):
@@ -309,6 +325,7 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", negative_seed, "--out", str(tmp_path / "seed")]) == 2
     zero_value = write_config(tmp_path, BASE + "\n[sweep]\nvalues = 0, 1e-3\n", name="v0.ini")
     assert main(["sweep", "--config", zero_value, "--out", str(tmp_path / "v0")]) == 2
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "w"), "--workers", "2"]) == 2
     assert main(["bogus-subcommand"]) == 2
     # spectrum and manifold arguments pass the same checks before any run
     out = ["--out", str(tmp_path / "cli")]

@@ -35,8 +35,8 @@ def test_every_exported_name_resolves():
 
 def test_ground_state_and_a_run_load_no_scipy(tmp_path):
     # a fresh process: the package, its ground-state eigensolve and one
-    # whole experiment run on numpy and the standard library alone, and a
-    # serial run never loads the process pool (nor multiprocessing with it)
+    # whole experiment run on numpy and the standard library alone, and no
+    # run loads the process pool (nor multiprocessing with it)
     config = tmp_path / "stationarity.ini"
     config.write_text("[experiment]\nname = stationarity\n[grid]\nR = 40\nn = 401\n[time]\nT = 6\n")
     code = (
@@ -90,3 +90,19 @@ def test_the_snapshot_format_stays_in_grid_and_propagators():
         or (isinstance(node, ast.FunctionDef) and node.name == "_values_from_w")
     )
     assert set(users) == {"grid.py", "propagators.py"}
+
+
+def test_no_module_imports_a_process_pool():
+    # every run takes one process: no module imports concurrent.futures or
+    # multiprocessing, nor any name from them
+    package = pathlib.Path(solmanifold.__file__).resolve().parent
+    imported = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert "numpy" in imported
+    pools = [name for name in imported if name.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert pools == []

@@ -805,16 +805,8 @@ def test_picard_contracts(mod_grid, S_mod, query_mod):
     it1 = picard_map(None, None, None, query_mod, S_mod, T, dt, transport)
     it2 = picard_map(it1.u, it1.a, it1.adot, query_mod, S_mod, T, dt, transport)
     it3 = picard_map(it2.u, it2.a, it2.adot, query_mod, S_mod, T, dt, transport)
-    d21 = x_norm(
-        SpaceTimeField(mod_grid, dt, it2.u.samples - it1.u.samples),
-        it2.adot - it1.adot,
-        dt,
-    )
-    d32 = x_norm(
-        SpaceTimeField(mod_grid, dt, it3.u.samples - it2.u.samples),
-        it3.adot - it2.adot,
-        dt,
-    )
+    d21 = x_norm(it2.u.samples - it1.u.samples, it2.adot - it1.adot, dt, mod_grid)
+    d32 = x_norm(it3.u.samples - it2.u.samples, it3.adot - it2.adot, dt, mod_grid)
     assert d32 < d21
     assert d32 / d21 < 0.1
 
@@ -1399,7 +1391,7 @@ def test_x_norm_reads_its_trajectory_once(monkeypatch, history):
     added = []
     add = TimeProfiles.add
     monkeypatch.setattr(TimeProfiles, "add", lambda self, block: added.append(1) or add(self, block))
-    assert x_norm(u0, adot, u0.dt) == want
+    assert x_norm(u0.samples, adot, u0.dt, u0.grid) == want
     assert added == [1]
 
 
@@ -1411,7 +1403,7 @@ def test_x_norm_of_ball_rows_equals_that_of_the_trajectory(history):
     grid = u0.grid
     adot = np.gradient(a0, u0.dt)
     cols = grid.obs_slice().stop
-    want = x_norm(u0, adot, u0.dt)
+    want = x_norm(u0.samples, adot, u0.dt, grid)
     for k in (cols, cols + 7):
         assert x_norm(u0.samples[:, :k].copy(), adot, u0.dt, grid) == want
     with pytest.raises(GridUsageError, match="needs"):

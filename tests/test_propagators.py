@@ -737,8 +737,35 @@ def test_leapfrog_blocks_are_the_values_of_the_dense_states(K, stride, rates, st
         for j in range(J):
             m = j * stride
             lo, hi = max(m - 2, 0), min(m + 2, m_end) + 1
-            rate = _rate(states[lo:hi], m - lo, dt)[..., :cols].copy()
+            rate = _expression_rate(states[lo:hi], m - lo, dt)[..., :cols].copy()
             assert np.array_equal(slopes[j], _values_from_w(grid, rate)), j
+
+
+def _expression_rate(w, i, dt):
+    # _rate's formulas written as expressions: the in-place route must give their bits
+    before, after = min(i, 2), min(len(w) - 1 - i, 2)
+    if before == after == 2:
+        return (8.0 * (w[i + 1] - w[i - 1]) - (w[i + 2] - w[i - 2])) / (12.0 * dt)
+    if before and after:
+        return (w[i + 1] - w[i - 1]) / (2.0 * dt)
+    if after:
+        return (w[i + 1] - w[i]) / dt
+    if before:
+        return (w[i] - w[i - 1]) / dt
+    return np.zeros_like(w[i])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_rate_writes_the_expression_bits_into_out(count):
+    # every position of every window length: each of the four formulas and
+    # the lone state, written into a strided row of a larger block
+    rng = np.random.default_rng(count)
+    w = [rng.standard_normal((3, 40)) for _ in range(count)]
+    block = np.full((2, 3, 60), np.nan)
+    for i in range(count):
+        _rate([s[..., :25] for s in w], i, 0.037, block[1, :, :25])
+        assert np.array_equal(block[1, :, :25], _expression_rate(w, i, 0.037)[..., :25]), i
+    assert np.isnan(block[0]).all() and np.isnan(block[1, :, 25:]).all()
 
 
 def test_leapfrog_without_a_consumer_makes_no_snapshot():
