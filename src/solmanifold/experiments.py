@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import configparser
 import json
+import operator
 import os
 import traceback
 from dataclasses import dataclass, field, asdict
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import soliton
 from .grid import (
@@ -298,19 +298,85 @@ def family_field(grid, family):
     raise ConfigError(f"unknown data family {family!r}")
 
 
+# SeedSequence's hash constants, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seeded_uniform(seed):
+    """uniform(lo, hi), the draws of numpy's default_rng(seed).uniform, bit for bit.
+
+    default_rng(seed) is PCG64 (O'Neill, HMC-CS-2014-0905) seeded by
+    SeedSequence(seed).generate_state(4, uint64): the seed's 32-bit words
+    are hashed into a pool of four (hashmix and mix, the words past the
+    fourth mixed in last), and the pool into four 64-bit words, the initial
+    state and the stream.  A draw is one 128-bit LCG step and its XSL-RR
+    output x; uniform(lo, hi) is lo + (hi - lo) (x >> 11) 2^-53.  Owning
+    the draw keeps numpy.random out of a run and the pinned seeds off the
+    Generator, whose methods NEP 19 leaves free to change.  A negative
+    seed raises ValueError, as SeedSequence does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, seed={seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _M32
+        value = value * hash_b & _M32
+        state.append(value ^ value >> 16)
+    w64 = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+    inc = ((w64[2] << 64 | w64[3]) << 1 | 1) & _M128
+    # state 0, one step (to inc), the initial state added, one step
+    pcg = ((inc + (w64[0] << 64 | w64[1])) * _PCG_MULT + inc) & _M128
+
+    def uniform(lo, hi):
+        nonlocal pcg
+        pcg = (pcg * _PCG_MULT + inc) & _M128
+        value, rot = (pcg >> 64 ^ pcg) & _M64, pcg >> 122
+        x = (value >> rot | value << (64 - rot)) & _M64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+    return uniform
+
+
 def seeded_bumps(grid, seed, count):
     """Deterministic family of smooth radial bumps for constant sweeps."""
-    rng = default_rng(seed)
+    uniform = _seeded_uniform(seed)
     # centre first, then width: the order the seeded draws are pinned in
-    return [bump_field(grid, rng.uniform(0.0, 3.5), rng.uniform(0.7, 2.0)) for _ in range(count)]
+    return [bump_field(grid, uniform(0.0, 3.5), uniform(0.7, 2.0)) for _ in range(count)]
 
 
 def seeded_query(grid, S, eps, seed):
     """Perturbation pair for manifold studies: seeded mix of two bumps."""
-    rng = default_rng(seed)
-    c1, w1 = rng.uniform(1.0, 3.0), rng.uniform(0.8, 1.5)
-    c2, w2 = rng.uniform(0.0, 2.0), rng.uniform(0.8, 1.5)
-    mix = rng.uniform(0.2, 0.8)
+    uniform = _seeded_uniform(seed)
+    c1, w1 = uniform(1.0, 3.0), uniform(0.8, 1.5)
+    c2, w2 = uniform(0.0, 2.0), uniform(0.8, 1.5)
+    mix = uniform(0.2, 0.8)
     b = mix * np.exp(-((grid.r - c1) ** 2) / w1**2) + (1 - mix) * np.exp(
         -((grid.r - c2) ** 2) / w2**2
     )
@@ -434,8 +500,7 @@ def _energy_drift(R, n, T, cfl, amp, seed):
     """
     grid = RadialGrid(R=R, n=n)
     dt = cfl * grid.dr
-    rng = default_rng(seed)
-    b = bump_field(grid, rng.uniform(1.5, 2.5), 1.0)
+    b = bump_field(grid, _seeded_uniform(seed)(1.5, 2.5), 1.0)
     psi0 = RadialField(grid, amp * b.values)
     E = []
     held = []

@@ -33,7 +33,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import chebyshev
 
 from . import soliton
 from .grid import (
@@ -1087,6 +1086,36 @@ def _pc_u_series(query, F, D, S, T, dt):
     return out
 
 
+def _chebval(x, c):
+    """The Chebyshev series c[:, m] at x (a scalar, or one point per column).
+
+    numpy.polynomial.chebyshev.chebval's Clenshaw recurrence (with
+    tensor=False for a vector x), its expressions in its order, so the
+    values are its bits.  c has at least two rows.
+    """
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebpts1(n):
+    """The n Chebyshev points of the first kind, ascending: chebpts1(n)'s bits."""
+    return np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+
+
+def _chebvander(x, deg):
+    """(len(x), deg + 1) values T_i(x): chebvander(x, deg)'s recurrence, so its bits."""
+    v = np.empty((deg + 1, len(x)))
+    v[0] = 1.0
+    v[1] = x
+    x2 = 2 * x
+    for i in range(2, deg + 1):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return v.T
+
+
 def _series_roots(coef):
     """Roots in [-1, 1] of the Chebyshev series coef[:, m], one per column.
 
@@ -1098,12 +1127,12 @@ def _series_roots(coef):
     miss flags the columns where F(-1) * F(1) <= 0 fails, which includes
     every column with a NaN or inf.
     """
-    f_lo = chebyshev.chebval(-1.0, coef)
-    miss = ~(f_lo * chebyshev.chebval(1.0, coef) <= 0.0)
+    f_lo = _chebval(-1.0, coef)
+    miss = ~(f_lo * _chebval(1.0, coef) <= 0.0)
     lo, hi = np.full(coef.shape[1], -1.0), np.ones(coef.shape[1])
     for _ in range(60):
         s = 0.5 * (lo + hi)
-        right = np.sign(chebyshev.chebval(s, coef, tensor=False)) == np.sign(f_lo)
+        right = np.sign(_chebval(s, coef)) == np.sign(f_lo)
         lo, hi = np.where(right, s, lo), np.where(right, hi, s)
     return 0.5 * (lo + hi), miss
 
@@ -1137,12 +1166,12 @@ def _modulation_proxy(S):
     r = S.grid.r
     lo, hi = _window(S)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = chebyshev.chebpts1(_NODES)
+    x = _chebpts1(_NODES)
     nodes = (mid + half * x)[:, None]
     Q = FOUR_PI * S.grid.simpson_weights * r**2 * soliton.resonance_weight(r, nodes)
     c = np.sum(soliton.phi(r, nodes) * Q, axis=1)
     # the T_k are orthogonal on the nodes (sum_j T_k T_l = N/2, N for k = l = 0)
-    T = chebyshev.chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
+    T = _chebvander(x, _NODES - 1) * np.r_[1.0, np.full(_NODES - 1, 2.0)] / _NODES
 
     def product(rows):
         return np.vecdot(rows[..., None, :], Q)

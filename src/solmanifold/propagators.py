@@ -345,6 +345,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
         block = block or _block_rows(int(np.prod(shape[:-1])) * cols)
         values = np.empty((min(block, M // stride + 1), *shape[:-1], cols))
         slopes = np.empty_like(values) if rates else None
+        spare = np.empty(values.shape[1:]) if rates else None  # _rate's scratch
     lag = 2 if rates else 0  # steps a snapshot waits for the states its rate reads
     ahead = 0  # the step of the next snapshot
 
@@ -354,7 +355,7 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
             i, j = len(recent) - 1 - (m - ahead), ahead // stride
             values[j % block] = recent[i]
             if rates:
-                _rate(recent, i, dt, slopes[j % block])
+                _rate(recent, i, dt, slopes[j % block], spare)
             ahead += stride
             if (j + 1) % block == 0:
                 flush(j)
@@ -401,20 +402,21 @@ def _leapfrog(grid, w0, wdot0, T, dt, force, take=None, stride=1, block=None, co
     return m, status
 
 
-def _rate(w, i, dt, out):
+def _rate(w, i, dt, out, scratch):
     """Time derivative of the state w[i] of consecutive states w, dt apart, into out.
 
     The five-point centred difference
     (8 (w[i+1] - w[i-1]) - (w[i+2] - w[i-2])) / 12dt (Fornberg, Math. Comp.
     51, 1988) where two states lie on each side; with fewer, the centred
     difference, then the one-sided one, then 0 for a lone state.  Each
-    formula's operations run in the order the expression gives them.
+    formula's operations run in the order the expression gives them;
+    w[i+2] - w[i-2] goes into scratch, a reused array of out's shape.
     """
     before, after = min(i, 2), min(len(w) - 1 - i, 2)
     if before == after == 2:
         np.subtract(w[i + 1], w[i - 1], out=out)
         out *= 8.0
-        out -= w[i + 2] - w[i - 2]
+        out -= np.subtract(w[i + 2], w[i - 2], out=scratch)
         out /= 12.0 * dt
     elif before and after:
         np.subtract(w[i + 1], w[i - 1], out=out)

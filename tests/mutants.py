@@ -133,8 +133,8 @@ MUTANTS = [
     (
         "_leapfrog's rates block is one row out of step with its values block",
         "src/solmanifold/propagators.py",
-        "_rate(recent, i, dt, slopes[j % block])",
-        "_rate(recent, i, dt, slopes[(j + 1) % block])",
+        "_rate(recent, i, dt, slopes[j % block],",
+        "_rate(recent, i, dt, slopes[(j + 1) % block],",
     ),
     (
         "evolve_nonlinear hands its consumer views of the reused block",
@@ -145,7 +145,7 @@ MUTANTS = [
     (
         "_rate's five-point difference subtracts its outer states one at a time",
         "src/solmanifold/propagators.py",
-        "        out -= w[i + 2] - w[i - 2]\n",
+        "        out -= np.subtract(w[i + 2], w[i - 2], out=scratch)\n",
         "        out -= w[i + 2]\n        out += w[i - 2]\n",
     ),
     (
@@ -483,6 +483,48 @@ MUTANTS = [
         "src/solmanifold/experiments.py",
         'f"{v:.17g}"',
         'f"{v:.16g}"',
+    ),
+    (
+        "PCG64's multiplier is off by two",
+        "src/solmanifold/experiments.py",
+        "(2549297995355413924 << 64) + 4865540595714422341",
+        "(2549297995355413924 << 64) + 4865540595714422343",
+    ),
+    (
+        "the XSL-RR output rotates left",
+        "src/solmanifold/experiments.py",
+        "x = (value >> rot | value << (64 - rot)) & _M64",
+        "x = (value << rot | value >> (64 - rot)) & _M64",
+    ),
+    (
+        "a uniform draw keeps 52 bits of the output",
+        "src/solmanifold/experiments.py",
+        "((x >> 11) * 2.0**-53)",
+        "((x >> 12) * 2.0**-52)",
+    ),
+    (
+        "SeedSequence's hashmix multiplier is off by two",
+        "src/solmanifold/experiments.py",
+        "_MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875,",
+        "_MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8877,",
+    ),
+    (
+        "SeedSequence's mix drops its right multiplier",
+        "src/solmanifold/experiments.py",
+        "x = (_MIX_L * x - _MIX_R * y) & _M32",
+        "x = (_MIX_L * x - y) & _M32",
+    ),
+    (
+        "the seed's sixth and later words are not mixed in",
+        "src/solmanifold/experiments.py",
+        "for word in words[4:]:",
+        "for word in words[4:5]:",
+    ),
+    (
+        "the Clenshaw recurrence multiplies by x, not 2x",
+        "src/solmanifold/modulation.py",
+        "c0, c1 = c[-i] - c1, c0 + c1 * x2",
+        "c0, c1 = c[-i] - c1, c0 + c1 * x",
     ),
 ]
 

@@ -4,9 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solmanifold.cli import main
-from solmanifold.experiments import ConfigError, ExperimentConfig, _energy_drift, run, validate
+from solmanifold.experiments import (
+    ConfigError,
+    ExperimentConfig,
+    _energy_drift,
+    _seeded_uniform,
+    run,
+    validate,
+)
 from solmanifold.propagators import PropagatorError
 
 from schema_check import assert_schema_names_outputs
@@ -29,6 +38,74 @@ n = 401
 [time]
 T = 6
 """
+
+
+# every (lo, hi) the seeded callers draw with, twice over
+_BOUNDS = [(0.0, 3.5), (0.7, 2.0), (1.0, 3.0), (0.8, 1.5), (0.0, 2.0), (0.2, 0.8), (1.5, 2.5)] * 2
+
+
+def _numpy_draws(seed, bounds):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(lo, hi) for lo, hi in bounds]
+
+
+def test_seeded_draws_are_default_rngs_bits():
+    # seeds of one word, and of 2, 5 and 7 32-bit words: SeedSequence hashes
+    # up to four into its pool and mixes the rest in after
+    long = [2**32 + 7, 2**64 - 1, 2**130 + 11, 2**159 + 2**96 + 3, 2**200 + 5, 2**223 + 12345]
+    assert [-(-s.bit_length() // 32) for s in long] == [2, 2, 5, 5, 7, 7]
+    for seed in list(range(301)) + long:
+        uniform = _seeded_uniform(seed)
+        assert [uniform(lo, hi) for lo, hi in _BOUNDS] == _numpy_draws(seed, _BOUNDS), seed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2**192 - 1))
+def test_seeded_draws_are_default_rngs_bits_for_any_seed(seed):
+    uniform = _seeded_uniform(seed)
+    assert [uniform(lo, hi) for lo, hi in _BOUNDS] == _numpy_draws(seed, _BOUNDS)
+
+
+def test_a_negative_seed_is_a_value_error():
+    with pytest.raises(ValueError, match="seed must be non-negative, seed=-1"):
+        _seeded_uniform(-1)
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+
+
+@pytest.mark.parametrize("caller", ["seeded_bumps", "seeded_query", "_energy_drift"])
+def test_seeded_callers_draw_default_rngs_values_in_the_pinned_order(monkeypatch, caller):
+    # each caller's (lo, hi) in order, the values numpy's Generator gives for
+    # them, and the caller's output bits with numpy's Generator drawing instead
+    import solmanifold.experiments as ex
+    from solmanifold import RadialGrid, ground_state
+
+    grid = RadialGrid(R=20.0, n=201)
+    S = ground_state(grid)
+    call, bounds = {
+        "seeded_bumps": (lambda: [f.values for f in ex.seeded_bumps(grid, 4, 3)],
+                         [(0.0, 3.5), (0.7, 2.0)] * 3),
+        "seeded_query": (lambda: ex.seeded_query(grid, S, 1e-3, 2).psi0_perturbation.values,
+                         [(1.0, 3.0), (0.8, 1.5), (0.0, 2.0), (0.8, 1.5), (0.2, 0.8)]),
+        "_energy_drift": (lambda: ex._energy_drift(10.0, 101, 4.0, 0.8, 0.3, 5), [(1.5, 2.5)]),
+    }[caller]
+    drawn = []
+
+    def recording(seed):
+        uniform = _seeded_uniform(seed)
+
+        def draw(lo, hi):
+            drawn.append((seed, lo, hi, uniform(lo, hi)))
+            return drawn[-1][-1]
+        return draw
+
+    monkeypatch.setattr(ex, "_seeded_uniform", recording)
+    ours = call()
+    seed = drawn[0][0]
+    assert [d[1:3] for d in drawn] == bounds and {d[0] for d in drawn} == {seed}
+    assert [d[3] for d in drawn] == _numpy_draws(seed, bounds)
+    monkeypatch.setattr(ex, "_seeded_uniform", lambda seed: np.random.default_rng(seed).uniform)
+    assert np.array_equal(call(), ours)
 
 
 def test_config_parsing(tmp_path):
@@ -99,7 +176,7 @@ dt = 9.0
     ):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE.replace("T = 6\n", edit)))
         assert any(s.startswith(f"{key}: ") and "must be positive" in s for s in validate(cfg))
-    # a negative seed, which np.random.default_rng rejects
+    # a negative seed, which the seeded draws (as numpy's SeedSequence) reject
     cfg = ExperimentConfig.from_file(write_config(tmp_path, BASE.replace("seed = 3", "seed = -1")))
     assert any(s.startswith("experiment.seed: ") for s in validate(cfg))
 

@@ -34,27 +34,39 @@ def test_every_exported_name_resolves():
 
 
 def test_ground_state_and_a_run_load_no_scipy(tmp_path):
-    # a fresh process: the package, its ground-state eigensolve and one
-    # whole experiment run on numpy and the standard library alone, and no
-    # run loads the process pool (nor multiprocessing with it)
-    config = tmp_path / "stationarity.ini"
-    config.write_text("[experiment]\nname = stationarity\n[grid]\nR = 40\nn = 401\n[time]\nT = 6\n")
+    # a fresh process: the package, its ground-state eigensolve and two whole
+    # experiment runs, one of them (a small h_scaling) on the seeded draws
+    # and the Chebyshev proxy, load numpy's core and the standard library
+    # alone: no scipy, numpy.random or numpy.polynomial, and no process pool
+    # (nor multiprocessing with it)
+    stationarity = tmp_path / "stationarity.ini"
+    stationarity.write_text("[experiment]\nname = stationarity\n[grid]\nR = 40\nn = 401\n[time]\nT = 6\n")
+    h_scaling = tmp_path / "h_scaling.ini"
+    h_scaling.write_text("[experiment]\nname = h_scaling\nseed = 5\n[grid]\nR = 20\nn = 201\n"
+                         "R_obs = 8\n[time]\nT = 6\n[sweep]\nvalues = 1e-4, 2e-4\n")
     code = (
         "import sys, solmanifold\n"
         "from solmanifold.experiments import ExperimentConfig, run\n"
         "solmanifold.ground_state(solmanifold.RadialGrid(R=20.0, n=201))\n"
-        "cfg = ExperimentConfig.from_file(sys.argv[1])\n"
-        "cfg.output_dir = sys.argv[2]\n"
-        "print(run(cfg).passed, [m for m in sys.modules if m.startswith('scipy')],\n"
+        "reports = []\n"
+        "for path in sys.argv[2:]:\n"
+        "    cfg = ExperimentConfig.from_file(path)\n"
+        "    cfg.output_dir = sys.argv[1]\n"
+        "    reports.append(run(cfg))\n"
+        "print(reports[0].passed, sum('error' in r for rep in reports for r in rep.records),\n"
+        "      len(reports[1].checks),\n"
+        "      [m for m in sys.modules if m.startswith(('scipy', 'numpy.random', 'numpy.polynomial'))],\n"
         "      'concurrent.futures.process' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(tmp_path / "out"), str(stationarity), str(h_scaling)],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.split() == ["True", "[]", "False"]
+    # the small h_scaling makes its four checks (two slope bounds, one
+    # agreement per sweep value) without an error record
+    assert proc.stdout.split() == ["True", "0", "4", "[]", "False"]
 
 
 def test_tracer_targets_resolve():

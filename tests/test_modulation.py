@@ -27,6 +27,9 @@ from solmanifold.modulation import (
     LeftModulationWindow,
     ManifoldQuery,
     PicardIterate,
+    _chebpts1,
+    _chebval,
+    _chebvander,
     _quintic_force,
     _series_roots,
     modulation_rate_series,
@@ -483,6 +486,25 @@ def test_series_roots_solve_each_column_alone():
     for j in range(coef.shape[1]):
         s_j, miss_j = _series_roots(coef[:, j : j + 1])
         assert np.array_equal(s_j, s[j : j + 1], equal_nan=True) and miss_j[0] == miss[j]
+
+
+def test_chebyshev_helpers_are_numpys_bits():
+    # the proxy's nodes, its Vandermonde matrix (in numpy's memory layout,
+    # which the product T.T @ ... reads) and the Clenshaw sums of
+    # _series_roots on (32, cols) series: numpy.polynomial's bits
+    from numpy.polynomial import chebyshev
+
+    rng = np.random.default_rng(11)
+    x = _chebpts1(32)
+    assert np.array_equal(x, chebyshev.chebpts1(32))
+    for points in (x, rng.uniform(-1.0, 1.0, 7)):
+        ours, theirs = _chebvander(points, 31), chebyshev.chebvander(points, 31)
+        assert np.array_equal(ours, theirs) and ours.strides == theirs.strides
+    coef = rng.standard_normal((32, 9)) * 0.7 ** np.arange(32)[:, None]
+    for point in (-1.0, 1.0, 0.3):
+        assert np.array_equal(_chebval(point, coef), chebyshev.chebval(point, coef))
+    s = rng.uniform(-1.0, 1.0, 9)
+    assert np.array_equal(_chebval(s, coef), chebyshev.chebval(s, coef, tensor=False))
 
 
 def test_modulation_series_roots_near_the_window_edges(mod_grid, S_mod):

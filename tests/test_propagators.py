@@ -763,7 +763,7 @@ def test_rate_writes_the_expression_bits_into_out(count):
     w = [rng.standard_normal((3, 40)) for _ in range(count)]
     block = np.full((2, 3, 60), np.nan)
     for i in range(count):
-        _rate([s[..., :25] for s in w], i, 0.037, block[1, :, :25])
+        _rate([s[..., :25] for s in w], i, 0.037, block[1, :, :25], np.empty((3, 25)))
         assert np.array_equal(block[1, :, :25], _expression_rate(w, i, 0.037)[..., :25]), i
     assert np.isnan(block[0]).all() and np.isnan(block[1, :, 25:]).all()
 
