@@ -10,14 +10,14 @@ formula for the offset h then reproduces the shooting value to quadrature
 accuracy.  Every formula is centred on S.a, the scale of the SpectralData
 passed in, and the modulation window is S.a * soliton.MODULATION_WINDOW.
 The modulation source of a frozen history is never stored whole, and
-neither is its Duhamel kernel: the source is made _ROWS rows at a time, as
-the Picard map's pair of linear runs reads it, and each block, with its
-rows of the kernel, is folded into every quantity that reads it before
-the next replaces it (_source_rows).  No on-manifold run is stored either:
-two streamed passes, each stepping every sweep point as one stack, give the
-scales of its snapshots and then hand their blocks of u = psi - phi(a) to
-the caller (_manifold_passes); the fixed-point h of the h_scaling sweep
-folds them into the same pairings (_fixed_point_hs).
+neither is its Duhamel kernel: the source and its defect are made _ROWS
+rows at a time, as the (F, D) pairs the Picard map's linear runs read, and
+each block, with its rows of the kernel, is folded into every quantity
+that reads it before the next replaces it (_source_rows).  No on-manifold
+run is stored either: two streamed passes, each stepping every sweep point
+as one stack, give the scales of its snapshots and then hand their blocks
+of u = psi - phi(a) to the caller (_manifold_passes); the fixed-point h of
+the h_scaling sweep folds them into the same pairings (_fixed_point_hs).
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -29,7 +29,6 @@ authoritative here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -487,19 +486,19 @@ class _Blocks:
 
 
 def _source_rows(samples, a0, adot0, S, dt, transport=None):
-    """(src, F, D): the _Sources of a history and the _Blocks of F and D that fill it.
+    """(src, rows): the _Sources of a history and the _Blocks of source rows that fill it.
 
     Every profile is broadcast over the scales of a block; bare phi and V
-    are at S.a.  Each F block, as it is made, gives its rows of Fg, gamma
-    and the residual.  With a picard_transport pair, the rows of the
-    Duhamel kernel B[j, i] = <F_j, sine-free(q, t_i)> - <D_j, cos-free(q,
-    t_i)> follow the source: each F block makes the F part of its rows and
-    keeps it until the D block of the same rows subtracts the D part and
-    folds the finished rows into src.duhamel and src.secular
-    (_kernel_fold), so the blocks of F and D are made in lockstep, each F
-    block before its D block, and B is never whole.  Without a transport D
-    is None and src has no kernel sums; adot0 is read only with one.  src
-    is whole once F and D are complete.
+    are at S.a.  Each block is made once: F, whose rows of Fg, gamma and
+    the residual it gives as it is made, then, with a picard_transport
+    pair, D and the block's rows of the Duhamel kernel B[j, i] = <F_j,
+    sine-free(q, t_i)> - <D_j, cos-free(q, t_i)>, folded into src.duhamel
+    and src.secular (_kernel_fold), so B is never whole.  With a transport
+    a block is the (rows, 2, n) stack of the pairs (F_j, D_j), so row(m) is
+    the (2, n) source row of the Picard map's pair of runs, and each block
+    is written into the last one's buffer, so a row is read before the next
+    block is made; without one a block is F alone, src has no kernel sums
+    and adot0 is not read.  src is whole once rows is complete.
     The residual is <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w
     per step: the analytic soliton solves the elliptic equation exactly but
     the discrete stencil leaves an O(dr^2 (a - S.a)) residual along the
@@ -512,30 +511,23 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
     sums = {} if transport is None else {"duhamel": np.empty(M + 1), "secular": np.empty(M + 1)}
     src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1), **sums)
     fold = _source_fold(S, src)
-    if transport is not None:
-        (Esin, w), (Ecos, _) = transport
-    pending = []  # the F part of the kernel rows of each F block whose D block is not made yet
-
-    def make_F(rows):
-        F = fold(rows, samples[rows], a0[rows])
-        if transport is not None:
-            pending.append((F * w) @ Esin.T)
-        return F
-
-    F = _Blocks(make_F, M + 1, dt)
     if transport is None:
-        return src, F, None
+        return src, _Blocks(lambda rows: fold(rows, samples[rows], a0[rows]), M + 1, dt)
+    (Esin, w), (Ecos, _) = transport
     adot0 = np.asarray(adot0, dtype=float)
     add_kernel = _kernel_fold(src, dt)
+    block = np.empty((_ROWS, 2, len(r)))
 
-    def make_D(rows):
-        D = adot0[rows, None] * soliton.resonance_defect_profile(r, a0[rows, None], S.a)
-        B = pending.pop(0)
-        B -= (D * w) @ Ecos.T
+    def make(rows):
+        FD = block[: rows.stop - rows.start]
+        FD[:, 0] = fold(rows, samples[rows], a0[rows])
+        FD[:, 1] = adot0[rows, None] * soliton.resonance_defect_profile(r, a0[rows, None], S.a)
+        B = (FD[:, 0] * w) @ Esin.T
+        B -= (FD[:, 1] * w) @ Ecos.T
         add_kernel(rows.start, B)
-        return D
+        return FD
 
-    return src, F, _Blocks(make_D, M + 1, dt)
+    return src, _Blocks(make, M + 1, dt)
 
 
 def _source_fold(S, src):
@@ -568,12 +560,9 @@ def _source_fold(S, src):
 
 
 def _assemble(samples, a0, adot0, S, dt, transport=None):
-    """The whole _Sources of a history that no linear run reads: the blocks made in lockstep."""
-    src, F, D = _source_rows(samples, a0, adot0, S, dt, transport)
-    for m in range(0, F.rows, _ROWS):
-        F.row(m)
-        if D is not None:
-            D.row(m)
+    """The whole _Sources of a history that no linear run reads: every block made."""
+    src, rows = _source_rows(samples, a0, adot0, S, dt, transport)
+    rows.complete()
     return src
 
 
@@ -952,12 +941,12 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     part from the x_pm integrals and the new modulation rate from the
     free-evolution condition.  u0_traj None is the zero history (u0, a0,
     adot0) = (0, S.a, 0), which has no source at all.  Otherwise the source
-    of the frozen history, F and D, is made a block at a time as the pair
-    of linear runs of _pc_u_series reads it (_source_rows), and each block
-    is folded into the pairings that h, x_pm and the rate read, and its
-    rows of the Duhamel kernel B into the kernel sums that the rate and the
-    secular term read, before the next replaces it: neither a source stack
-    nor the (M+1)^2 kernel is stored.
+    of the frozen history is made a block of (F, D) pairs at a time as the
+    pair of linear runs of _pc_u_series reads it (_source_rows), and each
+    block is folded into the pairings that h, x_pm and the rate read, and
+    its rows of the Duhamel kernel B into the kernel sums that the rate and
+    the secular term read, before the next replaces it: neither a source
+    stack nor the (M+1)^2 kernel is stored.
 
     The runs need no h, though h needs the pairing of every row of F: they
     evolve (p, p1) = (query.psi0_perturbation, query.psi1), not the offset
@@ -975,11 +964,11 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
         raise GridUsageError("the q transport must cover [0, T] at dt on the whole grid")
     if u0_traj is None:
         a0 = np.full(M + 1, S.a)
-        src, F, D = _no_source(M), None, None
+        src, rows = _no_source(M), None
     else:
         a0 = _check_history(u0_traj.samples, S, a0, adot0)
-        src, F, D = _source_rows(u0_traj.samples, a0, adot0, S, dt, transport)
-    samples = _pc_u_series(query, F, D, S, T, dt)
+        src, rows = _source_rows(u0_traj.samples, a0, adot0, S, dt, transport)
+    samples = _pc_u_series(query, rows, S, T, dt)
 
     pg0 = pair_w(query.psi0_perturbation, S.g)
     pg1 = pair_w(query.psi1, S.g)
@@ -1011,7 +1000,7 @@ def _add_outer(out, coef, profile):
         out[rows] += np.outer(coef[rows], profile)
 
 
-def _pc_u_series(query, F, D, S, T, dt):
+def _pc_u_series(query, source, S, T, dt):
     """The perturbed evolutions of the continuous-spectrum trajectory, before h is known.
 
     P_c u(t) = C(t) data0 + S(t) data1 + Int S(t-s) F(s) ds -
@@ -1031,41 +1020,32 @@ def _pc_u_series(query, F, D, S, T, dt):
     gives the first three terms together; the defect Duhamel takes a second
     run from zero data with source D, whose centred time derivative turns
     its sine Duhamel into the cosine one.  The two runs step as one (2, n)
-    stack, each row with the bits of its own run, and the source hands
-    them F.row(m) and D.row(m) together in one reused buffer, so F and D,
-    the _Blocks of _source_rows, are made in lockstep as the kernel fold
-    needs.  Nothing of the defect run is stored: as the pair hands on each
-    block of snapshots, its data rows are written straight into the output
-    and, for each row j >= 2 of the block, the derivative of the defect run
-    at row j - 1 from its rows j - 2 and j (np.gradient's expressions:
-    centred inside, one-sided at the horizon, none for M < 2) is
-    subtracted from row j - 1; the last two defect rows carry over to the
-    next block.  F and D are completed after the run, so the pairings and
-    the kernel sums are whole on return.  The zero history (F and D None)
+    stack, each row with the bits of its own run, and read source, the
+    _Blocks of (F, D) pairs of _source_rows, whose row(m) is that stack's
+    source row.  Nothing of the defect run is stored: as the pair hands on
+    each block of snapshots, its data rows are written straight into the
+    output and, for each row j >= 2 of the block, the derivative of the
+    defect run at row j - 1 from its rows j - 2 and j (np.gradient's
+    expressions: centred inside, one-sided at the horizon, none for M < 2)
+    is subtracted from row j - 1; the last two defect rows carry over to
+    the next block.  source is completed after the run, so the pairings and
+    the kernel sums are whole on return.  The zero history (source None)
     runs the data alone, with no source, as a stack of one run whose
     blocks are written straight into the same output array.  The minus on
     the defect Duhamel matches modulation_rate_series (see the sign
-    discussion there).  Returns the
-    (M+1, n) samples.
+    discussion there).  Returns the (M+1, n) samples.
     """
     grid = S.grid
     p, p1 = query.psi0_perturbation, query.psi1
     M = int(round(T / dt))
     out = np.empty((M + 1, grid.n))
-    if F is None:
+    if source is None:
 
         def keep(rows, z):
             out[rows] = z[:, 0]
 
         evolve_linear_perturbed([p], [p1], None, T, dt, keep, a=S.a, project_out=S)
         return out
-    pair = np.empty((2, grid.n))
-
-    def row(m):
-        pair[0] = F.row(m)
-        pair[1] = D.row(m)
-        return pair
-
     recent = np.empty((0, grid.n))  # the defect run's last rows before the block, up to two
 
     def consume(rows, z):
@@ -1079,10 +1059,8 @@ def _pc_u_series(query, F, D, S, T, dt):
         recent = z[-2:]
 
     zero = grid.zeros()
-    source = SimpleNamespace(dt=dt, rows=F.rows, row=row)
     evolve_linear_perturbed([p, zero], [p1, zero], source, T, dt, consume, a=S.a, project_out=S)
-    F.complete()  # row M, which no step reads, then the D rows of its block
-    D.complete()
+    source.complete()  # row M, which no step reads, and the kernel rows of its block
     return out
 
 

@@ -217,8 +217,14 @@ MUTANTS = [
     (
         "_pc_u_series drops the defect source for a non-zero history",
         "src/solmanifold/modulation.py",
-        "pair[1] = D.row(m)",
-        "pair[1] = 0.0 * D.row(m)",
+        "        add_kernel(rows.start, B)\n        return FD",
+        "        add_kernel(rows.start, B)\n        FD[:, 1] = 0.0\n        return FD",
+    ),
+    (
+        "the last block is never made",
+        "src/solmanifold/modulation.py",
+        "    source.complete()  # row M, which no step reads, and the kernel rows of its block\n",
+        "",
     ),
     (
         "defect derivative lands one row late",
@@ -356,8 +362,8 @@ MUTANTS = [
     (
         "the Duhamel kernel adds the defect part",
         "src/solmanifold/modulation.py",
-        "B -= (D * w) @ Ecos.T",
-        "B += (D * w) @ Ecos.T",
+        "B -= (FD[:, 1] * w) @ Ecos.T",
+        "B += (FD[:, 1] * w) @ Ecos.T",
     ),
     (
         "a source block reaches the run one block late",

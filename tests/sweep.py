@@ -19,8 +19,9 @@ threshold / value for "value > threshold", so a passing check reads
 below 1.
 
 Each config runs N times (default 1).  With --against DIR, the checkout at
-DIR runs each config N times too, from its own configs/ and src/, in pairs
-that alternate which checkout goes first.  Per config the script then
+DIR runs each config N times too, from its own configs/ and src/ and
+through its own tests/sweep.py child when it has one, in pairs that
+alternate which checkout goes first.  Per config the script then
 prints each CSV as byte-identical or its largest relative difference, and
 the median wall time and max RSS of both checkouts with the median of the
 per-pair ratios (this checkout over DIR).  It compares the numbers of the
@@ -88,13 +89,19 @@ def child(root, path, outdir, seed):
 
 
 def run_one(root, path, seed=None):
-    """One fresh child on one config at seed (None: pinned); returns (result, {csv name: values}, report)."""
+    """One fresh child on one config at seed (None: pinned); returns (result, {csv name: values}, report).
+
+    The child is root's own tests/sweep.py when it has one, so each
+    checkout runs its configs as its own child does; this script otherwise.
+    """
     env = dict(os.environ, **{k: "1" for k in THREADS})
     env.pop("PYTHONPATH", None)
+    script = os.path.join(root, "tests", "sweep.py")
+    if not os.path.exists(script):
+        script = os.path.abspath(__file__)
     with tempfile.TemporaryDirectory(prefix="sweep-") as outdir:
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", root, path, outdir,
-             "" if seed is None else str(seed)],
+            [sys.executable, script, "--child", root, path, outdir, "" if seed is None else str(seed)],
             env=env, capture_output=True, text=True,
         )
         try:

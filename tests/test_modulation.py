@@ -1180,9 +1180,9 @@ def _pc_u(data0, data1, u0, a0, adot0, S):
 
     dt, T = u0.dt, u0.horizon
     transport = picard_transport(S, T, dt)
-    src, F, D = _source_rows(u0.samples, a0, adot0, S, dt, transport)
+    src, rows = _source_rows(u0.samples, a0, adot0, S, dt, transport)
     query = ManifoldQuery(data0, data1, epsilon=0.0, constraint_residual=0.0)
-    got = _pc_u_series(query, F, D, S, T, dt)
+    got = _pc_u_series(query, rows, S, T, dt)
     base = _resonance_pairings(data0, data1, transport)
     sec = cumulative_trapezoid(base, dx=dt) + src.secular
     _add_outer(got, secular_coefficient(S) * sec, S.resonance.values)
@@ -1228,14 +1228,18 @@ def test_pc_u_series_matches_four_separate_runs(history, S_mod, query_mod):
     assert _rel_err(got, ref) < 1e-12
 
 
-@pytest.mark.parametrize("M", [1, 2, 100])
+@pytest.mark.parametrize("M", [1, 2, 32, 64, 100])
 def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, M):
     # the source blocks and the defect run handed to _pc_u_series row by row
     # give, bit for bit, the runs of the stored source stacks, the defect
     # run differenced by np.gradient (none for M < 2), and the secular term
     # added in blocks gives the whole outer product; the blocks' pairings
-    # with g are the whole stack's gemv
+    # with g are the stack's gemv taken _ROWS rows at a time (a gemv's last
+    # bits depend on its row count).  At M = 32 and 64 row M, which no step
+    # reads, is alone in its block: only the completion after the runs
+    # makes it, and with it the last pairing and the kernel sums
     from solmanifold.grid import cumulative_trapezoid
+    from solmanifold.modulation import _ROWS
 
     u0, a0, adot0 = history
     dt = u0.dt
@@ -1247,7 +1251,8 @@ def test_streamed_defect_run_gives_the_stored_series(history, S_mod, query_mod, 
     data1 = query_mod.psi1 + 0.3 * query_mod.psi0_perturbation
     got, src, base = _pc_u(data0, data1, u0, a0, adot0, S_mod)
     F, D = source_stacks(u0, a0, adot0, S_mod)
-    assert np.array_equal(src.Fg, F @ (4.0 * np.pi * grid.dr * grid.r * grid.r * S_mod.g.values))
+    wg = 4.0 * np.pi * grid.dr * grid.r * grid.r * S_mod.g.values
+    assert np.array_equal(src.Fg, np.concatenate([F[j : j + _ROWS] @ wg for j in range(0, M + 1, _ROWS)]))
 
     def run(v0, v1, source):
         return stored_linear(v0, v1, SpaceTimeField(grid, dt, source), T, dt, a=S_mod.a,
@@ -1279,10 +1284,10 @@ def long_history(mod_grid):
 def test_picard_map_peak_stays_near_its_floor(long_history, S_mod, query_mod):
     # one non-zero-history iterate allocates its output, x_pm's decay matrix
     # ((M+1)^2, a third of a stack here) and block-sized temporaries: F and
-    # D are made a block at a time as the pair of runs reads them, each
-    # block of the Duhamel kernel B is folded into its sums as soon as its
-    # D block exists, and neither the defect run nor the rank-one terms
-    # store an (M+1, n) stack of their own.  Measured 1.74 stacks (with the
+    # D are made a block of (F, D) pairs at a time as the pair of runs reads
+    # them, the block's rows of the Duhamel kernel B are folded into its sums
+    # as the block is made, and neither the defect run nor the rank-one terms
+    # store an (M+1, n) stack of their own.  Measured 1.70 stacks (with the
     # whole (M+1)^2 kernel held, 1.95; with the whole-stack source, above 4)
     import tracemalloc
 
