@@ -20,14 +20,11 @@ from .modulation import (
     NonlinearRun,
     evolve_nonlinear,
     extract_modulation,
-    h_fixed_point,
     make_query,
-    modulation_rate_series,
     picard_map,
     picard_transport,
     shoot_h,
     x_norm,
-    xpm_evolution,
 )
 from .norms import (
     NormReport,

@@ -70,8 +70,8 @@ def _checked(args, experiment, **kw):
 
 
 def _cmd_spectrum(args):
-    if not args.a > 0:
-        raise ConfigError(f"--a: soliton scale must be positive, a={args.a}")
+    if not 0 < args.a < np.inf:
+        raise ConfigError(f"--a: soliton scale must be positive and finite, a={args.a}")
     grid = _checked(args, "spectrum").grid()
     S = ground_state(grid, a=args.a)
     rep = spectrum_report(S)

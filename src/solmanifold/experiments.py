@@ -35,16 +35,16 @@ from .grid import (
 from .modulation import (
     BracketError,
     LeftModulationWindow,
-    _fixed_point_hs,
     _manifold_passes,
     evolve_nonlinear,
+    h_fixed_point,
     make_query,
     picard_map,
     picard_transport,
     shoot_h,
     x_norm,
 )
-from .norms import NormReport, TimeProfiles, energy, lorentz_norm
+from .norms import NormReport, TimeProfiles, energy, lorentz_norm, mixed_norm
 from .propagators import (
     PropagatorError,
     _resonance_series,
@@ -554,9 +554,9 @@ def _strichartz_constants(grid, dt, T, members, mode):
     """
 
     def mixed(s, c):  # the five mixed norms of the ratios, of one member or of all
-        return (s.norm(("lorentz", 6, 2), "Linf_t"), s.norm("Linf_x", "L2_t"),
-                c.norm(("lorentz", 6, 2), "Linf_t"), c.norm("Linf_x", "L2_t"),
-                s.norm("Linf_x", "L1_t"))
+        return (mixed_norm(s, ("lorentz", 6, 2), "Linf_t"), mixed_norm(s, "Linf_x", "L2_t"),
+                mixed_norm(c, ("lorentz", 6, 2), "Linf_t"), mixed_norm(c, "Linf_x", "L2_t"),
+                mixed_norm(s, "Linf_x", "L1_t"))
 
     def ratios(i, f, n):
         l2, h1, l321 = l2_norm(f), h1_seminorm(f), lorentz_norm(f, 1.5, 1)
@@ -650,8 +650,8 @@ def _run_secular(cfg, outdir, report):
             full.add(coeff[fed : fed + len(part), None] * resonance + part)
             fed += len(part)
             if fed in ends:
-                rows.append((horizons[len(rows)], dispersive.norm("Linf_x", "L2_t"),
-                             full.norm("Linf_x", "L1_t")))
+                rows.append((horizons[len(rows)], mixed_norm(dispersive, "Linf_x", "L2_t"),
+                             mixed_norm(full, "Linf_x", "L1_t")))
 
     sink = SimpleNamespace(inside=full.inside, add=add)
     secular_decomposition_S([f], max(horizons), dt, S, series, sink, stride=stride)
@@ -710,7 +710,7 @@ def _run_h_scaling(cfg, outdir, report):
     # fixed-point h of every on-manifold run, trimmed by _TRIM (the truncated
     # tail of the h integral is e^{-k(T-4)}-small), from two streamed passes
     # over all the points at once: no run is stored
-    fixed = _fixed_point_hs(queries, [res.h for res in shots], S, cfg.T - _TRIM, dt)
+    fixed = h_fixed_point(queries, [res.h for res in shots], S, cfg.T - _TRIM, dt)
     results = [
         {
             "eps_nominal": eps,
@@ -808,7 +808,7 @@ _DIAGNOSTICS = (("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"), ("Linf_x_L2_t", "L
 def _diagnostics(profiles, horizon):
     """[[NormReport of each kind] per trajectory] of the rows of K trajectories in profiles."""
     grid = profiles.grid
-    values = [profiles.norm(outer, inner) for _, outer, inner in _DIAGNOSTICS]
+    values = [mixed_norm(profiles, outer, inner) for _, outer, inner in _DIAGNOSTICS]
     return [
         [NormReport(kind=kind, value=v, R=grid.R, R_obs=grid.R_obs, n=grid.n, dt=profiles.dt,
                     T=horizon) for (kind, _, _), v in zip(_DIAGNOSTICS, point)]
@@ -872,7 +872,7 @@ def _run_lipschitz(cfg, outdir, report):
         diffs.add(u[:, 1:, :cols] - u[:, :1, :cols])
 
     (res0, *shots), _, _ = _on_manifold(S, [base] + others, cfg.T, dt, fold)
-    dnorms = diffs.norm(("lorentz", 6, 2), "Linf_t")
+    dnorms = mixed_norm(diffs, ("lorentz", 6, 2), "Linf_t")
     rows = []
     consts = []
     for other, res1, dnorm in zip(others, shots, dnorms):

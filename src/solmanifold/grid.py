@@ -41,8 +41,8 @@ class RadialGrid:
     R_obs: float = None  # default R/2
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("outer radius must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"outer radius must be positive and finite, R={self.R}")
         object.__setattr__(self, "n", _odd_node_count(self.n))
         if self.R_obs is None:
             object.__setattr__(self, "R_obs", 0.5 * self.R)

@@ -17,7 +17,7 @@ that reads it before the next replaces it (_source_rows).  No on-manifold
 run is stored either: two streamed passes, each stepping every sweep point
 as one stack, give the scales of its snapshots and then hand their blocks
 of u = psi - phi(a) to the caller (_manifold_passes); the fixed-point h of
-the h_scaling sweep folds them into the same pairings (_fixed_point_hs).
+the h_scaling sweep folds them into the same pairings (h_fixed_point).
 
 Sign conventions are pinned by the dynamics: data along (g, +k g) grows like
 e^{+kt}, so the manifold correction is taken along (g, +k g).  Written-out
@@ -44,7 +44,7 @@ from .grid import (
     l2_norm,
     pair_w,
 )
-from .norms import TimeProfiles, lorentz_norm
+from .norms import TimeProfiles, lorentz_norm, mixed_norm
 from .propagators import (
     PropagatorError,
     SpaceTimeField,
@@ -445,8 +445,9 @@ class _Sources:
     The source itself, F = (V - V(a)) u0 + N(u0, phi(a)) and the defect
     D = adot0 * defect(a0), is never stored, and neither is the Duhamel
     kernel B that pairs it with the q transports: _source_rows makes them
-    a block at a time and folds every block into these.  The zero history
-    has no source (_no_source).
+    a block at a time and folds every block into these.  h_fixed_point
+    folds the blocks of F of its on-manifold runs alone (_source_fold),
+    with no kernel.  The zero history has no source (_no_source).
     """
 
     Fg: np.ndarray        # <F_j, g>_w
@@ -485,20 +486,19 @@ class _Blocks:
         self.row(self.rows - 1)
 
 
-def _source_rows(samples, a0, adot0, S, dt, transport=None):
+def _source_rows(samples, a0, adot0, S, dt, transport):
     """(src, rows): the _Sources of a history and the _Blocks of source rows that fill it.
 
     Every profile is broadcast over the scales of a block; bare phi and V
     are at S.a.  Each block is made once: F, whose rows of Fg, gamma and
-    the residual it gives as it is made, then, with a picard_transport
-    pair, D and the block's rows of the Duhamel kernel B[j, i] = <F_j,
-    sine-free(q, t_i)> - <D_j, cos-free(q, t_i)>, folded into src.duhamel
-    and src.secular (_kernel_fold), so B is never whole.  With a transport
-    a block is the (rows, 2, n) stack of the pairs (F_j, D_j), so row(m) is
+    the residual it gives as it is made, then D and the block's rows of
+    the Duhamel kernel B[j, i] = <F_j, sine-free(q, t_i)> - <D_j,
+    cos-free(q, t_i)>, with the picard_transport pair, folded into
+    src.duhamel and src.secular (_kernel_fold), so B is never whole.  A
+    block is the (rows, 2, n) stack of the pairs (F_j, D_j), so row(m) is
     the (2, n) source row of the Picard map's pair of runs, and each block
     is written into the last one's buffer, so a row is read before the next
-    block is made; without one a block is F alone, src has no kernel sums
-    and adot0 is not read.  src is whole once rows is complete.
+    block is made.  src is whole once rows is complete.
     The residual is <(Delta_h phi(a) + phi(a)^5) - (Delta_h phi + phi^5), g>_w
     per step: the analytic soliton solves the elliptic equation exactly but
     the discrete stencil leaves an O(dr^2 (a - S.a)) residual along the
@@ -508,11 +508,9 @@ def _source_rows(samples, a0, adot0, S, dt, transport=None):
     r = S.grid.r
     a0 = np.asarray(a0, dtype=float)
     M = len(a0) - 1
-    sums = {} if transport is None else {"duhamel": np.empty(M + 1), "secular": np.empty(M + 1)}
-    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1), **sums)
+    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1),
+                   duhamel=np.empty(M + 1), secular=np.empty(M + 1))
     fold = _source_fold(S, src)
-    if transport is None:
-        return src, _Blocks(lambda rows: fold(rows, samples[rows], a0[rows]), M + 1, dt)
     (Esin, w), (Ecos, _) = transport
     adot0 = np.asarray(adot0, dtype=float)
     add_kernel = _kernel_fold(src, dt)
@@ -559,13 +557,6 @@ def _source_fold(S, src):
     return fold
 
 
-def _assemble(samples, a0, adot0, S, dt, transport=None):
-    """The whole _Sources of a history that no linear run reads: every block made."""
-    src, rows = _source_rows(samples, a0, adot0, S, dt, transport)
-    rows.complete()
-    return src
-
-
 def _no_source(M):
     """The _Sources of the zero history on M steps: no kernel, the pairings 0.
 
@@ -596,7 +587,7 @@ def _check_window(a0, S):
 
 
 def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w):
-    """The fixed-point offset h and its tail bound from an assembled source."""
+    """The fixed-point offset h and its tail bound from the pairings src of a whole source."""
     M = len(src.Fg) - 1
     mu, kt, khat = _leapfrog_rates(S.k, dt)
     q = src.Fg - S.k**2 * src.gamma + src.residual
@@ -610,37 +601,27 @@ def _h_from(src, dt, S, pert_overlap_w, psi1_overlap_w):
     return h, tail
 
 
-def h_fixed_point(u0_traj, a0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0):
-    """Unstable-direction offset from the boundedness of the growing coordinate.
+def h_fixed_point(queries, hs, S, T, dt):
+    """Unstable-direction offset of the on-manifold run of each query at its shot h.
 
-    Solves 2 k h <g,g> = -(weighted integral of the modulation sources) in
-    the discrete-flow-adapted form: the exponential weight uses the
-    scheme's own growth rate and the t = 0 data enter through khat (all
-    equal to the continuum formula up to O(dt^2)).  The integrand is the
-    frozen-soliton-frame source rewritten in modulated variables,
+    The offset follows from the boundedness of the growing coordinate:
+    2 k h <g,g> = -(weighted integral of the modulation sources), in the
+    discrete-flow-adapted form.  The exponential weight uses the scheme's
+    own growth rate and the t = 0 data enter through khat (_leapfrog_rates;
+    all equal to the continuum formula up to O(dt^2)).  The integrand is
+    the frozen-soliton-frame source rewritten in modulated variables,
 
         (V - V(a)) u0 + N(u0, phi(a)) + [elliptic residual along the
         family] - k^2 gamma,   gamma(s) = <phi(a(s)) - phi, g>,
 
     which reduces the resonance-acceleration term exactly instead of
     through the continuum orthogonality <dphi_da, g> = 0 (the
-    integrated-by-parts adot form carries an O(dr^2 eps) bias on a grid).
-    Returns (h, tail_bound).  This takes a stored history; the h_scaling
-    experiment gets the same bits for its on-manifold runs, which it never
-    stores, from _fixed_point_hs.
-    """
-    a0 = _check_history(u0_traj.samples, S, a0)
-    src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
-    return _h_from(src, u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
-
-
-def _fixed_point_hs(queries, hs, S, T, dt):
-    """h_fixed_point of the on-manifold run of each query at its shot h, from no stored run.
-
-    The runs are read over [0, T] at stride 1 by _manifold_passes, whose
-    blocks of u go to each point's pairings (_source_fold) as
-    h_fixed_point's assembly folds the stored run's, so every h and tail
-    bound has the stored run's bits.  Returns [(h, tail_bound)], one per query.
+    integrated-by-parts adot form carries an O(dr^2 eps) bias on a grid);
+    _h_from sums it.  No run is stored: _manifold_passes reads each run over
+    [0, T] at stride 1 and hands its blocks of u = psi - phi(a), _ROWS rows
+    from row 0, to the point's pairings (_source_fold), so every h and
+    tail bound has the bits of the same fold over the stored run.  Returns
+    [(h, tail_bound)], one per query.
     """
     M = int(round(T / dt))
     srcs = [_Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1))
@@ -750,11 +731,16 @@ def _d2_series(y, dt):
     return out
 
 
-def _xpm_from(src, data0, data1, S, dt):
-    """x_plus, x_minus and the tail bound from an assembled source.
+def xpm_evolution(src, data0, data1, S, dt):
+    """(x_plus, x_minus, tail_bound) from the frozen-history Duhamel forms.
 
-    (data0, data1) is the offset data pair (p + h g, p1 + h k g).  Where
-    w2g vanishes, as for the zero history, both integrals vanish: x_minus is
+    src holds the pairings of the source (_Sources) and (data0, data1) is
+    the offset data pair (p + h g, p1 + h k g).  x_minus integrates forward
+    from t = 0; x_plus uses the backward-stable integral from t to the
+    horizon (the bounded solution selected by h), truncated there: the
+    tail it drops is at most e^{-k(T-t)} sup|source|/k, and the bound
+    recorded is sup|w2g| / k over the last quarter of the steps.  Where w2g
+    vanishes, as for the zero history, both integrals vanish: x_minus is
     e^{-kt} x_minus(0), and x_plus and the tail bound are 0 (+0.0, never
     the -0.0 that -c * (L.T @ 0) would give).
     """
@@ -788,17 +774,6 @@ def _xpm_from(src, data0, data1, S, dt):
     # truncation of the t..infinity integral at the horizon
     tail_bound = float(np.abs(w2g[-(M // 4 or 1):]).max() / k)
     return xp, xm, tail_bound
-
-
-def xpm_evolution(u0_traj, a0, query, S, h):
-    """Discrete-spectrum coordinates from the frozen-history Duhamel forms.
-
-    x_minus integrates forward from t = 0; x_plus uses the backward-stable
-    integral from t to the horizon (the bounded solution selected by h),
-    with the truncated tail bound e^{-k(T-t)} sup|source|/k recorded.
-    """
-    src = _assemble(u0_traj.samples, a0, None, S, u0_traj.dt)
-    return _xpm_from(src, *_offset_data(query, S, h), S, u0_traj.dt)
 
 
 def picard_transport(S, T, dt):
@@ -872,19 +847,15 @@ def _kernel_fold(src, dt):
     return fold
 
 
-def _rate_from(a0, S, base, duhamel):
-    """Modulation rate from the data pairings and the Duhamel sums (None: no source)."""
-    duh = 0.0 if duhamel is None else duhamel
-    return -((np.asarray(a0) / S.a) ** 1.25) * secular_coefficient(S) * (base + duh)
-
-
-def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
+def modulation_rate_series(a0, S, base, duhamel):
     """Right-hand side of the modulation condition at every time step.
 
     adot(t) = -(a0(t)/S.a)^{5/4} (4 pi / <V, dphi>^2) < cos-free(t) data0 +
     sine-free(t) data1 + sine-Duhamel of the nonlinear sources -
-    cosine-Duhamel of adot0 * defect, V dphi >.  The signs follow from
-    demanding that the resonance multiples cancel in the Duhamel
+    cosine-Duhamel of adot0 * defect, V dphi >.  base holds the data part
+    (_resonance_pairings) and duhamel the two Duhamel parts (src.duhamel of
+    _source_rows; None for a history with no source).  The signs follow
+    from demanding that the resonance multiples cancel in the Duhamel
     representation of P_c u: integrating the resonance acceleration by
     parts puts a minus on the cosine Duhamel, and the long-time secular
     limit of the perturbed evolution (measured directly) pins the overall
@@ -892,14 +863,10 @@ def modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
     the opposite sign and double the resonance content instead of
     cancelling it.  Every pairing uses the self-adjointness of the free
     evolutions: the data and each source slice are paired against the
-    free evolution of the weight V dphi (_resonance_pairings, _source_rows).
+    free evolution of the weight V dphi.
     """
-    transport = picard_transport(S, T, dt)
-    if u0_traj is None:
-        src = _no_source(int(round(T / dt)))
-    else:
-        src = _assemble(u0_traj.samples, a0, adot0, S, dt, transport)
-    return _rate_from(a0, S, _resonance_pairings(data0, data1, transport), src.duhamel)
+    duh = 0.0 if duhamel is None else duhamel
+    return -((np.asarray(a0) / S.a) ** 1.25) * secular_coefficient(S) * (base + duh)
 
 
 def x_norm(rows, adot, dt, grid):
@@ -912,9 +879,9 @@ def x_norm(rows, adot, dt, grid):
     profiles = TimeProfiles(grid, dt)
     profiles.add(rows)
     mixed = max(
-        profiles.norm(("lorentz", 6, 2), "Linf_t"),
-        profiles.norm("Linf_x", "L2_t"),
-        profiles.norm("Linf_x", "L1_t"),
+        mixed_norm(profiles, ("lorentz", 6, 2), "Linf_t"),
+        mixed_norm(profiles, "Linf_x", "L2_t"),
+        mixed_norm(profiles, "Linf_x", "L1_t"),
     )
     adot = np.asarray(adot)
     l1 = float(np.sum(np.abs(adot)) * dt)
@@ -975,9 +942,9 @@ def picard_map(u0_traj, a0, adot0, query, S, T, dt, transport):
     h, tail = _h_from(src, dt, S, pg0, pg1)
 
     data0, data1 = _offset_data(query, S, h)
-    xp, xm, xtail = _xpm_from(src, data0, data1, S, dt)
+    xp, xm, xtail = xpm_evolution(src, data0, data1, S, dt)
     base = _resonance_pairings(data0, data1, transport)
-    adot = _rate_from(a0, S, base, src.duhamel)
+    adot = modulation_rate_series(a0, S, base, src.duhamel)
     a = S.a + cumulative_trapezoid(adot, dx=dt)
 
     # secular parts: Q acting on the accumulated free evolutions of the data

@@ -115,13 +115,6 @@ class TimeProfiles:
         self._peak = self._l2 = self._l1 = None
         self._buf = np.empty((0, self.inside.stop))
 
-    @classmethod
-    def of(cls, u, radius=None):
-        """The profiles of a stored trajectory u, fed as one block."""
-        profiles = cls(u.grid, u.dt, radius)
-        profiles.add(u.samples)
-        return profiles
-
     def add(self, block):
         """Fold in the next rows of the trajectory; block must hold the ball's nodes."""
         cols = self.inside.stop
@@ -154,35 +147,30 @@ class TimeProfiles:
             return self._l1 * self.dt
         raise GridUsageError(f"unknown inner time norm {inner!r} (use one of {_INNER_TAGS})")
 
-    def norm(self, outer, inner):
-        """Space-outer norm ("Linf_x" or ("lorentz", p, q)) of an inner time profile.
 
-        A float, or for the rows of K trajectories a list of K floats.
-        """
-        profile = self.profile(inner)
-        if profile.ndim > 1:
-            return [self._outer(outer, p) for p in profile]
-        return self._outer(outer, profile)
+def mixed_norm(profiles, outer, inner):
+    """Space-outer, time-inner mixed norm of the trajectory fed to profiles (a TimeProfiles).
 
-    def _outer(self, outer, profile):
+    outer: ("lorentz", p, q) or "Linf_x"; inner: "Linf_t" | "L2_t" | "L1_t".
+    The inner norm is the profile at each node of the ball profiles reads,
+    and the outer norm is taken of that radial profile inside the ball.
+    A float, or for the rows of K trajectories a list of K floats.
+    """
+    grid = profiles.grid
+
+    def outer_norm(profile):
         if outer == "Linf_x":
             return float(np.max(np.abs(profile)))
         if isinstance(outer, tuple) and outer[0] == "lorentz":
-            full = np.zeros(self.grid.n)
-            full[self.inside] = profile
-            return lorentz_norm(self.grid.field(full), outer[1], outer[2], radius=self.radius)
+            full = np.zeros(grid.n)
+            full[profiles.inside] = profile
+            return lorentz_norm(grid.field(full), outer[1], outer[2], radius=profiles.radius)
         raise GridUsageError(f"unknown outer norm {outer!r}")
 
-
-def mixed_norm(u, outer, inner, radius=None):
-    """Space-outer, time-inner mixed norm of a trajectory.
-
-    outer: ("lorentz", p, q) or "Linf_x"; inner: "Linf_t" | "L2_t" | "L1_t".
-    The inner norm is computed per spatial node, then the outer norm is
-    taken of the resulting radial profile inside B_{R_obs} by default.
-    Only the nodes inside that ball are read.
-    """
-    return TimeProfiles.of(u, radius).norm(outer, inner)
+    profile = profiles.profile(inner)
+    if profile.ndim > 1:
+        return [outer_norm(p) for p in profile]
+    return outer_norm(profile)
 
 
 def energy(psi, psi_t):

@@ -15,18 +15,19 @@ DEFECT_WINDOW = (0.0, 2.0)
 
 
 def check_scale(a):
-    """A scale as a float, or an array of scales as a float array; all must be > 0.
+    """A scale as a float, or an array of scales as a float array; all positive and finite.
 
     An array of scales (e.g. shape (M+1, 1) against r of shape (n,))
     broadcasts every profile below over a whole scale history.
     """
     if np.ndim(a) == 0:
-        if not a > 0:
-            raise ValueError(f"soliton scale must be positive, got {a}")
+        if not 0 < a < np.inf:
+            raise ValueError(f"soliton scale must be positive and finite, got {a}")
         return float(a)
     a = np.asarray(a, dtype=float)
-    if not np.all(a > 0):
-        raise ValueError(f"soliton scales must be positive, got {a[~(a > 0)]}")
+    good = (a > 0) & (a < np.inf)
+    if not np.all(good):
+        raise ValueError(f"soliton scales must be positive and finite, got {a[~good]}")
     return a
 
 

@@ -89,7 +89,7 @@ MUTANTS = [
         "Vc = soliton.potential(r, 1.0)",
     ),
     (
-        "_rate_from scales a0 relative to 1",
+        "modulation_rate_series scales a0 relative to 1",
         "src/solmanifold/modulation.py",
         "(np.asarray(a0) / S.a) ** 1.25",
         "np.asarray(a0) ** 1.25",
@@ -270,6 +270,12 @@ MUTANTS = [
         "if False:",
     ),
     (
+        "mixed_norm gives every trajectory of a stack the first one's norm",
+        "src/solmanifold/norms.py",
+        "return [outer_norm(p) for p in profile]",
+        "return [outer_norm(profile[0]) for p in profile]",
+    ),
+    (
         "cosine row 0 restored in every later block",
         "src/solmanifold/propagators.py",
         'if m0 == 0 and kind != "sine":',
@@ -392,6 +398,12 @@ MUTANTS = [
         "src/solmanifold/modulation.py",
         "fold_k(rows, u[:, k], a[k])",
         "fold_k(rows, u[:, k], a[k - 1])",
+    ),
+    (
+        "the fixed-point h folds another point's radiation",
+        "src/solmanifold/modulation.py",
+        "fold_k(rows, u[:, k], a[k])",
+        "fold_k(rows, u[:, k - 1], a[k])",
     ),
     (
         "adot_l1 reads another point's scale rates",

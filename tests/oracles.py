@@ -7,8 +7,9 @@ rank-one secular projector, the free Duhamel superposition, the Lorentz
 diagonal, the anti-diagonal sums by one bincount, the sums of a whole
 Duhamel kernel, the scheme-pairing P_c that the projected linear flow
 applies at every step, the inner time norms of a whole stored stack, the
-whole modulation source stacks, the fixed-point h of a stored
-on-manifold run, the secular split of one stored perturbed run, the
+whole modulation source stacks, the fixed-point h, x_pm and modulation
+rate of a stored history, the fixed-point h of a stored on-manifold run,
+the secular split of one stored perturbed run, the
 stored leapfrog and linear runs that the streamed runs replaced, the
 stored nonlinear run and the whole-run extraction of its modulation that
 the streamed passes replaced), a conserved quantity that checks a
@@ -35,14 +36,23 @@ from solmanifold.modulation import (
     _ROWS,
     LeftModulationWindow,
     NonlinearRun,
+    _check_history,
+    _h_from,
     _modulation_proxy,
+    _offset_data,
     _quintic,
+    _resonance_pairings,
+    _source_fold,
+    _source_rows,
+    _Sources,
     _window,
     evolve_nonlinear,
-    h_fixed_point,
+    modulation_rate_series,
+    picard_transport,
     shoot_h,
+    xpm_evolution,
 )
-from solmanifold.norms import NormReport, TimeProfiles
+from solmanifold.norms import NormReport, TimeProfiles, mixed_norm
 from solmanifold.propagators import (
     SpaceTimeField,
     _free_slices,
@@ -117,6 +127,13 @@ def newton_potential(f):
     vals[0] = Btail[0]
     vals[1:] = A[1:] / r[1:] + Btail[1:]
     return grid.field(vals)
+
+
+def profiles_of(u, radius=None):
+    """The TimeProfiles of a stored trajectory u, fed as one block (default ball R_obs)."""
+    profiles = TimeProfiles(u.grid, u.dt, radius)
+    profiles.add(u.samples)
+    return profiles
 
 
 def inner_time_profiles(samples, dt):
@@ -356,9 +373,9 @@ def trajectory_modulation(run, S):
     u_traj = SpaceTimeField(grid, dt, u_samples)
     udot = run.dpsi_dt.samples - adot[:, None] * soliton.dphi_da(grid.r, a[:, None])
     xp, xm = x_pm(u_samples, udot, S)
-    profiles = TimeProfiles.of(u_traj)
+    profiles = profiles_of(u_traj)
     diags = [
-        NormReport(kind=kind, value=profiles.norm(outer, inner), R=grid.R, R_obs=grid.R_obs,
+        NormReport(kind=kind, value=mixed_norm(profiles, outer, inner), R=grid.R, R_obs=grid.R_obs,
                    n=grid.n, dt=dt, T=psi.horizon)
         for kind, outer, inner in (
             ("L62x_Linf_t", ("lorentz", 6, 2), "Linf_t"),
@@ -391,16 +408,63 @@ def manifold_trajectory(S, query, T, dt, tol, stride=5, trim=4.0):
 
 
 def stored_fixed_point_h(query, h, S, T, dt):
-    """(h, tail_bound) of h_fixed_point along the stored stride-1 on-manifold run.
+    """(h, tail_bound) of the fixed-point formula along the stored stride-1 on-manifold run.
 
     The route the h_scaling experiment took before its two streamed passes:
     evolve the data at the shot h over [0, T], store every step, extract
-    (a, u) by modulation_series, and assemble the whole history.  The
-    streamed passes must give the same bits.
+    (a, u) by modulation_series, and fold the whole history
+    (stored_h_fixed_point).  The streamed passes must give the same bits.
     """
     run = stored_nonlinear(*query.initial_data(S, h), T, dt, S=S)
     assert run.status == "completed"
     a, u = modulation_series(run.psi.samples, S)
-    return h_fixed_point(SpaceTimeField(S.grid, dt, u), a, S,
-                         pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
-                         psi1_overlap_w=pair_w(query.psi1, S.g))
+    return stored_h_fixed_point(SpaceTimeField(S.grid, dt, u), a, S,
+                                pert_overlap_w=pair_w(query.psi0_perturbation, S.g),
+                                psi1_overlap_w=pair_w(query.psi1, S.g))
+
+
+def stored_sources(u0_traj, a0, S):
+    """The _Sources of a stored history (u0, a0), without a kernel.
+
+    The package's _source_fold over the rows of u0_traj, _ROWS at a time
+    from row 0, as h_fixed_point folds the blocks of its streamed runs.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    M = len(a0) - 1
+    src = _Sources(Fg=np.empty(M + 1), gamma=np.empty(M + 1), residual=np.empty(M + 1))
+    fold = _source_fold(S, src)
+    for start in range(0, M + 1, _ROWS):
+        rows = slice(start, start + _ROWS)
+        fold(rows, u0_traj.samples[rows], a0[rows])
+    return src
+
+
+def stored_h_fixed_point(u0_traj, a0, S, pert_overlap_w=0.0, psi1_overlap_w=0.0):
+    """(h, tail_bound) of the fixed-point formula along a stored history (u0, a0).
+
+    h_fixed_point's sum (_h_from) of stored_sources; a0 is checked against
+    u0_traj's rows and the modulation window first.
+    """
+    a0 = _check_history(u0_traj.samples, S, a0)
+    return _h_from(stored_sources(u0_traj, a0, S), u0_traj.dt, S, pert_overlap_w, psi1_overlap_w)
+
+
+def stored_xpm_evolution(u0_traj, a0, query, S, h):
+    """(x_plus, x_minus, tail_bound) of xpm_evolution along a stored history at offset h."""
+    return xpm_evolution(stored_sources(u0_traj, a0, S), *_offset_data(query, S, h), S, u0_traj.dt)
+
+
+def stored_modulation_rate_series(data0, data1, u0_traj, a0, adot0, S, T, dt):
+    """modulation_rate_series of the data pair and a stored history (None: the zero history).
+
+    The data pairings and the Duhamel sums come from one picard_transport
+    pair; the history's source blocks are all made (_source_rows) with no
+    linear run reading them.
+    """
+    transport = picard_transport(S, T, dt)
+    duhamel = None
+    if u0_traj is not None:
+        src, rows = _source_rows(u0_traj.samples, a0, adot0, S, dt, transport)
+        rows.complete()
+        duhamel = src.duhamel
+    return modulation_rate_series(a0, S, _resonance_pairings(data0, data1, transport), duhamel)

@@ -5,23 +5,30 @@ Usage, from the root of a checkout:
     python tests/sweep.py [--pairs N] [--against DIR] [--seeds N] [CONFIG ...]
 
 For every configs/*.ini (or only the named ones), at its pinned seed, the
-script starts one fresh child with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS set to 1.  The child imports the package from the
-checkout's src, runs experiments.run into a fresh temporary directory and
-prints one JSON line: the wall time of run, ru_maxrss, every check's
-value, the failed checks, every error record with its traceback, and a
-sha256 of each CSV.  It changes no grid or threshold: only the output
-directory is set, and the seed with --seeds N, which runs every config at
-each of the held-out seeds 0..N-1 in place of its pinned one.  Per config
-the script prints each check's worst margin over its runs, with the seed
-that gave it: value / threshold for a check "value < threshold",
-threshold / value for "value > threshold", so a passing check reads
-below 1.
+script runs the benchmark's own child, perfbench/child.py, once with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 and
+tracing off.  The child is handed the config's fields as
+ExperimentConfig.from_file parses them and a fresh temporary output
+directory; it imports the package from the checkout's src, solves for the
+ground state of the config's grid when the experiment reads one (its
+set-up), runs experiments.run and prints one JSON line.  The script reads
+every check's value, the failed checks and every error record with its
+traceback from the run's report.json, and a sha256 of each CSV from its
+output directory.  So the two columns are the benchmark's: wall is the
+child's run_s, the wall time of experiments.run alone, and max RSS its
+rss_mb, the ru_maxrss of the whole child (interpreter, numpy and scipy,
+the package, the set-up and the run), as perfbench's peak_rss_mb reads.
+It changes no grid or threshold: only the output directory is set, and
+the seed with --seeds N, which runs every config at each of the held-out
+seeds 0..N-1 in place of its pinned one.  Per config the script prints
+each check's worst margin over its runs, with the seed that gave it:
+value / threshold for a check "value < threshold", threshold / value for
+"value > threshold", so a passing check reads below 1.
 
 Each config runs N times (default 1).  With --against DIR, the checkout at
 DIR runs each config N times too, from its own configs/ and src/ and
-through its own tests/sweep.py child when it has one, in pairs that
-alternate which checkout goes first.  Per config the script then
+through its own perfbench/child.py (this checkout's when it has none), in
+pairs that alternate which checkout goes first.  Per config the script then
 prints each CSV as byte-identical or its largest relative difference, and
 the median wall time and max RSS of both checkouts with the median of the
 per-pair ratios (this checkout over DIR).  It compares the numbers of the
@@ -37,86 +44,77 @@ It is not part of tier-1 (pytest does not collect it).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
-import resource
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
-import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # report.json keys that name the run's place or failure, not its numbers
 UNCOMPARED = ("output_dir", "traceback", "error")
 
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from solmanifold.experiments import ExperimentConfig  # noqa: E402
 
-def child(root, path, outdir, seed):
-    """Run one config of the checkout at root into outdir, at seed ("" = pinned); print its JSON line."""
-    src = os.path.realpath(os.path.join(root, "src"))
-    sys.path.insert(0, src)
-    from solmanifold import experiments
 
-    if not os.path.realpath(experiments.__file__).startswith(src + os.sep):
-        raise ImportError(f"solmanifold imported from {experiments.__file__}, not {src}")
-    cfg = experiments.ExperimentConfig.from_file(path)
-    cfg.output_dir = outdir
-    if seed:
-        cfg.seed = int(seed)
-    out = {"checks": [], "failed": [], "errors": []}
-    start = time.perf_counter()
-    try:
-        report = experiments.run(cfg)
-    except Exception:
-        out["errors"].append({"error": "run raised", "traceback": traceback.format_exc()})
-    else:
-        out["checks"] = [[c.name, c.value, c.op, c.threshold] for c in report.checks]
-        out["failed"] = [f"{c.name}: {c.value:.6g} {c.op} {c.threshold:.6g}"
-                         for c in report.checks if not c.passed]
-        out["errors"] = [r for r in report.records if "error" in r]
-    out["wall_s"] = time.perf_counter() - start
-    out["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    out["csv"] = {}
-    for name in sorted(os.listdir(outdir)):
-        if name.endswith(".csv"):
-            with open(os.path.join(outdir, name), "rb") as fh:
-                out["csv"][name] = hashlib.sha256(fh.read()).hexdigest()
-    print(json.dumps(out))
+def _config(path, seed):
+    """The child's config dict of one INI file at seed (None: pinned), output_dir aside."""
+    cfg = ExperimentConfig.from_file(path)
+    if seed is not None:
+        cfg.seed = seed
+    kw = dataclasses.asdict(cfg)
+    del kw["output_dir"]  # the child sets it
+    kw["sweep"] = list(kw["sweep"])
+    return kw
 
 
 def run_one(root, path, seed=None):
-    """One fresh child on one config at seed (None: pinned); returns (result, {csv name: values}, report).
+    """One fresh child on one config at seed (None: pinned).
 
-    The child is root's own tests/sweep.py when it has one, so each
-    checkout runs its configs as its own child does; this script otherwise.
+    Returns (result, {csv name: values}, the parsed report.json or None).
     """
     env = dict(os.environ, **{k: "1" for k in THREADS})
     env.pop("PYTHONPATH", None)
-    script = os.path.join(root, "tests", "sweep.py")
+    script = os.path.join(root, "perfbench", "child.py")
     if not os.path.exists(script):
-        script = os.path.abspath(__file__)
-    with tempfile.TemporaryDirectory(prefix="sweep-") as outdir:
-        proc = subprocess.run(
-            [sys.executable, script, "--child", root, path, outdir, "" if seed is None else str(seed)],
-            env=env, capture_output=True, text=True,
-        )
+        script = os.path.join(ROOT, "perfbench", "child.py")
+    with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+        outdir = os.path.join(tmp, "out")
+        spec = {"root": root, "config": _config(path, seed), "run_id": "sweep", "outdir": outdir,
+                "trace": False, "measure_alloc": False, "setup_only": False, "spans_path": None}
+        proc = subprocess.run([sys.executable, script, json.dumps(spec)], env=env, cwd=root,
+                              capture_output=True, text=True)
         try:
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            child = json.loads(proc.stdout.strip().splitlines()[-1])
         except (IndexError, json.JSONDecodeError):
-            error = {"error": f"child exited {proc.returncode}", "traceback": proc.stderr}
-            return ({"checks": [], "failed": [], "errors": [error], "wall_s": None,
-                     "rss_mb": None, "csv": {}}, {}, None)
-        values = {name: _read_csv(os.path.join(outdir, name)) for name in result["csv"]}
-        report = os.path.join(outdir, "report.json")
-        if os.path.exists(report):
-            with open(report) as fh:
+            child = {"errors": [f"child exited {proc.returncode}\n{proc.stderr}"]}
+        report = None
+        if os.path.exists(os.path.join(outdir, "report.json")):
+            with open(os.path.join(outdir, "report.json")) as fh:
                 report = json.load(fh)
-        else:
-            report = None
+        result = {"checks": [], "failed": [], "errors": [], "wall_s": child.get("run_s"),
+                  "rss_mb": child.get("rss_mb"), "csv": {}}
+        if report is None:  # the run raised, or the child never ran it
+            result["errors"] = [{"error": "no report.json", "traceback": text}
+                                for text in child["errors"]]
+            return result, {}, None
+        checks = report["checks"]
+        result["checks"] = [[c["name"], c["value"], c["op"], c["threshold"]] for c in checks]
+        result["failed"] = [f"{c['name']}: {c['value']:.6g} {c['op']} {c['threshold']:.6g}"
+                            for c in checks if not c["passed"]]
+        result["errors"] = [r for r in report["records"] if "error" in r]
+        values = {}
+        for name in sorted(os.listdir(outdir)):
+            if name.endswith(".csv"):
+                with open(os.path.join(outdir, name), "rb") as fh:
+                    result["csv"][name] = hashlib.sha256(fh.read()).hexdigest()
+                values[name] = _read_csv(os.path.join(outdir, name))
     return result, values, report
 
 
@@ -230,11 +228,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=1, help="runs per config and checkout")
     parser.add_argument("--against", help="a second checkout to compare with")
     parser.add_argument("--seeds", type=int, help="run at seeds 0..N-1, not the pinned seed")
-    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child(*args.child)
-        return 0
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     if args.seeds is not None and args.seeds < 1:

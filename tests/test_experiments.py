@@ -271,6 +271,16 @@ def test_workers_other_than_one_is_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("R", [np.inf, np.nan])
+@pytest.mark.parametrize("experiment", ["spectrum", "stationarity", "energy_conservation",
+                                        "pairing_identity", "strichartz_free"])
+def test_validate_refuses_a_non_finite_radius(experiment, R):
+    # the experiments exempt from the causality budget, and two that read
+    # it, once passed R = inf with no issue
+    issues = validate(ExperimentConfig(experiment, R=R))
+    assert issues == [f"grid: outer radius must be positive and finite, R={R}"]
+
+
 def test_validate_unknown_experiment(tmp_path):
     cfg = ExperimentConfig.from_file(
         write_config(tmp_path, BASE.replace("stationarity", "nope"))
@@ -409,6 +419,8 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     shoot = ["manifold", "--R", "40", "--n", "401", "--R-obs", "12"]
     for argv in (
         ["spectrum", "--a", "0"],
+        ["spectrum", "--a", "inf"],
+        ["spectrum", "--R", "inf"],
         ["spectrum", "--n", "8"],
         shoot + ["--T", "14", "--dt", "0.5"],
         shoot + ["--T", "40"],
@@ -490,7 +502,7 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
     from solmanifold import RadialField, RadialGrid, ground_state, h1_seminorm, l2_norm
     from solmanifold.norms import lorentz_norm, mixed_norm
 
-    from oracles import project_continuous_w, stored_secular_split
+    from oracles import profiles_of, project_continuous_w, stored_secular_split
 
     grid = RadialGrid(R=40.0, n=401)
     dt, T = grid.dr, grid.budget_horizon()
@@ -513,11 +525,11 @@ def test_strichartz_constants_match_normalised_evolutions(monkeypatch, mode):
         lt = evolve(RadialField(grid, f.values / lorentz_norm(f, 1.5, 1)), "sine")
         ref.append((
             i,
-            mixed_norm(s, ("lorentz", 6, 2), "Linf_t"),
-            mixed_norm(s, "Linf_x", "L2_t"),
-            mixed_norm(c, ("lorentz", 6, 2), "Linf_t"),
-            mixed_norm(c, "Linf_x", "L2_t"),
-            mixed_norm(lt, "Linf_x", "L1_t"),
+            mixed_norm(profiles_of(s), ("lorentz", 6, 2), "Linf_t"),
+            mixed_norm(profiles_of(s), "Linf_x", "L2_t"),
+            mixed_norm(profiles_of(c), ("lorentz", 6, 2), "Linf_t"),
+            mixed_norm(profiles_of(c), "Linf_x", "L2_t"),
+            mixed_norm(profiles_of(lt), "Linf_x", "L1_t"),
         ))
 
     # count the evolutions, with the radius of the profiles they stream to
@@ -731,7 +743,7 @@ def test_lipschitz_reads_the_differences_of_the_stored_runs(tmp_path, monkeypatc
     from solmanifold.norms import mixed_norm
     from solmanifold.propagators import SpaceTimeField
 
-    from oracles import manifold_trajectory
+    from oracles import manifold_trajectory, profiles_of
 
     calls = _spy_on_manifold(monkeypatch)
     cfg = ExperimentConfig.from_file(write_config(tmp_path,
@@ -745,7 +757,7 @@ def test_lipschitz_reads_the_differences_of_the_stored_runs(tmp_path, monkeypatc
         res1, traj1 = manifold_trajectory(S, other, T, dt, ex._tight_tol(other))
         u = traj1.u_snapshots.samples - traj0.u_snapshots.samples
         diff = SpaceTimeField(S.grid, traj0.u_snapshots.dt, u)
-        assert record["traj_distance"] == mixed_norm(diff, ("lorentz", 6, 2), "Linf_t")
+        assert record["traj_distance"] == mixed_norm(profiles_of(diff), ("lorentz", 6, 2), "Linf_t")
         assert record["h_shift"] == abs(res1.h - res0.h)
 
 
@@ -912,7 +924,7 @@ def test_secular_reads_its_horizons_in_one_pass(tmp_path):
     from solmanifold import ground_state, mixed_norm
     from solmanifold.propagators import SpaceTimeField
 
-    from oracles import stored_secular_split
+    from oracles import profiles_of, stored_secular_split
 
     cfg = ExperimentConfig(experiment="secular", R=110.0, n=1101, R_obs=10.0,
                            output_dir=str(tmp_path / "out"))
@@ -927,7 +939,7 @@ def test_secular_reads_its_horizons_in_one_pass(tmp_path):
         m = int(round(record["T"] / S_traj.dt)) + 1
         for key, stack, inner in (("S_LinfL2", S_traj.samples, "L2_t"), ("full_LinfL1", full, "L1_t")):
             prefix = SpaceTimeField(grid, S_traj.dt, stack[:m])
-            assert record[key] == mixed_norm(prefix, "Linf_x", inner)
+            assert record[key] == mixed_norm(profiles_of(prefix), "Linf_x", inner)
 
 
 def test_a_two_point_loglog_fit_reports_no_standard_error(tmp_path):

@@ -88,6 +88,33 @@ def test_tracer_targets_resolve():
     assert type(vars(RadialGrid)["r"]) is property
 
 
+def test_the_traced_names_time_live_work(tmp_path):
+    # the spans perfbench/tracing.py opens for the fixed-point h, x_pm, the
+    # modulation rate and the mixed norms wrap what a run calls: one small
+    # h_scaling and one small contraction call each at least once
+    from solmanifold.experiments import ExperimentConfig, run
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    small = dict(R=20.0, n=201, R_obs=8.0, T=6.0)
+    tracer = tracing.Tracer("live")
+    tracer.install()
+    try:
+        reports = [run(ExperimentConfig(name, seed=seed, sweep=sweep, **small,
+                                        output_dir=str(tmp_path / name)))
+                   for name, seed, sweep in (("h_scaling", 5, (1e-4, 2e-4)),
+                                             ("contraction", 3, (5e-4, 1e-3)))]
+    finally:
+        tracer.restore()
+    assert [r for rep in reports for r in rep.records if "error" in r] == []
+    calls = {name: tracer.calls[name] for name in (
+        "modulation.h_fixed_point", "modulation.xpm_evolution",
+        "modulation.modulation_rate_series", "norms.mixed_norm")}
+    assert min(calls.values()) >= 1, calls
+
+
 def test_the_snapshot_format_stays_in_grid_and_propagators():
     # _leapfrog hands its consumers field values: only the module that
     # defines the w -> f conversion and the stepper that applies it name it

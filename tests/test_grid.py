@@ -29,6 +29,11 @@ def test_constructor_rounds_to_odd_and_guards():
         RadialGrid(R=10.0, n=8)
     with pytest.raises(ValueError):
         RadialGrid(R=-1.0, n=100)
+    # R = inf would build NaN nodes, and R = nan is no bad observation
+    # radius, though its default R/2 is nan too
+    for R in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="outer radius must be positive and finite"):
+            RadialGrid(R=R, n=100)
 
 
 def test_obs_slice_on_and_between_nodes():

@@ -11,14 +11,12 @@ from solmanifold import (
     evolve_nonlinear,
     extract_modulation,
     ground_state,
-    h_fixed_point,
     inner_product,
     make_query,
     picard_map,
     picard_transport,
     shoot_h,
     x_norm,
-    xpm_evolution,
 )
 from solmanifold import GridUsageError, soliton
 from solmanifold.grid import pair_w
@@ -32,7 +30,7 @@ from solmanifold.modulation import (
     _chebvander,
     _quintic_force,
     _series_roots,
-    modulation_rate_series,
+    h_fixed_point,
 )
 from solmanifold.spectral import secular_coefficient
 
@@ -44,9 +42,12 @@ from oracles import (
     project_continuous_w,
     restricted,
     source_stacks,
+    stored_h_fixed_point,
     stored_leapfrog,
     stored_linear,
+    stored_modulation_rate_series,
     stored_nonlinear,
+    stored_xpm_evolution,
     trajectory_modulation,
 )
 
@@ -551,7 +552,7 @@ def test_adot_zero_for_orthogonal_data(mod_grid, S_mod):
     b2 = RadialField(
         mod_grid, b.values - inner_product(b, q) / inner_product(q, q) * q.values
     )
-    ser = modulation_rate_series(b2, mod_grid.zeros(), None, [1.0], [0.0], S_mod, 0.0, 0.04)
+    ser = stored_modulation_rate_series(b2, mod_grid.zeros(), None, [1.0], [0.0], S_mod, 0.0, 0.04)
     assert abs(ser[0]) < 1e-12
 
 
@@ -559,7 +560,7 @@ def test_adot_initial_magnitude(mod_grid, S_mod):
     # |adot(0)| = cQ |<V dphi, u(0)>|; orientation is pinned by the secular
     # cancellation (opposite to some written accounts, see ledger)
     b = mod_grid.field(1e-3 * np.exp(-((mod_grid.r - 2.0) ** 2)))
-    ser = modulation_rate_series(b, mod_grid.zeros(), None, [1.0], [0.0], S_mod, 0.0, 0.04)
+    ser = stored_modulation_rate_series(b, mod_grid.zeros(), None, [1.0], [0.0], S_mod, 0.0, 0.04)
     q = RadialField(
         mod_grid, soliton.potential(mod_grid.r, 1.0) * S_mod.resonance.values
     )
@@ -580,7 +581,7 @@ def test_simplified_ansatz_modulation_integral(mod_grid, S_mod):
         (mod_grid.field(np.exp(-(mod_grid.r**2))), None),
         (mod_grid.field(soliton.phi(mod_grid.r, 1.0) ** 5), 0.0),
     ):
-        ser = modulation_rate_series(
+        ser = stored_modulation_rate_series(
             mod_grid.zeros(), profile, None, np.ones(M + 1), np.zeros(M + 1),
             S_mod, T, dt,
         )
@@ -599,7 +600,7 @@ def test_h_fixed_point_zero_histories(mod_grid, S_mod):
     M = 100
     dt = 0.04
     u0 = SpaceTimeField(mod_grid, dt, np.zeros((M + 1, mod_grid.n)))
-    h, tail = h_fixed_point(u0, np.ones(M + 1), S_mod)
+    h, tail = stored_h_fixed_point(u0, np.ones(M + 1), S_mod)
     assert h == 0.0
     assert tail == 0.0
 
@@ -611,7 +612,7 @@ def test_h_fixed_point_window_guard(mod_grid, S_mod):
     a0 = np.ones(M + 1)
     a0[-1] = 1.6
     with pytest.raises(LeftModulationWindow):
-        h_fixed_point(u0, a0, S_mod)
+        stored_h_fixed_point(u0, a0, S_mod)
 
 
 def test_h_quadratic_dominance(mod_grid, S_mod):
@@ -623,7 +624,7 @@ def test_h_quadratic_dominance(mod_grid, S_mod):
     hs = []
     for lam in (1.0, 0.5, 0.25):
         u0 = SpaceTimeField(mod_grid, dt, lam * profile)
-        h, _ = h_fixed_point(u0, np.ones(M + 1), S_mod)
+        h, _ = stored_h_fixed_point(u0, np.ones(M + 1), S_mod)
         hs.append(h)
     assert hs[1] / hs[0] == pytest.approx(0.25, rel=0.01)
     assert hs[2] / hs[0] == pytest.approx(0.0625, rel=0.01)
@@ -643,7 +644,7 @@ def test_shoot_h_agrees_with_fixed_point(manifold_run, mod_grid, S_mod, query_mo
     )
     pg0 = pair_w(query_mod.psi0_perturbation, S_mod.g)
     pg1 = pair_w(query_mod.psi1, S_mod.g)
-    h_fp, tail = h_fixed_point(
+    h_fp, tail = stored_h_fixed_point(
         u_traj,
         np.ones(M + 1),
         S_mod,
@@ -687,19 +688,17 @@ def test_stacked_quintic_rows_equal_their_own_runs(small_shots):
 
 
 def test_streamed_fixed_point_h_equals_the_stored_run(manifold_run, mod_grid, S_mod, query_mod):
-    # the two passes store no run, yet give h_fixed_point's bits along the
-    # stored stride-1 run at each shot h, over the trimmed horizon 18 - 4 of
+    # the two passes store no run, yet give the fixed-point formula's bits
+    # along the stored stride-1 run at each shot h, over the trimmed horizon 18 - 4 of
     # the h_scaling grid: every row is paired with the proxy by its own dot
     # products, so 32-row blocks give the scales of the whole run
-    from solmanifold.modulation import _fixed_point_hs
-
     from oracles import stored_fixed_point_h
 
     res, _, dt = manifold_run
     other = make_query(S_mod, RadialField(mod_grid, 2.0 * query_mod.psi0_perturbation.values),
                        mod_grid.zeros())
     shots = [(query_mod, res.h), (other, shoot_h(other, S_mod, 18.0, dt).h)]
-    streamed = _fixed_point_hs([q for q, _ in shots], [h for _, h in shots], S_mod, 14.0, dt)
+    streamed = h_fixed_point([q for q, _ in shots], [h for _, h in shots], S_mod, 14.0, dt)
     for (q, h), got in zip(shots, streamed):
         assert got == stored_fixed_point_h(q, h, S_mod, 14.0, dt)
         assert abs(got[0] - h) < 1e-3 * q.epsilon**2
@@ -709,12 +708,10 @@ def test_streamed_fixed_point_h_equals_the_stored_run_on_a_small_grid(small_shot
     # R = 30, n = 301, T = 6 (76 rows): when the proxy products were one
     # matrix product per block, h differed here from the stored run's by
     # 1.8e-9 relative
-    from solmanifold.modulation import _fixed_point_hs
-
     from oracles import stored_fixed_point_h
 
     S, shots, dt = small_shots
-    streamed = _fixed_point_hs([q for q, _ in shots], [h for _, h in shots], S, 6.0, dt)
+    streamed = h_fixed_point([q for q, _ in shots], [h for _, h in shots], S, 6.0, dt)
     for (q, h), got in zip(shots, streamed):
         assert got == stored_fixed_point_h(q, h, S, 6.0, dt)
 
@@ -752,7 +749,7 @@ def test_a_stacked_point_off_the_manifold_fails_typed(small_shots, offset, error
     S, shots, dt = small_shots
     q, h = shots[0]
     with pytest.raises(getattr(modulation, error), match=match):
-        modulation._fixed_point_hs([q, q], [h, h + offset], S, 6.0, dt)
+        modulation.h_fixed_point([q, q], [h, h + offset], S, 6.0, dt)
 
 
 def test_the_passes_hold_less_than_one_stored_run(manifold_run, S_mod, query_mod):
@@ -760,12 +757,10 @@ def test_the_passes_hold_less_than_one_stored_run(manifold_run, S_mod, query_mod
     # stored run held (M = 350, n = 1201)
     import tracemalloc
 
-    from solmanifold.modulation import _fixed_point_hs
-
     res, _, dt = manifold_run
     tracemalloc.start()
     try:
-        _fixed_point_hs([query_mod, query_mod], [res.h, res.h], S_mod, 14.0, dt)
+        h_fixed_point([query_mod, query_mod], [res.h, res.h], S_mod, 14.0, dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -782,7 +777,7 @@ def test_xpm_evolution_pure_decay(mod_grid, S_mod):
     psi1 = RadialField(mod_grid, -d * S_mod.k * S_mod.g.values)
     query = ManifoldQuery(pert, psi1, epsilon=d, constraint_residual=0.0)
 
-    xp, xm, tail = xpm_evolution(u0, np.ones(M + 1), query, S_mod, 0.0)
+    xp, xm, tail = stored_xpm_evolution(u0, np.ones(M + 1), query, S_mod, 0.0)
     t = dt * np.arange(M + 1)
     expected = xm[0] * np.exp(-S_mod.k * t)
     assert np.max(np.abs(xm - expected)) < 1e-12 * abs(xm[0]) + 1e-15
@@ -941,8 +936,8 @@ def test_nonlinear_path_is_scale_covariant():
     it = picard_map(None, None, None, q, S, T, dt, pair)
     its = picard_map(None, None, None, qs, Ss, T / 4, dt / 4, pairs)
     check(it, its)
-    h_fp = h_fixed_point(it.u, it.a, S)[0]
-    assert 4.0 * h_fixed_point(its.u, its.a, Ss)[0] == h_fp
+    h_fp = stored_h_fixed_point(it.u, it.a, S)[0]
+    assert 4.0 * stored_h_fixed_point(its.u, its.a, Ss)[0] == h_fp
     it2 = picard_map(it.u, it.a, it.adot, q, S, T, dt, pair)
     its2 = picard_map(its.u, its.a, its.adot, qs, Ss, T / 4, dt / 4, pairs)
     check(it2, its2)
@@ -1088,9 +1083,9 @@ def test_h_fixed_point_matches_per_step_reference(history, S_mod):
     w = np.exp(-kt * np.arange(M + 1) * dt) * dt
     w[0] *= 0.5
     h_ref = -(khat * 2e-4 + 3e-4 + np.sum(w * q)) / ((khat + S_mod.k) * S_mod.gg_w)
-    h, _ = h_fixed_point(u0, a0, S_mod, pert_overlap_w=2e-4, psi1_overlap_w=3e-4)
+    h, _ = stored_h_fixed_point(u0, a0, S_mod, pert_overlap_w=2e-4, psi1_overlap_w=3e-4)
     assert abs(h - h_ref) < 1e-10 * abs(h_ref)
-    h_src, _ = h_fixed_point(u0, a0, S_mod)
+    h_src, _ = stored_h_fixed_point(u0, a0, S_mod)
     h_src_ref = -np.sum(w * q) / ((khat + S_mod.k) * S_mod.gg_w)
     assert abs(h_src - h_src_ref) < 1e-10 * abs(h_src_ref)
 
@@ -1123,7 +1118,7 @@ def test_xpm_evolution_matches_per_step_reference(history, S_mod, query_mod):
     for m in range(M - 1, -1, -1):
         run = run * decay + 0.5 * dt * (w2g[m] + w2g[m + 1] * decay)
         xp_ref[m] = -c * run
-    xp, xm, _ = xpm_evolution(u0, a0, query_mod, S_mod, h)
+    xp, xm, _ = stored_xpm_evolution(u0, a0, query_mod, S_mod, h)
     assert _rel_err(xp, xp_ref) < 1e-10
     assert _rel_err(xm, xm_ref) < 1e-10
 
@@ -1158,7 +1153,7 @@ def test_modulation_rate_series_matches_per_step_reference(history, S_mod, query
     wmat = grid.simpson_weights * grid.r**2 * 4.0 * np.pi
     duh, _ = _loop_sums((F * wmat) @ Esin.T - (D * wmat) @ Ecos.T, dt)
     ref = -(a0**1.25) * secular_coefficient(S_mod) * (base + duh)
-    got = modulation_rate_series(data0, data1, u0, a0, adot0, S_mod, T, dt)
+    got = stored_modulation_rate_series(data0, data1, u0, a0, adot0, S_mod, T, dt)
     assert np.max(np.abs(duh)) > 1e-3 * np.max(np.abs(base))  # the source counts
     assert _rel_err(got, ref) < 1e-10
 
@@ -1389,16 +1384,16 @@ def test_xpm_of_a_vanishing_source_is_the_free_decay(mod_grid, S_mod, query_psi1
     # general path and gives the same x_minus bit for bit
     import dataclasses
 
-    from solmanifold.modulation import _no_source, _offset_data, _xpm_from
+    from solmanifold.modulation import _no_source, _offset_data, xpm_evolution
 
     dt = 0.8 * mod_grid.dr
     M = 200
     data = _offset_data(query_psi1, S_mod, 1e-4)
-    xp, xm, tail = _xpm_from(_no_source(M), *data, S_mod, dt)
+    xp, xm, tail = xpm_evolution(_no_source(M), *data, S_mod, dt)
     assert xp.shape == xm.shape == (M + 1,) and tail == 0.0
     assert not np.any(xp) and not np.any(np.signbit(xp))
     tiny = dataclasses.replace(_no_source(M), Fg=np.full(M + 1, 1e-200))
-    xp_tiny, xm_tiny, tail_tiny = _xpm_from(tiny, *data, S_mod, dt)
+    xp_tiny, xm_tiny, tail_tiny = xpm_evolution(tiny, *data, S_mod, dt)
     assert np.array_equal(xm_tiny, xm) and xm[0] != 0.0
     assert 0.0 < np.max(np.abs(xp_tiny)) < 1e-150 and 0.0 < tail_tiny < 1e-150
 
@@ -1408,12 +1403,14 @@ def test_x_norm_reads_its_trajectory_once(monkeypatch, history):
     from solmanifold import mixed_norm
     from solmanifold.norms import TimeProfiles
 
+    from oracles import profiles_of
+
     u0, a0, adot0 = history
     adot = np.gradient(a0, u0.dt)
     want = max(
-        mixed_norm(u0, ("lorentz", 6, 2), "Linf_t"),
-        mixed_norm(u0, "Linf_x", "L2_t"),
-        mixed_norm(u0, "Linf_x", "L1_t"),
+        mixed_norm(profiles_of(u0), ("lorentz", 6, 2), "Linf_t"),
+        mixed_norm(profiles_of(u0), "Linf_x", "L2_t"),
+        mixed_norm(profiles_of(u0), "Linf_x", "L1_t"),
     ) + max(float(np.sum(np.abs(adot)) * u0.dt), float(np.max(np.abs(adot))))
     added = []
     add = TimeProfiles.add

@@ -15,7 +15,7 @@ from solmanifold.grid import GridUsageError
 from solmanifold.norms import TimeProfiles
 from solmanifold.propagators import SpaceTimeField, free_sine_traj
 
-from oracles import inner_time_profiles, kato_norm, lp_norm_cells, spacetime_l8
+from oracles import inner_time_profiles, kato_norm, lp_norm_cells, profiles_of, spacetime_l8
 
 INT_PHI6 = 3.0**1.5 * np.pi**2 / 4.0
 
@@ -78,7 +78,7 @@ def test_lorentz_range_guards(norm_grid):
 def test_mixed_norm_time_collapse(norm_grid):
     f = np.exp(-((norm_grid.r - 3.0) ** 2))
     u = SpaceTimeField(norm_grid, 0.05, np.tile(f, (41, 1)))
-    got = mixed_norm(u, ("lorentz", 6, 2), "Linf_t")
+    got = mixed_norm(profiles_of(u), ("lorentz", 6, 2), "Linf_t")
     want = lorentz_norm(norm_grid.field(f), 6, 2, radius=norm_grid.R_obs)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -90,7 +90,7 @@ def test_mixed_norm_separable_factorization(norm_grid):
     h = np.cos(0.7 * dt * np.arange(M + 1))
     u = SpaceTimeField(norm_grid, dt, np.outer(h, f))
     # inner L2_t factorizes: ||f h||_mixed = ||h||_{L2_t} * lorentz(f)
-    got = mixed_norm(u, ("lorentz", 6, 2), "L2_t")
+    got = mixed_norm(profiles_of(u), ("lorentz", 6, 2), "L2_t")
     want = np.sqrt(np.sum(h * h) * dt) * lorentz_norm(
         norm_grid.field(f), 6, 2, radius=norm_grid.R_obs
     )
@@ -100,9 +100,9 @@ def test_mixed_norm_separable_factorization(norm_grid):
 def test_mixed_norm_unknown_tags(norm_grid):
     u = SpaceTimeField(norm_grid, 0.05, np.zeros((3, norm_grid.n)))
     with pytest.raises(Exception):
-        mixed_norm(u, ("lorentz", 6, 2), "L7_t")
+        mixed_norm(profiles_of(u), ("lorentz", 6, 2), "L7_t")
     with pytest.raises(Exception):
-        mixed_norm(u, "bogus", "L2_t")
+        mixed_norm(profiles_of(u), "bogus", "L2_t")
 
 
 def test_mixed_norm_reads_only_the_observation_ball(norm_grid, rng):
@@ -115,8 +115,8 @@ def test_mixed_norm_reads_only_the_observation_ball(norm_grid, rng):
         spoiled = SpaceTimeField(norm_grid, traj.dt, garbage)
         for outer in (("lorentz", 6, 2), "Linf_x"):
             for inner in ("Linf_t", "L2_t", "L1_t"):
-                assert mixed_norm(spoiled, outer, inner, radius=radius) == mixed_norm(
-                    traj, outer, inner, radius=radius
+                assert mixed_norm(profiles_of(spoiled, radius), outer, inner) == mixed_norm(
+                    profiles_of(traj, radius), outer, inner
                 )
 
 
@@ -132,7 +132,8 @@ def test_mixed_norm_of_a_bounded_trajectory(norm_grid):
         free_sine_traj(f, 20.0, dt, profiles=streamed)
         for outer in (("lorentz", 6, 2), "Linf_x"):
             for inner in ("Linf_t", "L2_t", "L1_t"):
-                assert streamed.norm(outer, inner) == mixed_norm(full, outer, inner, radius=radius)
+                assert mixed_norm(streamed, outer, inner) == mixed_norm(profiles_of(full, radius),
+                                                                        outer, inner)
     wider = TimeProfiles(norm_grid, dt, norm_grid.R_obs + norm_grid.dr)
     with pytest.raises(GridUsageError):
         wider.add(full.samples[:, : norm_grid.obs_slice().stop])
@@ -173,11 +174,11 @@ def test_time_profiles_of_a_stack_equal_each_trajectorys(norm_grid, rng, rows):
     for m0 in range(0, len(samples), rows):
         stacked.add(samples[m0 : m0 + rows])
     for k in range(3):
-        alone = TimeProfiles.of(SpaceTimeField(norm_grid, dt, samples[:, k]))
+        alone = profiles_of(SpaceTimeField(norm_grid, dt, samples[:, k]))
         for inner in ("Linf_t", "L2_t", "L1_t"):
             assert np.array_equal(stacked.profile(inner)[k], alone.profile(inner))
             for outer in ("Linf_x", ("lorentz", 6, 2)):
-                assert stacked.norm(outer, inner)[k] == alone.norm(outer, inner)
+                assert mixed_norm(stacked, outer, inner)[k] == mixed_norm(alone, outer, inner)
 
 
 def test_time_profiles_of_non_finite_rows_raise(norm_grid):
@@ -187,9 +188,9 @@ def test_time_profiles_of_non_finite_rows_raise(norm_grid):
     profiles.add(rows[:2])
     profiles.add(rows[2:])
     with pytest.raises(GridUsageError, match="non-finite"):
-        profiles.norm("Linf_x", "L1_t")
+        mixed_norm(profiles, "Linf_x", "L1_t")
     with pytest.raises(GridUsageError):
-        TimeProfiles(norm_grid, 0.05).norm("Linf_x", "L1_t")
+        mixed_norm(TimeProfiles(norm_grid, 0.05), "Linf_x", "L1_t")
 
 
 def test_spacetime_l8_block(norm_grid):
@@ -209,8 +210,9 @@ def test_l8_interpolation_inequality(norm_grid):
     f = norm_grid.field(np.exp(-((norm_grid.r - 2.0) ** 2)))
     traj = free_sine_traj(f, 30.0, norm_grid.dr)
     lhs = spacetime_l8(traj)
-    rhs = mixed_norm(traj, ("lorentz", 6, 2), "Linf_t") ** 0.75 * mixed_norm(
-        traj, "Linf_x", "L2_t"
+    profiles = profiles_of(traj)
+    rhs = mixed_norm(profiles, ("lorentz", 6, 2), "Linf_t") ** 0.75 * mixed_norm(
+        profiles, "Linf_x", "L2_t"
     ) ** 0.25
     assert lhs <= rhs * (1 + 1e-10)
 

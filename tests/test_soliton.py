@@ -156,7 +156,7 @@ def test_profiles_broadcast_over_scales_bit_for_bit():
 
 def test_profiles_reject_any_bad_scale():
     r = np.linspace(0.0, 10.0, 11)
-    for bad in (np.nan, 0.0, -0.5):
+    for bad in (np.nan, 0.0, -0.5, np.inf):
         a = np.array([[0.9], [bad], [1.1]])
         for prof in PROFILES:
             with pytest.raises(ValueError):
@@ -164,5 +164,6 @@ def test_profiles_reject_any_bad_scale():
     # every entry must lie in the defect window, not just the first
     with pytest.raises(ValueError):
         soliton.resonance_defect_profile(r, np.array([[1.0], [2.5]]), 1.0)
-    with pytest.raises(ValueError):
-        soliton.phi(r, np.nan)
+    for bad in (np.nan, np.inf):  # phi(r, inf) would be inf / inf = nan
+        with pytest.raises(ValueError):
+            soliton.phi(r, bad)
